@@ -1,0 +1,66 @@
+"""Per-layer kernel timings (pytest-benchmark), kept out of the tier-1 suite.
+
+Run from the repository root:
+
+    python3 -m pytest benchmarks -q
+
+The scene is the ``map`` workload of ``perfbench``: its planar 3R arm, its
+wall-with-slot cell and its 90-cell map box.
+"""
+import numpy as np
+import pytest
+
+import inputs
+import workloads
+from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
+from hybridplan.kinematics import fk, ik_attempt, ik_descend
+
+SIZES = workloads.MapSizes()
+ORIENTATION = (np.pi, (1, 1, SIZES.yaw_bins))
+BOX = ([*SIZES.box_lo, -0.1], [*SIZES.box_hi, 0.1])
+TOL_POS = 0.5 * workloads.MAP_VOXEL                  # the map's cell tolerances
+TOL_ROT = np.pi / ORIENTATION[1][2]
+
+
+@pytest.fixture(scope="module")
+def model():
+    return inputs.robot()
+
+
+@pytest.fixture(scope="module")
+def cell():
+    return inputs.wall_cell()
+
+
+def test_ik_attempt_warm(benchmark, model):
+    # a chained waypoint: the previous joints seed a nearby target
+    theta = np.array([0.3, 0.6, -0.4])
+    target = fk(model, theta + 0.05)
+    sol = benchmark(ik_attempt, model, target, theta, 1e-3, 1e-2, 150)
+    assert sol is not None
+
+
+def test_ik_descend_1000_lanes(benchmark, model):
+    rng = np.random.default_rng(0)
+    lo, hi = model.limits_lo, model.limits_hi
+    targets = [inputs.planar_pose(*rng.uniform([-0.3, -0.6, -np.pi], [1.5, 0.9, np.pi]))
+               for _ in range(1000)]
+    seeds = rng.uniform(lo, hi, size=(1000, model.dof))
+    out = benchmark(ik_descend, model, targets, seeds, TOL_POS, TOL_ROT, FEA_MAX_ITERS)
+    assert 0 < np.sum(~np.isnan(out[:, 0])) < 1000
+
+
+def test_fea_one_cell(benchmark, model, cell):
+    pose = inputs.planar_pose(0.95, 0.0, 0.0)          # behind the wall, through the slot
+    res = benchmark(lambda: fea(pose, model, cell.obstacles, ik_budget=12,
+                                rng=np.random.default_rng(0), tol_pos=TOL_POS,
+                                tol_rot=TOL_ROT))
+    assert res.feasible
+
+
+def test_build_map_wall_90_cells(benchmark, model, cell):
+    fmap = benchmark.pedantic(build_map, args=(model, cell.obstacles, BOX, workloads.MAP_VOXEL),
+                              kwargs=dict(orientation_spec=ORIENTATION,
+                                          seed=workloads.MAP_IK_SEED),
+                              rounds=5, iterations=1)
+    assert fmap.n_cells == 90

@@ -12,7 +12,7 @@ is half the cell extent.
 from __future__ import annotations
 
 import hashlib
-import os
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -23,7 +23,7 @@ from hybridplan.geometry import Box, Sphere, collision_index
 from hybridplan.kinematics import (
     RobotModel,
     fk,
-    ik_attempt,
+    ik_descend,
     normalized_manipulability,
     robot_hash,
 )
@@ -33,6 +33,7 @@ REASON_NAMES = {OK: "OK", UNREACHABLE: "UNREACHABLE", COLLISION: "COLLISION",
                 LOW_MANIP: "LOW_MANIP"}
 
 MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
+FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
 _MAGIC = b"HPFM"
 _VERSION = 1
 
@@ -65,30 +66,57 @@ class FeaResult:
 
 
 def fea(pose: DualQuaternion, model: RobotModel, obstacles, eps_m=0.1,
-        ik_budget=20, rng=None, tol_pos=1e-3, tol_rot=1e-2, max_iters=80,
+        ik_budget=20, rng=None, tol_pos=1e-3, tol_rot=1e-2, max_iters=FEA_MAX_ITERS,
         extra_seeds=()) -> FeaResult:
     """Feasibility of one end-effector pose.
 
-    Tries up to ``ik_budget`` IK descents (home seed, any caller-provided
-    seeds, then random seeds).  Existential over witnesses: the first witness
-    that is reachable, collision-free, and above the manipulability threshold
-    decides feasibility; otherwise the reason reports the first criterion that
-    every witness failed, checked in the order reachability, collision,
+    Runs one IK descent per seed: every caller-provided seed, then the home
+    configuration, then random seeds from ``rng`` until ``ik_budget`` seeds
+    are reached.  Caller seeds are all tried, even past ``ik_budget``.
+    Existential over witnesses: the first witness in seed order that is
+    reachable, collision-free, and above the manipulability threshold
+    decides feasibility; otherwise the reason reports the first criterion
+    that every witness failed, checked in the order reachability, collision,
     manipulability.
     """
     if rng is None:
         rng = np.random.default_rng(0)
+    seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
+    return _fea_batch([pose], [seeds], model, obstacles, eps_m, tol_pos, tol_rot,
+                      max_iters)[0]
+
+
+def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> list:
+    """IK seeds of one pose: caller seeds, home, then uniform random seeds."""
     seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
     seeds.append(model.home)
     lo, hi = model.limits_lo, model.limits_hi
     while len(seeds) < ik_budget:
         seeds.append(rng.uniform(lo, hi))
+    return seeds
+
+
+def _fea_batch(poses, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
+               tol_rot, max_iters) -> list:
+    """``fea`` of many poses: every seed of every pose descends as one
+    ``ik_descend``, then each pose's witnesses are judged in seed order."""
+    targets = [pose for pose, seeds in zip(poses, seed_lists) for _ in seeds]
+    sols = ik_descend(model, targets, np.concatenate(seed_lists).reshape(-1, model.dof),
+                      tol_pos, tol_rot, max_iters)
+    results, start = [], 0
+    for seeds in seed_lists:
+        results.append(_judge(sols[start:start + len(seeds)], model, obstacles, eps_m))
+        start += len(seeds)
+    return results
+
+
+def _judge(sols, model: RobotModel, obstacles, eps_m) -> FeaResult:
+    """Verdict over one pose's descents (NaN rows did not reach)."""
     reached = False
     best_free = None       # (man', witness) best collision-free witness
     best_any = None        # (man', witness) best witness of any kind
-    for seed in seeds[:max(ik_budget, len(seeds))]:
-        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters)
-        if sol is None:
+    for sol in sols:
+        if np.isnan(sol[0]):
             continue
         reached = True
         mp = normalized_manipulability(model, sol)
@@ -203,24 +231,23 @@ class FeasibilityMap:
         return float(np.mean(self.reasons == OK))
 
 
-def _evaluate_cells(args):
-    (model, obstacles, map_header, indices, seed, eps_m, ik_budget,
-     seeds_by_cell, spawn_salt) = args
-    out = []
-    half_pos = 0.5 * map_header.voxel_size
-    half_rot = float(np.min(map_header.theta_max / np.asarray(map_header.orient_counts)))
-    cells = list(map_header.all_cells())
+def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices, seed,
+                    eps_m, ik_budget, seeds_by_cell, spawn_salt) -> list:
+    """(cell index, FeaResult) for the given cells, each cell's random seeds
+    drawn from its own (seed, cell index, salt) stream."""
+    half_pos = 0.5 * fmap.voxel_size
+    half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
+    cells = list(fmap.all_cells())
+    poses, seed_lists = [], []
     for i in indices:
-        vox, ori = cells[i]
-        pose = map_header.cell_pose(vox, ori)
+        poses.append(fmap.cell_pose(*cells[i]))
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(i, spawn_salt)))
         extra = () if seeds_by_cell is None else seeds_by_cell.get(i, ())
-        res = fea(pose, model, obstacles, eps_m=eps_m, ik_budget=ik_budget,
-                  rng=rng, tol_pos=half_pos, tol_rot=half_rot, extra_seeds=extra)
-        out.append((i, res.reason, res.man_prime,
-                    None if res.witness is None else np.asarray(res.witness)))
-    return out
+        seed_lists.append(_draw_seeds(model, extra, ik_budget, rng))
+    results = _fea_batch(poses, seed_lists, model, obstacles, eps_m, half_pos, half_rot,
+                         FEA_MAX_ITERS)
+    return list(zip(indices, results))
 
 
 def _neighbor_indices(fmap: FeasibilityMap, vox, ori):
@@ -244,14 +271,15 @@ def _neighbor_indices(fmap: FeasibilityMap, vox, ori):
 
 def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
               orientation_spec=(np.pi, (1, 1, 8)), eps_m=0.1, seed=0,
-              ik_budget=12, workers=None) -> FeasibilityMap:
+              ik_budget=12) -> FeasibilityMap:
     """Evaluate every (voxel, orientation-cell) with a per-cell RNG stream.
 
     Two passes: the first evaluates cells independently; the second retries
     infeasible cells seeding IK with the witnesses of adjacent first-pass
     cells (witness transfer), which rescues pockets that pure random restarts
-    rarely reach.  Both passes depend only on (seed, cell index) and the
-    first-pass output, so the result is identical for any worker count.
+    rarely reach.  Each pass runs the IK descents of all its cells in
+    lockstep; a cell's verdict depends only on (seed, cell index) and the
+    witnesses of the passes before.
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
@@ -284,27 +312,16 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
         },
     )
 
-    if workers is None:
-        workers = int(os.environ.get("HYBRIDPLAN_THREADS", "1"))
-
     def run_pass(indices, seeds_by_cell, spawn_salt):
-        if workers > 1 and len(indices) > workers:
-            from multiprocessing import Pool
-            chunks = [indices[k::workers] for k in range(workers)]
-            args = [(model, obstacles, fmap, c, seed, eps_m, ik_budget,
-                     seeds_by_cell, spawn_salt) for c in chunks]
-            with Pool(workers) as pool:
-                results = pool.map(_evaluate_cells, args)
-            return [r for chunk in results for r in chunk]
-        return _evaluate_cells((model, obstacles, fmap, indices, seed, eps_m,
-                                ik_budget, seeds_by_cell, spawn_salt))
+        return _evaluate_cells(model, obstacles, fmap, indices, seed, eps_m,
+                               ik_budget, seeds_by_cell, spawn_salt)
 
     def store(flat):
-        for i, reason, man_prime, witness in flat:
-            fmap.reasons[i] = reason
-            fmap.man[i] = _man_roundtrip(man_prime)
-            if witness is not None:
-                fmap.witnesses[i] = witness
+        for i, res in flat:
+            fmap.reasons[i] = res.reason
+            fmap.man[i] = _man_roundtrip(res.man_prime)
+            if res.witness is not None:
+                fmap.witnesses[i] = res.witness
 
     store(run_pass(list(range(n_cells)), None, 0))
 
@@ -324,14 +341,10 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
                 seeds_by_cell[i] = neigh
         if not retry:
             break
-        upgraded = 0
-        for i, reason, man_prime, witness in run_pass(retry, seeds_by_cell, round_no):
-            if reason == OK:
-                fmap.reasons[i] = reason
-                fmap.man[i] = _man_roundtrip(man_prime)
-                fmap.witnesses[i] = witness
-                upgraded += 1
-        if upgraded == 0:
+        upgraded = [(i, res) for i, res in run_pass(retry, seeds_by_cell, round_no)
+                    if res.reason == OK]
+        store(upgraded)
+        if not upgraded:
             break
     return fmap
 
@@ -375,6 +388,9 @@ def load_map(path) -> FeasibilityMap:
         raw = fh.read()
     head_fmt = "<4sI6dd3IdI3IIIdQ"
     head_size = struct.calcsize(head_fmt)
+    if len(raw) < head_size:
+        raise ValueError(f"truncated map file: {len(raw)} bytes, expected at least "
+                         f"{head_size} for the header")
     vals = struct.unpack(head_fmt, raw[:head_size])
     if vals[0] != _MAGIC or vals[1] != _VERSION:
         raise ValueError("not a feasibility map file")
@@ -385,11 +401,14 @@ def load_map(path) -> FeasibilityMap:
     theta_max = vals[12]
     orient_counts = tuple(vals[14:17])
     dof, ik_budget, eps_m, seed = vals[17], vals[18], vals[19], vals[20]
+    n_cells = math.prod(counts) * math.prod(orient_counts)
+    expected = head_size + 2 * 64 + n_cells * (1 + 2 + 4 * dof)
+    if len(raw) != expected:
+        raise ValueError(f"map file is {len(raw)} bytes, expected {expected} for "
+                         f"{n_cells} cells of dof {dof}")
     off = head_size
     robot_h = raw[off:off + 64].decode(); off += 64
     obst_h = raw[off:off + 64].decode(); off += 64
-    n_orient = int(np.prod(orient_counts))
-    n_cells = int(np.prod(counts)) * n_orient
     reasons = np.frombuffer(raw, dtype=np.uint8, count=n_cells, offset=off).copy()
     off += n_cells
     man = np.frombuffer(raw, dtype="<u2", count=n_cells, offset=off).astype(float) / MAN_FIXED_SCALE

@@ -5,6 +5,13 @@ Kinematic chain convention: frame 0 is the base; joint i contributes
 ``offset_i * Rot(axis_i, theta_i)``; frame i is the pose after joint i; an
 optional tool transform gives the end-effector frame (index dof + 1).
 Joint axes are expressed in the frame reached by ``offset_i``.
+
+The chain kernels ``_chain_eval`` and ``_jacobian_raw`` take either one joint
+vector, (dof,), and work on plain floats, or a lane array, (N, dof), and work
+on (N,) arrays with the same operations in the same order, so lane k of a
+lane call equals the scalar call on row k.  ``ik_attempt`` runs one
+damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
+them in lockstep on the lane path, under the same rules.
 """
 from __future__ import annotations
 
@@ -107,7 +114,7 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
 
 
 # ------------------------------------------------------------------ #
-# Scalar-math kinematic chain (hot path: IK, map building, rollouts)
+# Kinematic chain on floats or on (N,) lanes (hot path: IK, map, rollouts)
 # ------------------------------------------------------------------ #
 def _compile_chain(model: RobotModel):
     """Per-joint (offset quat, offset translation, axis) as plain float tuples."""
@@ -140,8 +147,11 @@ def _qrot(qw, qx, qy, qz, vx, vy, vz):
 
 
 def _chain_eval(model: RobotModel, theta):
-    """World joint axes/origins plus EE (quat, position), all scalar tuples."""
+    """World joint axes/origins plus EE (quat, position) as tuples of floats,
+    or of (N,) arrays when ``theta`` is an (N, dof) lane array."""
     steps, tq, tp = model._chain
+    if np.ndim(theta) == 2:
+        theta = np.asarray(theta).T          # one (N,) column per joint
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
     px, py, pz = 0.0, 0.0, 0.0
     axes, origins = [], []
@@ -200,29 +210,24 @@ def ee_state(model: RobotModel, theta):
 
 
 def _jacobian_raw(model: RobotModel, axes, origins, p_ee) -> np.ndarray:
+    """(m, n) Jacobian from ``_chain_eval`` output; (N, m, n) for lanes."""
     n = model.dof
-    px, py, pz = p_ee
-    if model.task == "spatial":
-        J = np.empty((6, n))
-        for i in range(n):
-            ax, ay, az = axes[i]
-            ox, oy, oz = origins[i]
-            rx, ry, rz = px - ox, py - oy, pz - oz
-            J[0, i] = ay * rz - az * ry
-            J[1, i] = az * rx - ax * rz
-            J[2, i] = ax * ry - ay * rx
-            J[3, i], J[4, i], J[5, i] = ax, ay, az
-        return J
     m = model.ee_dof
-    J = np.empty((m, n))
+    px, py, pz = p_ee
+    J = np.empty((m, n) + np.shape(px))      # lanes last while filling
     for i in range(n):
         ax, ay, az = axes[i]
         ox, oy, oz = origins[i]
         rx, ry, rz = px - ox, py - oy, pz - oz
         J[0, i] = ay * rz - az * ry
         J[1, i] = az * rx - ax * rz
-        if m == 3:
+        if model.task == "spatial":
+            J[2, i] = ax * ry - ay * rx
+            J[3, i], J[4, i], J[5, i] = ax, ay, az
+        elif m == 3:
             J[2, i] = az
+    if J.ndim == 3:
+        J = np.ascontiguousarray(J.transpose(2, 0, 1))
     return J
 
 
@@ -317,6 +322,85 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters, damping=IK_DAMP
     if perr < tol_pos and rerr < tol_rot:
         return theta
     return None
+
+
+def _lane_norm(v: np.ndarray) -> np.ndarray:
+    """Row norms of (N, k); a batched dot, which rounds like the 1-D
+    ``np.linalg.norm`` of the scalar path (an elementwise sum of squares
+    does not)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _pose_error_lanes(model, q, p, tq, tp):
+    """``_pose_error_raw`` over lanes: (N, m) error twists, (N,) pos/rot errors."""
+    dp = tp - np.stack(p, axis=1)
+    qw, qx, qy, qz = _qmul(tq[:, 0], tq[:, 1], tq[:, 2], tq[:, 3],
+                           q[0], -q[1], -q[2], -q[3])
+    v = np.stack([qx, qy, qz], axis=1)
+    n = _lane_norm(v)
+    small = n < 1e-12
+    angle = 2.0 * np.arctan2(n, qw)
+    angle = np.where(angle > np.pi, angle - 2.0 * np.pi, angle)
+    rv = np.where(small, 0.0, angle / np.where(small, 1.0, n))[:, None] * v
+    if model.task == "spatial":
+        return np.concatenate([dp, rv], axis=1), _lane_norm(dp), _lane_norm(rv)
+    perr = np.hypot(dp[:, 0], dp[:, 1])
+    if model.ee_dof == 3:
+        return np.stack([dp[:, 0], dp[:, 1], rv[:, 2]], axis=1), perr, np.abs(rv[:, 2])
+    return dp[:, :2], perr, np.zeros(len(dp))
+
+
+def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
+    """N damped-least-squares descents in lockstep, lane k from ``seeds[k]``
+    towards ``targets[k]`` (a sequence of N poses).
+
+    Every lane follows the rules of ``ik_attempt`` and ends where it would:
+    at the tolerance, after 15 non-improving iterations, on a non-finite step,
+    or after ``max_iters`` with a final check.  Returns (N, dof) joint vectors
+    with NaN rows for the lanes that did not reach their target.
+    """
+    theta = model.clamp(np.array(seeds, dtype=float).reshape(-1, model.dof))
+    n_lanes = len(theta)
+    if len(targets) != n_lanes:
+        raise ValueError(f"{len(targets)} targets for {n_lanes} seeds")
+    by_pose = {}
+    for t in targets:
+        if id(t) not in by_pose:
+            by_pose[id(t)] = (t.real, t.translation())
+    tq = np.array([by_pose[id(t)][0] for t in targets]).reshape(n_lanes, 4)
+    tp = np.array([by_pose[id(t)][1] for t in targets]).reshape(n_lanes, 3)
+    lam2 = IK_DAMPING * IK_DAMPING * np.eye(model.ee_dof)
+    out = np.full((n_lanes, model.dof), np.nan)
+    best_err = np.full(n_lanes, np.inf)
+    stall = np.zeros(n_lanes, dtype=int)
+    lane = np.arange(n_lanes)                # the lanes still descending
+    for _ in range(max_iters):
+        if lane.size == 0:
+            return out
+        axes, origins, q, p = _chain_eval(model, theta)
+        e, perr, rerr = _pose_error_lanes(model, q, p, tq[lane], tp[lane])
+        hit = (perr < tol_pos) & (rerr < tol_rot)
+        out[lane[hit]] = theta[hit]
+        err = perr + rerr
+        improved = err < best_err[lane] - 1e-12
+        best_err[lane[improved]] = err[improved]
+        stall[lane] = np.where(improved, 0, stall[lane] + 1)
+        go = ~hit & (stall[lane] < 15)
+        J = _jacobian_raw(model, axes, origins, p)[go]
+        Jt = J.transpose(0, 2, 1)
+        step = (Jt @ np.linalg.solve(J @ Jt + lam2, e[go][:, :, None]))[:, :, 0]
+        finite = np.all(np.isfinite(step), axis=1)
+        step, theta, lane = step[finite], theta[go][finite], lane[go][finite]
+        norm = _lane_norm(step)
+        big = norm > IK_MAX_STEP
+        step[big] *= (IK_MAX_STEP / norm[big])[:, None]
+        theta = model.clamp(theta + step)
+    if lane.size:
+        _, _, q, p = _chain_eval(model, theta)
+        _, perr, rerr = _pose_error_lanes(model, q, p, tq[lane], tp[lane])
+        hit = (perr < tol_pos) & (rerr < tol_rot)
+        out[lane[hit]] = theta[hit]
+    return out
 
 
 def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,

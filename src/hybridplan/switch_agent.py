@@ -338,6 +338,8 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
     """
     if not scenarios:
         raise ValueError("no switching scenarios: train the upstream planners first")
+    if not any(bands for _, bands in scenarios):
+        raise ValueError("no switching scenario has a band to train on")
     cfg = cfg or SwitchConfig()
     ppo_cfg = ppo_cfg or switch_ppo_config()
     rng = np.random.default_rng(seed)

@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
+from hybridplan import feasibility
 from hybridplan.dualquat import DualQuaternion, dq_sclerp
 from hybridplan.feasibility import (
     COLLISION,
     FJ,
+    FeaResult,
     LOW_MANIP,
     NOT_FJ,
     OK,
@@ -16,8 +20,14 @@ from hybridplan.feasibility import (
     map_bytes,
     save_map,
 )
-from hybridplan.geometry import Box
-from hybridplan.kinematics import fk, planar_rr, planar_3r
+from hybridplan.geometry import Box, collision_index
+from hybridplan.kinematics import (
+    fk,
+    ik_attempt,
+    normalized_manipulability,
+    planar_3r,
+    planar_rr,
+)
 
 YAW_ONLY = (np.pi, (1, 1, 4))
 ORI_FREE = (np.pi, (1, 1, 1))   # position-only arms cannot command yaw
@@ -212,6 +222,109 @@ def test_refinement_witness_transfer():
         if transfers >= 25:
             break
     assert transfers > 0
+
+
+# ------------------------------------------------------------------ #
+# build_map against a one-descent-at-a-time reference
+# ------------------------------------------------------------------ #
+def loop_fea(pose, model, obstacles, eps_m, ik_budget, rng, tol_pos, tol_rot, max_iters,
+             extra_seeds):
+    """Feasibility of one pose with one scalar ``ik_attempt`` per seed, in seed
+    order, stopping at the first qualifying witness."""
+    seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
+    seeds.append(model.home)
+    lo, hi = model.limits_lo, model.limits_hi
+    while len(seeds) < ik_budget:
+        seeds.append(rng.uniform(lo, hi))
+    reached = False
+    best_free = None
+    best_any = None
+    for seed in seeds:
+        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters)
+        if sol is None:
+            continue
+        reached = True
+        mp = normalized_manipulability(model, sol)
+        if best_any is None or mp > best_any[0]:
+            best_any = (mp, sol)
+        if collision_index(model, sol, obstacles) == 0:
+            if best_free is None or mp > best_free[0]:
+                best_free = (mp, sol)
+            if mp >= eps_m:
+                return FeaResult(True, mp, OK, sol)
+    if not reached:
+        return FeaResult(False, 0.0, UNREACHABLE, None)
+    if best_free is None:
+        return FeaResult(False, best_any[0], COLLISION, best_any[1])
+    return FeaResult(False, best_free[0], LOW_MANIP, best_free[1])
+
+
+@pytest.mark.parametrize("factory, box, ori, seed", [
+    (planar_rr, ((-2.25, -2.25, -0.25), (2.25, 2.25, 0.25)), ORI_FREE, 1),
+    (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), YAW_ONLY, 0),
+])
+def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed):
+    m = factory()
+    wall = [Box([0.4, -1.6, -0.2], [0.8, 1.6, 0.2], "wall")]
+    args = dict(orientation_spec=ori, eps_m=0.05, seed=seed, ik_budget=8)
+    lockstep = build_map(m, wall, box, 0.5, **args)
+
+    upgrades = []
+
+    def loop_cells(model, obstacles, fmap, indices, seed, eps_m, ik_budget,
+                   seeds_by_cell, spawn_salt):
+        half_pos = 0.5 * fmap.voxel_size
+        half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
+        cells = list(fmap.all_cells())
+        out = []
+        for i in indices:
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, spawn_salt)))
+            extra = () if seeds_by_cell is None else seeds_by_cell.get(i, ())
+            res = loop_fea(fmap.cell_pose(*cells[i]), model, obstacles, eps_m, ik_budget, rng,
+                           half_pos, half_rot, 80, extra)
+            if spawn_salt and res.reason == OK:
+                upgrades.append(i)
+            out.append((i, res))
+        return out
+
+    monkeypatch.setattr(feasibility, "_evaluate_cells", loop_cells)
+    reference = build_map(m, wall, box, 0.5, **args)
+    assert upgrades, "witness transfer upgraded no cell"
+    np.testing.assert_array_equal(lockstep.reasons, reference.reasons)
+    np.testing.assert_array_equal(lockstep.man, reference.man)
+    np.testing.assert_array_equal(lockstep.witnesses, reference.witnesses)
+    assert lockstep.witnesses.dtype == np.float32
+
+
+# ------------------------------------------------------------------ #
+# map file validation
+# ------------------------------------------------------------------ #
+HEADER_BYTES = struct.calcsize("<4sI6dd3IdI3IIIdQ")
+
+
+def test_load_map_rejects_truncated_files(tmp_path):
+    fmap = small_map(planar_rr(), voxel=1.5)
+    full = map_bytes(fmap)
+    path = tmp_path / "cut.map"
+    path.write_bytes(full[:HEADER_BYTES - 10])          # inside the header
+    with pytest.raises(ValueError, match=f"{HEADER_BYTES - 10} bytes, expected at least "
+                                         f"{HEADER_BYTES}"):
+        load_map(path)
+    for cut in (HEADER_BYTES + 70,                      # inside the hashes
+                len(full) - 3):                         # inside the witnesses
+        path.write_bytes(full[:cut])
+        with pytest.raises(ValueError, match=f"{cut} bytes, expected {len(full)}"):
+            load_map(path)
+
+
+def test_load_map_rejects_trailing_bytes(tmp_path):
+    full = map_bytes(small_map(planar_rr(), voxel=1.5))
+    path = tmp_path / "long.map"
+    path.write_bytes(full + b"extra")
+    with pytest.raises(ValueError, match=f"{len(full) + 5} bytes, expected {len(full)}"):
+        load_map(path)
+    path.write_bytes(full)
+    assert map_bytes(load_map(path)) == full
 
 
 # ------------------------------------------------------------------ #

@@ -7,6 +7,8 @@ from hybridplan.kinematics import (
     fk,
     fk_frames,
     ik,
+    ik_attempt,
+    ik_descend,
     jacobian,
     load_robot,
     make_robot,
@@ -246,6 +248,42 @@ def test_ik_roundtrip_500_targets():
         _, perr, rerr = pose_error(m, fk(m, sol), target)
         assert perr < 1e-3 and rerr < 1e-3
     assert failures <= 5  # >= 99% success
+
+
+@pytest.mark.parametrize("max_iters", [6, 80])
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_ik_descend_matches_ik_attempt_per_lane(factory, max_iters):
+    model = factory()
+    rng = np.random.default_rng(11)
+    lo, hi = model.limits_lo, model.limits_hi
+    reachable = [fk(model, rng.uniform(lo, hi)) for _ in range(16)]
+    targets = list(reachable)
+    # unreachable: the same orientations pushed three times as far out
+    targets += [DualQuaternion.from_pose(3.0 * t.translation(), t.real) for t in reachable]
+    # near and across the workspace boundary, where descents stall and recover
+    targets += [DualQuaternion.from_pose(rng.uniform(0.7, 1.3) * t.translation(), t.real)
+                for t in (fk(model, rng.uniform(lo, hi)) for _ in range(200))]
+    targets += reachable[:4]                 # lanes sharing one pose object
+    seeds = rng.uniform(lo - 1.0, hi + 1.0, size=(len(targets), model.dof))
+    assert np.any(seeds < lo) and np.any(seeds > hi)
+    out = ik_descend(model, targets, seeds, 1e-3, 1e-2, max_iters)
+    assert out.shape == (len(targets), model.dof)
+    reached = 0
+    for k, (target, seed) in enumerate(zip(targets, seeds)):
+        ref = ik_attempt(model, target, seed, 1e-3, 1e-2, max_iters)
+        if ref is None:
+            assert np.all(np.isnan(out[k])), k
+        else:
+            reached += 1
+            np.testing.assert_allclose(out[k], ref, rtol=0, atol=1e-9)
+    assert 0 < reached < len(targets)
+
+
+def test_ik_descend_empty_and_mismatched():
+    model = planar_rr()
+    assert ik_descend(model, [], np.zeros((0, 2)), 1e-3, 1e-2, 80).shape == (0, 2)
+    with pytest.raises(ValueError):
+        ik_descend(model, [fk(model, model.home)], np.zeros((2, 2)), 1e-3, 1e-2, 80)
 
 
 def test_ik_respects_limits():
