@@ -5,14 +5,20 @@ Run from the repository root:
     python3 -m pytest benchmarks -q
 
 The scene is the ``map`` workload of ``perfbench``: its planar 3R arm, its
-wall-with-slot cell and its 90-cell map box.
+wall-with-slot cell and its 90-cell map box; the skills are those of the
+``skills`` workload.
 """
+import itertools
+
 import numpy as np
 import pytest
 
 import inputs
 import workloads
+from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, state_dim
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
+from hybridplan.geometry import collision_index
+from hybridplan.hrl_planner import SENTINEL, intrinsic_reward
 from hybridplan.kinematics import fk, ik_attempt, ik_descend
 
 SIZES = workloads.MapSizes()
@@ -64,3 +70,23 @@ def test_build_map_wall_90_cells(benchmark, model, cell):
                                           seed=workloads.MAP_IK_SEED),
                               rounds=5, iterations=1)
     assert fmap.n_cells == 90
+
+
+def test_drl_env_step(benchmark, model, cell):
+    theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
+    assert collision_index(model, theta, cell.obstacles) == 0
+    env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0))
+    env.reset(theta, [0.95, 0.0, 0.0])
+    a = np.array([0.5, -0.5, 0.5])
+    actions = itertools.cycle([a, -a])        # the arm oscillates about theta
+    obs, *_ = benchmark(lambda: env.step(next(actions)))
+    assert obs.shape == (state_dim(model.dof),)
+
+
+@pytest.mark.parametrize("skill_id, n_configs", [("line", 2), ("arc", 3)])
+def test_intrinsic_reward(benchmark, skill_id, n_configs):
+    skill = inputs.skill_library()[skill_id]
+    picks = np.linspace(0, len(skill.poses) - 1, n_configs).round().astype(int)
+    segment = [skill.poses[k] for k in picks]
+    r = benchmark(intrinsic_reward, skill, segment)
+    assert r > SENTINEL

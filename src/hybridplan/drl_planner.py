@@ -43,7 +43,6 @@ class DrlEnvConfig:
     episode_budget: int = 300
     collision_penalty: float = -1.0
     reward_mode: str = "feasibility"   # or "distance" (ablation baseline)
-    goal_bonus: float = 1.0            # distance-only scale compensation
     # the manipulability term enters as fea_weight * (man' - man_baseline)
     # while the collision penalty stays at full strength.  With the defaults
     # the graded term is man' itself; benchmark scenes use baseline 1 so the
@@ -113,6 +112,8 @@ class DrlEnv:
         self.cfg = cfg
         self.dof = model.dof
         self._theta = None
+        self._jp = None                  # joint frames at the current theta
+        self._jo = None
         self._prev_jp = None
         self._prev_jo = None
         self.goal_pos = None
@@ -141,7 +142,7 @@ class DrlEnv:
         return jp, jo
 
     def observe(self) -> np.ndarray:
-        jp, jo = self._joint_frames()
+        jp, jo = self._jp, self._jo
         lv = (jp - self._prev_jp) / self.cfg.step_time
         d_ang = (jo - self._prev_jo + np.pi) % (2 * np.pi) - np.pi  # wrap-safe
         av = d_ang / self.cfg.step_time
@@ -154,7 +155,8 @@ class DrlEnv:
     def reset(self, theta0, goal_pos) -> np.ndarray:
         self._theta = np.asarray(theta0, dtype=float).copy()
         self.goal_pos = np.asarray(goal_pos, dtype=float)
-        self._prev_jp, self._prev_jo = self._joint_frames()
+        self._jp, self._jo = self._joint_frames()
+        self._prev_jp, self._prev_jo = self._jp, self._jo
         self.steps = 0
         return self.observe()
 
@@ -166,11 +168,11 @@ class DrlEnv:
         """Apply increment action; returns (state, reward, done, info)."""
         a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
         delta = a * np.radians(self.cfg.max_step_deg)
-        jp_before, jo_before = self._joint_frames()
         proposed = self._theta + delta
         self._theta = self.model.clamp(proposed)
         clamped = bool(np.any(proposed != self._theta))
-        self._prev_jp, self._prev_jo = jp_before, jo_before
+        self._prev_jp, self._prev_jo = self._jp, self._jo
+        self._jp, self._jo = self._joint_frames()
         self.steps += 1
         col = collision_index(self.model, self._theta, self.obstacles)
         q, p = ee_state(self.model, self._theta)

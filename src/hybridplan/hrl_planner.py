@@ -9,7 +9,7 @@ tolerance yields a sentinel treated as minus infinity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,20 +117,13 @@ def load_tables(path) -> QTables:
 class HrlConfig:
     episodes: int = 400
     alpha: float = 0.2               # tabular learning rate
-    gamma: float = 1.0               # tabular mode: undiscounted segment sum
+    gamma: float = 1.0               # undiscounted segment sum
     eps_start: float = 0.95
     eps_end: float = 0.05
     eps_decay: float = 2000.0
     delta_beta: float = DELTA_BETA
     jitter_pos: tuple = (0.02, 0.02, 0.0)   # per-axis task jitter, meters
     jitter_rot: float = np.radians(5.0)     # yaw jitter, radians
-    mode: str = "tabular"            # "tabular" or "mlp"
-    # value-approximation (DQN) mode settings
-    dqn_batch: int = 256
-    dqn_gamma: float = 0.92
-    dqn_tau: float = 0.005
-    dqn_lr: float = 1e-4
-    dqn_hidden: tuple = (64, 64)
 
     def epsilon(self, episode: int) -> float:
         return self.eps_end + (self.eps_start - self.eps_end) * np.exp(-episode / self.eps_decay)
@@ -164,9 +157,8 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
 
     The task controller values segment choices with a bootstrapped update on
     the intrinsic reward; the motion controller is a per-segment bandit over
-    skills.  Deterministic for a given seed.  ``config.mode`` selects tabular
-    learning (exact at desk scale) or the small-MLP value-approximation mode
-    behind the same greedy interface.
+    skills.  ``episodes``, when given, overrides ``config.episodes`` for this
+    call only; ``config`` is not modified.  Deterministic for a given seed.
     """
     if not tasks:
         raise ValueError("empty task set")
@@ -174,11 +166,9 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
         raise ValueError("empty skill library")
     cfg = config or HrlConfig()
     if episodes is not None:
-        cfg.episodes = episodes
+        cfg = replace(cfg, episodes=episodes)
     if cfg.episodes < 1:
         raise ValueError("episodes must be >= 1")
-    if cfg.mode == "mlp":
-        return _train_hrl_mlp(tasks, library, cfg, seed, fmap)
     rng = np.random.default_rng(seed)
     tables = QTables()
     skill_ids = library.ids()
@@ -231,134 +221,6 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
         total = extrinsic_reward(history)
         tables.training_curve.append(max(total, CURVE_FLOOR))
     return tables
-
-
-# ------------------------------------------------------------------ #
-# Value-approximation (DQN-style) mode
-# ------------------------------------------------------------------ #
-MAX_CONFIGS = 8          # one-hot encoding bound for the MLP mode
-MLP_REWARD_FLOOR = -20.0  # sentinel clamp for network regression targets
-MLP_SENTINEL_CUTOFF = -10.0
-
-
-class NeuralTables:
-    """Greedy interface of QTables backed by small value networks."""
-
-    def __init__(self, skill_ids, hidden, rng):
-        from hybridplan.rl_core import Mlp
-        self.skill_ids = list(skill_ids)
-        seg_dim = 2 * MAX_CONFIGS
-        self.task_net = Mlp([seg_dim, *hidden, 1], rng)
-        self.motion_net = Mlp([seg_dim + len(skill_ids), *hidden, 1], rng)
-        self.task_target = self.task_net.copy()
-        self.training_curve = []
-
-    @staticmethod
-    def _seg_feat(seg):
-        f = np.zeros(2 * MAX_CONFIGS)
-        f[seg[0]] = 1.0
-        f[MAX_CONFIGS + seg[1]] = 1.0
-        return f
-
-    def _motion_feat(self, seg, skill_id):
-        f = np.zeros(2 * MAX_CONFIGS + len(self.skill_ids))
-        f[:2 * MAX_CONFIGS] = self._seg_feat(seg)
-        f[2 * MAX_CONFIGS + self.skill_ids.index(skill_id)] = 1.0
-        return f
-
-    def task_value(self, seg, target=False) -> float:
-        net = self.task_target if target else self.task_net
-        return float(net.forward(self._seg_feat(seg))[0, 0])
-
-    def motion_value(self, seg, skill_id) -> float:
-        return float(self.motion_net.forward(self._motion_feat(seg, skill_id))[0, 0])
-
-    def best_segment(self, state, candidates):
-        vals = [self.task_value(seg) for seg in candidates]
-        return candidates[int(np.argmax(vals))]
-
-    def best_skill(self, state, seg, skill_ids):
-        vals = [self.motion_value(seg, sk) for sk in skill_ids]
-        best = int(np.argmax(vals))
-        if vals[best] <= MLP_SENTINEL_CUTOFF:
-            raise ValueError(f"no admissible skill for segment {seg}")
-        return skill_ids[best]
-
-
-def _train_hrl_mlp(tasks, library, cfg: HrlConfig, seed, fmap):
-    from hybridplan.rl_core import Adam, clip_gradients
-
-    if any(len(t.configs) > MAX_CONFIGS for t in tasks):
-        raise ValueError(f"mlp mode supports at most {MAX_CONFIGS} configurations")
-    rng = np.random.default_rng(seed)
-    skill_ids = library.ids()
-    nets = NeuralTables(skill_ids, cfg.dqn_hidden, rng)
-    task_opt = Adam(nets.task_net.parameters(), cfg.dqn_lr)
-    motion_opt = Adam(nets.motion_net.parameters(), cfg.dqn_lr)
-    buffer = []
-
-    def sgd_step(net, opt, feats, targets):
-        pred = net.forward(feats)
-        d = (2.0 / len(feats)) * (pred - targets[:, None])
-        dW, db = net.backward(d)
-        grads = dW + db
-        clip_gradients(grads, 1.0)
-        opt.step(net.parameters(), grads)
-
-    for ep in range(cfg.episodes):
-        task = tasks[int(rng.integers(len(tasks)))]
-        configs = [_jitter_pose(p, cfg, rng) for p in task.configs]
-        eps = cfg.epsilon(ep)
-        idx = 0
-        history = []
-        while idx < len(configs) - 1:
-            cands = candidate_segments(idx, len(configs))
-            if rng.random() < eps:
-                seg = cands[int(rng.integers(len(cands)))]
-            else:
-                seg = nets.best_segment(None, cands)
-            if rng.random() < eps:
-                skill_id = skill_ids[int(rng.integers(len(skill_ids)))]
-            else:
-                vals = [nets.motion_value(seg, sk) for sk in skill_ids]
-                skill_id = skill_ids[int(np.argmax(vals))]
-            r = intrinsic_reward(library[skill_id], configs[seg[0]:seg[1] + 1],
-                                 cfg.delta_beta)
-            history.append(r)
-            done = seg[1] >= len(configs) - 1
-            buffer.append((seg, skill_id, max(r, MLP_REWARD_FLOOR), done,
-                           len(configs), seg[1]))
-            if len(buffer) > 10_000:
-                buffer.pop(0)
-            if len(buffer) >= cfg.dqn_batch:
-                picks = rng.integers(len(buffer), size=cfg.dqn_batch)
-                seg_feats, task_targets = [], []
-                mot_feats, mot_targets = [], []
-                for k in picks:
-                    b_seg, b_skill, b_r, b_done, b_n, b_next = buffer[k]
-                    seg_feats.append(nets._seg_feat(b_seg))
-                    if b_done:
-                        boot = 0.0
-                    else:
-                        boot = max(nets.task_value(s, target=True)
-                                   for s in candidate_segments(b_next, b_n))
-                    # task values consume the motion head's best skill value
-                    r_best = max(nets.motion_value(b_seg, sk) for sk in skill_ids)
-                    task_targets.append(r_best + cfg.dqn_gamma * boot)
-                    mot_feats.append(nets._motion_feat(b_seg, b_skill))
-                    mot_targets.append(b_r)
-                sgd_step(nets.task_net, task_opt,
-                         np.array(seg_feats), np.array(task_targets))
-                sgd_step(nets.motion_net, motion_opt,
-                         np.array(mot_feats), np.array(mot_targets))
-                # soft target update
-                for tp, p in zip(nets.task_target.parameters(),
-                                 nets.task_net.parameters()):
-                    tp *= 1.0 - cfg.dqn_tau
-                    tp += cfg.dqn_tau * p
-            idx = seg[1]
-        nets.training_curve.append(max(extrinsic_reward(history), CURVE_FLOOR))
-    return nets
 
 
 # ------------------------------------------------------------------ #

@@ -288,11 +288,11 @@ def pose_error(model: RobotModel, current: DualQuaternion, target: DualQuaternio
                            target.real, target.translation())
 
 
-def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters, damping=IK_DAMPING):
+def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
     """Single damped-least-squares descent from one seed. Returns theta or None."""
     theta = model.clamp(np.asarray(seed, dtype=float).copy())
     m = model.ee_dof
-    lam2 = damping * damping * np.eye(m)
+    lam2 = IK_DAMPING * IK_DAMPING * np.eye(m)
     tq, tp = target.real, target.translation()
     best_err = np.inf
     stall = 0
@@ -404,7 +404,7 @@ def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
 
 
 def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
-       restarts=20, rng=None, damping=IK_DAMPING):
+       restarts=20, rng=None):
     """Numeric IK under joint limits.
 
     Tries the given seed (home configuration when None), then up to
@@ -421,7 +421,7 @@ def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
     for _ in range(restarts):
         seeds.append(rng.uniform(lo, hi))
     for s in seeds:
-        sol = ik_attempt(model, target, s, tol_pos, tol_rot, max_iters, damping)
+        sol = ik_attempt(model, target, s, tol_pos, tol_rot, max_iters)
         if sol is not None:
             return sol
     return None

@@ -65,14 +65,6 @@ class Mlp:
         self.weights = [p.copy() for p in params[:k]]
         self.biases = [p.copy() for p in params[k:]]
 
-    def copy(self) -> "Mlp":
-        clone = Mlp.__new__(Mlp)
-        clone.sizes = list(self.sizes)
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        clone._cache = None
-        return clone
-
 
 def clip_gradients(grads, max_norm: float) -> float:
     """Scale gradients in place so the global norm is at most max_norm."""
@@ -390,16 +382,25 @@ def _pack_arrays(arrays) -> bytes:
     return b"".join(out)
 
 
+def _need(raw, end) -> None:
+    """Raise when a read up to byte ``end`` runs past the end of the file."""
+    if end > len(raw):
+        raise ValueError(f"truncated checkpoint: {len(raw)} bytes, a read needs {end}")
+
+
+def _read_u4(raw, off, count=1):
+    _need(raw, off + 4 * count)
+    return struct.unpack_from(f"<{count}I", raw, off), off + 4 * count
+
+
 def _unpack_arrays(raw, off):
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (count,), off = _read_u4(raw, off)
     arrays = []
     for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
+        (ndim,), off = _read_u4(raw, off)
+        shape, off = _read_u4(raw, off, ndim)
         n = int(np.prod(shape)) if ndim else 1
+        _need(raw, off + 8 * n)
         arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
         off += 8 * n
         arrays.append(arr)
@@ -425,27 +426,25 @@ def save_checkpoint(path, policy, value_net, meta: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (policy, value_net, meta)."""
+    """Returns (policy, value_net, meta).  Raises ValueError for a file that
+    is cut short or carries bytes past its end."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _CKPT_MAGIC:
         raise ValueError("not a checkpoint file")
-    version, kind = struct.unpack_from("<II", raw, 4)
+    (version, kind), off = _read_u4(raw, 4, 2)
     if version != _CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
-    (meta_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (meta_len,), off = _read_u4(raw, off)
+    _need(raw, off + meta_len)
     meta = {}
     if meta_len:
         for line in raw[off:off + meta_len].decode().splitlines():
             k, v = line.split("=", 1)
             meta[k] = v
     off += meta_len
-    (ns,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    sizes = np.frombuffer(raw, dtype="<u4", count=ns, offset=off).tolist()
-    off += 4 * ns
+    (ns,), off = _read_u4(raw, off)
+    sizes, off = _read_u4(raw, off, ns)
     params, off = _unpack_arrays(raw, off)
     hidden = tuple(sizes[1:-1])
     if kind == _KIND_GAUSSIAN:
@@ -453,11 +452,11 @@ def load_checkpoint(path):
     else:
         policy = CategoricalPolicy(sizes[0], sizes[-1], hidden)
     policy.set_parameters(params)
-    (nvs,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    vsizes = np.frombuffer(raw, dtype="<u4", count=nvs, offset=off).tolist()
-    off += 4 * nvs
+    (nvs,), off = _read_u4(raw, off)
+    vsizes, off = _read_u4(raw, off, nvs)
     vparams, off = _unpack_arrays(raw, off)
+    if off != len(raw):
+        raise ValueError(f"checkpoint is {len(raw)} bytes, its contents end at {off}")
     value_net = ValueNet(vsizes[0], tuple(vsizes[1:-1]))
     value_net.set_parameters(vparams)
     return policy, value_net, meta

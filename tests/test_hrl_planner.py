@@ -129,6 +129,15 @@ def test_train_seed_determinism():
     assert serialize_tables(t1) == serialize_tables(t2)
 
 
+def test_train_episodes_argument_leaves_config_unchanged():
+    task = Task("t", [pose(0, 0), pose(1, 0)])
+    lib = library_of(line_skill("a", 1, 0))
+    cfg = HrlConfig(episodes=400, **NO_JITTER)
+    tables = train_hrl([task], lib, episodes=3, config=cfg, seed=0)
+    assert cfg == HrlConfig(episodes=400, **NO_JITTER)
+    assert len(tables.training_curve) == 3
+
+
 # ------------------------------------------------------------------ #
 # planning
 # ------------------------------------------------------------------ #
@@ -232,7 +241,7 @@ def test_small_instance_optimality_sample():
 
 
 # ------------------------------------------------------------------ #
-# persistence and the value-approximation mode
+# persistence
 # ------------------------------------------------------------------ #
 def test_tables_roundtrip(tmp_path):
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
@@ -252,15 +261,3 @@ def test_task_file_roundtrip(tmp_path):
     assert loaded.id == "pick" and loaded.hold == [False, True]
     for a, b in zip(task.configs, loaded.configs):
         assert chordal_distance(a, b) == 0.0
-
-
-def test_mlp_mode_learns_tiny_assignment():
-    a = line_skill("xstep", 1.0, 0.0, n=2)
-    b = line_skill("ystep", 0.0, 1.0, n=2)
-    task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
-    lib = library_of(a, b)
-    cfg = HrlConfig(episodes=600, mode="mlp", eps_decay=100.0,
-                    dqn_batch=64, dqn_lr=3e-3, dqn_hidden=(32,), **NO_JITTER)
-    nets = train_hrl([task], lib, config=cfg, seed=6)
-    plan = plan_lfd(task, lib, nets)
-    assert plan["segments"] == [((0, 1), "xstep"), ((1, 2), "ystep")]

@@ -366,3 +366,36 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(p1, pol, val, {"seed": 0})
     save_checkpoint(p2, pol, val, {"seed": 0})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _small_checkpoint(path):
+    rng = np.random.default_rng(15)
+    save_checkpoint(path, GaussianPolicy(3, 2, (4,), rng), ValueNet(3, (4,), rng),
+                    {"layout": "drl-v1", "dof": 2})
+    return path.read_bytes()
+
+
+def test_load_checkpoint_rejects_truncated_files(tmp_path):
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    meta_end = 16 + len(b"dof=2\nlayout=drl-v1")
+    named = {"header": 10, "metadata length": 14, "metadata": meta_end - 3,
+             "size table": meta_end + 6, "policy parameters": meta_end + 40,
+             "value parameters": len(raw) - 5}
+    for where, cut in named.items():
+        path = tmp_path / f"cut in {where}.ckpt"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(raw)):          # every other cut fails the same way
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_trailing_bytes(tmp_path):
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(raw + b"\0" * 5)
+    with pytest.raises(ValueError, match=f"is {len(raw) + 5} bytes"):
+        load_checkpoint(path)
