@@ -17,9 +17,19 @@ import inputs
 import workloads
 from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, state_dim
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
-from hybridplan.geometry import collision_index
+from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL, intrinsic_reward
-from hybridplan.kinematics import fk, ik_attempt, ik_descend
+from hybridplan.kinematics import (
+    fk,
+    ik_attempt,
+    ik_descend,
+    normalized_manipulability,
+    normalized_manipulability_lanes,
+)
+from hybridplan.switch_agent import densify
+from hybridplan.task import Task
+from hybridplan.trajectory import JointTrajectory
+from hybridplan.workcell import SuccessCriteria, Workcell, execute
 
 SIZES = workloads.MapSizes()
 ORIENTATION = (np.pi, (1, 1, SIZES.yaw_bins))
@@ -90,3 +100,45 @@ def test_intrinsic_reward(benchmark, skill_id, n_configs):
     segment = [skill.poses[k] for k in picks]
     r = benchmark(intrinsic_reward, skill, segment)
     assert r > SENTINEL
+
+
+def _configs(model, n):
+    return np.random.default_rng(0).uniform(model.limits_lo, model.limits_hi, (n, model.dof))
+
+
+def test_collision_index(benchmark, model, cell):
+    theta = np.array([0.1, 0.2, -0.3])        # reaching through the slot
+    assert benchmark(collision_index, model, theta, cell.obstacles) == 0
+
+
+@pytest.mark.parametrize("n", [1, 10, 200])
+def test_collision_index_lanes(benchmark, model, cell, n):
+    thetas = _configs(model, n)
+    out = benchmark(collision_index_lanes, model, thetas, cell.obstacles)
+    assert out.shape == (n,)
+
+
+def test_normalized_manipulability(benchmark, model):
+    assert benchmark(normalized_manipulability, model, np.array([0.3, 0.6, -0.4])) > 0.0
+
+
+def test_normalized_manipulability_lanes_200(benchmark, model):
+    assert benchmark(normalized_manipulability_lanes, model, _configs(model, 200)).shape == (200,)
+
+
+def test_ray_bundle(benchmark, model, cell):
+    d = benchmark(ray_bundle, model, np.array([0.3, 0.6, -0.4]), cell.obstacles)
+    assert d.shape == (25,)
+
+
+def test_execute_crossing_trajectory(benchmark, model, cell):
+    # near side -> through the slot -> folded back -> near side again, densified
+    # to the switching agent's 2 degree bound like a bridged hybrid trajectory
+    way = np.array([[1.0, 0.8, 0.6], [0.0, 0.0, 0.0], [0.2, -1.5, 1.5],
+                    [-1.0, 1.0, -1.0], [0.8, 0.2, 0.4]])
+    traj = densify(JointTrajectory(way), model, cell.obstacles, 2.0)
+    assert 150 <= len(traj) <= 250
+    wc = Workcell("kernels", [-1.5, -1.5, -0.3], [1.5, 1.5, 0.3], cell.obstacles)
+    task = Task("cross", [fk(model, way[0]), fk(model, way[-1])])
+    report = benchmark(execute, traj, model, wc, SuccessCriteria(), task)
+    assert report.failed_config is None and report.collisions > 0

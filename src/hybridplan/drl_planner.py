@@ -20,6 +20,7 @@ from hybridplan.kinematics import (
     ee_state,
     fk_frames,
     normalized_manipulability,
+    normalized_manipulability_lanes,
 )
 from hybridplan.rl_core import (
     GaussianPolicy,
@@ -354,7 +355,6 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
     obs = env.reset(theta0, goal_pos)
     thetas = [env.theta]
     cols = [collision_index(model, theta0, obstacles)]
-    mans = [normalized_manipulability(model, theta0)]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
     while not success:
@@ -365,14 +365,14 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
         obs, _, done, info = env.step(action)
         thetas.append(env.theta)
         cols.append(info["collision"])
-        mans.append(normalized_manipulability(model, env.theta))
         if done:
             success = info["reached"]
             break
     k = len(thetas)
-    return JointTrajectory(np.array(thetas),
-                           np.full(k, SOURCE_DRL, dtype=np.uint8),
-                           np.array(mans), np.array(cols, dtype=np.uint8),
+    thetas = np.array(thetas)
+    return JointTrajectory(thetas, np.full(k, SOURCE_DRL, dtype=np.uint8),
+                           normalized_manipulability_lanes(model, thetas),
+                           np.array(cols, dtype=np.uint8),
                            success, meta={"goal_distance": info["distance"] if k > 1 else 0.0})
 
 

@@ -3,6 +3,16 @@
 Links are capsules (segment + radius) placed between kinematic frame origins.
 All checks are discrete per-configuration; trajectory-level safety comes from
 checking interpolated waypoints at fine joint-space resolution.
+
+``collision_index`` checks one configuration on plain floats and stops at the
+first contact; it is the path for single checks (IK witnesses, map cells,
+environment steps).  ``collision_index_lanes`` checks an (N, dof) array of
+configurations at once: frame points from one lane ``_chain_eval``, then every
+(configuration, capsule, obstacle) and (configuration, capsule pair) triple as
+one row of a single batched distance evaluation with the scalar primitives'
+arithmetic, so its verdict equals the scalar one on every row.  The lane call
+has a fixed cost of several hundred small array operations, about the cost of
+five scalar calls, so it serves whole trajectories.
 """
 from __future__ import annotations
 
@@ -11,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan.dualquat import quat_to_matrix
-from hybridplan.kinematics import RobotModel, ee_state, frame_points
+from hybridplan.kinematics import RobotModel, _chain_eval, _lane_dot, ee_state, frame_points
 
 RAY_COUNT = 25
 
@@ -162,6 +172,120 @@ def collision_index(model: RobotModel, theta, obstacles) -> int:
             if segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
                 return 1
     return 0
+
+
+# ------------------------------------------------------------------ #
+# Collision index over lanes: one row per distance evaluation
+# ------------------------------------------------------------------ #
+def _segment_box_lanes(p, q, lo, hi) -> np.ndarray:
+    """``segment_box_distance`` row by row over (R, 3) arrays.
+
+    Each row's 8 knots are 0, the six slab crossings and 1; a crossing
+    outside (0, 1) or along an axis the segment does not move on is padded
+    with 1.0, and the zero-length pieces that padding and repeated knots
+    leave between sorted knots are masked, which leaves the scalar's pieces.
+    """
+    v = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.concatenate([(lo - p) / v, (hi - p) / v], axis=1)
+    ok = np.tile(np.abs(v) > 1e-15, 2) & (t > 0.0) & (t < 1.0)
+    ends = np.zeros((len(p), 1))
+    knots = np.sort(np.concatenate([ends, np.where(ok, t, 1.0), ends + 1.0], axis=1), axis=1)
+    ta, tb = knots[:, :-1], knots[:, 1:]
+    tm = 0.5 * (ta + tb)
+    A = B = C = 0.0
+    for a in range(3):
+        pa, va, la, ha = p[:, a, None], v[:, a, None], lo[:, a, None], hi[:, a, None]
+        x = pa + tm * va
+        below, above = x < la, x > ha
+        A = A + np.where(below | above, va * va, 0.0)
+        B = B + np.where(below, -2.0 * (la - pa) * va,
+                         np.where(above, 2.0 * (pa - ha) * va, 0.0))
+        # float_power calls pow() like the scalar ``** 2``; the array ``** 2``
+        # squares, which differs in the last bit on about 0.1% of inputs
+        C = C + np.where(below, np.float_power(la - pa, 2.0),
+                         np.where(above, np.float_power(pa - ha, 2.0), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_min = np.clip(-B / (2.0 * A), ta, tb)
+    best = np.minimum(A * ta * ta + B * ta + C, A * tb * tb + B * tb + C)
+    best = np.minimum(best, np.where(A > 1e-18, A * t_min * t_min + B * t_min + C, np.inf))
+    return np.sqrt(np.maximum(np.where(tb > ta, best, np.inf).min(axis=1), 0.0))
+
+
+def _segment_point_lanes(p, q, c) -> np.ndarray:
+    """``segment_point_distance`` row by row over (R, 3) arrays."""
+    v = q - p
+    vv = _lane_dot(v, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(vv < 1e-18, 0.0, np.clip(_lane_dot(c - p, v) / vv, 0.0, 1.0))
+    w = p + t[:, None] * v - c
+    return np.sqrt(_lane_dot(w, w))
+
+
+def _segment_segment_lanes(p1, q1, p2, q2) -> np.ndarray:
+    """``segment_segment_distance`` (Ericson) row by row over (R, 3) arrays:
+    every branch is computed and the scalar's branch is selected per row."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, e, f = _lane_dot(d1, d1), _lane_dot(d2, d2), _lane_dot(d2, r)
+    c, b = _lane_dot(d1, r), _lane_dot(d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = a * e - b * b
+        s = np.where(den > 1e-18, np.clip((b * f - c * e) / den, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        s_near = np.clip(-c / a, 0.0, 1.0)         # t clamped to 0, or e ~ 0
+        s_far = np.clip((b - c) / a, 0.0, 1.0)     # t clamped to 1
+        t_only = np.clip(f / e, 0.0, 1.0)          # a ~ 0
+    s = np.where(t < 0.0, s_near, np.where(t > 1.0, s_far, s))
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    s = np.where(e < 1e-18, s_near, s)
+    t = np.where(e < 1e-18, 0.0, t)
+    s = np.where(a < 1e-18, 0.0, s)
+    t = np.where(a < 1e-18, np.where(e < 1e-18, 0.0, t_only), t)
+    w = p1 + s[:, None] * d1 - (p2 + t[:, None] * d2)
+    return np.sqrt(_lane_dot(w, w))
+
+
+def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
+    """``collision_index`` of every row of an (N, dof) array, (N,) uint8."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
+    n = len(thetas)
+    hit = np.zeros(n, dtype=bool)
+    caps = model.capsules
+    if n == 0 or not caps:
+        return hit.astype(np.uint8)
+    _, origins, _, p_ee = _chain_eval(model, thetas)
+    pts = np.zeros((n, model.dof + 2, 3))
+    for k, xyz in enumerate([*origins, p_ee], start=1):
+        for a in range(3):
+            pts[:, k, a] = xyz[a]
+    rad = np.array([cap.radius for cap in caps])
+    p = pts[:, [cap.frame_a for cap in caps]]          # (N, capsules, 3)
+    q = pts[:, [cap.frame_b for cap in caps]]
+    for boxes in (True, False):
+        obs = [ob for ob in obstacles if isinstance(ob, Box) == boxes]
+        if not obs:
+            continue
+        shape = (n, len(caps), len(obs), 3)
+        ps = np.broadcast_to(p[:, :, None], shape).reshape(-1, 3)
+        qs = np.broadcast_to(q[:, :, None], shape).reshape(-1, 3)
+        r = np.broadcast_to(rad[:, None], shape[1:3]).ravel()
+        if boxes:
+            lo = np.broadcast_to(np.array([ob.lo for ob in obs]), shape).reshape(-1, 3)
+            hi = np.broadcast_to(np.array([ob.hi for ob in obs]), shape).reshape(-1, 3)
+            d = _segment_box_lanes(ps, qs, lo, hi).reshape(n, -1) - r
+        else:
+            c = np.broadcast_to(np.array([ob.center for ob in obs]), shape).reshape(-1, 3)
+            ob_r = np.tile([ob.radius for ob in obs], len(caps))
+            d = _segment_point_lanes(ps, qs, c).reshape(n, -1) - r - ob_r
+        hit |= np.any(d <= 0.0, axis=1)
+    pairs = [(i, j) for i in range(len(caps)) for j in range(i + 1, len(caps))
+             if not {caps[i].frame_a, caps[i].frame_b} & {caps[j].frame_a, caps[j].frame_b}]
+    if pairs:
+        i, j = (list(ix) for ix in zip(*pairs))
+        d = _segment_segment_lanes(p[:, i].reshape(-1, 3), q[:, i].reshape(-1, 3),
+                                   p[:, j].reshape(-1, 3), q[:, j].reshape(-1, 3))
+        hit |= np.any(d.reshape(n, -1) <= rad[i] + rad[j], axis=1)
+    return hit.astype(np.uint8)
 
 
 # ------------------------------------------------------------------ #

@@ -12,6 +12,8 @@ on (N,) arrays with the same operations in the same order, so lane k of a
 lane call equals the scalar call on row k.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
 them in lockstep on the lane path, under the same rules.
+``normalized_manipulability_lanes`` scores N configurations with one lane
+Jacobian and one batched SVD, for whole trajectories.
 """
 from __future__ import annotations
 
@@ -265,6 +267,23 @@ def normalized_manipulability(model: RobotModel, theta: np.ndarray) -> float:
     return manipulability(model, theta) / model._home_man
 
 
+def normalized_manipulability_lanes(model: RobotModel, thetas) -> np.ndarray:
+    """``normalized_manipulability`` of every row of an (N, dof) array, (N,).
+
+    One lane Jacobian and one batched SVD; lane k equals the scalar call on
+    row k bit for bit.
+    """
+    if model._home_man <= 0.0:
+        raise ValueError("singular home configuration")
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
+    if len(thetas) == 0:
+        return np.zeros(0)
+    axes, origins, _, p = _chain_eval(model, thetas)
+    s = np.linalg.svd(_jacobian_raw(model, axes, origins, p), compute_uv=False)
+    singular = (s[:, 0] <= 0.0) | (s[:, -1] <= 1e-9 * s[:, 0])
+    return np.where(singular, 0.0, np.prod(s, axis=1)) / model._home_man
+
+
 # ------------------------------------------------------------------ #
 # Inverse kinematics: damped least squares with random restarts
 # ------------------------------------------------------------------ #
@@ -324,11 +343,16 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
     return None
 
 
+def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row dot products of two (N, k) arrays; a batched dot, which rounds
+    like the 1-D ``u @ v`` of the scalar path (an elementwise sum of
+    products does not)."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
 def _lane_norm(v: np.ndarray) -> np.ndarray:
-    """Row norms of (N, k); a batched dot, which rounds like the 1-D
-    ``np.linalg.norm`` of the scalar path (an elementwise sum of squares
-    does not)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    """Row norms of (N, k), rounded like the 1-D ``np.linalg.norm``."""
+    return np.sqrt(_lane_dot(v, v))
 
 
 def _pose_error_lanes(model, q, p, tq, tp):

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hybridplan.feasibility import NOT_FJ, classify_trajectory
-from hybridplan.geometry import collision_index
+from hybridplan.geometry import collision_index, collision_index_lanes
 from hybridplan.kinematics import (
     RobotModel,
     ik_attempt,
-    normalized_manipulability,
+    normalized_manipulability_lanes,
 )
 from hybridplan.rl_core import (
     CategoricalPolicy,
@@ -73,8 +73,6 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
     """
     rng = np.random.default_rng(seed)
     thetas = np.zeros((len(poses), model.dof))
-    man = np.zeros(len(poses))
-    col = np.zeros(len(poses), dtype=np.uint8)
     prev = model.home
     lo, hi = model.limits_lo, model.limits_hi
     for i, pose in enumerate(poses):
@@ -93,11 +91,10 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
         if theta is None:
             theta = fallback if fallback is not None else prev
         thetas[i] = theta
-        man[i] = normalized_manipulability(model, theta)
-        col[i] = collision_index(model, theta, obstacles)
         prev = theta
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
-                           man, col)
+                           normalized_manipulability_lanes(model, thetas),
+                           collision_index_lanes(model, thetas, obstacles))
 
 
 def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
@@ -110,9 +107,9 @@ def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTraject
                                np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, np.uint8))
     pts = np.array([theta_a + (k / (steps + 1)) * (theta_b - theta_a)
                     for k in range(1, steps + 1)])
-    man = np.array([normalized_manipulability(model, th) for th in pts])
-    col = np.array([collision_index(model, th, obstacles) for th in pts], np.uint8)
-    return JointTrajectory(pts, np.full(steps, SOURCE_DRL, np.uint8), man, col)
+    return JointTrajectory(pts, np.full(steps, SOURCE_DRL, np.uint8),
+                           normalized_manipulability_lanes(model, pts),
+                           collision_index_lanes(model, pts, obstacles))
 
 
 def _resample_rows(arr: np.ndarray, k: int) -> np.ndarray:
@@ -221,25 +218,31 @@ def assemble(lfd_cands: JointTrajectory, bands: list, switches: list,
 
 def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajectory:
     """Insert linear joint interpolation so no step exceeds the bound."""
+    if not bound_deg > 0:
+        raise ValueError(f"bound_deg must be positive, got {bound_deg}")
     bound = np.radians(bound_deg)
     pts, src, man, col = [], [], [], []
+    inserted = []
     for k, theta in enumerate(traj.points):
         if k > 0:
             prev = traj.points[k - 1]
             gap = float(np.max(np.abs(theta - prev)))
             extra = int(np.ceil(gap / bound)) - 1
             for e in range(1, extra + 1):
-                mid = prev + (e / (extra + 1)) * (theta - prev)
-                pts.append(mid)
+                inserted.append(len(pts))
+                pts.append(prev + (e / (extra + 1)) * (theta - prev))
                 src.append(traj.source[k])
-                man.append(normalized_manipulability(model, mid))
-                col.append(collision_index(model, mid, obstacles))
+                man.append(0.0)
+                col.append(0)
         pts.append(theta)
         src.append(traj.source[k])
         man.append(traj.man[k])
         col.append(traj.col[k])
-    return JointTrajectory(np.array(pts), np.array(src, np.uint8),
-                           np.array(man), np.array(col, np.uint8),
+    pts, man, col = np.array(pts), np.array(man), np.array(col, np.uint8)
+    if inserted:
+        man[inserted] = normalized_manipulability_lanes(model, pts[inserted])
+        col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
+    return JointTrajectory(pts, np.array(src, np.uint8), man, col,
                            traj.success, dict(traj.meta))
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hybridplan.dualquat import DualQuaternion, quat_to_euler
-from hybridplan.geometry import Box, Sphere, collision_index
-from hybridplan.kinematics import RobotModel, ee_state, normalized_manipulability
+from hybridplan.geometry import Box, Sphere, collision_index_lanes
+from hybridplan.kinematics import RobotModel, ee_state, normalized_manipulability_lanes
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 
@@ -112,21 +112,30 @@ def _pose_hit(model, theta, config, criteria) -> bool:
     return bool(np.all(diff <= criteria.rot_tol))
 
 
-def count_path_collisions(model, points, obstacles, res_deg=COLLISION_RES_DEG):
-    """Collisions over waypoints plus interpolated configs at the declared
-    joint-space resolution."""
+def _path_verdicts(model, points, obstacles, res_deg):
+    """Collision verdicts of the waypoints plus interpolated configs at the
+    declared joint-space resolution, in path order, from one lane call; and
+    the positions of the waypoints among them."""
+    if not res_deg > 0:
+        raise ValueError(f"res_deg must be positive, got {res_deg}")
     res = np.radians(res_deg)
-    count = 0
+    configs = []
+    at = []
     prev = None
     for theta in points:
         if prev is not None:
-            gap = np.max(np.abs(theta - prev))
-            for k in range(1, int(np.ceil(gap / res))):
-                u = k / np.ceil(gap / res)
-                count += collision_index(model, prev + u * (theta - prev), obstacles)
-        count += collision_index(model, theta, obstacles)
+            steps = np.ceil(np.max(np.abs(theta - prev)) / res)
+            configs += [prev + (k / steps) * (theta - prev) for k in range(1, int(steps))]
+        at.append(len(configs))
+        configs.append(theta)
         prev = theta
-    return count
+    return collision_index_lanes(model, np.array(configs), obstacles), at
+
+
+def count_path_collisions(model, points, obstacles, res_deg=COLLISION_RES_DEG):
+    """Collisions over waypoints plus interpolated configs at the declared
+    joint-space resolution."""
+    return int(np.sum(_path_verdicts(model, points, obstacles, res_deg)[0]))
 
 
 @dataclass
@@ -161,10 +170,10 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     while len(hits) < len(task.configs):
         hits.append(None)
 
-    collisions = count_path_collisions(model, points, cell.obstacles)
-    man = np.array([normalized_manipulability(model, th) for th in points])
-    col = np.array([collision_index(model, th, cell.obstacles) for th in points])
-    r_s = float(np.sum(man - col))
+    verdicts, at = _path_verdicts(model, points, cell.obstacles, COLLISION_RES_DEG)
+    collisions = int(np.sum(verdicts))
+    man = normalized_manipulability_lanes(model, points)
+    r_s = float(np.sum(man - verdicts[at]))
 
     dropped = False
     bound = np.radians(SMOOTH_BOUND_DEG)

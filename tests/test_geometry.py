@@ -5,16 +5,23 @@ from hybridplan.dualquat import DualQuaternion
 from hybridplan.geometry import (
     Box,
     Sphere,
+    _segment_box_lanes,
+    _segment_point_lanes,
+    _segment_segment_lanes,
     collision_index,
+    collision_index_lanes,
     point_box_distance,
     ray_bundle,
     raycast,
     segment_box_distance,
+    segment_point_distance,
     segment_segment_distance,
 )
-from hybridplan.kinematics import LinkCapsule, make_robot, planar_rr
+from hybridplan.kinematics import LinkCapsule, make_robot, planar_3r, planar_rr
+from hybridplan.scenarios import wall_slot
 
 Z = np.array([0.0, 0.0, 1.0])
+Y = np.array([0.0, 1.0, 0.0])
 
 
 # ------------------------------------------------------------------ #
@@ -101,6 +108,111 @@ def test_collision_conservative_under_inflation():
         before = collision_index(m, theta, [ob])
         after = collision_index(m, theta, [ob.inflated(0.05)])
         assert after >= before
+
+
+# ------------------------------------------------------------------ #
+# collision_index_lanes
+# ------------------------------------------------------------------ #
+def _degenerate_segments(rng, n):
+    """Random segments with axis-aligned, zero-length and tiny rows mixed in."""
+    p = rng.uniform(-2, 2, (n, 3))
+    q = rng.uniform(-2, 2, (n, 3))
+    q[::5] = p[::5] + 0.02 * (q[::5] - p[::5])
+    q[::7, 1] = p[::7, 1]
+    q[::11] = p[::11]
+    q[::13, :2] = p[::13, :2]
+    q[::17] = p[::17] + 1e-10
+    return p, q
+
+
+def test_lane_distance_primitives_equal_scalar_bitwise():
+    rng = np.random.default_rng(4)
+    n = 3000
+    p, q = _degenerate_segments(rng, n)
+    lo = rng.uniform(-1, 0, (n, 3))
+    hi = lo + rng.uniform(0.1, 1, (n, 3))
+    p[::19, 0] = lo[::19, 0]                 # endpoints on box faces
+    q[::23, 2] = hi[::23, 2]
+    ref = [segment_box_distance(*row) for row in zip(p, q, lo, hi)]
+    np.testing.assert_array_equal(_segment_box_lanes(p, q, lo, hi), ref)
+    c = rng.uniform(-2, 2, (n, 3))
+    ref = [segment_point_distance(*row) for row in zip(p, q, c)]
+    np.testing.assert_array_equal(_segment_point_lanes(p, q, c), ref)
+    p2, q2 = _degenerate_segments(rng, n)
+    q2[::9] = p2[::9] + 0.5 * (q - p)[::9]   # parallel pairs
+    p2[::29] = p[::29]                       # touching pairs
+    ref = [segment_segment_distance(*row) for row in zip(p, q, p2, q2)]
+    np.testing.assert_array_equal(_segment_segment_lanes(p, q, p2, q2), ref)
+
+
+def fold5():
+    """Spatial 5-DoF arm whose folded poses bring non-adjacent links together."""
+    axes = [Z, Y, Y, Y, Z]
+    joints = [(a, DualQuaternion.from_translation([0, 0, 0.3 if k else 0.1]), (-2.9, 2.9))
+              for k, a in enumerate(axes)]
+    caps = [LinkCapsule(k, k + 1, 0.05) for k in range(1, 6)]
+    return make_robot("fold5", joints, DualQuaternion.from_translation([0, 0, 0.2]),
+                      caps, home=[0.0, 0.3, 0.3, 0.3, 0.0], task="spatial")
+
+
+def _scene(name):
+    if name == "wall":                     # planar 3R and the wall_slot boxes
+        scene = wall_slot()
+        return scene["robot"], scene["cell"].obstacles
+    if name == "spheres":
+        return planar_3r(), [Sphere([0.6, 0.3, 0.0], 0.2), Sphere([-0.2, -0.7, 0.05], 0.3)]
+    if name == "spatial_self":             # every contact is a self-collision
+        return fold5(), []
+    return fold5(), [Sphere([0.3, 0.2, 0.5], 0.15), Box([-0.5, -0.6, 0.2], [-0.2, -0.3, 0.6])]
+
+
+@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_self", "spatial_mixed"])
+def test_collision_index_lanes_matches_scalar(name):
+    model, obstacles = _scene(name)
+    rng = np.random.default_rng(5)
+    thetas = rng.uniform(model.limits_lo, model.limits_hi, (600, model.dof))
+    ref = np.array([collision_index(model, t, obstacles) for t in thetas])
+    assert 0 < ref.sum() < len(ref)
+    got = collision_index_lanes(model, thetas, obstacles)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, ref)
+    # near contact: bisect between free and colliding configurations until the
+    # two ends differ by round-off, and keep both ends
+    near = []
+    for a, b in zip(thetas[ref == 0][:40], thetas[ref == 1][:40]):
+        for _ in range(45):
+            mid = 0.5 * (a + b)
+            if collision_index(model, mid, obstacles):
+                b = mid
+            else:
+                a = mid
+        near += [a, b]
+    near = np.array(near)
+    ref = np.array([collision_index(model, t, obstacles) for t in near])
+    np.testing.assert_array_equal(collision_index_lanes(model, near, obstacles), ref)
+    assert ref.sum() == len(near) // 2
+
+
+def test_collision_index_lanes_count_exact_touch_as_contact():
+    # radius 0.25 and a stretched arm along x: every distance is exact
+    m = planar_rr(radius=0.25)
+    theta = np.zeros((1, 2))
+    for ob in (Box([0.5, 0.25, -0.1], [1.5, 1.0, 0.1]), Sphere([1.0, 0.5, 0.0], 0.25)):
+        assert collision_index(m, theta[0], [ob]) == 1
+        assert collision_index_lanes(m, theta, [ob])[0] == 1
+        assert collision_index_lanes(m, theta, [ob.inflated(-1e-9)])[0] == 0
+
+
+def test_collision_index_lanes_empty_input_and_no_capsules():
+    model, obstacles = _scene("wall")
+    out = collision_index_lanes(model, np.zeros((0, model.dof)), obstacles)
+    assert out.shape == (0,) and out.dtype == np.uint8
+    bare = make_robot("bare", [(Z, DualQuaternion.identity(), (-3.0, 3.0)),
+                               (Z, DualQuaternion.from_translation([1, 0, 0]), (-3.0, 3.0))],
+                      DualQuaternion.from_translation([1, 0, 0]), [], home=[0.0, 1.0],
+                      task="planar")
+    box = Box([-5.0, -5.0, -1.0], [5.0, 5.0, 1.0])
+    np.testing.assert_array_equal(collision_index_lanes(bare, np.zeros((3, 2)), [box]), 0)
 
 
 # ------------------------------------------------------------------ #

@@ -14,6 +14,7 @@ from hybridplan.kinematics import (
     make_robot,
     manipulability,
     normalized_manipulability,
+    normalized_manipulability_lanes,
     parse_robot,
     planar_3r,
     planar_rr,
@@ -204,6 +205,18 @@ def test_normalized_manipulability():
     assert normalized_manipulability(m, np.array([0.2, 0.0])) == 0.0
     # man = sin(theta2); home man = 1; theta2 = pi/6 gives exactly 0.5
     assert normalized_manipulability(m, np.array([0.4, np.pi / 6])) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_normalized_manipulability_lanes_equal_scalar_bitwise(factory):
+    model = factory()
+    rng = np.random.default_rng(9)
+    thetas = rng.uniform(model.limits_lo, model.limits_hi, (300, model.dof))
+    thetas[::10] = 0.0                       # stretched out: singular for the planar arms
+    ref = np.array([normalized_manipulability(model, t) for t in thetas])
+    np.testing.assert_array_equal(normalized_manipulability_lanes(model, thetas), ref)
+    out = normalized_manipulability_lanes(model, np.zeros((0, model.dof)))
+    assert out.shape == (0,)
 
 
 def test_singular_home_rejected():

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from hybridplan.kinematics import planar_3r
-from hybridplan.switch_agent import train_switch
-from hybridplan.trajectory import SOURCE_LFD, JointTrajectory
+from hybridplan.geometry import Box, collision_index
+from hybridplan.kinematics import normalized_manipulability, planar_3r
+from hybridplan.switch_agent import (
+    BandPlan,
+    Boundary,
+    SwitchConfig,
+    assemble,
+    blend,
+    brute_force_switches,
+    densify,
+    executed_window_reward,
+    heuristic_switches,
+    train_switch,
+)
+from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
 
 
 def test_train_switch_rejects_scenarios_without_bands():
@@ -14,3 +26,124 @@ def test_train_switch_rejects_scenarios_without_bands():
                             np.ones(n), np.zeros(n, dtype=np.uint8))
     with pytest.raises(ValueError, match="band"):
         train_switch([(cands, []), (cands, [])], model, [], batches=1)
+
+
+# ------------------------------------------------------------------ #
+# blend, densify, assemble, switching
+# ------------------------------------------------------------------ #
+POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
+
+
+def annotated(model, points, source=SOURCE_LFD):
+    """A trajectory through ``points`` annotated by the scalar scores."""
+    points = np.asarray(points, dtype=float)
+    return JointTrajectory(points, np.full(len(points), source, np.uint8),
+                           np.array([normalized_manipulability(model, t) for t in points]),
+                           np.array([collision_index(model, t, [POST]) for t in points],
+                                    np.uint8))
+
+
+def assert_annotated(model, traj):
+    ref = annotated(model, traj.points)
+    np.testing.assert_array_equal(traj.man, ref.man)
+    np.testing.assert_array_equal(traj.col, ref.col)
+
+
+def test_blend_caps_points_and_excludes_endpoints():
+    model = planar_3r()
+    cfg = SwitchConfig(blend_points=7, blend_step_deg=2.0)
+    a, b = np.array([0.5, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])
+    out = blend(a, b, model, [POST], cfg)
+    assert len(out) == cfg.blend_points                  # 28 would be needed
+    assert np.all(out.source == SOURCE_DRL)
+    assert not any(np.array_equal(p, a) or np.array_equal(p, b) for p in out.points)
+    np.testing.assert_array_equal(out.points[:, 1:], 0.0)   # only joint 1 moves
+    u = (out.points[:, 0] - a[0]) / (b[0] - a[0])
+    assert np.all((u > 0.0) & (u < 1.0)) and np.all(np.diff(u) > 0.0)
+    assert out.col.any()
+    assert_annotated(model, out)
+    short = blend(a, a + np.radians([5.0, 0.0, -3.0]), model, [POST], cfg)
+    assert len(short) == 2                                # ceil(5 / 2) - 1
+    assert_annotated(model, short)
+    assert len(blend(a, a, model, [POST], cfg)) == 0
+
+
+def test_densify_bounds_steps_and_keeps_the_original_points():
+    model = planar_3r()
+    pts = [[0.5, 0.0, 0.0], [0.45, 0.01, 0.0], [-0.5, 0.0, 0.1], [-0.5, 0.0, 0.1],
+           [-0.2, 0.3, -0.4]]
+    traj = annotated(model, pts)
+    traj.source[2:] = SOURCE_DRL
+    traj.man[1] = 7.0                          # a kept annotation is copied, not rescored
+    for bound_deg in (2.0, 0.5):
+        out = densify(traj, model, [POST], bound_deg)
+        assert out.max_step() <= np.radians(bound_deg) + 1e-12
+        kept = [next(i for i in range(len(out)) if np.array_equal(out.points[i], p))
+                for p in traj.points[:3]]
+        kept += [kept[-1] + 1, len(out) - 1]    # the repeated point follows at once
+        assert kept == sorted(kept) and len(set(kept)) == len(kept)
+        np.testing.assert_array_equal(out.points[kept], traj.points)
+        np.testing.assert_array_equal(out.man[kept], traj.man)
+        np.testing.assert_array_equal(out.col[kept], traj.col)
+        np.testing.assert_array_equal(out.source[kept], traj.source)
+        new = np.setdiff1d(np.arange(len(out)), kept)
+        assert len(new) > 0 and out.col[new].any()
+        ref = annotated(model, out.points[new])
+        np.testing.assert_array_equal(out.man[new], ref.man)
+        np.testing.assert_array_equal(out.col[new], ref.col)
+        # an inserted point takes the source of the waypoint it leads to
+        np.testing.assert_array_equal(out.source[new], traj.source[np.searchsorted(kept, new)])
+
+
+@pytest.mark.parametrize("bound_deg", [0.0, -2.0, float("nan")])
+def test_densify_rejects_non_positive_bound(bound_deg):
+    model = planar_3r()
+    traj = annotated(model, [model.home, model.home + 0.1])
+    with pytest.raises(ValueError, match="bound_deg"):
+        densify(traj, model, [POST], bound_deg)
+
+
+def band_scene(model, cfg, n=14, i=5, j=8):
+    """LfD candidates on a joint-space ramp with an infeasible band [i, j]
+    bridged by a detour, and its decision windows as ``find_bands`` sets them."""
+    pts = [np.array([0.9 - 0.08 * k, 0.4, -0.3 + 0.02 * k]) for k in range(n)]
+    cands = annotated(model, pts)
+    a, b = pts[i - 1], pts[j + 1]
+    detour = [a + u * (b - a) + np.array([0.0, 0.3 * np.sin(np.pi * u), 0.0])
+              for u in np.linspace(0.1, 0.9, 7)]
+    bridge = annotated(model, detour, SOURCE_DRL)
+    entry = Boundary("entry", i - 1, max(0, i - 1 - cfg.window), min(i - 1 + cfg.window, j))
+    exit_ = Boundary("exit", j + 1, max(i, j + 1 - cfg.window),
+                     min(j + 1 + cfg.window, n - 1))
+    return cands, BandPlan(i, j, bridge, entry, exit_)
+
+
+def test_assemble_length_is_the_sum_of_its_parts():
+    model = planar_3r()
+    cfg = SwitchConfig(window=2, blend_points=4)
+    cands, band = band_scene(model, cfg)
+    for s_in, s_out in [(band.entry.index, band.exit.index), (band.entry.lo, band.exit.hi),
+                        (band.entry.hi, band.exit.lo)]:
+        out = assemble(cands, [band], [(s_in, s_out)], model, [POST], cfg)
+        b_in = blend(cands.points[s_in], band.bridge.points[0], model, [POST], cfg)
+        b_out = blend(band.bridge.points[-1], cands.points[s_out], model, [POST], cfg)
+        assert len(out) == (s_in + 1) + len(b_in) + len(band.bridge) + len(b_out) \
+            + (len(cands) - s_out)
+        np.testing.assert_array_equal(out.points[:s_in + 1], cands.points[:s_in + 1])
+        np.testing.assert_array_equal(out.points[-(len(cands) - s_out):],
+                                      cands.points[s_out:])
+    assert len(assemble(cands, [], [], model, [POST], cfg)) == len(cands)
+
+
+def test_brute_force_switches_never_lose_to_the_heuristic():
+    model = planar_3r()
+    for window in (1, 2, 3):
+        cfg = SwitchConfig(window=window, blend_points=4)
+        cands, band = band_scene(model, cfg)
+        best = brute_force_switches(band, cands, model, [POST], cfg)
+        (h_in, h_out), = heuristic_switches([band])
+        r_best = executed_window_reward(cands, band, *best, model, [POST], cfg)
+        r_heur = executed_window_reward(cands, band, h_in, h_out, model, [POST], cfg)
+        assert r_best >= r_heur
+        assert band.entry.lo <= best[0] <= band.entry.hi
+        assert band.exit.lo <= best[1] <= band.exit.hi
