@@ -21,11 +21,14 @@ from hybridplan.geometry import collision_index, collision_index_lanes, ray_bund
 from hybridplan.hrl_planner import SENTINEL, intrinsic_reward
 from hybridplan.kinematics import (
     fk,
+    fk_frames,
     ik_attempt,
     ik_descend,
+    jacobian,
     normalized_manipulability,
     normalized_manipulability_lanes,
 )
+from hybridplan.rl_core import GaussianPolicy, PpoConfig, RolloutBatch, ValueNet, ppo_update
 from hybridplan.switch_agent import densify
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
@@ -46,6 +49,39 @@ def model():
 @pytest.fixture(scope="module")
 def cell():
     return inputs.wall_cell()
+
+
+def test_fk(benchmark, model):
+    assert benchmark(fk, model, np.array([0.3, 0.6, -0.4])).real.shape == (4,)
+
+
+def test_fk_frames(benchmark, model):
+    origins, rots = benchmark(fk_frames, model, np.array([0.3, 0.6, -0.4]))
+    assert origins.shape == (model.dof, 3) and rots.shape == (model.dof, 4)
+
+
+def test_jacobian(benchmark, model):
+    assert benchmark(jacobian, model, np.array([0.3, 0.6, -0.4])).shape == (3, model.dof)
+
+
+def test_ppo_update_512_steps(benchmark, model):
+    # one update of train_drl's default networks on a fixed 512-step batch;
+    # every round starts from the same fresh networks
+    rng = np.random.default_rng(0)
+    obs_dim, T = state_dim(model.dof), 512
+    batch = RolloutBatch(rng.standard_normal((T, obs_dim)),
+                         rng.standard_normal((T, model.dof)),
+                         rng.normal(-3.0, 0.5, T), rng.normal(-0.5, 0.2, T),
+                         (rng.random(T) < 0.05).astype(float),
+                         rng.standard_normal(obs_dim))
+
+    def setup():
+        r = np.random.default_rng(1)
+        nets = (GaussianPolicy(obs_dim, model.dof, rng=r), ValueNet(obs_dim, rng=r))
+        return (*nets, batch, PpoConfig(num_steps=T), r), {}
+
+    stats = benchmark.pedantic(ppo_update, setup=setup, rounds=5)
+    assert not stats["aborted"]
 
 
 def test_ik_attempt_warm(benchmark, model):

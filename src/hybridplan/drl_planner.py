@@ -137,10 +137,8 @@ class DrlEnv:
         ])
 
     def _joint_frames(self):
-        frames = fk_frames(self.model, self._theta)[1:-1]
-        jp = np.concatenate([f.translation() for f in frames])
-        jo = np.concatenate([quat_to_euler(f.real) for f in frames])
-        return jp, jo
+        origins, rots = fk_frames(self.model, self._theta)
+        return origins.ravel(), quat_to_euler(rots.T).T.ravel()
 
     def observe(self) -> np.ndarray:
         jp, jo = self._jp, self._jo

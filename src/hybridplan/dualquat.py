@@ -3,6 +3,11 @@
 A unit dual quaternion encodes an SE(3) pose: real part = rotation quaternion
 q_r, dual part = 0.5 * q_t * q_r with q_t = (0, t) the pure translation
 quaternion.  All values are immutable; every operation returns new objects.
+
+The Hamilton product and the vector rotation are written once, as the
+component kernels ``_qmul`` and ``_qrot``.  Their arguments are plain floats
+or (N,) arrays, so the same arithmetic serves the 4-vector functions here and
+the scalar and lane kinematic chain of ``kinematics``.
 """
 from __future__ import annotations
 
@@ -17,16 +22,27 @@ RENORM_THRESHOLD = 1e-6  # drift beyond this triggers renormalize-and-warn
 # ------------------------------------------------------------------ #
 # Quaternion algebra on plain 4-vectors [w, x, y, z]
 # ------------------------------------------------------------------ #
+def _qmul(aw, ax, ay, az, bw, bx, by, bz):
+    """Hamilton product (a * b) by components."""
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _qrot(qw, qx, qy, qz, vx, vy, vz):
+    """Rotate v by the unit quaternion q (v' = q v q*), by components."""
+    tx = 2.0 * (qy * vz - qz * vy)
+    ty = 2.0 * (qz * vx - qx * vz)
+    tz = 2.0 * (qx * vy - qy * vx)
+    return (vx + qw * tx + qy * tz - qz * ty,
+            vy + qw * ty + qz * tx - qx * tz,
+            vz + qw * tz + qx * ty - qy * tx)
+
+
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product q1 * q2."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+    return np.array(_qmul(*q1, *q2))
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -43,8 +59,7 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate 3-vector v by unit quaternion q."""
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    return quat_mul(quat_mul(q, qv), quat_conj(q))[1:]
+    return np.array(_qrot(*q, *v))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:

@@ -253,7 +253,7 @@ def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
     caps = model.capsules
     if n == 0 or not caps:
         return hit.astype(np.uint8)
-    _, origins, _, p_ee = _chain_eval(model, thetas)
+    _, origins, _, _, p_ee = _chain_eval(model, thetas)
     pts = np.zeros((n, model.dof + 2, 3))
     for k, xyz in enumerate([*origins, p_ee], start=1):
         for a in range(3):

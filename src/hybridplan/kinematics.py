@@ -6,6 +6,9 @@ Kinematic chain convention: frame 0 is the base; joint i contributes
 optional tool transform gives the end-effector frame (index dof + 1).
 Joint axes are expressed in the frame reached by ``offset_i``.
 
+``_chain_eval`` is the one walk down the chain, with the quaternion kernels
+of ``dualquat``; FK, the joint frames (``fk_frames`` is a view on it), the
+Jacobian, IK, collision and manipulability all read their frames from it.
 The chain kernels ``_chain_eval`` and ``_jacobian_raw`` take either one joint
 vector, (dof,), and work on plain floats, or a lane array, (N, dof), and work
 on (N,) arrays with the same operations in the same order, so lane k of a
@@ -22,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridplan.dualquat import (
-    DualQuaternion,
-    dq_mul,
-    quat_from_axis_angle,
-    quat_to_rotvec,
-)
+from hybridplan.dualquat import DualQuaternion, _qmul, _qrot, quat_to_rotvec
 
 IK_DAMPING = 0.05      # damped least-squares factor
 IK_MAX_STEP = 1.0      # cap on a single DLS joint-space step, radians
@@ -131,32 +129,16 @@ def _compile_chain(model: RobotModel):
     return steps, tq, tp
 
 
-def _qmul(aw, ax, ay, az, bw, bx, by, bz):
-    return (aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw)
-
-
-def _qrot(qw, qx, qy, qz, vx, vy, vz):
-    # v' = q v q*; expanded for speed
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    return (vx + qw * tx + qy * tz - qz * ty,
-            vy + qw * ty + qz * tx - qx * tz,
-            vz + qw * tz + qx * ty - qy * tx)
-
-
 def _chain_eval(model: RobotModel, theta):
-    """World joint axes/origins plus EE (quat, position) as tuples of floats,
-    or of (N,) arrays when ``theta`` is an (N, dof) lane array."""
+    """World joint axes, joint origins and joint rotations (the frame after
+    each joint turns) plus the EE (quat, position), as tuples of floats, or
+    of (N,) arrays when ``theta`` is an (N, dof) lane array."""
     steps, tq, tp = model._chain
     if np.ndim(theta) == 2:
         theta = np.asarray(theta).T          # one (N,) column per joint
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
     px, py, pz = 0.0, 0.0, 0.0
-    axes, origins = [], []
+    axes, origins, rots = [], [], []
     for (oq, op, ax), th in zip(steps, theta):
         dx, dy, dz = _qrot(qw, qx, qy, qz, op[0], op[1], op[2])
         px, py, pz = px + dx, py + dy, pz + dz
@@ -166,10 +148,11 @@ def _chain_eval(model: RobotModel, theta):
         half = 0.5 * th
         s, c = np.sin(half), np.cos(half)
         qw, qx, qy, qz = _qmul(qw, qx, qy, qz, c, s * ax[0], s * ax[1], s * ax[2])
+        rots.append((qw, qx, qy, qz))
     dx, dy, dz = _qrot(qw, qx, qy, qz, tp[0], tp[1], tp[2])
     px, py, pz = px + dx, py + dy, pz + dz
     qw, qx, qy, qz = _qmul(qw, qx, qy, qz, tq[0], tq[1], tq[2], tq[3])
-    return axes, origins, (qw, qx, qy, qz), (px, py, pz)
+    return axes, origins, rots, (qw, qx, qy, qz), (px, py, pz)
 
 
 # ------------------------------------------------------------------ #
@@ -180,34 +163,29 @@ def fk(model: RobotModel, theta: np.ndarray) -> DualQuaternion:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint angles, got {theta.shape}")
-    _, _, q, p = _chain_eval(model, theta)
+    _, _, _, q, p = _chain_eval(model, theta)
     return DualQuaternion.from_pose(np.array(p), np.array(q))
 
 
-def fk_frames(model: RobotModel, theta: np.ndarray) -> list:
-    """All frames [base, after joint 1..n, tool] as dual quaternions."""
+def fk_frames(model: RobotModel, theta: np.ndarray):
+    """Frames after joints 1..n as (origins (dof, 3), rotation quaternions
+    (dof, 4)), read off the chain walk of ``_chain_eval``."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint angles, got {theta.shape}")
-    frames = [DualQuaternion.identity()]
-    cur = frames[0]
-    for j, th in zip(model.joints, theta):
-        rot = DualQuaternion(quat_from_axis_angle(j.axis, th), np.zeros(4))
-        cur = dq_mul(dq_mul(cur, j.offset), rot)
-        frames.append(cur)
-    frames.append(dq_mul(cur, model.tool))
-    return frames
+    _, origins, rots, _, _ = _chain_eval(model, theta)
+    return np.array(origins), np.array(rots)
 
 
 def frame_points(model: RobotModel, theta) -> np.ndarray:
     """Origins of frames [base, joint 1..n, tool], shape (dof + 2, 3)."""
-    _, origins, _, p = _chain_eval(model, theta)
+    _, origins, _, _, p = _chain_eval(model, theta)
     return np.array([(0.0, 0.0, 0.0), *origins, p])
 
 
 def ee_state(model: RobotModel, theta):
     """(rotation quaternion, position) of the end effector as arrays."""
-    _, _, q, p = _chain_eval(model, theta)
+    _, _, _, q, p = _chain_eval(model, theta)
     return np.array(q), np.array(p)
 
 
@@ -242,7 +220,7 @@ def jacobian(model: RobotModel, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint angles, got {theta.shape}")
-    axes, origins, _, p = _chain_eval(model, theta)
+    axes, origins, _, _, p = _chain_eval(model, theta)
     return _jacobian_raw(model, axes, origins, p)
 
 
@@ -278,7 +256,7 @@ def normalized_manipulability_lanes(model: RobotModel, thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
     if len(thetas) == 0:
         return np.zeros(0)
-    axes, origins, _, p = _chain_eval(model, thetas)
+    axes, origins, _, _, p = _chain_eval(model, thetas)
     s = np.linalg.svd(_jacobian_raw(model, axes, origins, p), compute_uv=False)
     singular = (s[:, 0] <= 0.0) | (s[:, -1] <= 1e-9 * s[:, 0])
     return np.where(singular, 0.0, np.prod(s, axis=1)) / model._home_man
@@ -316,7 +294,7 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
     best_err = np.inf
     stall = 0
     for _ in range(max_iters):
-        axes, origins, q, p = _chain_eval(model, theta)
+        axes, origins, _, q, p = _chain_eval(model, theta)
         e, perr, rerr = _pose_error_raw(model, q, p, tq, tp)
         if perr < tol_pos and rerr < tol_rot:
             return theta
@@ -336,7 +314,7 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
         if norm > IK_MAX_STEP:
             step *= IK_MAX_STEP / norm
         theta = model.clamp(theta + step)
-    _, _, q, p = _chain_eval(model, theta)
+    _, _, _, q, p = _chain_eval(model, theta)
     _, perr, rerr = _pose_error_raw(model, q, p, tq, tp)
     if perr < tol_pos and rerr < tol_rot:
         return theta
@@ -401,7 +379,7 @@ def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
     for _ in range(max_iters):
         if lane.size == 0:
             return out
-        axes, origins, q, p = _chain_eval(model, theta)
+        axes, origins, _, q, p = _chain_eval(model, theta)
         e, perr, rerr = _pose_error_lanes(model, q, p, tq[lane], tp[lane])
         hit = (perr < tol_pos) & (rerr < tol_rot)
         out[lane[hit]] = theta[hit]
@@ -420,7 +398,7 @@ def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
         step[big] *= (IK_MAX_STEP / norm[big])[:, None]
         theta = model.clamp(theta + step)
     if lane.size:
-        _, _, q, p = _chain_eval(model, theta)
+        _, _, _, q, p = _chain_eval(model, theta)
         _, perr, rerr = _pose_error_lanes(model, q, p, tq[lane], tp[lane])
         hit = (perr < tol_pos) & (rerr < tol_rot)
         out[lane[hit]] = theta[hit]

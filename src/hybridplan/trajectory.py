@@ -60,6 +60,7 @@ def save_joint_trajectory(traj: JointTrajectory, path) -> None:
 def load_joint_trajectory(path) -> JointTrajectory:
     points, source, man, col = [], [], [], []
     success = True
+    dof = None
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -67,6 +68,8 @@ def load_joint_trajectory(path) -> JointTrajectory:
                 continue
             if line.startswith("#"):
                 tok = line.split()
+                if "joints" in tok:
+                    dof = int(tok[tok.index("joints") + 1])
                 if "success" in tok:
                     success = tok[tok.index("success") + 1] == "1"
                 continue
@@ -75,5 +78,8 @@ def load_joint_trajectory(path) -> JointTrajectory:
             source.append(int(vals[-3]))
             man.append(float(vals[-2]))
             col.append(int(vals[-1]))
-    return JointTrajectory(np.array(points), np.array(source, dtype=np.uint8),
+    points = np.array(points, dtype=float)
+    if dof is not None:
+        points = points.reshape(-1, dof)     # a 0-point file keeps its dof
+    return JointTrajectory(points, np.array(source, dtype=np.uint8),
                            np.array(man), np.array(col, dtype=np.uint8), success)

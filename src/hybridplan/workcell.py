@@ -102,13 +102,11 @@ def load_workcell(path) -> Workcell:
 # ------------------------------------------------------------------ #
 # Execution scoring
 # ------------------------------------------------------------------ #
-def _pose_hit(model, theta, config, criteria) -> bool:
+def _pose_hit(model, theta, c_pos, c_euler, criteria) -> bool:
     q, p = ee_state(model, theta)
-    if np.linalg.norm(p - config.translation()) > criteria.pos_tol:
+    if np.linalg.norm(p - c_pos) > criteria.pos_tol:
         return False
-    e_cur = quat_to_euler(q)
-    e_cfg = quat_to_euler(config.real)
-    diff = np.abs((e_cur - e_cfg + np.pi) % (2 * np.pi) - np.pi)
+    diff = np.abs((quat_to_euler(q) - c_euler + np.pi) % (2 * np.pi) - np.pi)
     return bool(np.all(diff <= criteria.rot_tol))
 
 
@@ -158,8 +156,9 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     failed = None
     for j, config in enumerate(task.configs):
         hit = None
+        c_pos, c_euler = config.translation(), quat_to_euler(config.real)
         for idx in range(start_at, len(points)):
-            if _pose_hit(model, points[idx], config, criteria):
+            if _pose_hit(model, points[idx], c_pos, c_euler, criteria):
                 hit = idx
                 break
         hits.append(hit)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import DualQuaternion, dq_from_pose
+from hybridplan.dualquat import DualQuaternion, dq_from_pose, dq_mul, quat_from_axis_angle
 from hybridplan.kinematics import (
     LinkCapsule,
     fk,
     fk_frames,
+    frame_points,
     ik,
     ik_attempt,
     ik_descend,
@@ -100,10 +101,31 @@ def test_fk_wrong_dimension():
         fk(planar_rr(), np.zeros(3))
 
 
-def test_fk_frames_count():
-    m = planar_3r()
-    frames = fk_frames(m, m.home)
-    assert len(frames) == m.dof + 2  # base + joints + tool
+def dual_quaternion_frames(model, theta):
+    """Reference: the frames after joints 1..n by composing DualQuaternion
+    objects joint by joint."""
+    cur = DualQuaternion.identity()
+    frames = []
+    for j, th in zip(model.joints, theta):
+        rot = DualQuaternion(quat_from_axis_angle(j.axis, th), np.zeros(4))
+        cur = dq_mul(dq_mul(cur, j.offset), rot)
+        frames.append(cur)
+    return frames
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_fk_frames_match_dual_quaternion_chain(factory):
+    m = factory()
+    rng = np.random.default_rng(5)
+    for theta in [m.home, *rng.uniform(m.limits_lo, m.limits_hi, (30, m.dof))]:
+        origins, rots = fk_frames(m, theta)
+        assert origins.shape == (m.dof, 3) and rots.shape == (m.dof, 4)
+        ref = dual_quaternion_frames(m, theta)
+        np.testing.assert_allclose(origins, [f.translation() for f in ref], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rots, [f.real for f in ref], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(origins, frame_points(m, theta)[1:-1])
+    with pytest.raises(ValueError):
+        fk_frames(m, np.zeros(m.dof + 1))
 
 
 # ------------------------------------------------------------------ #

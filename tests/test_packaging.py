@@ -1,0 +1,16 @@
+import importlib
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")       # Python 3.11+
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_every_script_entry_point_imports():
+    with open(PYPROJECT, "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

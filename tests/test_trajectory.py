@@ -1,0 +1,89 @@
+import numpy as np
+import pytest
+
+from hybridplan.trajectory import (
+    SOURCE_DRL,
+    SOURCE_LFD,
+    JointTrajectory,
+    load_joint_trajectory,
+    save_joint_trajectory,
+)
+
+
+def annotated(k=5, dof=3, seed=0, success=True):
+    rng = np.random.default_rng(seed)
+    return JointTrajectory(rng.uniform(-2.0, 2.0, (k, dof)),
+                           rng.integers(0, 2, k).astype(np.uint8),
+                           rng.uniform(0.0, 1.5, k),
+                           rng.integers(0, 2, k).astype(np.uint8),
+                           success)
+
+
+# ------------------------------------------------------------------ #
+# container
+# ------------------------------------------------------------------ #
+def test_defaults_are_zero_annotations_and_success():
+    traj = JointTrajectory(np.ones((4, 2)))
+    assert len(traj) == 4
+    assert traj.success and traj.meta == {}
+    np.testing.assert_array_equal(traj.source, np.full(4, SOURCE_LFD, np.uint8))
+    np.testing.assert_array_equal(traj.man, np.zeros(4))
+    np.testing.assert_array_equal(traj.col, np.zeros(4, np.uint8))
+    assert traj.source.dtype == np.uint8 and traj.col.dtype == np.uint8
+
+
+def test_one_point_is_promoted_to_a_row():
+    traj = JointTrajectory([0.1, 0.2, 0.3])
+    assert traj.points.shape == (1, 3)
+
+
+@pytest.mark.parametrize("field", ["source", "man", "col"])
+def test_annotation_length_mismatch_rejected(field):
+    with pytest.raises(ValueError, match="annotation length mismatch"):
+        JointTrajectory(np.zeros((3, 2)), **{field: np.zeros(2)})
+
+
+def test_max_step_is_the_largest_joint_move():
+    traj = JointTrajectory([[0.0, 0.0], [0.1, -0.3], [0.3, -0.2]])
+    assert traj.max_step() == pytest.approx(0.3)
+    assert JointTrajectory([[1.0, 2.0]]).max_step() == 0.0
+    assert JointTrajectory(np.zeros((0, 2))).max_step() == 0.0
+
+
+def test_concat_keeps_order_and_ands_success():
+    a, b = annotated(3, seed=1), annotated(4, seed=2, success=False)
+    ab = a.concat(b)
+    assert len(ab) == 7
+    np.testing.assert_array_equal(ab.points, np.vstack([a.points, b.points]))
+    for name in ("source", "man", "col"):
+        np.testing.assert_array_equal(getattr(ab, name),
+                                      np.concatenate([getattr(a, name), getattr(b, name)]))
+    assert not ab.success and not b.concat(a).success
+    assert a.concat(annotated(2, seed=3)).success
+
+
+# ------------------------------------------------------------------ #
+# file round trip
+# ------------------------------------------------------------------ #
+@pytest.mark.parametrize("success", [True, False])
+def test_file_round_trip(tmp_path, success):
+    traj = annotated(6, dof=4, seed=4, success=success)
+    traj.source[0] = SOURCE_DRL
+    save_joint_trajectory(traj, tmp_path / "t.traj")
+    back = load_joint_trajectory(tmp_path / "t.traj")
+    np.testing.assert_array_equal(back.points, traj.points)    # %.17g is exact
+    np.testing.assert_array_equal(back.source, traj.source)
+    np.testing.assert_array_equal(back.col, traj.col)
+    np.testing.assert_allclose(back.man, traj.man, rtol=1e-5)  # written to 6 digits
+    np.testing.assert_array_equal(back.man, [float("%.6g" % m) for m in traj.man])
+    assert back.success == success
+
+
+def test_empty_trajectory_round_trip(tmp_path):
+    empty = JointTrajectory(np.zeros((0, 3)), np.zeros(0, np.uint8), np.zeros(0),
+                            np.zeros(0, np.uint8), success=False)
+    save_joint_trajectory(empty, tmp_path / "e.traj")
+    back = load_joint_trajectory(tmp_path / "e.traj")
+    assert back.points.shape == (0, 3) and len(back) == 0
+    assert len(back.source) == len(back.man) == len(back.col) == 0
+    assert not back.success
