@@ -16,9 +16,10 @@ import pytest
 import inputs
 import workloads
 from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, state_dim
+from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
 from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
-from hybridplan.hrl_planner import SENTINEL, intrinsic_reward
+from hybridplan.hrl_planner import SENTINEL, intrinsic_reward, plan_lfd, train_hrl
 from hybridplan.kinematics import (
     fk,
     fk_frames,
@@ -28,6 +29,7 @@ from hybridplan.kinematics import (
     normalized_manipulability,
     normalized_manipulability_lanes,
 )
+from hybridplan.lfd import BETA_RESAMPLE, resample
 from hybridplan.rl_core import GaussianPolicy, PpoConfig, RolloutBatch, ValueNet, ppo_update
 from hybridplan.switch_agent import densify
 from hybridplan.task import Task
@@ -136,6 +138,36 @@ def test_intrinsic_reward(benchmark, skill_id, n_configs):
     segment = [skill.poses[k] for k in picks]
     r = benchmark(intrinsic_reward, skill, segment)
     assert r > SENTINEL
+
+
+def test_resample_skill_features(benchmark):
+    features = inputs.skill_library()["arc"].features
+    assert benchmark(resample, features, BETA_RESAMPLE).shape == (BETA_RESAMPLE, 8)
+
+
+def test_dq_sclerp_one_lane(benchmark):
+    a, b = inputs.planar_pose(0.0, 0.0), inputs.planar_pose(0.4, 0.1, 0.7)
+    assert benchmark(dq_sclerp, a, b, 0.3).real.shape == (4,)
+
+
+def test_dq_sclerp_lanes_32(benchmark):
+    poses = inputs.skill_library()["arc"].lanes
+    a, b = poses[:-1], poses[1:]
+    us = np.linspace(0.0, 1.0, 32)
+    idx = np.arange(32) % len(a)
+    assert benchmark(dq_sclerp_lanes, a[idx], b[idx], us).shape == (32, 8)
+
+
+def test_plan_lfd_skills_instance(benchmark):
+    # the first task of the skills workload (seed 1), trained as the workload
+    # trains it, planned at its first placement
+    wl = workloads.SkillsWorkload(1)
+    wl.setup(workloads.Tally())
+    st = wl.tasks[0]
+    tables = train_hrl([st.task], wl.library, episodes=wl.sizes.episodes,
+                       config=workloads.hrl_config(), seed=1000)
+    plan = benchmark(plan_lfd, st.instances[0], wl.library, tables)
+    assert len(plan["segments"]) >= 1
 
 
 def _configs(model, n):

@@ -6,8 +6,14 @@ quaternion.  All values are immutable; every operation returns new objects.
 
 The Hamilton product and the vector rotation are written once, as the
 component kernels ``_qmul`` and ``_qrot``.  Their arguments are plain floats
-or (N,) arrays, so the same arithmetic serves the 4-vector functions here and
-the scalar and lane kinematic chain of ``kinematics``.
+or (N,) arrays, so the same arithmetic serves the 4-vector functions here,
+the scalar and lane kinematic chain of ``kinematics``, and the dual-quaternion
+lanes below.
+
+Lanes are (N, 8) arrays of dual quaternions, real part then dual part
+(``dq_to_lanes``/``dq_from_lanes``).  ``dq_mul_lanes`` is ``dq_mul`` on every
+lane, with the same component arithmetic and drift rule, and ``dq_sclerp`` is
+the one-lane case of ``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
@@ -38,6 +44,13 @@ def _qrot(qw, qx, qy, qz, vx, vy, vz):
     return (vx + qw * tx + qy * tz - qz * ty,
             vy + qw * ty + qz * tx - qx * tz,
             vz + qw * tz + qx * ty - qy * tx)
+
+
+def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis; a batched dot, which rounds like the
+    1-D ``u @ v`` of the one-vector path (an elementwise sum of products does
+    not)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def quat_mul(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -218,35 +231,126 @@ def dq_from_pose(position, rotation) -> DualQuaternion:
     return DualQuaternion.from_pose(position, rotation)
 
 
-def _screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
-    """rel^u along the screw axis of rel (rel assumed unit, real.w >= 0)."""
-    w = np.clip(rel.real[0], -1.0, 1.0)
-    v = rel.real[1:]
-    sin_half = np.linalg.norm(v)
-    t = rel.translation()
-    if sin_half < 1e-9:
-        # pure translation: linear in the translation vector
-        return DualQuaternion.from_translation(u * t)
+def dq_to_lanes(poses) -> np.ndarray:
+    """Stack DualQuaternions into (N, 8) lanes, real part then dual part."""
+    return np.array([(p.real, p.dual) for p in poses], dtype=float).reshape(-1, 8)
+
+
+def dq_from_lanes(lanes: np.ndarray) -> list:
+    """(N, 8) lanes -> list of DualQuaternions (views into ``lanes``)."""
+    return [DualQuaternion(row[:4], row[4:]) for row in lanes]
+
+
+def _stack(comps) -> np.ndarray:
+    """Components (broadcastable floats or arrays) -> one (..., k) array."""
+    out = np.empty(np.broadcast(*comps).shape + (len(comps),))
+    for i, c in enumerate(comps):
+        out[..., i] = c
+    return out
+
+
+def _renormalize_drifted(out: np.ndarray) -> np.ndarray:
+    """``dq_mul``'s drift rule per lane: warn, then renormalize only the lanes
+    whose unit conditions drifted beyond ``RENORM_THRESHOLD``."""
+    real, dual = out[..., :4], out[..., 4:]
+    n = np.sqrt(np.add.reduce(real * real, axis=-1))
+    drift = np.maximum(np.abs(n - 1.0), np.abs(np.add.reduce(real * dual, axis=-1)))
+    bad = drift > RENORM_THRESHOLD
+    if not np.any(bad):
+        return out
+    n = np.where(bad, n, 1.0)[..., None]
+    if np.any(n < 1e-12):
+        raise ValueError("degenerate rotation")
+    warnings.warn("dual quaternion drifted from unit norm; renormalizing")
+    real, dual = real / n, dual / n
+    dual = dual - np.add.reduce(real * dual, axis=-1, keepdims=True) * real
+    return np.where(bad[..., None], np.concatenate([real, dual], axis=-1), out)
+
+
+_LEFT, _RIGHT = np.array([0, 0, 1]), np.array([0, 1, 0])
+
+
+def dq_mul_lanes(a, b) -> np.ndarray:
+    """``dq_mul`` over (N, 8) lanes; a single 8-vector on either side broadcasts."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape[:-1]
+    # the three quaternion products real*real, real*dual and dual*real as one
+    # component product over a stacked axis
+    left = a.reshape(shape + (2, 4))[..., _LEFT, :].T
+    right = b.reshape(shape + (2, 4))[..., _RIGHT, :].T
+    prod = np.array(_qmul(*left, *right))
+    out = np.empty(shape + (8,))
+    out[..., :4] = prod[:, 0].T
+    out[..., 4:] = (prod[:, 1] + prod[:, 2]).T
+    return _renormalize_drifted(out)
+
+
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
+
+
+def dq_conjugate_lanes(a) -> np.ndarray:
+    """Inverse of unit dual quaternions on (N, 8) lanes."""
+    return np.asarray(a, dtype=float) * _CONJ
+
+
+def _screw_power_lanes(rel: np.ndarray, u) -> tuple:
+    """rel^u along the screw axis of each lane of rel (unit, real.w >= 0), as
+    components.  Lanes with no rotation are pure translations, scaled by u."""
+    rw, rx, ry, rz, dw, dx, dy, dz = rel.T
+    w = np.minimum(rw, 1.0)                              # clip; rw >= 0 already
+    sin_half = np.sqrt(_lane_dot(rel[..., 1:4], rel[..., 1:4]))
+    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+    tx, ty, tz = 2.0 * tx, 2.0 * ty, 2.0 * tz            # translation of rel
+    screw = sin_half >= 1e-9
     angle = 2.0 * np.arctan2(sin_half, w)
-    axis = v / sin_half
-    d = float(np.dot(t, axis))            # pitch translation along the axis
-    t_perp = t - d * axis
+    s = np.where(screw, sin_half, 1.0)
+    ax, ay, az = rx / s, ry / s, rz / s                  # screw axis
+    d = tx * ax + ty * ay + tz * az                      # pitch translation along it
+    px, py, pz = tx - d * ax, ty - d * ay, tz - d * az   # t_perp
     # point on the screw axis: (I - R) c = t_perp
-    c = 0.5 * (t_perp + np.cross(axis, t_perp) / np.tan(0.5 * angle))
-    q_new = quat_from_axis_angle(axis, u * angle)
-    r_new = quat_to_matrix(q_new)
-    t_new = c - r_new @ c + (u * d) * axis
-    return DualQuaternion.from_pose(t_new, q_new)
+    tan_half = np.where(screw, np.tan(0.5 * angle), 1.0)
+    cx = 0.5 * (px + (ay * pz - az * py) / tan_half)
+    cy = 0.5 * (py + (az * px - ax * pz) / tan_half)
+    cz = 0.5 * (pz + (ax * py - ay * px) / tan_half)
+    # rotation by u * angle; the identity (half = 0) on translation lanes
+    half = np.where(screw, 0.5 * (u * angle), 0.0)
+    qw, sh = np.cos(half), np.sin(half)
+    qx, qy, qz = sh * ax, sh * ay, sh * az
+    rcx, rcy, rcz = _qrot(qw, qx, qy, qz, cx, cy, cz)
+    ud = u * d
+    # t_new = c - R c + u d axis on screw lanes, u t on translation lanes
+    nx = np.where(screw, cx - rcx + ud * ax, u * tx)
+    ny = np.where(screw, cy - rcy + ud * ay, u * ty)
+    nz = np.where(screw, cz - rcz + ud * az, u * tz)
+    dual = _qmul(0.0, nx, ny, nz, qw, qx, qy, qz)
+    return (qw, qx, qy, qz) + tuple(0.5 * c for c in dual)
+
+
+def dq_sclerp_lanes(a, b, u) -> np.ndarray:
+    """Screw linear interpolation from a (u=0) to b (u=1) on (N, 8) lanes.
+
+    ``a``, ``b`` and ``u`` broadcast against each other: one pair of poses at
+    N parameters, or N pairs at one or N parameters.  Per lane it follows the
+    one-pose rule: an antipodal b is flipped to take the shorter screw, the
+    relative transform is taken with real.w >= 0, and a relative transform
+    without rotation is interpolated linearly in its translation.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    u = np.asarray(u, dtype=float)
+    # rounded like the one-pose np.dot: at a half turn the sign is a tie
+    flip = _lane_dot(a[..., :4], b[..., :4]) < 0.0
+    b = np.where(flip[..., None], -b, b)
+    rel = dq_mul_lanes(dq_conjugate_lanes(a), b)
+    rel = np.where((rel[..., 0] < 0.0)[..., None], -rel, rel)
+    return dq_mul_lanes(a, _stack(_screw_power_lanes(rel, u)))
 
 
 def dq_sclerp(a: DualQuaternion, b: DualQuaternion, u: float) -> DualQuaternion:
-    """Screw linear interpolation from a (u=0) to b (u=1)."""
-    if np.dot(a.real, b.real) < 0.0:
-        b = -b  # antipodal real parts: take the shorter screw
-    rel = dq_mul(a.conjugate(), b)
-    if rel.real[0] < 0.0:
-        rel = -rel
-    return dq_mul(a, _screw_power(rel, float(u)))
+    """Screw linear interpolation from a (u=0) to b (u=1): the one-lane
+    ``dq_sclerp_lanes``."""
+    return DualQuaternion.from_array(dq_sclerp_lanes(a.as_array(), b.as_array(), float(u)))
 
 
 # ------------------------------------------------------------------ #

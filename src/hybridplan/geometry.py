@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridplan.dualquat import quat_to_matrix
-from hybridplan.kinematics import RobotModel, _chain_eval, _lane_dot, ee_state, frame_points
+from hybridplan.dualquat import _lane_dot, quat_to_matrix
+from hybridplan.kinematics import RobotModel, _chain_eval, ee_state, frame_points
 
 RAY_COUNT = 25
 

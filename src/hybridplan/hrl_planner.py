@@ -15,6 +15,7 @@ import numpy as np
 
 from hybridplan.dualquat import (
     DualQuaternion,
+    dq_from_lanes,
     quat_from_axis_angle,
     quat_mul,
 )
@@ -22,11 +23,10 @@ from hybridplan.lfd import (
     DELTA_BETA,
     Demonstration,
     SkillLibrary,
-    arc_params,
     extract_features,
     feature_distance_terms,
     retarget,
-    sample_sequence,
+    sample_lanes,
 )
 from hybridplan.task import Task
 
@@ -39,10 +39,11 @@ CURVE_FLOOR = -100.0     # training-curve display clamp for sentinel episodes
 # ------------------------------------------------------------------ #
 def intrinsic_reward(skill: Demonstration, segment_poses, delta_beta=DELTA_BETA) -> float:
     """Negated feature-distance sum, or the sentinel when any term exceeds
-    the tolerance."""
+    the tolerance.  The skill's resampled features are cached on the skill;
+    only the segment is resampled."""
     if len(segment_poses) < 2:
         raise ValueError("segment needs at least 2 poses")
-    terms = feature_distance_terms(skill.features, extract_features(segment_poses))
+    terms = feature_distance_terms(skill, extract_features(segment_poses))
     if np.any(terms > delta_beta):
         return SENTINEL
     return float(-np.sum(terms))
@@ -227,11 +228,10 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
 # Planning
 # ------------------------------------------------------------------ #
 def _slice_skill(skill: Demonstration, u_lo: float, u_hi: float, n: int) -> Demonstration:
-    params = arc_params(skill.poses)
-    if params is None:
+    if skill.params is None:
         return skill
     us = np.linspace(u_lo, u_hi, max(n, 2))
-    return Demonstration(skill.id, [sample_sequence(skill.poses, params, u) for u in us])
+    return Demonstration(skill.id, dq_from_lanes(sample_lanes(skill.lanes, skill.params, us)))
 
 
 def retarget_through(skill: Demonstration, waypoints, points_per_gap: int) -> list:

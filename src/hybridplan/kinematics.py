@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridplan.dualquat import DualQuaternion, _qmul, _qrot, quat_to_rotvec
+from hybridplan.dualquat import DualQuaternion, _lane_dot, _qmul, _qrot, quat_to_rotvec
 
 IK_DAMPING = 0.05      # damped least-squares factor
 IK_MAX_STEP = 1.0      # cap on a single DLS joint-space step, radians
@@ -319,13 +319,6 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
     if perr < tol_pos and rerr < tol_rot:
         return theta
     return None
-
-
-def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row dot products of two (N, k) arrays; a batched dot, which rounds
-    like the 1-D ``u @ v`` of the scalar path (an elementwise sum of
-    products does not)."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _lane_norm(v: np.ndarray) -> np.ndarray:

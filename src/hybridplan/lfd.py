@@ -6,44 +6,68 @@ pose.  Features are invariant under a common rigid transform of the whole
 demonstration, which is what makes a skill retargetable: the endpoints are
 aligned exactly and the residual displacement mismatch is distributed over
 the intermediate poses along the screw connecting them.
+
+Pose and feature sequences are (N, 8) dual-quaternion lanes; the sequence
+functions also take lists of ``DualQuaternion``s.  Resampling and retargeting
+evaluate all their screw interpolations as one ``dq_sclerp_lanes`` call, and a
+``Demonstration`` computes its lanes, arc parameters, features and resampled
+features once.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from hybridplan.dualquat import (
     DualQuaternion,
-    dq_conjugate,
-    dq_mul,
-    dq_sclerp,
-    load_poses,
+    _lane_dot,
+    dq_conjugate_lanes,
+    dq_from_lanes,
+    dq_mul_lanes,
+    dq_sclerp_lanes,
+    dq_to_lanes,
 )
 
 BETA_RESAMPLE = 32        # fixed resampling length for feature comparison
 DELTA_BETA = 0.5          # default per-term feature tolerance, chordal units
+_IDENTITY = DualQuaternion.identity().as_array()
 
 
-def chordal_distance(a: DualQuaternion, b: DualQuaternion) -> float:
-    """8-vector distance with sign-aligned real parts (double cover)."""
-    va, vb = a.as_array(), b.as_array()
-    if np.dot(va[:4], vb[:4]) < 0.0:
-        vb = -vb
-    return float(np.linalg.norm(va - vb))
+def _as_lanes(poses) -> np.ndarray:
+    """(N, 8) lanes of a pose sequence given as lanes or DualQuaternions."""
+    if isinstance(poses, np.ndarray):
+        return poses
+    return dq_to_lanes(poses)
 
 
-def extract_features(poses) -> list:
+def _vec(x) -> np.ndarray:
+    return x.as_array() if isinstance(x, DualQuaternion) else np.asarray(x, dtype=float)
+
+
+def chordal_distance(a, b):
+    """8-vector distance with sign-aligned real parts (double cover).
+
+    Two DualQuaternions (or 8-vectors) give one distance; (N, 8) lanes give
+    N distances, rounded like the one-pair ``np.linalg.norm``."""
+    va, vb = _vec(a), _vec(b)
+    flip = _lane_dot(va[..., :4], vb[..., :4]) < 0.0
+    diff = np.where(flip[..., None], va + vb, va - vb)
+    return np.sqrt(_lane_dot(diff, diff))
+
+
+def extract_features(poses) -> np.ndarray:
     """Relative transform of every pose to the final pose.
 
-    Output k-th entry = conj(poses[k]) * poses[-1]; length is len(poses) - 1.
+    Row k = conj(poses[k]) * poses[-1]; (len(poses) - 1, 8) lanes.
     """
-    if len(poses) < 2:
+    lanes = _as_lanes(poses)
+    if len(lanes) < 2:
         raise ValueError("need at least 2 poses to extract features")
-    last = poses[-1]
-    return [dq_mul(dq_conjugate(p), last) for p in poses[:-1]]
+    return dq_mul_lanes(dq_conjugate_lanes(lanes[:-1]), lanes[-1])
 
 
 # ------------------------------------------------------------------ #
@@ -51,7 +75,8 @@ def extract_features(poses) -> list:
 # ------------------------------------------------------------------ #
 def arc_params(poses) -> np.ndarray | None:
     """Normalized cumulative arc length per pose; None when degenerate."""
-    gaps = [chordal_distance(poses[i], poses[i + 1]) for i in range(len(poses) - 1)]
+    lanes = _as_lanes(poses)
+    gaps = chordal_distance(lanes[:-1], lanes[1:])
     total = float(np.sum(gaps))
     if total < 1e-12:
         return None
@@ -60,54 +85,84 @@ def arc_params(poses) -> np.ndarray | None:
     return cum
 
 
-def sample_sequence(poses, params, u) -> DualQuaternion:
-    """Pose at normalized arc parameter u via piecewise screw interpolation."""
-    if len(poses) == 1:
-        return poses[0]
-    u = float(np.clip(u, 0.0, 1.0))
-    k = int(np.searchsorted(params, u, side="right") - 1)
-    k = min(max(k, 0), len(poses) - 2)
+def sample_lanes(poses, params, us) -> np.ndarray:
+    """Poses at normalized arc parameters ``us`` by piecewise screw
+    interpolation, as (len(us), 8) lanes.
+
+    A parameter on a knot, or in a span shorter than 1e-15, takes the knot's
+    pose; the others are interpolated in one ``dq_sclerp_lanes`` call.
+    """
+    lanes = _as_lanes(poses)
+    us = np.clip(np.asarray(us, dtype=float), 0.0, 1.0)
+    if len(lanes) == 1:
+        return np.repeat(lanes, len(us), axis=0)
+    k = np.clip(np.searchsorted(params, us, side="right") - 1, 0, len(lanes) - 2)
     span = params[k + 1] - params[k]
-    if span < 1e-15:
-        return poses[k]
-    local = (u - params[k]) / span
-    if local <= 0.0:
-        return poses[k]
-    if local >= 1.0:
-        return poses[k + 1]
-    return dq_sclerp(poses[k], poses[k + 1], local)
+    ok = span >= 1e-15
+    local = (us - params[k]) / np.where(ok, span, 1.0)
+    out = np.where((ok & (local >= 1.0))[:, None], lanes[k + 1], lanes[k])
+    inner = ok & (local > 0.0) & (local < 1.0)
+    if np.any(inner):
+        ki = k[inner]
+        out[inner] = dq_sclerp_lanes(lanes[ki], lanes[ki + 1], local[inner])
+    return out
 
 
-def resample(poses, n_out) -> list:
-    params = arc_params(poses)
+def resample(poses, n_out) -> np.ndarray:
+    """``n_out`` poses evenly spaced in normalized arc length, as lanes."""
+    lanes = _as_lanes(poses)
+    params = arc_params(lanes)
     if params is None:
-        return [poses[0]] * n_out
-    us = np.linspace(0.0, 1.0, n_out)
-    return [sample_sequence(poses, params, u) for u in us]
+        return np.repeat(lanes[:1], n_out, axis=0)
+    return sample_lanes(lanes, params, np.linspace(0.0, 1.0, n_out))
 
 
 # ------------------------------------------------------------------ #
 # Demonstrations and the skill library
 # ------------------------------------------------------------------ #
-@dataclass(eq=False)
+def _read_only(a):
+    if a is not None:
+        a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Demonstration:
+    """A named pose sequence.  ``poses`` is stored as a tuple and the
+    dataclass is frozen, so the cached arrays below always describe it."""
     id: str
-    poses: list
+    poses: tuple
     tags: tuple = ()
-    _features: list = field(default=None, repr=False)
+    _resampled: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "poses", tuple(self.poses))
         if len(self.poses) < 2:
             raise ValueError("demonstration needs at least 2 poses")
 
-    @property
-    def features(self) -> list:
-        if self._features is None:
-            self._features = extract_features(self.poses)
-        return self._features
+    @cached_property
+    def lanes(self) -> np.ndarray:
+        """The poses as read-only (N, 8) lanes."""
+        return _read_only(dq_to_lanes(self.poses))
+
+    @cached_property
+    def params(self) -> np.ndarray | None:
+        """Normalized arc length per pose; None for a constant demonstration."""
+        return _read_only(arc_params(self.lanes))
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """``extract_features`` of the poses, read-only (N - 1, 8) lanes."""
+        return _read_only(extract_features(self.lanes))
+
+    def resampled_features(self, n_out: int) -> np.ndarray:
+        """The features resampled to ``n_out`` entries, computed once per length."""
+        if n_out not in self._resampled:
+            self._resampled[n_out] = _read_only(resample(self.features, n_out))
+        return self._resampled[n_out]
 
     def is_constant(self) -> bool:
-        return arc_params(self.poses) is None
+        return self.params is None
 
 
 @dataclass
@@ -129,14 +184,30 @@ class SkillLibrary:
         return sorted(self.skills)
 
 
+_ID = re.compile(r"\S+")            # header fields that load_demonstration reads back
+_TAG = re.compile(r"[^\s,]+")
+
+
 def save_demonstration(demo: Demonstration, path) -> None:
+    """Write ``demo`` as a header line and one 8-scalar pose per line.
+
+    Raises ValueError, before writing, for an id or tag that
+    ``load_demonstration`` could not read back: an empty one, one with
+    whitespace, or a tag with a comma.
+    """
+    if not isinstance(demo.id, str) or not _ID.fullmatch(demo.id):
+        raise ValueError(f"demonstration id {demo.id!r} must be nonempty, without whitespace")
+    for tag in demo.tags:
+        if not isinstance(tag, str) or not _TAG.fullmatch(tag):
+            raise ValueError(f"demonstration tag {tag!r} must be nonempty, "
+                             "without whitespace or commas")
     with open(path, "w") as fh:
         head = f"id {demo.id}"
         if demo.tags:
             head += " tags " + ",".join(demo.tags)
         fh.write(head + "\n")
-        for p in demo.poses:
-            fh.write(" ".join("%.17g" % x for x in p.as_array()) + "\n")
+        for row in demo.lanes:
+            fh.write(" ".join("%.17g" % x for x in row) + "\n")
 
 
 def load_demonstration(path) -> Demonstration:
@@ -189,36 +260,35 @@ def retarget(skill: Demonstration, start: DualQuaternion, goal: DualQuaternion,
                              "skill cannot span distinct start and goal")
         return [start] * n_out
 
-    params = arc_params(skill.poses)
+    params = skill.params
     if n_out == len(skill.poses):
         us = params            # keep the original sampling; self-retarget is exact
     else:
         us = np.linspace(0.0, 1.0, n_out)
-    base = [sample_sequence(skill.poses, params, u) for u in us]
+    base = sample_lanes(skill.lanes, params, us)
 
-    g = dq_mul(start, dq_conjugate(base[0]))
-    aligned = [dq_mul(g, b) for b in base]
-    residual = dq_mul(dq_conjugate(aligned[-1]), goal)
-    identity = DualQuaternion.identity()
-    out = []
-    for b, u in zip(aligned, us):
-        corr = dq_sclerp(identity, residual, float(u))
-        out.append(dq_mul(b, corr))
-    return out
+    g = dq_mul_lanes(start.as_array(), dq_conjugate_lanes(base[0]))
+    aligned = dq_mul_lanes(g, base)
+    residual = dq_mul_lanes(dq_conjugate_lanes(aligned[-1]), goal.as_array())
+    corr = dq_sclerp_lanes(_IDENTITY, residual, us)
+    return dq_from_lanes(dq_mul_lanes(aligned, corr))
 
 
 # ------------------------------------------------------------------ #
 # Feature distance
 # ------------------------------------------------------------------ #
-def feature_distance_terms(a, b, n_resample=BETA_RESAMPLE) -> np.ndarray:
-    """Per-index chordal distances after arc-length resampling to a fixed length."""
-    if len(a) == 0 or len(b) == 0:
+def _resampled(x, n_out) -> np.ndarray:
+    if isinstance(x, Demonstration):
+        return x.resampled_features(n_out)
+    if len(x) == 0:
         raise ValueError("feature sequences must be nonempty")
-    ra = resample(list(a), n_resample)
-    rb = resample(list(b), n_resample)
-    return np.array([chordal_distance(x, y) for x, y in zip(ra, rb)])
+    return resample(x, n_out)
 
 
-def feature_distance(a, b, n_resample=BETA_RESAMPLE) -> float:
-    """Aggregate feature distance: sum of the per-index terms."""
-    return float(np.sum(feature_distance_terms(a, b, n_resample)))
+def feature_distance_terms(a, b, n_resample=BETA_RESAMPLE) -> np.ndarray:
+    """Per-index chordal distances after arc-length resampling to a fixed length.
+
+    Each side is a feature sequence, as lanes or DualQuaternions, or a
+    ``Demonstration``, which stands for its features and resamples them once.
+    """
+    return chordal_distance(_resampled(a, n_resample), _resampled(b, n_resample))

@@ -3,6 +3,7 @@ import pytest
 
 from hybridplan import drl_planner
 from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, drl_reward, state_dim
+from hybridplan.dualquat import DualQuaternion
 from hybridplan.geometry import Box
 from hybridplan.kinematics import ee_state, normalized_manipulability, planar_3r
 
@@ -121,3 +122,34 @@ def test_reward_manipulability_grade():
     man = normalized_manipulability(model, theta)
     assert 0.0 < man != 1.0
     assert (r, d, done) == (2.0 * (man - 1.0) - 1.0, 1.0, False)
+
+
+# ------------------------------------------------------------------ #
+# segment pair files
+# ------------------------------------------------------------------ #
+def test_segments_file_roundtrip(tmp_path):
+    rng = np.random.default_rng(0)
+
+    def pose():
+        q = rng.normal(size=4)
+        return DualQuaternion.from_pose(rng.uniform(-1, 1, 3), q / np.linalg.norm(q))
+
+    pairs = [(pose(), pose()) for _ in range(4)]
+    path = tmp_path / "segments.txt"
+    drl_planner.save_segments(pairs, path)
+    loaded = drl_planner.load_segments(path)
+    assert len(loaded) == len(pairs)
+    for (a, b), (c, d) in zip(pairs, loaded):
+        np.testing.assert_array_equal(a.as_array(), c.as_array())
+        np.testing.assert_array_equal(b.as_array(), d.as_array())
+    drl_planner.save_segments([], path)
+    assert drl_planner.load_segments(path) == []
+
+
+@pytest.mark.parametrize("n_scalars", [15, 17, 8])
+def test_load_segments_rejects_a_line_without_16_scalars(tmp_path, n_scalars):
+    path = tmp_path / "segments.txt"
+    good = " ".join(["1", "0", "0", "0", "0", "0", "0", "0"] * 2)
+    path.write_text(good + "\n" + " ".join(["0.5"] * n_scalars) + "\n")
+    with pytest.raises(ValueError, match="16 scalars"):
+        drl_planner.load_segments(path)

@@ -1,12 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_conjugate,
+    dq_from_lanes,
     dq_from_pose,
     dq_mul,
+    dq_mul_lanes,
     dq_sclerp,
+    dq_sclerp_lanes,
+    dq_to_lanes,
     load_poses,
     quat_from_euler,
     quat_to_euler,
@@ -208,6 +215,129 @@ def test_sclerp_antipodal_real_parts():
     d1 = dq_sclerp(a, b, 0.37)
     d2 = dq_sclerp(a, b_flipped, 0.37)
     np.testing.assert_allclose(dq_to_homogeneous(d1), dq_to_homogeneous(d2), atol=1e-9)
+
+
+# ------------------------------------------------------------------ #
+# lanes against the one-pose reference
+# ------------------------------------------------------------------ #
+def assert_lanes_match_reference(a_list, b_list, us, atol=1e-12):
+    out = dq_sclerp_lanes(dq_to_lanes(a_list), dq_to_lanes(b_list), us)
+    assert out.shape == (len(a_list), 8)
+    for row, a, b, u in zip(out, a_list, b_list, us):
+        np.testing.assert_allclose(row, ref.sclerp(a, b, u).as_array(), rtol=0, atol=atol)
+
+
+def test_dq_mul_lanes_equals_dq_mul_bit_for_bit():
+    rng = np.random.default_rng(20)
+    a = [random_unit_dq(rng) for _ in range(50)]
+    b = [random_unit_dq(rng) for _ in range(50)]
+    out = dq_mul_lanes(dq_to_lanes(a), dq_to_lanes(b))
+    np.testing.assert_array_equal(out, [dq_mul(x, y).as_array() for x, y in zip(a, b)])
+    # one pose on either side broadcasts over the lanes
+    left = dq_mul_lanes(a[0].as_array(), dq_to_lanes(b))
+    np.testing.assert_array_equal(left, [dq_mul(a[0], y).as_array() for y in b])
+    right = dq_mul_lanes(dq_to_lanes(a), b[0].as_array())
+    np.testing.assert_array_equal(right, [dq_mul(x, b[0]).as_array() for x in a])
+
+
+def test_dq_mul_lanes_renormalizes_only_the_drifted_lane():
+    rng = np.random.default_rng(21)
+    a = dq_to_lanes([random_unit_dq(rng) for _ in range(6)])
+    b = dq_to_lanes([random_unit_dq(rng) for _ in range(6)])
+    a[3, :4] *= 1.0 + 1e-3                          # lane 3 leaves the unit sphere
+    drifted = DualQuaternion.from_array(a[3])
+    with pytest.warns(UserWarning, match="drifted"):
+        out = dq_mul_lanes(a, b)
+    with pytest.warns(UserWarning, match="drifted"):
+        want = dq_mul(drifted, DualQuaternion.from_array(b[3])).as_array()
+    np.testing.assert_allclose(out[3], want, rtol=0, atol=1e-12)
+    assert DualQuaternion.from_array(out[3]).norm_drift() < 1e-12
+    keep = [0, 1, 2, 4, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(out[keep], dq_mul_lanes(a[keep], b[keep]))
+
+
+def test_sclerp_lanes_match_reference_on_random_pairs():
+    rng = np.random.default_rng(22)
+    a = [random_unit_dq(rng) for _ in range(64)]
+    b = [random_unit_dq(rng) for _ in range(64)]
+    assert_lanes_match_reference(a, b, rng.uniform(0.0, 1.0, 64))
+
+
+def test_sclerp_lanes_antipodal_flip_per_lane():
+    rng = np.random.default_rng(23)
+    a = [random_unit_dq(rng) for _ in range(16)]
+    b = [-random_unit_dq(rng) if k % 2 else random_unit_dq(rng) for k in range(16)]
+    us = rng.uniform(0.0, 1.0, 16)
+    assert_lanes_match_reference(a, b, us)
+    flipped = dq_sclerp_lanes(dq_to_lanes(a), -dq_to_lanes(b), us)
+    for got, want in zip(dq_from_lanes(flipped), dq_from_lanes(
+            dq_sclerp_lanes(dq_to_lanes(a), dq_to_lanes(b), us))):
+        np.testing.assert_allclose(dq_to_homogeneous(got), dq_to_homogeneous(want), atol=1e-9)
+
+
+def test_sclerp_lanes_pure_translation_mixed_with_screws():
+    rng = np.random.default_rng(24)
+    a, b = [], []
+    for k in range(12):
+        start = random_unit_dq(rng)
+        if k % 3 == 0:                              # no relative rotation at all
+            step = DualQuaternion.from_translation(rng.uniform(-1, 1, 3))
+        elif k % 3 == 1:                            # rotation below the 1e-9 cutoff
+            step = dq_from_pose(rng.uniform(-1, 1, 3), (rng.normal(size=3), 1e-12))
+        else:
+            step = random_unit_dq(rng)
+        a.append(start)
+        b.append(dq_mul(start, step))
+    assert_lanes_match_reference(a, b, rng.uniform(0.0, 1.0, 12))
+
+
+def test_sclerp_lanes_rotation_near_pi():
+    # at exactly a half turn the relative real part can round to w = 0, where
+    # only the antipodal test on (a, b) picks the screw's direction
+    rng = np.random.default_rng(25)
+    a, b = [], []
+    for angle, draws in ((np.pi - 1e-3, 25), (np.pi - 1e-9, 25), (np.pi, 300),
+                         (-np.pi + 1e-9, 25)):
+        for _ in range(draws):
+            start = random_unit_dq(rng)
+            a.append(start)
+            b.append(dq_mul(start, dq_from_pose(rng.uniform(-1, 1, 3),
+                                                (rng.normal(size=3), angle))))
+    assert any(dq_mul(x.conjugate(), y).real[0] == 0.0 for x, y in zip(a, b))
+    assert_lanes_match_reference(a, b, rng.uniform(0.0, 1.0, len(a)))
+
+
+def test_sclerp_lanes_at_the_knots():
+    rng = np.random.default_rng(26)
+    a = [random_unit_dq(rng) for _ in range(10)]
+    b = [random_unit_dq(rng) for _ in range(10)]
+    us = np.array([0.0, 1.0] * 5)
+    assert_lanes_match_reference(a, b, us)
+    out = dq_sclerp_lanes(dq_to_lanes(a), dq_to_lanes(b), us)
+    np.testing.assert_allclose(out[0::2], dq_to_lanes(a[0::2]), atol=1e-12)
+
+
+def test_sclerp_lanes_one_pair_many_parameters():
+    rng = np.random.default_rng(27)
+    a, b = random_unit_dq(rng), random_unit_dq(rng)
+    us = np.linspace(0.0, 1.0, 9)
+    out = dq_sclerp_lanes(a.as_array(), b.as_array(), us)
+    assert out.shape == (9, 8)
+    for row, u in zip(out, us):
+        np.testing.assert_allclose(row, ref.sclerp(a, b, u).as_array(), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(dq_sclerp(a, b, u).as_array(),
+                                      dq_sclerp_lanes(a.as_array(), b.as_array(), u))
+
+
+def test_lanes_conversion_roundtrip():
+    rng = np.random.default_rng(28)
+    poses = [random_unit_dq(rng) for _ in range(5)]
+    lanes = dq_to_lanes(poses)
+    assert lanes.shape == (5, 8) and dq_to_lanes([]).shape == (0, 8)
+    for p, q in zip(poses, dq_from_lanes(lanes)):
+        np.testing.assert_array_equal(p.as_array(), q.as_array())
 
 
 # ------------------------------------------------------------------ #

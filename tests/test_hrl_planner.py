@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import DualQuaternion, dq_sclerp
+import scalar_reference as ref
+from hybridplan.dualquat import DualQuaternion, dq_sclerp, dq_to_lanes
 from hybridplan.hrl_planner import (
     CURVE_FLOOR,
     HrlConfig,
@@ -68,6 +71,55 @@ def test_extrinsic_reward():
     assert extrinsic_reward([]) == 0.0
     assert extrinsic_reward([-1.0, -2.0]) == -3.0
     assert extrinsic_reward([-1.0, SENTINEL, -2.0]) == SENTINEL
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def skills_workloads():
+    """The benchmark's ``skills`` workload set up for seeds 1-3: line, arc and
+    twist skills and chained tasks of 3-5 configurations."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import workloads
+    out = []
+    for seed in (1, 2, 3):
+        wl = workloads.SkillsWorkload(seed)
+        wl.setup(workloads.Tally())
+        out.append(wl)
+    return out
+
+
+def test_intrinsic_reward_matches_reference_on_benchmark_tasks(skills_workloads):
+    # every (segment, skill) case of every task
+    cases = sentinels = 0
+    for wl in skills_workloads:
+        lib = wl.library
+        for st in wl.tasks:
+            configs = st.task.configs
+            for i in range(len(configs)):
+                for k in range(i + 1, len(configs)):
+                    for sk in lib.ids():
+                        got = intrinsic_reward(lib[sk], configs[i:k + 1])
+                        want = ref.intrinsic_reward(lib[sk].poses, configs[i:k + 1])
+                        assert (got <= SENTINEL) == (want <= SENTINEL)
+                        assert got == pytest.approx(want, rel=0, abs=1e-12)
+                        cases += 1
+                        sentinels += want <= SENTINEL
+    assert cases > 300 and 0 < sentinels < cases
+
+
+def test_retarget_through_matches_reference(skills_workloads):
+    lib = skills_workloads[0].library
+    for st in skills_workloads[0].tasks:
+        for sk in lib.ids():
+            for n_gaps in range(1, len(st.task.configs)):
+                waypoints = st.task.configs[:n_gaps + 1]
+                got = retarget_through(lib[sk], waypoints, 25)
+                want = ref.retarget_through(lib[sk], waypoints, 25)
+                np.testing.assert_allclose(dq_to_lanes(got), dq_to_lanes(want),
+                                           rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ #

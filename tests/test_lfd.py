@@ -1,22 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_conjugate,
     dq_mul,
     dq_sclerp,
+    dq_to_lanes,
 )
 from hybridplan.lfd import (
     Demonstration,
     SkillLibrary,
+    arc_params,
     chordal_distance,
     extract_features,
-    feature_distance,
     feature_distance_terms,
     load_demonstration,
     load_library,
+    resample,
     retarget,
+    sample_lanes,
     save_demonstration,
 )
 
@@ -52,8 +58,7 @@ def test_features_constant_demo_all_identity():
     p = pose(0.5, -0.2, 0.1)
     feats = extract_features([p, p, p, p])
     eye = DualQuaternion.identity().as_array()
-    for f in feats:
-        arr = f.as_array()
+    for arr in feats:
         if arr[0] < 0:
             arr = -arr
         np.testing.assert_allclose(arr, eye, atol=1e-12)
@@ -65,8 +70,7 @@ def test_features_two_pose_demo():
     a, b = random_pose(rng), random_pose(rng)
     feats = extract_features([a, b])
     assert len(feats) == 1
-    np.testing.assert_allclose(feats[0].as_array(),
-                               dq_mul(dq_conjugate(a), b).as_array(), atol=1e-12)
+    np.testing.assert_allclose(feats[0], dq_mul(dq_conjugate(a), b).as_array(), atol=1e-12)
 
 
 def test_features_invariant_under_left_shift():
@@ -149,11 +153,11 @@ def test_retarget_constant_skill():
 
 
 # ------------------------------------------------------------------ #
-# feature_distance
+# feature distance: the sum of feature_distance_terms
 # ------------------------------------------------------------------ #
 def test_beta_identical_sequences():
     demo = arc_demo()
-    assert feature_distance(demo.features, demo.features) == 0.0
+    assert feature_distance_terms(demo.features, demo.features).sum() == 0.0
 
 
 def test_beta_translation_step_proportionality():
@@ -163,7 +167,7 @@ def test_beta_translation_step_proportionality():
     for d in (0.2, 0.4, 0.8):
         a = [eye, eye]
         b = [eye, DualQuaternion.from_translation([d, 0, 0])]
-        betas.append(feature_distance(a, b))
+        betas.append(feature_distance_terms(a, b).sum())
     assert betas[1] == pytest.approx(2 * betas[0], rel=1e-9)
     assert betas[2] == pytest.approx(4 * betas[0], rel=1e-9)
 
@@ -173,7 +177,8 @@ def test_beta_symmetry():
     for _ in range(50):
         a = [random_pose(rng) for _ in range(rng.integers(1, 7))]
         b = [random_pose(rng) for _ in range(rng.integers(1, 7))]
-        assert feature_distance(a, b) == pytest.approx(feature_distance(b, a), abs=1e-10)
+        assert feature_distance_terms(a, b).sum() == pytest.approx(
+            feature_distance_terms(b, a).sum(), abs=1e-10)
 
 
 def test_beta_triangle_inequality():
@@ -182,7 +187,9 @@ def test_beta_triangle_inequality():
         a = [random_pose(rng) for _ in range(4)]
         b = [random_pose(rng) for _ in range(6)]
         c = [random_pose(rng) for _ in range(3)]
-        ab, bc, ac = feature_distance(a, b), feature_distance(b, c), feature_distance(a, c)
+        ab = feature_distance_terms(a, b).sum()
+        bc = feature_distance_terms(b, c).sum()
+        ac = feature_distance_terms(a, c).sum()
         assert ac <= ab + bc + 1e-9
 
 
@@ -194,17 +201,143 @@ def test_beta_terms_shape():
 
 
 # ------------------------------------------------------------------ #
+# lanes against the one-pose reference
+# ------------------------------------------------------------------ #
+def assert_poses_close(got, want, atol=1e-12):
+    np.testing.assert_allclose(dq_to_lanes(got) if isinstance(got, list) else got,
+                               dq_to_lanes(want), rtol=0, atol=atol)
+
+
+def test_features_and_distances_match_reference():
+    rng = np.random.default_rng(30)
+    for n in (2, 3, 8):
+        poses = [random_pose(rng) for _ in range(n)]
+        np.testing.assert_array_equal(extract_features(poses),
+                                      dq_to_lanes(ref.extract_features(poses)))
+        lanes = dq_to_lanes(poses)
+        np.testing.assert_array_equal(
+            chordal_distance(lanes[:-1], lanes[1:]),
+            [ref.chordal_distance(a, b) for a, b in zip(poses[:-1], poses[1:])])
+        np.testing.assert_array_equal(arc_params(poses), ref.arc_params(poses))
+
+
+def test_resample_matches_reference():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5, 9):
+        poses = [random_pose(rng) for _ in range(n)]
+        for n_out in (2, 7, 32):
+            assert_poses_close(resample(poses, n_out), ref.resample(poses, n_out))
+
+
+def test_resample_edge_cases_match_reference():
+    rng = np.random.default_rng(32)
+    a, b, c = random_pose(rng), random_pose(rng), random_pose(rng)
+    tiny = dq_sclerp(b, c, 1e-17)                    # a span below 1e-15 of the arc
+    cases = {
+        "one pose": [a],
+        "constant": [a, a, a],
+        "repeated knot": [a, b, b, c],
+        "tiny span": [a, b, tiny, c],
+    }
+    for name, poses in cases.items():
+        got = resample(poses, 32)
+        assert got.shape == (32, 8), name
+        assert_poses_close(got, ref.resample(poses, 32))
+    # parameters exactly on the knots return the knot poses themselves
+    poses = [a, b, c]
+    params = arc_params(poses)
+    np.testing.assert_array_equal(sample_lanes(poses, params, params), dq_to_lanes(poses))
+
+
+def test_feature_distance_terms_match_reference():
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        a = [random_pose(rng) for _ in range(rng.integers(1, 7))]
+        b = [random_pose(rng) for _ in range(rng.integers(1, 7))]
+        np.testing.assert_allclose(feature_distance_terms(a, b),
+                                   ref.feature_distance_terms(a, b), rtol=0, atol=1e-12)
+    demo = arc_demo()
+    seg = demo.poses[::3]
+    np.testing.assert_array_equal(feature_distance_terms(demo, extract_features(seg)),
+                                  feature_distance_terms(demo.features, extract_features(seg)))
+
+
+def test_retarget_matches_reference():
+    rng = np.random.default_rng(34)
+    for k in range(40):
+        demo = random_demo(rng, n=int(rng.integers(2, 9))) if k % 2 else arc_demo()
+        start, goal = random_pose(rng), random_pose(rng)
+        for n_out in (len(demo.poses), 12):
+            assert_poses_close(retarget(demo, start, goal, n_out),
+                               ref.retarget(demo.poses, start, goal, n_out))
+
+
+# ------------------------------------------------------------------ #
+# Demonstration caches
+# ------------------------------------------------------------------ #
+def test_demonstration_poses_cannot_change_under_its_caches():
+    demo = arc_demo(n=3)
+    assert demo.features.shape == (2, 8)
+    assert isinstance(demo.poses, tuple)
+    with pytest.raises(AttributeError):
+        demo.poses.append(pose(2.0, 0.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        demo.poses = demo.poses + (pose(2.0, 0.0),)
+    for cached in (demo.lanes, demo.params, demo.features, demo.resampled_features(32)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    np.testing.assert_array_equal(demo.features, extract_features(list(demo.poses)))
+    np.testing.assert_array_equal(demo.resampled_features(32), resample(demo.features, 32))
+    assert demo.resampled_features(32) is demo.resampled_features(32)
+
+
+def test_demonstration_from_a_list_keeps_a_copy():
+    poses = [pose(0, 0), pose(1, 0)]
+    demo = Demonstration("d", poses)
+    poses.append(pose(2, 0))
+    assert len(demo.poses) == 2 and demo.features.shape == (1, 8)
+
+
+# ------------------------------------------------------------------ #
 # demonstration files and the library
 # ------------------------------------------------------------------ #
 def test_demo_file_roundtrip(tmp_path):
-    demo = arc_demo()
-    demo.tags = ("brush", "arc")
+    demo = Demonstration("arc", arc_demo().poses, ("brush", "arc"))
     path = tmp_path / "arc.demo"
     save_demonstration(demo, path)
     loaded = load_demonstration(path)
     assert loaded.id == "arc" and loaded.tags == ("brush", "arc")
     for p, q in zip(demo.poses, loaded.poses):
         assert chordal_distance(p, q) == 0.0
+
+
+@pytest.mark.parametrize("demo_id, tags", [
+    ("arc-2.v1", ()),
+    ("a,b", ("brush",)),
+    ("tags", ("tags", "x-y", "z.1")),
+])
+def test_demo_file_roundtrip_of_unusual_names(tmp_path, demo_id, tags):
+    demo = Demonstration(demo_id, arc_demo(n=3).poses, tags)
+    save_demonstration(demo, tmp_path / "d.demo")
+    loaded = load_demonstration(tmp_path / "d.demo")
+    assert loaded.id == demo_id and loaded.tags == tags
+    np.testing.assert_array_equal(loaded.lanes, demo.lanes)
+
+
+@pytest.mark.parametrize("demo_id, tags", [
+    ("my skill", ()),            # the loader would reject the header
+    ("", ()),
+    ("arc", ("x y",)),
+    ("arc", ("",)),
+    ("arc", ("x,y",)),           # the loader would read two tags
+    ("arc", ("ok", "a\tb")),
+])
+def test_save_demonstration_rejects_names_it_cannot_read_back(tmp_path, demo_id, tags):
+    demo = Demonstration(demo_id, arc_demo(n=3).poses, tags)
+    path = tmp_path / "d.demo"
+    with pytest.raises(ValueError, match="demonstration (id|tag)"):
+        save_demonstration(demo, path)
+    assert not path.exists()
 
 
 def test_library_load_and_duplicate_rejection(tmp_path):

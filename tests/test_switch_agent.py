@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hybridplan.geometry import Box, collision_index
-from hybridplan.kinematics import normalized_manipulability, planar_3r
+from hybridplan.dualquat import DualQuaternion
+from hybridplan.kinematics import fk, normalized_manipulability, planar_3r
 from hybridplan.switch_agent import (
     BandPlan,
     Boundary,
@@ -13,6 +14,7 @@ from hybridplan.switch_agent import (
     densify,
     executed_window_reward,
     heuristic_switches,
+    lfd_joint_candidates,
     train_switch,
 )
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
@@ -147,3 +149,28 @@ def test_brute_force_switches_never_lose_to_the_heuristic():
         assert r_best >= r_heur
         assert band.entry.lo <= best[0] <= band.entry.hi
         assert band.exit.lo <= best[1] <= band.exit.hi
+
+
+# ------------------------------------------------------------------ #
+# LfD joint candidates
+# ------------------------------------------------------------------ #
+def test_lfd_joint_candidates_shape_limits_and_seed_determinism():
+    model = planar_3r()
+    thetas = [np.array([0.2, 0.5, -0.4]), np.array([0.3, 0.6, -0.5]),
+              np.array([0.5, 0.4, -0.2]), np.array([0.6, 0.2, 0.1])]
+    poses = [fk(model, t) for t in thetas]
+    poses.insert(2, DualQuaternion.from_translation([2.0, 0.0, 0.0]))   # out of reach
+    out = lfd_joint_candidates(poses, model, [POST], seed=3)
+    assert out.points.shape == (len(poses), model.dof)
+    assert len(out.source) == len(out.man) == len(out.col) == len(poses)
+    assert np.all(out.source == SOURCE_LFD)
+    assert all(model.within_limits(t) for t in out.points)
+    # the unreachable pose holds the joints of the pose before it
+    np.testing.assert_array_equal(out.points[2], out.points[1])
+    for k in (0, 1, 3, 4):
+        np.testing.assert_allclose(fk(model, out.points[k]).translation(),
+                                   poses[k].translation(), atol=2e-3)
+    assert_annotated(model, out)
+    again = lfd_joint_candidates(poses, model, [POST], seed=3)
+    for field in ("points", "source", "man", "col"):
+        np.testing.assert_array_equal(getattr(again, field), getattr(out, field))
