@@ -15,7 +15,7 @@ import pytest
 
 import inputs
 import workloads
-from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, state_dim
+from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, state_dim
 from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
 from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
@@ -120,15 +120,17 @@ def test_build_map_wall_90_cells(benchmark, model, cell):
     assert fmap.n_cells == 90
 
 
-def test_drl_env_step(benchmark, model, cell):
+@pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
+def test_drl_env_step(benchmark, model, cell, lanes):
+    # one lane is a plan_drl step; ROLLOUT_LANES lanes are a train_drl step
     theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
     assert collision_index(model, theta, cell.obstacles) == 0
-    env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0))
-    env.reset(theta, [0.95, 0.0, 0.0])
-    a = np.array([0.5, -0.5, 0.5])
+    env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0), lanes)
+    env.reset(np.tile(theta, (lanes, 1)), np.tile([0.95, 0.0, 0.0], (lanes, 1)))
+    a = np.tile([0.5, -0.5, 0.5], (lanes, 1))
     actions = itertools.cycle([a, -a])        # the arm oscillates about theta
     obs, *_ = benchmark(lambda: env.step(next(actions)))
-    assert obs.shape == (state_dim(model.dof),)
+    assert obs.shape == (lanes, state_dim(model.dof))
 
 
 @pytest.mark.parametrize("skill_id, n_configs", [("line", 2), ("arc", 3)])

@@ -5,6 +5,19 @@ bridges each gap with a joint trajectory.  Actions are per-joint increment
 commands in [-1, 1]; the reward blends goal distance with a graded
 feasibility term (normalized manipulability when collision-free, a fixed
 penalty otherwise).
+
+``DrlEnv`` steps N independent episodes as lanes: an (N, dof) array of
+joint vectors, one per episode.  A step walks the kinematic chain once
+(``_chain_eval``) and feeds everything from that walk: the joint frames and
+their Euler angles, the end-effector state, the Jacobian and a batched SVD
+for manipulability, the capsule distances of the collision check and the
+ray bundle (one ``raycast_many`` over the (N, 25) rays).  Lane k of a step
+equals a one-episode environment stepped on lane k alone, bit for bit.
+With one lane the environment runs the one-configuration kernels on that
+same walk: at N = 1 a lane kernel costs several times its scalar
+counterpart, so ``plan_drl`` bridges one gap on one lane.  ``train_drl``
+collects each PPO batch on ``ROLLOUT_LANES`` lanes with one policy forward
+per lane step (the vectorised-environment layout of PPO).
 """
 from __future__ import annotations
 
@@ -14,12 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan.dualquat import DualQuaternion, quat_to_euler
-from hybridplan.geometry import collision_index, ray_bundle
+from hybridplan.geometry import (
+    collision_index,
+    collision_index_lanes,
+    collision_index_points,
+    ray_bundle_lanes,
+)
 from hybridplan.kinematics import (
     RobotModel,
+    _chain_eval,
+    _frame_points_raw,
+    _lane_norm,
+    _normalized_manipulability_raw,
     ee_state,
-    fk_frames,
-    normalized_manipulability,
+    fk_frames,  # noqa: F401 -- unused; perfbench's tracer test wraps this binding
     normalized_manipulability_lanes,
 )
 from hybridplan.rl_core import (
@@ -33,6 +54,7 @@ from hybridplan.rl_core import (
 from hybridplan.trajectory import SOURCE_DRL, JointTrajectory
 
 STATE_LAYOUT_VERSION = "drl-v1-goalrel"
+ROLLOUT_LANES = 16         # environments stepped together while collecting PPO batches
 
 
 @dataclass
@@ -66,19 +88,18 @@ def layout_hash(model: RobotModel) -> str:
     return f"{STATE_LAYOUT_VERSION}:dof={model.dof}"
 
 
-def drl_reward(model: RobotModel, theta, ee_pos, goal_pos, cfg: DrlEnvConfig,
-               col: int) -> tuple:
-    """(reward, distance, done).  Inside the target ball the reward is the
-    fixed in-region bonus; outside it is graded feasibility minus distance."""
-    d = float(np.linalg.norm(ee_pos - goal_pos))
-    if d < cfg.target_radius:
-        return 0.1, d, True
+def drl_reward(cfg: DrlEnvConfig, distance, col, man):
+    """(reward, reached) from the goal distance, the collision index and the
+    normalized manipulability, as floats or (N,) lanes.  Inside the target
+    ball the reward is the fixed in-region bonus; outside it is graded
+    feasibility minus distance (``man`` is read only where collision-free)."""
+    reached = distance < cfg.target_radius
     if cfg.reward_mode == "distance":
-        return -d, d, False
-    if col:
-        return cfg.collision_penalty - d, d, False
-    grade = normalized_manipulability(model, theta) - cfg.man_baseline
-    return cfg.fea_weight * grade - d, d, False
+        outside = -distance
+    else:
+        outside = np.where(col, cfg.collision_penalty - distance,
+                           cfg.fea_weight * (man - cfg.man_baseline) - distance)
+    return np.where(reached, 0.1, outside), reached
 
 
 def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10,
@@ -99,26 +120,39 @@ def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10,
     return fallback
 
 
+def _rows(values, n) -> np.ndarray:
+    """k floats (n = 1), or k (n,) lanes where constants may stay floats, of
+    ``_chain_eval`` output as an (n, k) array."""
+    if n == 1:
+        return np.array([values], dtype=float)
+    out = np.empty((n, len(values)))
+    for i, v in enumerate(values):
+        out[:, i] = v
+    return out
+
+
 class DrlEnv:
-    """Kinematic stepping environment over one (start, goal) bracket pair.
+    """Kinematic stepping environment over ``lanes`` independent episodes,
+    each with its own (start, goal) bracket pair.
 
     Observations are scaled by fixed per-block constants (reach for
     positions, pi for angles, the ray range for rays) so every block is
-    O(1) for the policy network.
+    O(1) for the policy network.  Observations, rewards, done flags and the
+    info entries are (lanes, ...) arrays.
     """
 
-    def __init__(self, model: RobotModel, obstacles, cfg: DrlEnvConfig):
+    def __init__(self, model: RobotModel, obstacles, cfg: DrlEnvConfig, lanes=1):
         self.model = model
         self.obstacles = list(obstacles)
         self.cfg = cfg
         self.dof = model.dof
-        self._theta = None
-        self._jp = None                  # joint frames at the current theta
-        self._jo = None
-        self._prev_jp = None
-        self._prev_jo = None
-        self.goal_pos = None
-        self.steps = 0
+        self.lanes = lanes
+        self._theta = np.zeros((lanes, self.dof))
+        self._goal = np.zeros((lanes, 3))
+        self._steps = np.zeros(lanes, dtype=int)
+        # joint positions and Euler angles at the current thetas
+        self._jp, self._jo = np.zeros((lanes, 3 * self.dof)), np.zeros((lanes, 3 * self.dof))
+        self._obs = np.zeros((lanes, state_dim(self.dof)))
         reach = sum(np.linalg.norm(j.offset.translation()) for j in model.joints)
         reach += np.linalg.norm(model.tool.translation())
         self._reach = max(reach, 1e-6)
@@ -136,51 +170,69 @@ class DrlEnv:
             np.full(3, self._reach),            # goal offset
         ])
 
-    def _joint_frames(self):
-        origins, rots = fk_frames(self.model, self._theta)
-        return origins.ravel(), quat_to_euler(rots.T).T.ravel()
+    def _walk(self, thetas):
+        """One chain walk over the rows of ``thetas`` (the one-configuration
+        kernel for one row): the ``_chain_eval`` output plus the (n, 3 dof)
+        joint positions and Euler angles and the (n, 3) EE positions."""
+        n = len(thetas)
+        chain = _chain_eval(self.model, thetas[0] if n == 1 else thetas)
+        _, origins, rots, _, p = chain
+        jp = _rows([c for o in origins for c in o], n)
+        quats = [_rows([r[i] for r in rots], n) for i in range(4)]     # (n, dof) each
+        jo = quat_to_euler(quats).transpose(1, 2, 0).reshape(n, -1)
+        return chain, jp, jo, _rows(p, n)
 
-    def observe(self) -> np.ndarray:
-        jp, jo = self._jp, self._jo
-        lv = (jp - self._prev_jp) / self.cfg.step_time
-        d_ang = (jo - self._prev_jo + np.pi) % (2 * np.pi) - np.pi  # wrap-safe
+    def _observe(self, walk, prev_jp, prev_jo, goal):
+        (_, _, _, q, p), jp, jo, p_rows = walk
+        n = len(jp)
+        lv = (jp - prev_jp) / self.cfg.step_time
+        d_ang = (jo - prev_jo + np.pi) % (2 * np.pi) - np.pi   # wrap-safe
         av = d_ang / self.cfg.step_time
-        q, p = ee_state(self.model, self._theta)
-        to = quat_to_euler(q)
-        rays = ray_bundle(self.model, self._theta, self.obstacles, self.cfg.ray_range)
-        raw = np.concatenate([jp, jo, lv, av, p, to, rays, self.goal_pos - p])
+        to = quat_to_euler(_rows(q, n).T).T
+        rays = ray_bundle_lanes(q, p, self.obstacles, self.cfg.ray_range).reshape(n, -1)
+        raw = np.concatenate([jp, jo, lv, av, p_rows, to, rays, goal - p_rows], axis=1)
         return raw / self._obs_scale
 
-    def reset(self, theta0, goal_pos) -> np.ndarray:
-        self._theta = np.asarray(theta0, dtype=float).copy()
-        self.goal_pos = np.asarray(goal_pos, dtype=float)
-        self._jp, self._jo = self._joint_frames()
-        self._prev_jp, self._prev_jo = self._jp, self._jo
-        self.steps = 0
-        return self.observe()
+    def reset(self, thetas, goals, lanes=None) -> np.ndarray:
+        """Start new episodes on ``lanes`` (every lane when None) from the
+        rows of ``thetas`` and ``goals``; returns every lane's observation."""
+        lanes = np.arange(self.lanes) if lanes is None else np.asarray(lanes)
+        thetas = np.array(thetas, dtype=float).reshape(len(lanes), self.dof)
+        goals = np.array(goals, dtype=float).reshape(len(lanes), 3)
+        walk = self._walk(thetas)
+        _, jp, jo, _ = walk
+        self._theta[lanes], self._goal[lanes], self._steps[lanes] = thetas, goals, 0
+        self._jp[lanes], self._jo[lanes] = jp, jo
+        self._obs = self._obs.copy()          # the arrays step returned stay as they were
+        self._obs[lanes] = self._observe(walk, jp, jo, goals)
+        return self._obs
 
     @property
-    def theta(self) -> np.ndarray:
+    def thetas(self) -> np.ndarray:
         return self._theta.copy()
 
-    def step(self, action):
-        """Apply increment action; returns (state, reward, done, info)."""
-        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        delta = a * np.radians(self.cfg.max_step_deg)
-        proposed = self._theta + delta
-        self._theta = self.model.clamp(proposed)
-        clamped = bool(np.any(proposed != self._theta))
-        self._prev_jp, self._prev_jo = self._jp, self._jo
-        self._jp, self._jo = self._joint_frames()
-        self.steps += 1
-        col = collision_index(self.model, self._theta, self.obstacles)
-        q, p = ee_state(self.model, self._theta)
-        reward, d, reached = drl_reward(self.model, self._theta, p,
-                                        self.goal_pos, self.cfg, col)
-        done = reached or self.steps >= self.cfg.episode_budget
-        info = {"collision": col, "distance": d, "clamped": clamped,
-                "reached": reached}
-        return self.observe(), reward, done, info
+    def step(self, actions):
+        """Apply (lanes, dof) increment actions; returns (observations,
+        rewards, dones, info) with one row or entry per lane."""
+        a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
+        proposed = self._theta + a * np.radians(self.cfg.max_step_deg)
+        theta = self.model.clamp(proposed)
+        clamped = np.any(proposed != theta, axis=1)
+        walk = self._walk(theta)
+        (axes, origins, _, _, p), jp, jo, p_rows = walk
+        self._steps += 1
+        col = np.reshape(collision_index_points(
+            self.model, _frame_points_raw(origins, p), self.obstacles), -1)
+        d = _lane_norm(p_rows - self._goal)
+        man = np.zeros(self.lanes)
+        if self.cfg.reward_mode != "distance" and np.any((col == 0) & (d >= self.cfg.target_radius)):
+            man[:] = _normalized_manipulability_raw(self.model, axes, origins, p)
+        reward, reached = drl_reward(self.cfg, d, col, man)
+        done = reached | (self._steps >= self.cfg.episode_budget)
+        self._obs = self._observe(walk, self._jp, self._jo, self._goal)
+        self._theta, self._jp, self._jo = theta, jp, jo
+        info = {"collision": col, "distance": d, "clamped": clamped, "reached": reached}
+        return self._obs, reward, done, info
 
 
 # ------------------------------------------------------------------ #
@@ -234,6 +286,9 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
               progress=None, start_witnesses=None, start_pool=None):
     """PPO over episodes whose start/goal are sampled from the bracket set.
 
+    Each batch of ``ppo_cfg.num_steps`` steps (a multiple of
+    ``ROLLOUT_LANES``) is collected on ``ROLLOUT_LANES`` lane environments;
+    episode starts are drawn per lane in lane order, and GAE runs per lane.
     ``start_pool`` optionally provides extra episode-start joint vectors
     (typically feasibility-map witnesses); starting a fraction of episodes
     from states scattered across the feasible region lets value propagate
@@ -245,25 +300,28 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
         raise ValueError("no infeasible segments: bridge training unnecessary")
     env_cfg = env_cfg or DrlEnvConfig()
     ppo_cfg = ppo_cfg or PpoConfig()
+    if ppo_cfg.num_steps % ROLLOUT_LANES:
+        raise ValueError(f"num_steps {ppo_cfg.num_steps} is not a multiple of "
+                         f"the {ROLLOUT_LANES} rollout lanes")
     rng = np.random.default_rng(seed)
     prepared = _prepare_pairs(pairs, model, obstacles, rng, start_witnesses)
     if not prepared:
         raise ValueError("no segment start pose has an IK witness")
 
-    env = DrlEnv(model, obstacles, env_cfg)
+    lanes = ROLLOUT_LANES
+    env = DrlEnv(model, obstacles, env_cfg, lanes)
     policy = GaussianPolicy(state_dim(model.dof), model.dof, hidden, rng)
     value_net = ValueNet(state_dim(model.dof), hidden, rng)
 
     lo, hi = model.limits_lo, model.limits_hi
-    pool = None
-    if start_pool is not None and len(start_pool):
-        pool = [np.asarray(p, dtype=float) for p in start_pool
-                if collision_index(model, np.asarray(p, dtype=float), obstacles) == 0]
+    pool = np.asarray([] if start_pool is None else start_pool, dtype=float)
+    pool = pool.reshape(-1, model.dof)
+    pool = pool[collision_index_lanes(model, pool, obstacles) == 0]
 
     def episode_start():
         theta0, goal = prepared[int(rng.integers(len(prepared)))]
         if rng.random() < env_cfg.explore_start_prob:
-            if pool:
+            if len(pool):
                 return pool[int(rng.integers(len(pool)))], goal
             for _ in range(20):
                 cand = rng.uniform(lo, hi)
@@ -271,32 +329,33 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
                     return cand, goal
         return theta0, goal
 
-    theta0, goal = episode_start()
-    obs = env.reset(theta0, goal)
+    def episode_starts(count):
+        thetas, goals = zip(*[episode_start() for _ in range(count)])
+        return np.array(thetas), np.array(goals)
+
+    obs = env.reset(*episode_starts(lanes))
+    steps = ppo_cfg.num_steps // lanes
     curve = []
     for b in range(batches):
-        T = ppo_cfg.num_steps
-        obs_buf = np.zeros((T, state_dim(model.dof)))
-        act_buf = np.zeros((T, model.dof))
-        logp_buf = np.zeros(T)
-        rew_buf = np.zeros(T)
-        done_buf = np.zeros(T)
+        obs_buf = np.zeros((steps, lanes, state_dim(model.dof)))
+        act_buf = np.zeros((steps, lanes, model.dof))
+        logp_buf = np.zeros((steps, lanes))
+        rew_buf = np.zeros((steps, lanes))
+        done_buf = np.zeros((steps, lanes))
         reached = 0
         episodes = 0
-        for t in range(T):
+        for t in range(steps):
             action, logp = policy.act(obs, rng)
-            nxt, reward, done, info = env.step(action)
             obs_buf[t] = obs
             act_buf[t] = action          # raw action: the log-prob must match
             logp_buf[t] = logp
-            rew_buf[t] = reward
-            done_buf[t] = float(done)
-            obs = nxt
-            if done:
-                reached += int(info["reached"])
-                episodes += 1
-                theta0, goal = episode_start()
-                obs = env.reset(theta0, goal)
+            obs, rew_buf[t], done, info = env.step(action)
+            done_buf[t] = done
+            ends = np.flatnonzero(done)
+            if len(ends):
+                reached += int(np.sum(info["reached"][ends]))
+                episodes += len(ends)
+                obs = env.reset(*episode_starts(len(ends)), lanes=ends)
         batch = RolloutBatch(obs_buf, act_buf, logp_buf, rew_buf, done_buf, obs)
         stats = ppo_update(policy, value_net, batch, ppo_cfg, rng)
         stats["epoch"] = b
@@ -350,60 +409,27 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
             raise ValueError("start pose has no IK witness")
     env = DrlEnv(model, obstacles, env_cfg)
     goal_pos = goal.translation()
-    obs = env.reset(theta0, goal_pos)
-    thetas = [env.theta]
+    obs = env.reset(theta0, goal_pos)[0]
+    thetas = [env.thetas[0]]
     cols = [collision_index(model, theta0, obstacles)]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
+    distance = 0.0
     while not success:
         if stochastic:
             action, _ = policy.act(obs, rng)
         else:
             action = policy.mean_action(obs)
         obs, _, done, info = env.step(action)
-        thetas.append(env.theta)
-        cols.append(info["collision"])
-        if done:
-            success = info["reached"]
+        obs = obs[0]
+        thetas.append(env.thetas[0])
+        cols.append(info["collision"][0])
+        distance = float(info["distance"][0])
+        if done[0]:
+            success = bool(info["reached"][0])
             break
-    k = len(thetas)
     thetas = np.array(thetas)
-    return JointTrajectory(thetas, np.full(k, SOURCE_DRL, dtype=np.uint8),
+    return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
                            normalized_manipulability_lanes(model, thetas),
                            np.array(cols, dtype=np.uint8),
-                           success, meta={"goal_distance": info["distance"] if k > 1 else 0.0})
-
-
-def evaluate_policy(policy, pairs, model, obstacles, env_cfg=None, seed=0,
-                    episodes=50, stochastic=True):
-    """Success rate and mean feasibility-shaped return over bracket pairs.
-
-    The shaped-return metric is computed with the feasibility grading for any
-    policy, so feasibility-trained and distance-trained agents share a
-    yardstick.
-    """
-    env_cfg = env_cfg or DrlEnvConfig()
-    metric_cfg = DrlEnvConfig(**{**env_cfg.__dict__, "reward_mode": "feasibility"})
-    rng = np.random.default_rng(seed)
-    prepared = _prepare_pairs(pairs, model, obstacles, rng)
-    env = DrlEnv(model, obstacles, metric_cfg)
-    wins = 0
-    returns = []
-    for _ in range(episodes):
-        theta0, goal = prepared[int(rng.integers(len(prepared)))]
-        obs = env.reset(theta0, goal)
-        total = 0.0
-        collided = False
-        done = False
-        info = {"reached": False}
-        while not done:
-            if stochastic:
-                action, _ = policy.act(obs, rng)
-            else:
-                action = policy.mean_action(obs)
-            obs, reward, done, info = env.step(action)
-            total += reward
-            collided = collided or bool(info["collision"])
-        wins += int(info["reached"] and not collided)
-        returns.append(total)
-    return wins / episodes, float(np.mean(returns))
+                           success, meta={"goal_distance": distance})

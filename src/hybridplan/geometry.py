@@ -6,13 +6,18 @@ checking interpolated waypoints at fine joint-space resolution.
 
 ``collision_index`` checks one configuration on plain floats and stops at the
 first contact; it is the path for single checks (IK witnesses, map cells,
-environment steps).  ``collision_index_lanes`` checks an (N, dof) array of
-configurations at once: frame points from one lane ``_chain_eval``, then every
-(configuration, capsule, obstacle) and (configuration, capsule pair) triple as
-one row of a single batched distance evaluation with the scalar primitives'
-arithmetic, so its verdict equals the scalar one on every row.  The lane call
-has a fixed cost of several hundred small array operations, about the cost of
-five scalar calls, so it serves whole trajectories.
+one-lane environment steps).  ``collision_index_lanes`` checks an (N, dof)
+array of configurations at once: frame points from one lane ``_chain_eval``,
+then every (configuration, capsule, obstacle) and (configuration, capsule
+pair) triple as one row of a single batched distance evaluation with the
+scalar primitives' arithmetic, so its verdict equals the scalar one on every
+row.  The lane call has a fixed cost of several hundred small array
+operations, about the cost of five scalar calls, so it serves whole
+trajectories and lane environments.  ``collision_index_points`` is either
+check on frame points the caller already has, so a DRL step that walked the
+chain once for its observation does not walk it again.  ``ray_bundle_lanes``
+likewise casts the end-effector ray bundle from given end-effector states,
+one state or N lanes.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan.dualquat import _lane_dot, quat_to_matrix
-from hybridplan.kinematics import RobotModel, _chain_eval, ee_state, frame_points
+from hybridplan.kinematics import RobotModel, ee_state, frame_points
 
 RAY_COUNT = 25
 
@@ -149,16 +154,19 @@ def capsule_obstacle_distance(p, q, radius, obstacle) -> float:
 # ------------------------------------------------------------------ #
 # Collision index
 # ------------------------------------------------------------------ #
-def link_capsules(model: RobotModel, theta):
-    """World-space capsule endpoints [(p, q, radius, frames), ...]."""
-    pts = frame_points(model, theta)
-    return [(pts[c.frame_a], pts[c.frame_b], c.radius, (c.frame_a, c.frame_b))
-            for c in model.capsules]
-
-
 def collision_index(model: RobotModel, theta, obstacles) -> int:
     """1 iff any link capsule overlaps an obstacle or a non-adjacent link."""
-    caps = link_capsules(model, theta)
+    return collision_index_points(model, frame_points(model, theta), obstacles)
+
+
+def collision_index_points(model: RobotModel, pts, obstacles):
+    """``collision_index`` from given frame points (``frame_points``): an int
+    for one configuration's (dof + 2, 3), stopping at the first contact;
+    (N,) uint8 for lanes (N, dof + 2, 3), equal to the int on every row."""
+    if np.ndim(pts) == 3:
+        return _collision_index_lanes(model, pts, obstacles)
+    caps = [(pts[c.frame_a], pts[c.frame_b], c.radius, (c.frame_a, c.frame_b))
+            for c in model.capsules]
     for p, q, r, _ in caps:
         for ob in obstacles:
             if capsule_obstacle_distance(p, q, r, ob) <= 0.0:
@@ -248,16 +256,16 @@ def _segment_segment_lanes(p1, q1, p2, q2) -> np.ndarray:
 def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
     """``collision_index`` of every row of an (N, dof) array, (N,) uint8."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
-    n = len(thetas)
+    return _collision_index_lanes(model, frame_points(model, thetas), obstacles)
+
+
+def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
+    """The lane verdicts from (N, dof + 2, 3) frame points."""
+    n = len(pts)
     hit = np.zeros(n, dtype=bool)
     caps = model.capsules
     if n == 0 or not caps:
         return hit.astype(np.uint8)
-    _, origins, _, _, p_ee = _chain_eval(model, thetas)
-    pts = np.zeros((n, model.dof + 2, 3))
-    for k, xyz in enumerate([*origins, p_ee], start=1):
-        for a in range(3):
-            pts[:, k, a] = xyz[a]
     rad = np.array([cap.radius for cap in caps])
     p = pts[:, [cap.frame_a for cap in caps]]          # (N, capsules, 3)
     q = pts[:, [cap.frame_b for cap in caps]]
@@ -294,32 +302,36 @@ def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
 def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
     """First surface crossing along each ray, clamped to max_range.
 
-    dirs has shape (k, 3) with unit rows; returns (k,) distances.
+    dirs has shape (k, 3) with unit rows and origin (3,); returns (k,)
+    distances.  Lanes: origins (N, 3) with dirs (N, k, 3) give (N, k), and
+    row n equals the one-origin call on origin n.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    dist = np.full(len(dirs), float(max_range))
+    at = origin[..., None, :]                  # each origin against its k rays
+    dist = np.full(dirs.shape[:-1], float(max_range))
     for ob in obstacles:
         if isinstance(ob, Box):
             with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (ob.lo - origin) / dirs
-                t2 = (ob.hi - origin) / dirs
+                t1 = (ob.lo - at) / dirs
+                t2 = (ob.hi - at) / dirs
             lohit = np.where(np.isnan(t1), -np.inf, np.minimum(t1, t2))
             hihit = np.where(np.isnan(t2), np.inf, np.maximum(t1, t2))
             # rays parallel to a slab: inside -> no constraint, outside -> miss
             par = np.abs(dirs) < 1e-15
-            inside = (origin >= ob.lo) & (origin <= ob.hi)
+            inside = (at >= ob.lo) & (at <= ob.hi)
             lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
             hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
-            tmin = lohit.max(axis=1)
-            tmax = hihit.min(axis=1)
+            tmin = lohit.max(axis=-1)
+            tmax = hihit.min(axis=-1)
             hit = tmax >= np.maximum(tmin, 0.0)
             t = np.where(tmin >= 0.0, tmin, tmax)  # origin inside: exit point
             dist = np.where(hit & (t >= 0.0), np.minimum(dist, t), dist)
         else:
             oc = origin - ob.center
-            b = dirs @ oc
-            c = float(oc @ oc) - ob.radius ** 2
+            # a stacked matrix-vector product rounds like the one-origin ``dirs @ oc``
+            b = (dirs @ oc[..., None])[..., 0]
+            c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
             disc = b * b - c
             ok = disc >= 0.0
             sq = np.sqrt(np.where(ok, disc, 0.0))
@@ -363,5 +375,12 @@ _BUNDLE = _bundle_directions()
 def ray_bundle(model: RobotModel, theta, obstacles, max_range=2.0) -> np.ndarray:
     """25 ray distances from the end effector, pattern rigidly frame-attached."""
     q, p = ee_state(model, theta)
-    R = quat_to_matrix(q)
-    return raycast_many(p, _BUNDLE @ R.T, obstacles, max_range)
+    return ray_bundle_lanes(q, p, obstacles, max_range)
+
+
+def ray_bundle_lanes(q, p, obstacles, max_range=2.0) -> np.ndarray:
+    """``ray_bundle`` from end-effector states, the (q, p) of ``_chain_eval``:
+    floats give (25,); (N,) lanes give (N, 25), one ``raycast_many`` over
+    every lane's rays, with lane n equal to the one-state call."""
+    R = quat_to_matrix(q)                      # (3, 3), or (3, 3, N) for lanes
+    return raycast_many(np.transpose(p), _BUNDLE @ R.T, obstacles, max_range)

@@ -16,7 +16,10 @@ lane call equals the scalar call on row k.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
 them in lockstep on the lane path, under the same rules.
 ``normalized_manipulability_lanes`` scores N configurations with one lane
-Jacobian and one batched SVD, for whole trajectories.
+Jacobian and one batched SVD, for whole trajectories.  ``frame_points`` takes
+either layout too, and the ``_raw`` helpers (frame points, manipulability)
+take a chain walk's output, so a caller that walked the chain once for one
+configuration or for N lanes reads every quantity off that walk.
 """
 from __future__ import annotations
 
@@ -178,9 +181,21 @@ def fk_frames(model: RobotModel, theta: np.ndarray):
 
 
 def frame_points(model: RobotModel, theta) -> np.ndarray:
-    """Origins of frames [base, joint 1..n, tool], shape (dof + 2, 3)."""
+    """Origins of frames [base, joint 1..n, tool], shape (dof + 2, 3), or
+    (N, dof + 2, 3) for an (N, dof) lane array."""
     _, origins, _, _, p = _chain_eval(model, theta)
-    return np.array([(0.0, 0.0, 0.0), *origins, p])
+    return _frame_points_raw(origins, p)
+
+
+def _frame_points_raw(origins, p_ee) -> np.ndarray:
+    """``frame_points`` from ``_chain_eval`` output (floats or (N,) lanes)."""
+    if np.ndim(p_ee[0]) == 0:
+        return np.array([(0.0, 0.0, 0.0), *origins, p_ee])
+    pts = np.zeros((len(p_ee[0]), len(origins) + 2, 3))
+    for k, xyz in enumerate([*origins, p_ee], start=1):
+        for a in range(3):
+            pts[:, k, a] = xyz[a]
+    return pts
 
 
 def ee_state(model: RobotModel, theta):
@@ -251,15 +266,21 @@ def normalized_manipulability_lanes(model: RobotModel, thetas) -> np.ndarray:
     One lane Jacobian and one batched SVD; lane k equals the scalar call on
     row k bit for bit.
     """
-    if model._home_man <= 0.0:
-        raise ValueError("singular home configuration")
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
     if len(thetas) == 0:
         return np.zeros(0)
     axes, origins, _, _, p = _chain_eval(model, thetas)
-    s = np.linalg.svd(_jacobian_raw(model, axes, origins, p), compute_uv=False)
-    singular = (s[:, 0] <= 0.0) | (s[:, -1] <= 1e-9 * s[:, 0])
-    return np.where(singular, 0.0, np.prod(s, axis=1)) / model._home_man
+    return _normalized_manipulability_raw(model, axes, origins, p)
+
+
+def _normalized_manipulability_raw(model: RobotModel, axes, origins, p_ee):
+    """Normalized manipulability from ``_chain_eval`` output: a 0-d array for
+    one configuration (equal to ``normalized_manipulability``), (N,) for lanes."""
+    if model._home_man <= 0.0:
+        raise ValueError("singular home configuration")
+    s = np.linalg.svd(_jacobian_raw(model, axes, origins, p_ee), compute_uv=False)
+    singular = (s[..., 0] <= 0.0) | (s[..., -1] <= 1e-9 * s[..., 0])
+    return np.where(singular, 0.0, np.prod(s, axis=-1)) / model._home_man
 
 
 # ------------------------------------------------------------------ #

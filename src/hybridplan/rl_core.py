@@ -108,28 +108,31 @@ class GaussianPolicy:
         self.act_dim = act_dim
 
     def act(self, obs, rng):
-        mean = self.net.forward(obs)[0]
-        std = np.exp(self.log_std)
-        action = mean + std * rng.standard_normal(self.act_dim)
-        return action, self.log_prob_given(mean, action)
+        """A sampled action and its log-prob for one observation; for an
+        (N, obs_dim) batch, (N, act_dim) actions and (N,) log-probs from one
+        forward pass."""
+        mean = self.net.forward(obs)
+        action = mean + np.exp(self.log_std) * rng.standard_normal(mean.shape)
+        logp = self._log_probs(mean, action)
+        if np.ndim(obs) == 1:
+            return action[0], float(logp[0])
+        return action, logp
 
     def mean_action(self, obs):
         return self.net.forward(obs)[0]
 
-    def log_prob_given(self, mean, action):
+    def _log_probs(self, mean, action):
+        """Row log-probs of (N, act_dim) actions under (N, act_dim) means."""
         z = (action - mean) / np.exp(self.log_std)
-        return float(-0.5 * np.sum(z * z) - np.sum(self.log_std)
-                     - 0.5 * self.act_dim * np.log(2 * np.pi))
+        return -0.5 * np.sum(z * z, axis=1) - np.sum(self.log_std) \
+            - 0.5 * self.act_dim * np.log(2 * np.pi)
 
     def evaluate(self, obs_batch, act_batch):
         """Batch log-probs and entropy; caches for backward_logp."""
         mean = self.net.forward(obs_batch)
-        std = np.exp(self.log_std)
-        z = (act_batch - mean) / std
-        logp = -0.5 * np.sum(z * z, axis=1) - np.sum(self.log_std) \
-            - 0.5 * self.act_dim * np.log(2 * np.pi)
+        logp = self._log_probs(mean, act_batch)
         entropy = float(np.sum(self.log_std) + 0.5 * self.act_dim * (1 + np.log(2 * np.pi)))
-        self._eval_cache = (mean, act_batch, std)
+        self._eval_cache = (mean, act_batch, np.exp(self.log_std))
         return logp, np.full(len(logp), entropy)
 
     def backward_logp(self, d_logp, d_entropy=None):
@@ -257,13 +260,18 @@ class PpoConfig:
 
 
 def compute_gae(rewards, values, dones, last_value, gamma, lam):
-    """Advantages and discounted-return targets over one rollout batch."""
+    """Advantages and discounted-return targets over one rollout batch.
+
+    rewards, values and dones are (T,) with a scalar last_value, or (T, N)
+    for N lane environments with (N,) last values; each lane runs the
+    one-environment recursion on its own column and bootstraps from its own
+    last value."""
     T = len(rewards)
-    adv = np.zeros(T)
-    next_adv = 0.0
+    adv = np.zeros(np.shape(rewards))
+    next_adv = np.zeros(np.shape(last_value))
     next_value = last_value
     for t in range(T - 1, -1, -1):
-        nonterminal = 1.0 - float(dones[t])
+        nonterminal = 1.0 - np.asarray(dones[t], dtype=float)
         delta = rewards[t] + gamma * next_value * nonterminal - values[t]
         next_adv = delta + gamma * lam * nonterminal * next_adv
         adv[t] = next_adv
@@ -273,6 +281,9 @@ def compute_gae(rewards, values, dones, last_value, gamma, lam):
 
 @dataclass
 class RolloutBatch:
+    """One rollout: (T, ...) per-step arrays of one environment, or
+    (T, N, ...) of N lane environments stepped together; last_obs is the
+    observation after the final step, (obs_dim,) or (N, obs_dim)."""
     obs: np.ndarray
     actions: np.ndarray
     log_probs: np.ndarray
@@ -287,11 +298,18 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
     Returns stats {mean_reward, clip_frac, approx_kl, value_loss, aborted}.
     A non-finite loss aborts the update and restores the previous parameters.
     """
-    values = value_net.values(batch.obs)
-    last_value = value_net.value(batch.last_obs)
-    adv, returns = compute_gae(cfg.reward_scale * batch.rewards, values,
-                               batch.dones, last_value,
+    # lanes: GAE runs per lane on (T, N), then the samples flatten time-major
+    rewards = batch.rewards.reshape(len(batch.rewards), -1)
+    T = rewards.size
+    obs = batch.obs.reshape(T, -1)
+    actions = batch.actions.reshape((T,) + batch.actions.shape[batch.rewards.ndim:])
+    log_probs = batch.log_probs.reshape(T)
+    values = value_net.values(obs)
+    last_value = value_net.values(np.atleast_2d(batch.last_obs))
+    adv, returns = compute_gae(cfg.reward_scale * rewards, values.reshape(rewards.shape),
+                               batch.dones.reshape(rewards.shape), last_value,
                                cfg.discount, cfg.gae_lambda)
+    adv, returns = adv.reshape(T), returns.reshape(T)
     std = adv.std()
     norm_adv = (adv - adv.mean()) / std if std > 1e-8 else np.zeros_like(adv)
 
@@ -306,7 +324,6 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
         val_opt = Adam(value_net.parameters(), cfg.learning_rate)
         value_net._adam = val_opt
 
-    T = len(batch.rewards)
     clip_hits = 0
     clip_total = 0
     kl_sum = 0.0
@@ -315,11 +332,11 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
         order = rng.permutation(T)
         for k in range(0, T, cfg.minibatch_size):
             idx = order[k:k + cfg.minibatch_size]
-            obs_mb = batch.obs[idx]
-            act_mb = batch.actions[idx]
+            obs_mb = obs[idx]
+            act_mb = actions[idx]
             adv_mb = norm_adv[idx]
             ret_mb = returns[idx]
-            old_mb = batch.log_probs[idx]
+            old_mb = log_probs[idx]
 
             logp, entropy = policy.evaluate(obs_mb, act_mb)
             ratio = np.exp(logp - old_mb)

@@ -246,10 +246,6 @@ def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajecto
                            traj.success, dict(traj.meta))
 
 
-def window_reward(traj_slice: JointTrajectory) -> float:
-    return switch_reward(traj_slice)
-
-
 def _walk_band(band, lfd_cands, cfg, choose):
     """Run the sequential first-flip decisions for one band.
 
@@ -298,19 +294,27 @@ def policy_switches(policy, bands, lfd_cands, cfg, rng=None) -> list:
 
 
 def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
-                           cfg) -> float:
-    """Eq.-9 style reward restricted to the points the decisions control."""
+                           cfg, blends=None) -> float:
+    """Eq.-9 style reward restricted to the points the decisions control.
+
+    ``blends``, a dict kept per band, memoises the handover blends: the entry
+    blend depends only on ``s_in`` and the exit blend only on ``s_out``."""
     w_lo, w_hi = band.entry.lo, band.exit.hi
     prefix = JointTrajectory(lfd_cands.points[w_lo:s_in + 1],
                              man=lfd_cands.man[w_lo:s_in + 1],
                              col=lfd_cands.col[w_lo:s_in + 1])
-    b_in = blend(lfd_cands.points[s_in], band.bridge.points[0], model, obstacles, cfg)
-    b_out = blend(band.bridge.points[-1], lfd_cands.points[s_out], model, obstacles, cfg)
     suffix = JointTrajectory(lfd_cands.points[s_out:w_hi + 1],
                              man=lfd_cands.man[s_out:w_hi + 1],
                              col=lfd_cands.col[s_out:w_hi + 1])
+    blends = {} if blends is None else blends
+    if ("in", s_in) not in blends:
+        blends["in", s_in] = blend(lfd_cands.points[s_in], band.bridge.points[0],
+                                   model, obstacles, cfg)
+    if ("out", s_out) not in blends:
+        blends["out", s_out] = blend(band.bridge.points[-1], lfd_cands.points[s_out],
+                                     model, obstacles, cfg)
     total = switch_reward(prefix) + switch_reward(suffix)
-    for b in (b_in, b_out):
+    for b in (blends["in", s_in], blends["out", s_out]):
         if len(b):
             total += switch_reward(b)
     return total
@@ -322,10 +326,11 @@ def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
 def brute_force_switches(band, lfd_cands, model, obstacles, cfg) -> tuple:
     """Exhaustive best (switch_in, switch_out) for one band."""
     best = None
+    blends = {}
     for s_in in range(band.entry.lo, band.entry.hi + 1):
         for s_out in range(band.exit.lo, band.exit.hi + 1):
             r = executed_window_reward(lfd_cands, band, s_in, s_out,
-                                       model, obstacles, cfg)
+                                       model, obstacles, cfg, blends)
             if best is None or r > best[0]:
                 best = (r, s_in, s_out)
     return best[1], best[2]
@@ -350,6 +355,7 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
     policy = CategoricalPolicy(cfg.obs_dim(dof), 2, cfg.hidden, rng)
     value_net = ValueNet(cfg.obs_dim(dof), cfg.hidden, rng)
     span = 2 * cfg.window + 1
+    blends = {}                      # (scenario, band) -> that band's handover blends
     curve = []
     for b in range(batches):
         T = ppo_cfg.num_steps
@@ -360,10 +366,12 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
         done_buf = np.zeros(T)
         t = 0
         while t < T:
-            lfd_cands, bands = scenarios[int(rng.integers(len(scenarios)))]
+            k_scenario = int(rng.integers(len(scenarios)))
+            lfd_cands, bands = scenarios[k_scenario]
             if not bands:
                 continue
-            band = bands[int(rng.integers(len(bands)))]
+            k_band = int(rng.integers(len(bands)))
+            band = bands[k_band]
             decisions = []
 
             def choose(obs, boundary, j):
@@ -372,8 +380,8 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
                 return a
 
             s_in, s_out, _ = _walk_band(band, lfd_cands, cfg, choose)
-            r = executed_window_reward(lfd_cands, band, s_in, s_out,
-                                       model, obstacles, cfg) / span
+            r = executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
+                                       cfg, blends.setdefault((k_scenario, k_band), {})) / span
             for k, (obs, a, logp) in enumerate(decisions):
                 if t >= T:
                     break

@@ -1,7 +1,13 @@
-"""One-pose-at-a-time LfD reference: ScLERP, arc-length resampling, features,
-retargeting and the HRL reward written pose by pose with ``DualQuaternion``
-objects.  The library computes the same quantities on (N, 8) lanes; the tests
-compare the two."""
+"""One-at-a-time references for the lane code of the library.
+
+* LfD: ScLERP, arc-length resampling, features, retargeting and the HRL
+  reward written pose by pose with ``DualQuaternion`` objects; the library
+  computes the same quantities on (N, 8) lanes.
+* DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
+  episode and evaluates each quantity with its own kernel call (six chain
+  walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
+
+The tests compare the two."""
 import numpy as np
 
 from hybridplan.dualquat import (
@@ -9,9 +15,12 @@ from hybridplan.dualquat import (
     dq_conjugate,
     dq_mul,
     quat_from_axis_angle,
+    quat_to_euler,
     quat_to_matrix,
 )
+from hybridplan.geometry import collision_index, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
+from hybridplan.kinematics import ee_state, fk_frames, normalized_manipulability
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
 
 
@@ -138,3 +147,99 @@ def retarget_through(skill: Demonstration, waypoints, points_per_gap: int) -> li
         traj = retarget(piece, waypoints[g], waypoints[g + 1], points_per_gap)
         out.extend(traj[1:] if g > 0 else traj)
     return out
+
+
+# ------------------------------------------------------------------ #
+# DRL: the one-configuration environment
+# ------------------------------------------------------------------ #
+def drl_reward(model, theta, ee_pos, goal_pos, cfg, col) -> tuple:
+    """(reward, distance, done).  Inside the target ball the reward is the
+    fixed in-region bonus; outside it is graded feasibility minus distance."""
+    d = float(np.linalg.norm(ee_pos - goal_pos))
+    if d < cfg.target_radius:
+        return 0.1, d, True
+    if cfg.reward_mode == "distance":
+        return -d, d, False
+    if col:
+        return cfg.collision_penalty - d, d, False
+    grade = normalized_manipulability(model, theta) - cfg.man_baseline
+    return cfg.fea_weight * grade - d, d, False
+
+
+class ScalarDrlEnv:
+    """Kinematic stepping environment over one (start, goal) bracket pair."""
+
+    def __init__(self, model, obstacles, cfg):
+        self.model = model
+        self.obstacles = list(obstacles)
+        self.cfg = cfg
+        self.dof = model.dof
+        self._theta = None
+        self._jp = None                  # joint frames at the current theta
+        self._jo = None
+        self._prev_jp = None
+        self._prev_jo = None
+        self.goal_pos = None
+        self.steps = 0
+        reach = sum(np.linalg.norm(j.offset.translation()) for j in model.joints)
+        reach += np.linalg.norm(model.tool.translation())
+        self._reach = max(reach, 1e-6)
+        n = self.dof
+        vel = np.radians(cfg.max_step_deg) / cfg.step_time * self._reach
+        avel = np.radians(cfg.max_step_deg) / cfg.step_time
+        self._obs_scale = np.concatenate([
+            np.full(3 * n, self._reach),        # joint positions
+            np.full(3 * n, np.pi),              # joint Euler angles
+            np.full(3 * n, vel),                # linear velocities
+            np.full(3 * n, avel),               # angular velocities
+            np.full(3, self._reach),            # end-effector position
+            np.full(3, np.pi),                  # end-effector Euler angles
+            np.full(25, cfg.ray_range),         # rays
+            np.full(3, self._reach),            # goal offset
+        ])
+
+    def _joint_frames(self):
+        origins, rots = fk_frames(self.model, self._theta)
+        return origins.ravel(), quat_to_euler(rots.T).T.ravel()
+
+    def observe(self) -> np.ndarray:
+        jp, jo = self._jp, self._jo
+        lv = (jp - self._prev_jp) / self.cfg.step_time
+        d_ang = (jo - self._prev_jo + np.pi) % (2 * np.pi) - np.pi  # wrap-safe
+        av = d_ang / self.cfg.step_time
+        q, p = ee_state(self.model, self._theta)
+        to = quat_to_euler(q)
+        rays = ray_bundle(self.model, self._theta, self.obstacles, self.cfg.ray_range)
+        raw = np.concatenate([jp, jo, lv, av, p, to, rays, self.goal_pos - p])
+        return raw / self._obs_scale
+
+    def reset(self, theta0, goal_pos) -> np.ndarray:
+        self._theta = np.asarray(theta0, dtype=float).copy()
+        self.goal_pos = np.asarray(goal_pos, dtype=float)
+        self._jp, self._jo = self._joint_frames()
+        self._prev_jp, self._prev_jo = self._jp, self._jo
+        self.steps = 0
+        return self.observe()
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._theta.copy()
+
+    def step(self, action):
+        """Apply increment action; returns (state, reward, done, info)."""
+        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
+        delta = a * np.radians(self.cfg.max_step_deg)
+        proposed = self._theta + delta
+        self._theta = self.model.clamp(proposed)
+        clamped = bool(np.any(proposed != self._theta))
+        self._prev_jp, self._prev_jo = self._jp, self._jo
+        self._jp, self._jo = self._joint_frames()
+        self.steps += 1
+        col = collision_index(self.model, self._theta, self.obstacles)
+        q, p = ee_state(self.model, self._theta)
+        reward, d, reached = drl_reward(self.model, self._theta, p,
+                                        self.goal_pos, self.cfg, col)
+        done = reached or self.steps >= self.cfg.episode_budget
+        info = {"collision": col, "distance": d, "clamped": clamped,
+                "reached": reached}
+        return self.observe(), reward, done, info

@@ -1,19 +1,39 @@
 import numpy as np
 import pytest
 
-from hybridplan import drl_planner
-from hybridplan.drl_planner import DrlEnv, DrlEnvConfig, drl_reward, state_dim
+from hybridplan import drl_planner, kinematics
+from hybridplan.drl_planner import (
+    ROLLOUT_LANES,
+    DrlEnv,
+    DrlEnvConfig,
+    drl_reward,
+    plan_drl,
+    state_dim,
+    train_drl,
+)
 from hybridplan.dualquat import DualQuaternion
-from hybridplan.geometry import Box
-from hybridplan.kinematics import ee_state, normalized_manipulability, planar_3r
+from hybridplan.geometry import Box, Sphere, collision_index_lanes
+from hybridplan.kinematics import (
+    ee_state,
+    fk,
+    normalized_manipulability,
+    normalized_manipulability_lanes,
+    planar_3r,
+)
+from hybridplan.rl_core import GaussianPolicy, PpoConfig
+from scalar_reference import ScalarDrlEnv
 
 WALL = Box([0.9, -1.0, -0.2], [1.1, 1.0, 0.2], "wall")
 GOAL = np.array([0.3, 0.7, 0.0])
 REACH = 0.5 + 0.4 + 0.3          # planar_3r link lengths
+# a wall across +x with a slot, within reach of the arm, and a post behind it
+WALL_CELL = [Box([0.5, 0.05, -0.25], [0.6, 1.4, 0.25], "wall_upper"),
+             Box([0.5, -1.4, -0.25], [0.6, -0.1, 0.25], "wall_lower"),
+             Sphere([0.9, 0.4, 0.0], 0.08, "post")]
 
 
-def make_env(cfg=None):
-    return DrlEnv(planar_3r(), [WALL], cfg or DrlEnvConfig())
+def make_env(cfg=None, lanes=1):
+    return DrlEnv(planar_3r(), [WALL], cfg or DrlEnvConfig(), lanes)
 
 
 def blocks(obs, dof):
@@ -29,8 +49,8 @@ def test_observation_shape_and_scale():
     model = env.model
     n = model.dof
     obs = env.reset(model.home, GOAL)
-    assert obs.shape == (state_dim(n),)
-    jp, jo, lv, av, tp, to, rays, goal = blocks(obs, n)
+    assert obs.shape == (1, state_dim(n))
+    jp, jo, lv, av, tp, to, rays, goal = blocks(obs[0], n)
     q, p = ee_state(model, model.home)
     np.testing.assert_allclose(tp, p / REACH)
     np.testing.assert_allclose(goal, (GOAL - p) / REACH)
@@ -42,8 +62,8 @@ def test_observation_shape_and_scale():
     # planar frame's yaw rate is the sum of the increments of the joints before it
     action = np.array([0.5, -0.25, 0.1])
     obs, _, _, info = env.step(action)
-    assert not info["clamped"]
-    av = blocks(obs, n)[3].reshape(n, 3)
+    assert not info["clamped"][0]
+    av = blocks(obs[0], n)[3].reshape(n, 3)
     np.testing.assert_allclose(av[:, 2], np.cumsum(action), atol=1e-12)
     np.testing.assert_allclose(av[:, :2], 0.0, atol=1e-12)
 
@@ -55,73 +75,241 @@ def test_clamped_flag_at_joint_limit():
     at_limit[0] = model.limits_hi[0]
     env.reset(at_limit, GOAL)
     _, _, _, info = env.step([1.0, 0.0, 0.0])
-    assert info["clamped"]
-    assert env.theta[0] == model.limits_hi[0]
+    assert info["clamped"][0]
+    assert env.thetas[0, 0] == model.limits_hi[0]
     _, _, _, info = env.step([-1.0, 0.0, 0.0])
-    assert not info["clamped"]
-    assert env.theta[0] == pytest.approx(model.limits_hi[0] - np.radians(5.0))
+    assert not info["clamped"][0]
+    assert env.thetas[0, 0] == pytest.approx(model.limits_hi[0] - np.radians(5.0))
 
 
-def test_step_reuses_the_frames_of_the_previous_observation(monkeypatch):
-    env = make_env()
-    probe = make_env()
+@pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
+def test_step_walks_the_chain_once_per_lane_step(monkeypatch, lanes):
+    env = make_env(lanes=lanes)
     rng = np.random.default_rng(3)
-    env.reset(env.model.home, GOAL)
-    calls = []
-    frames = drl_planner.fk_frames
-    monkeypatch.setattr(drl_planner, "fk_frames",
-                        lambda *a: calls.append(1) or frames(*a))
+    model = env.model
+    env.reset(np.tile(model.home, (lanes, 1)), np.tile(GOAL, (lanes, 1)))
+    walks = []
+    chain = kinematics._chain_eval
+
+    def counted(model, theta):
+        walks.append(np.shape(theta))
+        return chain(model, theta)
+
+    # every kernel reads the chain through one of these two bindings
+    monkeypatch.setattr(kinematics, "_chain_eval", counted)
+    monkeypatch.setattr(drl_planner, "_chain_eval", counted)
+    probe = make_env(lanes=lanes)
+    vel = np.radians(env.cfg.max_step_deg) / env.cfg.step_time * REACH
     for _ in range(20):
-        before = env.theta
-        calls.clear()
-        obs, _, _, _ = env.step(rng.uniform(-1.0, 1.0, env.dof))
-        assert len(calls) == 1                      # one frame evaluation per step
-        probe._theta = before
-        jp_prev, jo_prev = probe._joint_frames()
-        np.testing.assert_array_equal(env._prev_jp, jp_prev)
-        np.testing.assert_array_equal(env._prev_jo, jo_prev)
-        probe._theta = env.theta
-        jp_now, _ = probe._joint_frames()
-        np.testing.assert_array_equal(blocks(obs, env.dof)[0], jp_now / REACH)
+        jp_before = env._jp.copy()
+        walks.clear()
+        obs, _, _, _ = env.step(rng.uniform(-1.0, 1.0, (lanes, env.dof)))
+        # one walk per lane step; one lane takes the one-configuration kernel
+        assert walks == [(model.dof,) if lanes == 1 else (lanes, model.dof)]
+        probe.reset(env.thetas, np.tile(GOAL, (lanes, 1)))
+        jp, _, lv = np.split(obs[:, :9 * env.dof], 3, axis=1)
+        np.testing.assert_array_equal(jp, probe._jp / REACH)
+        # the velocities difference the previous step's frames, not a new walk
+        np.testing.assert_array_equal(lv, (probe._jp - jp_before) / env.cfg.step_time / vel)
+
+
+def assert_lane_equals_scalar(out, ref, k):
+    obs, reward, done, info = out
+    r_obs, r_reward, r_done, r_info = ref
+    np.testing.assert_array_equal(obs[k], r_obs)
+    assert reward[k] == r_reward and done[k] == r_done
+    assert info["collision"][k] == r_info["collision"]
+    assert info["distance"][k] == r_info["distance"]
+    assert info["clamped"][k] == r_info["clamped"]
+    assert info["reached"][k] == r_info["reached"]
+
+
+@pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
+@pytest.mark.parametrize("mode", ["feasibility", "distance"])
+def test_lane_step_equals_the_one_configuration_env(lanes, mode):
+    """Lane k of a lane step equals the one-configuration reference env
+    stepped on lane k alone, bit for bit, through resets on every kind of
+    episode end (reached, budget), collisions, rays on boxes and a sphere,
+    and joint-limit clamps."""
+    model = planar_3r()
+    cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0, fea_weight=2.0,
+                       reward_mode=mode)
+    rng = np.random.default_rng(11)
+    env = DrlEnv(model, WALL_CELL, cfg, lanes)
+    refs = [ScalarDrlEnv(model, WALL_CELL, cfg) for _ in range(lanes)]
+    lo, hi = model.limits_lo, model.limits_hi
+
+    def start():
+        theta = rng.uniform(lo, hi)
+        near = theta + rng.uniform(-0.4, 0.4, model.dof)
+        return theta, ee_state(model, near)[1]     # a goal a few steps away
+
+    starts = [start() for _ in range(lanes)]
+    obs = env.reset([s[0] for s in starts], [s[1] for s in starts])
+    for k, (theta, goal) in enumerate(starts):
+        np.testing.assert_array_equal(obs[k], refs[k].reset(theta, goal))
+    seen = {"reached": 0, "collision": 0, "clamped": 0, "budget": 0}
+    for _ in range(60):
+        actions = rng.uniform(-1.5, 1.5, (lanes, model.dof))
+        out = env.step(actions)
+        for k in range(lanes):
+            ref = refs[k].step(actions[k])
+            assert_lane_equals_scalar(out, ref, k)
+        info, done = out[3], out[2]
+        seen["reached"] += int(info["reached"].sum())
+        seen["collision"] += int(info["collision"].sum())
+        seen["clamped"] += int(info["clamped"].sum())
+        seen["budget"] += int((done & ~info["reached"]).sum())
+        ends = np.flatnonzero(done)
+        if len(ends):
+            new = [start() for _ in ends]
+            obs = env.reset([s[0] for s in new], [s[1] for s in new], lanes=ends)
+            for k, (theta, goal) in zip(ends, new):
+                np.testing.assert_array_equal(obs[k], refs[k].reset(theta, goal))
+    assert all(seen.values()), seen
+
+
+def test_reset_of_some_lanes_keeps_the_others():
+    env = make_env(lanes=3)
+    model = env.model
+    thetas = np.array([model.home, model.home + 0.1, model.home - 0.1])
+    env.reset(thetas, np.tile(GOAL, (3, 1)))
+    stepped, *_ = env.step(np.full((3, model.dof), 0.5))
+    before = stepped.copy()
+    obs = env.reset(model.home + 0.3, GOAL, lanes=[1])
+    np.testing.assert_array_equal(stepped, before)       # a returned array is not altered
+    np.testing.assert_array_equal(obs[[0, 2]], stepped[[0, 2]])
+    np.testing.assert_array_equal(env.thetas[1], model.home + 0.3)
+    assert np.all(blocks(obs[1], model.dof)[2] == 0.0)   # a fresh episode has no motion
 
 
 # ------------------------------------------------------------------ #
 # reward
 # ------------------------------------------------------------------ #
 def test_reward_inside_target_ball_ends_the_episode():
-    model = planar_3r()
-    near = GOAL + np.array([0.1, 0.0, 0.0])
     for mode in ("feasibility", "distance"):
         cfg = DrlEnvConfig(reward_mode=mode)
-        r, d, done = drl_reward(model, model.home, near, GOAL, cfg, col=1)
-        assert (r, done) == (0.1, True)
-        assert d == pytest.approx(0.1)
+        r, reached = drl_reward(cfg, 0.1, col=1, man=0.5)
+        assert (r, reached) == (0.1, True)
 
 
 def test_reward_distance_mode_ignores_feasibility():
-    model = planar_3r()
     cfg = DrlEnvConfig(reward_mode="distance")
-    far = GOAL + np.array([0.0, -1.0, 0.0])
     for col in (0, 1):
-        assert drl_reward(model, model.home, far, GOAL, cfg, col) == (-1.0, 1.0, False)
+        assert drl_reward(cfg, 1.0, col, man=0.5) == (-1.0, False)
 
 
 def test_reward_collision_penalty():
-    model = planar_3r()
     cfg = DrlEnvConfig(collision_penalty=-2.5)
-    far = GOAL + np.array([0.0, -1.0, 0.0])
-    assert drl_reward(model, model.home, far, GOAL, cfg, col=1) == (-3.5, 1.0, False)
+    assert drl_reward(cfg, 1.0, col=1, man=0.5) == (-3.5, False)
 
 
 def test_reward_manipulability_grade():
     model = planar_3r()
     cfg = DrlEnvConfig(fea_weight=2.0, man_baseline=1.0)
     theta = np.array([0.2, 1.2, -0.9])
-    far = GOAL + np.array([0.0, -1.0, 0.0])
-    r, d, done = drl_reward(model, theta, far, GOAL, cfg, col=0)
     man = normalized_manipulability(model, theta)
     assert 0.0 < man != 1.0
-    assert (r, d, done) == (2.0 * (man - 1.0) - 1.0, 1.0, False)
+    assert drl_reward(cfg, 1.0, col=0, man=man) == (2.0 * (man - 1.0) - 1.0, False)
+
+
+def test_reward_lanes_match_one_lane_calls():
+    cfg = DrlEnvConfig(fea_weight=2.0, man_baseline=1.0, collision_penalty=-2.5)
+    d = np.array([0.1, 1.0, 1.0, 0.6])
+    col = np.array([1, 1, 0, 0], dtype=np.uint8)
+    man = np.array([0.5, 0.7, 0.3, 1.2])
+    rewards, reached = drl_reward(cfg, d, col, man)
+    for k in range(len(d)):
+        assert (rewards[k], reached[k]) == drl_reward(cfg, d[k], col[k], man[k])
+
+
+# ------------------------------------------------------------------ #
+# training
+# ------------------------------------------------------------------ #
+def bracket(model):
+    """A (start, goal) pose pair whose start has a collision-free witness."""
+    theta0 = np.array([1.0, 0.8, 0.6])
+    goal = fk(model, np.array([0.4, 0.5, -0.3]))
+    return (fk(model, theta0), goal), theta0
+
+
+def small_ppo(num_steps=64):
+    return PpoConfig(num_steps=num_steps, minibatch_size=16, epochs_per_batch=2)
+
+
+def weights(policy, value_net):
+    return np.concatenate([np.ravel(a) for a in policy.parameters() + value_net.parameters()])
+
+
+def test_train_drl_is_seed_deterministic():
+    model = planar_3r()
+    pair, theta0 = bracket(model)
+    cfg = DrlEnvConfig(episode_budget=10, man_baseline=1.0)
+    pool = [theta0, np.array([0.2, 1.0, -0.5]), np.array([0.1, 0.2, -0.3])]
+    runs = [train_drl([pair], model, [WALL], cfg, small_ppo(), seed=seed, batches=2,
+                      start_witnesses=[theta0], start_pool=pool)
+            for seed in (5, 5, 6)]
+    (p1, v1, c1), (p2, v2, c2), (p3, v3, _) = runs
+    np.testing.assert_array_equal(weights(p1, v1), weights(p2, v2))
+    assert c1 == c2 and len(c1) == 2
+    assert not np.array_equal(weights(p1, v1), weights(p3, v3))
+
+
+@pytest.mark.parametrize("num_steps", [ROLLOUT_LANES + 8, 40, 100])
+def test_train_drl_rejects_steps_not_a_multiple_of_the_lanes(num_steps):
+    model = planar_3r()
+    pair, theta0 = bracket(model)
+    with pytest.raises(ValueError, match="multiple"):
+        train_drl([pair], model, [WALL], DrlEnvConfig(), small_ppo(num_steps),
+                  start_witnesses=[theta0])
+
+
+# ------------------------------------------------------------------ #
+# online bridging
+# ------------------------------------------------------------------ #
+class Steady:
+    """A policy whose every action is the same joint increment command."""
+
+    def __init__(self, action):
+        self.action = np.asarray(action, dtype=float)
+
+    def mean_action(self, obs):
+        return self.action
+
+
+def check_bridge(model, obstacles, traj, theta0, goal_pos, cfg):
+    assert np.array_equal(traj.points[0], theta0)
+    assert 1 <= len(traj) <= cfg.episode_budget + 1
+    assert all(model.within_limits(t) for t in traj.points)
+    inside = np.linalg.norm(ee_state(model, traj.points[-1])[1] - goal_pos) < cfg.target_radius
+    assert traj.success == inside
+    np.testing.assert_array_equal(traj.col, collision_index_lanes(model, traj.points, obstacles))
+    np.testing.assert_array_equal(traj.man, normalized_manipulability_lanes(model, traj.points))
+
+
+def test_plan_drl_trajectory_contract():
+    model = planar_3r()
+    cfg = DrlEnvConfig(episode_budget=12, target_radius=0.05, man_baseline=1.0)
+    theta0 = np.array([0.3, 0.6, -0.4])
+    start = fk(model, theta0)
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
+    cases = [
+        (Steady([1.0, 0.0, 0.0]), fk(model, theta0 + [0.3, 0.0, 0.0]), True),   # reaches
+        (Steady([1.0, 0.0, 0.0]), fk(model, theta0 - [0.6, 0.0, 0.0]), False),  # budget
+        (policy, fk(model, theta0), True),                                      # starts inside
+        (policy, fk(model, np.array([-1.0, 1.2, 0.5])), False),
+    ]
+    for pol, goal, success in cases:
+        for stochastic in ((False, True) if pol is policy else (False,)):
+            runs = [plan_drl(pol, model, WALL_CELL, start, goal, cfg, seed=4, theta0=theta0,
+                             stochastic=stochastic) for _ in range(2)]
+            traj = runs[0]
+            check_bridge(model, WALL_CELL, traj, theta0, goal.translation(), cfg)
+            assert traj.success == success
+            if not success:
+                assert len(traj) == cfg.episode_budget + 1
+            np.testing.assert_array_equal(traj.points, runs[1].points)   # same seed
+            assert traj.meta == runs[1].meta
 
 
 # ------------------------------------------------------------------ #

@@ -10,14 +10,23 @@ from hybridplan.geometry import (
     _segment_segment_lanes,
     collision_index,
     collision_index_lanes,
+    collision_index_points,
     point_box_distance,
     ray_bundle,
+    ray_bundle_lanes,
     raycast,
     segment_box_distance,
     segment_point_distance,
     segment_segment_distance,
 )
-from hybridplan.kinematics import LinkCapsule, make_robot, planar_3r, planar_rr
+from hybridplan.kinematics import (
+    LinkCapsule,
+    _chain_eval,
+    frame_points,
+    make_robot,
+    planar_3r,
+    planar_rr,
+)
 from hybridplan.scenarios import wall_slot
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -215,6 +224,22 @@ def test_collision_index_lanes_empty_input_and_no_capsules():
     np.testing.assert_array_equal(collision_index_lanes(bare, np.zeros((3, 2)), [box]), 0)
 
 
+@pytest.mark.parametrize("name", ["wall", "spatial_mixed"])
+def test_collision_index_points_takes_one_configuration_or_lanes(name):
+    model, obstacles = _scene(name)
+    thetas = np.random.default_rng(8).uniform(model.limits_lo, model.limits_hi,
+                                              (200, model.dof))
+    pts = frame_points(model, thetas)
+    assert pts.shape == (200, model.dof + 2, 3)
+    for k in range(len(thetas)):
+        np.testing.assert_array_equal(pts[k], frame_points(model, thetas[k]))
+    lanes = collision_index_points(model, pts, obstacles)
+    np.testing.assert_array_equal(lanes, collision_index_lanes(model, thetas, obstacles))
+    ref = [collision_index(model, t, obstacles) for t in thetas]
+    assert [collision_index_points(model, p, obstacles) for p in pts] == ref
+    assert 0 < sum(ref) < len(ref)
+
+
 # ------------------------------------------------------------------ #
 # raycast
 # ------------------------------------------------------------------ #
@@ -306,3 +331,18 @@ def test_ray_bundle_rotates_with_end_effector():
     box_rot = Box(np.minimum(corner_a, corner_b), np.maximum(corner_a, corner_b))
     d2 = ray_bundle(m, np.array([np.pi / 2, np.pi / 4]), [box_rot], max_range=4.0)
     np.testing.assert_allclose(d1, d2, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_mixed"])
+def test_ray_bundle_lanes_equal_one_state_calls_bitwise(name):
+    model, obstacles = _scene(name)
+    thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
+                                              (300, model.dof))
+    _, _, _, q, p = _chain_eval(model, thetas)
+    got = ray_bundle_lanes(q, p, obstacles, max_range=1.5)
+    assert got.shape == (300, 25)
+    ref = np.array([ray_bundle(model, t, obstacles, max_range=1.5) for t in thetas])
+    np.testing.assert_array_equal(got, ref)
+    assert (ref < 1.5).any() and (ref == 1.5).any()
+    _, _, _, q1, p1 = _chain_eval(model, thetas[0])          # one state, on floats
+    np.testing.assert_array_equal(ray_bundle_lanes(q1, p1, obstacles, max_range=1.5), ref[0])

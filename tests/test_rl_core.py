@@ -190,6 +190,32 @@ def test_gae_bootstrap_non_terminal():
     np.testing.assert_allclose(adv, [0.5])
 
 
+def test_gae_lanes_run_the_one_environment_recursion_per_lane():
+    rng = np.random.default_rng(4)
+    T, N = 12, 5
+    rewards, values = rng.normal(size=(T, N)), rng.normal(size=(T, N))
+    dones = (rng.random((T, N)) < 0.3).astype(float)
+    last = rng.normal(size=N)
+    adv, ret = compute_gae(rewards, values, dones, last, 0.97, 0.9)
+    assert adv.shape == ret.shape == (T, N)
+    for k in range(N):
+        a, r = compute_gae(rewards[:, k], values[:, k], dones[:, k], float(last[k]), 0.97, 0.9)
+        np.testing.assert_array_equal(adv[:, k], a)
+        np.testing.assert_array_equal(ret[:, k], r)
+
+
+def test_gaussian_act_on_a_batch_matches_one_observation_calls():
+    pol = GaussianPolicy(4, 3, hidden=(8,), rng=np.random.default_rng(0))
+    obs = np.random.default_rng(1).normal(size=(6, 4))
+    actions, logps = pol.act(obs, np.random.default_rng(2))
+    assert actions.shape == (6, 3) and logps.shape == (6,)
+    rng = np.random.default_rng(2)              # row k draws the normals of call k
+    for k in range(6):
+        a, lp = pol.act(obs[k], rng)
+        np.testing.assert_allclose(actions[k], a, rtol=0, atol=1e-12)
+        assert logps[k] == pytest.approx(lp, abs=1e-12)
+
+
 # ------------------------------------------------------------------ #
 # ppo_update
 # ------------------------------------------------------------------ #
@@ -304,6 +330,26 @@ def test_ppo_seed_determinism():
             ppo_update(pol, val, batch, cfg, rng)
         results.append([p.copy() for p in pol.parameters()])
     for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_ppo_one_lane_batch_equals_the_one_environment_batch():
+    def update(lane_axis):
+        rng = np.random.default_rng(12)
+        pol = GaussianPolicy(3, 2, rng=rng)
+        val = ValueNet(3, rng=rng)
+        obs, acts = rng.normal(size=(16, 3)), rng.normal(size=(16, 2))
+        logps, rews = rng.normal(-2.0, 0.3, 16), rng.normal(size=16)
+        dones = (rng.random(16) < 0.2).astype(float)
+        arrays = [obs, acts, logps, rews, dones, obs[-1]]
+        if lane_axis:                    # (T, 1, ...) and a (1, obs_dim) last observation
+            arrays = [a[:, None] for a in arrays[:5]] + [obs[-1][None]]
+        cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, num_steps=16,
+                        epochs_per_batch=2)
+        ppo_update(pol, val, RolloutBatch(*arrays), cfg, rng)
+        return pol.parameters() + val.parameters()
+
+    for a, b in zip(update(False), update(True)):
         np.testing.assert_array_equal(a, b)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from hybridplan import switch_agent
 from hybridplan.geometry import Box, collision_index
 from hybridplan.dualquat import DualQuaternion
 from hybridplan.kinematics import fk, normalized_manipulability, planar_3r
 from hybridplan.switch_agent import (
+    ACT_KEEP,
+    ACT_SWITCH,
     BandPlan,
     Boundary,
     SwitchConfig,
@@ -15,6 +18,7 @@ from hybridplan.switch_agent import (
     executed_window_reward,
     heuristic_switches,
     lfd_joint_candidates,
+    policy_switches,
     train_switch,
 )
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
@@ -149,6 +153,60 @@ def test_brute_force_switches_never_lose_to_the_heuristic():
         assert r_best >= r_heur
         assert band.entry.lo <= best[0] <= band.entry.hi
         assert band.exit.lo <= best[1] <= band.exit.hi
+
+
+class Always:
+    """A switching policy that always answers the same action."""
+
+    def __init__(self, action):
+        self.action = action
+        self.calls = 0
+
+    def mean_action(self, obs):
+        self.calls += 1
+        return self.action
+
+
+def test_policy_switches_first_flip_fixes_the_handover():
+    model = planar_3r()
+    cfg = SwitchConfig(window=2, blend_points=4)
+    cands, band = band_scene(model, cfg)
+    keep, switch = Always(ACT_KEEP), Always(ACT_SWITCH)
+    assert policy_switches(keep, [band, band], cands, cfg) == \
+        [(band.entry.hi, band.exit.hi)] * 2
+    # keeping walks every decision point of both windows
+    span = (band.entry.hi - band.entry.lo + 1) + (band.exit.hi - band.exit.lo + 1)
+    assert keep.calls == 2 * span
+    assert policy_switches(switch, [band], cands, cfg) == [(band.entry.lo, band.exit.lo)]
+    assert switch.calls == 2                     # one decision per window
+    assert policy_switches(keep, [], cands, cfg) == []
+
+
+def train_switch_weights(scenarios, model, cfg):
+    pol, val, _ = train_switch(scenarios, model, [POST], cfg, seed=3, batches=2)
+    return np.concatenate([np.ravel(a) for a in pol.parameters() + val.parameters()])
+
+
+def test_train_switch_memoised_blends_leave_the_weights_unchanged(monkeypatch):
+    model = planar_3r()
+    cfg = SwitchConfig(window=2, blend_points=4)
+    scenarios = [band_scene(model, cfg), band_scene(model, cfg, n=16, i=6, j=10)]
+    scenarios = [(cands, [band]) for cands, band in scenarios]
+    calls = []
+    original = switch_agent.blend
+    monkeypatch.setattr(switch_agent, "blend", lambda *a: calls.append(1) or original(*a))
+    memoised = train_switch_weights(scenarios, model, cfg)
+    memo_calls = len(calls)
+    # each band has one entry blend per s_in and one exit blend per s_out
+    distinct = sum((b.entry.hi - b.entry.lo + 1) + (b.exit.hi - b.exit.lo + 1)
+                   for _, (b,) in scenarios)
+    assert 0 < memo_calls <= distinct
+    reward = switch_agent.executed_window_reward
+    monkeypatch.setattr(switch_agent, "executed_window_reward",
+                        lambda *a: reward(*a[:7]))            # no memo: a fresh blend each time
+    calls.clear()
+    np.testing.assert_array_equal(train_switch_weights(scenarios, model, cfg), memoised)
+    assert len(calls) > memo_calls
 
 
 # ------------------------------------------------------------------ #
