@@ -18,7 +18,12 @@ import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, state_dim
 from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
-from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
+from hybridplan.geometry import (
+    collision_index,
+    collision_index_lanes,
+    pose_must_collide,
+    ray_bundle,
+)
 from hybridplan.hrl_planner import SENTINEL, intrinsic_reward, plan_lfd, train_hrl
 from hybridplan.kinematics import (
     fk,
@@ -31,7 +36,7 @@ from hybridplan.kinematics import (
 )
 from hybridplan.lfd import BETA_RESAMPLE, resample
 from hybridplan.rl_core import GaussianPolicy, PpoConfig, RolloutBatch, ValueNet, ppo_update
-from hybridplan.switch_agent import densify
+from hybridplan.switch_agent import densify, lfd_joint_candidates
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 from hybridplan.workcell import SuccessCriteria, Workcell, execute
@@ -92,6 +97,30 @@ def test_ik_attempt_warm(benchmark, model):
     target = fk(model, theta + 0.05)
     sol = benchmark(ik_attempt, model, target, theta, 1e-3, 1e-2, 150)
     assert sol is not None
+
+
+# straight 12-pose plans: one crosses the upper wall (9 poses put the tool
+# link inside it), one runs beside the wall on the near side
+LINES = {"through_wall": ((0.3, 0.7, 0.0), (0.95, 0.6, 0.0)),
+         "beside_wall": ((0.25, -0.5, 1.57), (0.25, 0.6, 1.57))}
+
+
+def _line(a, b, n=12):
+    return [inputs.planar_pose(*np.add(a, u * np.subtract(b, a))) for u in np.linspace(0, 1, n)]
+
+
+@pytest.mark.parametrize("where", LINES)
+def test_lfd_joint_candidates_12_poses(benchmark, model, cell, where):
+    poses = _line(*LINES[where])
+    certified = sum(pose_must_collide(model, p, cell.obstacles, 1e-3, 1e-2) for p in poses)
+    assert certified == (9 if where == "through_wall" else 0)
+    out = benchmark(lfd_joint_candidates, poses, model, cell.obstacles)
+    assert out.col.sum() == certified
+
+
+def test_pose_must_collide(benchmark, model, cell):
+    pose = inputs.planar_pose(0.3, 0.3, 0.0)          # near side, clear of the wall
+    assert not benchmark(pose_must_collide, model, pose, cell.obstacles, 1e-3, 1e-2)
 
 
 def test_ik_descend_1000_lanes(benchmark, model):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan.dualquat import DualQuaternion, quat_to_euler
+from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
@@ -100,24 +101,6 @@ def drl_reward(cfg: DrlEnvConfig, distance, col, man):
         outside = np.where(col, cfg.collision_penalty - distance,
                            cfg.fea_weight * (man - cfg.man_baseline) - distance)
     return np.where(reached, 0.1, outside), reached
-
-
-def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10,
-            tol_pos=1e-3, tol_rot=1e-2):
-    """IK preferring a collision-free witness; falls back to any solution."""
-    fallback = None
-    seed = model.home
-    lo, hi = model.limits_lo, model.limits_hi
-    from hybridplan.kinematics import ik_attempt
-    for k in range(attempts):
-        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters=150)
-        if sol is not None:
-            if collision_index(model, sol, obstacles) == 0:
-                return sol
-            if fallback is None:
-                fallback = sol
-        seed = rng.uniform(lo, hi)
-    return fallback
 
 
 def _rows(values, n) -> np.ndarray:

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hybridplan.dualquat import DualQuaternion, quat_from_euler, quat_to_euler
-from hybridplan.geometry import Box, Sphere, collision_index
+from hybridplan.geometry import Box, Sphere, collision_index, pose_must_collide
 from hybridplan.kinematics import (
     RobotModel,
     fk,
+    ik_attempt,
     ik_descend,
     normalized_manipulability,
     robot_hash,
@@ -84,6 +85,37 @@ def fea(pose: DualQuaternion, model: RobotModel, obstacles, eps_m=0.1,
     seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
     return _fea_batch([pose], [seeds], model, obstacles, eps_m, tol_pos, tol_rot,
                       max_iters)[0]
+
+
+def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, tol_pos=1e-3,
+            tol_rot=1e-2, seed=None):
+    """IK preferring a collision-free witness; falls back to any solution.
+
+    Descends from ``seed`` (home when None), then from a uniform random seed
+    drawn from ``rng`` after every attempt without a collision-free solution,
+    ``attempts`` descents in all.  Returns the first collision-free solution,
+    else the first solution reached, else None.  When ``pose_must_collide``
+    certifies the pose, no solution can be free: the first one reached is
+    returned without its collision check or the remaining descents, and the
+    seeds those descents would have used are still drawn, so ``rng`` ends
+    where the full loop leaves it.
+    """
+    lo, hi = model.limits_lo, model.limits_hi
+    seed = model.home if seed is None else seed
+    fallback = None
+    for k in range(attempts):
+        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters=150)
+        if sol is not None:
+            if fallback is None and pose_must_collide(model, pose, obstacles, tol_pos, tol_rot):
+                for _ in range(attempts - k):
+                    rng.uniform(lo, hi)
+                return sol
+            if collision_index(model, sol, obstacles) == 0:
+                return sol
+            if fallback is None:
+                fallback = sol
+        seed = rng.uniform(lo, hi)
+    return fallback
 
 
 def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> list:

@@ -18,14 +18,23 @@ check on frame points the caller already has, so a DRL step that walked the
 chain once for its observation does not walk it again.  ``ray_bundle_lanes``
 likewise casts the end-effector ray bundle from given end-effector states,
 one state or N lanes.
+
+``pose_must_collide`` is a certificate on a target pose rather than a
+configuration: the pose pins the end effector and, through the tool, the
+last joint's origin, so a tool link that sits inside an obstacle at the
+target collides in every IK solution, and ``feasibility.ik_free`` skips the
+restarts that could not find a free one.  ``segment_box_distance``, the
+largest part of a one-configuration check against boxes, runs on Python
+floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from hybridplan.dualquat import _lane_dot, quat_to_matrix
+from hybridplan.dualquat import _lane_dot, _qrot, quat_to_matrix
 from hybridplan.kinematics import RobotModel, ee_state, frame_points
 
 RAY_COUNT = 25
@@ -106,19 +115,22 @@ def segment_box_distance(p, q, lo, hi) -> float:
 
     The squared distance along the segment is piecewise quadratic with
     breakpoints where a coordinate crosses a slab bound; each piece is
-    minimized in closed form.
+    minimized in closed form.  Runs on Python floats; ``_segment_box_lanes``
+    is the same arithmetic over rows.
     """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(q, dtype=float) - p
+    p = np.asarray(p, dtype=float).tolist()
+    v = (np.asarray(q, dtype=float) - p).tolist()
+    lo = np.asarray(lo, dtype=float).tolist()
+    hi = np.asarray(hi, dtype=float).tolist()
     knots = [0.0, 1.0]
     for a in range(3):
         if abs(v[a]) > 1e-15:
             for bound in (lo[a], hi[a]):
                 t = (bound - p[a]) / v[a]
                 if 0.0 < t < 1.0:
-                    knots.append(float(t))
+                    knots.append(t)
     knots = sorted(set(knots))
-    best = np.inf
+    best = math.inf
     for ta, tb in zip(knots[:-1], knots[1:]):
         tm = 0.5 * (ta + tb)
         # active axes are fixed within the piece; build the quadratic
@@ -136,12 +148,12 @@ def segment_box_distance(p, q, lo, hi) -> float:
                 C += (p[a] - hi[a]) ** 2
         cands = [ta, tb]
         if A > 1e-18:
-            cands.append(float(np.clip(-B / (2.0 * A), ta, tb)))
+            cands.append(min(max(-B / (2.0 * A), ta), tb))
         for t in cands:
             val = A * t * t + B * t + C
             if val < best:
                 best = val
-    return float(np.sqrt(max(best, 0.0)))
+    return math.sqrt(max(best, 0.0))
 
 
 def capsule_obstacle_distance(p, q, radius, obstacle) -> float:
@@ -180,6 +192,60 @@ def collision_index_points(model: RobotModel, pts, obstacles):
             if segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
                 return 1
     return 0
+
+
+# ------------------------------------------------------------------ #
+# Collision certificate for a target pose
+# ------------------------------------------------------------------ #
+CERTIFICATE_MARGIN = 1e-9      # absorbs the rounding of frames and distances
+
+
+def pose_must_collide(model: RobotModel, pose, obstacles, tol_pos, tol_rot) -> bool:
+    """True only when every configuration that ``ik_attempt`` can return for
+    ``pose`` at these tolerances collides with an obstacle.
+
+    The pose pins two frames to within a known distance of where it puts
+    them: the end effector (frame dof + 1) within ``tol_pos`` of the target,
+    and, when ``tol_rot < pi``, frame dof's origin ``p - R_ee R_tool^T t_tool``
+    within ``tol_pos + 2 sin(tol_rot / 2) |t_tool|``; frames 0 and 1 do not
+    move.  Each capsule with a pinned end is placed at the target on the part
+    the pose pins (its segment when both end frames are pinned, else its
+    pinned end); when that part lies deeper than the larger end bound plus
+    ``CERTIFICATE_MARGIN`` inside a box or sphere, every such configuration
+    collides.  False means nothing.
+
+    A planar model is judged only when its chain stays in the z = 0 plane
+    (``_compile_chain``) and the target lies in it, because ``ik_attempt``
+    measures a planar model's error in the plane alone.
+    """
+    steps, tool_q, tool_p, in_plane = model._chain
+    tq, tp = pose.real, pose.translation()
+    if model.task == "planar":
+        if not (in_plane and abs(tp[2]) <= 1e-9 and abs(tq[1]) <= 1e-9 and abs(tq[2]) <= 1e-9):
+            return False
+        # every frame has z = 0 and a rotation about z, so the bounds widen
+        # by the target's own residue off the plane; a 2-dimensional task
+        # space leaves the rotation free
+        tol_pos = tol_pos + abs(tp[2])
+        tol_rot = tol_rot + 4.0 * (abs(tq[1]) + abs(tq[2])) if model.ee_dof == 3 else np.pi
+    dof = model.dof
+    pinned = {dof + 1: (tp, tol_pos)}
+    if tol_rot < np.pi:
+        w = _qrot(tool_q[0], -tool_q[1], -tool_q[2], -tool_q[3], *tool_p)
+        reach = math.sqrt(tool_p[0] ** 2 + tool_p[1] ** 2 + tool_p[2] ** 2)
+        pinned[dof] = (tp - np.array(_qrot(*tq, *w)),
+                       tol_pos + 2.0 * math.sin(0.5 * tol_rot) * reach)
+    # frames 0 and 1 do not move (frame 1 of a one-joint chain included)
+    known = {**pinned, 0: (np.zeros(3), 0.0), 1: (np.array(steps[0][1]), 0.0)}
+    for cap in model.capsules:
+        frames = [f for f in (cap.frame_a, cap.frame_b) if f in known]
+        if not any(f in pinned for f in frames):
+            continue
+        (p, e_p), (q, e_q) = known[frames[0]], known[frames[-1]]
+        radius = cap.radius - max(e_p, e_q) - CERTIFICATE_MARGIN
+        if any(capsule_obstacle_distance(p, q, radius, ob) < 0.0 for ob in obstacles):
+            return True
+    return False
 
 
 # ------------------------------------------------------------------ #

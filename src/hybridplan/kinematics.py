@@ -57,6 +57,9 @@ class RobotModel:
     home: np.ndarray                 # home configuration, radians
     task: str = "spatial"            # "spatial" or "planar"
     _home_man: float = field(default=0.0, compare=False)
+    # read-only joint limit vectors, set once by ``make_robot``
+    limits_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    limits_hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def dof(self) -> int:
@@ -68,14 +71,6 @@ class RobotModel:
         if self.task == "spatial":
             return 6
         return min(3, self.dof)
-
-    @property
-    def limits_lo(self) -> np.ndarray:
-        return np.array([j.limits[0] for j in self.joints])
-
-    @property
-    def limits_hi(self) -> np.ndarray:
-        return np.array([j.limits[1] for j in self.joints])
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(theta, self.limits_lo, self.limits_hi)
@@ -103,6 +98,10 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
     if home.shape != (len(jlist),):
         raise ValueError("home configuration dimension mismatch")
     model = RobotModel(name, jlist, tool, list(capsules), home, task)
+    for attr, side in (("limits_lo", 0), ("limits_hi", 1)):
+        lim = np.array([j.limits[side] for j in jlist])
+        lim.flags.writeable = False
+        object.__setattr__(model, attr, lim)
     object.__setattr__(model, "_chain", _compile_chain(model))
     if not model.within_limits(home):
         raise ValueError("home configuration violates joint limits")
@@ -120,7 +119,11 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
 # Kinematic chain on floats or on (N,) lanes (hot path: IK, map, rollouts)
 # ------------------------------------------------------------------ #
 def _compile_chain(model: RobotModel):
-    """Per-joint (offset quat, offset translation, axis) as plain float tuples."""
+    """Per-joint (offset quat, offset translation, axis) as plain float tuples,
+    the tool's (quat, translation), and whether the chain stays in the z = 0
+    plane: joint axes along z, offset and tool rotations about z and
+    translations with z = 0, all exactly, so every frame of every
+    configuration has z = 0 and a rotation about z."""
     steps = []
     for j in model.joints:
         oq = tuple(float(v) for v in j.offset.real)
@@ -129,14 +132,17 @@ def _compile_chain(model: RobotModel):
         steps.append((oq, op, ax))
     tq = tuple(float(v) for v in model.tool.real)
     tp = tuple(float(v) for v in model.tool.translation())
-    return steps, tq, tp
+    in_plane = (all(ax[0] == ax[1] == 0.0 for _, _, ax in steps)
+                and all(q[1] == q[2] == p[2] == 0.0
+                        for q, p in [(oq, op) for oq, op, _ in steps] + [(tq, tp)]))
+    return steps, tq, tp, in_plane
 
 
 def _chain_eval(model: RobotModel, theta):
     """World joint axes, joint origins and joint rotations (the frame after
     each joint turns) plus the EE (quat, position), as tuples of floats, or
     of (N,) arrays when ``theta`` is an (N, dof) lane array."""
-    steps, tq, tp = model._chain
+    steps, tq, tp, _ = model._chain
     if np.ndim(theta) == 2:
         theta = np.asarray(theta).T          # one (N,) column per joint
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0

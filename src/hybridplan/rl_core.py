@@ -425,6 +425,23 @@ def _unpack_arrays(raw, off):
 
 
 def save_checkpoint(path, policy, value_net, meta: dict) -> None:
+    """Write the policy, the value net and ``meta`` as ``key=value`` lines.
+
+    Raises ValueError, before writing, for metadata that ``load_checkpoint``
+    could not read back: a key with ``=`` or a line break, or a value with a
+    line break.
+    """
+    def breaks_line(text):                 # any separator ``splitlines`` splits on
+        return "".join(text.splitlines()) != text
+
+    for k in meta:
+        key, value = str(k), str(meta[k])
+        if "=" in key or breaks_line(key):
+            raise ValueError(f"checkpoint metadata key {key!r} must not contain '=' "
+                             "or a line break")
+        if breaks_line(value):
+            raise ValueError(f"checkpoint metadata value {value!r} for {key!r} must not "
+                             "contain a line break")
     kind = _KIND_GAUSSIAN if isinstance(policy, GaussianPolicy) else _KIND_CATEGORICAL
     meta_text = "\n".join(f"{k}={meta[k]}" for k in sorted(meta)).encode()
     with open(path, "wb") as fh:

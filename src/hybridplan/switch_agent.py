@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridplan.feasibility import NOT_FJ, classify_trajectory
-from hybridplan.geometry import collision_index, collision_index_lanes
-from hybridplan.kinematics import (
-    RobotModel,
-    ik_attempt,
-    normalized_manipulability_lanes,
-)
+from hybridplan.feasibility import ik_free
+from hybridplan.geometry import collision_index_lanes
+from hybridplan.kinematics import RobotModel, normalized_manipulability_lanes
 from hybridplan.rl_core import (
     CategoricalPolicy,
     PpoConfig,
@@ -68,30 +64,20 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
     """Chained IK of the task-space plan; unreachable poses hold the previous
     joints (annotated by their own collision/manipulability).
 
-    The previous waypoint seeds the first attempt (continuity); a colliding
-    witness triggers a few restarts looking for a collision-free one.
+    Each pose is one ``ik_free`` of 6 attempts seeded by the previous
+    waypoint (continuity), one random stream for the whole plan: a colliding
+    witness triggers restarts looking for a collision-free one, except on a
+    pose whose pinned tool link already collides (``pose_must_collide``),
+    which keeps its first witness without restarting.
     """
     rng = np.random.default_rng(seed)
     thetas = np.zeros((len(poses), model.dof))
     prev = model.home
-    lo, hi = model.limits_lo, model.limits_hi
     for i, pose in enumerate(poses):
-        theta = None
-        fallback = None
-        seed_theta = prev
-        for k in range(6):
-            sol = ik_attempt(model, pose, seed_theta, 1e-3, 1e-2, 150)
-            if sol is not None:
-                if collision_index(model, sol, obstacles) == 0:
-                    theta = sol
-                    break
-                if fallback is None:
-                    fallback = sol
-            seed_theta = rng.uniform(lo, hi)
-        if theta is None:
-            theta = fallback if fallback is not None else prev
-        thetas[i] = theta
-        prev = theta
+        theta = ik_free(model, pose, obstacles, rng, attempts=6, seed=prev)
+        if theta is not None:
+            prev = theta
+        thetas[i] = prev
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
                            normalized_manipulability_lanes(model, thetas),
                            collision_index_lanes(model, thetas, obstacles))

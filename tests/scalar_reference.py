@@ -6,6 +6,9 @@
 * DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
   episode and evaluates each quantity with its own kernel call (six chain
   walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
+* IK witnesses: ``ik_free`` and ``lfd_joint_candidates`` as full restart
+  loops that check every solution for collision; the library's ``ik_free``
+  skips the restarts on a pose that ``pose_must_collide`` certifies.
 
 The tests compare the two."""
 import numpy as np
@@ -18,10 +21,17 @@ from hybridplan.dualquat import (
     quat_to_euler,
     quat_to_matrix,
 )
-from hybridplan.geometry import collision_index, ray_bundle
+from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
-from hybridplan.kinematics import ee_state, fk_frames, normalized_manipulability
+from hybridplan.kinematics import (
+    ee_state,
+    fk_frames,
+    ik_attempt,
+    normalized_manipulability,
+    normalized_manipulability_lanes,
+)
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
+from hybridplan.trajectory import SOURCE_LFD, JointTrajectory
 
 
 def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
@@ -243,3 +253,50 @@ class ScalarDrlEnv:
         info = {"collision": col, "distance": d, "clamped": clamped,
                 "reached": reached}
         return self.observe(), reward, done, info
+
+
+# ------------------------------------------------------------------ #
+# IK witnesses: every restart, every collision check
+# ------------------------------------------------------------------ #
+def ik_free(model, pose, obstacles, rng, attempts=10, tol_pos=1e-3, tol_rot=1e-2):
+    """IK preferring a collision-free witness; falls back to any solution."""
+    fallback = None
+    seed = model.home
+    lo, hi = model.limits_lo, model.limits_hi
+    for k in range(attempts):
+        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters=150)
+        if sol is not None:
+            if collision_index(model, sol, obstacles) == 0:
+                return sol
+            if fallback is None:
+                fallback = sol
+        seed = rng.uniform(lo, hi)
+    return fallback
+
+
+def lfd_joint_candidates(poses, model, obstacles, seed=0):
+    """Chained IK of the task-space plan, six attempts a pose."""
+    rng = np.random.default_rng(seed)
+    thetas = np.zeros((len(poses), model.dof))
+    prev = model.home
+    lo, hi = model.limits_lo, model.limits_hi
+    for i, pose in enumerate(poses):
+        theta = None
+        fallback = None
+        seed_theta = prev
+        for k in range(6):
+            sol = ik_attempt(model, pose, seed_theta, 1e-3, 1e-2, 150)
+            if sol is not None:
+                if collision_index(model, sol, obstacles) == 0:
+                    theta = sol
+                    break
+                if fallback is None:
+                    fallback = sol
+            seed_theta = rng.uniform(lo, hi)
+        if theta is None:
+            theta = fallback if fallback is not None else prev
+        thetas[i] = theta
+        prev = theta
+    return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
+                           normalized_manipulability_lanes(model, thetas),
+                           collision_index_lanes(model, thetas, obstacles))

@@ -445,3 +445,23 @@ def test_load_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(raw + b"\0" * 5)
     with pytest.raises(ValueError, match=f"is {len(raw) + 5} bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("meta", [{"a=b": "1"}, {"seed": "1\nlayout=x"}, {"note": "ends\n"},
+                                  {"a\rb": "1"}, {"tag": "x\u2028y"}])
+def test_save_checkpoint_refuses_metadata_it_cannot_read_back(tmp_path, meta):
+    # without the check, {'a=b': '1'} read back as {'a': 'b=1'}, and a value
+    # with a line break wrote a file that load_checkpoint could not parse
+    rng = np.random.default_rng(16)
+    path = tmp_path / "bad.ckpt"
+    with pytest.raises(ValueError, match="metadata"):
+        save_checkpoint(path, CategoricalPolicy(3, 2, rng=rng), ValueNet(3, rng=rng), meta)
+    assert not path.exists()
+
+
+def test_checkpoint_metadata_values_may_hold_equals_signs(tmp_path):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "ok.ckpt"
+    save_checkpoint(path, CategoricalPolicy(3, 2, rng=rng), ValueNet(3, rng=rng),
+                    {"expr": "a=b", "empty": ""})
+    assert load_checkpoint(path)[2] == {"expr": "a=b", "empty": ""}

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hybridplan import switch_agent
-from hybridplan.geometry import Box, collision_index
+import scalar_reference
+from hybridplan import feasibility, switch_agent
+from hybridplan.feasibility import ik_free
+from hybridplan.geometry import Box, collision_index, pose_must_collide
 from hybridplan.dualquat import DualQuaternion
 from hybridplan.kinematics import fk, normalized_manipulability, planar_3r
 from hybridplan.switch_agent import (
@@ -21,6 +23,7 @@ from hybridplan.switch_agent import (
     policy_switches,
     train_switch,
 )
+from hybridplan.scenarios import planar_pose, wall_slot
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
 
 
@@ -232,3 +235,56 @@ def test_lfd_joint_candidates_shape_limits_and_seed_determinism():
     again = lfd_joint_candidates(poses, model, [POST], seed=3)
     for field in ("points", "source", "man", "col"):
         np.testing.assert_array_equal(getattr(again, field), getattr(out, field))
+
+
+def crossing_plans():
+    """Straight 12-pose plans of the wall_slot scene: two through the wall,
+    one through the slot and one beside the wall."""
+    ends = [((0.3, 0.7, 0.0), (0.95, 0.6, 0.2)), ((0.3, -0.6, 0.3), (1.0, -0.5, 0.0)),
+            ((0.3, 0.05, 0.0), (0.95, 0.05, 0.0)), ((0.2, 0.8, 0.5), (0.35, -0.7, -0.5))]
+    return [[planar_pose(*(np.array(a) + u * (np.subtract(b, a)))) for u in np.linspace(0, 1, 12)]
+            for a, b in ends]
+
+
+def count_ik_attempts(monkeypatch):
+    """Count the descents of the library and of the reference loops."""
+    counts = {"library": 0, "reference": 0}
+    for module, key in ((feasibility, "library"), (scalar_reference, "reference")):
+        def counted(*args, _fn=module.ik_attempt, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "ik_attempt", counted)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lfd_joint_candidates_equal_the_full_restart_loop(monkeypatch, seed):
+    scene = wall_slot()
+    model, obstacles = scene["robot"], scene["cell"].obstacles
+    plans = crossing_plans()
+    certified = [pose_must_collide(model, p, obstacles, 1e-3, 1e-2) for p in sum(plans, [])]
+    assert 4 <= sum(certified) < len(certified)
+    counts = count_ik_attempts(monkeypatch)
+    for poses in plans:
+        ref = scalar_reference.lfd_joint_candidates(poses, model, obstacles, seed)
+        got = lfd_joint_candidates(poses, model, obstacles, seed)
+        for field in ("points", "source", "man", "col"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+    assert counts["library"] < counts["reference"]
+
+
+def test_ik_free_equals_the_full_restart_loop_and_leaves_rng_in_step(monkeypatch):
+    # after a certified pose the caller's next draw must be the one the full
+    # loop leaves
+    scene = wall_slot()
+    model, obstacles = scene["robot"], scene["cell"].obstacles
+    counts = count_ik_attempts(monkeypatch)
+    for k, pose in enumerate(sum(crossing_plans(), [])):
+        rng_ref, rng = np.random.default_rng(k), np.random.default_rng(k)
+        ref = scalar_reference.ik_free(model, pose, obstacles, rng_ref)
+        got = ik_free(model, pose, obstacles, rng)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            np.testing.assert_array_equal(got, ref)
+        assert rng.random() == rng_ref.random()
+    assert counts["library"] < counts["reference"]
