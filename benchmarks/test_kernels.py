@@ -15,7 +15,7 @@ import pytest
 
 import inputs
 import workloads
-from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, state_dim
+from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
 from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
 from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
 from hybridplan.geometry import (
@@ -151,7 +151,8 @@ def test_build_map_wall_90_cells(benchmark, model, cell):
 
 @pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
 def test_drl_env_step(benchmark, model, cell, lanes):
-    # one lane is a plan_drl step; ROLLOUT_LANES lanes are a train_drl step
+    # one lane runs the one-configuration kernels; ROLLOUT_LANES lanes are a
+    # train_drl step (plan_drl steps the transition alone, timed below)
     theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
     assert collision_index(model, theta, cell.obstacles) == 0
     env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0), lanes)
@@ -160,6 +161,18 @@ def test_drl_env_step(benchmark, model, cell, lanes):
     actions = itertools.cycle([a, -a])        # the arm oscillates about theta
     obs, *_ = benchmark(lambda: env.step(next(actions)))
     assert obs.shape == (lanes, state_dim(model.dof))
+
+
+def test_plan_drl_40_step_bridge(benchmark, model, cell):
+    # the hybrid workload's episode budget; fresh seeded weights do not reach
+    # the goal behind the wall, so the greedy bridge runs all 40 steps, on
+    # the near side clear of the wall
+    theta0 = np.array([1.0, 0.8, 0.6])
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
+    cfg = DrlEnvConfig(episode_budget=40, man_baseline=1.0)
+    start, goal = fk(model, theta0), inputs.planar_pose(0.95, 0.0, 0.0)
+    traj = benchmark(plan_drl, policy, model, cell.obstacles, start, goal, cfg, theta0=theta0)
+    assert len(traj) == 41 and not traj.success and not traj.col.any()
 
 
 @pytest.mark.parametrize("skill_id, n_configs", [("line", 2), ("arc", 3)])

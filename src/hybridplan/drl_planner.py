@@ -14,8 +14,13 @@ for manipulability, the capsule distances of the collision check and the
 ray bundle (one ``raycast_many`` over the (N, 25) rays).  Lane k of a step
 equals a one-episode environment stepped on lane k alone, bit for bit.
 With one lane the environment runs the one-configuration kernels on that
-same walk: at N = 1 a lane kernel costs several times its scalar
-counterpart, so ``plan_drl`` bridges one gap on one lane.  ``train_drl``
+same walk, on Python floats: at N = 1 a lane kernel costs several times its
+scalar counterpart, so ``plan_drl`` bridges one gap on one lane.  A step is
+the transition (clamp, chain walk, observation, goal distance and done
+rule) plus the collision verdict, manipulability and reward.  ``plan_drl``
+runs the transition alone, since its policy reads only the observation, and
+annotates the bridge rows after the loop with one ``collision_index_lanes``
+and one ``normalized_manipulability_lanes`` call.  ``train_drl``
 collects each PPO batch on ``ROLLOUT_LANES`` lanes with one policy forward
 per lane step (the vectorised-environment layout of PPO).
 """
@@ -194,28 +199,39 @@ class DrlEnv:
     def thetas(self) -> np.ndarray:
         return self._theta.copy()
 
-    def step(self, actions):
-        """Apply (lanes, dof) increment actions; returns (observations,
-        rewards, dones, info) with one row or entry per lane."""
+    def _advance(self, actions):
+        """The transition of (lanes, dof) increment actions: clamp, one chain
+        walk, observation, goal distance and done rule.  Returns (walk,
+        observations, distances, reached, dones, clamped), one row or entry
+        per lane."""
         a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
         proposed = self._theta + a * np.radians(self.cfg.max_step_deg)
         theta = self.model.clamp(proposed)
         clamped = np.any(proposed != theta, axis=1)
         walk = self._walk(theta)
-        (axes, origins, _, _, p), jp, jo, p_rows = walk
+        _, jp, jo, p_rows = walk
         self._steps += 1
-        col = np.reshape(collision_index_points(
-            self.model, _frame_points_raw(origins, p), self.obstacles), -1)
         d = _lane_norm(p_rows - self._goal)
-        man = np.zeros(self.lanes)
-        if self.cfg.reward_mode != "distance" and np.any((col == 0) & (d >= self.cfg.target_radius)):
-            man[:] = _normalized_manipulability_raw(self.model, axes, origins, p)
-        reward, reached = drl_reward(self.cfg, d, col, man)
+        reached = d < self.cfg.target_radius
         done = reached | (self._steps >= self.cfg.episode_budget)
         self._obs = self._observe(walk, self._jp, self._jo, self._goal)
         self._theta, self._jp, self._jo = theta, jp, jo
+        return walk, self._obs, d, reached, done, clamped
+
+    def step(self, actions):
+        """Apply (lanes, dof) increment actions; returns (observations,
+        rewards, dones, info) with one row or entry per lane: the transition
+        plus the collision verdict, manipulability and reward."""
+        walk, obs, d, reached, done, clamped = self._advance(actions)
+        axes, origins, _, _, p = walk[0]
+        col = np.reshape(collision_index_points(
+            self.model, _frame_points_raw(origins, p), self.obstacles), -1)
+        man = np.zeros(self.lanes)
+        if self.cfg.reward_mode != "distance" and np.any((col == 0) & (d >= self.cfg.target_radius)):
+            man[:] = _normalized_manipulability_raw(self.model, axes, origins, p)
+        reward, _ = drl_reward(self.cfg, d, col, man)
         info = {"collision": col, "distance": d, "clamped": clamped, "reached": reached}
-        return self._obs, reward, done, info
+        return obs, reward, done, info
 
 
 # ------------------------------------------------------------------ #
@@ -383,6 +399,8 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
 
     The start pose must have an IK witness (it bracketed a feasible segment).
     Budget exhaustion returns the best-effort trajectory with success=False.
+    The policy acts through the environment's transition alone; the rows'
+    collision verdicts and manipulability come from one lane call each.
     """
     env_cfg = env_cfg or DrlEnvConfig()
     rng = np.random.default_rng(seed)
@@ -394,7 +412,6 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
     goal_pos = goal.translation()
     obs = env.reset(theta0, goal_pos)[0]
     thetas = [env.thetas[0]]
-    cols = [collision_index(model, theta0, obstacles)]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
     distance = 0.0
@@ -403,16 +420,15 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
             action, _ = policy.act(obs, rng)
         else:
             action = policy.mean_action(obs)
-        obs, _, done, info = env.step(action)
+        _, obs, d, reached, done, _ = env._advance(action)
         obs = obs[0]
         thetas.append(env.thetas[0])
-        cols.append(info["collision"][0])
-        distance = float(info["distance"][0])
+        distance = float(d[0])
         if done[0]:
-            success = bool(info["reached"][0])
+            success = bool(reached[0])
             break
     thetas = np.array(thetas)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
                            normalized_manipulability_lanes(model, thetas),
-                           np.array(cols, dtype=np.uint8),
+                           collision_index_lanes(model, thetas, obstacles),
                            success, meta={"goal_distance": distance})

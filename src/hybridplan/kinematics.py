@@ -10,9 +10,11 @@ Joint axes are expressed in the frame reached by ``offset_i``.
 of ``dualquat``; FK, the joint frames (``fk_frames`` is a view on it), the
 Jacobian, IK, collision and manipulability all read their frames from it.
 The chain kernels ``_chain_eval`` and ``_jacobian_raw`` take either one joint
-vector, (dof,), and work on plain floats, or a lane array, (N, dof), and work
-on (N,) arrays with the same operations in the same order, so lane k of a
-lane call equals the scalar call on row k.  ``ik_attempt`` runs one
+vector, (dof,), and work on plain Python floats (``math.sin``/``math.cos``),
+or a lane array, (N, dof), and work on (N,) arrays with the same operations
+in the same order, so lane k of a lane call equals the scalar call on row k
+(``test_chain_eval_one_vector_walks_on_floats_and_equals_lane_rows``).  Both
+cast the joint angles to float64 first.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
 them in lockstep on the lane path, under the same rules.
 ``normalized_manipulability_lanes`` scores N configurations with one lane
@@ -24,6 +26,7 @@ configuration or for N lanes reads every quantity off that walk.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +147,11 @@ def _chain_eval(model: RobotModel, theta):
     of (N,) arrays when ``theta`` is an (N, dof) lane array."""
     steps, tq, tp, _ = model._chain
     if np.ndim(theta) == 2:
-        theta = np.asarray(theta).T          # one (N,) column per joint
+        theta = np.asarray(theta, dtype=float).T     # one (N,) column per joint
+        sin, cos = np.sin, np.cos
+    else:
+        theta = np.asarray(theta, dtype=float).tolist()
+        sin, cos = math.sin, math.cos        # equal to np.sin/np.cos on floats
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
     px, py, pz = 0.0, 0.0, 0.0
     axes, origins, rots = [], [], []
@@ -155,7 +162,7 @@ def _chain_eval(model: RobotModel, theta):
         axes.append(_qrot(qw, qx, qy, qz, ax[0], ax[1], ax[2]))
         origins.append((px, py, pz))
         half = 0.5 * th
-        s, c = np.sin(half), np.cos(half)
+        s, c = sin(half), cos(half)
         qw, qx, qy, qz = _qmul(qw, qx, qy, qz, c, s * ax[0], s * ax[1], s * ax[2])
         rots.append((qw, qx, qy, qz))
     dx, dy, dz = _qrot(qw, qx, qy, qz, tp[0], tp[1], tp[2])

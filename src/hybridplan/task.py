@@ -42,11 +42,16 @@ def load_task(path) -> Task:
                 continue
             tok = line.split()
             if tok[0] == "task":
+                if len(tok) != 2:
+                    raise ValueError(f"task line {line!r}: 'task' takes one id")
                 task_id = tok[1]
             elif tok[0] == "config":
+                if len(tok) != 11 or tok[9] != "hold" or tok[10] not in ("0", "1"):
+                    raise ValueError(f"task line {line!r}: 'config' takes 8 numbers "
+                                     "and 'hold 0' or 'hold 1'")
                 vals = np.array([float(v) for v in tok[1:9]])
                 configs.append(DualQuaternion.from_array(vals))
-                hold.append(len(tok) >= 11 and tok[9] == "hold" and tok[10] == "1")
+                hold.append(tok[10] == "1")
             else:
                 raise ValueError(f"unknown task-file key '{tok[0]}'")
     return Task(task_id, configs, hold)

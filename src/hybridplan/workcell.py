@@ -4,6 +4,14 @@ A trial succeeds when the trajectory attains every critical configuration in
 order within the position/orientation tolerances, the interpolation-checked
 path is collision-free, and no payload is dropped (a drop is modeled as an
 inter-waypoint joint step exceeding the smoothness bound while holding).
+
+``execute`` reads every point's end-effector position and Euler angles and
+its manipulability from one lane chain walk, and finds each critical
+configuration's first hit at or after the previous one's with a lane mask;
+the scalar scan it replaces is the test reference.  Path collisions come
+from one ``collision_index_lanes`` call over the waypoints and their
+interpolants.  Workcell files are checked line by line: a line with the
+wrong number of fields is refused before anything is built.
 """
 from __future__ import annotations
 
@@ -13,12 +21,19 @@ import numpy as np
 
 from hybridplan.dualquat import DualQuaternion, quat_to_euler
 from hybridplan.geometry import Box, Sphere, collision_index_lanes
-from hybridplan.kinematics import RobotModel, ee_state, normalized_manipulability_lanes
+from hybridplan.kinematics import (
+    RobotModel,
+    _chain_eval,
+    _lane_norm,
+    _normalized_manipulability_raw,
+)
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 
 COLLISION_RES_DEG = 2.0     # interpolation resolution for path checking
 SMOOTH_BOUND_DEG = 2.0      # max joint step while holding a payload
+# fields after the key on each line of a workcell file
+WORKCELL_FIELDS = {"name": 1, "workspace": 6, "box": 7, "sphere": 5, "station": 9}
 
 
 @dataclass(eq=False)
@@ -78,6 +93,11 @@ def load_workcell(path) -> Workcell:
             if not line:
                 continue
             tok = line.split()
+            if tok[0] not in WORKCELL_FIELDS:
+                raise ValueError(f"unknown workcell key '{tok[0]}'")
+            if len(tok) != 1 + WORKCELL_FIELDS[tok[0]]:
+                raise ValueError(f"workcell line {line!r}: '{tok[0]}' takes "
+                                 f"{WORKCELL_FIELDS[tok[0]]} fields, got {len(tok) - 1}")
             if tok[0] == "name":
                 name = tok[1]
             elif tok[0] == "workspace":
@@ -89,11 +109,9 @@ def load_workcell(path) -> Workcell:
             elif tok[0] == "sphere":
                 vals = [float(v) for v in tok[2:6]]
                 obstacles.append(Sphere(vals[:3], vals[3], tok[1]))
-            elif tok[0] == "station":
+            else:
                 vals = np.array([float(v) for v in tok[2:10]])
                 stations[tok[1]] = DualQuaternion.from_array(vals)
-            else:
-                raise ValueError(f"unknown workcell key '{tok[0]}'")
     if box_lo is None:
         raise ValueError("workcell file missing workspace box")
     return Workcell(name, box_lo, box_hi, obstacles, stations)
@@ -102,14 +120,6 @@ def load_workcell(path) -> Workcell:
 # ------------------------------------------------------------------ #
 # Execution scoring
 # ------------------------------------------------------------------ #
-def _pose_hit(model, theta, c_pos, c_euler, criteria) -> bool:
-    q, p = ee_state(model, theta)
-    if np.linalg.norm(p - c_pos) > criteria.pos_tol:
-        return False
-    diff = np.abs((quat_to_euler(q) - c_euler + np.pi) % (2 * np.pi) - np.pi)
-    return bool(np.all(diff <= criteria.rot_tol))
-
-
 def _path_verdicts(model, points, obstacles, res_deg):
     """Collision verdicts of the waypoints plus interpolated configs at the
     declared joint-space resolution, in path order, from one lane call; and
@@ -151,27 +161,29 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
             criteria: SuccessCriteria, task: Task) -> ExecutionReport:
     """Score a joint trajectory against a task in a workcell."""
     points = traj.points
+    # every point's EE state and manipulability from one lane walk
+    axes, origins, _, q, p = _chain_eval(model, points)
+    ee_pos, ee_euler = np.stack(p, axis=1), quat_to_euler(q)
     hits = []
     start_at = 0
     failed = None
     for j, config in enumerate(task.configs):
-        hit = None
-        c_pos, c_euler = config.translation(), quat_to_euler(config.real)
-        for idx in range(start_at, len(points)):
-            if _pose_hit(model, points[idx], c_pos, c_euler, criteria):
-                hit = idx
-                break
-        hits.append(hit)
-        if hit is None:
+        c_euler = quat_to_euler(config.real)
+        diff = np.abs((ee_euler - c_euler[:, None] + np.pi) % (2 * np.pi) - np.pi)
+        # not above the tolerance, the scalar rule's test (a NaN passes it)
+        hit = ~(_lane_norm(ee_pos - config.translation()) > criteria.pos_tol)
+        hit &= np.all(diff <= criteria.rot_tol, axis=0)
+        after = np.flatnonzero(hit[start_at:])
+        if len(after) == 0:
             failed = j
             break
-        start_at = hit
-    while len(hits) < len(task.configs):
-        hits.append(None)
+        start_at += int(after[0])
+        hits.append(start_at)
+    hits += [None] * (len(task.configs) - len(hits))
 
     verdicts, at = _path_verdicts(model, points, cell.obstacles, COLLISION_RES_DEG)
     collisions = int(np.sum(verdicts))
-    man = normalized_manipulability_lanes(model, points)
+    man = _normalized_manipulability_raw(model, axes, origins, p)
     r_s = float(np.sum(man - verdicts[at]))
 
     dropped = False

@@ -6,9 +6,15 @@
 * DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
   episode and evaluates each quantity with its own kernel call (six chain
   walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
+  ``plan_drl`` steps a bridge through the full ``DrlEnv.step`` and keeps
+  each step's collision verdict; the library runs the transition alone and
+  annotates the rows in one lane call.
 * IK witnesses: ``ik_free`` and ``lfd_joint_candidates`` as full restart
   loops that check every solution for collision; the library's ``ik_free``
   skips the restarts on a pose that ``pose_must_collide`` certifies.
+* Execution scoring: ``execute`` scans the points for each critical
+  configuration with ``pose_hit``, one scalar end-effector state per point;
+  the library scores every point from one lane walk.
 
 The tests compare the two."""
 import numpy as np
@@ -21,6 +27,7 @@ from hybridplan.dualquat import (
     quat_to_euler,
     quat_to_matrix,
 )
+from hybridplan.drl_planner import DrlEnv
 from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
 from hybridplan.kinematics import (
@@ -31,7 +38,13 @@ from hybridplan.kinematics import (
     normalized_manipulability_lanes,
 )
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
-from hybridplan.trajectory import SOURCE_LFD, JointTrajectory
+from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
+from hybridplan.workcell import (
+    COLLISION_RES_DEG,
+    SMOOTH_BOUND_DEG,
+    ExecutionReport,
+    _path_verdicts,
+)
 
 
 def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
@@ -255,6 +268,34 @@ class ScalarDrlEnv:
         return self.observe(), reward, done, info
 
 
+def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
+    """The bridge of ``drl_planner.plan_drl`` (greedy policy, given start)
+    stepped through the full ``DrlEnv.step``, each row's collision verdict
+    taken from the step that reached it."""
+    env = DrlEnv(model, obstacles, env_cfg)
+    goal_pos = goal.translation()
+    obs = env.reset(theta0, goal_pos)[0]
+    thetas = [env.thetas[0]]
+    cols = [collision_index(model, theta0, obstacles)]
+    success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
+                   < env_cfg.target_radius)
+    distance = 0.0
+    while not success:
+        obs, _, done, info = env.step(policy.mean_action(obs))
+        obs = obs[0]
+        thetas.append(env.thetas[0])
+        cols.append(info["collision"][0])
+        distance = float(info["distance"][0])
+        if done[0]:
+            success = bool(info["reached"][0])
+            break
+    thetas = np.array(thetas)
+    return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
+                           normalized_manipulability_lanes(model, thetas),
+                           np.array(cols, dtype=np.uint8),
+                           success, meta={"goal_distance": distance})
+
+
 # ------------------------------------------------------------------ #
 # IK witnesses: every restart, every collision check
 # ------------------------------------------------------------------ #
@@ -300,3 +341,53 @@ def lfd_joint_candidates(poses, model, obstacles, seed=0):
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
                            normalized_manipulability_lanes(model, thetas),
                            collision_index_lanes(model, thetas, obstacles))
+
+
+# ------------------------------------------------------------------ #
+# Execution scoring: one end-effector state per scanned point
+# ------------------------------------------------------------------ #
+def pose_hit(model, theta, c_pos, c_euler, criteria) -> bool:
+    q, p = ee_state(model, theta)
+    if np.linalg.norm(p - c_pos) > criteria.pos_tol:
+        return False
+    diff = np.abs((quat_to_euler(q) - c_euler + np.pi) % (2 * np.pi) - np.pi)
+    return bool(np.all(diff <= criteria.rot_tol))
+
+
+def execute(traj, model, cell, criteria, task) -> ExecutionReport:
+    """``workcell.execute`` with each configuration's first hit found by a
+    ``pose_hit`` scan from the previous configuration's hit."""
+    points = traj.points
+    hits = []
+    start_at = 0
+    failed = None
+    for j, config in enumerate(task.configs):
+        hit = None
+        c_pos, c_euler = config.translation(), quat_to_euler(config.real)
+        for idx in range(start_at, len(points)):
+            if pose_hit(model, points[idx], c_pos, c_euler, criteria):
+                hit = idx
+                break
+        hits.append(hit)
+        if hit is None:
+            failed = j
+            break
+        start_at = hit
+    while len(hits) < len(task.configs):
+        hits.append(None)
+
+    verdicts, at = _path_verdicts(model, points, cell.obstacles, COLLISION_RES_DEG)
+    collisions = int(np.sum(verdicts))
+    man = normalized_manipulability_lanes(model, points)
+    r_s = float(np.sum(man - verdicts[at]))
+
+    dropped = False
+    bound = np.radians(SMOOTH_BOUND_DEG)
+    for j in range(len(task.configs) - 1):
+        if not task.hold[j] or hits[j] is None or hits[j + 1] is None:
+            continue
+        seg = points[hits[j]:hits[j + 1] + 1]
+        if len(seg) >= 2 and np.max(np.abs(np.diff(seg, axis=0))) > bound + 1e-12:
+            dropped = True
+    success = failed is None and collisions == 0 and not dropped
+    return ExecutionReport(success, hits, collisions, r_s, traj.max_step(), dropped, failed)

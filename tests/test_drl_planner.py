@@ -22,6 +22,7 @@ from hybridplan.kinematics import (
 )
 from hybridplan.rl_core import GaussianPolicy, PpoConfig
 from scalar_reference import ScalarDrlEnv
+from scalar_reference import plan_drl as reference_plan_drl
 
 WALL = Box([0.9, -1.0, -0.2], [1.1, 1.0, 0.2], "wall")
 GOAL = np.array([0.3, 0.7, 0.0])
@@ -310,6 +311,34 @@ def test_plan_drl_trajectory_contract():
                 assert len(traj) == cfg.episode_budget + 1
             np.testing.assert_array_equal(traj.points, runs[1].points)   # same seed
             assert traj.meta == runs[1].meta
+
+
+def test_plan_drl_equals_a_bridge_stepped_through_the_full_step():
+    """The transition-only bridge and its lane annotations equal a bridge
+    stepped through ``DrlEnv.step`` that keeps each step's verdict."""
+    model = planar_3r()
+    cfg = DrlEnvConfig(episode_budget=30, target_radius=0.05, man_baseline=1.0)
+    theta0 = np.array([0.3, 0.6, -0.4])
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
+    cases = [
+        (Steady([1.0, 0.0, 0.0]), fk(model, theta0 + [0.3, 0.0, 0.0]), True),   # reaches
+        (Steady([-1.0, 0.5, 1.0]), fk(model, theta0 - [0.6, 0.0, 0.0]), False),  # budget
+        (policy, fk(model, theta0), True),                                      # starts inside
+        (policy, fk(model, np.array([-1.0, 1.2, 0.5])), False),                 # budget
+    ]
+    collided = 0
+    for pol, goal, success in cases:
+        got = plan_drl(pol, model, WALL_CELL, fk(model, theta0), goal, cfg, theta0=theta0)
+        ref = reference_plan_drl(pol, model, WALL_CELL, goal, cfg, theta0)
+        assert got.success == ref.success == success
+        np.testing.assert_array_equal(got.points, ref.points)
+        np.testing.assert_array_equal(got.source, ref.source)
+        np.testing.assert_array_equal(got.man, ref.man)
+        assert got.col.dtype == ref.col.dtype
+        np.testing.assert_array_equal(got.col, ref.col)
+        assert got.meta == ref.meta
+        collided += int(got.col.sum())
+    assert collided > 0
 
 
 # ------------------------------------------------------------------ #

@@ -313,3 +313,18 @@ def test_task_file_roundtrip(tmp_path):
     assert loaded.id == "pick" and loaded.hold == [False, True]
     for a, b in zip(task.configs, loaded.configs):
         assert chordal_distance(a, b) == 0.0
+
+
+IDENTITY = "1 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("bad", [
+    f"config {IDENTITY} 0 hold 1",         # a 9th number
+    f"config {IDENTITY} hold 2",
+    f"config {IDENTITY} hold 1 extra",
+])
+def test_load_task_rejects_a_malformed_config_line(tmp_path, bad):
+    path = tmp_path / "task.txt"
+    path.write_text(f"task t\nconfig {IDENTITY} hold 0\n{bad}\n")
+    with pytest.raises(ValueError, match="task line"):
+        load_task(path)

@@ -4,6 +4,7 @@ import pytest
 from hybridplan.dualquat import DualQuaternion, dq_from_pose, dq_mul, quat_from_axis_angle
 from hybridplan.kinematics import (
     LinkCapsule,
+    _chain_eval,
     fk,
     fk_frames,
     frame_points,
@@ -239,6 +240,36 @@ def test_normalized_manipulability_lanes_equal_scalar_bitwise(factory):
     np.testing.assert_array_equal(normalized_manipulability_lanes(model, thetas), ref)
     out = normalized_manipulability_lanes(model, np.zeros((0, model.dof)))
     assert out.shape == (0,)
+
+
+def chain_leaves(chain):
+    """Every number of a ``_chain_eval`` output, in walk order."""
+    axes, origins, rots, q, p = chain
+    return [v for group in (*axes, *origins, *rots, q, p) for v in group]
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_chain_eval_one_vector_walks_on_floats_and_equals_lane_rows(factory):
+    """The one-vector walk runs on plain Python floats and equals row k of the
+    lane walk bit for bit, for list, int and float64 inputs, at the joint
+    limits, at +-pi and at random configurations."""
+    model = factory()
+    rng = np.random.default_rng(21)
+    ints = rng.integers(-2, 3, (4, model.dof)).astype(float)
+    thetas = np.vstack([model.limits_lo, model.limits_hi, np.full(model.dof, np.pi),
+                        np.full(model.dof, -np.pi), np.zeros(model.dof), ints,
+                        rng.uniform(model.limits_lo, model.limits_hi, (100, model.dof))])
+    n = len(thetas)
+    lanes = [np.broadcast_to(v, (n,)) for v in chain_leaves(_chain_eval(model, thetas))]
+    for k, theta in enumerate(thetas):
+        given = [theta, theta.tolist()]
+        if np.all(theta == np.round(theta)):
+            given += [theta.astype(int), [int(v) for v in theta]]
+        row = np.array([v[k] for v in lanes])
+        for g in given:
+            one = chain_leaves(_chain_eval(model, g))
+            assert all(type(v) is float for v in one)
+            assert np.array(one).tobytes() == row.tobytes()
 
 
 def test_singular_home_rejected():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import DualQuaternion
+from hybridplan.dualquat import DualQuaternion, quat_from_axis_angle, quat_mul, quat_to_euler
 from hybridplan.geometry import Box, Sphere, collision_index
-from hybridplan.kinematics import fk, normalized_manipulability, planar_3r
+from hybridplan.kinematics import ee_state, fk, normalized_manipulability, planar_3r
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 from hybridplan.workcell import (
@@ -16,6 +16,9 @@ from hybridplan.workcell import (
     save_workcell,
     wilson_interval,
 )
+from scalar_reference import execute as reference_execute
+from scalar_reference import pose_hit
+from test_kinematics import seven_dof
 
 # a thin post on the +x axis: the stretched-out arm (theta = 0) runs through it
 POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
@@ -96,6 +99,137 @@ def test_execute_counts_collisions_along_the_path():
     assert rep.r_s == float(np.sum(man - col))
 
 
+def assert_reports_equal(traj, model, obstacles, criteria, task):
+    got = execute(traj, model, cell(obstacles), criteria, task)
+    assert vars(got) == vars(reference_execute(traj, model, cell(obstacles), criteria, task))
+    return got
+
+
+def near_pose(model, theta, rng, pos_tol, rot_tol):
+    """The EE pose at theta moved by up to 1.5 tolerances in position and
+    rotation (about z for a planar model, so the pose stays in the plane)."""
+    pose = fk(model, theta)
+    dp = rng.normal(size=3)
+    axis = rng.normal(size=3)
+    if model.task == "planar":
+        dp[2], axis = 0.0, np.array([0.0, 0.0, 1.0])
+    dp *= rng.uniform(0, 1.5 * pos_tol) / np.linalg.norm(dp)
+    q = quat_mul(quat_from_axis_angle(axis, rng.uniform(-1.5, 1.5) * rot_tol), pose.real)
+    return DualQuaternion.from_pose(pose.translation() + dp, q)
+
+
+@pytest.mark.parametrize("factory", [planar_3r, seven_dof])
+def test_execute_equals_the_reference_scan_on_random_trajectories(factory):
+    model = factory()
+    obstacles = [POST] if model.task == "planar" else []
+    rng = np.random.default_rng(17)
+    criteria = SuccessCriteria(pos_tol=0.03, rot_tol=np.radians(8.0))
+    seen = {"success": 0, "missed": 0, "dropped": 0, "collided": 0}
+    for _ in range(40):
+        start = rng.uniform(model.limits_lo, model.limits_hi)
+        steps = rng.uniform(-1.0, 1.0, (60, model.dof)) * np.radians(rng.choice([1.5, 3.0]))
+        pts = model.clamp(start + np.cumsum(steps, axis=0))
+        picks = np.sort(rng.choice(60, size=int(rng.integers(2, 5)), replace=False))
+        task = Task("t", [near_pose(model, pts[k], rng, criteria.pos_tol, criteria.rot_tol)
+                          for k in picks], hold=list(rng.random(len(picks)) < 0.5))
+        rep = assert_reports_equal(path(*pts), model, obstacles, criteria, task)
+        seen["success"] += rep.success
+        seen["missed"] += rep.failed_config is not None
+        seen["dropped"] += rep.dropped
+        seen["collided"] += rep.collisions > 0
+    assert all(seen.values()) if model.task == "planar" else seen["missed"] and seen["success"]
+
+
+def bisect(hit, lo, hi):
+    """Adjacent parameters (inside, outside) of the tolerance edge, from hit(lo)
+    and not hit(hi)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (mid, hi) if hit(mid) else (lo, mid)
+
+
+def check_tolerance_edge(model, theta_c, direction, criteria, edge):
+    """Points bisected onto the tolerance edge along theta_c + u direction,
+    the point just outside listed before the point just inside, then a
+    tolerance equal to the outside point's own error: one rounding
+    difference between the scans moves a hit.  Returns the outside point's
+    EE Euler angles and the configuration's."""
+    config = fk(model, theta_c)
+    c_pos, c_euler = config.translation(), quat_to_euler(config.real)
+
+    def at(u):
+        return theta_c + u * np.asarray(direction)
+
+    def hit(u):
+        return pose_hit(model, at(u), c_pos, c_euler, criteria)
+
+    assert hit(0.0) and not hit(1.0)
+    u_in, u_out = bisect(hit, 0.0, 1.0)
+    pts = [at(1.0), at(u_out), at(u_in), at(0.5 * u_in), theta_c]
+    task = Task("t", [config, fk(model, at(u_in))])
+    assert assert_reports_equal(path(*pts), model, [], criteria, task).config_hits == [2, 2]
+    q, p = ee_state(model, at(u_out))
+    if edge == "position":
+        exact = SuccessCriteria(float(np.linalg.norm(p - c_pos)), criteria.rot_tol)
+    else:
+        diff = np.abs((quat_to_euler(q) - c_euler + np.pi) % (2 * np.pi) - np.pi)
+        exact = SuccessCriteria(criteria.pos_tol, float(np.max(diff)))
+    assert assert_reports_equal(path(*pts), model, [], exact, task).config_hits == [1, 1]
+    return quat_to_euler(q), c_euler
+
+
+POSITION_EDGE = SuccessCriteria(pos_tol=0.05, rot_tol=4.0)     # every rotation passes
+ROTATION_EDGE = SuccessCriteria(pos_tol=10.0, rot_tol=0.05)    # every position passes
+
+
+@pytest.mark.parametrize("edge", ["position", "rotation", "rotation_wrap"])
+def test_execute_equals_the_reference_scan_at_the_tolerance_edge(edge):
+    model = planar_3r()
+    # yaw pi - 0.01; turning joint 3 forward carries the yaw across +-pi
+    theta_c = np.array([1.0, 1.2, np.pi - 0.01 - 2.2])
+    direction = {"position": [0.3, -0.2, 0.1], "rotation": [0.0, 0.0, -0.2],
+                 "rotation_wrap": [0.0, 0.0, 0.2]}[edge]
+    criteria = POSITION_EDGE if edge == "position" else ROTATION_EDGE
+    euler, c_euler = check_tolerance_edge(model, theta_c, direction, criteria, edge)
+    if edge == "rotation_wrap":
+        assert euler[2] < 0.0 < c_euler[2]             # the edge lies across +-pi
+
+
+@pytest.mark.parametrize("edge", ["position", "rotation"])
+def test_execute_equals_the_reference_scan_at_spatial_tolerance_edges(edge):
+    # three nonzero position components and roll/pitch/yaw: every term rounds
+    model = seven_dof()
+    rng = np.random.default_rng(5)
+    criteria = POSITION_EDGE if edge == "position" else ROTATION_EDGE
+    for _ in range(25):
+        theta_c = rng.uniform(-2.0, 2.0, model.dof)
+        direction = rng.normal(size=model.dof)
+        direction /= np.linalg.norm(direction)        # one radian in joint space
+        check_tolerance_edge(model, theta_c, direction, criteria, edge)
+
+def test_execute_on_empty_and_one_point_trajectories():
+    model = planar_3r()
+    task = Task("t", [fk(model, model.home), fk(model, model.home + 0.1)])
+    empty = assert_reports_equal(JointTrajectory(np.zeros((0, model.dof))), model, [POST],
+                                 SuccessCriteria(), task)
+    assert empty.config_hits == [None, None] and empty.failed_config == 0
+    assert (empty.collisions, empty.r_s, empty.max_step) == (0, 0.0, 0.0)
+    one = assert_reports_equal(path(model.home), model, [POST], SuccessCriteria(), task)
+    assert one.config_hits == [0, None] and one.failed_config == 1 and not one.success
+
+
+def test_execute_lets_one_point_hit_consecutive_configs():
+    model = planar_3r()
+    pts = ramp([1.2, 0.3, 0.2], [0.6, 0.3, 0.2], 40)
+    tight = SuccessCriteria(pos_tol=1e-6, rot_tol=1e-6)
+    task = Task("t", [fk(model, pts[10]), fk(model, pts[10]), fk(model, pts[30])],
+                hold=[True, True, False])
+    rep = assert_reports_equal(path(*pts), model, [POST], tight, task)
+    assert rep.config_hits == [10, 10, 30] and rep.success
+
+
 # ------------------------------------------------------------------ #
 # count_path_collisions
 # ------------------------------------------------------------------ #
@@ -144,6 +278,18 @@ def test_workcell_file_roundtrip(tmp_path):
     assert sorted(back.stations) == ["a", "b"]
     for k in stations:
         np.testing.assert_array_equal(back.stations[k].as_array(), stations[k].as_array())
+
+
+@pytest.mark.parametrize("bad", [
+    "box b 0 0 0 1 1 1 7",                 # one number too many
+    "box b 0 0 0 1 1",                     # one number short
+    "sphere s 0 0 0",                      # no radius
+])
+def test_load_workcell_rejects_a_line_with_the_wrong_token_count(tmp_path, bad):
+    path = tmp_path / "cell.txt"
+    path.write_text(f"name c\nworkspace -1 -1 -1 1 1 1\n{bad}\n")
+    with pytest.raises(ValueError, match="workcell line"):
+        load_workcell(path)
 
 
 def test_wilson_interval():
