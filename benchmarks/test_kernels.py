@@ -17,7 +17,13 @@ import inputs
 import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
 from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
-from hybridplan.feasibility import FEA_MAX_ITERS, build_map, fea
+from hybridplan.feasibility import (
+    FEA_MAX_ITERS,
+    NOT_FJ,
+    build_map,
+    classify_trajectory,
+    fea,
+)
 from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
@@ -147,6 +153,31 @@ def test_build_map_wall_90_cells(benchmark, model, cell):
                                           seed=workloads.MAP_IK_SEED),
                               rounds=5, iterations=1)
     assert fmap.n_cells == 90
+
+
+@pytest.fixture(scope="module")
+def wall_map(model, cell):
+    return build_map(model, cell.obstacles, BOX, workloads.MAP_VOXEL,
+                     orientation_spec=ORIENTATION, seed=workloads.MAP_IK_SEED)
+
+
+def test_classify_trajectory_100_poses(benchmark, wall_map):
+    # the first query path of the map workload at seed 1
+    wl = workloads.MapWorkload(1)
+    wl.setup(workloads.Tally())
+    cls = benchmark(classify_trajectory, wl.paths[0], wall_map)
+    assert len(cls.feasible_mask) == workloads.PATH_POSES
+
+
+def test_classify_trajectory_12_poses(benchmark, wall_map):
+    # a hybrid-length plan through the wall
+    cls = benchmark(classify_trajectory, _line(*LINES["through_wall"]), wall_map)
+    assert any(seg.label == NOT_FJ for seg in cls.segments)
+
+
+def test_lookup_one_pose(benchmark, wall_map):
+    res = benchmark(wall_map.lookup, inputs.planar_pose(0.3, 0.3, 0.0))
+    assert res.feasible
 
 
 @pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])

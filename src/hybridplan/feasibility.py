@@ -8,6 +8,14 @@ with orientation cells and stores the verdict, the manipulability value, and
 the witness joint vector for every cell.  Cell semantics are existential: the
 cell is feasible if any witness lands inside it, so the per-cell IK tolerance
 is half the cell extent.
+
+Map lookups run on (N, 8) pose lanes (``FeasibilityMap.locate_lanes``).  A
+pose's voxel is ``floor((p - box_lo) / voxel_size)`` per axis; a pose within
+1e-9 (in voxel units) of the box's upper face belongs to the last voxel.  Its
+orientation cell bins the ``quat_to_euler`` angles (roll, pitch, yaw) into
+equal widths over [-theta_max, theta_max], with yaw first wrapped into
+[-pi, pi) when theta_max is pi; an angle up to 1e-9 beyond the range is
+clipped into the end bin.  Any other pose is outside the map.
 """
 from __future__ import annotations
 
@@ -18,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridplan.dualquat import DualQuaternion, quat_from_euler, quat_to_euler
+from hybridplan.dualquat import (
+    DualQuaternion,
+    _qmul,
+    dq_to_lanes,
+    quat_from_euler,
+    quat_to_euler,
+)
 from hybridplan.geometry import Box, Sphere, collision_index, pose_must_collide
 from hybridplan.kinematics import (
     RobotModel,
@@ -213,36 +227,36 @@ class FeasibilityMap:
         return DualQuaternion.from_pose(self.voxel_center(vox),
                                         quat_from_euler(*angles))
 
-    def locate(self, pose: DualQuaternion):
-        """Cell (vox, ori) containing the pose, or None when outside."""
-        p = pose.translation()
-        rel = (p - self.box_lo) / self.voxel_size
-        vox = np.floor(rel).astype(int)
-        for a in range(3):
-            if vox[a] == self.voxel_counts[a] and abs(rel[a] - vox[a]) < 1e-9:
-                vox[a] -= 1  # on the upper face
-            if not 0 <= vox[a] < self.voxel_counts[a]:
-                return None
-        angles = quat_to_euler(pose.real)
-        ori = []
-        for a in range(3):
-            n = self.orient_counts[a]
-            ang = angles[a]
-            if abs(self.theta_max - np.pi) < 1e-12 and a == 2:
-                ang = (ang + np.pi) % (2 * np.pi) - np.pi  # wrap yaw
-            if ang < -self.theta_max - 1e-9 or ang > self.theta_max + 1e-9:
-                return None
-            width = 2.0 * self.theta_max / n
-            k = int(np.floor((ang + self.theta_max) / width))
-            ori.append(min(max(k, 0), n - 1))
-        return tuple(vox), tuple(ori)
+    def locate_lanes(self, lanes) -> np.ndarray:
+        """Flat cell index of each pose of (N, 8) lanes, or -1 outside the map.
+
+        The translation is formed as ``DualQuaternion.translation`` forms it
+        and the angles by one ``quat_to_euler`` over the lanes; the cell and
+        face rules are those of the module docstring.
+        """
+        rw, rx, ry, rz, dw, dx, dy, dz = np.asarray(lanes, dtype=float).T
+        _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+        rel = (2.0 * np.array([tx, ty, tz]).T - self.box_lo) / self.voxel_size
+        vox = np.floor(rel)
+        vox -= (vox == self.voxel_counts) & (np.abs(rel - vox) < 1e-9)   # upper face
+        tm = self.theta_max
+        ang = quat_to_euler((rw, rx, ry, rz)).T
+        if abs(tm - np.pi) < 1e-12:
+            ang[:, 2] = (ang[:, 2] + np.pi) % (2 * np.pi) - np.pi      # wrap yaw
+        n_ori = np.asarray(self.orient_counts)
+        ori = np.minimum(np.maximum(np.floor((ang + tm) / (2.0 * tm / n_ori)), 0), n_ori - 1)
+        inside = np.all((vox >= 0) & (vox < self.voxel_counts) & (np.abs(ang) <= tm + 1e-9),
+                        axis=-1)
+        digits = np.where(inside[:, None], np.concatenate([vox, ori], axis=-1), 0)
+        flat = np.ravel_multi_index(digits.T.astype(np.intp),
+                                    self.voxel_counts + self.orient_counts)
+        return np.where(inside, flat, -1)
 
     def lookup(self, pose: DualQuaternion) -> FeaResult:
         """Map verdict for the cell containing the pose."""
-        cell = self.locate(pose)
-        if cell is None:
+        idx = int(self.locate_lanes(pose.as_array()[None])[0])
+        if idx < 0:
             return FeaResult(False, 0.0, UNREACHABLE, None)
-        idx = self.cell_index(*cell)
         w = self.witnesses[idx]
         witness = None if np.any(np.isnan(w)) else w.astype(float)
         reason = int(self.reasons[idx])
@@ -258,9 +272,6 @@ class FeasibilityMap:
                         for ip in range(cy):
                             for iw in range(cz):
                                 yield (ix, iy, iz), (ir, ip, iw)
-
-    def feasible_fraction(self) -> float:
-        return float(np.mean(self.reasons == OK))
 
 
 def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices, seed,
@@ -495,15 +506,13 @@ class SegmentClassification:
 
 
 def classify_trajectory(poses, fmap: FeasibilityMap) -> SegmentClassification:
-    """Split a task-space trajectory into maximal FJ / notFJ runs."""
+    """Split a task-space trajectory into maximal FJ / notFJ runs, from one
+    ``locate_lanes`` call over all its poses."""
     if len(poses) < 2:
         raise ValueError("trajectory must have at least 2 poses")
-    mask = np.array([fmap.lookup(p).feasible for p in poses])
-    segments = []
-    start = 0
-    for i in range(1, len(poses)):
-        if mask[i] != mask[start]:
-            segments.append(Segment(start, i - 1, FJ if mask[start] else NOT_FJ))
-            start = i
-    segments.append(Segment(start, len(poses) - 1, FJ if mask[start] else NOT_FJ))
+    cells = fmap.locate_lanes(dq_to_lanes(poses))
+    mask = (cells >= 0) & (fmap.reasons[cells] == OK)
+    bounds = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    starts, ends = [0] + bounds, [b - 1 for b in bounds] + [len(poses) - 1]
+    segments = [Segment(s, e, FJ if mask[s] else NOT_FJ) for s, e in zip(starts, ends)]
     return SegmentClassification(segments, list(poses), mask)

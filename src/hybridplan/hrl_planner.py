@@ -16,6 +16,7 @@ import numpy as np
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_from_lanes,
+    dq_to_lanes,
     quat_from_axis_angle,
     quat_mul,
 )
@@ -139,13 +140,15 @@ def _jitter_pose(pose: DualQuaternion, cfg: HrlConfig, rng) -> DualQuaternion:
     return DualQuaternion.from_pose(pos + dp, quat_mul(spin, rot))
 
 
-def _state_key(tk_index: int, pose: DualQuaternion, fmap) -> tuple:
+def _config_cells(tasks, fmap) -> list:
+    """Per task, the state cell of each critical configuration: its flat map
+    cell, -2 outside the map, or -1 with no map.  One ``locate_lanes`` call
+    covers every task."""
     if fmap is None:
-        return (tk_index, -1)
-    cell = fmap.locate(pose)
-    if cell is None:
-        return (tk_index, -2)
-    return (tk_index, fmap.cell_index(*cell))
+        return [[-1] * len(t.configs) for t in tasks]
+    cells = fmap.locate_lanes(dq_to_lanes([p for t in tasks for p in t.configs]))
+    splits = np.cumsum([len(t.configs) for t in tasks])[:-1]
+    return [c.tolist() for c in np.split(np.where(cells < 0, -2, cells), splits)]
 
 
 def candidate_segments(tk_index: int, n_configs: int) -> list:
@@ -173,15 +176,18 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
     rng = np.random.default_rng(seed)
     tables = QTables()
     skill_ids = library.ids()
+    # the state keys read the un-jittered configurations
+    task_cells = _config_cells(tasks, fmap)
 
     for ep in range(cfg.episodes):
-        task = tasks[int(rng.integers(len(tasks)))]
+        k = int(rng.integers(len(tasks)))
+        task, cells = tasks[k], task_cells[k]
         configs = [_jitter_pose(p, cfg, rng) for p in task.configs]
         eps = cfg.epsilon(ep)
         idx = 0
         history = []
         while idx < len(configs) - 1:
-            state = _state_key(idx, task.configs[idx], fmap)
+            state = (idx, cells[idx])
             cands = candidate_segments(idx, len(configs))
             if rng.random() < eps:
                 seg = cands[int(rng.integers(len(cands)))]
@@ -203,7 +209,7 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
 
             next_idx = seg[1]
             if next_idx < len(configs) - 1:
-                next_state = _state_key(next_idx, task.configs[next_idx], fmap)
+                next_state = (next_idx, cells[next_idx])
                 next_cands = candidate_segments(next_idx, len(configs))
                 bootstrap = max(tables.task_q.get((next_state, s), 0.0)
                                 for s in next_cands)
@@ -261,12 +267,13 @@ def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
     per-segment pose index ranges.
     """
     skill_ids = library.ids()
+    cells = _config_cells([task], fmap)[0]
     idx = 0
     poses = []
     chosen = []
     ranges = []
     while idx < len(task.configs) - 1:
-        state = _state_key(idx, task.configs[idx], fmap)
+        state = (idx, cells[idx])
         cands = candidate_segments(idx, len(task.configs))
         seg = tables.best_segment(state, cands)
         skill_id = tables.best_skill(state, seg, skill_ids)

@@ -479,8 +479,13 @@ def save_robot(model: RobotModel, path) -> None:
         fh.write(serialize_robot(model))
 
 
+# fields after the key on each robot-file line; None: one per joint
+ROBOT_FIELDS = {"name": 1, "dof": 1, "task": 1, "joint": 16, "tool": 8, "capsule": 3,
+                "home_deg": None}
+
+
 def parse_robot(text: str) -> RobotModel:
-    name, task, tool, home = "robot", "spatial", None, None
+    name, task, tool, home, home_line = "robot", "spatial", None, None, None
     joints, capsules = [], []
     dof_declared = None
     for raw in text.splitlines():
@@ -489,6 +494,11 @@ def parse_robot(text: str) -> RobotModel:
             continue
         tok = line.split()
         key = tok[0]
+        if key not in ROBOT_FIELDS:
+            raise ValueError(f"unknown robot-file key '{key}'")
+        if ROBOT_FIELDS[key] is not None and len(tok) != 1 + ROBOT_FIELDS[key]:
+            raise ValueError(f"robot line {line!r}: '{key}' takes {ROBOT_FIELDS[key]} "
+                             f"fields, got {len(tok) - 1}")
         if key == "name":
             name = tok[1]
         elif key == "dof":
@@ -508,12 +518,16 @@ def parse_robot(text: str) -> RobotModel:
             tool = DualQuaternion.from_array(np.array([float(v) for v in tok[1:9]]))
         elif key == "capsule":
             capsules.append(LinkCapsule(int(tok[1]), int(tok[2]), float(tok[3])))
-        elif key == "home_deg":
-            home = np.radians(np.array([float(v) for v in tok[1:]]))
         else:
-            raise ValueError(f"unknown robot-file key '{key}'")
+            home_line = line
     if dof_declared is not None and dof_declared != len(joints):
         raise ValueError(f"declared dof {dof_declared} != {len(joints)} joint lines")
+    if home_line is not None:
+        vals = home_line.split()[1:]
+        if len(vals) != len(joints):
+            raise ValueError(f"robot line {home_line!r}: 'home_deg' takes one field per "
+                             f"joint ({len(joints)}), got {len(vals)}")
+        home = np.radians(np.array([float(v) for v in vals]))
     for c in capsules:
         if not (0 <= c.frame_a <= len(joints) + 1 and 0 <= c.frame_b <= len(joints) + 1):
             raise ValueError("capsule frame index out of range")

@@ -12,6 +12,8 @@
 * IK witnesses: ``ik_free`` and ``lfd_joint_candidates`` as full restart
   loops that check every solution for collision; the library's ``ik_free``
   skips the restarts on a pose that ``pose_must_collide`` certifies.
+* Map lookups: ``locate`` walks one pose's axes in Python loops; the
+  library's ``FeasibilityMap.locate_lanes`` bins N poses in array passes.
 * Execution scoring: ``execute`` scans the points for each critical
   configuration with ``pose_hit``, one scalar end-effector state per point;
   the library scores every point from one lane walk.
@@ -391,3 +393,28 @@ def execute(traj, model, cell, criteria, task) -> ExecutionReport:
             dropped = True
     success = failed is None and collisions == 0 and not dropped
     return ExecutionReport(success, hits, collisions, r_s, traj.max_step(), dropped, failed)
+
+
+def locate(fmap, pose: DualQuaternion):
+    """Cell (vox, ori) of the map containing the pose, or None when outside."""
+    p = pose.translation()
+    rel = (p - fmap.box_lo) / fmap.voxel_size
+    vox = np.floor(rel).astype(int)
+    for a in range(3):
+        if vox[a] == fmap.voxel_counts[a] and abs(rel[a] - vox[a]) < 1e-9:
+            vox[a] -= 1  # on the upper face
+        if not 0 <= vox[a] < fmap.voxel_counts[a]:
+            return None
+    angles = quat_to_euler(pose.real)
+    ori = []
+    for a in range(3):
+        n = fmap.orient_counts[a]
+        ang = angles[a]
+        if abs(fmap.theta_max - np.pi) < 1e-12 and a == 2:
+            ang = (ang + np.pi) % (2 * np.pi) - np.pi  # wrap yaw
+        if ang < -fmap.theta_max - 1e-9 or ang > fmap.theta_max + 1e-9:
+            return None
+        width = 2.0 * fmap.theta_max / n
+        k = int(np.floor((ang + fmap.theta_max) / width))
+        ori.append(min(max(k, 0), n - 1))
+    return tuple(vox), tuple(ori)

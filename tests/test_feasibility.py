@@ -3,12 +3,14 @@ import struct
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from hybridplan import feasibility
-from hybridplan.dualquat import DualQuaternion, dq_sclerp
+from hybridplan.dualquat import DualQuaternion, dq_sclerp, dq_to_lanes, quat_from_euler
 from hybridplan.feasibility import (
     COLLISION,
     FJ,
     FeaResult,
+    FeasibilityMap,
     LOW_MANIP,
     NOT_FJ,
     OK,
@@ -144,7 +146,7 @@ def test_build_map_witnesses_reverify():
         assert collision_index(m, w, [wall]) == 0
         assert normalized_manipulability(m, w) >= fmap.metadata["eps_m"] - 1e-3
         # the witness pose lands inside the cell it vouches for
-        assert fmap.locate(fk(m, w)) == (tuple(vox), tuple(ori))
+        assert fmap.locate_lanes(fk(m, w).as_array()[None])[0] == idx
         checked += 1
     assert checked > 10
 
@@ -190,15 +192,14 @@ def test_build_map_yaw_cells_planar_3r():
         if fmap.reasons[idx] != OK:
             continue
         w = fmap.witnesses[idx].astype(float)
-        assert fmap.locate(fk(m, w)) == (tuple(vox), tuple(ori))
+        assert fmap.locate_lanes(fk(m, w).as_array()[None])[0] == idx
         found += 1
     assert found >= 4
-    # yaw binning: a pose rotated by one bin width lands in the next bin
-    pose_a = planar_pose(0.4, 0.4, 0.1)
-    pose_b = planar_pose(0.4, 0.4, 0.1 + np.pi / 2)
-    (_, ori_a) = fmap.locate(pose_a)
-    (_, ori_b) = fmap.locate(pose_b)
-    assert ori_b[2] == ori_a[2] + 1
+    # yaw binning: a pose rotated by one bin width lands in the next bin of
+    # the same voxel (yaw is the last digit of the flat index)
+    cell_a, cell_b = fmap.locate_lanes(dq_to_lanes([planar_pose(0.4, 0.4, 0.1),
+                                                    planar_pose(0.4, 0.4, 0.1 + np.pi / 2)]))
+    assert cell_b == cell_a + 1
 
 
 def test_refinement_witness_transfer():
@@ -325,6 +326,88 @@ def test_load_map_rejects_trailing_bytes(tmp_path):
         load_map(path)
     path.write_bytes(full)
     assert map_bytes(load_map(path)) == full
+
+
+# ------------------------------------------------------------------ #
+# map lookups against the one-pose reference
+# ------------------------------------------------------------------ #
+def bare_map(theta_max, orient_counts, lo=(-0.3, -0.6, -0.1), voxel=0.3, counts=(6, 5, 1)):
+    """A map geometry with seeded verdicts and no build."""
+    n = int(np.prod(counts) * np.prod(orient_counts))
+    lo = np.asarray(lo, dtype=float)
+    reasons = np.random.default_rng(0).integers(0, 4, size=n).astype(np.uint8)
+    return FeasibilityMap(lo, lo + voxel * np.asarray(counts), voxel, counts, theta_max,
+                          orient_counts, 1, reasons, np.linspace(0, 1, n),
+                          np.arange(n, dtype=np.float32)[:, None])
+
+
+def boundary_poses(fmap, n, rng):
+    """Poses on voxel faces and bin edges at +-1e-12 and +-2e-9, on the box's
+    upper face, outside each side of the box, and at yaw +-pi and
+    +-(pi - 1e-12)."""
+    tm = fmap.theta_max
+    poses = []
+    for _ in range(n):
+        p = []
+        for lo, c in zip(fmap.box_lo, fmap.voxel_counts):
+            hi = lo + fmap.voxel_size * c
+            p.append(rng.choice([lo + fmap.voxel_size * rng.integers(0, c + 1)
+                                 + rng.choice([-2e-9, -1e-12, 0.0, 1e-12, 2e-9]),
+                                 rng.choice([lo - 1e-6, hi + 1e-6, lo - 5.0, hi + 5.0]),
+                                 rng.uniform(lo, hi)], p=[0.5, 0.1, 0.4]))
+        angles = []
+        for c in fmap.orient_counts:
+            angles.append(rng.choice([-tm + 2 * tm / c * rng.integers(0, c + 1)
+                                      + rng.choice([-2e-9, -1e-12, 0.0, 1e-12, 2e-9]),
+                                      rng.choice([np.pi, -np.pi, np.pi - 1e-12, 1e-12 - np.pi]),
+                                      rng.uniform(-np.pi, np.pi)], p=[0.4, 0.2, 0.4]))
+        q = quat_from_euler(*angles)
+        poses.append(DualQuaternion.from_pose(p, q if rng.random() < 0.5 else -q))
+    return poses
+
+
+def reference_cells(fmap, poses):
+    return np.array([-1 if (cell := ref.locate(fmap, p)) is None else fmap.cell_index(*cell)
+                     for p in poses])
+
+
+@pytest.mark.parametrize("theta_max, orient_counts", [
+    (np.pi, (1, 1, 1)), (np.pi, (1, 1, 3)), (np.pi, (1, 1, 8)),
+    (0.8, (2, 3, 4)), (np.pi / 2, (2, 3, 4))])
+def test_locate_lanes_matches_reference_on_boundaries(theta_max, orient_counts):
+    fmap = bare_map(theta_max, orient_counts)
+    poses = boundary_poses(fmap, 1000, np.random.default_rng(0))
+    want = reference_cells(fmap, poses)
+    assert 0 < np.sum(want < 0) < len(want)
+    np.testing.assert_array_equal(fmap.locate_lanes(dq_to_lanes(poses)), want)
+    # lookup is the one-row call
+    for pose, idx in zip(poses[:200], want):
+        res = fmap.lookup(pose)
+        if idx < 0:
+            assert res == FeaResult(False, 0.0, UNREACHABLE, None)
+        else:
+            assert (res.reason, res.man_prime, res.witness[0]) == (fmap.reasons[idx],
+                                                                   fmap.man[idx], idx)
+
+
+def test_classify_matches_reference_runs():
+    fmap = bare_map(np.pi, (1, 1, 3))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        a, b = (planar_pose(*rng.uniform([-0.6, -0.9, -np.pi], [1.8, 1.2, np.pi]))
+                for _ in range(2))
+        traj = straight_line(a, b, int(rng.integers(2, 60)))
+        cells = reference_cells(fmap, traj)
+        mask = [idx >= 0 and fmap.reasons[idx] == OK for idx in cells]
+        runs, start = [], 0
+        for i in range(1, len(traj) + 1):
+            if i == len(traj) or mask[i] != mask[start]:
+                runs.append((start, i - 1, FJ if mask[start] else NOT_FJ))
+                start = i
+        cls = classify_trajectory(traj, fmap)
+        assert cls.feasible_mask.tolist() == mask
+        assert [(s.start, s.end, s.label) for s in cls.segments] == runs
+        assert cls.poses == traj
 
 
 # ------------------------------------------------------------------ #

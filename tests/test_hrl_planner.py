@@ -5,6 +5,7 @@ import pytest
 
 import scalar_reference as ref
 from hybridplan.dualquat import DualQuaternion, dq_sclerp, dq_to_lanes
+from hybridplan.feasibility import FeasibilityMap
 from hybridplan.hrl_planner import (
     CURVE_FLOOR,
     HrlConfig,
@@ -188,6 +189,37 @@ def test_train_episodes_argument_leaves_config_unchanged():
     tables = train_hrl([task], lib, episodes=3, config=cfg, seed=0)
     assert cfg == HrlConfig(episodes=400, **NO_JITTER)
     assert len(tables.training_curve) == 3
+
+
+def test_state_keys_are_map_cells():
+    # a state is (configuration index, the configuration's map cell), the
+    # cell -2 outside the map and -1 with no map
+    n = 4 * 4 * 4
+    fmap = FeasibilityMap(np.array([-0.5, -0.5, -0.25]), np.array([1.5, 1.5, 0.25]), 0.5,
+                          (4, 4, 1), np.pi, (1, 1, 4), 1, np.zeros(n, np.uint8),
+                          np.zeros(n), np.zeros((n, 1), np.float32))
+    tasks = [Task("inside", [pose(0, 0), pose(1, 0), pose(1, 1, 2.0)]),
+             Task("outside", [pose(3, 3), pose(0.2, 0.3, -1.0), pose(1.2, 0.3)])]
+
+    def cell(c):
+        found = ref.locate(fmap, c)
+        return -2 if found is None else fmap.cell_index(*found)
+
+    keys = [[(i, cell(c)) for i, c in enumerate(t.configs)] for t in tasks]
+    lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
+    cfg = HrlConfig(episodes=40, **NO_JITTER)
+    tables = train_hrl(tasks, lib, config=cfg, seed=0, fmap=fmap)
+    states = {state for state, _ in tables.task_q}
+    assert keys[1][0] == (0, -2)
+    assert {keys[0][0], keys[1][0]} <= states <= set(keys[0] + keys[1])
+    # planning reads the same keys: only the map-keyed state prefers (0, 2)
+    for task, task_keys in zip(tasks, keys):
+        state = task_keys[0]
+        prefer = QTables({(state, (0, 2)): 1.0}, {(state, (0, 2), "b"): 1.0})
+        plan = plan_lfd(task, lib, prefer, fmap, points_per_gap=5)
+        assert plan["segments"] == [((0, 2), "b")]
+    no_map = train_hrl(tasks, lib, config=cfg, seed=0)
+    assert {state for state, _ in no_map.task_q} <= {(0, -1), (1, -1)}
 
 
 # ------------------------------------------------------------------ #

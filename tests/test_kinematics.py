@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,23 @@ def test_robot_file_validation():
         parse_robot("joint axis 0 0 1 offset 1 0 0 0 0 0 0 0 limits_deg 90 -90\nhome_deg 0\n")
     with pytest.raises(ValueError, match="unknown robot-file key"):
         parse_robot("frobnicate 3\n")
+
+
+JOINT_LINE = "joint axis 0 0 1 offset 1 0 0 0 0 0 0 0 limits_deg -175 175"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("capsule 1 2 0.040000000000000001", "capsule 1 2"),
+    ("capsule 1 2 0.040000000000000001", "capsule 1 2 0.04 9"),
+    ("tool 1 0 0 0 0 0.14999999999999999 0 0", "tool 1 0 0 0 0 0.15 0 0 9"),
+    (JOINT_LINE, JOINT_LINE.rsplit(" ", 1)[0]),
+    ("home_deg 0 60 -45", "home_deg 0 60"),
+])
+def test_parse_robot_rejects_a_wrong_field_count(old, new):
+    text = serialize_robot(planar_3r())
+    assert old in text
+    with pytest.raises(ValueError, match="robot line " + re.escape(repr(new))):
+        parse_robot(text.replace(old, new, 1))
 
 
 def test_capsule_validation():
