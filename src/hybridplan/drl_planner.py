@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from hybridplan.dualquat import DualQuaternion, quat_to_euler
+from hybridplan import records
+from hybridplan.dualquat import DualQuaternion, dq_from_lanes, quat_to_euler
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     collision_index,
@@ -239,25 +241,12 @@ class DrlEnv:
 # ------------------------------------------------------------------ #
 def save_segments(pairs, path) -> None:
     """One line per (start pose, goal pose) pair: 16 scalars."""
-    with open(path, "w") as fh:
-        for start, goal in pairs:
-            vals = np.concatenate([start.as_array(), goal.as_array()])
-            fh.write(" ".join("%.17g" % v for v in vals) + "\n")
+    records.write(path, [records.line(start.as_array(), goal.as_array()) for start, goal in pairs])
 
 
 def load_segments(path) -> list:
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = np.array([float(t) for t in line.split()])
-            if vals.shape != (16,):
-                raise ValueError("segment line must carry 16 scalars")
-            pairs.append((DualQuaternion.from_array(vals[:8]),
-                          DualQuaternion.from_array(vals[8:])))
-    return pairs
+    rows = records.read_table(Path(path).read_text(), 16, "segment")
+    return list(zip(dq_from_lanes(rows[:, :8]), dq_from_lanes(rows[:, 8:])))
 
 
 # ------------------------------------------------------------------ #

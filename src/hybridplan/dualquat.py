@@ -18,8 +18,11 @@ the one-lane case of ``dq_sclerp_lanes``.
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
+
+from hybridplan import records
 
 UNIT_TOL = 1e-9          # unit-norm assertion tolerance
 RENORM_THRESHOLD = 1e-6  # drift beyond this triggers renormalize-and-warn
@@ -357,18 +360,8 @@ def dq_sclerp(a: DualQuaternion, b: DualQuaternion, u: float) -> DualQuaternion:
 # Pose text format: one pose per line, 8 whitespace-separated decimals
 # ------------------------------------------------------------------ #
 def save_poses(path, poses) -> None:
-    with open(path, "w") as fh:
-        for d in poses:
-            fh.write(" ".join("%.17g" % x for x in d.as_array()) + "\n")
+    records.write(path, [records.line(d.as_array()) for d in poses])
 
 
 def load_poses(path) -> list:
-    poses = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = np.array([float(tok) for tok in line.split()])
-            poses.append(DualQuaternion.from_array(vals))
-    return poses
+    return dq_from_lanes(records.read_table(Path(path).read_text(), 8, "pose"))

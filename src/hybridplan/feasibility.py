@@ -23,6 +23,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from hybridplan.dualquat import (
     quat_from_euler,
     quat_to_euler,
 )
-from hybridplan.geometry import Box, Sphere, collision_index, pose_must_collide
+from hybridplan.geometry import collision_index, obstacle_line, pose_must_collide
 from hybridplan.kinematics import (
     RobotModel,
     fk,
@@ -51,21 +52,12 @@ MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
 FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
 _MAGIC = b"HPFM"
 _VERSION = 1
+_HEAD_FMT = "<4sI6dd3IdI3IIIdQ"
 
 
 def obstacles_signature(obstacles) -> str:
     """Canonical hash of an obstacle list (order-sensitive)."""
-    lines = []
-    for ob in obstacles:
-        if isinstance(ob, Box):
-            vals = " ".join("%.17g" % v for v in (*ob.lo, *ob.hi))
-            lines.append(f"box {ob.id} {vals}")
-        elif isinstance(ob, Sphere):
-            vals = " ".join("%.17g" % v for v in (*ob.center, ob.radius))
-            lines.append(f"sphere {ob.id} {vals}")
-        else:
-            raise TypeError(f"unknown obstacle type {type(ob)!r}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return hashlib.sha256("\n".join(map(obstacle_line, obstacles)).encode()).hexdigest()
 
 
 @dataclass
@@ -401,10 +393,10 @@ def _man_roundtrip(v: float) -> float:
 # ------------------------------------------------------------------ #
 # Binary map format
 # ------------------------------------------------------------------ #
-def _write_map(fh, fmap: FeasibilityMap) -> None:
+def map_bytes(fmap: FeasibilityMap) -> bytes:
     md = fmap.metadata
     header = struct.pack(
-        "<4sI6dd3IdI3IIIdQ",
+        _HEAD_FMT,
         _MAGIC, _VERSION,
         *fmap.box_lo, *fmap.box_hi,
         fmap.voxel_size, *fmap.voxel_counts,
@@ -413,28 +405,22 @@ def _write_map(fh, fmap: FeasibilityMap) -> None:
         fmap.dof, md["ik_budget"], md["eps_m"], md["seed"],
     )
     man_fixed = np.clip(np.round(fmap.man * MAN_FIXED_SCALE), 0, 65535).astype("<u2")
-    fh.write(header)
-    fh.write(md["robot_hash"].encode())
-    fh.write(md["obstacle_hash"].encode())
-    fh.write(fmap.reasons.astype(np.uint8).tobytes())
-    fh.write(man_fixed.tobytes())
-    fh.write(fmap.witnesses.astype("<f4").tobytes())
+    return b"".join([header, md["robot_hash"].encode(), md["obstacle_hash"].encode(),
+                     fmap.reasons.astype(np.uint8).tobytes(), man_fixed.tobytes(),
+                     fmap.witnesses.astype("<f4").tobytes()])
 
 
 def save_map(fmap: FeasibilityMap, path) -> None:
-    with open(path, "wb") as fh:
-        _write_map(fh, fmap)
+    Path(path).write_bytes(map_bytes(fmap))
 
 
 def load_map(path) -> FeasibilityMap:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head_fmt = "<4sI6dd3IdI3IIIdQ"
-    head_size = struct.calcsize(head_fmt)
+    raw = Path(path).read_bytes()
+    head_size = struct.calcsize(_HEAD_FMT)
     if len(raw) < head_size:
         raise ValueError(f"truncated map file: {len(raw)} bytes, expected at least "
                          f"{head_size} for the header")
-    vals = struct.unpack(head_fmt, raw[:head_size])
+    vals = struct.unpack(_HEAD_FMT, raw[:head_size])
     if vals[0] != _MAGIC or vals[1] != _VERSION:
         raise ValueError("not a feasibility map file")
     box_lo = np.array(vals[2:5])
@@ -461,13 +447,6 @@ def load_map(path) -> FeasibilityMap:
                           orient_counts, dof, reasons, man, wit,
                           {"robot_hash": robot_h, "obstacle_hash": obst_h,
                            "ik_budget": ik_budget, "eps_m": eps_m, "seed": seed})
-
-
-def map_bytes(fmap: FeasibilityMap) -> bytes:
-    import io
-    buf = io.BytesIO()
-    _write_map(buf, fmap)
-    return buf.getvalue()
 
 
 # ------------------------------------------------------------------ #

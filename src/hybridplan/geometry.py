@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import _lane_dot, _qrot, quat_to_matrix
 from hybridplan.kinematics import RobotModel, ee_state, frame_points
 
@@ -69,6 +70,15 @@ class Sphere:
 
     def inflated(self, eps: float) -> "Sphere":
         return Sphere(self.center, self.radius + eps, self.id)
+
+
+def obstacle_line(ob) -> str:
+    """The record line of a Box or Sphere, as in a workcell file."""
+    if isinstance(ob, Box):
+        return records.line("box", ob.id, ob.lo, ob.hi)
+    if isinstance(ob, Sphere):
+        return records.line("sphere", ob.id, ob.center, ob.radius)
+    raise TypeError(f"unknown obstacle type {type(ob)!r}")
 
 
 # ------------------------------------------------------------------ #

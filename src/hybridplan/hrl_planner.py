@@ -10,9 +10,11 @@ tolerance yields a sentinel treated as minus infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_from_lanes,
@@ -81,34 +83,29 @@ class QTables:
         return skill_ids[best]
 
 
+# fields after the key on each line of a Q-table file
+TABLE_FIELDS = {"Q": 5, "q": 6}
+
+
 def serialize_tables(tables: QTables) -> str:
-    lines = []
-    for (state, seg), v in sorted(tables.task_q.items()):
-        lines.append(f"Q {state[0]} {state[1]} {seg[0]} {seg[1]} {v:.17g}")
-    for (state, seg, skill), v in sorted(tables.motion_q.items()):
-        lines.append(f"q {state[0]} {state[1]} {seg[0]} {seg[1]} {skill} {v:.17g}")
-    return "\n".join(lines) + "\n"
+    return records.text(
+        [records.line("Q", *state, *seg, v) for (state, seg), v in sorted(tables.task_q.items())]
+        + [records.line("q", *state, *seg, skill, v)
+           for (state, seg, skill), v in sorted(tables.motion_q.items())])
 
 
 def save_tables(tables: QTables, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_tables(tables))
+    Path(path).write_text(serialize_tables(tables))
 
 
 def load_tables(path) -> QTables:
     tables = QTables()
-    with open(path) as fh:
-        for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "Q":
-                state = (int(tok[1]), int(tok[2]))
-                tables.task_q[(state, (int(tok[3]), int(tok[4])))] = float(tok[5])
-            elif tok[0] == "q":
-                state = (int(tok[1]), int(tok[2]))
-                key = (state, (int(tok[3]), int(tok[4])), tok[5])
-                tables.motion_q[key] = float(tok[6])
+    for key, f in records.read_keyed(Path(path).read_text(), TABLE_FIELDS, "Q-table"):
+        state, seg = (int(f[0]), int(f[1])), (int(f[2]), int(f[3]))
+        if key == "Q":
+            tables.task_q[(state, seg)] = float(f[4])
+        else:
+            tables.motion_q[(state, seg, f[4])] = float(f[5])
     return tables
 
 

@@ -28,9 +28,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import DualQuaternion, _lane_dot, _qmul, _qrot, quat_to_rotvec
 
 IK_DAMPING = 0.05      # damped least-squares factor
@@ -460,23 +462,20 @@ def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
 # Robot model file: structured text
 # ------------------------------------------------------------------ #
 def serialize_robot(model: RobotModel) -> str:
-    lines = [f"name {model.name}", f"dof {model.dof}", f"task {model.task}"]
+    lines = [records.line("name", model.name), records.line("dof", model.dof),
+             records.line("task", model.task)]
     for j in model.joints:
-        axis = " ".join("%.17g" % a for a in j.axis)
-        off = " ".join("%.17g" % x for x in j.offset.as_array())
-        lines.append(
-            f"joint axis {axis} offset {off} limits_deg "
-            f"{np.degrees(j.limits[0]):.10g} {np.degrees(j.limits[1]):.10g}")
-    lines.append("tool " + " ".join("%.17g" % x for x in model.tool.as_array()))
-    for c in model.capsules:
-        lines.append(f"capsule {c.frame_a} {c.frame_b} {c.radius:.17g}")
-    lines.append("home_deg " + " ".join("%.10g" % np.degrees(h) for h in model.home))
-    return "\n".join(lines) + "\n"
+        lo, hi = np.degrees(j.limits)
+        lines.append(records.line("joint", "axis", j.axis, "offset", j.offset.as_array(),
+                                  "limits_deg", "%.10g" % lo, "%.10g" % hi))
+    lines.append(records.line("tool", model.tool.as_array()))
+    lines += [records.line("capsule", c.frame_a, c.frame_b, c.radius) for c in model.capsules]
+    lines.append(records.line("home_deg", *("%.10g" % h for h in np.degrees(model.home))))
+    return records.text(lines)
 
 
 def save_robot(model: RobotModel, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_robot(model))
+    Path(path).write_text(serialize_robot(model))
 
 
 # fields after the key on each robot-file line; None: one per joint
@@ -485,49 +484,38 @@ ROBOT_FIELDS = {"name": 1, "dof": 1, "task": 1, "joint": 16, "tool": 8, "capsule
 
 
 def parse_robot(text: str) -> RobotModel:
-    name, task, tool, home, home_line = "robot", "spatial", None, None, None
+    name, task, tool, home, home_deg = "robot", "spatial", None, None, None
     joints, capsules = [], []
     dof_declared = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        key = tok[0]
-        if key not in ROBOT_FIELDS:
-            raise ValueError(f"unknown robot-file key '{key}'")
-        if ROBOT_FIELDS[key] is not None and len(tok) != 1 + ROBOT_FIELDS[key]:
-            raise ValueError(f"robot line {line!r}: '{key}' takes {ROBOT_FIELDS[key]} "
-                             f"fields, got {len(tok) - 1}")
+    for key, f in records.read_keyed(text, ROBOT_FIELDS, "robot"):
         if key == "name":
-            name = tok[1]
+            name = f[0]
         elif key == "dof":
-            dof_declared = int(tok[1])
+            dof_declared = int(f[0])
         elif key == "task":
-            if tok[1] not in ("spatial", "planar"):
-                raise ValueError(f"unknown task space '{tok[1]}'")
-            task = tok[1]
+            if f[0] not in ("spatial", "planar"):
+                raise ValueError(f"unknown task space '{f[0]}'")
+            task = f[0]
         elif key == "joint":
-            if tok[1] != "axis" or tok[5] != "offset" or tok[14] != "limits_deg":
-                raise ValueError(f"malformed joint line: {raw!r}")
-            axis = np.array([float(v) for v in tok[2:5]])
-            offset = DualQuaternion.from_array(np.array([float(v) for v in tok[6:14]]))
-            lims = (np.radians(float(tok[15])), np.radians(float(tok[16])))
-            joints.append((axis, offset, lims))
+            if f[0] != "axis" or f[4] != "offset" or f[13] != "limits_deg":
+                raise records.bad_line("robot", [key, *f],
+                                       "expected 'axis', 'offset' and 'limits_deg' fields")
+            lims = (np.radians(float(f[14])), np.radians(float(f[15])))
+            joints.append((np.array(f[1:4], dtype=float), DualQuaternion.from_array(f[5:13]), lims))
         elif key == "tool":
-            tool = DualQuaternion.from_array(np.array([float(v) for v in tok[1:9]]))
+            tool = DualQuaternion.from_array(f)
         elif key == "capsule":
-            capsules.append(LinkCapsule(int(tok[1]), int(tok[2]), float(tok[3])))
+            capsules.append(LinkCapsule(int(f[0]), int(f[1]), float(f[2])))
         else:
-            home_line = line
+            home_deg = f
     if dof_declared is not None and dof_declared != len(joints):
         raise ValueError(f"declared dof {dof_declared} != {len(joints)} joint lines")
-    if home_line is not None:
-        vals = home_line.split()[1:]
-        if len(vals) != len(joints):
-            raise ValueError(f"robot line {home_line!r}: 'home_deg' takes one field per "
-                             f"joint ({len(joints)}), got {len(vals)}")
-        home = np.radians(np.array([float(v) for v in vals]))
+    if home_deg is not None:
+        if len(home_deg) != len(joints):
+            raise records.bad_line("robot", ["home_deg", *home_deg],
+                                   f"'home_deg' takes one field per joint ({len(joints)}), "
+                                   f"got {len(home_deg)}")
+        home = np.radians(np.array(home_deg, dtype=float))
     for c in capsules:
         if not (0 <= c.frame_a <= len(joints) + 1 and 0 <= c.frame_b <= len(joints) + 1):
             raise ValueError("capsule frame index out of range")
@@ -537,8 +525,7 @@ def parse_robot(text: str) -> RobotModel:
 
 
 def load_robot(path) -> RobotModel:
-    with open(path) as fh:
-        return parse_robot(fh.read())
+    return parse_robot(Path(path).read_text())
 
 
 def robot_hash(model: RobotModel) -> str:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import (
     DualQuaternion,
     _lane_dot,
@@ -184,8 +185,8 @@ class SkillLibrary:
         return sorted(self.skills)
 
 
-_ID = re.compile(r"\S+")            # header fields that load_demonstration reads back
-_TAG = re.compile(r"[^\s,]+")
+_ID = re.compile(r"[^\s#]+")            # header fields that load_demonstration reads back
+_TAG = re.compile(r"[^\s,#]+")
 
 
 def save_demonstration(demo: Demonstration, path) -> None:
@@ -193,41 +194,27 @@ def save_demonstration(demo: Demonstration, path) -> None:
 
     Raises ValueError, before writing, for an id or tag that
     ``load_demonstration`` could not read back: an empty one, one with
-    whitespace, or a tag with a comma.
+    whitespace or '#', or a tag with a comma.
     """
     if not isinstance(demo.id, str) or not _ID.fullmatch(demo.id):
-        raise ValueError(f"demonstration id {demo.id!r} must be nonempty, without whitespace")
+        raise ValueError(f"demonstration id {demo.id!r} must be nonempty, "
+                         "without whitespace or '#'")
     for tag in demo.tags:
         if not isinstance(tag, str) or not _TAG.fullmatch(tag):
             raise ValueError(f"demonstration tag {tag!r} must be nonempty, "
-                             "without whitespace or commas")
-    with open(path, "w") as fh:
-        head = f"id {demo.id}"
-        if demo.tags:
-            head += " tags " + ",".join(demo.tags)
-        fh.write(head + "\n")
-        for row in demo.lanes:
-            fh.write(" ".join("%.17g" % x for x in row) + "\n")
+                             "without whitespace, '#' or commas")
+    head = ["id", demo.id] + (["tags", ",".join(demo.tags)] if demo.tags else [])
+    records.write(path, [records.line(*head)] + [records.line(row) for row in demo.lanes])
 
 
 def load_demonstration(path) -> Demonstration:
-    with open(path) as fh:
-        header = fh.readline().strip()
-    m = re.match(r"id\s+(\S+)(?:\s+tags\s+(\S+))?$", header)
+    header, _, body = Path(path).read_text().partition("\n")
+    m = re.fullmatch(r"id\s+(\S+)(?:\s+tags\s+(\S+))?", header.strip())
     if not m:
-        raise ValueError(f"malformed demonstration header: {header!r}")
-    demo_id = m.group(1)
+        raise ValueError(f"malformed demonstration header: {header.strip()!r}")
     tags = tuple(m.group(2).split(",")) if m.group(2) else ()
-    poses = []
-    with open(path) as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = np.array([float(t) for t in line.split()])
-            poses.append(DualQuaternion.from_array(vals))
-    return Demonstration(demo_id, poses, tags)
+    lanes = records.read_table(body, 8, "demonstration")
+    return Demonstration(m.group(1), dq_from_lanes(lanes), tags)
 
 
 def load_library(directory) -> SkillLibrary:

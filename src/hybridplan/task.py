@@ -3,9 +3,9 @@ attain, with per-configuration payload-hold flags."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
-import numpy as np
-
+from hybridplan import records
 from hybridplan.dualquat import DualQuaternion
 
 
@@ -24,34 +24,25 @@ class Task:
             raise ValueError("hold flags must match the configuration count")
 
 
+# fields after the key on each line of a task file
+TASK_FIELDS = {"task": 1, "config": 10}
+
+
 def save_task(task: Task, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"task {task.id}\n")
-        for pose, hold in zip(task.configs, task.hold):
-            vals = " ".join("%.17g" % x for x in pose.as_array())
-            fh.write(f"config {vals} hold {1 if hold else 0}\n")
+    records.write(path, [records.line("task", task.id)] + [
+        records.line("config", pose.as_array(), "hold", int(hold))
+        for pose, hold in zip(task.configs, task.hold)])
 
 
 def load_task(path) -> Task:
-    task_id = "task"
-    configs, hold = [], []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if tok[0] == "task":
-                if len(tok) != 2:
-                    raise ValueError(f"task line {line!r}: 'task' takes one id")
-                task_id = tok[1]
-            elif tok[0] == "config":
-                if len(tok) != 11 or tok[9] != "hold" or tok[10] not in ("0", "1"):
-                    raise ValueError(f"task line {line!r}: 'config' takes 8 numbers "
-                                     "and 'hold 0' or 'hold 1'")
-                vals = np.array([float(v) for v in tok[1:9]])
-                configs.append(DualQuaternion.from_array(vals))
-                hold.append(tok[10] == "1")
-            else:
-                raise ValueError(f"unknown task-file key '{tok[0]}'")
+    task_id, configs, hold = "task", [], []
+    for key, f in records.read_keyed(Path(path).read_text(), TASK_FIELDS, "task"):
+        if key == "task":
+            task_id = f[0]
+        elif f[8] != "hold" or f[9] not in ("0", "1"):
+            raise records.bad_line("task", [key, *f],
+                                   "'config' takes 8 numbers and 'hold 0' or 'hold 1'")
+        else:
+            configs.append(DualQuaternion.from_array(f[:8]))
+            hold.append(f[9] == "1")
     return Task(task_id, configs, hold)

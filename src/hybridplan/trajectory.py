@@ -1,9 +1,13 @@
 """Joint-space trajectory container with per-point annotations."""
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from hybridplan import records
 
 SOURCE_LFD, SOURCE_DRL = 0, 1
 SOURCE_NAMES = {SOURCE_LFD: "LFD", SOURCE_DRL: "DRL"}
@@ -50,36 +54,22 @@ class JointTrajectory:
 
 
 def save_joint_trajectory(traj: JointTrajectory, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# joints {traj.points.shape[1]} success {1 if traj.success else 0}\n")
-        for p, s, m, c in zip(traj.points, traj.source, traj.man, traj.col):
-            vals = " ".join("%.17g" % x for x in p)
-            fh.write(f"{vals} {int(s)} {m:.6g} {int(c)}\n")
+    head = f"# joints {traj.points.shape[1]} success {int(traj.success)}"
+    records.write(path, [head] + [records.line(p, s, "%.6g" % m, c) for p, s, m, c
+                                  in zip(traj.points, traj.source, traj.man, traj.col)])
 
 
 def load_joint_trajectory(path) -> JointTrajectory:
-    points, source, man, col = [], [], [], []
-    success = True
-    dof = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                tok = line.split()
-                if "joints" in tok:
-                    dof = int(tok[tok.index("joints") + 1])
-                if "success" in tok:
-                    success = tok[tok.index("success") + 1] == "1"
-                continue
-            vals = line.split()
-            points.append([float(v) for v in vals[:-3]])
-            source.append(int(vals[-3]))
-            man.append(float(vals[-2]))
-            col.append(int(vals[-1]))
-    points = np.array(points, dtype=float)
-    if dof is not None:
-        points = points.reshape(-1, dof)     # a 0-point file keeps its dof
-    return JointTrajectory(points, np.array(source, dtype=np.uint8),
-                           np.array(man), np.array(col, dtype=np.uint8), success)
+    """Read a ``save_joint_trajectory`` file: the ``# joints N success B``
+    header, then one row per point of N joint values, source, man and col."""
+    header, _, body = Path(path).read_text().partition("\n")
+    m = re.fullmatch(r"#\s*joints\s+(\d+)\s+success\s+([01])", header.strip())
+    if not m:
+        raise ValueError(f"joint trajectory header {header.strip()!r}: expected "
+                         "'# joints N success 0|1'")
+    dof = int(m.group(1))
+    rows = records.read_table(body, dof + 3, "joint trajectory")
+    if not np.isin(rows[:, [dof, dof + 2]], (0, 1)).all():
+        raise ValueError("joint trajectory source and col fields must be 0 or 1")
+    return JointTrajectory(rows[:, :dof], rows[:, dof].astype(np.uint8), rows[:, dof + 1],
+                           rows[:, dof + 2].astype(np.uint8), m.group(2) == "1")

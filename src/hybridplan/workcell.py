@@ -10,17 +10,18 @@ its manipulability from one lane chain walk, and finds each critical
 configuration's first hit at or after the previous one's with a lane mask;
 the scalar scan it replaces is the test reference.  Path collisions come
 from one ``collision_index_lanes`` call over the waypoints and their
-interpolants.  Workcell files are checked line by line: a line with the
-wrong number of fields is refused before anything is built.
+interpolants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import DualQuaternion, quat_to_euler
-from hybridplan.geometry import Box, Sphere, collision_index_lanes
+from hybridplan.geometry import Box, Sphere, collision_index_lanes, obstacle_line
 from hybridplan.kinematics import (
     RobotModel,
     _chain_eval,
@@ -66,55 +67,29 @@ class SuccessCriteria:
 
 
 def save_workcell(cell: Workcell, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"name {cell.name}\n")
-        vals = " ".join("%.17g" % v for v in (*cell.box_lo, *cell.box_hi))
-        fh.write(f"workspace {vals}\n")
-        for ob in cell.obstacles:
-            if isinstance(ob, Box):
-                vals = " ".join("%.17g" % v for v in (*ob.lo, *ob.hi))
-                fh.write(f"box {ob.id} {vals}\n")
-            else:
-                vals = " ".join("%.17g" % v for v in (*ob.center, ob.radius))
-                fh.write(f"sphere {ob.id} {vals}\n")
-        for label in sorted(cell.stations):
-            vals = " ".join("%.17g" % v for v in cell.stations[label].as_array())
-            fh.write(f"station {label} {vals}\n")
+    records.write(path, [
+        records.line("name", cell.name), records.line("workspace", cell.box_lo, cell.box_hi),
+        *map(obstacle_line, cell.obstacles),
+        *(records.line("station", label, cell.stations[label].as_array())
+          for label in sorted(cell.stations))])
 
 
 def load_workcell(path) -> Workcell:
-    name = "cell"
-    box_lo = box_hi = None
-    obstacles = []
-    stations = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tok = line.split()
-            if tok[0] not in WORKCELL_FIELDS:
-                raise ValueError(f"unknown workcell key '{tok[0]}'")
-            if len(tok) != 1 + WORKCELL_FIELDS[tok[0]]:
-                raise ValueError(f"workcell line {line!r}: '{tok[0]}' takes "
-                                 f"{WORKCELL_FIELDS[tok[0]]} fields, got {len(tok) - 1}")
-            if tok[0] == "name":
-                name = tok[1]
-            elif tok[0] == "workspace":
-                vals = [float(v) for v in tok[1:7]]
-                box_lo, box_hi = np.array(vals[:3]), np.array(vals[3:])
-            elif tok[0] == "box":
-                vals = [float(v) for v in tok[2:8]]
-                obstacles.append(Box(vals[:3], vals[3:], tok[1]))
-            elif tok[0] == "sphere":
-                vals = [float(v) for v in tok[2:6]]
-                obstacles.append(Sphere(vals[:3], vals[3], tok[1]))
-            else:
-                vals = np.array([float(v) for v in tok[2:10]])
-                stations[tok[1]] = DualQuaternion.from_array(vals)
-    if box_lo is None:
+    name, box, obstacles, stations = "cell", None, [], {}
+    for key, f in records.read_keyed(Path(path).read_text(), WORKCELL_FIELDS, "workcell"):
+        if key == "name":
+            name = f[0]
+        elif key == "workspace":
+            box = f
+        elif key == "box":
+            obstacles.append(Box(f[1:4], f[4:], f[0]))
+        elif key == "sphere":
+            obstacles.append(Sphere(f[1:4], float(f[4]), f[0]))
+        else:
+            stations[f[0]] = DualQuaternion.from_array(f[1:])
+    if box is None:
         raise ValueError("workcell file missing workspace box")
-    return Workcell(name, box_lo, box_hi, obstacles, stations)
+    return Workcell(name, box[:3], box[3:], obstacles, stations)
 
 
 # ------------------------------------------------------------------ #

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from hybridplan.drl_planner import (
     state_dim,
     train_drl,
 )
-from hybridplan.dualquat import DualQuaternion
+from hybridplan.dualquat import DualQuaternion, load_poses
 from hybridplan.geometry import Box, Sphere, collision_index_lanes
 from hybridplan.kinematics import (
     ee_state,
@@ -20,7 +22,9 @@ from hybridplan.kinematics import (
     normalized_manipulability_lanes,
     planar_3r,
 )
+from hybridplan.lfd import load_demonstration
 from hybridplan.rl_core import GaussianPolicy, PpoConfig
+from hybridplan.trajectory import load_joint_trajectory
 from scalar_reference import ScalarDrlEnv
 from scalar_reference import plan_drl as reference_plan_drl
 
@@ -363,10 +367,23 @@ def test_segments_file_roundtrip(tmp_path):
     assert drl_planner.load_segments(path) == []
 
 
-@pytest.mark.parametrize("n_scalars", [15, 17, 8])
-def test_load_segments_rejects_a_line_without_16_scalars(tmp_path, n_scalars):
-    path = tmp_path / "segments.txt"
-    good = " ".join(["1", "0", "0", "0", "0", "0", "0", "0"] * 2)
-    path.write_text(good + "\n" + " ".join(["0.5"] * n_scalars) + "\n")
-    with pytest.raises(ValueError, match="16 scalars"):
-        drl_planner.load_segments(path)
+TABLE_FILES = {        # loader, the lines before the rows, row width
+    "segments": (drl_planner.load_segments, "", 16),
+    "poses": (load_poses, "", 8),
+    "demo": (load_demonstration, "id d\n", 8),
+    "traj": (load_joint_trajectory, "# joints 3 success 1\n", 6),
+}
+ROW_CASES = [(fmt, n) for fmt, (_, _, width) in TABLE_FILES.items()
+             for n in (width - 1, width + 1, width // 2)]
+
+
+@pytest.mark.parametrize("fmt, n_scalars", ROW_CASES,
+                         ids=[str(n) if fmt == "segments" else f"{fmt}-{n}" for fmt, n in ROW_CASES])
+def test_load_segments_rejects_a_line_without_16_scalars(tmp_path, fmt, n_scalars):
+    load, head, width = TABLE_FILES[fmt]
+    path = tmp_path / "rows.txt"
+    good = " ".join(["1"] + ["0"] * (width - 1))
+    bad = " ".join(["0.5"] * n_scalars)
+    path.write_text(f"{head}{good}\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"line {bad!r}: takes {width} scalars")):
+        load(path)

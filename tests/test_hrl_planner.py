@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -360,3 +361,15 @@ def test_load_task_rejects_a_malformed_config_line(tmp_path, bad):
     path.write_text(f"task t\nconfig {IDENTITY} hold 0\n{bad}\n")
     with pytest.raises(ValueError, match="task line"):
         load_task(path)
+
+
+@pytest.mark.parametrize("bad", [
+    "Q 1 2 3",                             # two fields short
+    "Q 1 2 3 4 5 6 7",                     # two fields too many
+    "X 1 2",                               # unknown keyword
+])
+def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
+    path = tmp_path / "tables.txt"
+    path.write_text(f"Q 0 -1 0 1 0.5\nq 0 -1 0 1 a 0.25\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"Q-table line {bad!r}")):
+        load_tables(path)

@@ -23,6 +23,7 @@ from hybridplan.kinematics import (
     planar_3r,
     planar_rr,
     pose_error,
+    robot_hash,
     save_robot,
     serialize_robot,
 )
@@ -399,6 +400,16 @@ def test_robot_file_roundtrip(tmp_path):
     for _ in range(20):
         theta = rng.uniform(-2, 2, size=3)
         np.testing.assert_allclose(fk(loaded, theta).as_array(), fk(m, theta).as_array(), atol=1e-15)
+
+
+@pytest.mark.parametrize("model, digest", [
+    (planar_3r, "1e1469316e1484a01f4abc98da295ded1301f78fa7cd25d027abab7172801221"),
+    (planar_rr, "9f735688f9a393172496224aa2ab5055ddaf94c14eab265697a1302b5e2b3c5b"),
+], ids=["planar_3r", "planar_rr"])
+def test_robot_hash_is_pinned(model, digest):
+    # every stored map carries its robot's hash: a change to serialize_robot's
+    # bytes would make every stored map look built for another robot
+    assert robot_hash(model()) == digest
 
 
 def test_robot_file_validation():

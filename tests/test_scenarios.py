@@ -1,12 +1,17 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hybridplan.dualquat import DualQuaternion
 from hybridplan.feasibility import obstacles_signature
-from hybridplan.kinematics import load_robot, robot_hash
+from hybridplan.geometry import Sphere
+from hybridplan.kinematics import load_robot, planar_rr, robot_hash, save_robot
 from hybridplan.lfd import SkillLibrary, load_library
 from hybridplan.scenarios import SCENES, write_scene
-from hybridplan.task import Task, load_task
-from hybridplan.workcell import SuccessCriteria, Workcell, load_workcell
+from hybridplan.task import Task, load_task, save_task
+from hybridplan.workcell import SuccessCriteria, Workcell, load_workcell, save_workcell
 
 
 @pytest.fixture(scope="module", params=sorted(SCENES))
@@ -37,17 +42,53 @@ def test_no_library_skill_is_constant(scene):
 
 
 def test_write_scene_round_trip(scene, tmp_path):
-    paths = write_scene(scene, tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+    paths = write_scene(scene, first)
     robot = load_robot(paths["robot"])
     assert robot_hash(robot) == robot_hash(scene["robot"])
     cell = load_workcell(paths["workcell"])
     assert obstacles_signature(cell.obstacles) == obstacles_signature(scene["cell"].obstacles)
     np.testing.assert_array_equal(cell.box_lo, scene["cell"].box_lo)
     np.testing.assert_array_equal(cell.box_hi, scene["cell"].box_hi)
+    tasks = []
     for task in scene["tasks"]:
         back = load_task(paths["tasks"] / f"{task.id}.task")
         assert back.id == task.id and back.hold == task.hold
         np.testing.assert_array_equal([c.as_array() for c in back.configs],
                                       [c.as_array() for c in task.configs])
+        tasks.append(back)
     lib = load_library(paths["library"])
     assert lib.ids() == scene["library"].ids()
+    # the loaded scene writes the same bytes again, so the formats cannot drift
+    write_scene({"robot": robot, "cell": cell, "tasks": tasks, "library": lib}, again)
+    written = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+    for rel in written:
+        assert (again / rel).read_bytes() == (first / rel).read_bytes(), rel
+
+
+BOX = ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+NAME_WRITERS = {
+    "task id": lambda name, path: save_task(Task(name, [DualQuaternion.identity()] * 2), path),
+    "workcell name": lambda name, path: save_workcell(Workcell(name, *BOX), path),
+    "obstacle id": lambda name, path: save_workcell(
+        Workcell("c", *BOX, [Sphere([0.0, 0.0, 0.0], 0.1, name)]), path),
+    "station label": lambda name, path: save_workcell(
+        Workcell("c", *BOX, stations={name: DualQuaternion.identity()}), path),
+    "robot name": lambda name, path: save_robot(replace(planar_rr(), name=name), path),
+}
+
+
+@pytest.mark.parametrize("field, name", [
+    ("task id", "pick#1"),            # would read back as 'pick'
+    ("task id", "pick up"),
+    ("workcell name", ""),
+    ("obstacle id", "wall upper"),
+    ("station label", "s#1"),
+    ("robot name", "arm\t2"),
+])
+def test_writers_refuse_a_name_their_loader_cannot_read_back(tmp_path, field, name):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(f"record field {name!r} must be nonempty")):
+        NAME_WRITERS[field](name, path)
+    assert not path.exists()

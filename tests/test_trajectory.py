@@ -79,6 +79,26 @@ def test_file_round_trip(tmp_path, success):
     assert back.success == success
 
 
+@pytest.mark.parametrize("text", [
+    "0.1 0.2 0.3 0 0.5 1\n",
+    "# joints 3\n0.1 0.2 0.3 0 0.5 1\n",
+    "# joints 3 success 2\n0.1 0.2 0.3 0 0.5 1\n",
+], ids=["no header", "no success flag", "success 2"])
+def test_load_joint_trajectory_requires_its_header(tmp_path, text):
+    path = tmp_path / "t.traj"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="joint trajectory header"):
+        load_joint_trajectory(path)
+
+
+@pytest.mark.parametrize("row", ["0.1 0.2 0.3 0.5 0.5 1", "0.1 0.2 0.3 0 0.5 256"])
+def test_load_joint_trajectory_refuses_a_flag_other_than_0_or_1(tmp_path, row):
+    path = tmp_path / "t.traj"
+    path.write_text(f"# joints 3 success 1\n{row}\n")
+    with pytest.raises(ValueError, match="source and col"):
+        load_joint_trajectory(path)
+
+
 def test_empty_trajectory_round_trip(tmp_path):
     empty = JointTrajectory(np.zeros((0, 3)), np.zeros(0, np.uint8), np.zeros(0),
                             np.zeros(0, np.uint8), success=False)
