@@ -26,7 +26,6 @@ per lane step (the vectorised-environment layout of PPO).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -270,8 +269,8 @@ def _prepare_pairs(pairs, model, obstacles, rng, witnesses=None):
 
 
 def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
-              seed=0, batches=40, hidden=(64, 64), stats_path=None,
-              progress=None, start_witnesses=None, start_pool=None):
+              seed=0, batches=40, hidden=(64, 64), start_witnesses=None,
+              start_pool=None):
     """PPO over episodes whose start/goal are sampled from the bracket set.
 
     Each batch of ``ppo_cfg.num_steps`` steps (a multiple of
@@ -349,16 +348,6 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
         stats["epoch"] = b
         stats["reach_rate"] = reached / max(episodes, 1)
         curve.append(stats)
-        if progress:
-            progress(stats)
-    if stats_path:
-        with open(stats_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_reward", "clip_frac", "reach_rate"])
-            for row in curve:
-                writer.writerow([row["epoch"], "%.6g" % row["mean_reward"],
-                                 "%.6g" % row["clip_frac"],
-                                 "%.6g" % row["reach_rate"]])
     return policy, value_net, curve
 
 

@@ -182,9 +182,6 @@ class DualQuaternion:
         t = 2.0 * quat_mul(self.dual, quat_conj(self.real))
         return t[1:]
 
-    def rotation(self) -> np.ndarray:
-        return self.real.copy()
-
     def to_pose(self):
         """Return (position 3-vector, rotation quaternion)."""
         return self.translation(), self.real.copy()

@@ -37,7 +37,6 @@ from hybridplan.dualquat import (
 from hybridplan.geometry import collision_index, obstacle_line, pose_must_collide
 from hybridplan.kinematics import (
     RobotModel,
-    fk,
     ik_attempt,
     ik_descend,
     normalized_manipulability,
@@ -45,8 +44,6 @@ from hybridplan.kinematics import (
 )
 
 OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
-REASON_NAMES = {OK: "OK", UNREACHABLE: "UNREACHABLE", COLLISION: "COLLISION",
-                LOW_MANIP: "LOW_MANIP"}
 
 MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
 FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
@@ -66,10 +63,6 @@ class FeaResult:
     man_prime: float
     reason: int
     witness: np.ndarray | None = None
-
-    @property
-    def reason_name(self) -> str:
-        return REASON_NAMES[self.reason]
 
 
 def fea(pose: DualQuaternion, model: RobotModel, obstacles, eps_m=0.1,

@@ -185,7 +185,6 @@ class SkillLibrary:
         return sorted(self.skills)
 
 
-_ID = re.compile(r"[^\s#]+")            # header fields that load_demonstration reads back
 _TAG = re.compile(r"[^\s,#]+")
 
 
@@ -194,11 +193,8 @@ def save_demonstration(demo: Demonstration, path) -> None:
 
     Raises ValueError, before writing, for an id or tag that
     ``load_demonstration`` could not read back: an empty one, one with
-    whitespace or '#', or a tag with a comma.
+    whitespace or '#' (refused by ``records.line``), or a tag with a comma.
     """
-    if not isinstance(demo.id, str) or not _ID.fullmatch(demo.id):
-        raise ValueError(f"demonstration id {demo.id!r} must be nonempty, "
-                         "without whitespace or '#'")
     for tag in demo.tags:
         if not isinstance(tag, str) or not _TAG.fullmatch(tag):
             raise ValueError(f"demonstration tag {tag!r} must be nonempty, "

@@ -245,10 +245,6 @@ class PpoConfig:
     clip_eps: float = 0.2
     gae_lambda: float = 0.95
     epochs_per_batch: int = 10
-    # rewards are multiplied by this inside the update (value targets and
-    # advantages only); keeps long-horizon value regression well conditioned.
-    # Reported stats stay in unscaled units.
-    reward_scale: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.discount <= 1.0:
@@ -306,7 +302,7 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
     log_probs = batch.log_probs.reshape(T)
     values = value_net.values(obs)
     last_value = value_net.values(np.atleast_2d(batch.last_obs))
-    adv, returns = compute_gae(cfg.reward_scale * rewards, values.reshape(rewards.shape),
+    adv, returns = compute_gae(rewards, values.reshape(rewards.shape),
                                batch.dones.reshape(rewards.shape), last_value,
                                cfg.discount, cfg.gae_lambda)
     adv, returns = adv.reshape(T), returns.reshape(T)

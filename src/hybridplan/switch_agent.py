@@ -4,14 +4,16 @@ the joint-space bridge trajectories.
 Around every feasible/infeasible boundary the agent walks the decision
 window and chooses, waypoint by waypoint, whether to keep executing the
 current source or hand over; the first flip fixes the handover index.
-Handover inserts a capped joint-space blend.  The training reward is the
+Handover inserts a capped joint-space blend, and ``densify`` bounds every
+step of the assembled trajectory; both split edges by the rule stated in
+``hybridplan.trajectory``.  The training reward is the
 per-point feasibility sum (normalized manipulability minus collision) of the
 executed window, which is exactly the trajectory-level reward restricted to
 the points the decision can influence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from hybridplan.rl_core import (
     ValueNet,
     ppo_update,
 )
-from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
+from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, edge_steps, subdivide
 
 ACT_KEEP, ACT_SWITCH = 0, 1
 
@@ -84,16 +86,15 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
 
 
 def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
-    """Joint-space handover ramp between two waypoints (exclusive endpoints)."""
-    gap = float(np.max(np.abs(theta_b - theta_a)))
-    steps = int(np.ceil(gap / np.radians(cfg.blend_step_deg)))
-    steps = min(max(steps - 1, 0), cfg.blend_points)
-    if steps == 0:
-        return JointTrajectory(np.zeros((0, len(theta_a))),
-                               np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, np.uint8))
-    pts = np.array([theta_a + (k / (steps + 1)) * (theta_b - theta_a)
-                    for k in range(1, steps + 1)])
-    return JointTrajectory(pts, np.full(steps, SOURCE_DRL, np.uint8),
+    """Joint-space handover ramp between two waypoints (exclusive endpoints):
+    the inserted rows of their edge split at ``blend_step_deg``, at most
+    ``blend_points`` of them."""
+    ends = np.array([theta_a, theta_b], dtype=float)
+    pieces = np.ceil(edge_steps(ends) / np.radians(cfg.blend_step_deg))
+    pts = subdivide(ends, np.minimum(pieces, cfg.blend_points + 1))[0][1:-1]
+    if len(pts) == 0:                # no lane call: it costs even on no rows
+        return JointTrajectory(pts)
+    return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8),
                            normalized_manipulability_lanes(model, pts),
                            collision_index_lanes(model, pts, obstacles))
 
@@ -180,85 +181,50 @@ def assemble(lfd_cands: JointTrajectory, bands: list, switches: list,
     indices [(switch_in, switch_out), ...]."""
     parts = []
     cursor = 0
-
-    def lfd_slice(a, b):
-        return JointTrajectory(lfd_cands.points[a:b], lfd_cands.source[a:b],
-                               lfd_cands.man[a:b], lfd_cands.col[a:b])
-
     for band, (s_in, s_out) in zip(bands, switches):
-        parts.append(lfd_slice(cursor, s_in + 1))
-        last = lfd_cands.points[s_in]
-        parts.append(blend(last, band.bridge.points[0], model, obstacles, cfg))
+        parts.append(lfd_cands[cursor:s_in + 1])
+        parts.append(blend(lfd_cands.points[s_in], band.bridge.points[0], model, obstacles, cfg))
         parts.append(band.bridge)
         parts.append(blend(band.bridge.points[-1], lfd_cands.points[s_out],
                            model, obstacles, cfg))
         cursor = s_out
-    parts.append(lfd_slice(cursor, len(lfd_cands)))
-    out = parts[0]
-    for p in parts[1:]:
-        if len(p):
-            out = out.concat(p)
+    out = JointTrajectory.concat(*parts, lfd_cands[cursor:])
     out.success = all(b.bridge.success for b in bands)
     return out
 
 
 def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajectory:
-    """Insert linear joint interpolation so no step exceeds the bound."""
+    """Insert linear joint interpolation so no step exceeds the bound: each
+    edge split at the bound; an inserted point takes the source of the
+    waypoint it leads to and is annotated by its own score."""
     if not bound_deg > 0:
         raise ValueError(f"bound_deg must be positive, got {bound_deg}")
-    bound = np.radians(bound_deg)
-    pts, src, man, col = [], [], [], []
-    inserted = []
-    for k, theta in enumerate(traj.points):
-        if k > 0:
-            prev = traj.points[k - 1]
-            gap = float(np.max(np.abs(theta - prev)))
-            extra = int(np.ceil(gap / bound)) - 1
-            for e in range(1, extra + 1):
-                inserted.append(len(pts))
-                pts.append(prev + (e / (extra + 1)) * (theta - prev))
-                src.append(traj.source[k])
-                man.append(0.0)
-                col.append(0)
-        pts.append(theta)
-        src.append(traj.source[k])
-        man.append(traj.man[k])
-        col.append(traj.col[k])
-    pts, man, col = np.array(pts), np.array(man), np.array(col, np.uint8)
-    if inserted:
+    pieces = np.ceil(edge_steps(traj.points) / np.radians(bound_deg))
+    pts, at = subdivide(traj.points, pieces)
+    src = traj.source[np.searchsorted(at, np.arange(len(pts)))]
+    man, col = np.zeros(len(pts)), np.zeros(len(pts), np.uint8)
+    man[at], col[at] = traj.man, traj.col
+    inserted = np.setdiff1d(np.arange(len(pts)), at)
+    if len(inserted):
         man[inserted] = normalized_manipulability_lanes(model, pts[inserted])
         col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
-    return JointTrajectory(pts, np.array(src, np.uint8), man, col,
-                           traj.success, dict(traj.meta))
+    return JointTrajectory(pts, src, man, col, traj.success, dict(traj.meta))
 
 
 def _walk_band(band, lfd_cands, cfg, choose):
-    """Run the sequential first-flip decisions for one band.
-
-    ``choose(obs, boundary, j) -> action``; returns (switch_in, switch_out,
-    decision list [(obs, action)])."""
-    decisions = []
-    s_in = band.entry.hi
-    for j in range(band.entry.lo, band.entry.hi + 1):
-        obs = None if choose is None else boundary_observation(
-            band, band.entry, j, lfd_cands, cfg)
-        act = ACT_SWITCH if choose is None else choose(obs, band.entry, j)
-        if choose is not None:
-            decisions.append((obs, act))
-        if act == ACT_SWITCH:
-            s_in = j
-            break
-    s_out = band.exit.hi
-    for j in range(band.exit.lo, band.exit.hi + 1):
-        obs = None if choose is None else boundary_observation(
-            band, band.exit, j, lfd_cands, cfg)
-        act = ACT_SWITCH if choose is None else choose(obs, band.exit, j)
-        if choose is not None:
-            decisions.append((obs, act))
-        if act == ACT_SWITCH:
-            s_out = j
-            break
-    return s_in, s_out, decisions
+    """Run the sequential first-flip decisions for one band, the entry window
+    first.  ``choose(obs, boundary, j) -> action``; returns (switch_in,
+    switch_out): per window the first index switched at, else its last."""
+    out = []
+    for boundary in (band.entry, band.exit):
+        switch = boundary.hi
+        for j in range(boundary.lo, boundary.hi + 1):
+            obs = boundary_observation(band, boundary, j, lfd_cands, cfg)
+            if choose(obs, boundary, j) == ACT_SWITCH:
+                switch = j
+                break
+        out.append(switch)
+    return tuple(out)
 
 
 def heuristic_switches(bands) -> list:
@@ -266,17 +232,11 @@ def heuristic_switches(bands) -> list:
     return [(b.entry.index, b.exit.index) for b in bands]
 
 
-def policy_switches(policy, bands, lfd_cands, cfg, rng=None) -> list:
-    """Greedy (or sampled, when rng given) handover indices from the policy."""
-    out = []
-    for band in bands:
-        def choose(obs, boundary, j):
-            if rng is None:
-                return policy.mean_action(obs)
-            return policy.act(obs, rng)[0]
-        s_in, s_out, _ = _walk_band(band, lfd_cands, cfg, choose)
-        out.append((s_in, s_out))
-    return out
+def policy_switches(policy, bands, lfd_cands, cfg) -> list:
+    """Greedy handover indices from the policy."""
+    def choose(obs, boundary, j):
+        return policy.mean_action(obs)
+    return [_walk_band(band, lfd_cands, cfg, choose) for band in bands]
 
 
 def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
@@ -285,13 +245,8 @@ def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
 
     ``blends``, a dict kept per band, memoises the handover blends: the entry
     blend depends only on ``s_in`` and the exit blend only on ``s_out``."""
-    w_lo, w_hi = band.entry.lo, band.exit.hi
-    prefix = JointTrajectory(lfd_cands.points[w_lo:s_in + 1],
-                             man=lfd_cands.man[w_lo:s_in + 1],
-                             col=lfd_cands.col[w_lo:s_in + 1])
-    suffix = JointTrajectory(lfd_cands.points[s_out:w_hi + 1],
-                             man=lfd_cands.man[s_out:w_hi + 1],
-                             col=lfd_cands.col[s_out:w_hi + 1])
+    prefix = lfd_cands[band.entry.lo:s_in + 1]
+    suffix = lfd_cands[s_out:band.exit.hi + 1]
     blends = {} if blends is None else blends
     if ("in", s_in) not in blends:
         blends["in", s_in] = blend(lfd_cands.points[s_in], band.bridge.points[0],
@@ -323,7 +278,7 @@ def brute_force_switches(band, lfd_cands, model, obstacles, cfg) -> tuple:
 
 
 def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
-                 batches=30, progress=None):
+                 batches=30):
     """Train the discrete switching policy.
 
     ``scenarios`` is a list of (lfd_cands, bands) pairs prepared from
@@ -365,7 +320,7 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
                 decisions.append((obs, a, logp))
                 return a
 
-            s_in, s_out, _ = _walk_band(band, lfd_cands, cfg, choose)
+            s_in, s_out = _walk_band(band, lfd_cands, cfg, choose)
             r = executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
                                        cfg, blends.setdefault((k_scenario, k_band), {})) / span
             for k, (obs, a, logp) in enumerate(decisions):
@@ -382,6 +337,4 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
         stats = ppo_update(policy, value_net, batch, ppo_cfg, rng)
         stats["epoch"] = b
         curve.append(stats)
-        if progress:
-            progress(stats)
     return policy, value_net, curve

@@ -1,4 +1,11 @@
-"""Joint-space trajectory container with per-point annotations."""
+"""Joint-space trajectory container with per-point annotations, and the one
+rule for the edges of a ``(k, dof)`` joint path: an edge's step is the
+infinity norm of its joint difference (``edge_steps``), and an edge is split
+into ``ceil(step / bound)`` equal pieces, inserting ``a + (j / pieces) * (b - a)``
+(``subdivide``).  ``densify`` splits at the smoothness bound, ``blend`` at its
+step cap (at most ``blend_points`` rows), and ``execute``'s path collision
+check at ``COLLISION_RES_DEG``.
+"""
 from __future__ import annotations
 
 import re
@@ -38,19 +45,43 @@ class JointTrajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    def max_step(self) -> float:
-        """Largest inter-waypoint joint move (infinity norm), radians."""
-        if len(self.points) < 2:
-            return 0.0
-        return float(np.max(np.abs(np.diff(self.points, axis=0))))
+    def __getitem__(self, rows: slice) -> "JointTrajectory":
+        """The points ``rows`` (a slice) with their annotations and this
+        trajectory's success; the arrays are views of this trajectory's."""
+        return JointTrajectory(self.points[rows], self.source[rows], self.man[rows],
+                               self.col[rows], self.success)
 
-    def concat(self, other: "JointTrajectory") -> "JointTrajectory":
-        return JointTrajectory(
-            np.vstack([self.points, other.points]),
-            np.concatenate([self.source, other.source]),
-            np.concatenate([self.man, other.man]),
-            np.concatenate([self.col, other.col]),
-            self.success and other.success)
+    def max_step(self) -> float:
+        """Largest edge step (``edge_steps``), radians; 0.0 below two points."""
+        return float(np.max(edge_steps(self.points), initial=0.0))
+
+    def concat(self, *others: "JointTrajectory") -> "JointTrajectory":
+        """This trajectory followed by ``others``; successful when all are."""
+        parts = (self, *others)
+        return JointTrajectory(*(np.concatenate([getattr(p, name) for p in parts])
+                                 for name in ("points", "source", "man", "col")),
+                               all(p.success for p in parts))
+
+
+def edge_steps(points) -> np.ndarray:
+    """The ``(k - 1,)`` infinity-norm joint steps of a ``(k, dof)`` path."""
+    return np.max(np.abs(np.diff(np.asarray(points, dtype=float), axis=0)), axis=1)
+
+
+def subdivide(points, pieces):
+    """Split edge ``i`` of a ``(k, dof)`` path into ``pieces[i]`` equal steps;
+    an edge of 0 or 1 pieces is left as it is.  Returns the rows in path order
+    and the row of each original point."""
+    points = np.asarray(points, dtype=float)
+    # rows from each point up to the next one: the point and its edge's inserts
+    per_point = np.append(np.maximum(pieces, 1), 1)[:len(points)].astype(int)
+    at = np.cumsum(per_point) - per_point
+    start = np.repeat(np.arange(len(points)), per_point)     # each row's edge start
+    u = (np.arange(len(start)) - at[start]) / per_point[start]
+    end = points[np.minimum(start + 1, len(points) - 1)]
+    rows = points[start] + u[:, None] * (end - points[start])
+    rows[at] = points
+    return rows, at
 
 
 def save_joint_trajectory(traj: JointTrajectory, path) -> None:

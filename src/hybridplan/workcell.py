@@ -10,7 +10,8 @@ its manipulability from one lane chain walk, and finds each critical
 configuration's first hit at or after the previous one's with a lane mask;
 the scalar scan it replaces is the test reference.  Path collisions come
 from one ``collision_index_lanes`` call over the waypoints and their
-interpolants.
+interpolants, each edge split at ``COLLISION_RES_DEG`` by the rule stated in
+``hybridplan.trajectory``.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from hybridplan.kinematics import (
     _normalized_manipulability_raw,
 )
 from hybridplan.task import Task
-from hybridplan.trajectory import JointTrajectory
+from hybridplan.trajectory import JointTrajectory, edge_steps, subdivide
 
 COLLISION_RES_DEG = 2.0     # interpolation resolution for path checking
 SMOOTH_BOUND_DEG = 2.0      # max joint step while holding a payload
@@ -101,18 +102,8 @@ def _path_verdicts(model, points, obstacles, res_deg):
     the positions of the waypoints among them."""
     if not res_deg > 0:
         raise ValueError(f"res_deg must be positive, got {res_deg}")
-    res = np.radians(res_deg)
-    configs = []
-    at = []
-    prev = None
-    for theta in points:
-        if prev is not None:
-            steps = np.ceil(np.max(np.abs(theta - prev)) / res)
-            configs += [prev + (k / steps) * (theta - prev) for k in range(1, int(steps))]
-        at.append(len(configs))
-        configs.append(theta)
-        prev = theta
-    return collision_index_lanes(model, np.array(configs), obstacles), at
+    configs, at = subdivide(points, np.ceil(edge_steps(points) / np.radians(res_deg)))
+    return collision_index_lanes(model, configs, obstacles), at
 
 
 def count_path_collisions(model, points, obstacles, res_deg=COLLISION_RES_DEG):
@@ -161,17 +152,14 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     man = _normalized_manipulability_raw(model, axes, origins, p)
     r_s = float(np.sum(man - verdicts[at]))
 
-    dropped = False
+    # a held segment drops the payload on any step above the smoothness bound
+    steps = edge_steps(points)
     bound = np.radians(SMOOTH_BOUND_DEG)
-    for j in range(len(task.configs) - 1):
-        if not task.hold[j] or hits[j] is None or hits[j + 1] is None:
-            continue
-        seg = points[hits[j]:hits[j + 1] + 1]
-        if len(seg) >= 2 and np.max(np.abs(np.diff(seg, axis=0))) > bound + 1e-12:
-            dropped = True
-    max_step = traj.max_step()
+    dropped = any(task.hold[j] and hits[j] is not None and hits[j + 1] is not None
+                  and np.max(steps[hits[j]:hits[j + 1]], initial=0.0) > bound + 1e-12
+                  for j in range(len(task.configs) - 1))
     success = failed is None and collisions == 0 and not dropped
-    return ExecutionReport(success, hits, collisions, r_s, max_step, dropped, failed)
+    return ExecutionReport(success, hits, collisions, r_s, traj.max_step(), dropped, failed)
 
 
 # ------------------------------------------------------------------ #

@@ -17,6 +17,10 @@
 * Execution scoring: ``execute`` scans the points for each critical
   configuration with ``pose_hit``, one scalar end-effector state per point;
   the library scores every point from one lane walk.
+* Joint-path edges: ``blend``, ``densify`` and ``path_verdicts`` (the
+  library's ``workcell._path_verdicts``) split one edge at a time and append
+  one inserted point at a time; the library splits every edge of a path in
+  one ``trajectory.subdivide`` call.
 
 The tests compare the two."""
 import numpy as np
@@ -393,6 +397,68 @@ def execute(traj, model, cell, criteria, task) -> ExecutionReport:
             dropped = True
     success = failed is None and collisions == 0 and not dropped
     return ExecutionReport(success, hits, collisions, r_s, traj.max_step(), dropped, failed)
+
+
+# ------------------------------------------------------------------ #
+# Joint-path edges: one edge and one inserted point at a time
+# ------------------------------------------------------------------ #
+def blend(theta_a, theta_b, model, obstacles, cfg) -> JointTrajectory:
+    gap = float(np.max(np.abs(theta_b - theta_a)))
+    steps = int(np.ceil(gap / np.radians(cfg.blend_step_deg)))
+    steps = min(max(steps - 1, 0), cfg.blend_points)
+    if steps == 0:
+        return JointTrajectory(np.zeros((0, len(theta_a))),
+                               np.zeros(0, np.uint8), np.zeros(0), np.zeros(0, np.uint8))
+    pts = np.array([theta_a + (k / (steps + 1)) * (theta_b - theta_a)
+                    for k in range(1, steps + 1)])
+    return JointTrajectory(pts, np.full(steps, SOURCE_DRL, np.uint8),
+                           normalized_manipulability_lanes(model, pts),
+                           collision_index_lanes(model, pts, obstacles))
+
+
+def densify(traj, model, obstacles, bound_deg) -> JointTrajectory:
+    bound = np.radians(bound_deg)
+    pts, src, man, col = [], [], [], []
+    inserted = []
+    for k, theta in enumerate(traj.points):
+        if k > 0:
+            prev = traj.points[k - 1]
+            gap = float(np.max(np.abs(theta - prev)))
+            extra = int(np.ceil(gap / bound)) - 1
+            for e in range(1, extra + 1):
+                inserted.append(len(pts))
+                pts.append(prev + (e / (extra + 1)) * (theta - prev))
+                src.append(traj.source[k])
+                man.append(0.0)
+                col.append(0)
+        pts.append(theta)
+        src.append(traj.source[k])
+        man.append(traj.man[k])
+        col.append(traj.col[k])
+    # the reshape keeps an empty path a (0, dof) path
+    pts, man, col = np.array(pts).reshape(-1, traj.points.shape[1]), np.array(man), \
+        np.array(col, np.uint8)
+    if inserted:
+        man[inserted] = normalized_manipulability_lanes(model, pts[inserted])
+        col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
+    return JointTrajectory(pts, np.array(src, np.uint8), man, col,
+                           traj.success, dict(traj.meta))
+
+
+def path_verdicts(model, points, obstacles, res_deg):
+    res = np.radians(res_deg)
+    configs = []
+    at = []
+    prev = None
+    for theta in points:
+        if prev is not None:
+            steps = np.ceil(np.max(np.abs(theta - prev)) / res)
+            configs += [prev + (k / steps) * (theta - prev) for k in range(1, int(steps))]
+        at.append(len(configs))
+        configs.append(theta)
+        prev = theta
+    configs = np.array(configs).reshape(-1, np.shape(points)[1])
+    return collision_index_lanes(model, configs, obstacles), at
 
 
 def locate(fmap, pose: DualQuaternion):

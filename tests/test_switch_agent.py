@@ -25,6 +25,7 @@ from hybridplan.switch_agent import (
 )
 from hybridplan.scenarios import planar_pose, wall_slot
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
+from hybridplan.workcell import COLLISION_RES_DEG, _path_verdicts
 
 
 def test_train_switch_rejects_scenarios_without_bands():
@@ -110,6 +111,59 @@ def test_densify_rejects_non_positive_bound(bound_deg):
     traj = annotated(model, [model.home, model.home + 0.1])
     with pytest.raises(ValueError, match="bound_deg"):
         densify(traj, model, [POST], bound_deg)
+
+
+def edge_paths():
+    """Seeded planar_3r joint paths, each named after the edge case it holds;
+    the walk starts on the stretched arm, which hits POST."""
+    walk = np.cumsum(np.random.default_rng(11).uniform(-0.08, 0.08, (8, 3)), axis=0)
+    step, a = np.radians(2.0), walk[0]
+    return {
+        "random walk": walk,
+        "repeated point": np.insert(walk, 3, walk[3], axis=0),      # a zero-length edge
+        "k x bound": np.array([[0.0, 0.0, 0.0], [3 * step, 0.0, 0.0],
+                               [3 * step, -5 * step, 0.0]]),
+        "one point": walk[:1],
+        "empty": walk[:0],
+        "blend above its cap": np.array([a, a + np.radians([30.0, -4.0, 0.0])]),
+        "blend below its cap": np.array([a, a + np.radians([0.0, 7.0, 1.0])]),
+    }
+
+
+EDGE_PATHS = edge_paths()
+
+
+def assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("case", list(EDGE_PATHS))
+def test_edge_splits_equal_the_per_point_loops(case):
+    model = planar_3r()
+    points = EDGE_PATHS[case]
+    k = len(points)
+    rng = np.random.default_rng(k)
+    traj = JointTrajectory(points, rng.integers(0, 2, k).astype(np.uint8),
+                           rng.uniform(0.0, 1.0, k), rng.integers(0, 2, k).astype(np.uint8))
+    cfg = SwitchConfig(blend_points=6)
+    pairs = []
+    for bound_deg in (2.0, 0.5):
+        pairs.append((densify(traj, model, [POST], bound_deg),
+                      scalar_reference.densify(traj, model, [POST], bound_deg)))
+    for a, b in zip(points[:-1], points[1:]):
+        pairs.append((blend(a, b, model, [POST], cfg),
+                      scalar_reference.blend(a, b, model, [POST], cfg)))
+    for got, ref in pairs:
+        for field in ("points", "source", "man", "col"):
+            assert_same_bits(getattr(got, field), getattr(ref, field))
+    if case.startswith("blend"):
+        assert (len(pairs[-1][0]) == cfg.blend_points) == (case == "blend above its cap")
+    (col, at), (ref_col, ref_at) = [
+        f(model, points, [POST], COLLISION_RES_DEG)
+        for f in (_path_verdicts, scalar_reference.path_verdicts)]
+    assert_same_bits(col, ref_col)
+    assert at.tolist() == ref_at
 
 
 def band_scene(model, cfg, n=14, i=5, j=8):

@@ -50,16 +50,28 @@ def test_max_step_is_the_largest_joint_move():
     assert JointTrajectory(np.zeros((0, 2))).max_step() == 0.0
 
 
-def test_concat_keeps_order_and_ands_success():
-    a, b = annotated(3, seed=1), annotated(4, seed=2, success=False)
-    ab = a.concat(b)
-    assert len(ab) == 7
-    np.testing.assert_array_equal(ab.points, np.vstack([a.points, b.points]))
+@pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 2), (3, 0, 4)],
+                         ids=["two parts", "three parts", "an empty part"])
+def test_concat_keeps_order_and_ands_success(sizes):
+    parts = [annotated(k, seed=s) for s, k in enumerate(sizes, start=1)]
+    parts[1].success = False
+    out = parts[0].concat(*parts[1:])
+    assert len(out) == sum(sizes)
+    np.testing.assert_array_equal(out.points, np.vstack([p.points for p in parts]))
     for name in ("source", "man", "col"):
-        np.testing.assert_array_equal(getattr(ab, name),
-                                      np.concatenate([getattr(a, name), getattr(b, name)]))
-    assert not ab.success and not b.concat(a).success
-    assert a.concat(annotated(2, seed=3)).success
+        np.testing.assert_array_equal(getattr(out, name),
+                                      np.concatenate([getattr(p, name) for p in parts]))
+    assert not out.success and not parts[-1].concat(*parts[:-1]).success
+    assert parts[0].concat(*parts[2:], annotated(2, seed=9)).success
+
+
+def test_slice_keeps_rows_annotations_and_success():
+    traj = annotated(6, seed=5, success=False)
+    for rows in (slice(1, 4), slice(4, None), slice(3, 3)):
+        part = traj[rows]
+        for name in ("points", "source", "man", "col"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(traj, name)[rows])
+        assert part.points.shape[1] == 3 and not part.success
 
 
 # ------------------------------------------------------------------ #
