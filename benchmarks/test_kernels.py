@@ -30,7 +30,13 @@ from hybridplan.geometry import (
     pose_must_collide,
     ray_bundle,
 )
-from hybridplan.hrl_planner import SENTINEL, intrinsic_reward, plan_lfd, train_hrl
+from hybridplan.hrl_planner import (
+    SENTINEL,
+    exhaustive_plan,
+    intrinsic_reward,
+    plan_lfd,
+    train_hrl,
+)
 from hybridplan.kinematics import (
     fk,
     fk_frames,
@@ -233,15 +239,35 @@ def test_dq_sclerp_lanes_32(benchmark):
     assert benchmark(dq_sclerp_lanes, a[idx], b[idx], us).shape == (32, 8)
 
 
-def test_plan_lfd_skills_instance(benchmark):
-    # the first task of the skills workload (seed 1), trained as the workload
-    # trains it, planned at its first placement
+@pytest.fixture(scope="module")
+def skills():
     wl = workloads.SkillsWorkload(1)
     wl.setup(workloads.Tally())
-    st = wl.tasks[0]
-    tables = train_hrl([st.task], wl.library, episodes=wl.sizes.episodes,
-                       config=workloads.hrl_config(), seed=1000)
-    plan = benchmark(plan_lfd, st.instances[0], wl.library, tables)
+    return wl
+
+
+def _train_first_task(wl):
+    # the first task of the skills workload (seed 1), trained as the workload
+    # trains it
+    return train_hrl([wl.tasks[0].task], wl.library, episodes=wl.sizes.episodes,
+                     config=workloads.hrl_config(), seed=1000)
+
+
+def test_train_hrl_skills_task(benchmark, skills):
+    tables = benchmark(_train_first_task, skills)
+    assert len(tables.training_curve) == skills.sizes.episodes
+
+
+def test_exhaustive_plan_skills_task(benchmark, skills):
+    st = skills.tasks[0]
+    reward, plan = benchmark(exhaustive_plan, st.task, skills.library)
+    assert reward == st.optimum and plan
+
+
+def test_plan_lfd_skills_instance(benchmark, skills):
+    # planned at the first task's first placement
+    tables = _train_first_task(skills)
+    plan = benchmark(plan_lfd, skills.tasks[0].instances[0], skills.library, tables)
     assert len(plan["segments"]) >= 1
 
 

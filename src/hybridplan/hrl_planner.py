@@ -6,6 +6,12 @@ configurations; the motion controller values which demonstrated skill realizes
 the chosen segment.  The motion controller's reward compares the skill's
 feature sequence with the segment's; any per-term distance beyond the
 tolerance yields a sentinel treated as minus infinity.
+
+A ``train_hrl`` or ``exhaustive_plan`` call scores segments through one
+scorer that lives for that call only.  It keys a segment by the exact bytes
+of its (k, 8) lanes, resamples the segment's features once per distinct
+segment and computes the reward once per (skill, segment); a repeated key
+goes through the same arithmetic, so a cached reward is the reward.
 """
 from __future__ import annotations
 
@@ -15,19 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import (
-    DualQuaternion,
-    dq_from_lanes,
-    dq_to_lanes,
-    quat_from_axis_angle,
-    quat_mul,
-)
+from hybridplan.dualquat import _lane_dot, _qmul, dq_from_lanes, dq_to_lanes
 from hybridplan.lfd import (
+    BETA_RESAMPLE,
     DELTA_BETA,
     Demonstration,
     SkillLibrary,
+    chordal_distance,
     extract_features,
-    feature_distance_terms,
+    resample,
     retarget,
     sample_lanes,
 )
@@ -40,16 +42,39 @@ CURVE_FLOOR = -100.0     # training-curve display clamp for sentinel episodes
 # ------------------------------------------------------------------ #
 # Rewards
 # ------------------------------------------------------------------ #
-def intrinsic_reward(skill: Demonstration, segment_poses, delta_beta=DELTA_BETA) -> float:
-    """Negated feature-distance sum, or the sentinel when any term exceeds
-    the tolerance.  The skill's resampled features are cached on the skill;
-    only the segment is resampled."""
-    if len(segment_poses) < 2:
-        raise ValueError("segment needs at least 2 poses")
-    terms = feature_distance_terms(skill, extract_features(segment_poses))
+def _reward(skill: Demonstration, segment_features, delta_beta) -> float:
+    terms = chordal_distance(skill.resampled_features(BETA_RESAMPLE), segment_features)
     if np.any(terms > delta_beta):
         return SENTINEL
     return float(-np.sum(terms))
+
+
+def intrinsic_reward(skill: Demonstration, segment_poses, delta_beta=DELTA_BETA) -> float:
+    """Negated sum of the per-index chordal distances between the skill's and
+    the segment's features, each resampled to ``BETA_RESAMPLE`` entries by arc
+    length, or the sentinel when any distance exceeds ``delta_beta``.  The
+    segment is given as poses or lanes and needs at least 2 poses; the
+    skill's resampled features are cached on the skill."""
+    if len(segment_poses) < 2:
+        raise ValueError("segment needs at least 2 poses")
+    return _reward(skill, resample(extract_features(segment_poses), BETA_RESAMPLE),
+                   delta_beta)
+
+
+def _segment_scorer(library: SkillLibrary, delta_beta):
+    """``intrinsic_reward`` as ``score(skill_id, segment_lanes)``, cached for
+    the life of the returned function (see the module docstring)."""
+    features, rewards = {}, {}
+
+    def score(skill_id, lanes: np.ndarray) -> float:
+        seg = lanes.tobytes()
+        if (skill_id, seg) not in rewards:
+            if seg not in features:
+                features[seg] = resample(extract_features(lanes), BETA_RESAMPLE)
+            rewards[skill_id, seg] = _reward(library[skill_id], features[seg], delta_beta)
+        return rewards[skill_id, seg]
+
+    return score
 
 
 def extrinsic_reward(history) -> float:
@@ -128,13 +153,28 @@ class HrlConfig:
         return self.eps_end + (self.eps_start - self.eps_end) * np.exp(-episode / self.eps_decay)
 
 
-def _jitter_pose(pose: DualQuaternion, cfg: HrlConfig, rng) -> DualQuaternion:
-    amp = np.asarray(cfg.jitter_pos)
-    dp = rng.uniform(-amp, amp)
-    ang = rng.uniform(-cfg.jitter_rot, cfg.jitter_rot)
-    spin = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), ang)
-    pos, rot = pose.to_pose()
-    return DualQuaternion.from_pose(pos + dp, quat_mul(spin, rot))
+def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
+    """Every pose of the (n, 8) lanes shifted by a uniform offset within
+    ``jitter_pos`` and spun about z by a uniform angle within ``jitter_rot``.
+
+    One (n, 4) draw takes, pose by pose, the three offsets and then the
+    angle, and the arithmetic is ``DualQuaternion.from_pose`` on lanes, so the
+    result and the generator state match jittering one pose at a time."""
+    amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
+    draw = rng.uniform(-amp, amp, size=(len(lanes), 4))
+    half = 0.5 * draw[:, 3]
+    sin = np.sin(half)
+    zero = sin * 0.0                 # the signed zeros of the z-axis spin
+    rw, rx, ry, rz, dw, dx, dy, dz = lanes.T
+    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+    rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, rw, rx, ry, rz))
+    norm = np.sqrt(_lane_dot(rot, rot))
+    if np.any(norm < 1e-12):
+        raise ValueError("degenerate rotation")
+    rot /= norm[:, None]
+    pos = 2.0 * np.column_stack((tx, ty, tz)) + draw[:, :3]
+    dual = _qmul(0.0, *pos.T, *rot.T)
+    return np.column_stack((rot, *(0.5 * c for c in dual)))
 
 
 def _config_cells(tasks, fmap) -> list:
@@ -173,13 +213,14 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
     rng = np.random.default_rng(seed)
     tables = QTables()
     skill_ids = library.ids()
+    score = _segment_scorer(library, cfg.delta_beta)
+    task_lanes = [dq_to_lanes(t.configs) for t in tasks]
     # the state keys read the un-jittered configurations
     task_cells = _config_cells(tasks, fmap)
 
     for ep in range(cfg.episodes):
         k = int(rng.integers(len(tasks)))
-        task, cells = tasks[k], task_cells[k]
-        configs = [_jitter_pose(p, cfg, rng) for p in task.configs]
+        configs, cells = _jitter_lanes(task_lanes[k], cfg, rng), task_cells[k]
         eps = cfg.epsilon(ep)
         idx = 0
         history = []
@@ -196,8 +237,7 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
                 vals = [tables.motion_q.get((state, seg, sk), 0.0) for sk in skill_ids]
                 skill_id = skill_ids[int(np.argmax(vals))]
 
-            segment_poses = configs[seg[0]:seg[1] + 1]
-            r = intrinsic_reward(library[skill_id], segment_poses, cfg.delta_beta)
+            r = score(skill_id, configs[seg[0]:seg[1] + 1])
             history.append(r)
 
             mk = (state, seg, skill_id)
@@ -290,8 +330,10 @@ def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
 def exhaustive_plan(task: Task, library: SkillLibrary, delta_beta=DELTA_BETA):
     """Brute-force optimal total intrinsic reward over all contiguous
     segmentations and skill assignments (test oracle for small instances)."""
-    n = len(task.configs)
+    lanes = dq_to_lanes(task.configs)
+    n = len(lanes)
     skill_ids = library.ids()
+    score = _segment_scorer(library, delta_beta)
     best = {n - 1: (0.0, [])}
 
     def solve(i):
@@ -299,10 +341,9 @@ def exhaustive_plan(task: Task, library: SkillLibrary, delta_beta=DELTA_BETA):
             return best[i]
         options = []
         for k in range(i + 1, n):
-            seg_poses = task.configs[i:k + 1]
             tail_r, tail_plan = solve(k)
             for sk in skill_ids:
-                r = intrinsic_reward(library[sk], seg_poses, delta_beta)
+                r = score(sk, lanes[i:k + 1])
                 if r <= SENTINEL or tail_r <= SENTINEL:
                     total = SENTINEL
                 else:

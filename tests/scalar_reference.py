@@ -1,8 +1,9 @@
 """One-at-a-time references for the lane code of the library.
 
-* LfD: ScLERP, arc-length resampling, features, retargeting and the HRL
-  reward written pose by pose with ``DualQuaternion`` objects; the library
-  computes the same quantities on (N, 8) lanes.
+* LfD: ScLERP, arc-length resampling, features, retargeting, the HRL
+  reward and the HRL task jitter written pose by pose with
+  ``DualQuaternion`` objects; the library computes the same quantities on
+  (N, 8) lanes.
 * DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
   episode and evaluates each quantity with its own kernel call (six chain
   walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
@@ -30,6 +31,7 @@ from hybridplan.dualquat import (
     dq_conjugate,
     dq_mul,
     quat_from_axis_angle,
+    quat_mul,
     quat_to_euler,
     quat_to_matrix,
 )
@@ -143,6 +145,16 @@ def intrinsic_reward(skill_poses, segment_poses, delta_beta=DELTA_BETA) -> float
     if np.any(terms > delta_beta):
         return SENTINEL
     return float(-np.sum(terms))
+
+
+def jitter_pose(pose: DualQuaternion, cfg, rng) -> DualQuaternion:
+    """One pose of ``train_hrl``'s task jitter: three offset draws, one angle."""
+    amp = np.asarray(cfg.jitter_pos)
+    dp = rng.uniform(-amp, amp)
+    ang = rng.uniform(-cfg.jitter_rot, cfg.jitter_rot)
+    spin = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), ang)
+    pos, rot = pose.to_pose()
+    return DualQuaternion.from_pose(pos + dp, quat_mul(spin, rot))
 
 
 def retarget(skill_poses, start, goal, n_out) -> list:

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from hybridplan.hrl_planner import (
     HrlConfig,
     QTables,
     SENTINEL,
+    _jitter_lanes,
+    _segment_scorer,
     candidate_segments,
     exhaustive_plan,
     extrinsic_reward,
@@ -23,7 +26,7 @@ from hybridplan.hrl_planner import (
     serialize_tables,
     train_hrl,
 )
-from hybridplan.lfd import Demonstration, SkillLibrary, chordal_distance, retarget
+from hybridplan.lfd import DELTA_BETA, Demonstration, SkillLibrary, chordal_distance, retarget
 from hybridplan.task import Task, load_task, save_task
 
 
@@ -79,12 +82,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def skills_workloads():
-    """The benchmark's ``skills`` workload set up for seeds 1-3: line, arc and
-    twist skills and chained tasks of 3-5 configurations."""
+def workloads():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         import workloads
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def skills_workloads(workloads):
+    """The benchmark's ``skills`` workload set up for seeds 1-3: line, arc and
+    twist skills and chained tasks of 3-5 configurations."""
     out = []
     for seed in (1, 2, 3):
         wl = workloads.SkillsWorkload(seed)
@@ -95,11 +103,14 @@ def skills_workloads():
 
 def test_intrinsic_reward_matches_reference_on_benchmark_tasks(skills_workloads):
     # every (segment, skill) case of every task
+    # and the scorer of train_hrl and exhaustive_plan gives intrinsic_reward
     cases = sentinels = 0
     for wl in skills_workloads:
         lib = wl.library
+        score = _segment_scorer(lib, DELTA_BETA)
         for st in wl.tasks:
             configs = st.task.configs
+            lanes = dq_to_lanes(configs)
             for i in range(len(configs)):
                 for k in range(i + 1, len(configs)):
                     for sk in lib.ids():
@@ -107,6 +118,8 @@ def test_intrinsic_reward_matches_reference_on_benchmark_tasks(skills_workloads)
                         want = ref.intrinsic_reward(lib[sk].poses, configs[i:k + 1])
                         assert (got <= SENTINEL) == (want <= SENTINEL)
                         assert got == pytest.approx(want, rel=0, abs=1e-12)
+                        assert score(sk, lanes[i:k + 1]) == got
+                        assert score(sk, lanes[i:k + 1].copy()) == got
                         cases += 1
                         sentinels += want <= SENTINEL
     assert cases > 300 and 0 < sentinels < cases
@@ -127,6 +140,81 @@ def test_retarget_through_matches_reference(skills_workloads):
 # ------------------------------------------------------------------ #
 # training
 # ------------------------------------------------------------------ #
+def _random_configs(rng, planar):
+    angles = rng.uniform(-np.pi, np.pi, 9)
+    axes = [np.array([0.0, 0.0, 1.0]) if planar else rng.normal(size=3) for _ in angles]
+    return [DualQuaternion.from_pose(rng.uniform(-1.0, 1.0, 3), (axis, a))
+            for axis, a in zip(axes, angles)]
+
+
+@pytest.mark.parametrize("jitter", [
+    NO_JITTER,
+    {},                                                    # the default HrlConfig jitter
+    dict(jitter_pos=(0.3, 0.1, 0.2), jitter_rot=3.0),      # spins well past -pi/2
+])
+@pytest.mark.parametrize("planar", [True, False])
+def test_lane_jitter_equals_the_per_pose_reference(jitter, planar):
+    cfg = HrlConfig(**jitter)
+    configs = _random_configs(np.random.default_rng(11), planar)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(4):
+        got = _jitter_lanes(dq_to_lanes(configs), cfg, got_rng)
+        want = dq_to_lanes([ref.jitter_pose(p, cfg, want_rng) for p in configs])
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()        # signed zeros included
+    assert got_rng.random() == want_rng.random()
+
+
+# SHA-256 of serialize_tables(train_hrl(...)) for the first three tasks of
+# the skills workload of seeds 1-3, trained as the workload trains them
+# (seed 1000 * seed + task, 32 episodes of workloads.hrl_config()) and under
+# the default HrlConfig (64 episodes), then exhaustive_plan's (reward, plan)
+PINNED = {
+    (1, 0): ("c0a60a62f842a9cabda30c742b612e2986e87622d9c76f2fbf55a16a81e06670",
+             "d2e2859c764df31248cc600ed213174d4693ea45d2f18518c28cd15694658666",
+             -6.67680286871971, [((0, 2), "arc")]),
+    (1, 1): ("97fd57b7f4cce6118ae90790393c8048e7b2ffa855e31589441925e8a26d6530",
+             "23d05a9ff49576efea05794cdeed75712641b1a99269fcc637970904a6423870",
+             -12.431588975730195, [((0, 1), "arc"), ((1, 3), "arc")]),
+    (1, 2): ("9751d95bb2efd90e34e6e35a8f6d686555b4592823b6df22462941d20a0121d9",
+             "0c956a512d7444187c4b26d67ee76a8343b1ced62dbaea18fe7e20fc68f920bb",
+             -17.522220454264584, [((0, 2), "arc"), ((2, 3), "twist"), ((3, 4), "arc")]),
+    (2, 0): ("6349068638b0d8bec7bd03d1ad2efee53ff11af15f8d1dece43077e7408c804a",
+             "c9d5da08a3a544b73f5f9aa2effa93449c2ba3c940aa9d9c2b3b4b55beff3c44",
+             -5.712603441127271, [((0, 2), "arc")]),
+    (2, 1): ("a517ddecab81725d0853ebef2d4432d256b6c60ec2cf9be0246a9e0559fb4b5f",
+             "63a5778dc82df1ef45ff80793b260927092c1b8c55c9a55da80d0ea14bdc8c92",
+             -10.064946459366446, [((0, 3), "arc")]),
+    (2, 2): ("60fa7b65240bb2c94ec2cc012c80214daaabb9eaf8657049d00d10a847c976ae",
+             "a4a21cd1289245f4c445273d5a332d1293552b2afe1f5a0f2b93a741fd26f28a",
+             -17.126670068319267, [((0, 2), "arc"), ((2, 3), "twist"), ((3, 4), "arc")]),
+    (3, 0): ("01509a457933b1d051c9b00193d43a198a077bd6fb533bbaa4fcf244c2f196f9",
+             "77cc25a4c30c5123efbdedb92c47ce77c53b02086dcf9548cd69d9e3654555e8",
+             -6.1669330740797115, [((0, 2), "arc")]),
+    (3, 1): ("701aaa98714098b859f14065d630238d9dbef1f7826e05e0614a633738cadb98",
+             "6ddcc8780c2973b9f9a4fcf860e3f20175fad09f270f93892ae69426687e0dbc",
+             -9.591534772581165, [((0, 3), "arc")]),
+    (3, 2): ("cd1bc11992f893ffc60b8d76db202649693a691a8b89a5a100290fb8fd40b43a",
+             "92f3ab7076eaca4c8c9f64b397540c72888eb34a6fae20926e1092639c6c2ab4",
+             -17.71244352237929, [((0, 2), "arc"), ((2, 4), "twist")]),
+}
+
+
+def test_training_and_exhaustive_plan_are_pinned_per_seed(workloads, skills_workloads):
+    def digest(tables):
+        return hashlib.sha256(serialize_tables(tables).encode()).hexdigest()
+
+    for wl in skills_workloads:
+        for k, st in enumerate(wl.tasks[:3]):
+            bench_sha, default_sha, reward, plan = PINNED[wl.seed, k]
+            seed = 1000 * wl.seed + k
+            assert digest(train_hrl([st.task], wl.library, episodes=32,
+                                    config=workloads.hrl_config(), seed=seed)) == bench_sha
+            assert digest(train_hrl([st.task], wl.library, episodes=64,
+                                    config=HrlConfig(), seed=seed)) == default_sha
+            assert exhaustive_plan(st.task, wl.library) == (reward, plan)
+
+
 def test_single_matching_skill_chosen_everywhere():
     sk = line_skill("only", 1.0, 0.0)
     task = Task("t", [pose(0, 0), pose(1, 0), pose(2, 0)])
