@@ -271,6 +271,16 @@ def test_plan_lfd_skills_instance(benchmark, skills):
     assert len(plan["segments"]) >= 1
 
 
+def test_plan_lfd_four_gap_plan(benchmark, skills):
+    # the plan shape that sets the skills p90: a 5-configuration task, planned
+    # at its first placement on its tables as the workload trains them
+    k, st = next((k, st) for k, st in enumerate(skills.tasks) if len(st.task.configs) == 5)
+    tables = train_hrl([st.task], skills.library, episodes=skills.sizes.episodes,
+                       config=workloads.hrl_config(), seed=1000 + k)
+    plan = benchmark(plan_lfd, st.instances[0], skills.library, tables)
+    assert plan["segments"][-1][0][1] == 4
+
+
 def _configs(model, n):
     return np.random.default_rng(0).uniform(model.limits_lo, model.limits_hi, (n, model.dof))
 

@@ -12,6 +12,12 @@ scorer that lives for that call only.  It keys a segment by the exact bytes
 of its (k, 8) lanes, resamples the segment's features once per distinct
 segment and computes the reward once per (skill, segment); a repeated key
 goes through the same arithmetic, so a cached reward is the reward.
+
+``plan_lfd`` makes every segment and skill choice first, then retargets all
+the waypoint gaps of all the chosen segments together: one
+``sample_pieces`` call slices the skills and one ``retarget_pieces`` call
+maps the slices, so a plan costs one set of lane calls however many gaps it
+has.  Each gap's lanes are those of retargeting it on its own.
 """
 from __future__ import annotations
 
@@ -30,8 +36,8 @@ from hybridplan.lfd import (
     chordal_distance,
     extract_features,
     resample,
-    retarget,
-    sample_lanes,
+    retarget_pieces,
+    sample_pieces,
 )
 from hybridplan.task import Task
 
@@ -270,30 +276,40 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
 # ------------------------------------------------------------------ #
 # Planning
 # ------------------------------------------------------------------ #
-def _slice_skill(skill: Demonstration, u_lo: float, u_hi: float, n: int) -> Demonstration:
-    if skill.params is None:
-        return skill
-    us = np.linspace(u_lo, u_hi, max(n, 2))
-    return Demonstration(skill.id, dq_from_lanes(sample_lanes(skill.lanes, skill.params, us)))
+def _retarget_segments(segments, points_per_gap: int) -> tuple:
+    """Retarget every (skill, (k, 8) waypoint lanes) segment through its
+    waypoints, one piece per waypoint gap and one ``retarget_pieces`` call
+    for all of them.
+
+    Gap g of n takes the skill's [g/n, (g+1)/n] arc-length slice at
+    max(3, len(skill.poses) // n) poses (a constant skill is its own slice),
+    so the result passes through every waypoint exactly while keeping the
+    demonstrated profile.  Returns the pieces joined end to end, each
+    junction pose once, as lanes, and each segment's (first, last) row.
+    """
+    gaps = [(skill, waypoints, g, len(waypoints) - 1)
+            for skill, waypoints in segments for g in range(len(waypoints) - 1)]
+    if not gaps:
+        return np.empty((0, 8)), []
+    sliced = iter(sample_pieces(
+        [(skill.lanes, skill.params, np.linspace(g / n, (g + 1) / n, max(3, len(skill.poses) // n)))
+         for skill, _, g, n in gaps if skill.params is not None]))
+    slices = [skill.lanes if skill.params is None else next(sliced) for skill, _, _, _ in gaps]
+    trajs = retarget_pieces([(lanes, waypoints[g], waypoints[g + 1], points_per_gap)
+                             for lanes, (_, waypoints, g, _) in zip(slices, gaps)])
+    lanes = np.concatenate([trajs[0]] + [t[1:] for t in trajs[1:]])   # junctions once
+    ranges, end = [], 0
+    for _, waypoints in segments:
+        start, end = end, end + (len(waypoints) - 1) * (points_per_gap - 1)
+        ranges.append((start, end))
+    return lanes, ranges
 
 
 def retarget_through(skill: Demonstration, waypoints, points_per_gap: int) -> list:
-    """Retarget a skill across several critical configurations.
-
-    The skill is split by arc length into one slice per waypoint gap and each
-    slice is retargeted endpoint-exactly, so the result passes through every
-    waypoint exactly while keeping the demonstrated profile.
-    """
-    n_gaps = len(waypoints) - 1
-    out = []
-    for g in range(n_gaps):
-        piece = _slice_skill(skill, g / n_gaps, (g + 1) / n_gaps,
-                             max(3, len(skill.poses) // n_gaps))
-        traj = retarget(piece, waypoints[g], waypoints[g + 1], points_per_gap)
-        if g > 0:
-            traj = traj[1:]          # drop the duplicated junction pose
-        out.extend(traj)
-    return out
+    """Retarget a skill across several critical configurations: the
+    one-segment plan of ``_retarget_segments``."""
+    lanes, _ = _retarget_segments([(skill, dq_to_lanes(waypoints))], points_per_gap)
+    return dq_from_lanes(lanes)
 
 
 def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
@@ -301,30 +317,23 @@ def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
     """Greedy segment and skill selection; returns the task-space plan.
 
     Output dict: poses (the trajectory), segments [(seg, skill_id)], and the
-    per-segment pose index ranges.
+    per-segment pose index ranges.  The motion of all segments is
+    retargeted in one ``_retarget_segments`` call (see the module docstring).
     """
     skill_ids = library.ids()
     cells = _config_cells([task], fmap)[0]
     idx = 0
-    poses = []
     chosen = []
-    ranges = []
     while idx < len(task.configs) - 1:
         state = (idx, cells[idx])
         cands = candidate_segments(idx, len(task.configs))
         seg = tables.best_segment(state, cands)
-        skill_id = tables.best_skill(state, seg, skill_ids)
-        waypoints = task.configs[seg[0]:seg[1] + 1]
-        traj = retarget_through(library[skill_id], waypoints, points_per_gap)
-        start_at = len(poses)
-        if poses:
-            traj = traj[1:]          # junction pose already present
-            start_at -= 1
-        poses.extend(traj)
-        chosen.append((seg, skill_id))
-        ranges.append((start_at, len(poses) - 1))
+        chosen.append((seg, tables.best_skill(state, seg, skill_ids)))
         idx = seg[1]
-    return {"poses": poses, "segments": chosen, "ranges": ranges}
+    configs = dq_to_lanes(task.configs)
+    lanes, ranges = _retarget_segments(
+        [(library[skill_id], configs[a:b + 1]) for (a, b), skill_id in chosen], points_per_gap)
+    return {"poses": dq_from_lanes(lanes), "segments": chosen, "ranges": ranges}
 
 
 def exhaustive_plan(task: Task, library: SkillLibrary, delta_beta=DELTA_BETA):

@@ -8,8 +8,13 @@ aligned exactly and the residual displacement mismatch is distributed over
 the intermediate poses along the screw connecting them.
 
 Pose and feature sequences are (N, 8) dual-quaternion lanes; the sequence
-functions also take lists of ``DualQuaternion``s.  Resampling and retargeting
-evaluate all their screw interpolations as one ``dq_sclerp_lanes`` call, and a
+functions also take lists of ``DualQuaternion``s.  Sampling and retargeting
+work on many pieces at once: ``sample_pieces`` evaluates the screw
+interpolations of all its pieces in one ``dq_sclerp_lanes`` call, and
+``retarget_pieces`` retargets all its pieces with one set of lane calls, so
+the unit of work is a whole plan (``hrl_planner.plan_lfd``).  ``retarget`` is
+the one-piece ``retarget_pieces``; ``arc_params`` and ``sample_lanes`` run the
+arithmetic of their many-piece forms on one piece without stacking it.  A
 ``Demonstration`` computes its lanes, arc parameters, features and resampled
 features once.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +80,71 @@ def extract_features(poses) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # Sequence resampling over normalized arc length
 # ------------------------------------------------------------------ #
-def arc_params(poses) -> np.ndarray | None:
-    """Normalized cumulative arc length per pose; None when degenerate."""
-    lanes = _as_lanes(poses)
-    gaps = chordal_distance(lanes[:-1], lanes[1:])
+def _cumulative(gaps) -> np.ndarray | None:
+    """Normalized running sum of the chordal gaps from 0 to 1; None when they
+    sum below 1e-12."""
     total = float(np.sum(gaps))
     if total < 1e-12:
         return None
     cum = np.concatenate([[0.0], np.cumsum(gaps)]) / total
     cum[-1] = 1.0
     return cum
+
+
+def _bounds(sizes) -> list:
+    """First row of each of several stacked sequences of these sizes, then
+    the total, as Python ints."""
+    return list(accumulate(sizes, initial=0))
+
+
+def arc_params_pieces(pieces) -> list:
+    """``arc_params`` of every lane sequence in ``pieces``, with the chordal
+    gaps of all of them from one ``chordal_distance`` call."""
+    bounds = _bounds(map(len, pieces))
+    stacked = np.concatenate(pieces)
+    gaps = chordal_distance(stacked[:-1], stacked[1:])
+    return [_cumulative(gaps[a:b - 1]) for a, b in zip(bounds, bounds[1:])]
+
+
+def arc_params(poses) -> np.ndarray | None:
+    """Normalized cumulative arc length per pose; None when degenerate."""
+    lanes = _as_lanes(poses)
+    return _cumulative(chordal_distance(lanes[:-1], lanes[1:]))
+
+
+def _span_starts(params, us, n) -> np.ndarray:
+    """Index of the knot that starts each parameter's span, over n knots."""
+    return np.clip(np.searchsorted(params, us, side="right") - 1, 0, n - 2)
+
+
+def _sample_spans(lanes, params, us, k) -> np.ndarray:
+    """The rule of ``sample_lanes`` on (stacked) lanes, with ``k`` the row
+    of the knot that starts each clipped parameter's span."""
+    span = params[k + 1] - params[k]
+    ok = span >= 1e-15
+    local = (us - params[k]) / np.where(ok, span, 1.0)
+    out = np.where((ok & (local >= 1.0))[:, None], lanes[k + 1], lanes[k])
+    inner = ok & (local > 0.0) & (local < 1.0)
+    if np.any(inner):
+        ki = k[inner]
+        out[inner] = dq_sclerp_lanes(lanes[ki], lanes[ki + 1], local[inner])
+    return out
+
+
+def sample_pieces(pieces) -> list:
+    """``sample_lanes`` of every (lanes, params, us) piece of at least 2 lanes,
+    with the interpolations of all of them in one ``dq_sclerp_lanes`` call."""
+    if not pieces:
+        return []
+    bounds = _bounds(len(lanes) for lanes, _, _ in pieces)
+    us = [np.clip(np.asarray(u, dtype=float), 0.0, 1.0) for _, _, u in pieces]
+    cuts = _bounds(map(len, us))
+    out = _sample_spans(np.concatenate([lanes for lanes, _, _ in pieces]),
+                        np.concatenate([params for _, params, _ in pieces]),
+                        np.concatenate(us),
+                        np.concatenate([start + _span_starts(p, u, len(lanes)) for
+                                        start, (lanes, p, _), u in zip(bounds, pieces, us)]))
+    return [out[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def sample_lanes(poses, params, us) -> np.ndarray:
@@ -97,16 +158,7 @@ def sample_lanes(poses, params, us) -> np.ndarray:
     us = np.clip(np.asarray(us, dtype=float), 0.0, 1.0)
     if len(lanes) == 1:
         return np.repeat(lanes, len(us), axis=0)
-    k = np.clip(np.searchsorted(params, us, side="right") - 1, 0, len(lanes) - 2)
-    span = params[k + 1] - params[k]
-    ok = span >= 1e-15
-    local = (us - params[k]) / np.where(ok, span, 1.0)
-    out = np.where((ok & (local >= 1.0))[:, None], lanes[k + 1], lanes[k])
-    inner = ok & (local > 0.0) & (local < 1.0)
-    if np.any(inner):
-        ki = k[inner]
-        out[inner] = dq_sclerp_lanes(lanes[ki], lanes[ki + 1], local[inner])
-    return out
+    return _sample_spans(lanes, params, us, _span_starts(params, us, len(lanes)))
 
 
 def resample(poses, n_out) -> np.ndarray:
@@ -225,36 +277,58 @@ def load_library(directory) -> SkillLibrary:
 # ------------------------------------------------------------------ #
 # Retargeting
 # ------------------------------------------------------------------ #
+def retarget_pieces(pieces) -> list:
+    """``retarget`` of every (skill lanes, start, goal, n_out) piece, with
+    start and goal as 8-vectors; returns each piece's (n_out, 8) lanes.
+
+    All pieces share one set of lane calls: one ``chordal_distance`` call for
+    the arc parameters, one ``dq_sclerp_lanes`` call for the sampling, four
+    ``dq_mul_lanes`` calls for the alignment and the correction, and one
+    ``dq_sclerp_lanes`` call for the correction ramp.
+    """
+    if any(n_out < 2 for *_, n_out in pieces):
+        raise ValueError("n_out must be at least 2")
+    params = arc_params_pieces([lanes for lanes, *_ in pieces])
+    if any(p is None and chordal_distance(start, goal) > 1e-9
+           for (_, start, goal, _), p in zip(pieces, params)):
+        raise ValueError("skill/task displacement mismatch: constant-pose "
+                         "skill cannot span distinct start and goal")
+    # a constant piece stays at its start
+    out = [np.tile(np.asarray(start, dtype=float), (n_out, 1)) if p is None else None
+           for (_, start, _, n_out), p in zip(pieces, params)]
+    moving = [i for i, p in enumerate(params) if p is not None]
+    if not moving:
+        return out
+    # keep the original sampling when the length matches: self-retarget is exact
+    us = [params[i] if pieces[i][3] == len(pieces[i][0]) else np.linspace(0.0, 1.0, pieces[i][3])
+          for i in moving]
+    base = np.concatenate(sample_pieces([(pieces[i][0], params[i], u)
+                                         for i, u in zip(moving, us)]))
+    bounds = _bounds(map(len, us))
+    lane_piece = np.repeat(np.arange(len(moving)), list(map(len, us)))
+    starts, goals = (np.array([pieces[i][j] for i in moving], dtype=float) for j in (1, 2))
+
+    g = dq_mul_lanes(starts, dq_conjugate_lanes(base[bounds[:-1]]))
+    aligned = dq_mul_lanes(g[lane_piece], base)
+    residual = dq_mul_lanes(dq_conjugate_lanes(aligned[[b - 1 for b in bounds[1:]]]), goals)
+    corr = dq_sclerp_lanes(_IDENTITY, residual[lane_piece], np.concatenate(us))
+    moved = dq_mul_lanes(aligned, corr)
+    for i, a, b in zip(moving, bounds, bounds[1:]):
+        out[i] = moved[a:b]
+    return out
+
+
 def retarget(skill: Demonstration, start: DualQuaternion, goal: DualQuaternion,
              n_out: int) -> list:
-    """Map a skill onto new start/goal poses.
+    """Map a skill onto new start/goal poses: the one-piece ``retarget_pieces``.
 
     The start frames are aligned exactly by a left transform; the residual
     between the mapped final pose and the goal is applied as a right
     correction, ramped along normalized arc length so the endpoints land
     exactly while intermediate poses keep the demonstrated motion profile.
     """
-    if n_out < 2:
-        raise ValueError("n_out must be at least 2")
-    task_displacement = chordal_distance(start, goal)
-    if skill.is_constant():
-        if task_displacement > 1e-9:
-            raise ValueError("skill/task displacement mismatch: constant-pose "
-                             "skill cannot span distinct start and goal")
-        return [start] * n_out
-
-    params = skill.params
-    if n_out == len(skill.poses):
-        us = params            # keep the original sampling; self-retarget is exact
-    else:
-        us = np.linspace(0.0, 1.0, n_out)
-    base = sample_lanes(skill.lanes, params, us)
-
-    g = dq_mul_lanes(start.as_array(), dq_conjugate_lanes(base[0]))
-    aligned = dq_mul_lanes(g, base)
-    residual = dq_mul_lanes(dq_conjugate_lanes(aligned[-1]), goal.as_array())
-    corr = dq_sclerp_lanes(_IDENTITY, residual, us)
-    return dq_from_lanes(dq_mul_lanes(aligned, corr))
+    lanes, = retarget_pieces([(skill.lanes, start.as_array(), goal.as_array(), n_out)])
+    return dq_from_lanes(lanes)
 
 
 # ------------------------------------------------------------------ #

@@ -4,6 +4,9 @@
   reward and the HRL task jitter written pose by pose with
   ``DualQuaternion`` objects; the library computes the same quantities on
   (N, 8) lanes.
+* Plan retargeting: ``plan_poses_per_gap`` slices and retargets one waypoint
+  gap at a time, each with its own lane calls; the library's ``plan_lfd``
+  retargets every gap of a plan with one set of lane calls.
 * DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
   episode and evaluates each quantity with its own kernel call (six chain
   walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
@@ -26,10 +29,15 @@
 The tests compare the two."""
 import numpy as np
 
+from hybridplan import lfd
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_conjugate,
+    dq_conjugate_lanes,
+    dq_from_lanes,
     dq_mul,
+    dq_mul_lanes,
+    dq_sclerp_lanes,
     quat_from_axis_angle,
     quat_mul,
     quat_to_euler,
@@ -188,6 +196,93 @@ def retarget_through(skill: Demonstration, waypoints, points_per_gap: int) -> li
         traj = retarget(piece, waypoints[g], waypoints[g + 1], points_per_gap)
         out.extend(traj[1:] if g > 0 else traj)
     return out
+
+
+# ------------------------------------------------------------------ #
+# Retargeting one waypoint gap at a time, on lanes
+# ------------------------------------------------------------------ #
+_IDENTITY = DualQuaternion.identity().as_array()
+
+
+def arc_params_lanes(lanes):
+    gaps = lfd.chordal_distance(lanes[:-1], lanes[1:])
+    total = float(np.sum(gaps))
+    if total < 1e-12:
+        return None
+    cum = np.concatenate([[0.0], np.cumsum(gaps)]) / total
+    cum[-1] = 1.0
+    return cum
+
+
+def sample_lanes(lanes, params, us) -> np.ndarray:
+    us = np.clip(np.asarray(us, dtype=float), 0.0, 1.0)
+    if len(lanes) == 1:
+        return np.repeat(lanes, len(us), axis=0)
+    k = np.clip(np.searchsorted(params, us, side="right") - 1, 0, len(lanes) - 2)
+    span = params[k + 1] - params[k]
+    ok = span >= 1e-15
+    local = (us - params[k]) / np.where(ok, span, 1.0)
+    out = np.where((ok & (local >= 1.0))[:, None], lanes[k + 1], lanes[k])
+    inner = ok & (local > 0.0) & (local < 1.0)
+    if np.any(inner):
+        ki = k[inner]
+        out[inner] = dq_sclerp_lanes(lanes[ki], lanes[ki + 1], local[inner])
+    return out
+
+
+def retarget_lanes(skill: Demonstration, start, goal, n_out) -> list:
+    """One gap's retarget with its own lane calls."""
+    if n_out < 2:
+        raise ValueError("n_out must be at least 2")
+    params = arc_params_lanes(skill.lanes)
+    if params is None:
+        if lfd.chordal_distance(start, goal) > 1e-9:
+            raise ValueError("skill/task displacement mismatch: constant-pose "
+                             "skill cannot span distinct start and goal")
+        return [start] * n_out
+    us = params if n_out == len(skill.poses) else np.linspace(0.0, 1.0, n_out)
+    base = sample_lanes(skill.lanes, params, us)
+    g = dq_mul_lanes(start.as_array(), dq_conjugate_lanes(base[0]))
+    aligned = dq_mul_lanes(g, base)
+    residual = dq_mul_lanes(dq_conjugate_lanes(aligned[-1]), goal.as_array())
+    corr = dq_sclerp_lanes(_IDENTITY, residual, us)
+    return dq_from_lanes(dq_mul_lanes(aligned, corr))
+
+
+def slice_skill_lanes(skill: Demonstration, u_lo, u_hi, n) -> Demonstration:
+    params = arc_params_lanes(skill.lanes)
+    if params is None:
+        return skill
+    us = np.linspace(u_lo, u_hi, max(n, 2))
+    return Demonstration(skill.id, dq_from_lanes(sample_lanes(skill.lanes, params, us)))
+
+
+def retarget_through_per_gap(skill: Demonstration, waypoints, points_per_gap: int) -> list:
+    """Each gap sliced into a ``Demonstration`` and retargeted on its own."""
+    n_gaps = len(waypoints) - 1
+    out = []
+    for g in range(n_gaps):
+        piece = slice_skill_lanes(skill, g / n_gaps, (g + 1) / n_gaps,
+                                  max(3, len(skill.poses) // n_gaps))
+        traj = retarget_lanes(piece, waypoints[g], waypoints[g + 1], points_per_gap)
+        out.extend(traj[1:] if g > 0 else traj)
+    return out
+
+
+def plan_poses_per_gap(task, library, segments, points_per_gap: int) -> tuple:
+    """(poses, ranges) of ``plan_lfd`` for the chosen (segment, skill id)
+    pairs, one segment and one gap at a time."""
+    poses, ranges = [], []
+    for (a, b), skill_id in segments:
+        traj = retarget_through_per_gap(library[skill_id], task.configs[a:b + 1],
+                                        points_per_gap)
+        start_at = len(poses)
+        if poses:
+            traj = traj[1:]
+            start_at -= 1
+        poses.extend(traj)
+        ranges.append((start_at, len(poses) - 1))
+    return poses, ranges
 
 
 # ------------------------------------------------------------------ #

@@ -26,7 +26,15 @@ from hybridplan.hrl_planner import (
     serialize_tables,
     train_hrl,
 )
-from hybridplan.lfd import DELTA_BETA, Demonstration, SkillLibrary, chordal_distance, retarget
+from hybridplan import lfd
+from hybridplan.lfd import (
+    DELTA_BETA,
+    Demonstration,
+    SkillLibrary,
+    chordal_distance,
+    retarget,
+    retarget_pieces,
+)
 from hybridplan.task import Task, load_task, save_task
 
 
@@ -213,6 +221,187 @@ def test_training_and_exhaustive_plan_are_pinned_per_seed(workloads, skills_work
             assert digest(train_hrl([st.task], wl.library, episodes=64,
                                     config=HrlConfig(), seed=seed)) == default_sha
             assert exhaustive_plan(st.task, wl.library) == (reward, plan)
+
+
+def _plans_digest(plans) -> str:
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(dq_to_lanes(plan["poses"]).tobytes())
+        h.update(repr((plan["segments"], plan["ranges"])).encode())
+    return h.hexdigest()
+
+
+# SHA-256 over the plans' pose lanes, segments and ranges: for the 13
+# instances of each skills task of seeds 1-3, planned on the task's tables as
+# the workload trains them, and for the 112 training and instance tasks of
+# the hybrid workload of seeds 1-2; recorded when plan_lfd still retargeted
+# each waypoint gap with its own lane calls
+PLAN_PINS = {
+    ("skills", 1, 0): "8428d7d8b7906cf056852b641ed0bcd726603c7de12cbeebbfbf04873ec42425",
+    ("skills", 1, 1): "fe49b906db68858906c375fb7f47035b42aba6821aac274e8de2411be836fe3c",
+    ("skills", 1, 2): "dca11ffb89b40532376f9c2c5ec32982aba81d289743da468bf66d84759e3bac",
+    ("skills", 1, 3): "a31b4a7c58d641db2e56096aa9c46fbb96ae9f37366d27dce08cdb4c7cdc69c7",
+    ("skills", 1, 4): "78571e62f958ec4298c424839e21a5121d5977158156263fcd7fa0e3943907dc",
+    ("skills", 1, 5): "28c7a62e3185f67094799bf389b873ce2cdd3d81562e287fdc8c5890564b72e5",
+    ("skills", 1, 6): "50558f95d027f681505a765982605992d77feda135e1a56bf1bd9f8dbf98d5d3",
+    ("skills", 1, 7): "d1e3a1c2300701dfa28a356d1ccd0de374f114246f3a734c86982863486f0637",
+    ("skills", 2, 0): "7f27dae7a053c871b64430ff500ccd2809ee6a296322048b904babb39c00ed58",
+    ("skills", 2, 1): "01fab94a2d455c7247d561d94a68d28b9cb6ac18d3ac01788a33947b1bbb4b1a",
+    ("skills", 2, 2): "5bacf7a93af6e7acc8064650b62defd6677025164df6554f774ad17a065fe90d",
+    ("skills", 2, 3): "8ac8bd03de0cdb2b037415498bc4ddb3c997789f880c58930f4ce3a96899472c",
+    ("skills", 2, 4): "027011f9e1941f52d8ea3cd390d69924be5e2e686efd13948d02ff72a6a6032f",
+    ("skills", 2, 5): "a529decb0f0d9165b1b25c5aa37f9310f9ff02c654ad66915912a886a1a7e98a",
+    ("skills", 2, 6): "bb62fb8854f07bcede483cf7e9f96a4a87da02e6260dc7c5eb859b9fb1e0f96e",
+    ("skills", 2, 7): "196187134ecd7760b8da93f26d8f3402dfcca19246afe82b4f29d42cfb127502",
+    ("skills", 3, 0): "489de05cd8f421329dfa3320efbc2e9937f138a66f8ec92385009202412047a9",
+    ("skills", 3, 1): "21a8dc68f47b7bc92eae28b5ab45a26f689badb0c6656421d6706f42662d2290",
+    ("skills", 3, 2): "f6682e34d0fce6b22b2708d7fcab026ca8ae168f57cc5080a130b016c2b9ecc5",
+    ("skills", 3, 3): "e42f6e6f4a062c5c86dbbe54519197946172b3be7e8e30b695b36e2d361f8bb1",
+    ("skills", 3, 4): "db0d8e82805be3edea120b6b9cc63e9cc9217529c4712f7eeb7ce39668480d9a",
+    ("skills", 3, 5): "0105adebd11dfd1197e6e3346b49b317cfac442d57f5034c72f67f58c872e665",
+    ("skills", 3, 6): "d882f0d61d69649eee464856eeddf0d255604f29a949a304f36d8d7e229c23e0",
+    ("skills", 3, 7): "7dc0445725972d931ee638ada70239e6cdc37a62ff0291bd43e4bc7432600c22",
+    ("hybrid", 1): "33564d5413500c4b55745294b20b7bf887be18f915b49d1f7b84c6487de3a489",
+    ("hybrid", 2): "7298629eb4a55d4bcdef6ed0b1ec7ad6df46a2dce32e326de4f618503c7d4802",
+}
+
+
+@pytest.fixture(scope="module")
+def hybrid_workloads(workloads):
+    """The benchmark's ``hybrid`` workload set up for seeds 1-2: its map and
+    the HRL tables over its 12 training tasks and 100 instances."""
+    out = []
+    for seed in (1, 2):
+        wl = workloads.HybridWorkload(seed)
+        wl.setup(workloads.Tally())
+        out.append(wl)
+    return out
+
+
+def test_plans_are_pinned_per_seed(workloads, skills_workloads, hybrid_workloads):
+    # bit for bit: hybrid bins the plan poses into map cells
+    for wl in skills_workloads:
+        for k, st in enumerate(wl.tasks):
+            tables = train_hrl([st.task], wl.library, episodes=wl.sizes.episodes,
+                               config=workloads.hrl_config(), seed=1000 * wl.seed + k)
+            plans = [plan_lfd(inst, wl.library, tables) for inst in st.instances]
+            assert _plans_digest(plans) == PLAN_PINS["skills", wl.seed, k], (wl.seed, k)
+    for wl in hybrid_workloads:
+        plans = [wl._plan(task) for task in wl.train_tasks + wl.instances]
+        assert len(plans) == 112
+        assert _plans_digest(plans) == PLAN_PINS["hybrid", wl.seed], wl.seed
+
+
+def forced_tables(segments):
+    """Q tables whose greedy plan without a map is ``segments``."""
+    return QTables({((a, -1), (a, b)): 1.0 for (a, b), _ in segments},
+                   {((a, -1), (a, b), skill): 1.0 for (a, b), skill in segments})
+
+
+def assert_plan_is_the_per_gap_plan(task, lib, segments, points_per_gap):
+    plan = plan_lfd(task, lib, forced_tables(segments), points_per_gap=points_per_gap)
+    poses, ranges = ref.plan_poses_per_gap(task, lib, segments, points_per_gap)
+    assert plan["segments"] == segments
+    assert plan["ranges"] == ranges
+    assert dq_to_lanes(plan["poses"]).tobytes() == dq_to_lanes(poses).tobytes()
+
+
+@pytest.mark.parametrize("points_per_gap", [25, 12, 10, 5, 4, 2])
+def test_plan_lfd_is_the_per_gap_plan_for_mixed_skills(skills_workloads, points_per_gap):
+    # arc has 10 poses and line 8: over 2 gaps their slices have 5 and 4
+    # poses, so 5 and 4 points per gap keep one slice's own sampling, and 10
+    # keeps the whole arc's
+    wl = skills_workloads[0]
+    lib = wl.library
+    assert [len(lib[sk].poses) for sk in ("arc", "line")] == [10, 8]
+    task = next(st.task for st in wl.tasks if len(st.task.configs) == 5)
+    for segments in ([((0, 2), "arc"), ((2, 4), "line")],
+                     [((0, 1), "line"), ((1, 4), "twist")],
+                     [((0, 1), "arc"), ((1, 2), "line"), ((2, 3), "twist"), ((3, 4), "arc")],
+                     [((0, 4), "line")]):
+        assert_plan_is_the_per_gap_plan(task, lib, segments, points_per_gap)
+
+
+def test_plan_lfd_is_the_per_gap_plan_with_a_constant_skill():
+    hold = Demonstration("hold", [pose(0.5, 0.5)] * 4)
+    lib = library_of(hold, line_skill("s", 1.0, 0.0, n=7))
+    task = Task("t", [pose(0, 0), pose(0, 0), pose(1, 0.1), pose(2, 0), pose(2, 0)])
+    for ppg in (4, 7, 3):
+        assert_plan_is_the_per_gap_plan(
+            task, lib, [((0, 1), "hold"), ((1, 3), "s"), ((3, 4), "hold")], ppg)
+    plan = plan_lfd(task, lib, forced_tables([((0, 1), "hold"), ((1, 4), "s")]),
+                    points_per_gap=4)
+    assert dq_to_lanes(plan["poses"][:4]).tobytes() == dq_to_lanes([task.configs[0]] * 4).tobytes()
+    # a constant skill cannot span a displacement, wherever its gap is
+    for segments in ([((0, 1), "s"), ((1, 2), "hold"), ((2, 4), "s")],
+                     [((0, 2), "hold"), ((2, 4), "s")]):
+        with pytest.raises(ValueError, match="displacement mismatch"):
+            plan_lfd(task, lib, forced_tables(segments))
+        with pytest.raises(ValueError, match="displacement mismatch"):
+            ref.plan_poses_per_gap(task, lib, segments, 25)
+
+
+def test_retarget_pieces_mixes_constant_and_moving_pieces():
+    # arc-length slices of a moving skill always move, so the constant piece
+    # of a batch is a dwell: the per-gap rule still holds piece by piece
+    rng = np.random.default_rng(8)
+    dwell = Demonstration("dwell", [pose(0.3, -0.2, 0.4)] * 3)
+    moving = line_skill("s", 1.0, 0.5, n=6)
+    pieces, want = [], []
+    for skill, n_out in ((moving, 6), (dwell, 5), (moving, 9), (dwell, 2)):
+        start = pose(*rng.uniform(-1, 1, 2), rng.uniform(-3, 3))
+        goal = pose(*rng.uniform(-1, 1, 2), rng.uniform(-3, 3)) if skill is moving else start
+        pieces.append((skill.lanes, start.as_array(), goal.as_array(), n_out))
+        want.append(dq_to_lanes(ref.retarget_lanes(skill, start, goal, n_out)))
+    got = retarget_pieces(pieces)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    bad = pieces[:1] + [(dwell.lanes, pose(0, 0).as_array(), pose(0, 1e-6).as_array(), 5)]
+    with pytest.raises(ValueError, match="displacement mismatch"):
+        retarget_pieces(bad)
+    # within 1e-9 a constant piece stays at its start
+    near = retarget_pieces([(dwell.lanes, pose(0, 0).as_array(), pose(0, 1e-10).as_array(), 3)])
+    assert near[0].tobytes() == np.tile(pose(0, 0).as_array(), (3, 1)).tobytes()
+
+
+def test_plan_lfd_edge_plans():
+    # a Task has at least 2 configurations; one configuration plans nothing
+    sk = line_skill("s", 1.0, 0.0)
+    lib = library_of(sk)
+    assert retarget_through(sk, [pose(0.2, 0.3)], 25) == []
+    assert ref.retarget_through_per_gap(sk, [pose(0.2, 0.3)], 25) == []
+    task = Task("t", [pose(0, 0), pose(1, 0), pose(2, 0)])
+    for ppg in (1, 0):
+        with pytest.raises(ValueError, match="n_out must be at least 2"):
+            plan_lfd(task, lib, forced_tables([((0, 2), "s")]), points_per_gap=ppg)
+        with pytest.raises(ValueError, match="n_out must be at least 2"):
+            ref.plan_poses_per_gap(task, lib, [((0, 2), "s")], ppg)
+
+
+def test_plan_lfd_makes_one_set_of_lane_calls(monkeypatch):
+    calls = {"dq_sclerp_lanes": 0, "dq_mul_lanes": 0}
+
+    def counted(name):
+        kernel = getattr(lfd, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lfd, name, counted(name))
+    sk = line_skill("s", 2.0, 0.0, n=8)
+    lib = library_of(sk, line_skill("t", 1.0, 0.5, n=5))
+    configs = [pose(0, 0), pose(0.5, 0), pose(1.0, 0.1), pose(1.5, 0), pose(2.0, 0)]
+    # four gaps in two segments or one, and one gap: the same calls
+    for segments in ([((0, 2), "s"), ((2, 4), "t")], [((0, 4), "s")], [((0, 1), "t")]):
+        task = Task("t", configs[:segments[-1][0][1] + 1])
+        for name in calls:
+            calls[name] = 0
+        plan = plan_lfd(task, lib, forced_tables(segments))
+        assert plan["segments"] == segments
+        assert calls["dq_sclerp_lanes"] <= 3
+        assert calls["dq_mul_lanes"] <= 4
 
 
 def test_single_matching_skill_chosen_everywhere():
