@@ -47,7 +47,15 @@ from hybridplan.kinematics import (
     normalized_manipulability_lanes,
 )
 from hybridplan.lfd import BETA_RESAMPLE, resample
-from hybridplan.rl_core import GaussianPolicy, PpoConfig, RolloutBatch, ValueNet, ppo_update
+from hybridplan.rl_core import (
+    Adam,
+    GaussianPolicy,
+    PpoConfig,
+    RolloutBatch,
+    ValueNet,
+    clip_gradients,
+    ppo_update,
+)
 from hybridplan.switch_agent import densify, lfd_joint_candidates
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
@@ -101,6 +109,29 @@ def test_ppo_update_512_steps(benchmark, model):
 
     stats = benchmark.pedantic(ppo_update, setup=setup, rounds=5)
     assert not stats["aborted"]
+
+
+@pytest.fixture(scope="module")
+def drl_policy(model):
+    """train_drl's default policy, 70 -> 64 -> 64 -> 3 plus log_std, and a
+    gradient in its flat layout."""
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(1))
+    return policy, np.random.default_rng(2).standard_normal(policy.net.flat.size) * 1e-2
+
+
+def test_adam_step_drl_policy(benchmark, drl_policy):
+    policy, grad = drl_policy
+    params = policy.net.flat.copy()
+    opt = Adam(params, 3e-4)
+    benchmark(opt.step, params, grad)
+    assert opt.t > 0 and np.all(np.isfinite(params))
+
+
+def test_clip_gradients_drl_policy(benchmark, drl_policy):
+    # a bound above the norm: every round measures the same gradient
+    policy, grad = drl_policy
+    norm = benchmark(clip_gradients, grad, 1e9, policy.net.spans)
+    assert norm == pytest.approx(np.linalg.norm(grad))
 
 
 def test_ik_attempt_warm(benchmark, model):

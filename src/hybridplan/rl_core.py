@@ -2,6 +2,17 @@
 backpropagation, Gaussian and categorical policy heads, generalized advantage
 estimation, and the clipped-surrogate policy update.
 
+Flat layout: a network's parameters live in one contiguous float64 vector,
+``Mlp.flat``, in ``parameters()`` order: each layer's weights, each layer's
+biases, then the Gaussian head's ``log_std``.  ``weights``, ``biases`` and
+``parameters()`` are views into it; ``Mlp.grad`` has the same layout, and
+``backward`` writes each layer's gradient into its view.  So Adam, the
+gradient clip and the abort snapshot of ``ppo_update`` each run once per net.
+The gradient norm sums the squares per tensor (one ``np.add.reduce`` over
+each of ``Mlp.spans``), then those sums as Python floats in parameter order:
+the order of a norm taken tensor by tensor, so its bits match that norm's
+(``np.add.reduceat`` groups the additions differently).
+
 Everything is plain numpy with explicit RNGs; identical seeds give bit
 identical parameter trajectories.
 """
@@ -17,17 +28,29 @@ import numpy as np
 # Feed-forward network: tanh hidden layers, linear output
 # ------------------------------------------------------------------ #
 class Mlp:
-    def __init__(self, sizes, rng=None, out_scale=1.0):
+    """Parameters and gradients in the flat layout of the module docstring;
+    ``tail`` more parameters, for the owner to fill, end the vector."""
+
+    def __init__(self, sizes, rng=None, out_scale=1.0, tail=0):
         self.sizes = list(sizes)
-        self.weights = []
-        self.biases = []
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        shapes = [(d_out, d_in) for d_in, d_out in layers] + [(d_out,) for _, d_out in layers]
+        shapes += [(tail,)] if tail else []
+        ends = np.cumsum([int(np.prod(shape)) for shape in shapes]).tolist()
+        self.spans = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+        self.flat = np.zeros(ends[-1])
+        self.grad = np.zeros(ends[-1])
+        # tuples: an item assignment would detach a view from the flat vector
+        self.params = tuple(self.flat[s].reshape(shape) for s, shape in zip(self.spans, shapes))
+        self.grads = tuple(self.grad[s].reshape(shape) for s, shape in zip(self.spans, shapes))
+        self.weights = self.params[:len(layers)]
+        self.biases = self.params[len(layers):2 * len(layers)]
         rng = rng if rng is not None else np.random.default_rng(0)
-        for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        for i, (d_in, d_out) in enumerate(layers):
             scale = 1.0 / np.sqrt(d_in)
-            if i == len(sizes) - 2:
+            if i == len(layers) - 1:
                 scale *= out_scale
-            self.weights.append(rng.normal(0.0, scale, size=(d_out, d_in)))
-            self.biases.append(np.zeros(d_out))
+            self.weights[i][...] = rng.normal(0.0, scale, size=(d_out, d_in))
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -42,70 +65,96 @@ class Mlp:
         self._cache = acts
         return acts[-1]
 
-    def backward(self, d_out: np.ndarray):
-        """Gradients for the cached forward pass; d_out is dLoss/dOutput."""
+    def backward(self, d_out: np.ndarray) -> np.ndarray:
+        """Gradients for the cached forward pass, d_out being dLoss/dOutput,
+        written into ``grad`` (all but the tail), which is returned."""
         if self._cache is None:
             raise RuntimeError("forward pass must be cached before backward")
         acts = self._cache
-        dW = [None] * len(self.weights)
-        db = [None] * len(self.biases)
+        k = len(self.weights)
         delta = np.atleast_2d(d_out)
-        for i in range(len(self.weights) - 1, -1, -1):
-            dW[i] = delta.T @ acts[i]
-            db[i] = delta.sum(axis=0)
+        for i in range(k - 1, -1, -1):
+            np.matmul(delta.T, acts[i], out=self.grads[i])
+            np.sum(delta, axis=0, out=self.grads[k + i])
             if i > 0:
                 delta = (delta @ self.weights[i]) * (1.0 - acts[i] ** 2)
-        return dW, db
-
-    def parameters(self):
-        return self.weights + self.biases
-
-    def set_parameters(self, params):
-        k = len(self.weights)
-        self.weights = [p.copy() for p in params[:k]]
-        self.biases = [p.copy() for p in params[k:]]
+        return self.grad
 
 
-def clip_gradients(grads, max_norm: float) -> float:
-    """Scale gradients in place so the global norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+def clip_gradients(grad, max_norm: float, spans) -> float:
+    """Scale the flat ``grad`` in place so its global norm is at most
+    max_norm; returns the norm before clipping.  ``spans`` are the parameter
+    tensors' slices of ``grad``, which fix the summation order."""
+    sq = grad * grad
+    total = np.sqrt(sum(float(np.add.reduce(sq[s])) for s in spans))
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads:
-            g *= scale
+        grad *= max_norm / total
     return total
 
 
 class Adam:
+    """Adam (Kingma and Ba, arXiv:1412.6980) on one flat parameter vector."""
+
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.moments = np.zeros((2, len(params)))      # m and v: one copy snapshots both
+        self._tmp = np.empty((2, len(params)))
         self.t = 0
 
     def step(self, params, grads) -> None:
+        """params -= lr * (m / b1t) / (sqrt(v / b2t) + eps), rounded as written."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v = self.moments
+        a, b = self._tmp
+        m *= self.beta1
+        m += np.multiply(grads, 1 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(grads, 1 - self.beta2, out=a)
+        v += np.multiply(a, grads, out=a)
+        np.sqrt(np.divide(v, b2t, out=a), out=a)
+        a += self.eps
+        np.divide(m, b1t, out=b)
+        b *= self.lr
+        params -= np.divide(b, a, out=b)
 
 
 # ------------------------------------------------------------------ #
 # Policy heads
 # ------------------------------------------------------------------ #
-class GaussianPolicy:
-    """Diagonal Gaussian over continuous actions; state-independent log std."""
+class _OneNet:
+    """A head whose ``net`` holds every parameter it has."""
+
+    def parameters(self):
+        return list(self.net.params)
+
+    def set_parameters(self, params):
+        """Copy ``params``, in ``parameters()`` order, into the flat vector.
+        Raises ValueError, before writing, on a wrong count or shape."""
+        views = self.net.params
+        if len(params) != len(views):
+            raise ValueError(f"expected {len(views)} parameter arrays, got {len(params)}")
+        for k, (view, p) in enumerate(zip(views, params)):
+            if np.shape(p) != view.shape:
+                raise ValueError(f"parameter {k} has shape {np.shape(p)}, expected {view.shape}")
+        for view, p in zip(views, params):
+            view[...] = p
+
+
+class GaussianPolicy(_OneNet):
+    """Diagonal Gaussian over continuous actions; state-independent log std,
+    the tail of the net's flat vector."""
 
     def __init__(self, obs_dim, act_dim, hidden=(64, 64), rng=None, log_std=-0.5):
-        self.net = Mlp([obs_dim] + list(hidden) + [act_dim], rng, out_scale=0.01)
-        self.log_std = np.full(act_dim, float(log_std))
+        self.net = Mlp([obs_dim] + list(hidden) + [act_dim], rng, out_scale=0.01, tail=act_dim)
+        self.log_std[...] = log_std
         self.act_dim = act_dim
+
+    @property
+    def log_std(self):
+        return self.net.params[-1]
 
     def act(self, obs, rng):
         """A sampled action and its log-prob for one observation; for an
@@ -136,27 +185,21 @@ class GaussianPolicy:
         return logp, np.full(len(logp), entropy)
 
     def backward_logp(self, d_logp, d_entropy=None):
-        """Parameter gradients of sum(d_logp * logp) + sum(d_entropy * entropy)."""
+        """The flat gradient of sum(d_logp * logp) + sum(d_entropy * entropy)."""
         mean, act, std = self._eval_cache
         diff = (act - mean) / (std * std)
         d_mean = d_logp[:, None] * diff              # dlogp/dmean = (a - mean)/std^2
-        dW, db = self.net.backward(d_mean)
+        grad = self.net.backward(d_mean)
         z2 = ((act - mean) / std) ** 2
-        d_log_std = np.sum(d_logp[:, None] * (z2 - 1.0), axis=0)
+        d_log_std = self.net.grads[-1]
+        np.sum(d_logp[:, None] * (z2 - 1.0), axis=0, out=d_log_std)
         if d_entropy is not None:
             # entropy = sum(log_std) + const, so dEntropy/dlog_std = 1 per dim
             d_log_std += float(np.sum(d_entropy))
-        return dW + db + [d_log_std]
-
-    def parameters(self):
-        return self.net.parameters() + [self.log_std]
-
-    def set_parameters(self, params):
-        self.net.set_parameters(params[:-1])
-        self.log_std = params[-1].copy()
+        return grad
 
 
-class CategoricalPolicy:
+class CategoricalPolicy(_OneNet):
     """Softmax over discrete actions."""
 
     def __init__(self, obs_dim, n_actions, hidden=(64, 64), rng=None):
@@ -190,7 +233,7 @@ class CategoricalPolicy:
         return logp, entropy
 
     def backward_logp(self, d_logp, d_entropy=None):
-        """Parameter gradients of sum(d_logp * logp) + sum(d_entropy * entropy)."""
+        """The flat gradient of sum(d_logp * logp) + sum(d_entropy * entropy)."""
         p, acts, entropy = self._eval_cache
         onehot = np.zeros_like(p)
         onehot[np.arange(len(acts)), acts] = 1.0
@@ -198,17 +241,10 @@ class CategoricalPolicy:
         if d_entropy is not None:
             dH = -p * (np.log(np.clip(p, 1e-12, None)) + entropy[:, None])
             d_logits += d_entropy[:, None] * dH
-        dW, db = self.net.backward(d_logits)
-        return dW + db
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def set_parameters(self, params):
-        self.net.set_parameters(params)
+        return self.net.backward(d_logits)
 
 
-class ValueNet:
+class ValueNet(_OneNet):
     def __init__(self, obs_dim, hidden=(64, 64), rng=None):
         self.net = Mlp([obs_dim] + list(hidden) + [1], rng, out_scale=1.0)
 
@@ -220,14 +256,7 @@ class ValueNet:
 
     def backward_mse(self, values, targets, coef):
         d = (2.0 * coef / len(values)) * (values - targets)
-        dW, db = self.net.backward(d[:, None])
-        return dW + db
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def set_parameters(self, params):
-        self.net.set_parameters(params)
+        return self.net.backward(d[:, None])
 
 
 # ------------------------------------------------------------------ #
@@ -291,8 +320,10 @@ class RolloutBatch:
 def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
     """One batched clipped-surrogate update (epochs x minibatches).
 
-    Returns stats {mean_reward, clip_frac, approx_kl, value_loss, aborted}.
-    A non-finite loss aborts the update and restores the previous parameters.
+    Returns stats {mean_reward, clip_frac, approx_kl, value_loss, aborted,
+    policy_grad_norm, value_grad_norm}; the two norms are the means over the
+    minibatches of the gradient norms before clipping.  A non-finite loss
+    aborts the update and restores both nets' parameters and optimizer states.
     """
     # lanes: GAE runs per lane on (T, N), then the samples flatten time-major
     rewards = batch.rewards.reshape(len(batch.rewards), -1)
@@ -309,21 +340,14 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
     std = adv.std()
     norm_adv = (adv - adv.mean()) / std if std > 1e-8 else np.zeros_like(adv)
 
-    pol_snapshot = [p.copy() for p in policy.parameters()]
-    val_snapshot = [p.copy() for p in value_net.parameters()]
-    pol_opt = getattr(policy, "_adam", None)
-    if pol_opt is None or pol_opt.lr != cfg.learning_rate:
-        pol_opt = Adam(policy.parameters(), cfg.learning_rate)
-        policy._adam = pol_opt
-    val_opt = getattr(value_net, "_adam", None)
-    if val_opt is None or val_opt.lr != cfg.learning_rate:
-        val_opt = Adam(value_net.parameters(), cfg.learning_rate)
-        value_net._adam = val_opt
+    nets = [(head.net, _optimizer(head, cfg.learning_rate)) for head in (policy, value_net)]
+    snapshot = [(net.flat.copy(), opt.moments.copy(), opt.t) for net, opt in nets]
 
     clip_hits = 0
     clip_total = 0
     kl_sum = 0.0
     vloss_last = 0.0
+    norms = []                  # per minibatch: both nets' gradient norms before clipping
     for _ in range(cfg.epochs_per_batch):
         order = rng.permutation(T)
         for k in range(0, T, cfg.minibatch_size):
@@ -350,31 +374,45 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
             loss = -float(np.mean(surrogate)) + cfg.vf_coef * v_loss \
                 - cfg.entropy_coef * float(np.mean(entropy))
             if not np.isfinite(loss):
-                policy.set_parameters(pol_snapshot)
-                value_net.set_parameters(val_snapshot)
+                for (net, opt), (flat, moments, t) in zip(nets, snapshot):
+                    net.flat[...] = flat
+                    opt.moments[...] = moments
+                    opt.t = t
                 return {"mean_reward": float(np.mean(batch.rewards)),
                         "clip_frac": 0.0, "approx_kl": 0.0,
-                        "value_loss": v_loss, "aborted": True}
+                        "value_loss": v_loss, "aborted": True,
+                        "policy_grad_norm": 0.0, "value_grad_norm": 0.0}
 
-            pol_grads = policy.backward_logp(d_logp_loss, d_ent_loss)
-            clip_gradients(pol_grads, cfg.max_grad_norm)
-            pol_opt.step(policy.parameters(), pol_grads)
-
-            val_grads = value_net.backward_mse(vals, ret_mb, cfg.vf_coef)
-            clip_gradients(val_grads, cfg.max_grad_norm)
-            val_opt.step(value_net.parameters(), val_grads)
+            grads = (policy.backward_logp(d_logp_loss, d_ent_loss),
+                     value_net.backward_mse(vals, ret_mb, cfg.vf_coef))
+            norms.append([float(clip_gradients(grad, cfg.max_grad_norm, net.spans))
+                          for (net, _), grad in zip(nets, grads)])
+            for (net, opt), grad in zip(nets, grads):
+                opt.step(net.flat, grad)
 
             clip_hits += int(np.sum(np.abs(ratio - 1.0) > cfg.clip_eps))
             clip_total += len(idx)
             kl_sum += float(np.sum(old_mb - logp))
             vloss_last = v_loss
+    pol_norm, val_norm = np.mean(norms, axis=0) if norms else (0.0, 0.0)
     return {
         "mean_reward": float(np.mean(batch.rewards)),
         "clip_frac": clip_hits / max(clip_total, 1),
         "approx_kl": kl_sum / max(clip_total, 1),
         "value_loss": vloss_last,
         "aborted": False,
+        "policy_grad_norm": float(pol_norm),
+        "value_grad_norm": float(val_norm),
     }
+
+
+def _optimizer(head, lr) -> Adam:
+    """The Adam state kept on ``head`` across updates; a new one for a new
+    learning rate."""
+    opt = getattr(head, "_adam", None)
+    if opt is None or opt.lr != lr:
+        opt = head._adam = Adam(head.net.flat, lr)
+    return opt
 
 
 # ------------------------------------------------------------------ #
@@ -414,9 +452,8 @@ def _unpack_arrays(raw, off):
         shape, off = _read_u4(raw, off, ndim)
         n = int(np.prod(shape)) if ndim else 1
         _need(raw, off + 8 * n)
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape).copy()
+        arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape))
         off += 8 * n
-        arrays.append(arr)
     return arrays, off
 
 
@@ -457,7 +494,7 @@ def save_checkpoint(path, policy, value_net, meta: dict) -> None:
 
 def load_checkpoint(path):
     """Returns (policy, value_net, meta).  Raises ValueError for a file that
-    is cut short or carries bytes past its end."""
+    is cut short, carries bytes past its end or holds a misshapen array."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _CKPT_MAGIC:

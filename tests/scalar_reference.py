@@ -25,6 +25,9 @@
   library's ``workcell._path_verdicts``) split one edge at a time and append
   one inserted point at a time; the library splits every edge of a path in
   one ``trajectory.subdivide`` call.
+* PPO optimizer: ``Adam`` and ``clip_gradients`` loop over a net's
+  parameter tensors one at a time; the library runs each once on the net's
+  flat parameter and gradient vectors.
 
 The tests compare the two."""
 import numpy as np
@@ -591,3 +594,36 @@ def locate(fmap, pose: DualQuaternion):
         k = int(np.floor((ang + fmap.theta_max) / width))
         ori.append(min(max(k, 0), n - 1))
     return tuple(vox), tuple(ori)
+
+
+def clip_gradients(grads, max_norm: float) -> float:
+    """Scale the gradient tensors in place so the global norm is at most
+    max_norm; returns the norm before clipping."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total > max_norm and total > 0:
+        scale = max_norm / total
+        for g in grads:
+            g *= scale
+    return total
+
+
+class Adam:
+    """Adam with one pair of moment arrays per parameter tensor."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

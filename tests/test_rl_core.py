@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from hybridplan.rl_core import (
     Adam,
     CategoricalPolicy,
@@ -30,7 +33,7 @@ def test_forward_zero_weights():
 
 def test_forward_identity_single_layer():
     net = Mlp([3, 3])
-    net.weights[0] = np.eye(3)
+    net.weights[0][...] = np.eye(3)
     net.biases[0][:] = 0.0
     x = np.array([[0.3, -0.7, 2.0]])
     np.testing.assert_allclose(net.forward(x), x)
@@ -48,8 +51,22 @@ def test_forward_matches_hand_unrolled_matrices():
 def test_backward_constant_loss_zero_gradient():
     net = Mlp([2, 3, 1], np.random.default_rng(1))
     net.forward(np.array([[0.5, -0.5]]))
-    dW, db = net.backward(np.zeros((1, 1)))
-    assert all(np.all(g == 0) for g in dW + db)
+    assert np.all(net.backward(np.zeros((1, 1))) == 0)
+
+
+def assert_matches_finite_differences(flat, grad, objective, h):
+    """Central differences of ``objective`` over every entry of the flat
+    parameter vector against the flat gradient."""
+    grad = grad.copy()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = objective()
+        flat[i] = orig - h
+        dn = objective()
+        flat[i] = orig
+        fd = (up - dn) / (2 * h)
+        assert abs(fd - grad[i]) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_backward_matches_finite_differences():
@@ -62,29 +79,94 @@ def test_backward_matches_finite_differences():
         return float(np.sum(c * net.forward(x)))
 
     net.forward(x)
-    dW, db = net.backward(c)
-    grads = dW + db
-    params = net.weights + net.biases
-    h = 1e-5
-    for p, g in zip(params, grads):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = loss()
-            p[idx] = orig - h
-            dn = loss()
-            p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - g[idx]) <= 1e-4 * max(1.0, abs(fd))
+    assert_matches_finite_differences(net.flat, net.backward(c), loss, 1e-5)
 
 
 def test_gradient_clipping_bounds_norm():
-    grads = [np.full((3, 3), 10.0), np.full(3, -10.0)]
-    clip_gradients(grads, 0.5)
-    total = np.sqrt(sum(np.sum(g * g) for g in grads))
-    assert total == pytest.approx(0.5, rel=1e-9)
+    net = Mlp([3, 3])
+    net.grad[:9], net.grad[9:] = 10.0, -10.0
+    assert clip_gradients(net.grad, 0.5, net.spans) == pytest.approx(np.sqrt(1200.0))
+    assert np.linalg.norm(net.grad) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_parameters_are_views_of_one_flat_vector_in_order():
+    pol = GaussianPolicy(5, 3, hidden=(4, 6), rng=np.random.default_rng(0), log_std=-0.7)
+    params = pol.parameters()
+    assert [p.shape for p in params] == [(4, 5), (6, 4), (3, 6), (4,), (6,), (3,), (3,)]
+    assert all(np.shares_memory(p, pol.net.flat) for p in params)
+    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), pol.net.flat)
+    assert params[-1] is pol.log_std and np.all(pol.log_std == -0.7)
+    assert [pol.net.flat[s].size for s in pol.net.spans] == [p.size for p in params]
+
+
+def test_views_cannot_be_rebound_away_from_the_flat_vector():
+    pol = GaussianPolicy(3, 2, hidden=(4,), rng=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        pol.net.weights[0] = np.zeros((4, 3))
+    with pytest.raises(TypeError):
+        pol.net.biases[1] = np.zeros(2)
+    with pytest.raises(AttributeError):
+        pol.log_std = np.zeros(2)
+    pol.net.weights[0][...] = 1.0                  # a write into the view is the way
+    assert np.all(pol.net.flat[:12] == 1.0)
+
+
+@pytest.mark.parametrize("case", ["short", "long", "bias (1,)", "weight transposed",
+                                  "log_std scalar"])
+def test_set_parameters_rejects_a_wrong_count_or_shape(case):
+    # a write into a view broadcasts, so a (1,) bias would silently fill the row
+    pol = GaussianPolicy(3, 2, hidden=(4,), rng=np.random.default_rng(0))
+    before = pol.net.flat.copy()
+    params = [p + 1.0 for p in pol.parameters()]
+    if case == "short":
+        params = params[:-1]
+    elif case == "long":
+        params.append(np.zeros(2))
+    elif case == "bias (1,)":
+        params[2] = np.zeros(1)
+    elif case == "weight transposed":
+        params[0] = params[0].T
+    else:
+        params[-1] = np.float64(0.0)
+    with pytest.raises(ValueError, match="parameter"):
+        pol.set_parameters(params)
+    np.testing.assert_array_equal(pol.net.flat, before)
+
+
+def drl_policy_layout(rng):
+    """The DRL policy's parameter tensors (70 -> 64 -> 64 -> 3 and log_std):
+    as one flat vector, its spans, and per-tensor copies."""
+    pol = GaussianPolicy(70, 3, rng=rng)
+    return pol.net.flat, pol.net.spans, [p.copy() for p in pol.parameters()]
+
+
+def test_adam_on_the_flat_vector_equals_the_per_tensor_oracle():
+    rng = np.random.default_rng(3)
+    flat, spans, tensors = drl_policy_layout(rng)
+    opt, oracle = Adam(flat, 3e-4), ref.Adam(tensors, 3e-4)
+    for _ in range(50):
+        grad = rng.standard_normal(flat.size) * 10.0 ** rng.uniform(-6, 2)
+        opt.step(flat, grad)
+        oracle.step(tensors, [grad[s].reshape(t.shape) for s, t in zip(spans, tensors)])
+        for s, t, m, v in zip(spans, tensors, oracle.m, oracle.v):
+            assert flat[s].tobytes() == t.tobytes()
+            assert opt.moments[0, s].tobytes() == m.tobytes()
+            assert opt.moments[1, s].tobytes() == v.tobytes()
+    assert opt.t == oracle.t == 50
+
+
+def test_clip_gradients_sums_the_norm_in_the_per_tensor_order():
+    rng = np.random.default_rng(4)
+    _, spans, tensors = drl_policy_layout(rng)
+    for trial in range(300):
+        scale = 10.0 ** (trial % 11 - 5)
+        grad = rng.standard_normal(spans[-1].stop) * scale
+        tensors = [grad[s].reshape(t.shape).copy() for s, t in zip(spans, tensors)]
+        max_norm = float(rng.choice([0.5, 1e9])) * scale
+        want = ref.clip_gradients(tensors, max_norm)
+        got = clip_gradients(grad, max_norm, spans)
+        assert got == want, (trial, got, want)
+        assert grad.tobytes() == np.concatenate([t.ravel() for t in tensors]).tobytes()
 
 
 # ------------------------------------------------------------------ #
@@ -124,21 +206,8 @@ def test_gaussian_backward_matches_finite_differences():
         return float(np.sum(w * logp))
 
     pol.evaluate(obs, acts)
-    grads = pol.backward_logp(w)
-    params = pol.parameters()
-    h = 1e-6
-    for p, g in zip(params, grads):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = objective()
-            p[idx] = orig - h
-            dn = objective()
-            p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - g[idx]) <= 1e-4 * max(1.0, abs(fd))
+    assert pol.net.flat.size == 6 + 6 + 3 + 2 + 2        # log_std included
+    assert_matches_finite_differences(pol.net.flat, pol.backward_logp(w), objective, 1e-6)
 
 
 def test_categorical_backward_matches_finite_differences():
@@ -154,20 +223,7 @@ def test_categorical_backward_matches_finite_differences():
         return float(np.sum(w * logp) + np.sum(v * ent))
 
     pol.evaluate(obs, acts)
-    grads = pol.backward_logp(w, v)
-    h = 1e-6
-    for p, g in zip(pol.parameters(), grads):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            up = objective()
-            p[idx] = orig - h
-            dn = objective()
-            p[idx] = orig
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - g[idx]) <= 1e-4 * max(1.0, abs(fd))
+    assert_matches_finite_differences(pol.net.flat, pol.backward_logp(w, v), objective, 1e-6)
 
 
 # ------------------------------------------------------------------ #
@@ -286,7 +342,7 @@ def test_ppo_unclipped_single_epoch_equals_vanilla_pg():
 
     # oracle Adam step (fresh optimizer state, lr matching the config)
     expected = [p.copy() for p in pol.parameters()]
-    oracle = Adam(expected, lr=1e-3)
+    oracle = ref.Adam(expected, lr=1e-3)
     oracle.step(expected, fd_grads)
 
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=16, num_steps=16,
@@ -365,6 +421,95 @@ def test_ppo_nan_reward_aborts_and_restores():
     assert stats["aborted"]
     for b, a in zip(before, pol.parameters()):
         np.testing.assert_array_equal(a, b)
+
+
+def hand_batch(rng, T, obs_dim=3, act_dim=2):
+    """T one-step episodes of a Gaussian policy, drawn by hand."""
+    obs = rng.normal(size=(T, obs_dim))
+    return RolloutBatch(obs, rng.normal(size=(T, act_dim)), rng.normal(-2.0, 0.3, T),
+                        rng.normal(size=T), np.ones(T), obs[-1])
+
+
+def finite_difference_norm(flat, objective, h=1e-6):
+    grad = np.zeros(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = objective()
+        flat[i] = orig - h
+        dn = objective()
+        flat[i] = orig
+        grad[i] = (up - dn) / (2 * h)
+    return np.linalg.norm(grad)
+
+
+def test_ppo_grad_norms_are_the_mean_pre_clip_norms_over_minibatches():
+    # a zero learning rate keeps every minibatch's gradient at the initial
+    # parameters, where central differences of its losses give it
+    rng = np.random.default_rng(20)
+    pol = GaussianPolicy(3, 2, hidden=(4,), rng=rng)
+    val = ValueNet(3, hidden=(4,), rng=rng)
+    T, mb = 16, 8
+    batch = hand_batch(rng, T)
+    cfg = PpoConfig(learning_rate=0.0, minibatch_size=mb, num_steps=T, epochs_per_batch=1,
+                    clip_eps=1e9, max_grad_norm=1e-3)
+    adv, ret = compute_gae(batch.rewards, val.values(batch.obs), batch.dones,
+                           val.value(batch.last_obs), cfg.discount, cfg.gae_lambda)
+    nadv = (adv - adv.mean()) / adv.std()
+    order = np.random.default_rng(5).permutation(T)
+    want_pol, want_val = [], []
+    for idx in (order[:mb], order[mb:]):
+        def surrogate():
+            logp, _ = pol.evaluate(batch.obs[idx], batch.actions[idx])
+            return -float(np.mean(np.exp(logp - batch.log_probs[idx]) * nadv[idx]))
+
+        def value_loss():
+            return cfg.vf_coef * float(np.mean((val.values(batch.obs[idx]) - ret[idx]) ** 2))
+
+        want_pol.append(finite_difference_norm(pol.net.flat, surrogate))
+        want_val.append(finite_difference_norm(val.net.flat, value_loss))
+    stats = ppo_update(pol, val, batch, cfg, np.random.default_rng(5))
+    assert stats["policy_grad_norm"] == pytest.approx(np.mean(want_pol), rel=1e-5)
+    assert stats["value_grad_norm"] == pytest.approx(np.mean(want_val), rel=1e-5)
+    assert min(want_pol + want_val) > 10 * cfg.max_grad_norm     # taken before the clip
+
+
+def test_ppo_abort_restores_parameters_and_optimizer_state():
+    T, mb = 32, 8
+    cfg = PpoConfig(learning_rate=1e-2, minibatch_size=mb, num_steps=T, epochs_per_batch=2)
+
+    def trained_nets():
+        """Fresh nets after one clean update, so both optimizers hold state."""
+        rng = np.random.default_rng(21)
+        pol = GaussianPolicy(3, 2, hidden=(8,), rng=rng)
+        val = ValueNet(3, hidden=(8,), rng=rng)
+        ppo_update(pol, val, hand_batch(rng, T), cfg, rng)
+        return pol, val
+
+    def state(pol, val):
+        return [(h.net.flat.tobytes(), h._adam.moments.tobytes(), h._adam.t) for h in (pol, val)]
+
+    # the first permutation of this seed puts row 0 in the last minibatch, and
+    # a NaN at row 0 reaches no other row's return
+    seed = next(s for s in range(100) if 0 in np.random.default_rng(s).permutation(T)[-mb:])
+    pol, val = trained_nets()
+    before = state(pol, val)
+    steps = []
+    for opt in (pol._adam, val._adam):
+        opt.step = lambda params, grads, _step=opt.step: (steps.append(1), _step(params, grads))
+    poisoned = hand_batch(np.random.default_rng(22), T)
+    poisoned.obs[0] = np.nan
+    assert ppo_update(pol, val, poisoned, cfg, np.random.default_rng(seed))["aborted"]
+    assert len(steps) == 2 * (T // mb - 1)          # both nets stepped on 3 minibatches
+    for opt in (pol._adam, val._adam):
+        del opt.step
+    assert state(pol, val) == before
+    # the next update goes as on nets that never saw the poisoned batch
+    twin = trained_nets()
+    clean = hand_batch(np.random.default_rng(23), T)
+    for nets in ((pol, val), twin):
+        assert not ppo_update(*nets, clean, cfg, np.random.default_rng(24))["aborted"]
+    assert state(pol, val) == state(*twin)
 
 
 def test_ppo_config_validation():
@@ -465,3 +610,65 @@ def test_checkpoint_metadata_values_may_hold_equals_signs(tmp_path):
     save_checkpoint(path, CategoricalPolicy(3, 2, rng=rng), ValueNet(3, rng=rng),
                     {"expr": "a=b", "empty": ""})
     assert load_checkpoint(path)[2] == {"expr": "a=b", "empty": ""}
+
+
+@pytest.mark.parametrize("where", ["policy", "value"])
+def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path, where):
+    # the file is whole and its size tables are right, but the first bias is
+    # stored as (1,): written into its (4,) view it would broadcast unnoticed
+    rng = np.random.default_rng(18)
+    pol, val = GaussianPolicy(3, 2, (4,), rng), ValueNet(3, (4,), rng)
+    head = pol if where == "policy" else val
+    params = head.parameters()
+    head.parameters = lambda: params[:2] + [params[2][:1]] + params[3:]
+    path = tmp_path / "misshapen.ckpt"
+    save_checkpoint(path, pol, val, {})
+    with pytest.raises(ValueError, match=r"parameter 2 has shape \(1,\), expected \(4,\)"):
+        load_checkpoint(path)
+
+
+# ------------------------------------------------------------------ #
+# Trained weights of the benchmark's hybrid workload
+# ------------------------------------------------------------------ #
+# SHA-256 over each net's parameters() raveled and concatenated as <f8, for
+# the DRL bridge and the switch trained by the hybrid workload of seeds 1-2;
+# recorded with numpy 2.4.6 when Adam, the gradient clip and the abort
+# snapshot still ran one tensor at a time
+WEIGHT_PINS = {
+    (1, "drl"): ("a95b867d966dea415ed6c0b53dfde26316decd18e715eb90085cd46e4a9a7a26",
+                 "9cb9ff7c12a185ecc258970d65e855a672bdd166b0bb606bc377238cc0d678a9"),
+    (1, "switch"): ("17fe973cbf46e3c00994e935205a120258eab5efcd65d9e68eec689524d5628c",
+                    "f8884fc40e7115f2d34f0016c86a305f3d294972044208a3a839585642ec9078"),
+    (2, "drl"): ("82b8a7adf1993189e4ab0188815fecf91e25df91564b11cd49c394b615430088",
+                 "e8420a41a9cdaba7b3f63fe4fc6a16882af6ac98539666fcfba473ec53364bb4"),
+    (2, "switch"): ("4107fc08dcecaf2d17021cc4a6e8129b4238523fb2a0e3669919df8bac6226cc",
+                    "a971521f774d83785ca0502874f1a2a53687df9142554fdc686c67b047a4c7e5"),
+}
+PINNED_NUMPY = "2.4.6"
+
+
+def test_hybrid_trained_weights_are_pinned_per_seed(workloads, hybrid_workloads, monkeypatch):
+    def digest(net):
+        flat = np.concatenate([np.ravel(p) for p in net.parameters()])
+        return hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
+
+    for wl in hybrid_workloads:
+        trained = {}
+        for name in ("drl", "switch"):
+            train = getattr(workloads, f"train_{name}")
+
+            def record(*args, _name=name, _train=train, **kwargs):
+                trained[_name] = _train(*args, **kwargs)
+                return trained[_name]
+
+            monkeypatch.setattr(workloads, f"train_{name}", record)
+        wl._train(workloads.Tally())
+        monkeypatch.undo()
+        for name in ("drl", "switch"):
+            policy, value_net, curve = trained[name]
+            assert all(row["policy_grad_norm"] > 0 and row["value_grad_norm"] > 0
+                       for row in curve)
+            got = (digest(policy), digest(value_net))
+            assert got == WEIGHT_PINS[wl.seed, name], (
+                f"hybrid seed {wl.seed}: trained {name} weights differ from the pins, "
+                f"recorded with numpy {PINNED_NUMPY} (this run: numpy {np.__version__})")
