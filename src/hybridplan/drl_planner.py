@@ -19,10 +19,10 @@ scalar counterpart, so ``plan_drl`` bridges one gap on one lane.  A step is
 the transition (clamp, chain walk, observation, goal distance and done
 rule) plus the collision verdict, manipulability and reward.  ``plan_drl``
 runs the transition alone, since its policy reads only the observation, and
-annotates the bridge rows after the loop with one ``collision_index_lanes``
-and one ``normalized_manipulability_lanes`` call.  ``train_drl``
-collects each PPO batch on ``ROLLOUT_LANES`` lanes with one policy forward
-per lane step (the vectorised-environment layout of PPO).
+annotates the bridge rows after the loop with one ``geometry.score_lanes``
+call.  ``train_drl`` collects each PPO batch on ``ROLLOUT_LANES`` lanes with
+one policy forward per lane step (the vectorised-environment layout of PPO).
+Bracket poses are 8-vectors (rows of a plan's lanes) or ``DualQuaternion``s.
 """
 from __future__ import annotations
 
@@ -32,13 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import DualQuaternion, dq_from_lanes, quat_to_euler
+from hybridplan.dualquat import dq_from_lanes, dq_to_lanes, dq_translation, quat_to_euler
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
     collision_index_points,
     ray_bundle_lanes,
+    score_lanes,
 )
 from hybridplan.kinematics import (
     RobotModel,
@@ -48,7 +49,6 @@ from hybridplan.kinematics import (
     _normalized_manipulability_raw,
     ee_state,
     fk_frames,  # noqa: F401 -- unused; perfbench's tracer test wraps this binding
-    normalized_manipulability_lanes,
 )
 from hybridplan.rl_core import (
     GaussianPolicy,
@@ -56,11 +56,9 @@ from hybridplan.rl_core import (
     RolloutBatch,
     ValueNet,
     ppo_update,
-    save_checkpoint,
 )
 from hybridplan.trajectory import SOURCE_DRL, JointTrajectory
 
-STATE_LAYOUT_VERSION = "drl-v1-goalrel"
 ROLLOUT_LANES = 16         # environments stepped together while collecting PPO batches
 
 
@@ -89,10 +87,6 @@ class DrlEnvConfig:
 def state_dim(dof: int) -> int:
     # JP, JO, LV, AV (3*dof each) + TP, TO (3 each) + 25 rays + goal offset
     return 12 * dof + 6 + 25 + 3
-
-
-def layout_hash(model: RobotModel) -> str:
-    return f"{STATE_LAYOUT_VERSION}:dof={model.dof}"
 
 
 def drl_reward(cfg: DrlEnvConfig, distance, col, man):
@@ -240,7 +234,7 @@ class DrlEnv:
 # ------------------------------------------------------------------ #
 def save_segments(pairs, path) -> None:
     """One line per (start pose, goal pose) pair: 16 scalars."""
-    records.write(path, [records.line(start.as_array(), goal.as_array()) for start, goal in pairs])
+    records.write(path, [records.line(dq_to_lanes(pair)) for pair in pairs])
 
 
 def load_segments(path) -> list:
@@ -255,8 +249,9 @@ def _prepare_pairs(pairs, model, obstacles, rng, witnesses=None):
     """IK the start poses once (collision-free witness preferred); drops
     pairs whose start has no witness at all.  ``witnesses`` optionally gives
     a known-good joint vector per pair (e.g. from the feasibility map)."""
+    goals = dq_translation(dq_to_lanes([goal for _, goal in pairs]))
     prepared = []
-    for k, (start, goal) in enumerate(pairs):
+    for k, (start, _) in enumerate(pairs):
         theta0 = None
         if witnesses is not None and witnesses[k] is not None:
             theta0 = np.asarray(witnesses[k], dtype=float)
@@ -264,7 +259,7 @@ def _prepare_pairs(pairs, model, obstacles, rng, witnesses=None):
             theta0 = ik_free(model, start, obstacles, rng)
         if theta0 is None:
             continue
-        prepared.append((theta0, goal.translation()))
+        prepared.append((theta0, goals[k]))
     return prepared
 
 
@@ -351,34 +346,17 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
     return policy, value_net, curve
 
 
-def save_drl_checkpoint(path, policy, value_net, model, env_cfg, extra=None):
-    meta = {"layout": layout_hash(model), "dof": model.dof,
-            "target_radius": env_cfg.target_radius,
-            "max_step_deg": env_cfg.max_step_deg,
-            "reward_mode": env_cfg.reward_mode}
-    meta.update(extra or {})
-    save_checkpoint(path, policy, value_net, meta)
-
-
-def check_layout(meta: dict, model: RobotModel) -> None:
-    if meta.get("layout") != layout_hash(model):
-        raise ValueError(
-            f"checkpoint layout {meta.get('layout')!r} does not match "
-            f"{layout_hash(model)!r}")
-
-
 # ------------------------------------------------------------------ #
 # Online bridging
 # ------------------------------------------------------------------ #
-def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
-             goal: DualQuaternion, env_cfg=None, seed=0, theta0=None,
-             stochastic=False) -> JointTrajectory:
+def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, seed=0,
+             theta0=None, stochastic=False) -> JointTrajectory:
     """Bridge one infeasible gap; returns the annotated joint trajectory.
 
     The start pose must have an IK witness (it bracketed a feasible segment).
     Budget exhaustion returns the best-effort trajectory with success=False.
     The policy acts through the environment's transition alone; the rows'
-    collision verdicts and manipulability come from one lane call each.
+    collision verdicts and manipulability come from one ``score_lanes`` call.
     """
     env_cfg = env_cfg or DrlEnvConfig()
     rng = np.random.default_rng(seed)
@@ -387,7 +365,7 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
         if theta0 is None:
             raise ValueError("start pose has no IK witness")
     env = DrlEnv(model, obstacles, env_cfg)
-    goal_pos = goal.translation()
+    goal_pos = dq_translation(dq_to_lanes(goal))
     obs = env.reset(theta0, goal_pos)[0]
     thetas = [env.thetas[0]]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
@@ -407,6 +385,5 @@ def plan_drl(policy, model: RobotModel, obstacles, start: DualQuaternion,
             break
     thetas = np.array(thetas)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
-                           normalized_manipulability_lanes(model, thetas),
-                           collision_index_lanes(model, thetas, obstacles),
+                           *score_lanes(model, thetas, obstacles),
                            success, meta={"goal_distance": distance})

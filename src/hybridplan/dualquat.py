@@ -10,10 +10,12 @@ or (N,) arrays, so the same arithmetic serves the 4-vector functions here,
 the scalar and lane kinematic chain of ``kinematics``, and the dual-quaternion
 lanes below.
 
-Lanes are (N, 8) arrays of dual quaternions, real part then dual part
-(``dq_to_lanes``/``dq_from_lanes``).  ``dq_mul_lanes`` is ``dq_mul`` on every
-lane, with the same component arithmetic and drift rule, and ``dq_sclerp`` is
-the one-lane case of ``dq_sclerp_lanes``.
+Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
+one pose format below the planners' entry points, which convert poses with
+``dq_to_lanes`` (``dq_from_lanes`` goes back).  ``dq_translation`` is the one
+translation rule.  ``dq_mul_lanes`` is ``dq_mul`` on every lane, with the
+same component arithmetic and drift rule, and ``dq_sclerp`` is the one-lane
+case of ``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
@@ -178,9 +180,8 @@ class DualQuaternion:
         return np.concatenate([self.real, self.dual])
 
     def translation(self) -> np.ndarray:
-        """Extract the translation: t = 2 * dual * conj(real)."""
-        t = 2.0 * quat_mul(self.dual, quat_conj(self.real))
-        return t[1:]
+        """The translation, ``dq_translation`` of this pose."""
+        return dq_translation(self.as_array())
 
     def to_pose(self):
         """Return (position 3-vector, rotation quaternion)."""
@@ -232,8 +233,26 @@ def dq_from_pose(position, rotation) -> DualQuaternion:
 
 
 def dq_to_lanes(poses) -> np.ndarray:
-    """Stack DualQuaternions into (N, 8) lanes, real part then dual part."""
-    return np.array([(p.real, p.dual) for p in poses], dtype=float).reshape(-1, 8)
+    """Poses as lanes: a ``DualQuaternion`` gives its 8-vector, an array
+    passes through as float64, and a sequence of ``DualQuaternion``s or
+    8-vectors is stacked into (N, 8) lanes."""
+    if isinstance(poses, np.ndarray):
+        return np.asarray(poses, dtype=float)
+    if isinstance(poses, DualQuaternion):
+        return np.concatenate((poses.real, poses.dual))
+    out = np.empty((len(poses), 8))
+    if len(out):
+        out[:, :4] = [p.real if isinstance(p, DualQuaternion) else p[:4] for p in poses]
+        out[:, 4:] = [p.dual if isinstance(p, DualQuaternion) else p[4:] for p in poses]
+    return out
+
+
+def dq_translation(lanes) -> np.ndarray:
+    """Translation t = 2 dual conj(real) of an 8-vector, (3,), or of (N, 8)
+    lanes, (N, 3)."""
+    rw, rx, ry, rz, dw, dx, dy, dz = np.asarray(lanes).T
+    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+    return 2.0 * np.array((tx, ty, tz)).T
 
 
 def dq_from_lanes(lanes: np.ndarray) -> list:
@@ -298,11 +317,10 @@ def dq_conjugate_lanes(a) -> np.ndarray:
 def _screw_power_lanes(rel: np.ndarray, u) -> tuple:
     """rel^u along the screw axis of each lane of rel (unit, real.w >= 0), as
     components.  Lanes with no rotation are pure translations, scaled by u."""
-    rw, rx, ry, rz, dw, dx, dy, dz = rel.T
+    rw, rx, ry, rz = rel.T[:4]
     w = np.minimum(rw, 1.0)                              # clip; rw >= 0 already
     sin_half = np.sqrt(_lane_dot(rel[..., 1:4], rel[..., 1:4]))
-    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
-    tx, ty, tz = 2.0 * tx, 2.0 * ty, 2.0 * tz            # translation of rel
+    tx, ty, tz = dq_translation(rel).T                   # translation of rel
     screw = sin_half >= 1e-9
     angle = 2.0 * np.arctan2(sin_half, w)
     s = np.where(screw, sin_half, 1.0)

@@ -9,7 +9,9 @@ the witness joint vector for every cell.  Cell semantics are existential: the
 cell is feasible if any witness lands inside it, so the per-cell IK tolerance
 is half the cell extent.
 
-Map lookups run on (N, 8) pose lanes (``FeasibilityMap.locate_lanes``).  A
+Poses are 8-vectors or (N, 8) lanes (``dq_to_lanes`` also takes
+``DualQuaternion``s); a classification keeps its trajectory's lanes and its
+brackets are rows of them.  Map lookups run on lanes (``locate_lanes``).  A
 pose's voxel is ``floor((p - box_lo) / voxel_size)`` per axis; a pose within
 1e-9 (in voxel units) of the box's upper face belongs to the last voxel.  Its
 orientation cell bins the ``quat_to_euler`` angles (roll, pitch, yaw) into
@@ -29,8 +31,8 @@ import numpy as np
 
 from hybridplan.dualquat import (
     DualQuaternion,
-    _qmul,
     dq_to_lanes,
+    dq_translation,
     quat_from_euler,
     quat_to_euler,
 )
@@ -65,7 +67,7 @@ class FeaResult:
     witness: np.ndarray | None = None
 
 
-def fea(pose: DualQuaternion, model: RobotModel, obstacles, eps_m=0.1,
+def fea(pose, model: RobotModel, obstacles, eps_m=0.1,
         ik_budget=20, rng=None, tol_pos=1e-3, tol_rot=1e-2, max_iters=FEA_MAX_ITERS,
         extra_seeds=()) -> FeaResult:
     """Feasibility of one end-effector pose.
@@ -82,8 +84,8 @@ def fea(pose: DualQuaternion, model: RobotModel, obstacles, eps_m=0.1,
     if rng is None:
         rng = np.random.default_rng(0)
     seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
-    return _fea_batch([pose], [seeds], model, obstacles, eps_m, tol_pos, tol_rot,
-                      max_iters)[0]
+    return _fea_batch(dq_to_lanes(pose).reshape(1, 8), [seeds], model, obstacles, eps_m,
+                      tol_pos, tol_rot, max_iters)[0]
 
 
 def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, tol_pos=1e-3,
@@ -127,11 +129,11 @@ def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> list:
     return seeds
 
 
-def _fea_batch(poses, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
+def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
                tol_rot, max_iters) -> list:
-    """``fea`` of many poses: every seed of every pose descends as one
+    """``fea`` of (P, 8) pose lanes: every seed of every pose descends as one
     ``ik_descend``, then each pose's witnesses are judged in seed order."""
-    targets = [pose for pose, seeds in zip(poses, seed_lists) for _ in seeds]
+    targets = np.repeat(lanes, [len(seeds) for seeds in seed_lists], axis=0)
     sols = ik_descend(model, targets, np.concatenate(seed_lists).reshape(-1, model.dof),
                       tol_pos, tol_rot, max_iters)
     results, start = [], 0
@@ -215,17 +217,16 @@ class FeasibilityMap:
     def locate_lanes(self, lanes) -> np.ndarray:
         """Flat cell index of each pose of (N, 8) lanes, or -1 outside the map.
 
-        The translation is formed as ``DualQuaternion.translation`` forms it
-        and the angles by one ``quat_to_euler`` over the lanes; the cell and
-        face rules are those of the module docstring.
+        The translation is ``dq_translation`` of the lanes and the angles
+        one ``quat_to_euler`` over them; the cell and face rules are those
+        of the module docstring.
         """
-        rw, rx, ry, rz, dw, dx, dy, dz = np.asarray(lanes, dtype=float).T
-        _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
-        rel = (2.0 * np.array([tx, ty, tz]).T - self.box_lo) / self.voxel_size
+        lanes = np.asarray(lanes, dtype=float)
+        rel = (dq_translation(lanes) - self.box_lo) / self.voxel_size
         vox = np.floor(rel)
         vox -= (vox == self.voxel_counts) & (np.abs(rel - vox) < 1e-9)   # upper face
         tm = self.theta_max
-        ang = quat_to_euler((rw, rx, ry, rz)).T
+        ang = quat_to_euler(lanes.T[:4]).T
         if abs(tm - np.pi) < 1e-12:
             ang[:, 2] = (ang[:, 2] + np.pi) % (2 * np.pi) - np.pi      # wrap yaw
         n_ori = np.asarray(self.orient_counts)
@@ -237,9 +238,9 @@ class FeasibilityMap:
                                     self.voxel_counts + self.orient_counts)
         return np.where(inside, flat, -1)
 
-    def lookup(self, pose: DualQuaternion) -> FeaResult:
+    def lookup(self, pose) -> FeaResult:
         """Map verdict for the cell containing the pose."""
-        idx = int(self.locate_lanes(pose.as_array()[None])[0])
+        idx = int(self.locate_lanes(dq_to_lanes(pose).reshape(1, 8))[0])
         if idx < 0:
             return FeaResult(False, 0.0, UNREACHABLE, None)
         w = self.witnesses[idx]
@@ -273,8 +274,8 @@ def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices,
             np.random.SeedSequence(seed, spawn_key=(i, spawn_salt)))
         extra = () if seeds_by_cell is None else seeds_by_cell.get(i, ())
         seed_lists.append(_draw_seeds(model, extra, ik_budget, rng))
-    results = _fea_batch(poses, seed_lists, model, obstacles, eps_m, half_pos, half_rot,
-                         FEA_MAX_ITERS)
+    results = _fea_batch(dq_to_lanes(poses), seed_lists, model, obstacles, eps_m, half_pos,
+                         half_rot, FEA_MAX_ITERS)
     return list(zip(indices, results))
 
 
@@ -458,14 +459,14 @@ class Segment:
 @dataclass
 class SegmentClassification:
     segments: list
-    poses: list                       # the classified trajectory
+    poses: np.ndarray                 # the classified trajectory, (N, 8) lanes
     feasible_mask: np.ndarray
 
     def infeasible_brackets(self):
         """(segment, start pose or None, goal pose or None) per notFJ segment.
 
-        The brackets are the nearest feasible poses before/after the segment;
-        they are the start/goal handed to the joint-space bridge planner.
+        The brackets are the nearest feasible rows of ``poses`` before/after
+        the segment, the start/goal handed to the joint-space bridge planner.
         """
         out = []
         for seg in self.segments:
@@ -480,11 +481,12 @@ class SegmentClassification:
 def classify_trajectory(poses, fmap: FeasibilityMap) -> SegmentClassification:
     """Split a task-space trajectory into maximal FJ / notFJ runs, from one
     ``locate_lanes`` call over all its poses."""
-    if len(poses) < 2:
+    lanes = dq_to_lanes(poses)
+    if len(lanes) < 2:
         raise ValueError("trajectory must have at least 2 poses")
-    cells = fmap.locate_lanes(dq_to_lanes(poses))
+    cells = fmap.locate_lanes(lanes)
     mask = (cells >= 0) & (fmap.reasons[cells] == OK)
     bounds = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
-    starts, ends = [0] + bounds, [b - 1 for b in bounds] + [len(poses) - 1]
+    starts, ends = [0] + bounds, [b - 1 for b in bounds] + [len(lanes) - 1]
     segments = [Segment(s, e, FJ if mask[s] else NOT_FJ) for s, e in zip(starts, ends)]
-    return SegmentClassification(segments, list(poses), mask)
+    return SegmentClassification(segments, lanes, mask)

@@ -17,7 +17,8 @@ trajectories and lane environments.  ``collision_index_points`` is either
 check on frame points the caller already has, so a DRL step that walked the
 chain once for its observation does not walk it again.  ``ray_bundle_lanes``
 likewise casts the end-effector ray bundle from given end-effector states,
-one state or N lanes.
+one state or N lanes.  ``score_lanes`` gives the normalized manipulability
+with the lane verdicts, both off one chain walk, to annotate joint rows.
 
 ``pose_must_collide`` is a certificate on a target pose rather than a
 configuration: the pose pins the end effector and, through the tool, the
@@ -35,8 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import _lane_dot, _qrot, quat_to_matrix
-from hybridplan.kinematics import RobotModel, ee_state, frame_points
+from hybridplan.dualquat import _lane_dot, _qrot, dq_to_lanes, dq_translation, quat_to_matrix
+from hybridplan.kinematics import (RobotModel, _chain_eval, _frame_points_raw,
+                                   _normalized_manipulability_raw, ee_state, frame_points)
 
 RAY_COUNT = 25
 
@@ -212,7 +214,7 @@ CERTIFICATE_MARGIN = 1e-9      # absorbs the rounding of frames and distances
 
 def pose_must_collide(model: RobotModel, pose, obstacles, tol_pos, tol_rot) -> bool:
     """True only when every configuration that ``ik_attempt`` can return for
-    ``pose`` at these tolerances collides with an obstacle.
+    ``pose`` (an 8-vector) at these tolerances collides with an obstacle.
 
     The pose pins two frames to within a known distance of where it puts
     them: the end effector (frame dof + 1) within ``tol_pos`` of the target,
@@ -229,7 +231,8 @@ def pose_must_collide(model: RobotModel, pose, obstacles, tol_pos, tol_rot) -> b
     measures a planar model's error in the plane alone.
     """
     steps, tool_q, tool_p, in_plane = model._chain
-    tq, tp = pose.real, pose.translation()
+    pose = dq_to_lanes(pose)
+    tq, tp = pose[:4], dq_translation(pose)
     if model.task == "planar":
         if not (in_plane and abs(tp[2]) <= 1e-9 and abs(tq[1]) <= 1e-9 and abs(tq[2]) <= 1e-9):
             return False
@@ -333,6 +336,17 @@ def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
     """``collision_index`` of every row of an (N, dof) array, (N,) uint8."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
     return _collision_index_lanes(model, frame_points(model, thetas), obstacles)
+
+
+def score_lanes(model: RobotModel, thetas, obstacles) -> tuple:
+    """(``normalized_manipulability_lanes``, ``collision_index_lanes``) of an
+    (N, dof) array from one lane chain walk; no lane call on zero rows."""
+    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
+    if len(thetas) == 0:
+        return np.zeros(0), np.zeros(0, dtype=np.uint8)
+    axes, origins, _, _, p = _chain_eval(model, thetas)
+    return (_normalized_manipulability_raw(model, axes, origins, p),
+            _collision_index_lanes(model, _frame_points_raw(origins, p), obstacles))
 
 
 def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:

@@ -17,7 +17,8 @@ goes through the same arithmetic, so a cached reward is the reward.
 the waypoint gaps of all the chosen segments together: one
 ``sample_pieces`` call slices the skills and one ``retarget_pieces`` call
 maps the slices, so a plan costs one set of lane calls however many gaps it
-has.  Each gap's lanes are those of retargeting it on its own.
+has.  Each gap's lanes are those of retargeting it on its own.  The plan's
+poses are those (N, 8) lanes; no pose object is built.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import _lane_dot, _qmul, dq_from_lanes, dq_to_lanes
+from hybridplan.dualquat import _lane_dot, _qmul, dq_to_lanes, dq_translation
 from hybridplan.lfd import (
     BETA_RESAMPLE,
     DELTA_BETA,
@@ -171,26 +172,24 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
     half = 0.5 * draw[:, 3]
     sin = np.sin(half)
     zero = sin * 0.0                 # the signed zeros of the z-axis spin
-    rw, rx, ry, rz, dw, dx, dy, dz = lanes.T
-    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
-    rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, rw, rx, ry, rz))
+    rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, *lanes.T[:4]))
     norm = np.sqrt(_lane_dot(rot, rot))
     if np.any(norm < 1e-12):
         raise ValueError("degenerate rotation")
     rot /= norm[:, None]
-    pos = 2.0 * np.column_stack((tx, ty, tz)) + draw[:, :3]
+    pos = dq_translation(lanes) + draw[:, :3]
     dual = _qmul(0.0, *pos.T, *rot.T)
     return np.column_stack((rot, *(0.5 * c for c in dual)))
 
 
-def _config_cells(tasks, fmap) -> list:
-    """Per task, the state cell of each critical configuration: its flat map
-    cell, -2 outside the map, or -1 with no map.  One ``locate_lanes`` call
-    covers every task."""
+def _config_cells(task_lanes, fmap) -> list:
+    """Per task, given as its configurations' lanes, the state cell of each
+    critical configuration: its flat map cell, -2 outside the map, or -1 with
+    no map.  One ``locate_lanes`` call covers every task."""
     if fmap is None:
-        return [[-1] * len(t.configs) for t in tasks]
-    cells = fmap.locate_lanes(dq_to_lanes([p for t in tasks for p in t.configs]))
-    splits = np.cumsum([len(t.configs) for t in tasks])[:-1]
+        return [[-1] * len(lanes) for lanes in task_lanes]
+    cells = fmap.locate_lanes(np.concatenate(task_lanes))
+    splits = np.cumsum([len(lanes) for lanes in task_lanes])[:-1]
     return [c.tolist() for c in np.split(np.where(cells < 0, -2, cells), splits)]
 
 
@@ -222,7 +221,7 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
     score = _segment_scorer(library, cfg.delta_beta)
     task_lanes = [dq_to_lanes(t.configs) for t in tasks]
     # the state keys read the un-jittered configurations
-    task_cells = _config_cells(tasks, fmap)
+    task_cells = _config_cells(task_lanes, fmap)
 
     for ep in range(cfg.episodes):
         k = int(rng.integers(len(tasks)))
@@ -289,8 +288,6 @@ def _retarget_segments(segments, points_per_gap: int) -> tuple:
     """
     gaps = [(skill, waypoints, g, len(waypoints) - 1)
             for skill, waypoints in segments for g in range(len(waypoints) - 1)]
-    if not gaps:
-        return np.empty((0, 8)), []
     sliced = iter(sample_pieces(
         [(skill.lanes, skill.params, np.linspace(g / n, (g + 1) / n, max(3, len(skill.poses) // n)))
          for skill, _, g, n in gaps if skill.params is not None]))
@@ -305,23 +302,18 @@ def _retarget_segments(segments, points_per_gap: int) -> tuple:
     return lanes, ranges
 
 
-def retarget_through(skill: Demonstration, waypoints, points_per_gap: int) -> list:
-    """Retarget a skill across several critical configurations: the
-    one-segment plan of ``_retarget_segments``."""
-    lanes, _ = _retarget_segments([(skill, dq_to_lanes(waypoints))], points_per_gap)
-    return dq_from_lanes(lanes)
-
-
 def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
              points_per_gap: int = 25) -> dict:
     """Greedy segment and skill selection; returns the task-space plan.
 
-    Output dict: poses (the trajectory), segments [(seg, skill_id)], and the
-    per-segment pose index ranges.  The motion of all segments is
-    retargeted in one ``_retarget_segments`` call (see the module docstring).
+    Output dict: poses (the trajectory, as (N, 8) lanes), segments
+    [(seg, skill_id)], and the per-segment pose index ranges.  The motion of
+    all segments is retargeted in one ``_retarget_segments`` call (see the
+    module docstring).
     """
     skill_ids = library.ids()
-    cells = _config_cells([task], fmap)[0]
+    configs = dq_to_lanes(task.configs)
+    cells = _config_cells([configs], fmap)[0]
     idx = 0
     chosen = []
     while idx < len(task.configs) - 1:
@@ -330,10 +322,9 @@ def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
         seg = tables.best_segment(state, cands)
         chosen.append((seg, tables.best_skill(state, seg, skill_ids)))
         idx = seg[1]
-    configs = dq_to_lanes(task.configs)
     lanes, ranges = _retarget_segments(
         [(library[skill_id], configs[a:b + 1]) for (a, b), skill_id in chosen], points_per_gap)
-    return {"poses": dq_from_lanes(lanes), "segments": chosen, "ranges": ranges}
+    return {"poses": lanes, "segments": chosen, "ranges": ranges}
 
 
 def exhaustive_plan(task: Task, library: SkillLibrary, delta_beta=DELTA_BETA):

@@ -16,7 +16,8 @@ in the same order, so lane k of a lane call equals the scalar call on row k
 (``test_chain_eval_one_vector_walks_on_floats_and_equals_lane_rows``).  Both
 cast the joint angles to float64 first.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
-them in lockstep on the lane path, under the same rules.
+them in lockstep on the lane path, under the same rules, towards 8-vector
+targets or (N, 8) target lanes (``dualquat.dq_to_lanes``).
 ``normalized_manipulability_lanes`` scores N configurations with one lane
 Jacobian and one batched SVD, for whole trajectories.  ``frame_points`` takes
 either layout too, and the ``_raw`` helpers (frame points, manipulability)
@@ -33,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import DualQuaternion, _lane_dot, _qmul, _qrot, quat_to_rotvec
+from hybridplan.dualquat import (DualQuaternion, _lane_dot, _qmul, _qrot, dq_to_lanes,
+                                 dq_translation, quat_to_rotvec)
 
 IK_DAMPING = 0.05      # damped least-squares factor
 IK_MAX_STEP = 1.0      # cap on a single DLS joint-space step, radians
@@ -326,7 +328,8 @@ def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
     theta = model.clamp(np.asarray(seed, dtype=float).copy())
     m = model.ee_dof
     lam2 = IK_DAMPING * IK_DAMPING * np.eye(m)
-    tq, tp = target.real, target.translation()
+    target = dq_to_lanes(target)
+    tq, tp = target[:4], dq_translation(target)
     best_err = np.inf
     stall = 0
     for _ in range(max_iters):
@@ -383,7 +386,7 @@ def _pose_error_lanes(model, q, p, tq, tp):
 
 def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
     """N damped-least-squares descents in lockstep, lane k from ``seeds[k]``
-    towards ``targets[k]`` (a sequence of N poses).
+    towards ``targets[k]`` ((N, 8) lanes).
 
     Every lane follows the rules of ``ik_attempt`` and ends where it would:
     at the tolerance, after 15 non-improving iterations, on a non-finite step,
@@ -392,14 +395,10 @@ def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
     """
     theta = model.clamp(np.array(seeds, dtype=float).reshape(-1, model.dof))
     n_lanes = len(theta)
+    targets = dq_to_lanes(targets).reshape(-1, 8)
     if len(targets) != n_lanes:
         raise ValueError(f"{len(targets)} targets for {n_lanes} seeds")
-    by_pose = {}
-    for t in targets:
-        if id(t) not in by_pose:
-            by_pose[id(t)] = (t.real, t.translation())
-    tq = np.array([by_pose[id(t)][0] for t in targets]).reshape(n_lanes, 4)
-    tp = np.array([by_pose[id(t)][1] for t in targets]).reshape(n_lanes, 3)
+    tq, tp = targets[:, :4], dq_translation(targets)
     lam2 = IK_DAMPING * IK_DAMPING * np.eye(model.ee_dof)
     out = np.full((n_lanes, model.dof), np.nan)
     best_err = np.full(n_lanes, np.inf)

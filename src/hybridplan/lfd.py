@@ -7,9 +7,10 @@ demonstration, which is what makes a skill retargetable: the endpoints are
 aligned exactly and the residual displacement mismatch is distributed over
 the intermediate poses along the screw connecting them.
 
-Pose and feature sequences are (N, 8) dual-quaternion lanes; the sequence
-functions also take lists of ``DualQuaternion``s.  Sampling and retargeting
-work on many pieces at once: ``sample_pieces`` evaluates the screw
+Pose and feature sequences are (N, 8) dual-quaternion lanes; every
+function that takes poses also takes ``DualQuaternion``s, through the entry
+conversion ``dq_to_lanes``, and ``retarget`` returns lanes.  Sampling and
+retargeting work on many pieces at once: ``sample_pieces`` evaluates the screw
 interpolations of all its pieces in one ``dq_sclerp_lanes`` call, and
 ``retarget_pieces`` retargets all its pieces with one set of lane calls, so
 the unit of work is a whole plan (``hrl_planner.plan_lfd``).  ``retarget`` is
@@ -44,23 +45,12 @@ DELTA_BETA = 0.5          # default per-term feature tolerance, chordal units
 _IDENTITY = DualQuaternion.identity().as_array()
 
 
-def _as_lanes(poses) -> np.ndarray:
-    """(N, 8) lanes of a pose sequence given as lanes or DualQuaternions."""
-    if isinstance(poses, np.ndarray):
-        return poses
-    return dq_to_lanes(poses)
-
-
-def _vec(x) -> np.ndarray:
-    return x.as_array() if isinstance(x, DualQuaternion) else np.asarray(x, dtype=float)
-
-
 def chordal_distance(a, b):
     """8-vector distance with sign-aligned real parts (double cover).
 
     Two DualQuaternions (or 8-vectors) give one distance; (N, 8) lanes give
     N distances, rounded like the one-pair ``np.linalg.norm``."""
-    va, vb = _vec(a), _vec(b)
+    va, vb = dq_to_lanes(a), dq_to_lanes(b)
     flip = _lane_dot(va[..., :4], vb[..., :4]) < 0.0
     diff = np.where(flip[..., None], va + vb, va - vb)
     return np.sqrt(_lane_dot(diff, diff))
@@ -71,7 +61,7 @@ def extract_features(poses) -> np.ndarray:
 
     Row k = conj(poses[k]) * poses[-1]; (len(poses) - 1, 8) lanes.
     """
-    lanes = _as_lanes(poses)
+    lanes = dq_to_lanes(poses)
     if len(lanes) < 2:
         raise ValueError("need at least 2 poses to extract features")
     return dq_mul_lanes(dq_conjugate_lanes(lanes[:-1]), lanes[-1])
@@ -108,7 +98,7 @@ def arc_params_pieces(pieces) -> list:
 
 def arc_params(poses) -> np.ndarray | None:
     """Normalized cumulative arc length per pose; None when degenerate."""
-    lanes = _as_lanes(poses)
+    lanes = dq_to_lanes(poses)
     return _cumulative(chordal_distance(lanes[:-1], lanes[1:]))
 
 
@@ -154,7 +144,7 @@ def sample_lanes(poses, params, us) -> np.ndarray:
     A parameter on a knot, or in a span shorter than 1e-15, takes the knot's
     pose; the others are interpolated in one ``dq_sclerp_lanes`` call.
     """
-    lanes = _as_lanes(poses)
+    lanes = dq_to_lanes(poses)
     us = np.clip(np.asarray(us, dtype=float), 0.0, 1.0)
     if len(lanes) == 1:
         return np.repeat(lanes, len(us), axis=0)
@@ -163,7 +153,7 @@ def sample_lanes(poses, params, us) -> np.ndarray:
 
 def resample(poses, n_out) -> np.ndarray:
     """``n_out`` poses evenly spaced in normalized arc length, as lanes."""
-    lanes = _as_lanes(poses)
+    lanes = dq_to_lanes(poses)
     params = arc_params(lanes)
     if params is None:
         return np.repeat(lanes[:1], n_out, axis=0)
@@ -318,17 +308,17 @@ def retarget_pieces(pieces) -> list:
     return out
 
 
-def retarget(skill: Demonstration, start: DualQuaternion, goal: DualQuaternion,
-             n_out: int) -> list:
-    """Map a skill onto new start/goal poses: the one-piece ``retarget_pieces``.
+def retarget(skill: Demonstration, start, goal, n_out: int) -> np.ndarray:
+    """Map a skill onto new start/goal poses, as (n_out, 8) lanes: the
+    one-piece ``retarget_pieces``.
 
     The start frames are aligned exactly by a left transform; the residual
     between the mapped final pose and the goal is applied as a right
     correction, ramped along normalized arc length so the endpoints land
     exactly while intermediate poses keep the demonstrated motion profile.
     """
-    lanes, = retarget_pieces([(skill.lanes, start.as_array(), goal.as_array(), n_out)])
-    return dq_from_lanes(lanes)
+    lanes, = retarget_pieces([(skill.lanes, dq_to_lanes(start), dq_to_lanes(goal), n_out)])
+    return lanes
 
 
 # ------------------------------------------------------------------ #

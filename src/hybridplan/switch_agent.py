@@ -9,7 +9,9 @@ step of the assembled trajectory; both split edges by the rule stated in
 ``hybridplan.trajectory``.  The training reward is the
 per-point feasibility sum (normalized manipulability minus collision) of the
 executed window, which is exactly the trajectory-level reward restricted to
-the points the decision can influence.
+the points the decision can influence.  The task-space plan is (N, 8) pose
+lanes, its brackets are rows of them, and ``geometry.score_lanes`` annotates
+joint rows.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan.feasibility import ik_free
-from hybridplan.geometry import collision_index_lanes
-from hybridplan.kinematics import RobotModel, normalized_manipulability_lanes
+from hybridplan.geometry import score_lanes
+from hybridplan.kinematics import RobotModel
 from hybridplan.rl_core import (
     CategoricalPolicy,
     PpoConfig,
@@ -81,8 +83,7 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
             prev = theta
         thetas[i] = prev
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
-                           normalized_manipulability_lanes(model, thetas),
-                           collision_index_lanes(model, thetas, obstacles))
+                           *score_lanes(model, thetas, obstacles))
 
 
 def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
@@ -92,11 +93,8 @@ def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTraject
     ends = np.array([theta_a, theta_b], dtype=float)
     pieces = np.ceil(edge_steps(ends) / np.radians(cfg.blend_step_deg))
     pts = subdivide(ends, np.minimum(pieces, cfg.blend_points + 1))[0][1:-1]
-    if len(pts) == 0:                # no lane call: it costs even on no rows
-        return JointTrajectory(pts)
     return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8),
-                           normalized_manipulability_lanes(model, pts),
-                           collision_index_lanes(model, pts, obstacles))
+                           *score_lanes(model, pts, obstacles))
 
 
 def _resample_rows(arr: np.ndarray, k: int) -> np.ndarray:
@@ -205,9 +203,7 @@ def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajecto
     man, col = np.zeros(len(pts)), np.zeros(len(pts), np.uint8)
     man[at], col[at] = traj.man, traj.col
     inserted = np.setdiff1d(np.arange(len(pts)), at)
-    if len(inserted):
-        man[inserted] = normalized_manipulability_lanes(model, pts[inserted])
-        col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
+    man[inserted], col[inserted] = score_lanes(model, pts[inserted], obstacles)
     return JointTrajectory(pts, src, man, col, traj.success, dict(traj.meta))
 
 

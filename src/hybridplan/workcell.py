@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import DualQuaternion, quat_to_euler
+from hybridplan.dualquat import DualQuaternion, dq_to_lanes, dq_translation, quat_to_euler
 from hybridplan.geometry import Box, Sphere, collision_index_lanes, obstacle_line
 from hybridplan.kinematics import (
     RobotModel,
@@ -130,14 +130,16 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     # every point's EE state and manipulability from one lane walk
     axes, origins, _, q, p = _chain_eval(model, points)
     ee_pos, ee_euler = np.stack(p, axis=1), quat_to_euler(q)
+    configs = dq_to_lanes(task.configs)
+    targets = dq_translation(configs)
     hits = []
     start_at = 0
     failed = None
-    for j, config in enumerate(task.configs):
-        c_euler = quat_to_euler(config.real)
+    for j, config in enumerate(configs):
+        c_euler = quat_to_euler(config[:4])
         diff = np.abs((ee_euler - c_euler[:, None] + np.pi) % (2 * np.pi) - np.pi)
         # not above the tolerance, the scalar rule's test (a NaN passes it)
-        hit = ~(_lane_norm(ee_pos - config.translation()) > criteria.pos_tol)
+        hit = ~(_lane_norm(ee_pos - targets[j]) > criteria.pos_tol)
         hit &= np.all(diff <= criteria.rot_tol, axis=0)
         after = np.flatnonzero(hit[start_at:])
         if len(after) == 0:

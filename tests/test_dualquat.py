@@ -14,8 +14,11 @@ from hybridplan.dualquat import (
     dq_sclerp,
     dq_sclerp_lanes,
     dq_to_lanes,
+    dq_translation,
     load_poses,
+    quat_conj,
     quat_from_euler,
+    quat_mul,
     quat_to_euler,
     save_poses,
 )
@@ -338,6 +341,28 @@ def test_lanes_conversion_roundtrip():
     assert lanes.shape == (5, 8) and dq_to_lanes([]).shape == (0, 8)
     for p, q in zip(poses, dq_from_lanes(lanes)):
         np.testing.assert_array_equal(p.as_array(), q.as_array())
+    # one pose gives its 8-vector, an array passes through as float64, and a
+    # sequence mixing poses and rows is stacked element by element
+    np.testing.assert_array_equal(dq_to_lanes(poses[0]), poses[0].as_array())
+    assert dq_to_lanes(lanes) is lanes
+    assert dq_to_lanes(np.eye(8, dtype=int)).dtype == np.float64
+    mixed = dq_to_lanes([lanes[0], poses[1], list(lanes[2])])
+    assert mixed.tobytes() == lanes[:3].tobytes()
+
+
+def test_dq_translation_of_lanes_equals_rows_and_the_quaternion_product():
+    # angles over 9 decades and translations over 8
+    rng = np.random.default_rng(29)
+    n = 2000
+    angles = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-9, 0.5, n)
+    shifts = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 2, (n, 1))
+    poses = [DualQuaternion.from_pose(t, (axis, a))
+             for t, axis, a in zip(shifts, rng.normal(size=(n, 3)), angles)]
+    lanes = dq_to_lanes(poses)
+    want = np.array([2.0 * quat_mul(p.dual, quat_conj(p.real))[1:] for p in poses])
+    assert dq_translation(lanes).tobytes() == want.tobytes()
+    assert np.array([dq_translation(row) for row in lanes]).tobytes() == want.tobytes()
+    assert np.array([p.translation() for p in poses]).tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ #

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hybridplan import geometry
 from hybridplan.dualquat import DualQuaternion, dq_mul
 from hybridplan.geometry import (
     Box,
@@ -16,6 +17,7 @@ from hybridplan.geometry import (
     ray_bundle,
     ray_bundle_lanes,
     raycast,
+    score_lanes,
     segment_box_distance,
     segment_point_distance,
     segment_segment_distance,
@@ -28,6 +30,7 @@ from hybridplan.kinematics import (
     frame_points,
     ik_descend,
     make_robot,
+    normalized_manipulability_lanes,
     planar_3r,
     planar_rr,
 )
@@ -205,6 +208,21 @@ def test_collision_index_lanes_matches_scalar(name):
     ref = np.array([collision_index(model, t, obstacles) for t in near])
     np.testing.assert_array_equal(collision_index_lanes(model, near, obstacles), ref)
     assert ref.sum() == len(near) // 2
+
+
+@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_mixed"])
+def test_score_lanes_is_both_lane_scores_from_one_walk(name, monkeypatch):
+    model, obstacles = _scene(name)
+    thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
+                                              (200, model.dof))
+    man, col = score_lanes(model, thetas, obstacles)
+    np.testing.assert_array_equal(man, normalized_manipulability_lanes(model, thetas))
+    np.testing.assert_array_equal(col, collision_index_lanes(model, thetas, obstacles))
+    assert col.dtype == np.uint8
+    # zero rows: empty scores, and no chain walk
+    monkeypatch.setattr(geometry, "_chain_eval", None)
+    man, col = score_lanes(model, np.zeros((0, model.dof)), obstacles)
+    assert man.shape == col.shape == (0,) and col.dtype == np.uint8
 
 
 def test_collision_index_lanes_count_exact_touch_as_contact():

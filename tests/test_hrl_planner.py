@@ -20,7 +20,6 @@ from hybridplan.hrl_planner import (
     intrinsic_reward,
     load_tables,
     plan_lfd,
-    retarget_through,
     save_tables,
     serialize_tables,
     train_hrl,
@@ -122,15 +121,16 @@ def test_intrinsic_reward_matches_reference_on_benchmark_tasks(skills_workloads)
 
 
 def test_retarget_through_matches_reference(skills_workloads):
+    # a one-segment plan retargets its skill through the task's configurations
     lib = skills_workloads[0].library
     for st in skills_workloads[0].tasks:
         for sk in lib.ids():
             for n_gaps in range(1, len(st.task.configs)):
                 waypoints = st.task.configs[:n_gaps + 1]
-                got = retarget_through(lib[sk], waypoints, 25)
+                plan = plan_lfd(Task("w", waypoints), lib, forced_tables([((0, n_gaps), sk)]),
+                                points_per_gap=25)
                 want = ref.retarget_through(lib[sk], waypoints, 25)
-                np.testing.assert_allclose(dq_to_lanes(got), dq_to_lanes(want),
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(plan["poses"], dq_to_lanes(want), rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------------ #
@@ -347,11 +347,8 @@ def test_retarget_pieces_mixes_constant_and_moving_pieces():
 
 
 def test_plan_lfd_edge_plans():
-    # a Task has at least 2 configurations; one configuration plans nothing
     sk = line_skill("s", 1.0, 0.0)
     lib = library_of(sk)
-    assert retarget_through(sk, [pose(0.2, 0.3)], 25) == []
-    assert ref.retarget_through_per_gap(sk, [pose(0.2, 0.3)], 25) == []
     task = Task("t", [pose(0, 0), pose(1, 0), pose(2, 0)])
     for ppg in (1, 0):
         with pytest.raises(ValueError, match="n_out must be at least 2"):
@@ -532,7 +529,8 @@ def test_plan_no_admissible_skill_error():
 def test_retarget_through_pins_waypoints():
     sk = line_skill("s", 3.0, 0.0, n=10)
     waypoints = [pose(0, 0), pose(0.9, 0.1), pose(2.1, -0.1), pose(3, 0)]
-    traj = retarget_through(sk, waypoints, points_per_gap=8)
+    traj = plan_lfd(Task("w", waypoints), library_of(sk), forced_tables([((0, 3), "s")]),
+                    points_per_gap=8)["poses"]
     for w in waypoints:
         assert min(chordal_distance(p, w) for p in traj) < 1e-9
     assert len(traj) == 3 * 8 - 2
@@ -559,7 +557,7 @@ def random_instance(rng):
                               + gen.poses[-1].translation()[:2]
                               - gen.poses[0].translation()[:2]
                               + rng.uniform(-0.05, 0.05, size=2))), 4)[-1]
-        configs.append(end)
+        configs.append(DualQuaternion.from_array(end))
     return Task("inst", configs), lib
 
 

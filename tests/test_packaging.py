@@ -2,6 +2,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ tomllib = pytest.importorskip("tomllib")       # Python 3.11+
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "hybridplan"
+PERFBENCH = ROOT / "perfbench"
 # imports kept without a use in their module: (module, name) -> why
 UNUSED_IMPORTS_KEPT = {
     ("drl_planner", "fk_frames"): "perfbench/tests/test_tracer.py wraps this binding "
@@ -52,3 +54,80 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py" for name in unused_imports(path)}
     assert found == set(UNUSED_IMPORTS_KEPT)
+
+
+# public top-level functions and classes that nothing in src/ references:
+# (module, name) -> why they stay.  The list may only shrink: a name leaves it
+# when a stage of the pipeline calls it, or when it is deleted.
+BENCHMARK_NAMES = "imported or traced by perfbench/, which composes the stages (ROADMAP item 14)"
+TEST_ONLY = "called by tests only (ROADMAP item 9)"
+FILE_IO = "artifact file I/O, kept for the CLI stages (ROADMAP items 1 and 10)"
+UNREFERENCED_KEPT = {
+    **{name: BENCHMARK_NAMES for name in [
+        ("drl_planner", "plan_drl"), ("drl_planner", "train_drl"),
+        ("feasibility", "build_map"), ("feasibility", "classify_trajectory"),
+        ("feasibility", "fea"), ("geometry", "point_box_distance"),
+        ("geometry", "ray_bundle"), ("hrl_planner", "exhaustive_plan"),
+        ("hrl_planner", "intrinsic_reward"), ("hrl_planner", "plan_lfd"),
+        ("hrl_planner", "train_hrl"), ("kinematics", "fk_frames"), ("kinematics", "ik"),
+        ("lfd", "feature_distance_terms"), ("lfd", "retarget"),
+        ("switch_agent", "assemble"), ("switch_agent", "densify"),
+        ("switch_agent", "find_bands"), ("switch_agent", "heuristic_switches"),
+        ("switch_agent", "lfd_joint_candidates"), ("switch_agent", "policy_switches"),
+        ("switch_agent", "train_switch"), ("workcell", "count_path_collisions")]},
+    **{name: TEST_ONLY for name in [
+        ("dualquat", "quat_rotate"), ("geometry", "raycast"),
+        ("kinematics", "normalized_manipulability_lanes"), ("kinematics", "planar_rr"),
+        ("kinematics", "pose_error"), ("switch_agent", "brute_force_switches"),
+        ("workcell", "bench")]},
+    **{name: FILE_IO for name in [
+        ("drl_planner", "load_segments"), ("drl_planner", "save_segments"),
+        ("dualquat", "load_poses"), ("dualquat", "save_poses"),
+        ("feasibility", "load_map"), ("feasibility", "save_map"),
+        ("hrl_planner", "load_tables"), ("hrl_planner", "save_tables"),
+        ("kinematics", "load_robot"), ("lfd", "load_library"),
+        ("rl_core", "load_checkpoint"), ("rl_core", "save_checkpoint"),
+        ("scenarios", "write_scene"), ("task", "load_task"),
+        ("trajectory", "load_joint_trajectory"), ("trajectory", "save_joint_trajectory"),
+        ("workcell", "load_workcell")]},
+}
+
+
+def referenced_names(node) -> Counter:
+    """Every name read and every attribute taken under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_public_names(package):
+    """(module, name) of each public top-level function or class that no
+    module of ``package`` references outside its own definition; the names
+    the package's ``__init__`` imports are its public API and count as
+    referenced."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    total.update(alias.asname or alias.name for node in ast.walk(trees["__init__"])
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+    return {(module, node.name) for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and total[node.name] == referenced_names(node)[node.name]}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    assert unreferenced_public_names(PACKAGE) == set(UNREFERENCED_KEPT)
+
+
+def test_benchmark_names_kept_are_used_by_the_benchmark():
+    used = set()
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= set(referenced_names(tree))
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        # the tracer lists its functions by dotted name
+        used |= {part for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 for part in node.value.split(".")}
+    assert {name for (_, name), why in UNREFERENCED_KEPT.items()
+            if why == BENCHMARK_NAMES} <= used

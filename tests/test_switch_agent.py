@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -342,3 +344,73 @@ def test_ik_free_equals_the_full_restart_loop_and_leaves_rng_in_step(monkeypatch
             np.testing.assert_array_equal(got, ref)
         assert rng.random() == rng_ref.random()
     assert counts["library"] < counts["reference"]
+
+
+# ------------------------------------------------------------------ #
+# The hybrid query, pinned end to end
+# ------------------------------------------------------------------ #
+def _query_digests(workloads, wl, monkeypatch) -> dict:
+    """SHA-256 per stage over what one ``run_round`` of a ``hybrid`` workload
+    hands between its stages: classification masks and segments, candidate
+    and bridge points/annotations/success, band boundaries, densified
+    trajectories and ``ExecutionReport`` reprs.  No pose is hashed, so the
+    digests do not depend on the pose format."""
+    h = {name: hashlib.sha256() for name in ("classify", "candidates", "bands",
+                                             "densify", "execute")}
+
+    def traj_bytes(traj):
+        return b"".join([traj.points.astype("<f8").tobytes(), traj.man.astype("<f8").tobytes(),
+                         traj.col.astype("u1").tobytes(), repr(bool(traj.success)).encode()])
+
+    def record(stage, fn, out_bytes):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            h[stage].update(out_bytes(out))
+            return out
+        return wrapped
+
+    for stage, name, out_bytes in (
+            ("classify", "classify_trajectory",
+             lambda c: c.feasible_mask.tobytes() + repr(c.segments).encode()),
+            ("candidates", "lfd_joint_candidates", traj_bytes),
+            ("bands", "find_bands",
+             lambda bands: b"".join(repr((b.seg_start, b.seg_end, b.entry, b.exit)).encode()
+                                    + traj_bytes(b.bridge) for b in bands) + b"|"),
+            ("densify", "densify",
+             lambda t: traj_bytes(t) + t.source.astype("u1").tobytes()),
+            ("execute", "execute", lambda r: repr(r).encode())):
+        monkeypatch.setattr(workloads, name, record(stage, getattr(workloads, name), out_bytes))
+    tally = workloads.Tally()
+    wl.run_round(tally)
+    monkeypatch.undo()
+    h["execute"].update(repr((tally.quality, tally.failed)).encode())
+    return {name: d.hexdigest() for name, d in h.items()}
+
+
+# SHA-256 per stage of one hybrid round (training and the 100 queries) for
+# seeds 1-2, recorded while plans were still lists of DualQuaternions
+QUERY_PINS = {
+    1: {
+        "classify": "5f6e4565d7b95ee83e9f8ca24d69429ab3995bbae7575b35319d9626e78ee828",
+        "candidates": "a5570cfc042e7f9d9002069d7a1c0b24d476f2caf840deb53fcd6c6f362885e2",
+        "bands": "2e70e33a96fbceb81bbe33fb9320ab2eead200f8e5a954406f79e269a6f48936",
+        "densify": "fc65f4a9fb26acb4bcc6333df380a2b54d0fa3d2b8ce3e9d3254214ba4263096",
+        "execute": "921caf34a85702a883af84dac597c19141f21359affa54b51cf828571f6dc2c6",
+    },
+    2: {
+        "classify": "d874c84b21c316d87fef467a876c926d96364802d1ca85e6c3be16026202c6ad",
+        "candidates": "8bbc02c1112b0039391c20fa399ed93bcca04c1016799775dd6d56dd712bcb69",
+        "bands": "9df32eaab760760d62e1e5c36da9cfa9c9527f4b2e498fa6b04713c164a2d0f7",
+        "densify": "11d584a2ccebadbc1f69976ce6f0a7d5e2bb7aaac3fa40016f85b9ee6131a34a",
+        "execute": "15c47b6f4891761cb1cb63337a45ad578b5f449af6bf6cfe77f14ed87ea2c936",
+    },
+}
+QUERY_PINS_NUMPY = "2.4.6"
+
+
+def test_hybrid_query_is_pinned_per_seed(workloads, hybrid_workloads, monkeypatch):
+    for wl in hybrid_workloads:
+        got = _query_digests(workloads, wl, monkeypatch)
+        assert got == QUERY_PINS[wl.seed], (
+            f"hybrid seed {wl.seed}: query stages differ from the pins, recorded with "
+            f"numpy {QUERY_PINS_NUMPY} (this run: numpy {np.__version__}): {got}")
