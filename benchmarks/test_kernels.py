@@ -341,13 +341,29 @@ def test_ray_bundle(benchmark, model, cell):
     assert d.shape == (25,)
 
 
-def test_execute_crossing_trajectory(benchmark, model, cell):
-    # near side -> through the slot -> folded back -> near side again, densified
-    # to the switching agent's 2 degree bound like a bridged hybrid trajectory
-    way = np.array([[1.0, 0.8, 0.6], [0.0, 0.0, 0.0], [0.2, -1.5, 1.5],
-                    [-1.0, 1.0, -1.0], [0.8, 0.2, 0.4]])
-    traj = densify(JointTrajectory(way), model, cell.obstacles, 2.0)
+# near side -> through the slot -> folded back -> near side again
+CROSSING = np.array([[1.0, 0.8, 0.6], [0.0, 0.0, 0.0], [0.2, -1.5, 1.5],
+                     [-1.0, 1.0, -1.0], [0.8, 0.2, 0.4]])
+
+
+@pytest.fixture(scope="module")
+def crossing(model, cell):
+    """The crossing path densified to the switching agent's 2 degree bound,
+    like a bridged hybrid trajectory."""
+    traj = densify(JointTrajectory(CROSSING), model, cell.obstacles, 2.0)
     assert 150 <= len(traj) <= 250
+    return traj
+
+
+def test_collision_index_lanes_crossing(benchmark, model, cell, crossing):
+    # the configurations execute checks on the crossing trajectory: every
+    # step is within 2 degrees, so they are its points
+    out = benchmark(collision_index_lanes, model, crossing.points, cell.obstacles)
+    assert out.shape == (len(crossing),) and 0 < out.sum() < len(out)
+
+
+def test_execute_crossing_trajectory(benchmark, model, cell, crossing):
+    way, traj = CROSSING, crossing
     wc = Workcell("kernels", [-1.5, -1.5, -0.3], [1.5, 1.5, 0.3], cell.obstacles)
     task = Task("cross", [fk(model, way[0]), fk(model, way[-1])])
     report = benchmark(execute, traj, model, wc, SuccessCriteria(), task)

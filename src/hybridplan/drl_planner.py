@@ -8,21 +8,23 @@ penalty otherwise).
 
 ``DrlEnv`` steps N independent episodes as lanes: an (N, dof) array of
 joint vectors, one per episode.  A step walks the kinematic chain once
-(``_chain_eval``) and feeds everything from that walk: the joint frames and
-their Euler angles, the end-effector state, the Jacobian and a batched SVD
-for manipulability, the capsule distances of the collision check and the
-ray bundle (one ``raycast_many`` over the (N, 25) rays).  Lane k of a step
-equals a one-episode environment stepped on lane k alone, bit for bit.
-With one lane the environment runs the one-configuration kernels on that
-same walk, on Python floats: at N = 1 a lane kernel costs several times its
-scalar counterpart, so ``plan_drl`` bridges one gap on one lane.  A step is
-the transition (clamp, chain walk, observation, goal distance and done
-rule) plus the collision verdict, manipulability and reward.  ``plan_drl``
-runs the transition alone, since its policy reads only the observation, and
-annotates the bridge rows after the loop with one ``geometry.score_lanes``
-call.  ``train_drl`` collects each PPO batch on ``ROLLOUT_LANES`` lanes with
-one policy forward per lane step (the vectorised-environment layout of PPO).
-Bracket poses are 8-vectors (rows of a plan's lanes) or ``DualQuaternion``s.
+(``_chain_eval``) and feeds everything from that walk: the joint frames,
+the end-effector state, the Euler angles of both from one ``quat_to_euler``
+call, the Jacobian and a batched SVD for manipulability, the capsule
+distances of the collision check (behind ``geometry``'s broad phase) and
+the ray bundle (one ``raycast_many`` over the (N, 25) rays, one slab pass
+over the boxes).  Lane k of a step equals a one-episode environment
+stepped on lane k alone, bit for bit.  With one lane the environment runs
+the one-configuration kernels on that same walk, on Python floats: at N = 1
+a lane kernel costs several times its scalar counterpart, so ``plan_drl``
+bridges one gap on one lane.  A step is the transition (clamp, chain walk,
+observation, goal distance and done rule) plus the collision verdict,
+manipulability and reward.  ``plan_drl`` runs the transition alone, since
+its policy reads only the observation, and annotates the bridge rows after
+the loop with one ``geometry.score_lanes`` call.  ``train_drl`` collects
+each PPO batch on ``ROLLOUT_LANES`` lanes with one policy forward per lane
+step (the vectorised-environment layout of PPO).  Bracket poses are
+8-vectors (rows of a plan's lanes) or ``DualQuaternion``s.
 """
 from __future__ import annotations
 
@@ -156,22 +158,24 @@ class DrlEnv:
     def _walk(self, thetas):
         """One chain walk over the rows of ``thetas`` (the one-configuration
         kernel for one row): the ``_chain_eval`` output plus the (n, 3 dof)
-        joint positions and Euler angles and the (n, 3) EE positions."""
+        joint positions and Euler angles, the (n, 3) EE positions and the
+        (n, 3) EE Euler angles, every angle from one ``quat_to_euler``."""
         n = len(thetas)
         chain = _chain_eval(self.model, thetas[0] if n == 1 else thetas)
-        _, origins, rots, _, p = chain
+        _, origins, rots, q, p = chain
         jp = _rows([c for o in origins for c in o], n)
-        quats = [_rows([r[i] for r in rots], n) for i in range(4)]     # (n, dof) each
-        jo = quat_to_euler(quats).transpose(1, 2, 0).reshape(n, -1)
-        return chain, jp, jo, _rows(p, n)
+        # the joint frames, then the end effector: (n, dof + 1) each
+        quats = [_rows([r[i] for r in rots] + [q[i]], n) for i in range(4)]
+        euler = quat_to_euler(quats)                                   # (3, n, dof + 1)
+        jo = euler[:, :, :-1].transpose(1, 2, 0).reshape(n, -1)
+        return chain, jp, jo, _rows(p, n), euler[:, :, -1].T
 
     def _observe(self, walk, prev_jp, prev_jo, goal):
-        (_, _, _, q, p), jp, jo, p_rows = walk
+        (_, _, _, q, p), jp, jo, p_rows, to = walk
         n = len(jp)
         lv = (jp - prev_jp) / self.cfg.step_time
         d_ang = (jo - prev_jo + np.pi) % (2 * np.pi) - np.pi   # wrap-safe
         av = d_ang / self.cfg.step_time
-        to = quat_to_euler(_rows(q, n).T).T
         rays = ray_bundle_lanes(q, p, self.obstacles, self.cfg.ray_range).reshape(n, -1)
         raw = np.concatenate([jp, jo, lv, av, p_rows, to, rays, goal - p_rows], axis=1)
         return raw / self._obs_scale
@@ -183,7 +187,7 @@ class DrlEnv:
         thetas = np.array(thetas, dtype=float).reshape(len(lanes), self.dof)
         goals = np.array(goals, dtype=float).reshape(len(lanes), 3)
         walk = self._walk(thetas)
-        _, jp, jo, _ = walk
+        _, jp, jo, _, _ = walk
         self._theta[lanes], self._goal[lanes], self._steps[lanes] = thetas, goals, 0
         self._jp[lanes], self._jo[lanes] = jp, jo
         self._obs = self._obs.copy()          # the arrays step returned stay as they were
@@ -204,7 +208,7 @@ class DrlEnv:
         theta = self.model.clamp(proposed)
         clamped = np.any(proposed != theta, axis=1)
         walk = self._walk(theta)
-        _, jp, jo, p_rows = walk
+        _, jp, jo, p_rows, _ = walk
         self._steps += 1
         d = _lane_norm(p_rows - self._goal)
         reached = d < self.cfg.target_radius

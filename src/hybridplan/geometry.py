@@ -9,24 +9,42 @@ first contact; it is the path for single checks (IK witnesses, map cells,
 one-lane environment steps).  ``collision_index_lanes`` checks an (N, dof)
 array of configurations at once: frame points from one lane ``_chain_eval``,
 then every (configuration, capsule, obstacle) and (configuration, capsule
-pair) triple as one row of a single batched distance evaluation with the
-scalar primitives' arithmetic, so its verdict equals the scalar one on every
-row.  The lane call has a fixed cost of several hundred small array
-operations, about the cost of five scalar calls, so it serves whole
-trajectories and lane environments.  ``collision_index_points`` is either
-check on frame points the caller already has, so a DRL step that walked the
-chain once for its observation does not walk it again.  ``ray_bundle_lanes``
-likewise casts the end-effector ray bundle from given end-effector states,
-one state or N lanes.  ``score_lanes`` gives the normalized manipulability
-with the lane verdicts, both off one chain walk, to annotate joint rows.
+pair) triple as one row of a batched distance evaluation with the scalar
+primitives' arithmetic, so its verdict equals the scalar one on every row.
+``collision_index_points`` is either check on frame points the caller
+already has, so a DRL step that walked the chain once for its observation
+does not walk it again.  ``score_lanes`` gives the normalized
+manipulability with the lane verdicts, both off one chain walk, to annotate
+joint rows.
+
+Broad phase (Ericson, *Real-Time Collision Detection*, 2005, ch. 7): ahead of
+the exact capsule-box and capsule-capsule distances, a pair is dropped when
+along some axis both ends of one segment lie more than the summed radii plus
+``BROAD_MARGIN`` (1e-9) beyond both ends of the other (a box counts as the
+segment between its corners).  The exact distance is at least that gap and
+the margin lies far above the rounding of frames and distances, so every
+verdict is the exact test's, bit for bit.  ``_apart`` is the rule on Python
+floats for the one-configuration paths; ``_near`` is the same rule on
+arrays, and the lane check runs the exact kernels only on the rows it
+keeps, with no call when it keeps none.  On the wall cell most pairs are
+apart: in the kernel suite (2-vCPU VM, numpy 2.4.6) one scalar check on
+the planar 3R arm takes 26 us against 92 us without the broad phase.  A
+lane call keeps a fixed cost of about 0.5 ms at N = 1, some 20 scalar
+checks: most of it is the lane chain walk, and ``_segment_box_lanes`` adds
+a few hundred us whenever a row is kept.  So the lane call serves whole
+trajectories and lane environments.
+
+``ray_bundle_lanes`` casts the end-effector ray bundle from given
+end-effector states, one state or N lanes; ``raycast_many`` meets every ray
+with every box in one slab pass.
 
 ``pose_must_collide`` is a certificate on a target pose rather than a
 configuration: the pose pins the end effector and, through the tool, the
 last joint's origin, so a tool link that sits inside an obstacle at the
 target collides in every IK solution, and ``feasibility.ik_free`` skips the
-restarts that could not find a free one.  ``segment_box_distance``, the
-largest part of a one-configuration check against boxes, runs on Python
-floats.
+restarts that could not find a free one.  It drops boxes by the same broad
+phase.  ``segment_box_distance``, the largest part of a one-configuration
+check against boxes, runs on Python floats.
 """
 from __future__ import annotations
 
@@ -176,6 +194,42 @@ def capsule_obstacle_distance(p, q, radius, obstacle) -> float:
 
 
 # ------------------------------------------------------------------ #
+# Broad phase
+# ------------------------------------------------------------------ #
+BROAD_MARGIN = 1e-9          # far above the rounding of frames and distances
+
+
+def _apart(p1, q1, p2, q2, reach) -> bool:
+    """True when along some axis both ends of the segment [p1, q1] lie more
+    than ``reach + BROAD_MARGIN`` beyond both ends of [p2, q2] (float
+    triples; a box is the segment from its lower to its upper corner).  The
+    two are then farther apart than ``reach``, so the exact distance less
+    ``reach`` is positive.  A NaN is never apart."""
+    lim = reach + BROAD_MARGIN
+    for a, b, c, d in zip(p1, q1, p2, q2):
+        if (c - a > lim and c - b > lim and d - a > lim and d - b > lim) or \
+                (a - c > lim and a - d > lim and b - c > lim and b - d > lim):
+            return True
+    return False
+
+
+def _boxes(obstacles):
+    """The boxes among ``obstacles`` with their (B, 3) lower and upper corners."""
+    boxes = [ob for ob in obstacles if isinstance(ob, Box)]
+    return (boxes, np.array([ob.lo for ob in boxes]).reshape(-1, 3),
+            np.array([ob.hi for ob in boxes]).reshape(-1, 3))
+
+
+def _near(p1, q1, p2, q2, reach) -> np.ndarray:
+    """``not _apart`` over broadcast (..., 3) rows: rounded subtraction is
+    monotone, so the gap between the two bounding boxes along an axis is the
+    least of ``_apart``'s four differences, bit for bit."""
+    gap = np.maximum(np.minimum(p2, q2) - np.maximum(p1, q1),
+                     np.minimum(p1, q1) - np.maximum(p2, q2)).max(axis=-1)
+    return ~(gap > reach + BROAD_MARGIN)
+
+
+# ------------------------------------------------------------------ #
 # Collision index
 # ------------------------------------------------------------------ #
 def collision_index(model: RobotModel, theta, obstacles) -> int:
@@ -189,19 +243,23 @@ def collision_index_points(model: RobotModel, pts, obstacles):
     (N,) uint8 for lanes (N, dof + 2, 3), equal to the int on every row."""
     if np.ndim(pts) == 3:
         return _collision_index_lanes(model, pts, obstacles)
-    caps = [(pts[c.frame_a], pts[c.frame_b], c.radius, (c.frame_a, c.frame_b))
-            for c in model.capsules]
-    for p, q, r, _ in caps:
-        for ob in obstacles:
+    pl = pts.tolist()
+    caps = [(pts[c.frame_a], pts[c.frame_b], c.radius, (c.frame_a, c.frame_b),
+             pl[c.frame_a], pl[c.frame_b]) for c in model.capsules]
+    boxes = [(ob, ob.lo.tolist(), ob.hi.tolist()) for ob in obstacles if isinstance(ob, Box)]
+    spheres = [ob for ob in obstacles if not isinstance(ob, Box)]
+    for p, q, r, _, a, b in caps:
+        for ob in [ob for ob, lo, hi in boxes if not _apart(a, b, lo, hi, r)] + spheres:
             if capsule_obstacle_distance(p, q, r, ob) <= 0.0:
                 return 1
     for i in range(len(caps)):
-        pi, qi, ri, fi = caps[i]
+        pi, qi, ri, fi, ai, bi = caps[i]
         for j in range(i + 1, len(caps)):
-            pj, qj, rj, fj = caps[j]
+            pj, qj, rj, fj, aj, bj = caps[j]
             if set(fi) & set(fj):
                 continue  # adjacent links share a joint and permanently touch
-            if segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
+            if not _apart(ai, bi, aj, bj, ri + rj) and \
+                    segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
                 return 1
     return 0
 
@@ -256,7 +314,10 @@ def pose_must_collide(model: RobotModel, pose, obstacles, tol_pos, tol_rot) -> b
             continue
         (p, e_p), (q, e_q) = known[frames[0]], known[frames[-1]]
         radius = cap.radius - max(e_p, e_q) - CERTIFICATE_MARGIN
-        if any(capsule_obstacle_distance(p, q, radius, ob) < 0.0 for ob in obstacles):
+        a, b = p.tolist(), q.tolist()
+        near = [ob for ob in obstacles if not isinstance(ob, Box)
+                or not _apart(a, b, ob.lo.tolist(), ob.hi.tolist(), radius)]
+        if any(capsule_obstacle_distance(p, q, radius, ob) < 0.0 for ob in near):
             return True
     return False
 
@@ -350,7 +411,9 @@ def score_lanes(model: RobotModel, thetas, obstacles) -> tuple:
 
 
 def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
-    """The lane verdicts from (N, dof + 2, 3) frame points."""
+    """The lane verdicts from (N, dof + 2, 3) frame points; the exact
+    distances run only on the rows the broad phase keeps, and not at all
+    when it keeps none."""
     n = len(pts)
     hit = np.zeros(n, dtype=bool)
     caps = model.capsules
@@ -359,30 +422,34 @@ def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
     rad = np.array([cap.radius for cap in caps])
     p = pts[:, [cap.frame_a for cap in caps]]          # (N, capsules, 3)
     q = pts[:, [cap.frame_b for cap in caps]]
-    for boxes in (True, False):
-        obs = [ob for ob in obstacles if isinstance(ob, Box) == boxes]
-        if not obs:
-            continue
-        shape = (n, len(caps), len(obs), 3)
+    boxes, lo, hi = _boxes(obstacles)
+    if boxes:
+        rows = np.flatnonzero(_near(p[:, :, None], q[:, :, None], lo, hi, rad[:, None]))
+        if len(rows):
+            at, cap, box = np.unravel_index(rows, (n, len(caps), len(boxes)))
+            d = _segment_box_lanes(p[at, cap], q[at, cap], lo[box], hi[box]) - rad[cap]
+            hit[at[d <= 0.0]] = True
+    spheres = [ob for ob in obstacles if not isinstance(ob, Box)]
+    if spheres:
+        shape = (n, len(caps), len(spheres), 3)
         ps = np.broadcast_to(p[:, :, None], shape).reshape(-1, 3)
         qs = np.broadcast_to(q[:, :, None], shape).reshape(-1, 3)
         r = np.broadcast_to(rad[:, None], shape[1:3]).ravel()
-        if boxes:
-            lo = np.broadcast_to(np.array([ob.lo for ob in obs]), shape).reshape(-1, 3)
-            hi = np.broadcast_to(np.array([ob.hi for ob in obs]), shape).reshape(-1, 3)
-            d = _segment_box_lanes(ps, qs, lo, hi).reshape(n, -1) - r
-        else:
-            c = np.broadcast_to(np.array([ob.center for ob in obs]), shape).reshape(-1, 3)
-            ob_r = np.tile([ob.radius for ob in obs], len(caps))
-            d = _segment_point_lanes(ps, qs, c).reshape(n, -1) - r - ob_r
+        c = np.broadcast_to(np.array([ob.center for ob in spheres]), shape).reshape(-1, 3)
+        ob_r = np.tile([ob.radius for ob in spheres], len(caps))
+        d = _segment_point_lanes(ps, qs, c).reshape(n, -1) - r - ob_r
         hit |= np.any(d <= 0.0, axis=1)
     pairs = [(i, j) for i in range(len(caps)) for j in range(i + 1, len(caps))
              if not {caps[i].frame_a, caps[i].frame_b} & {caps[j].frame_a, caps[j].frame_b}]
     if pairs:
-        i, j = (list(ix) for ix in zip(*pairs))
-        d = _segment_segment_lanes(p[:, i].reshape(-1, 3), q[:, i].reshape(-1, 3),
-                                   p[:, j].reshape(-1, 3), q[:, j].reshape(-1, 3))
-        hit |= np.any(d.reshape(n, -1) <= rad[i] + rad[j], axis=1)
+        i, j = (np.array(ix) for ix in zip(*pairs))
+        reach = rad[i] + rad[j]
+        rows = np.flatnonzero(_near(p[:, i], q[:, i], p[:, j], q[:, j], reach))
+        if len(rows):
+            at, pair = np.divmod(rows, len(pairs))
+            d = _segment_segment_lanes(p[at, i[pair]], q[at, i[pair]],
+                                       p[at, j[pair]], q[at, j[pair]])
+            hit[at[d <= reach[pair]]] = True
     return hit.astype(np.uint8)
 
 
@@ -394,51 +461,51 @@ def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
 
     dirs has shape (k, 3) with unit rows and origin (3,); returns (k,)
     distances.  Lanes: origins (N, 3) with dirs (N, k, 3) give (N, k), and
-    row n equals the one-origin call on origin n.
+    row n equals the one-origin call on origin n.  Boxes are one slab pass:
+    every ray against every box's faces, a (2, B, 3) array, then the
+    nearest hit over the boxes.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    at = origin[..., None, :]                  # each origin against its k rays
     dist = np.full(dirs.shape[:-1], float(max_range))
-    for ob in obstacles:
-        if isinstance(ob, Box):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (ob.lo - at) / dirs
-                t2 = (ob.hi - at) / dirs
-            lohit = np.where(np.isnan(t1), -np.inf, np.minimum(t1, t2))
-            hihit = np.where(np.isnan(t2), np.inf, np.maximum(t1, t2))
-            # rays parallel to a slab: inside -> no constraint, outside -> miss
-            par = np.abs(dirs) < 1e-15
-            inside = (at >= ob.lo) & (at <= ob.hi)
+    boxes, lo, hi = _boxes(obstacles)
+    if boxes:
+        at = origin[..., None, None, :]            # each origin against its k rays
+        d = dirs[..., None, :]                     # and each ray against B boxes
+        faces = np.expand_dims(np.array([lo, hi]), tuple(range(1, dirs.ndim)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (faces - at) / d                   # (2, ..., k, B, 3)
+        lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
+        par = np.abs(d) < 1e-15
+        if par.any():
+            # rays parallel to a slab, the one place a 0/0 can arise: inside
+            # -> no constraint, outside -> miss
+            inside = (at >= lo) & (at <= hi)
             lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
             hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
-            tmin = lohit.max(axis=-1)
-            tmax = hihit.min(axis=-1)
-            hit = tmax >= np.maximum(tmin, 0.0)
-            t = np.where(tmin >= 0.0, tmin, tmax)  # origin inside: exit point
-            dist = np.where(hit & (t >= 0.0), np.minimum(dist, t), dist)
-        else:
-            oc = origin - ob.center
-            # a stacked matrix-vector product rounds like the one-origin ``dirs @ oc``
-            b = (dirs @ oc[..., None])[..., 0]
-            c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
-            disc = b * b - c
-            ok = disc >= 0.0
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            t_near, t_far = -b - sq, -b + sq
-            t = np.where(t_near >= 0.0, t_near, t_far)
-            dist = np.where(ok & (t >= 0.0), np.minimum(dist, t), dist)
+        tmin = lohit.max(axis=-1)
+        tmax = hihit.min(axis=-1)
+        hit = tmax >= np.maximum(tmin, 0.0)
+        t = np.where(tmin >= 0.0, tmin, tmax)      # origin inside: exit point
+        t = np.where(hit & (t >= 0.0), t, np.inf)
+        for k in range(len(boxes)):
+            # one box after another: a tie of +0 and -0 resolves as it does
+            # box by box
+            dist = np.minimum(dist, t[..., k])
+    for ob in obstacles:
+        if isinstance(ob, Box):
+            continue
+        oc = origin - ob.center
+        # a stacked matrix-vector product rounds like the one-origin ``dirs @ oc``
+        b = (dirs @ oc[..., None])[..., 0]
+        c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
+        disc = b * b - c
+        ok = disc >= 0.0
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        t_near, t_far = -b - sq, -b + sq
+        t = np.where(t_near >= 0.0, t_near, t_far)
+        dist = np.where(ok & (t >= 0.0), np.minimum(dist, t), dist)
     return np.clip(dist, 0.0, float(max_range))
-
-
-def raycast(origin, direction, obstacles, max_range) -> float:
-    """Distance to the nearest obstacle surface along one ray."""
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
-        raise ValueError("ray direction must be unit-norm")
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
-    return float(raycast_many(origin, direction[None, :], obstacles, max_range)[0])
 
 
 def _bundle_directions() -> np.ndarray:

@@ -37,14 +37,11 @@ class Mlp:
         shapes = [(d_out, d_in) for d_in, d_out in layers] + [(d_out,) for _, d_out in layers]
         shapes += [(tail,)] if tail else []
         ends = np.cumsum([int(np.prod(shape)) for shape in shapes]).tolist()
+        self.shapes = shapes
         self.spans = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
         self.flat = np.zeros(ends[-1])
         self.grad = np.zeros(ends[-1])
-        # tuples: an item assignment would detach a view from the flat vector
-        self.params = tuple(self.flat[s].reshape(shape) for s, shape in zip(self.spans, shapes))
-        self.grads = tuple(self.grad[s].reshape(shape) for s, shape in zip(self.spans, shapes))
-        self.weights = self.params[:len(layers)]
-        self.biases = self.params[len(layers):2 * len(layers)]
+        self._bind_views()
         rng = rng if rng is not None else np.random.default_rng(0)
         for i, (d_in, d_out) in enumerate(layers):
             scale = 1.0 / np.sqrt(d_in)
@@ -52,6 +49,25 @@ class Mlp:
                 scale *= out_scale
             self.weights[i][...] = rng.normal(0.0, scale, size=(d_out, d_in))
         self._cache = None
+
+    def _bind_views(self):
+        """``params``, ``grads``, ``weights`` and ``biases`` as views of
+        ``flat`` and ``grad``; tuples, since an item assignment would detach
+        a view from its vector."""
+        layers, shapes = len(self.sizes) - 1, self.shapes
+        self.params = tuple(self.flat[s].reshape(shape) for s, shape in zip(self.spans, shapes))
+        self.grads = tuple(self.grad[s].reshape(shape) for s, shape in zip(self.spans, shapes))
+        self.weights = self.params[:layers]
+        self.biases = self.params[layers:2 * layers]
+
+    # a copy or an unpickled net gets new vectors, so its views are made anew
+    def __getstate__(self):
+        views = ("params", "grads", "weights", "biases")
+        return {k: v for k, v in self.__dict__.items() if k not in views}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_views()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batch forward pass; caches activations for backward."""

@@ -5,13 +5,15 @@ order within the position/orientation tolerances, the interpolation-checked
 path is collision-free, and no payload is dropped (a drop is modeled as an
 inter-waypoint joint step exceeding the smoothness bound while holding).
 
-``execute`` reads every point's end-effector position and Euler angles and
-its manipulability from one lane chain walk, and finds each critical
-configuration's first hit at or after the previous one's with a lane mask;
-the scalar scan it replaces is the test reference.  Path collisions come
-from one ``collision_index_lanes`` call over the waypoints and their
-interpolants, each edge split at ``COLLISION_RES_DEG`` by the rule stated in
-``hybridplan.trajectory``.
+``execute`` walks the kinematic chain once, over the configurations it
+checks: the waypoints and their interpolants, each edge split at
+``COLLISION_RES_DEG`` by the rule stated in ``hybridplan.trajectory``
+(``_checked_configs``, shared with ``count_path_collisions``).  That walk
+gives every checked configuration's collision verdict and, at the
+waypoints' rows, each point's end-effector position, Euler angles and
+manipulability.  Each critical configuration's first hit at or after the
+previous one's is found with a lane mask; the scalar scan it replaces is
+the test reference.
 """
 from __future__ import annotations
 
@@ -22,10 +24,17 @@ import numpy as np
 
 from hybridplan import records
 from hybridplan.dualquat import DualQuaternion, dq_to_lanes, dq_translation, quat_to_euler
-from hybridplan.geometry import Box, Sphere, collision_index_lanes, obstacle_line
+from hybridplan.geometry import (
+    Box,
+    Sphere,
+    collision_index_lanes,
+    collision_index_points,
+    obstacle_line,
+)
 from hybridplan.kinematics import (
     RobotModel,
     _chain_eval,
+    _frame_points_raw,
     _lane_norm,
     _normalized_manipulability_raw,
 )
@@ -96,20 +105,24 @@ def load_workcell(path) -> Workcell:
 # ------------------------------------------------------------------ #
 # Execution scoring
 # ------------------------------------------------------------------ #
-def _path_verdicts(model, points, obstacles, res_deg):
-    """Collision verdicts of the waypoints plus interpolated configs at the
-    declared joint-space resolution, in path order, from one lane call; and
-    the positions of the waypoints among them."""
+def _checked_configs(points, res_deg):
+    """The waypoints plus interpolated configs at the declared joint-space
+    resolution, in path order, and the rows of the waypoints among them."""
     if not res_deg > 0:
         raise ValueError(f"res_deg must be positive, got {res_deg}")
-    configs, at = subdivide(points, np.ceil(edge_steps(points) / np.radians(res_deg)))
-    return collision_index_lanes(model, configs, obstacles), at
+    return subdivide(points, np.ceil(edge_steps(points) / np.radians(res_deg)))
+
+
+def _at(values, rows):
+    """A tuple of ``_chain_eval`` lanes at ``rows``; a constant stays a float."""
+    return tuple(v[rows] if np.ndim(v) else v for v in values)
 
 
 def count_path_collisions(model, points, obstacles, res_deg=COLLISION_RES_DEG):
     """Collisions over waypoints plus interpolated configs at the declared
     joint-space resolution."""
-    return int(np.sum(_path_verdicts(model, points, obstacles, res_deg)[0]))
+    configs, _ = _checked_configs(points, res_deg)
+    return int(np.sum(collision_index_lanes(model, configs, obstacles)))
 
 
 @dataclass
@@ -127,8 +140,14 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
             criteria: SuccessCriteria, task: Task) -> ExecutionReport:
     """Score a joint trajectory against a task in a workcell."""
     points = traj.points
-    # every point's EE state and manipulability from one lane walk
-    axes, origins, _, q, p = _chain_eval(model, points)
+    # one lane walk over the checked configurations: their collision
+    # verdicts, and each point's EE state and manipulability at its row
+    checked, at = _checked_configs(points, COLLISION_RES_DEG)
+    axes, origins, _, q, p = _chain_eval(model, checked)
+    verdicts = collision_index_points(model, _frame_points_raw(origins, p), cell.obstacles)
+    if len(checked) > len(points):
+        axes, origins = [_at(a, at) for a in axes], [_at(o, at) for o in origins]
+        q, p = _at(q, at), _at(p, at)
     ee_pos, ee_euler = np.stack(p, axis=1), quat_to_euler(q)
     configs = dq_to_lanes(task.configs)
     targets = dq_translation(configs)
@@ -149,7 +168,6 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
         hits.append(start_at)
     hits += [None] * (len(task.configs) - len(hits))
 
-    verdicts, at = _path_verdicts(model, points, cell.obstacles, COLLISION_RES_DEG)
     collisions = int(np.sum(verdicts))
     man = _normalized_manipulability_raw(model, axes, origins, p)
     r_s = float(np.sum(man - verdicts[at]))

@@ -21,13 +21,20 @@
 * Execution scoring: ``execute`` scans the points for each critical
   configuration with ``pose_hit``, one scalar end-effector state per point;
   the library scores every point from one lane walk.
-* Joint-path edges: ``blend``, ``densify`` and ``path_verdicts`` (the
-  library's ``workcell._path_verdicts``) split one edge at a time and append
+* Joint-path edges: ``blend``, ``densify`` and ``checked_configs`` (the
+  library's ``workcell._checked_configs``) split one edge at a time and append
   one inserted point at a time; the library splits every edge of a path in
   one ``trajectory.subdivide`` call.
 * PPO optimizer: ``Adam`` and ``clip_gradients`` loop over a net's
   parameter tensors one at a time; the library runs each once on the net's
   flat parameter and gradient vectors.
+* Ray casting: ``raycast_many`` intersects the rays with one obstacle at a
+  time and masks each 0/0 slab with its own ``isnan`` pass; the library's
+  ``geometry.raycast_many`` runs one slab pass over every box.  ``raycast``
+  casts one ray.
+* Collision broad phase: ``without_broad_phase`` runs a check of the
+  library with every capsule-box and capsule-capsule pair sent to the exact
+  distance.
 
 The tests compare the two."""
 import numpy as np
@@ -35,6 +42,7 @@ import numpy as np
 from hybridplan import lfd
 from hybridplan.dualquat import (
     DualQuaternion,
+    _lane_dot,
     dq_conjugate,
     dq_conjugate_lanes,
     dq_from_lanes,
@@ -47,7 +55,8 @@ from hybridplan.dualquat import (
     quat_to_matrix,
 )
 from hybridplan.drl_planner import DrlEnv
-from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
+from hybridplan import geometry
+from hybridplan.geometry import Box, collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
 from hybridplan.kinematics import (
     ee_state,
@@ -58,12 +67,7 @@ from hybridplan.kinematics import (
 )
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
-from hybridplan.workcell import (
-    COLLISION_RES_DEG,
-    SMOOTH_BOUND_DEG,
-    ExecutionReport,
-    _path_verdicts,
-)
+from hybridplan.workcell import COLLISION_RES_DEG, SMOOTH_BOUND_DEG, ExecutionReport
 
 
 def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
@@ -492,7 +496,8 @@ def execute(traj, model, cell, criteria, task) -> ExecutionReport:
     while len(hits) < len(task.configs):
         hits.append(None)
 
-    verdicts, at = _path_verdicts(model, points, cell.obstacles, COLLISION_RES_DEG)
+    configs, at = checked_configs(points, COLLISION_RES_DEG)
+    verdicts = collision_index_lanes(model, configs, cell.obstacles)
     collisions = int(np.sum(verdicts))
     man = normalized_manipulability_lanes(model, points)
     r_s = float(np.sum(man - verdicts[at]))
@@ -555,7 +560,9 @@ def densify(traj, model, obstacles, bound_deg) -> JointTrajectory:
                            traj.success, dict(traj.meta))
 
 
-def path_verdicts(model, points, obstacles, res_deg):
+def checked_configs(points, res_deg):
+    """The waypoints and their interpolants at ``res_deg``, and the rows of
+    the waypoints among them."""
     res = np.radians(res_deg)
     configs = []
     at = []
@@ -567,8 +574,7 @@ def path_verdicts(model, points, obstacles, res_deg):
         at.append(len(configs))
         configs.append(theta)
         prev = theta
-    configs = np.array(configs).reshape(-1, np.shape(points)[1])
-    return collision_index_lanes(model, configs, obstacles), at
+    return np.array(configs).reshape(-1, np.shape(points)[1]), at
 
 
 def locate(fmap, pose: DualQuaternion):
@@ -627,3 +633,68 @@ class Adam:
             v *= self.beta2
             v += (1 - self.beta2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+# ------------------------------------------------------------------ #
+# Ray casting: one obstacle at a time
+# ------------------------------------------------------------------ #
+def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
+    """``geometry.raycast_many`` with one slab pass per box."""
+    origin = np.asarray(origin, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    at = origin[..., None, :]                  # each origin against its k rays
+    dist = np.full(dirs.shape[:-1], float(max_range))
+    for ob in obstacles:
+        if isinstance(ob, Box):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (ob.lo - at) / dirs
+                t2 = (ob.hi - at) / dirs
+            lohit = np.where(np.isnan(t1), -np.inf, np.minimum(t1, t2))
+            hihit = np.where(np.isnan(t2), np.inf, np.maximum(t1, t2))
+            # rays parallel to a slab: inside -> no constraint, outside -> miss
+            par = np.abs(dirs) < 1e-15
+            inside = (at >= ob.lo) & (at <= ob.hi)
+            lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
+            hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
+            tmin = lohit.max(axis=-1)
+            tmax = hihit.min(axis=-1)
+            hit = tmax >= np.maximum(tmin, 0.0)
+            t = np.where(tmin >= 0.0, tmin, tmax)  # origin inside: exit point
+            dist = np.where(hit & (t >= 0.0), np.minimum(dist, t), dist)
+        else:
+            oc = origin - ob.center
+            b = (dirs @ oc[..., None])[..., 0]
+            c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
+            disc = b * b - c
+            ok = disc >= 0.0
+            sq = np.sqrt(np.where(ok, disc, 0.0))
+            t_near, t_far = -b - sq, -b + sq
+            t = np.where(t_near >= 0.0, t_near, t_far)
+            dist = np.where(ok & (t >= 0.0), np.minimum(dist, t), dist)
+    return np.clip(dist, 0.0, float(max_range))
+
+
+def raycast(origin, direction, obstacles, max_range) -> float:
+    """Distance to the nearest obstacle surface along one ray."""
+    direction = np.asarray(direction, dtype=float)
+    if abs(np.linalg.norm(direction) - 1.0) > 1e-6:
+        raise ValueError("ray direction must be unit-norm")
+    if max_range <= 0:
+        raise ValueError("max_range must be positive")
+    return float(raycast_many(origin, direction[None, :], obstacles, max_range)[0])
+
+
+# ------------------------------------------------------------------ #
+# Collision checks without the broad phase
+# ------------------------------------------------------------------ #
+def without_broad_phase(check, *args):
+    """``check(*args)`` of ``geometry`` with every capsule-box and
+    capsule-capsule pair sent to the exact distance."""
+    kept = geometry._apart, geometry._near
+    geometry._apart = lambda *_: False
+    geometry._near = lambda p1, q1, p2, q2, reach: np.ones(
+        np.broadcast_shapes(np.shape(p1), np.shape(p2), np.shape(reach) + (1,))[:-1], dtype=bool)
+    try:
+        return check(*args)
+    finally:
+        geometry._apart, geometry._near = kept

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from hybridplan.geometry import (
     pose_must_collide,
     ray_bundle,
     ray_bundle_lanes,
-    raycast,
     score_lanes,
     segment_box_distance,
     segment_point_distance,
@@ -35,6 +36,8 @@ from hybridplan.kinematics import (
     planar_rr,
 )
 from hybridplan.scenarios import planar_pose, wall_slot
+from scalar_reference import raycast, without_broad_phase
+from scalar_reference import raycast_many as reference_raycast_many
 from test_kinematics import seven_dof
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -264,6 +267,146 @@ def test_collision_index_points_takes_one_configuration_or_lanes(name):
 
 
 # ------------------------------------------------------------------ #
+# Broad phase: the verdicts of the exact kernel
+# ------------------------------------------------------------------ #
+def one_capsule(radius):
+    """A one-joint arm whose one capsule runs from frame 1 to frame 2, so
+    ``collision_index_points`` judges any segment given as frames 1 and 2."""
+    return make_robot("cap", [(Z, DualQuaternion.identity(), (-3.0, 3.0))],
+                      DualQuaternion.from_translation([0.3, 0.0, 0.0]),
+                      [LinkCapsule(1, 2, radius)], home=[0.0], task="spatial")
+
+
+BROAD_BOXES = [Box([0.2, -0.3, 0.1], [0.7, 0.4, 0.5]), Box([-0.9, 0.55, -0.35], [-0.4, 1.3, 0.05])]
+
+
+def tight_gaps(radius):
+    """Gaps just inside, at and just outside the broad phase's margin."""
+    return [radius - 1e-6, radius + 1e-9, radius + 1e-6]
+
+
+def broad_phase_segments(bounds, radius, rng):
+    """Segments outside each (lo, hi) box of ``bounds`` near each of its
+    faces, edges and corners: along each axis of the feature the segment's
+    bounding box lies a gap from the box, and at least one gap is r - 1e-6,
+    r + 1e-9 or r + 1e-6.  Each segment leaves the feature along the same
+    axes, runs parallel to it, or is a point.  Returns (start, end) rows."""
+    rows = []
+    for lo, hi in bounds:
+        for side in itertools.product((-1, 0, 1), repeat=3):
+            side = np.array(side)
+            if not side.any():
+                continue
+            anchor = np.where(side > 0, hi, np.where(side < 0, lo, 0.0))
+            inner = rng.uniform(lo, hi, (12, 3))
+            for k, tight in enumerate(tight_gaps(radius) * 4):
+                gaps = rng.choice([0.0, 0.5 * radius, *tight_gaps(radius)], 3)
+                gaps[rng.choice(np.flatnonzero(side))] = tight
+                p = np.where(side != 0, anchor + side * gaps, inner[k])
+                away = np.where(side != 0, side * rng.uniform(0.0, 0.3, 3), rng.normal(0.0, 0.3, 3))
+                q = [p + away, p + np.where(side != 0, 0.0, away), p][k % 3]
+                rows.append([p, q])
+    return np.array(rows)
+
+
+def test_broad_phase_keeps_the_exact_verdicts_at_the_margin():
+    radius = 0.04
+    model = one_capsule(radius)
+    segments = broad_phase_segments([(b.lo, b.hi) for b in BROAD_BOXES], radius,
+                                    np.random.default_rng(30))
+    pts = np.concatenate([np.zeros((len(segments), 1, 3)), segments], axis=1)
+    obstacles = [BROAD_BOXES[0], Sphere([3.0, 3.0, 3.0], 0.2), BROAD_BOXES[1]]
+    exact = np.array([without_broad_phase(collision_index_points, model, p, obstacles)
+                      for p in pts])
+    assert exact.sum() > 50 and (exact == 0).sum() > 50
+    assert [collision_index_points(model, p, obstacles) for p in pts] == exact.tolist()
+    lanes = collision_index_points(model, pts, obstacles)
+    assert lanes.dtype == np.uint8
+    np.testing.assert_array_equal(lanes, exact)
+    np.testing.assert_array_equal(
+        without_broad_phase(collision_index_points, model, pts, obstacles), exact)
+    # the broad phase drops a share of the rows, and only free ones; the
+    # float rule and the array rule agree on every row
+    lo, hi = np.array([b.lo for b in BROAD_BOXES]), np.array([b.hi for b in BROAD_BOXES])
+    near = geometry._near(pts[:, 1, None], pts[:, 2, None], lo, hi, radius)
+    assert 0.2 < 1.0 - near.mean() < 0.9
+    assert not exact[~near.any(axis=1)].any()
+    apart = [[geometry._apart(a.tolist(), b.tolist(), l.tolist(), h.tolist(), radius)
+              for l, h in zip(lo, hi)] for a, b in pts[:, 1:]]
+    np.testing.assert_array_equal(near, ~np.array(apart))
+
+
+def test_broad_phase_keeps_the_exact_self_collision_verdicts_at_the_margin():
+    # two capsules on non-adjacent links, 0.03 + 0.05 apart at the margin:
+    # the first runs along an axis, in a plane and in space, and its
+    # bounding box is the box the second one is placed around
+    model = make_robot("pair", [(Z, DualQuaternion.identity(), (-3.0, 3.0))] * 3,
+                       DualQuaternion.identity(),
+                       [LinkCapsule(1, 2, 0.03), LinkCapsule(3, 4, 0.05)], home=[0.0] * 3,
+                       task="spatial")
+    firsts = [([0.2, -0.1, 0.3], [0.9, -0.1, 0.3]), ([-0.4, 0.1, 0.0], [0.3, 0.6, 0.0]),
+              ([0.5, 0.7, -0.2], [0.1, 0.2, 0.4])]
+    rng = np.random.default_rng(33)
+    pts = []
+    for a, b in firsts:
+        for p, q in broad_phase_segments([(np.minimum(a, b), np.maximum(a, b))], 0.08, rng):
+            pts.append([np.zeros(3), a, b, p, q])
+    pts = np.array(pts)
+    exact = np.array([without_broad_phase(collision_index_points, model, p, []) for p in pts])
+    assert exact.sum() > 20 and (exact == 0).sum() > 500
+    assert [collision_index_points(model, p, []) for p in pts] == exact.tolist()
+    np.testing.assert_array_equal(collision_index_points(model, pts, []), exact)
+    near = geometry._near(pts[:, 1], pts[:, 2], pts[:, 3], pts[:, 4], 0.08)
+    assert 0.2 < 1.0 - near.mean() < 0.9
+
+
+@pytest.mark.parametrize("name", ["wall", "spatial_mixed"])
+def test_broad_phase_keeps_the_exact_verdicts_of_whole_arms(name):
+    # random configurations, and configurations bisected onto first contact
+    model, obstacles = _scene(name)
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(model.limits_lo, model.limits_hi, (300, model.dof))
+    exact = np.array([without_broad_phase(collision_index, model, t, obstacles)
+                      for t in thetas])
+    near = []
+    for a, b in zip(thetas[exact == 0][:30], thetas[exact == 1][:30]):
+        for _ in range(45):
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if without_broad_phase(collision_index, model, mid, obstacles) \
+                else (mid, b)
+        near += [a, b]
+    thetas = np.concatenate([thetas, near])
+    exact = np.array([without_broad_phase(collision_index, model, t, obstacles)
+                      for t in thetas])
+    assert [collision_index(model, t, obstacles) for t in thetas] == exact.tolist()
+    np.testing.assert_array_equal(collision_index_lanes(model, thetas, obstacles), exact)
+
+
+@pytest.mark.parametrize("name", ["rr_wall", "3r_wall", "mini7"])
+@pytest.mark.parametrize("tol_pos, tol_rot", [(1e-3, 1e-2), (0.005, 0.1)])
+def test_broad_phase_keeps_the_exact_certificates(name, tol_pos, tol_rot):
+    model, obstacles = _certificate_scene(name)
+    rng = np.random.default_rng(32)
+    thetas = rng.uniform(model.limits_lo, model.limits_hi, (300, model.dof))
+
+    def exact(t):
+        return without_broad_phase(pose_must_collide, model, fk(model, t), obstacles,
+                                   tol_pos, tol_rot)
+
+    flags = np.array([exact(t) for t in thetas])
+    assert 0 < flags.sum() < len(flags)
+    # bisect onto the exact certificate's edge, keeping both ends
+    edge = []
+    for a, b in zip(thetas[flags][:20], thetas[~flags][:20]):
+        for _ in range(40):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if exact(mid) else (a, mid)
+        edge += [a, b]
+    for t in [*thetas, *edge]:
+        assert pose_must_collide(model, fk(model, t), obstacles, tol_pos, tol_rot) == exact(t)
+
+
+# ------------------------------------------------------------------ #
 # pose_must_collide
 # ------------------------------------------------------------------ #
 def mini7_with_capsules():
@@ -456,6 +599,51 @@ def test_raycast_hit_point_on_surface():
             on_box = inside_box and np.min(np.minimum(hit - obstacles[0].lo,
                                                       obstacles[0].hi - hit)) < 1e-6
             assert surf < 1e-6 or on_box
+
+
+RAY_BOXES = [Box([1.0, -0.5, -0.25], [1.5, 0.5, 0.25]), Box([-0.75, 0.25, -1.0], [0.5, 1.0, 0.5]),
+             Box([1.0, 0.5, -0.25], [2.0, 1.25, 0.0])]          # shares a face with box 0
+
+
+def adversarial_rays(rng, n):
+    """(n, 3) origins and (n, 25, 3) unit directions: origins at random, on
+    faces, edges and corners of ``RAY_BOXES`` and inside them; directions with
+    one or two zero components (signed zeros included) and along the axes."""
+    origins = rng.uniform(-2.0, 2.5, (n, 3))
+    for k in range(n):
+        box = RAY_BOXES[k % len(RAY_BOXES)]
+        pick = k % 5
+        if pick:                                   # inside, then on 1, 2, 3 faces
+            origins[k] = rng.uniform(box.lo, box.hi)
+            axes = rng.permutation(3)[:pick - 1]
+            origins[k, axes] = np.where(rng.random(3) < 0.5, box.lo, box.hi)[axes]
+    dirs = rng.normal(size=(n, 25, 3))
+    zero = rng.random((n, 25, 3)) < 0.3
+    dirs[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    dirs[:, :6] = np.concatenate([np.eye(3), -np.eye(3)])
+    dirs[:, 6, :] = [-0.0, 1.0, 0.0]
+    dirs[np.all(dirs == 0.0, axis=-1)] = [0.0, 0.0, 1.0]
+    return origins, dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("spheres", [False, True])
+def test_raycast_many_equals_the_per_obstacle_reference_bitwise(spheres):
+    rng = np.random.default_rng(40)
+    obstacles = list(RAY_BOXES)
+    if spheres:
+        obstacles[1:1] = [Sphere([-1.2, -1.0, 0.3], 0.4), Sphere([0.2, -1.4, -0.6], 0.25)]
+    origins, dirs = adversarial_rays(rng, 300)
+    got = geometry.raycast_many(origins, dirs, obstacles, 2.5)
+    ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
+    assert got.shape == (300, 25) and got.tobytes() == ref.tobytes()
+    assert (ref == 0.0).any() and (ref < 2.5).mean() > 0.3 and (ref == 2.5).any()
+    for k in range(0, 300, 7):                     # the one-origin form
+        one = geometry.raycast_many(origins[k], dirs[k], obstacles, 2.5)
+        assert one.tobytes() == ref[k].tobytes()
+    # no boxes, and no obstacles
+    for obs in (obstacles[1:3] if spheres else [], []):
+        assert geometry.raycast_many(origins, dirs, obs, 2.5).tobytes() == \
+            reference_raycast_many(origins, dirs, obs, 2.5).tobytes()
 
 
 # ------------------------------------------------------------------ #

@@ -76,7 +76,7 @@ UNREFERENCED_KEPT = {
         ("switch_agent", "lfd_joint_candidates"), ("switch_agent", "policy_switches"),
         ("switch_agent", "train_switch"), ("workcell", "count_path_collisions")]},
     **{name: TEST_ONLY for name in [
-        ("dualquat", "quat_rotate"), ("geometry", "raycast"),
+        ("dualquat", "quat_rotate"),
         ("kinematics", "normalized_manipulability_lanes"), ("kinematics", "planar_rr"),
         ("kinematics", "pose_error"), ("switch_agent", "brute_force_switches"),
         ("workcell", "bench")]},

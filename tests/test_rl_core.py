@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +111,30 @@ def test_views_cannot_be_rebound_away_from_the_flat_vector():
         pol.log_std = np.zeros(2)
     pol.net.weights[0][...] = 1.0                  # a write into the view is the way
     assert np.all(pol.net.flat[:12] == 1.0)
+
+
+@pytest.mark.parametrize("round_trip", ["deepcopy", "pickle"])
+def test_a_copied_net_keeps_its_views_on_its_own_flat_vector(round_trip):
+    pol = GaussianPolicy(5, 3, hidden=(4, 6), rng=np.random.default_rng(0), log_std=-0.7)
+    obs = np.random.default_rng(1).standard_normal((4, 5))
+    pol.net.forward(obs)
+    pol.net.backward(np.ones((4, 3)))
+    twin = copy.deepcopy(pol) if round_trip == "deepcopy" else pickle.loads(pickle.dumps(pol))
+    net = twin.net
+    for views, vector in ((net.params, net.flat), (net.grads, net.grad)):
+        assert all(np.shares_memory(v, vector) for v in views)
+        assert not any(np.shares_memory(v, pol.net.flat) or np.shares_memory(v, pol.net.grad)
+                       for v in views)
+    assert all(np.shares_memory(w, net.flat) for w in (*net.weights, *net.biases))
+    assert twin.log_std is net.params[-1]
+    np.testing.assert_array_equal(net.flat, pol.net.flat)
+    np.testing.assert_array_equal(net.grad, pol.net.grad)
+    before = pol.net.forward(obs).copy()
+    np.testing.assert_array_equal(net.forward(obs), before)
+    # an Adam step on the copy moves the copy's output, not the original's
+    Adam(net.flat, lr=0.1).step(net.flat, net.grad)
+    assert not np.array_equal(twin.net.forward(obs), before)
+    np.testing.assert_array_equal(pol.net.forward(obs), before)
 
 
 @pytest.mark.parametrize("case", ["short", "long", "bias (1,)", "weight transposed",

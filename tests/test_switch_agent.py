@@ -27,7 +27,7 @@ from hybridplan.switch_agent import (
 )
 from hybridplan.scenarios import planar_pose, wall_slot
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
-from hybridplan.workcell import COLLISION_RES_DEG, _path_verdicts
+from hybridplan.workcell import COLLISION_RES_DEG, _checked_configs
 
 
 def test_train_switch_rejects_scenarios_without_bands():
@@ -161,10 +161,10 @@ def test_edge_splits_equal_the_per_point_loops(case):
             assert_same_bits(getattr(got, field), getattr(ref, field))
     if case.startswith("blend"):
         assert (len(pairs[-1][0]) == cfg.blend_points) == (case == "blend above its cap")
-    (col, at), (ref_col, ref_at) = [
-        f(model, points, [POST], COLLISION_RES_DEG)
-        for f in (_path_verdicts, scalar_reference.path_verdicts)]
-    assert_same_bits(col, ref_col)
+    (rows, at), (ref_rows, ref_at) = [
+        f(points, COLLISION_RES_DEG)
+        for f in (_checked_configs, scalar_reference.checked_configs)]
+    assert_same_bits(rows, ref_rows)
     assert at.tolist() == ref_at
 
 

@@ -7,8 +7,10 @@ from hybridplan.kinematics import ee_state, fk, normalized_manipulability, plana
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 from hybridplan.workcell import (
+    COLLISION_RES_DEG,
     SuccessCriteria,
     Workcell,
+    _checked_configs,
     bench,
     count_path_collisions,
     execute,
@@ -18,6 +20,7 @@ from hybridplan.workcell import (
 )
 from scalar_reference import execute as reference_execute
 from scalar_reference import pose_hit
+from test_geometry import mini7_with_capsules
 from test_kinematics import seven_dof
 
 # a thin post on the +x axis: the stretched-out arm (theta = 0) runs through it
@@ -138,6 +141,35 @@ def test_execute_equals_the_reference_scan_on_random_trajectories(factory):
         seen["dropped"] += rep.dropped
         seen["collided"] += rep.collisions > 0
     assert all(seen.values()) if model.task == "planar" else seen["missed"] and seen["success"]
+
+
+@pytest.mark.parametrize("scene", ["planar", "spatial"])
+def test_execute_checks_inserted_rows_like_the_reference(scene):
+    # edges of 3 to 40 degrees: the checked configurations include rows that
+    # execute inserts, and waypoints on either side of a contact can be free
+    if scene == "planar":
+        model, obstacles = planar_3r(), [POST, Sphere([-0.4, 0.9, 0.0], 0.15)]
+    else:
+        model = mini7_with_capsules()
+        obstacles = [Box([-0.6, -0.6, 0.7], [0.6, 0.6, 0.85]), Sphere([0.35, 0.0, 0.5], 0.2)]
+    rng = np.random.default_rng(19)
+    criteria = SuccessCriteria(pos_tol=0.03, rot_tol=np.radians(8.0))
+    inserted_only = 0
+    for _ in range(30):
+        steps = rng.uniform(-1.0, 1.0, (8, model.dof)) * np.radians(rng.uniform(3.0, 40.0))
+        pts = model.clamp(rng.uniform(model.limits_lo, model.limits_hi) + np.cumsum(steps, axis=0))
+        checked, at = _checked_configs(pts, COLLISION_RES_DEG)
+        assert len(checked) > len(pts)
+        picks = np.sort(rng.choice(len(pts), size=int(rng.integers(2, 5)), replace=False))
+        task = Task("t", [near_pose(model, pts[k], rng, criteria.pos_tol, criteria.rot_tol)
+                          for k in picks], hold=list(rng.random(len(picks)) < 0.5))
+        rep = assert_reports_equal(path(*pts), model, obstacles, criteria, task)
+        ref = reference_execute(path(*pts), model, cell(obstacles), criteria, task)
+        assert rep.r_s.hex() == ref.r_s.hex()
+        assert count_path_collisions(model, pts, obstacles) == rep.collisions
+        waypoints = sum(collision_index(model, t, obstacles) for t in pts)
+        inserted_only += rep.collisions > waypoints
+    assert inserted_only >= 5
 
 
 def bisect(hit, lo, hi):
