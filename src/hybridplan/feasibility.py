@@ -22,13 +22,12 @@ clipped into the end bin.  Any other pose is outside the map.
 from __future__ import annotations
 
 import hashlib
-import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from hybridplan import records
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_to_lanes,
@@ -50,8 +49,7 @@ OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
 MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
 FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
 _MAGIC = b"HPFM"
-_VERSION = 1
-_HEAD_FMT = "<4sI6dd3IdI3IIIdQ"
+_VERSION = 2
 
 
 def obstacles_signature(obstacles) -> str:
@@ -388,20 +386,16 @@ def _man_roundtrip(v: float) -> float:
 # Binary map format
 # ------------------------------------------------------------------ #
 def map_bytes(fmap: FeasibilityMap) -> bytes:
-    md = fmap.metadata
-    header = struct.pack(
-        _HEAD_FMT,
-        _MAGIC, _VERSION,
-        *fmap.box_lo, *fmap.box_hi,
-        fmap.voxel_size, *fmap.voxel_counts,
-        fmap.theta_max, 0,
-        *fmap.orient_counts,
-        fmap.dof, md["ik_budget"], md["eps_m"], md["seed"],
-    )
+    """The map file: ``records.pack`` of ``metadata`` and five arrays, the
+    geometry (``box_lo``, ``box_hi``, ``voxel_size``, ``theta_max``; f8), the
+    counts (``voxel_counts``, ``orient_counts``, ``dof``; u4), ``reasons``
+    (u1), ``man`` in 16-bit fixed point (u2) and ``witnesses`` (f4)."""
+    geometry = np.concatenate([fmap.box_lo, fmap.box_hi, [fmap.voxel_size, fmap.theta_max]])
+    counts = np.array([*fmap.voxel_counts, *fmap.orient_counts, fmap.dof], dtype="<u4")
     man_fixed = np.clip(np.round(fmap.man * MAN_FIXED_SCALE), 0, 65535).astype("<u2")
-    return b"".join([header, md["robot_hash"].encode(), md["obstacle_hash"].encode(),
-                     fmap.reasons.astype(np.uint8).tobytes(), man_fixed.tobytes(),
-                     fmap.witnesses.astype("<f4").tobytes()])
+    return records.pack(_MAGIC, _VERSION, fmap.metadata,
+                        [geometry, counts, fmap.reasons.astype(np.uint8), man_fixed,
+                         fmap.witnesses.astype("<f4")])
 
 
 def save_map(fmap: FeasibilityMap, path) -> None:
@@ -409,38 +403,29 @@ def save_map(fmap: FeasibilityMap, path) -> None:
 
 
 def load_map(path) -> FeasibilityMap:
-    raw = Path(path).read_bytes()
-    head_size = struct.calcsize(_HEAD_FMT)
-    if len(raw) < head_size:
-        raise ValueError(f"truncated map file: {len(raw)} bytes, expected at least "
-                         f"{head_size} for the header")
-    vals = struct.unpack(_HEAD_FMT, raw[:head_size])
-    if vals[0] != _MAGIC or vals[1] != _VERSION:
-        raise ValueError("not a feasibility map file")
-    box_lo = np.array(vals[2:5])
-    box_hi = np.array(vals[5:8])
-    voxel_size = vals[8]
-    counts = tuple(vals[9:12])
-    theta_max = vals[12]
-    orient_counts = tuple(vals[14:17])
-    dof, ik_budget, eps_m, seed = vals[17], vals[18], vals[19], vals[20]
-    n_cells = math.prod(counts) * math.prod(orient_counts)
-    expected = head_size + 2 * 64 + n_cells * (1 + 2 + 4 * dof)
-    if len(raw) != expected:
-        raise ValueError(f"map file is {len(raw)} bytes, expected {expected} for "
-                         f"{n_cells} cells of dof {dof}")
-    off = head_size
-    robot_h = raw[off:off + 64].decode(); off += 64
-    obst_h = raw[off:off + 64].decode(); off += 64
-    reasons = np.frombuffer(raw, dtype=np.uint8, count=n_cells, offset=off).copy()
-    off += n_cells
-    man = np.frombuffer(raw, dtype="<u2", count=n_cells, offset=off).astype(float) / MAN_FIXED_SCALE
-    off += 2 * n_cells
-    wit = np.frombuffer(raw, dtype="<f4", count=n_cells * dof, offset=off).reshape(n_cells, dof).copy()
-    return FeasibilityMap(box_lo, box_hi, voxel_size, counts, theta_max,
-                          orient_counts, dof, reasons, man, wit,
-                          {"robot_hash": robot_h, "obstacle_hash": obst_h,
-                           "ik_budget": ik_budget, "eps_m": eps_m, "seed": seed})
+    """The map of a ``map_bytes`` file, its ``ik_budget`` and ``seed`` read
+    back as int and ``eps_m`` as float.  Raises ValueError for a file
+    ``records.unpack`` refuses, for arrays that disagree with the counts and
+    for metadata without those three keys."""
+    meta, arrays = records.unpack(Path(path).read_bytes(), _MAGIC, _VERSION, "feasibility map")
+    layout = [(a.dtype.str, a.shape) for a in arrays]
+    if layout[:2] != [("<f8", (8,)), ("<u4", (7,))]:
+        raise ValueError(f"feasibility map arrays {layout} do not start with the (8,) f8 "
+                         "geometry and the (7,) u4 counts")
+    geometry, (nx, ny, nz, cx, cy, cz, dof) = arrays[0], arrays[1].tolist()
+    n_cells = nx * ny * nz * cx * cy * cz
+    if layout[2:] != [("|u1", (n_cells,)), ("<u2", (n_cells,)), ("<f4", (n_cells, dof))]:
+        raise ValueError(f"feasibility map arrays {layout[2:]} disagree with {n_cells} cells "
+                         f"of dof {dof}")
+    try:
+        metadata = {**meta, "ik_budget": int(meta["ik_budget"]), "eps_m": float(meta["eps_m"]),
+                    "seed": int(meta["seed"])}
+    except KeyError as key:
+        raise ValueError(f"feasibility map metadata lacks {key}") from None
+    voxel_size, theta_max = geometry[6:].tolist()
+    return FeasibilityMap(geometry[:3], geometry[3:6], voxel_size, (nx, ny, nz), theta_max,
+                          (cx, cy, cz), dof, arrays[2], arrays[3] / MAN_FIXED_SCALE, arrays[4],
+                          metadata)
 
 
 # ------------------------------------------------------------------ #

@@ -85,8 +85,10 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("sphere center must be finite")
 
     def inflated(self, eps: float) -> "Sphere":
         return Sphere(self.center, self.radius + eps, self.id)

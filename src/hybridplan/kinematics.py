@@ -263,11 +263,7 @@ def manipulability(model: RobotModel, theta: np.ndarray) -> float:
     cutoff are reported as exactly 0 (round-off would otherwise return a
     meaningless sqrt of a near-zero or negative determinant).
     """
-    J = jacobian(model, theta)
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[0] <= 0.0 or s[-1] <= 1e-9 * s[0]:
-        return 0.0
-    return float(np.prod(s))
+    return float(_manipulability_raw(jacobian(model, theta)))
 
 
 def normalized_manipulability(model: RobotModel, theta: np.ndarray) -> float:
@@ -290,14 +286,20 @@ def normalized_manipulability_lanes(model: RobotModel, thetas) -> np.ndarray:
     return _normalized_manipulability_raw(model, axes, origins, p)
 
 
+def _manipulability_raw(J):
+    """``manipulability`` of an (m, dof) Jacobian as a 0-d array, or of
+    (N, m, dof) lane Jacobians as (N,)."""
+    s = np.linalg.svd(J, compute_uv=False)
+    top, low = s.T[0], s.T[-1]       # numpy scalars for one Jacobian: cheaper than 0-d arrays
+    return np.where((top <= 0.0) | (low <= 1e-9 * top), 0.0, s.prod(axis=-1))
+
+
 def _normalized_manipulability_raw(model: RobotModel, axes, origins, p_ee):
-    """Normalized manipulability from ``_chain_eval`` output: a 0-d array for
-    one configuration (equal to ``normalized_manipulability``), (N,) for lanes."""
+    """Normalized manipulability from ``_chain_eval`` output, shaped as
+    ``_manipulability_raw``'s."""
     if model._home_man <= 0.0:
         raise ValueError("singular home configuration")
-    s = np.linalg.svd(_jacobian_raw(model, axes, origins, p_ee), compute_uv=False)
-    singular = (s[..., 0] <= 0.0) | (s[..., -1] <= 1e-9 * s[..., 0])
-    return np.where(singular, 0.0, np.prod(s, axis=-1)) / model._home_man
+    return _manipulability_raw(_jacobian_raw(model, axes, origins, p_ee)) / model._home_man
 
 
 # ------------------------------------------------------------------ #
@@ -518,8 +520,8 @@ def parse_robot(text: str) -> RobotModel:
     for c in capsules:
         if not (0 <= c.frame_a <= len(joints) + 1 and 0 <= c.frame_b <= len(joints) + 1):
             raise ValueError("capsule frame index out of range")
-        if c.radius <= 0:
-            raise ValueError("capsule radius must be positive")
+        if not 0.0 < c.radius < math.inf:
+            raise ValueError("capsule radius must be positive and finite")
     return make_robot(name, joints, tool, capsules, home, task)
 
 

@@ -7,7 +7,8 @@ Flat layout: a network's parameters live in one contiguous float64 vector,
 biases, then the Gaussian head's ``log_std``.  ``weights``, ``biases`` and
 ``parameters()`` are views into it; ``Mlp.grad`` has the same layout, and
 ``backward`` writes each layer's gradient into its view.  So Adam, the
-gradient clip and the abort snapshot of ``ppo_update`` each run once per net.
+gradient clip and the abort snapshot of ``ppo_update`` each run once per net,
+and a checkpoint stores each net as its sizes and ``flat``.
 The gradient norm sums the squares per tensor (one ``np.add.reduce`` over
 each of ``Mlp.spans``), then those sums as Python floats in parameter order:
 the order of a norm taken tensor by tensor, so its bits match that norm's
@@ -18,10 +19,12 @@ identical parameter trajectories.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+from hybridplan import records
 
 
 # ------------------------------------------------------------------ #
@@ -145,18 +148,6 @@ class _OneNet:
 
     def parameters(self):
         return list(self.net.params)
-
-    def set_parameters(self, params):
-        """Copy ``params``, in ``parameters()`` order, into the flat vector.
-        Raises ValueError, before writing, on a wrong count or shape."""
-        views = self.net.params
-        if len(params) != len(views):
-            raise ValueError(f"expected {len(views)} parameter arrays, got {len(params)}")
-        for k, (view, p) in enumerate(zip(views, params)):
-            if np.shape(p) != view.shape:
-                raise ValueError(f"parameter {k} has shape {np.shape(p)}, expected {view.shape}")
-        for view, p in zip(views, params):
-            view[...] = p
 
 
 class GaussianPolicy(_OneNet):
@@ -432,114 +423,46 @@ def _optimizer(head, lr) -> Adam:
 
 
 # ------------------------------------------------------------------ #
-# Checkpoints: versioned binary of layer sizes + parameters
+# Checkpoints: a binary record of both nets' sizes and flat vectors
 # ------------------------------------------------------------------ #
 _CKPT_MAGIC = b"HPCK"
-_CKPT_VERSION = 1
-_KIND_GAUSSIAN, _KIND_CATEGORICAL = 1, 2
-
-
-def _pack_arrays(arrays) -> bytes:
-    out = [struct.pack("<I", len(arrays))]
-    for a in arrays:
-        a = np.asarray(a, dtype="<f8")
-        out.append(struct.pack("<I", a.ndim))
-        out.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        out.append(a.tobytes())
-    return b"".join(out)
-
-
-def _need(raw, end) -> None:
-    """Raise when a read up to byte ``end`` runs past the end of the file."""
-    if end > len(raw):
-        raise ValueError(f"truncated checkpoint: {len(raw)} bytes, a read needs {end}")
-
-
-def _read_u4(raw, off, count=1):
-    _need(raw, off + 4 * count)
-    return struct.unpack_from(f"<{count}I", raw, off), off + 4 * count
-
-
-def _unpack_arrays(raw, off):
-    (count,), off = _read_u4(raw, off)
-    arrays = []
-    for _ in range(count):
-        (ndim,), off = _read_u4(raw, off)
-        shape, off = _read_u4(raw, off, ndim)
-        n = int(np.prod(shape)) if ndim else 1
-        _need(raw, off + 8 * n)
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape))
-        off += 8 * n
-    return arrays, off
+_CKPT_VERSION = 2
+_HEADS = {1: GaussianPolicy, 2: CategoricalPolicy}      # policy kind -> head
 
 
 def save_checkpoint(path, policy, value_net, meta: dict) -> None:
-    """Write the policy, the value net and ``meta`` as ``key=value`` lines.
-
-    Raises ValueError, before writing, for metadata that ``load_checkpoint``
-    could not read back: a key with ``=`` or a line break, or a value with a
-    line break.
-    """
-    def breaks_line(text):                 # any separator ``splitlines`` splits on
-        return "".join(text.splitlines()) != text
-
-    for k in meta:
-        key, value = str(k), str(meta[k])
-        if "=" in key or breaks_line(key):
-            raise ValueError(f"checkpoint metadata key {key!r} must not contain '=' "
-                             "or a line break")
-        if breaks_line(value):
-            raise ValueError(f"checkpoint metadata value {value!r} for {key!r} must not "
-                             "contain a line break")
-    kind = _KIND_GAUSSIAN if isinstance(policy, GaussianPolicy) else _KIND_CATEGORICAL
-    meta_text = "\n".join(f"{k}={meta[k]}" for k in sorted(meta)).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, kind))
-        fh.write(struct.pack("<I", len(meta_text)))
-        fh.write(meta_text)
-        sizes = np.array(policy.net.sizes, dtype="<u4")
-        fh.write(struct.pack("<I", len(sizes)))
-        fh.write(sizes.tobytes())
-        fh.write(_pack_arrays(policy.parameters()))
-        vsizes = np.array(value_net.net.sizes, dtype="<u4")
-        fh.write(struct.pack("<I", len(vsizes)))
-        fh.write(vsizes.tobytes())
-        fh.write(_pack_arrays(value_net.parameters()))
+    """Write ``records.pack`` of ``meta`` and five arrays: the policy kind
+    (u4, 1 Gaussian or 2 categorical), the policy's ``net.sizes`` (u4) and
+    ``net.flat`` (f8), then the value net's; ``records.pack`` refuses, before
+    the file is created, metadata that could not be read back."""
+    arrays = [np.array(1 if isinstance(policy, GaussianPolicy) else 2, dtype="<u4")]
+    for head in (policy, value_net):
+        arrays += [np.array(head.net.sizes, dtype="<u4"), head.net.flat]
+    Path(path).write_bytes(records.pack(_CKPT_MAGIC, _CKPT_VERSION, meta, arrays))
 
 
 def load_checkpoint(path):
-    """Returns (policy, value_net, meta).  Raises ValueError for a file that
-    is cut short, carries bytes past its end or holds a misshapen array."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file")
-    (version, kind), off = _read_u4(raw, 4, 2)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (meta_len,), off = _read_u4(raw, off)
-    _need(raw, off + meta_len)
-    meta = {}
-    if meta_len:
-        for line in raw[off:off + meta_len].decode().splitlines():
-            k, v = line.split("=", 1)
-            meta[k] = v
-    off += meta_len
-    (ns,), off = _read_u4(raw, off)
-    sizes, off = _read_u4(raw, off, ns)
-    params, off = _unpack_arrays(raw, off)
-    hidden = tuple(sizes[1:-1])
-    if kind == _KIND_GAUSSIAN:
-        policy = GaussianPolicy(sizes[0], sizes[-1], hidden)
-    else:
-        policy = CategoricalPolicy(sizes[0], sizes[-1], hidden)
-    policy.set_parameters(params)
-    (nvs,), off = _read_u4(raw, off)
-    vsizes, off = _read_u4(raw, off, nvs)
-    vparams, off = _unpack_arrays(raw, off)
-    if off != len(raw):
-        raise ValueError(f"checkpoint is {len(raw)} bytes, its contents end at {off}")
+    """Returns (policy, value_net, meta), the metadata values as str.  Raises
+    ValueError for a file ``records.unpack`` refuses, another set of arrays,
+    an unknown policy kind, or a parameter vector that does not fit a net of
+    its sizes."""
+    meta, arrays = records.unpack(Path(path).read_bytes(), _CKPT_MAGIC, _CKPT_VERSION,
+                                  "checkpoint")
+    layout = [(a.dtype.str, a.ndim) for a in arrays]
+    if layout != [("<u4", 0), ("<u4", 1), ("<f8", 1), ("<u4", 1), ("<f8", 1)] \
+            or min(arrays[1].size, arrays[3].size) < 2:
+        raise ValueError(f"checkpoint arrays {layout} are not a policy kind and two nets' "
+                         "sizes (two or more) and parameter vectors")
+    kind = int(arrays[0])
+    if kind not in _HEADS:
+        raise ValueError(f"unknown policy kind {kind}")
+    sizes, vsizes = arrays[1].tolist(), arrays[3].tolist()
+    policy = _HEADS[kind](sizes[0], sizes[-1], tuple(sizes[1:-1]))
     value_net = ValueNet(vsizes[0], tuple(vsizes[1:-1]))
-    value_net.set_parameters(vparams)
+    for name, head, sizes, vec in (("policy", policy, sizes, arrays[2]),
+                                   ("value", value_net, vsizes, arrays[4])):
+        if head.net.sizes != sizes or vec.shape != head.net.flat.shape:
+            raise ValueError(f"{name} parameter vector of {len(vec)} values does not fit "
+                             f"a net of sizes {sizes}")
+        head.net.flat[...] = vec
     return policy, value_net, meta

@@ -1,10 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
 import scalar_reference as ref
-from hybridplan import feasibility
+from hybridplan import feasibility, records
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_sclerp,
@@ -181,9 +179,12 @@ def test_build_map_seed_determinism_and_file_roundtrip(tmp_path):
     loaded = load_map(path)
     assert map_bytes(loaded) == map_bytes(a)
     np.testing.assert_array_equal(loaded.reasons, a.reasons)
-    assert loaded.metadata["robot_hash"] == a.metadata["robot_hash"]
     # quantized man values survive the roundtrip exactly
-    np.testing.assert_allclose(loaded.man, a.man, atol=1e-12)
+    np.testing.assert_array_equal(loaded.man, a.man)
+    np.testing.assert_array_equal(loaded.witnesses, a.witnesses)
+    assert loaded.witnesses.dtype == np.float32
+    assert loaded.metadata == a.metadata
+    assert [type(loaded.metadata[k]) for k in a.metadata] == [type(v) for v in a.metadata.values()]
 
 
 def test_build_map_yaw_cells_planar_3r():
@@ -306,21 +307,12 @@ def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed):
 # ------------------------------------------------------------------ #
 # map file validation
 # ------------------------------------------------------------------ #
-HEADER_BYTES = struct.calcsize("<4sI6dd3IdI3IIIdQ")
-
-
 def test_load_map_rejects_truncated_files(tmp_path):
-    fmap = small_map(planar_rr(), voxel=1.5)
-    full = map_bytes(fmap)
+    full = map_bytes(small_map(planar_rr(), voxel=1.5))
     path = tmp_path / "cut.map"
-    path.write_bytes(full[:HEADER_BYTES - 10])          # inside the header
-    with pytest.raises(ValueError, match=f"{HEADER_BYTES - 10} bytes, expected at least "
-                                         f"{HEADER_BYTES}"):
-        load_map(path)
-    for cut in (HEADER_BYTES + 70,                      # inside the hashes
-                len(full) - 3):                         # inside the witnesses
+    for cut in range(len(full)):
         path.write_bytes(full[:cut])
-        with pytest.raises(ValueError, match=f"{cut} bytes, expected {len(full)}"):
+        with pytest.raises(ValueError, match=f"truncated feasibility map: {cut} bytes"):
             load_map(path)
 
 
@@ -332,6 +324,37 @@ def test_load_map_rejects_trailing_bytes(tmp_path):
         load_map(path)
     path.write_bytes(full)
     assert map_bytes(load_map(path)) == full
+
+
+@pytest.mark.parametrize("offset, value, match", [
+    (0, b"X", "not a feasibility map file"),
+    (4, b"\x01", "unsupported feasibility map version 1, expected 2"),
+])
+def test_load_map_rejects_a_wrong_magic_or_version(tmp_path, offset, value, match):
+    full = map_bytes(small_map(planar_rr(), voxel=1.5))
+    path = tmp_path / "other.map"
+    path.write_bytes(full[:offset] + value + full[offset + 1:])
+    with pytest.raises(ValueError, match=match):
+        load_map(path)
+
+
+@pytest.mark.parametrize("change", ["one cell more", "dof 3", "no witnesses", "man as f8"])
+def test_load_map_rejects_arrays_that_disagree_with_the_counts(tmp_path, change):
+    # a whole, well-framed file whose arrays do not fit its counts
+    meta, arrays = records.unpack(map_bytes(small_map(planar_rr(), voxel=1.5)),
+                                  feasibility._MAGIC, feasibility._VERSION, "map")
+    if change == "one cell more":
+        arrays[1][0] += 1
+    elif change == "dof 3":
+        arrays[1][6] = 3
+    elif change == "no witnesses":
+        arrays.pop()
+    else:
+        arrays[3] = arrays[3].astype("<f8")
+    path = tmp_path / "odd.map"
+    path.write_bytes(records.pack(feasibility._MAGIC, feasibility._VERSION, meta, arrays))
+    with pytest.raises(ValueError, match="disagree with"):
+        load_map(path)
 
 
 # ------------------------------------------------------------------ #

@@ -442,3 +442,11 @@ def test_capsule_validation():
     with pytest.raises(ValueError, match="frame index"):
         parse_robot(text)
     assert all(isinstance(c, LinkCapsule) for c in m.capsules)
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-0.04"])
+def test_parse_robot_rejects_a_capsule_radius_that_is_not_positive_and_finite(radius):
+    text = serialize_robot(planar_3r())
+    assert "capsule 1 2 0.040000000000000001" in text
+    with pytest.raises(ValueError, match="capsule radius"):
+        parse_robot(text.replace("capsule 1 2 0.040000000000000001", f"capsule 1 2 {radius}"))

@@ -16,7 +16,7 @@ PERFBENCH = ROOT / "perfbench"
 # imports kept without a use in their module: (module, name) -> why
 UNUSED_IMPORTS_KEPT = {
     ("drl_planner", "fk_frames"): "perfbench/tests/test_tracer.py wraps this binding "
-                                  "(ROADMAP item 6(d))",
+                                  "(ROADMAP item 14)",
 }
 
 
@@ -47,6 +47,24 @@ def unused_imports(path):
                 and getattr(node, "module", None) != "__future__"
                 for alias in node.names}
     return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def imported_modules(path):
+    """Top-level names of the modules a module imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add((node.module or "").split(".")[0])
+    return out
+
+
+def test_only_records_imports_struct():
+    # one binary layout for every artifact file: records.pack and unpack
+    found = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+             if "struct" in imported_modules(path)}
+    assert found <= {"records"}
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from hybridplan import records, rl_core
 from hybridplan.rl_core import (
     Adam,
     CategoricalPolicy,
@@ -135,28 +136,6 @@ def test_a_copied_net_keeps_its_views_on_its_own_flat_vector(round_trip):
     Adam(net.flat, lr=0.1).step(net.flat, net.grad)
     assert not np.array_equal(twin.net.forward(obs), before)
     np.testing.assert_array_equal(pol.net.forward(obs), before)
-
-
-@pytest.mark.parametrize("case", ["short", "long", "bias (1,)", "weight transposed",
-                                  "log_std scalar"])
-def test_set_parameters_rejects_a_wrong_count_or_shape(case):
-    # a write into a view broadcasts, so a (1,) bias would silently fill the row
-    pol = GaussianPolicy(3, 2, hidden=(4,), rng=np.random.default_rng(0))
-    before = pol.net.flat.copy()
-    params = [p + 1.0 for p in pol.parameters()]
-    if case == "short":
-        params = params[:-1]
-    elif case == "long":
-        params.append(np.zeros(2))
-    elif case == "bias (1,)":
-        params[2] = np.zeros(1)
-    elif case == "weight transposed":
-        params[0] = params[0].T
-    else:
-        params[-1] = np.float64(0.0)
-    with pytest.raises(ValueError, match="parameter"):
-        pol.set_parameters(params)
-    np.testing.assert_array_equal(pol.net.flat, before)
 
 
 def drl_policy_layout(rng):
@@ -562,6 +541,8 @@ def test_checkpoint_roundtrip_gaussian(tmp_path):
     obs = rng.normal(size=5)
     np.testing.assert_array_equal(pol2.mean_action(obs), pol.mean_action(obs))
     assert val2.value(obs) == val.value(obs)
+    assert pol2.net.flat.tobytes() == pol.net.flat.tobytes()
+    assert val2.net.flat.tobytes() == val.net.flat.tobytes()
 
 
 def test_checkpoint_roundtrip_categorical(tmp_path):
@@ -570,9 +551,12 @@ def test_checkpoint_roundtrip_categorical(tmp_path):
     val = ValueNet(4, rng=rng)
     path = tmp_path / "switch.ckpt"
     save_checkpoint(path, pol, val, {})
-    pol2, _, _ = load_checkpoint(path)
+    pol2, val2, _ = load_checkpoint(path)
+    assert isinstance(pol2, CategoricalPolicy)
     obs = rng.normal(size=4)
     np.testing.assert_array_equal(pol2.distribution(obs), pol.distribution(obs))
+    assert pol2.net.flat.tobytes() == pol.net.flat.tobytes()
+    assert val2.net.flat.tobytes() == val.net.flat.tobytes()
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -596,8 +580,8 @@ def test_load_checkpoint_rejects_truncated_files(tmp_path):
     raw = _small_checkpoint(tmp_path / "full.ckpt")
     meta_end = 16 + len(b"dof=2\nlayout=drl-v1")
     named = {"header": 10, "metadata length": 14, "metadata": meta_end - 3,
-             "size table": meta_end + 6, "policy parameters": meta_end + 40,
-             "value parameters": len(raw) - 5}
+             "policy kind": meta_end + 6, "size table": meta_end + 30,
+             "policy parameters": meta_end + 100, "value parameters": len(raw) - 5}
     for where, cut in named.items():
         path = tmp_path / f"cut in {where}.ckpt"
         path.write_bytes(raw[:cut])
@@ -638,18 +622,45 @@ def test_checkpoint_metadata_values_may_hold_equals_signs(tmp_path):
     assert load_checkpoint(path)[2] == {"expr": "a=b", "empty": ""}
 
 
+def _repack(path, raw, k, change):
+    """Write the checkpoint ``raw`` to ``path``, whole and well framed, with
+    its array ``k`` replaced by ``change`` of it."""
+    meta, arrays = records.unpack(raw, rl_core._CKPT_MAGIC, rl_core._CKPT_VERSION, "checkpoint")
+    arrays[k] = change(arrays[k])
+    path.write_bytes(records.pack(rl_core._CKPT_MAGIC, rl_core._CKPT_VERSION, meta, arrays))
+
+
 @pytest.mark.parametrize("where", ["policy", "value"])
 def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path, where):
-    # the file is whole and its size tables are right, but the first bias is
-    # stored as (1,): written into its (4,) view it would broadcast unnoticed
-    rng = np.random.default_rng(18)
-    pol, val = GaussianPolicy(3, 2, (4,), rng), ValueNet(3, (4,), rng)
-    head = pol if where == "policy" else val
-    params = head.parameters()
-    head.parameters = lambda: params[:2] + [params[2][:1]] + params[3:]
+    # the file is whole and well framed, but a net's vector is one value short
+    # or long for its sizes
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    k, n = (2, 28) if where == "policy" else (4, 21)
     path = tmp_path / "misshapen.ckpt"
-    save_checkpoint(path, pol, val, {})
-    with pytest.raises(ValueError, match=r"parameter 2 has shape \(1,\), expected \(4,\)"):
+    for delta in (-1, 1):
+        _repack(path, raw, k, lambda vec: np.resize(vec, n + delta))
+        with pytest.raises(ValueError, match=f"{where} parameter vector of {n + delta} values"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", [0, 3])
+def test_load_checkpoint_rejects_an_unknown_policy_kind(tmp_path, kind):
+    path = tmp_path / "kind.ckpt"
+    _repack(path, _small_checkpoint(tmp_path / "full.ckpt"), 0,
+            lambda _: np.array(kind, dtype="<u4"))
+    with pytest.raises(ValueError, match=f"unknown policy kind {kind}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset, value, match", [
+    (0, b"X", "not a checkpoint file"),
+    (4, b"\x01", "unsupported checkpoint version 1, expected 2"),
+])
+def test_load_checkpoint_rejects_a_wrong_magic_or_version(tmp_path, offset, value, match):
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    path = tmp_path / "other.ckpt"
+    path.write_bytes(raw[:offset] + value + raw[offset + 1:])
+    with pytest.raises(ValueError, match=match):
         load_checkpoint(path)
 
 

@@ -324,6 +324,20 @@ def test_load_workcell_rejects_a_line_with_the_wrong_token_count(tmp_path, bad):
         load_workcell(path)
 
 
+@pytest.mark.parametrize("bad", [
+    "sphere s 0 0 0 nan",
+    "sphere s 0 0 0 inf",
+    "sphere s nan 0 0 0.1",
+    "sphere s 0 -inf 0 0.1",
+])
+def test_load_workcell_rejects_a_non_finite_sphere(tmp_path, bad):
+    # with a NaN radius every distance to the sphere is NaN, so nothing would hit it
+    path = tmp_path / "cell.txt"
+    path.write_text(f"name c\nworkspace -1 -1 -1 1 1 1\n{bad}\n")
+    with pytest.raises(ValueError, match="sphere"):
+        load_workcell(path)
+
+
 def test_wilson_interval():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo, hi = wilson_interval(5, 10)
