@@ -16,7 +16,7 @@ import pytest
 import inputs
 import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
-from hybridplan.dualquat import dq_sclerp, dq_sclerp_lanes
+from hybridplan.dualquat import dq_mul_lanes, dq_sclerp, dq_sclerp_lanes
 from hybridplan.feasibility import (
     FEA_MAX_ITERS,
     NOT_FJ,
@@ -46,7 +46,7 @@ from hybridplan.kinematics import (
     normalized_manipulability,
     normalized_manipulability_lanes,
 )
-from hybridplan.lfd import BETA_RESAMPLE, resample
+from hybridplan.lfd import BETA_RESAMPLE, Demonstration, SkillLibrary, resample
 from hybridplan.rl_core import (
     Adam,
     GaussianPolicy,
@@ -270,6 +270,15 @@ def test_dq_sclerp_lanes_32(benchmark):
     assert benchmark(dq_sclerp_lanes, a[idx], b[idx], us).shape == (32, 8)
 
 
+@pytest.mark.parametrize("n", [1, 25, 200])
+def test_dq_mul_lanes(benchmark, n):
+    # the arc skill's lanes, cycled: unit dual quaternions
+    poses = inputs.skill_library()["arc"].lanes
+    idx = np.arange(n) % len(poses)
+    a, b = poses[idx], poses[::-1][idx]
+    assert benchmark(dq_mul_lanes, a, b).shape == (n, 8)
+
+
 @pytest.fixture(scope="module")
 def skills():
     wl = workloads.SkillsWorkload(1)
@@ -309,6 +318,30 @@ def test_plan_lfd_four_gap_plan(benchmark, skills):
     tables = train_hrl([st.task], skills.library, episodes=skills.sizes.episodes,
                        config=workloads.hrl_config(), seed=1000 + k)
     plan = benchmark(plan_lfd, st.instances[0], skills.library, tables)
+    assert plan["segments"][-1][0][1] == 4
+
+
+def _fresh(library):
+    """A copy of ``library`` whose skills have their lanes and arc parameters,
+    as a library that trained the tables has, but have kept no gap layout."""
+    out = SkillLibrary()
+    for skill in library.skills.values():
+        out.add(Demonstration(skill.id, skill.poses, skill.tags))
+        out[skill.id].params
+    return out
+
+
+def test_plan_lfd_four_gap_plan_cold(benchmark, skills):
+    # the plan above on fresh skills each round: it fills every gap layout,
+    # the cost a warm plan no longer pays
+    k, st = next((k, st) for k, st in enumerate(skills.tasks) if len(st.task.configs) == 5)
+    tables = train_hrl([st.task], skills.library, episodes=skills.sizes.episodes,
+                       config=workloads.hrl_config(), seed=1000 + k)
+
+    def setup():
+        return (st.instances[0], _fresh(skills.library), tables), {}
+
+    plan = benchmark.pedantic(plan_lfd, setup=setup, rounds=200)
     assert plan["segments"][-1][0][1] == 4
 
 

@@ -405,14 +405,21 @@ def save_map(fmap: FeasibilityMap, path) -> None:
 def load_map(path) -> FeasibilityMap:
     """The map of a ``map_bytes`` file, its ``ik_budget`` and ``seed`` read
     back as int and ``eps_m`` as float.  Raises ValueError for a file
-    ``records.unpack`` refuses, for arrays that disagree with the counts and
-    for metadata without those three keys."""
+    ``records.unpack`` refuses, for a geometry ``build_map`` would refuse or
+    that is not finite, for arrays that disagree with the counts and for
+    metadata without those three keys."""
     meta, arrays = records.unpack(Path(path).read_bytes(), _MAGIC, _VERSION, "feasibility map")
     layout = [(a.dtype.str, a.shape) for a in arrays]
     if layout[:2] != [("<f8", (8,)), ("<u4", (7,))]:
         raise ValueError(f"feasibility map arrays {layout} do not start with the (8,) f8 "
                          "geometry and the (7,) u4 counts")
     geometry, (nx, ny, nz, cx, cy, cz, dof) = arrays[0], arrays[1].tolist()
+    # build_map's rule: a nonempty box, a positive voxel size, every count >= 1
+    if not (np.all(np.isfinite(geometry)) and np.all(geometry[3:6] > geometry[:3])
+            and geometry[6] > 0.0 and min(nx, ny, nz, cx, cy, cz) >= 1):
+        raise ValueError(f"feasibility map geometry {geometry.tolist()} (box_lo, box_hi, "
+                         f"voxel_size, theta_max) with counts {arrays[1].tolist()[:6]} "
+                         "is not a finite, nonempty tessellation")
     n_cells = nx * ny * nz * cx * cy * cz
     if layout[2:] != [("|u1", (n_cells,)), ("<u2", (n_cells,)), ("<f4", (n_cells, dof))]:
         raise ValueError(f"feasibility map arrays {layout[2:]} disagree with {n_cells} cells "

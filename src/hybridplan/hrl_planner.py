@@ -14,11 +14,15 @@ segment and computes the reward once per (skill, segment); a repeated key
 goes through the same arithmetic, so a cached reward is the reward.
 
 ``plan_lfd`` makes every segment and skill choice first, then retargets all
-the waypoint gaps of all the chosen segments together: one
-``sample_pieces`` call slices the skills and one ``retarget_pieces`` call
-maps the slices, so a plan costs one set of lane calls however many gaps it
-has.  Each gap's lanes are those of retargeting it on its own.  The plan's
-poses are those (N, 8) lanes; no pose object is built.
+the waypoint gaps of all the chosen segments together.  A gap's skill side
+(the skill's arc-length slice for the gap and its base at ``points_per_gap``
+poses) depends only on the skill and the gap layout (g, n, points_per_gap),
+so ``lfd.skill_gaps`` keeps it on the skill and fills a plan's new layouts
+in one batch; one ``lfd.retarget_sides`` call then maps every gap onto its
+waypoints, so a plan whose layouts were seen before costs the task side
+alone: four ``dq_mul_lanes`` calls and one ``dq_sclerp_lanes`` call however
+many gaps it has.  Each gap's lanes are those of retargeting it on its own.
+The plan's poses are those (N, 8) lanes; no pose object is built.
 """
 from __future__ import annotations
 
@@ -37,8 +41,8 @@ from hybridplan.lfd import (
     chordal_distance,
     extract_features,
     resample,
-    retarget_pieces,
-    sample_pieces,
+    retarget_sides,
+    skill_gaps,
 )
 from hybridplan.task import Task
 
@@ -277,8 +281,8 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
 # ------------------------------------------------------------------ #
 def _retarget_segments(segments, points_per_gap: int) -> tuple:
     """Retarget every (skill, (k, 8) waypoint lanes) segment through its
-    waypoints, one piece per waypoint gap and one ``retarget_pieces`` call
-    for all of them.
+    waypoints, one piece per waypoint gap: the skill side of each gap from
+    ``skill_gaps`` and one ``retarget_sides`` call for all of them.
 
     Gap g of n takes the skill's [g/n, (g+1)/n] arc-length slice at
     max(3, len(skill.poses) // n) poses (a constant skill is its own slice),
@@ -288,12 +292,9 @@ def _retarget_segments(segments, points_per_gap: int) -> tuple:
     """
     gaps = [(skill, waypoints, g, len(waypoints) - 1)
             for skill, waypoints in segments for g in range(len(waypoints) - 1)]
-    sliced = iter(sample_pieces(
-        [(skill.lanes, skill.params, np.linspace(g / n, (g + 1) / n, max(3, len(skill.poses) // n)))
-         for skill, _, g, n in gaps if skill.params is not None]))
-    slices = [skill.lanes if skill.params is None else next(sliced) for skill, _, _, _ in gaps]
-    trajs = retarget_pieces([(lanes, waypoints[g], waypoints[g + 1], points_per_gap)
-                             for lanes, (_, waypoints, g, _) in zip(slices, gaps)])
+    sides = skill_gaps([(skill, g, n, points_per_gap) for skill, _, g, n in gaps])
+    trajs = retarget_sides([(side, waypoints[g], waypoints[g + 1], points_per_gap)
+                            for side, (_, waypoints, g, _) in zip(sides, gaps)])
     lanes = np.concatenate([trajs[0]] + [t[1:] for t in trajs[1:]])   # junctions once
     ranges, end = [], 0
     for _, waypoints in segments:

@@ -11,13 +11,19 @@ Pose and feature sequences are (N, 8) dual-quaternion lanes; every
 function that takes poses also takes ``DualQuaternion``s, through the entry
 conversion ``dq_to_lanes``, and ``retarget`` returns lanes.  Sampling and
 retargeting work on many pieces at once: ``sample_pieces`` evaluates the screw
-interpolations of all its pieces in one ``dq_sclerp_lanes`` call, and
-``retarget_pieces`` retargets all its pieces with one set of lane calls, so
-the unit of work is a whole plan (``hrl_planner.plan_lfd``).  ``retarget`` is
-the one-piece ``retarget_pieces``; ``arc_params`` and ``sample_lanes`` run the
-arithmetic of their many-piece forms on one piece without stacking it.  A
-``Demonstration`` computes its lanes, arc parameters, features and resampled
-features once.
+interpolations of all its pieces in one ``dq_sclerp_lanes`` call, so the unit
+of work is a whole plan (``hrl_planner.plan_lfd``).  ``arc_params`` and
+``sample_lanes`` run the arithmetic of their many-piece forms on one piece
+without stacking it.
+
+Retargeting has a skill side, the skill's arc parameters and its base lanes
+sampled at the output length (``SkillSide``), and a task side, which aligns
+the base to the start and ramps in the correction to the goal
+(``retarget_sides``: one set of lane calls for all its pieces).
+``retarget_pieces`` runs both halves on given lanes, and ``retarget`` is its
+one-piece form.  A ``Demonstration`` computes its lanes, arc parameters,
+features and resampled features once, and ``skill_gaps`` keeps on it the skill
+side of every plan gap layout it has served.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,6 +184,7 @@ class Demonstration:
     poses: tuple
     tags: tuple = ()
     _resampled: dict = field(default_factory=dict, init=False, repr=False)
+    _gaps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
@@ -267,33 +275,81 @@ def load_library(directory) -> SkillLibrary:
 # ------------------------------------------------------------------ #
 # Retargeting
 # ------------------------------------------------------------------ #
-def retarget_pieces(pieces) -> list:
-    """``retarget`` of every (skill lanes, start, goal, n_out) piece, with
-    start and goal as 8-vectors; returns each piece's (n_out, 8) lanes.
+class SkillSide(NamedTuple):
+    """The skill-side half of retargeting a pose sequence, ``lanes``, at
+    ``n_out`` poses: its arc parameters, the ramp parameters ``us`` and the
+    ``base`` lanes sampled at them.  All but ``lanes`` are None when the
+    sequence is constant."""
+    lanes: np.ndarray
+    params: np.ndarray | None
+    us: np.ndarray | None
+    base: np.ndarray | None
 
-    All pieces share one set of lane calls: one ``chordal_distance`` call for
-    the arc parameters, one ``dq_sclerp_lanes`` call for the sampling, four
-    ``dq_mul_lanes`` calls for the alignment and the correction, and one
+
+def _skill_sides(pieces) -> list:
+    """``SkillSide`` of every (lanes, n_out) piece: the arc parameters from one
+    ``chordal_distance`` call and the bases from one ``sample_pieces`` call.
+    The base keeps the lanes' own sampling when the lengths match, so a
+    self-retarget is exact."""
+    if any(n_out < 2 for _, n_out in pieces):
+        raise ValueError("n_out must be at least 2")
+    params = arc_params_pieces([lanes for lanes, _ in pieces])
+    us = [None if p is None else p if n_out == len(lanes) else np.linspace(0.0, 1.0, n_out)
+          for (lanes, n_out), p in zip(pieces, params)]
+    bases = iter(sample_pieces([(lanes, p, u) for (lanes, _), p, u in zip(pieces, params, us)
+                                if p is not None]))
+    return [SkillSide(lanes, p, u, None if p is None else next(bases))
+            for (lanes, _), p, u in zip(pieces, params, us)]
+
+
+def skill_gaps(requests) -> list:
+    """``SkillSide`` of every (skill, g, n, n_out) request: gap g of n, the
+    skill's [g/n, (g+1)/n] arc-length slice at max(3, len(skill.poses) // n)
+    poses (a constant skill is its own slice), retargeted at ``n_out`` poses.
+
+    A skill keeps each gap layout's arrays, read-only, for its life: they
+    depend on nothing but the skill and (g, n, n_out).  The layouts not yet
+    kept are filled together, the slices from one ``sample_pieces`` call and
+    the rest by ``_skill_sides``, so a drift warning from this half fires
+    once per fill, not once per plan.
+    """
+    missing = {}
+    for skill, g, n, n_out in requests:
+        if (g, n, n_out) not in skill._gaps:
+            missing[id(skill), g, n, n_out] = (skill, g, n, n_out)
+    if missing:
+        todo = list(missing.values())
+        sliced = iter(sample_pieces(
+            [(skill.lanes, skill.params, np.linspace(g / n, (g + 1) / n, max(3, len(skill.poses) // n)))
+             for skill, g, n, _ in todo if skill.params is not None]))
+        slices = [skill.lanes if skill.params is None else next(sliced) for skill, *_ in todo]
+        sides = _skill_sides([(lanes, n_out) for lanes, (*_, n_out) in zip(slices, todo)])
+        for (skill, g, n, n_out), side in zip(todo, sides):
+            skill._gaps[g, n, n_out] = SkillSide(*map(_read_only, side))
+    return [skill._gaps[g, n, n_out] for skill, g, n, n_out in requests]
+
+
+def retarget_sides(pieces) -> list:
+    """The task-side half of retargeting: every (``SkillSide``, start, goal,
+    n_out) piece, with start and goal as 8-vectors, mapped onto its start and
+    goal; returns each piece's (n_out, 8) lanes.
+
+    A constant piece stays at its start, and raises ValueError when start and
+    goal are more than 1e-9 apart.  The moving pieces share four
+    ``dq_mul_lanes`` calls for the alignment and the correction and one
     ``dq_sclerp_lanes`` call for the correction ramp.
     """
-    if any(n_out < 2 for *_, n_out in pieces):
-        raise ValueError("n_out must be at least 2")
-    params = arc_params_pieces([lanes for lanes, *_ in pieces])
-    if any(p is None and chordal_distance(start, goal) > 1e-9
-           for (_, start, goal, _), p in zip(pieces, params)):
+    if any(side.params is None and chordal_distance(start, goal) > 1e-9
+           for side, start, goal, _ in pieces):
         raise ValueError("skill/task displacement mismatch: constant-pose "
                          "skill cannot span distinct start and goal")
-    # a constant piece stays at its start
-    out = [np.tile(np.asarray(start, dtype=float), (n_out, 1)) if p is None else None
-           for (_, start, _, n_out), p in zip(pieces, params)]
-    moving = [i for i, p in enumerate(params) if p is not None]
+    out = [np.tile(np.asarray(start, dtype=float), (n_out, 1)) if side.params is None else None
+           for side, start, _, n_out in pieces]
+    moving = [i for i, (side, *_) in enumerate(pieces) if side.params is not None]
     if not moving:
         return out
-    # keep the original sampling when the length matches: self-retarget is exact
-    us = [params[i] if pieces[i][3] == len(pieces[i][0]) else np.linspace(0.0, 1.0, pieces[i][3])
-          for i in moving]
-    base = np.concatenate(sample_pieces([(pieces[i][0], params[i], u)
-                                         for i, u in zip(moving, us)]))
+    us = [pieces[i][0].us for i in moving]
+    base = np.concatenate([pieces[i][0].base for i in moving])
     bounds = _bounds(map(len, us))
     lane_piece = np.repeat(np.arange(len(moving)), list(map(len, us)))
     starts, goals = (np.array([pieces[i][j] for i in moving], dtype=float) for j in (1, 2))
@@ -306,6 +362,15 @@ def retarget_pieces(pieces) -> list:
     for i, a, b in zip(moving, bounds, bounds[1:]):
         out[i] = moved[a:b]
     return out
+
+
+def retarget_pieces(pieces) -> list:
+    """``retarget`` of every (skill lanes, start, goal, n_out) piece, with
+    start and goal as 8-vectors; returns each piece's (n_out, 8) lanes: the
+    ``_skill_sides`` of the lanes, then ``retarget_sides``."""
+    sides = _skill_sides([(lanes, n_out) for lanes, _, _, n_out in pieces])
+    return retarget_sides([(side, start, goal, n_out)
+                           for side, (_, start, goal, n_out) in zip(sides, pieces)])
 
 
 def retarget(skill: Demonstration, start, goal, n_out: int) -> np.ndarray:

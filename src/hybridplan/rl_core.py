@@ -441,6 +441,11 @@ def save_checkpoint(path, policy, value_net, meta: dict) -> None:
     Path(path).write_bytes(records.pack(_CKPT_MAGIC, _CKPT_VERSION, meta, arrays))
 
 
+def _param_count(sizes) -> int:
+    """Weights and biases of an ``Mlp`` of these layer sizes."""
+    return sum(d_in * d_out + d_out for d_in, d_out in zip(sizes[:-1], sizes[1:]))
+
+
 def load_checkpoint(path):
     """Returns (policy, value_net, meta), the metadata values as str.  Raises
     ValueError for a file ``records.unpack`` refuses, another set of arrays,
@@ -457,12 +462,15 @@ def load_checkpoint(path):
     if kind not in _HEADS:
         raise ValueError(f"unknown policy kind {kind}")
     sizes, vsizes = arrays[1].tolist(), arrays[3].tolist()
+    # checked before any net is built, so corrupt sizes cannot ask for memory
+    tail = sizes[-1] if _HEADS[kind] is GaussianPolicy else 0      # log_std
+    for name, net_sizes, vec, count in (("policy", sizes, arrays[2], _param_count(sizes) + tail),
+                                        ("value", vsizes, arrays[4], _param_count(vsizes))):
+        if len(vec) != count or name == "value" and net_sizes[-1] != 1:
+            raise ValueError(f"{name} parameter vector of {len(vec)} values does not fit "
+                             f"a net of sizes {net_sizes}")
     policy = _HEADS[kind](sizes[0], sizes[-1], tuple(sizes[1:-1]))
     value_net = ValueNet(vsizes[0], tuple(vsizes[1:-1]))
-    for name, head, sizes, vec in (("policy", policy, sizes, arrays[2]),
-                                   ("value", value_net, vsizes, arrays[4])):
-        if head.net.sizes != sizes or vec.shape != head.net.flat.shape:
-            raise ValueError(f"{name} parameter vector of {len(vec)} values does not fit "
-                             f"a net of sizes {sizes}")
-        head.net.flat[...] = vec
+    policy.net.flat[...] = arrays[2]
+    value_net.net.flat[...] = arrays[4]
     return policy, value_net, meta

@@ -1,5 +1,9 @@
 """One-at-a-time references for the lane code of the library.
 
+* Dual-quaternion products: ``dq_mul_lanes_by_components`` runs ``_qmul`` on
+  the stacked component arrays of a dual product's three quaternion products;
+  the library's ``dq_mul_lanes`` gathers their terms from sign tables and sums
+  them in one reduction.
 * LfD: ScLERP, arc-length resampling, features, retargeting, the HRL
   reward and the HRL task jitter written pose by pose with
   ``DualQuaternion`` objects; the library computes the same quantities on
@@ -43,6 +47,8 @@ from hybridplan import lfd
 from hybridplan.dualquat import (
     DualQuaternion,
     _lane_dot,
+    _qmul,
+    _renormalize_drifted,
     dq_conjugate,
     dq_conjugate_lanes,
     dq_from_lanes,
@@ -68,6 +74,26 @@ from hybridplan.kinematics import (
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
 from hybridplan.workcell import COLLISION_RES_DEG, SMOOTH_BOUND_DEG, ExecutionReport
+
+
+_LEFT, _RIGHT = np.array([0, 0, 1]), np.array([0, 1, 0])
+
+
+def dq_mul_lanes_by_components(a, b) -> np.ndarray:
+    """``dq_mul`` over (N, 8) lanes, a single 8-vector on either side
+    broadcasting: the products real*real, real*dual and dual*real as one
+    ``_qmul`` over a stacked axis, then the library's drift rule."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    shape = a.shape[:-1]
+    left = a.reshape(shape + (2, 4))[..., _LEFT, :].T
+    right = b.reshape(shape + (2, 4))[..., _RIGHT, :].T
+    prod = np.array(_qmul(*left, *right))
+    out = np.empty(shape + (8,))
+    out[..., :4] = prod[:, 0].T
+    out[..., 4:] = (prod[:, 1] + prod[:, 2]).T
+    return _renormalize_drifted(out)
 
 
 def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:

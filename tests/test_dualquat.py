@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from hybridplan import dualquat
 from hybridplan.dualquat import (
     DualQuaternion,
     dq_conjugate,
@@ -259,6 +260,63 @@ def test_dq_mul_lanes_renormalizes_only_the_drifted_lane():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(out[keep], dq_mul_lanes(a[keep], b[keep]))
+
+
+def wild_lanes(rng, n):
+    """Lanes whose entries span 16 decades, with +0.0 and -0.0 mixed in."""
+    x = rng.standard_normal((n, 8)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 8))
+    x[rng.random((n, 8)) < 0.1] = 0.0
+    x[rng.random((n, 8)) < 0.1] = -0.0
+    return x
+
+
+def same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_dq_mul_lanes_products_equal_the_component_form_bit_for_bit(monkeypatch):
+    # the products before the drift rule, which both forms share
+    monkeypatch.setattr(dualquat, "_renormalize_drifted", lambda out: out)
+    monkeypatch.setattr(ref, "_renormalize_drifted", lambda out: out)
+    rng = np.random.default_rng(23)
+    zeros = 0
+    for n in (1, 2, 3, 7, 25, 200, 2000):
+        a, b = wild_lanes(rng, n), wild_lanes(rng, n)
+        want = ref.dq_mul_lanes_by_components(a, b)
+        same_bits(dq_mul_lanes(a, b), want)
+        zeros += np.count_nonzero(np.signbit(want) & (want == 0.0))
+        for i in (0, n - 1):
+            same_bits(dq_mul_lanes(a[i], b), ref.dq_mul_lanes_by_components(a[i], b))
+            same_bits(dq_mul_lanes(a, b[i]), ref.dq_mul_lanes_by_components(a, b[i]))
+            same_bits(dq_mul_lanes(a[i], b[i]), ref.dq_mul_lanes_by_components(a[i], b[i]))
+    assert zeros > 0                   # some products are -0.0
+
+
+def test_dq_mul_lanes_equals_the_component_form_on_drifting_lanes():
+    rng = np.random.default_rng(24)
+    a = dq_to_lanes([random_unit_dq(rng) for _ in range(40)])
+    b = dq_to_lanes([random_unit_dq(rng) for _ in range(40)])
+    a[::3, :4] *= 1.0 + rng.uniform(1e-5, 1e-2, (14, 1))      # real parts off the sphere
+    b[1::4, 4:] += rng.uniform(-1e-3, 1e-3, (10, 4))          # dual parts off the tangent
+    for x, y in ((a, b), (a[5], b), (a, b[6]), (a[3], b[3])):
+        with pytest.warns(UserWarning, match="drifted"):
+            got = dq_mul_lanes(x, y)
+        with pytest.warns(UserWarning, match="drifted"):
+            want = ref.dq_mul_lanes_by_components(x, y)
+        same_bits(got, want)
+        assert np.max([DualQuaternion.from_array(r).norm_drift()
+                       for r in np.reshape(got, (-1, 8))]) < 1e-12
+
+
+def test_dq_mul_lanes_of_no_lanes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((np.empty((0, 8)), np.empty((0, 8))),
+                     (np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), np.empty((0, 8))),
+                     (np.empty((0, 8)), np.array([1.0, 0, 0, 0, 0, 0, 0, 0]))):
+            got = dq_mul_lanes(a, b)
+            assert got.shape == (0, 8)
+            same_bits(got, ref.dq_mul_lanes_by_components(a, b))
 
 
 def test_sclerp_lanes_match_reference_on_random_pairs():

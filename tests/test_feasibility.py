@@ -357,6 +357,34 @@ def test_load_map_rejects_arrays_that_disagree_with_the_counts(tmp_path, change)
         load_map(path)
 
 
+@pytest.mark.parametrize("change", ["voxel_size 0", "voxel_size -0.5", "voxel_size inf",
+                                    "theta_max nan", "box_lo -inf", "box_hi = box_lo on z",
+                                    "box_hi < box_lo on x", "no yaw cells", "no x voxels"])
+def test_load_map_rejects_a_geometry_build_map_refuses(tmp_path, change):
+    # a whole, well-framed file: with voxel_size 0 every lookup would divide
+    # by zero and answer UNREACHABLE
+    meta, arrays = records.unpack(map_bytes(small_map(planar_rr(), voxel=1.5)),
+                                  feasibility._MAGIC, feasibility._VERSION, "map")
+    geometry, counts = arrays[0], arrays[1]
+    if change.startswith("voxel_size"):
+        geometry[6] = float(change.split()[1])
+    elif change == "theta_max nan":
+        geometry[7] = np.nan
+    elif change == "box_lo -inf":
+        geometry[0] = -np.inf
+    elif change == "box_hi = box_lo on z":
+        geometry[5] = geometry[2]
+    elif change == "box_hi < box_lo on x":
+        geometry[3] = geometry[0] - 1.0
+    else:
+        counts[5 if change == "no yaw cells" else 0] = 0
+        arrays[2:] = [a[:0] for a in arrays[2:]]      # the arrays of no cells
+    path = tmp_path / "odd.map"
+    path.write_bytes(records.pack(feasibility._MAGIC, feasibility._VERSION, meta, arrays))
+    with pytest.raises(ValueError, match="is not a finite, nonempty tessellation"):
+        load_map(path)
+
+
 # ------------------------------------------------------------------ #
 # map lookups against the one-pose reference
 # ------------------------------------------------------------------ #

@@ -357,7 +357,8 @@ def test_plan_lfd_edge_plans():
             ref.plan_poses_per_gap(task, lib, [((0, 2), "s")], ppg)
 
 
-def test_plan_lfd_makes_one_set_of_lane_calls(monkeypatch):
+def counted_lane_calls(monkeypatch):
+    """Counts of the calls ``lfd`` makes to its two lane kernels."""
     calls = {"dq_sclerp_lanes": 0, "dq_mul_lanes": 0}
 
     def counted(name):
@@ -370,18 +371,69 @@ def test_plan_lfd_makes_one_set_of_lane_calls(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(lfd, name, counted(name))
+    return calls
+
+
+def test_plan_lfd_makes_one_set_of_lane_calls(monkeypatch):
+    calls = counted_lane_calls(monkeypatch)
     sk = line_skill("s", 2.0, 0.0, n=8)
     lib = library_of(sk, line_skill("t", 1.0, 0.5, n=5))
     configs = [pose(0, 0), pose(0.5, 0), pose(1.0, 0.1), pose(1.5, 0), pose(2.0, 0)]
-    # four gaps in two segments or one, and one gap: the same calls
+    # four gaps in two segments or one, and one gap: the same calls, cold (at
+    # most slices, bases and the correction ramp) and then warm (the ramp alone)
     for segments in ([((0, 2), "s"), ((2, 4), "t")], [((0, 4), "s")], [((0, 1), "t")]):
         task = Task("t", configs[:segments[-1][0][1] + 1])
-        for name in calls:
-            calls[name] = 0
-        plan = plan_lfd(task, lib, forced_tables(segments))
-        assert plan["segments"] == segments
-        assert calls["dq_sclerp_lanes"] <= 3
-        assert calls["dq_mul_lanes"] <= 4
+        for most_sclerp in (3, 1):
+            for name in calls:
+                calls[name] = 0
+            plan = plan_lfd(task, lib, forced_tables(segments))
+            assert plan["segments"] == segments
+            assert calls["dq_mul_lanes"] == 4
+            assert 1 <= calls["dq_sclerp_lanes"] <= most_sclerp
+
+
+def fresh(lib):
+    """A copy of ``lib`` whose skills have kept nothing."""
+    return library_of(*(Demonstration(s.id, s.poses, s.tags) for s in lib.skills.values()))
+
+
+def test_plans_of_a_fresh_and_a_reused_library_are_byte_equal(workloads, skills_workloads,
+                                                                 hybrid_workloads):
+    # a fresh library retargets every gap from scratch; the reused one reads
+    # the skill side of the layouts it has served
+    cases = []
+    for wl in skills_workloads[:2]:
+        for k, st in enumerate(wl.tasks):
+            tables = train_hrl([st.task], wl.library, episodes=wl.sizes.episodes,
+                               config=workloads.hrl_config(), seed=1000 * wl.seed + k)
+            cases += [(inst, wl.library, tables, None, 25) for inst in st.instances]
+    for wl in hybrid_workloads:
+        cases += [(task, wl.library, wl.tables, wl.fmap, workloads.POINTS_PER_GAP)
+                  for task in wl.train_tasks + wl.instances]
+    assert len(cases) == 2 * 104 + 2 * 112
+    for task, lib, tables, fmap, ppg in cases:
+        plan_lfd(task, lib, tables, fmap, ppg)                  # the reused library is warm
+        warm = plan_lfd(task, lib, tables, fmap, ppg)
+        cold = plan_lfd(task, fresh(lib), tables, fmap, ppg)
+        assert (warm["segments"], warm["ranges"]) == (cold["segments"], cold["ranges"])
+        assert warm["poses"].tobytes() == cold["poses"].tobytes()
+
+
+def test_a_warm_plan_still_checks_a_constant_skill(monkeypatch):
+    hold = Demonstration("hold", [pose(0.5, 0.5)] * 4)
+    lib = library_of(hold, line_skill("s", 1.0, 0.0, n=7))
+    task = Task("t", [pose(0, 0), pose(0, 0), pose(1, 0.1), pose(2, 0)])
+    fits = [((0, 1), "hold"), ((1, 3), "s")]
+    plan_lfd(task, lib, forced_tables(fits), points_per_gap=5)
+    assert set(hold._gaps) == {(0, 1, 5)}
+    calls = counted_lane_calls(monkeypatch)
+    plan = plan_lfd(task, lib, forced_tables(fits), points_per_gap=5)
+    assert calls["dq_sclerp_lanes"] == 1
+    assert plan["poses"][:5].tobytes() == np.tile(task.configs[0].as_array(), (5, 1)).tobytes()
+    # the same layouts, with the constant skill over a displacement
+    with pytest.raises(ValueError, match="displacement mismatch"):
+        plan_lfd(Task("u", [pose(0, 0), pose(0, 0.5), pose(1, 0.1), pose(2, 0)]), lib,
+                 forced_tables(fits), points_per_gap=5)
 
 
 def test_single_matching_skill_chosen_everywhere():

@@ -22,8 +22,10 @@ from hybridplan.lfd import (
     load_library,
     resample,
     retarget,
+    retarget_sides,
     sample_lanes,
     save_demonstration,
+    skill_gaps,
 )
 
 
@@ -289,6 +291,44 @@ def test_demonstration_poses_cannot_change_under_its_caches():
     np.testing.assert_array_equal(demo.features, extract_features(list(demo.poses)))
     np.testing.assert_array_equal(demo.resampled_features(32), resample(demo.features, 32))
     assert demo.resampled_features(32) is demo.resampled_features(32)
+
+
+def test_skill_gaps_are_kept_read_only_on_the_skill():
+    arc, hold = arc_demo(n=9), Demonstration("hold", [pose(0.5, 0.5)] * 4)
+    requests = [(arc, 0, 2, 7), (hold, 0, 1, 5), (arc, 1, 2, 7), (arc, 0, 2, 7), (arc, 0, 2, 4)]
+    sides = skill_gaps(requests)
+    assert sides[0] is sides[3]                       # one fill per layout
+    assert [s is t for s, t in zip(skill_gaps(requests), sides)] == [True] * 5
+    for side, (skill, g, n, n_out) in zip(sides, requests):
+        if skill is hold:                             # a constant skill is its own slice
+            assert side.lanes is hold.lanes and side.params is side.us is side.base is None
+            continue
+        assert len(side.lanes) == max(3, len(skill.poses) // n) and len(side.base) == n_out
+        for cached in (side.lanes, side.params, side.us, side.base):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
+        slice_poses = ref.slice_skill(skill.poses, g / n, (g + 1) / n, len(side.lanes))
+        np.testing.assert_allclose(side.lanes, dq_to_lanes(slice_poses), rtol=0, atol=1e-12)
+
+
+def test_skill_gaps_keep_the_slice_sampling_when_the_lengths_match():
+    # gap 1 of 2 of a 9-pose arc is a 4-pose slice: at 4 output poses the
+    # base is the slice itself, and retargeting it onto its own ends returns it
+    arc = arc_demo(n=9)
+    side, = skill_gaps([(arc, 1, 2, 4)])
+    assert len(side.lanes) == 4 and side.us is side.params
+    assert side.base.tobytes() == side.lanes.tobytes()
+    out, = retarget_sides([(side, side.lanes[0], side.lanes[-1], 4)])
+    assert out[0].tobytes() == side.lanes[0].tobytes()
+    assert np.max(chordal_distance(out, side.lanes)) < 1e-12
+
+
+def test_skill_gaps_refuse_fewer_than_two_output_poses():
+    arc = arc_demo(n=9)
+    for n_out in (1, 0):
+        with pytest.raises(ValueError, match="n_out must be at least 2"):
+            skill_gaps([(arc, 0, 1, n_out)])
+    assert arc._gaps == {}
 
 
 def test_demonstration_from_a_list_keeps_a_copy():

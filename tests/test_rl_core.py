@@ -643,6 +643,31 @@ def test_load_checkpoint_rejects_arrays_of_the_wrong_shape(tmp_path, where):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where, k", [("policy", 1), ("value", 3)])
+def test_load_checkpoint_rejects_huge_sizes_before_building_a_net(tmp_path, where, k):
+    # a corrupted sizes entry would ask for tens of GiB if a net were built
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    path = tmp_path / "huge.ckpt"
+    for i in range(3):
+        def corrupt(sizes, i=i):
+            sizes = sizes.copy()
+            sizes[i] = 2 ** 31
+            return sizes
+        _repack(path, raw, k, corrupt)
+        with pytest.raises(ValueError, match=f"{where} parameter vector of .* values does not fit"):
+            load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_a_value_net_of_two_outputs(tmp_path):
+    # sizes 3, 4, 2 with a vector of their 26 values: the value head has one output
+    raw = _small_checkpoint(tmp_path / "full.ckpt")
+    path = tmp_path / "two.ckpt"
+    _repack(path, raw, 3, lambda sizes: np.array([3, 4, 2], dtype="<u4"))
+    _repack(path, path.read_bytes(), 4, lambda vec: np.resize(vec, 26))
+    with pytest.raises(ValueError, match=r"value parameter vector of 26 values .* sizes \[3, 4, 2\]"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("kind", [0, 3])
 def test_load_checkpoint_rejects_an_unknown_policy_kind(tmp_path, kind):
     path = tmp_path / "kind.ckpt"
