@@ -192,6 +192,20 @@ def test_build_map_wall_90_cells(benchmark, model, cell):
     assert fmap.n_cells == 90
 
 
+def test_build_map_hybrid_72_cells(benchmark, model):
+    # the hybrid workload's set-up map at seed 1: its cell draws the wall
+    # first from the seed's stream
+    seed = 1
+    hybrid_cell = inputs.wall_cell(np.random.default_rng(seed))
+    yaw_bins = workloads.HybridSizes().yaw_bins
+    fmap = benchmark.pedantic(build_map, args=(model, hybrid_cell.obstacles,
+                                               inputs.hybrid_map_box(hybrid_cell),
+                                               inputs.HYBRID_VOXEL),
+                              kwargs=dict(orientation_spec=(np.pi, (1, 1, yaw_bins)), seed=seed),
+                              rounds=5, iterations=1)
+    assert fmap.n_cells == 72
+
+
 @pytest.fixture(scope="module")
 def wall_map(model, cell):
     return build_map(model, cell.obstacles, BOX, workloads.MAP_VOXEL,

@@ -7,7 +7,10 @@ a threshold.  The map discretizes the workspace into position voxels crossed
 with orientation cells and stores the verdict, the manipulability value, and
 the witness joint vector for every cell.  Cell semantics are existential: the
 cell is feasible if any witness lands inside it, so the per-cell IK tolerance
-is half the cell extent.
+is half the cell extent.  A map pass descends every IK seed of its cells as one
+``ik_descend`` and judges every witness it reaches with one ``score_lanes``.
+Cells are numbered by ``ravel_multi_index`` over ``voxel_counts +
+orient_counts`` (x, y, z voxel, then roll, pitch, yaw bin; yaw varies fastest).
 
 Poses are 8-vectors or (N, 8) lanes (``dq_to_lanes`` also takes
 ``DualQuaternion``s); a classification keeps its trajectory's lanes and its
@@ -35,16 +38,12 @@ from hybridplan.dualquat import (
     quat_from_euler,
     quat_to_euler,
 )
-from hybridplan.geometry import collision_index, obstacle_line, pose_must_collide
-from hybridplan.kinematics import (
-    RobotModel,
-    ik_attempt,
-    ik_descend,
-    normalized_manipulability,
-    robot_hash,
-)
+from hybridplan.geometry import collision_index, obstacle_line, pose_must_collide, score_lanes
+from hybridplan.kinematics import RobotModel, ik_attempt, ik_descend, robot_hash
 
 OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
+# reason by witness grade: none reached, all collide, free, free and above eps_m
+_REASON_OF_GRADE = np.array([UNREACHABLE, COLLISION, LOW_MANIP, OK], dtype=np.uint8)
 
 MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
 FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
@@ -82,8 +81,11 @@ def fea(pose, model: RobotModel, obstacles, eps_m=0.1,
     if rng is None:
         rng = np.random.default_rng(0)
     seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
-    return _fea_batch(dq_to_lanes(pose).reshape(1, 8), [seeds], model, obstacles, eps_m,
-                      tol_pos, tol_rot, max_iters)[0]
+    reasons, man, witnesses = _fea_batch(dq_to_lanes(pose).reshape(1, 8), [seeds], model,
+                                         obstacles, eps_m, tol_pos, tol_rot, max_iters)
+    reason = int(reasons[0])
+    return FeaResult(reason == OK, float(man[0]), reason,
+                     None if reason == UNREACHABLE else witnesses[0])
 
 
 def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, tol_pos=1e-3,
@@ -117,52 +119,39 @@ def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, tol_pos=1e-3,
     return fallback
 
 
-def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> list:
-    """IK seeds of one pose: caller seeds, home, then uniform random seeds."""
-    seeds = [np.asarray(s, dtype=float) for s in extra_seeds]
-    seeds.append(model.home)
-    lo, hi = model.limits_lo, model.limits_hi
-    while len(seeds) < ik_budget:
-        seeds.append(rng.uniform(lo, hi))
-    return seeds
+def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> np.ndarray:
+    """IK seeds of one pose, (k, dof): caller seeds, home, then uniform random
+    seeds up to ``ik_budget`` rows."""
+    extra = np.asarray(extra_seeds, dtype=float).reshape(-1, model.dof)
+    n_random = max(ik_budget - len(extra) - 1, 0)
+    return np.vstack([extra, model.home,
+                      rng.uniform(model.limits_lo, model.limits_hi, size=(n_random, model.dof))])
 
 
 def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
-               tol_rot, max_iters) -> list:
-    """``fea`` of (P, 8) pose lanes: every seed of every pose descends as one
-    ``ik_descend``, then each pose's witnesses are judged in seed order."""
-    targets = np.repeat(lanes, [len(seeds) for seeds in seed_lists], axis=0)
-    sols = ik_descend(model, targets, np.concatenate(seed_lists).reshape(-1, model.dof),
+               tol_rot, max_iters) -> tuple:
+    """``fea`` of (P, 8) pose lanes as (reasons, man', witnesses) arrays, the
+    witnesses (P, dof) with NaN rows where none was reached.
+
+    Every seed of every pose descends as one ``ik_descend`` and every witness
+    reached is scored by one ``score_lanes``.  A pose's verdict is its first
+    witness in seed order that is free and at or above ``eps_m``, else its
+    best free witness, else its best witness (first maximum of man' wins)."""
+    counts = [len(seeds) for seeds in seed_lists]
+    sols = ik_descend(model, np.repeat(lanes, counts, axis=0), np.concatenate(seed_lists),
                       tol_pos, tol_rot, max_iters)
-    results, start = [], 0
-    for seeds in seed_lists:
-        results.append(_judge(sols[start:start + len(seeds)], model, obstacles, eps_m))
-        start += len(seeds)
-    return results
-
-
-def _judge(sols, model: RobotModel, obstacles, eps_m) -> FeaResult:
-    """Verdict over one pose's descents (NaN rows did not reach)."""
-    reached = False
-    best_free = None       # (man', witness) best collision-free witness
-    best_any = None        # (man', witness) best witness of any kind
-    for sol in sols:
-        if np.isnan(sol[0]):
-            continue
-        reached = True
-        mp = normalized_manipulability(model, sol)
-        if best_any is None or mp > best_any[0]:
-            best_any = (mp, sol)
-        if collision_index(model, sol, obstacles) == 0:
-            if best_free is None or mp > best_free[0]:
-                best_free = (mp, sol)
-            if mp >= eps_m:
-                return FeaResult(True, mp, OK, sol)
-    if not reached:
-        return FeaResult(False, 0.0, UNREACHABLE, None)
-    if best_free is None:
-        return FeaResult(False, best_any[0], COLLISION, best_any[1])
-    return FeaResult(False, best_free[0], LOW_MANIP, best_free[1])
+    reached = ~np.isnan(sols[:, 0])
+    man, col = np.zeros(len(sols)), np.ones(len(sols), dtype=np.uint8)
+    man[reached], col[reached] = score_lanes(model, sols[reached], obstacles)
+    free = col == 0
+    ok = free & (man >= eps_m)
+    grade = reached.astype(int) + free + ok
+    # per pose, last after sorting: highest grade, then highest man' (any
+    # qualifying witness ranks equal), then first in seed order
+    order = np.lexsort((-np.arange(len(sols)), np.where(ok, 0.0, man), grade,
+                        np.repeat(np.arange(len(counts)), counts)))
+    pick = order[np.cumsum(counts) - 1]
+    return _REASON_OF_GRADE[grade[pick]], man[pick], sols[pick]
 
 
 # ------------------------------------------------------------------ #
@@ -194,11 +183,7 @@ class FeasibilityMap:
         return nx * ny * nz * self.n_orient
 
     def cell_index(self, vox, ori) -> int:
-        nx, ny, nz = self.voxel_counts
-        cx, cy, cz = self.orient_counts
-        v = (vox[0] * ny + vox[1]) * nz + vox[2]
-        o = (ori[0] * cy + ori[1]) * cz + ori[2]
-        return v * self.n_orient + o
+        return int(np.ravel_multi_index((*vox, *ori), self.voxel_counts + self.orient_counts))
 
     def voxel_center(self, vox) -> np.ndarray:
         return self.box_lo + (np.asarray(vox) + 0.5) * self.voxel_size
@@ -247,53 +232,42 @@ class FeasibilityMap:
         return FeaResult(reason == OK, float(self.man[idx]), reason, witness)
 
     def all_cells(self):
-        nx, ny, nz = self.voxel_counts
-        cx, cy, cz = self.orient_counts
-        for ix in range(nx):
-            for iy in range(ny):
-                for iz in range(nz):
-                    for ir in range(cx):
-                        for ip in range(cy):
-                            for iw in range(cz):
-                                yield (ix, iy, iz), (ir, ip, iw)
+        """(voxel, orientation cell) digits of every cell in flat index order."""
+        for digits in np.ndindex(*self.voxel_counts, *self.orient_counts):
+            yield digits[:3], digits[3:]
 
 
 def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices, seed,
-                    eps_m, ik_budget, seeds_by_cell, spawn_salt) -> list:
-    """(cell index, FeaResult) for the given cells, each cell's random seeds
-    drawn from its own (seed, cell index, salt) stream."""
+                    eps_m, ik_budget, seeds_by_cell, spawn_salt) -> tuple:
+    """``_fea_batch``'s (reasons, man', witnesses) of the given cells, each
+    cell's random seeds drawn from its own (seed, cell index, salt) stream."""
     half_pos = 0.5 * fmap.voxel_size
     half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
-    cells = list(fmap.all_cells())
-    poses, seed_lists = [], []
-    for i in indices:
-        poses.append(fmap.cell_pose(*cells[i]))
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(i, spawn_salt)))
-        extra = () if seeds_by_cell is None else seeds_by_cell.get(i, ())
-        seed_lists.append(_draw_seeds(model, extra, ik_budget, rng))
-    results = _fea_batch(dq_to_lanes(poses), seed_lists, model, obstacles, eps_m, half_pos,
-                         half_rot, FEA_MAX_ITERS)
-    return list(zip(indices, results))
+    digits = np.transpose(np.unravel_index(indices, fmap.voxel_counts + fmap.orient_counts))
+    poses = [fmap.cell_pose(d[:3], d[3:]) for d in digits]
+    seed_lists = [_draw_seeds(model, seeds_by_cell.get(i, ()), ik_budget, np.random.default_rng(
+                      np.random.SeedSequence(seed, spawn_key=(i, spawn_salt))))
+                  for i in indices]
+    return _fea_batch(dq_to_lanes(poses), seed_lists, model, obstacles, eps_m, half_pos,
+                      half_rot, FEA_MAX_ITERS)
 
 
-def _neighbor_indices(fmap: FeasibilityMap, vox, ori):
-    """Adjacent cells: +-1 per position axis and +-1 yaw bin (wrapping)."""
-    out = []
-    nx, ny, nz = fmap.voxel_counts
-    for a, n in ((0, nx), (1, ny), (2, nz)):
-        for d in (-1, 1):
-            v = list(vox)
-            v[a] += d
-            if 0 <= v[a] < n:
-                out.append(fmap.cell_index(tuple(v), ori))
-    cz = fmap.orient_counts[2]
-    if cz > 1:
-        for d in (-1, 1):
-            o = list(ori)
-            o[2] = (o[2] + d) % cz
-            out.append(fmap.cell_index(vox, tuple(o)))
-    return out
+def _neighbor_table(fmap: FeasibilityMap) -> np.ndarray:
+    """(cells, 8) flat indices of each cell's adjacent cells, -1 where none:
+    -1 then +1 along x, y and z inside the box, then the yaw bins below and
+    above (wrapping), each listed once."""
+    shape = fmap.voxel_counts + fmap.orient_counts
+    digits = np.array(np.unravel_index(np.arange(fmap.n_cells), shape))
+    columns = []
+    for axis, step in ((0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1), (5, -1), (5, 1)):
+        moved = digits.copy()
+        moved[axis] += step
+        if axis < 5:
+            exists = (moved[axis] >= 0) & (moved[axis] < shape[axis])
+        else:     # one yaw bin has no neighbour, two have the same one either side
+            exists = shape[5] > (1 if step < 0 else 2)
+        columns.append(np.where(exists, np.ravel_multi_index(moved, shape, mode="wrap"), -1))
+    return np.stack(columns, axis=1)
 
 
 def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
@@ -301,12 +275,15 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
               ik_budget=12) -> FeasibilityMap:
     """Evaluate every (voxel, orientation-cell) with a per-cell RNG stream.
 
-    Two passes: the first evaluates cells independently; the second retries
-    infeasible cells seeding IK with the witnesses of adjacent first-pass
-    cells (witness transfer), which rescues pockets that pure random restarts
-    rarely reach.  Each pass runs the IK descents of all its cells in
-    lockstep; a cell's verdict depends only on (seed, cell index) and the
-    witnesses of the passes before.
+    A first pass evaluates every cell independently.  Then up to three
+    witness-transfer rounds retry each cell that is not OK and has an OK
+    adjacent cell, seeding its IK with those cells' witnesses; a retried cell
+    is stored only when it upgrades to OK, and the rounds stop early when
+    none does.  Transfer rescues pockets that pure random restarts rarely
+    reach, and repeating it lets rescued cells propagate into deeper ones.
+    Each pass runs the IK descents of all its cells in lockstep; a cell's
+    verdict depends only on (seed, cell index) and the witnesses of the
+    passes before.  ``theta_max`` must be finite and in (0, pi].
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
@@ -315,6 +292,8 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     counts = tuple(max(1, int(np.ceil((hi[a] - lo[a]) / voxel_size - 1e-9)))
                    for a in range(3))
     theta_max, orient_counts = orientation_spec
+    if not 0.0 < theta_max <= np.pi:      # False for NaN too
+        raise ValueError(f"theta_max {theta_max} is not in (0, pi]")
     orient_counts = tuple(int(c) for c in orient_counts)
     if min(orient_counts) < 1:
         raise ValueError("empty tessellation")
@@ -339,47 +318,33 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
         },
     )
 
-    def run_pass(indices, seeds_by_cell, spawn_salt):
-        return _evaluate_cells(model, obstacles, fmap, indices, seed, eps_m,
-                               ik_budget, seeds_by_cell, spawn_salt)
+    def run_pass(indices, seeds_by_cell, spawn_salt) -> int:
+        """Store a pass's verdicts, of a transfer round only the upgrades to
+        OK, and return how many it stored."""
+        reasons, man, witnesses = _evaluate_cells(model, obstacles, fmap, indices, seed, eps_m,
+                                                  ik_budget, seeds_by_cell, spawn_salt)
+        keep = reasons == OK if spawn_salt else slice(None)
+        cells = indices[keep]
+        fmap.reasons[cells], fmap.witnesses[cells] = reasons[keep], witnesses[keep]
+        fmap.man[cells] = _man_fixed(man[keep]) / MAN_FIXED_SCALE
+        return len(cells)
 
-    def store(flat):
-        for i, res in flat:
-            fmap.reasons[i] = res.reason
-            fmap.man[i] = _man_roundtrip(res.man_prime)
-            if res.witness is not None:
-                fmap.witnesses[i] = res.witness
-
-    store(run_pass(list(range(n_cells)), None, 0))
-
-    # witness transfer: retry infeasible cells seeded from feasible neighbors,
-    # repeated so rescued cells propagate into deeper pockets
-    cells = list(fmap.all_cells())
+    run_pass(np.arange(n_cells), {}, 0)
+    neighbors = _neighbor_table(fmap)
     for round_no in range(1, 4):
-        retry, seeds_by_cell = [], {}
-        for i, (vox, ori) in enumerate(cells):
-            if fmap.reasons[i] == OK:
-                continue
-            neigh = [fmap.witnesses[j].astype(float)
-                     for j in _neighbor_indices(fmap, vox, ori)
-                     if fmap.reasons[j] == OK and not np.any(np.isnan(fmap.witnesses[j]))]
-            if neigh:
-                retry.append(i)
-                seeds_by_cell[i] = neigh
-        if not retry:
-            break
-        upgraded = [(i, res) for i, res in run_pass(retry, seeds_by_cell, round_no)
-                    if res.reason == OK]
-        store(upgraded)
-        if not upgraded:
+        ok_neighbor = np.append(fmap.reasons == OK, False)[neighbors]   # -1 reads False
+        retry = np.flatnonzero((fmap.reasons != OK) & ok_neighbor.any(axis=1))
+        seeds_by_cell = {i: fmap.witnesses[neighbors[i][ok_neighbor[i]]].astype(float)
+                         for i in retry}
+        if not len(retry) or not run_pass(retry, seeds_by_cell, round_no):
             break
     return fmap
 
 
-def _man_roundtrip(v: float) -> float:
-    """Quantize man' like the 16-bit file encoding so RAM == disk."""
-    fixed = min(max(round(v * MAN_FIXED_SCALE), 0), 65535)
-    return fixed / MAN_FIXED_SCALE
+def _man_fixed(man) -> np.ndarray:
+    """man' in the map's 16-bit fixed point (the file stores these; the map
+    in memory holds them decoded, so RAM == disk)."""
+    return np.clip(np.round(np.asarray(man) * MAN_FIXED_SCALE), 0, 65535).astype("<u2")
 
 
 # ------------------------------------------------------------------ #
@@ -392,9 +357,8 @@ def map_bytes(fmap: FeasibilityMap) -> bytes:
     (u1), ``man`` in 16-bit fixed point (u2) and ``witnesses`` (f4)."""
     geometry = np.concatenate([fmap.box_lo, fmap.box_hi, [fmap.voxel_size, fmap.theta_max]])
     counts = np.array([*fmap.voxel_counts, *fmap.orient_counts, fmap.dof], dtype="<u4")
-    man_fixed = np.clip(np.round(fmap.man * MAN_FIXED_SCALE), 0, 65535).astype("<u2")
     return records.pack(_MAGIC, _VERSION, fmap.metadata,
-                        [geometry, counts, fmap.reasons.astype(np.uint8), man_fixed,
+                        [geometry, counts, fmap.reasons.astype(np.uint8), _man_fixed(fmap.man),
                          fmap.witnesses.astype("<f4")])
 
 
@@ -414,12 +378,14 @@ def load_map(path) -> FeasibilityMap:
         raise ValueError(f"feasibility map arrays {layout} do not start with the (8,) f8 "
                          "geometry and the (7,) u4 counts")
     geometry, (nx, ny, nz, cx, cy, cz, dof) = arrays[0], arrays[1].tolist()
-    # build_map's rule: a nonempty box, a positive voxel size, every count >= 1
+    # build_map's rule: a nonempty box, a positive voxel size, theta_max in
+    # (0, pi], every count >= 1
     if not (np.all(np.isfinite(geometry)) and np.all(geometry[3:6] > geometry[:3])
-            and geometry[6] > 0.0 and min(nx, ny, nz, cx, cy, cz) >= 1):
+            and geometry[6] > 0.0 and 0.0 < geometry[7] <= np.pi
+            and min(nx, ny, nz, cx, cy, cz) >= 1):
         raise ValueError(f"feasibility map geometry {geometry.tolist()} (box_lo, box_hi, "
                          f"voxel_size, theta_max) with counts {arrays[1].tolist()[:6]} "
-                         "is not a finite, nonempty tessellation")
+                         "is not a finite, nonempty tessellation with theta_max in (0, pi]")
     n_cells = nx * ny * nz * cx * cy * cz
     if layout[2:] != [("|u1", (n_cells,)), ("<u2", (n_cells,)), ("<f4", (n_cells, dof))]:
         raise ValueError(f"feasibility map arrays {layout[2:]} disagree with {n_cells} cells "

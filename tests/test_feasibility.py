@@ -26,7 +26,7 @@ from hybridplan.feasibility import (
     map_bytes,
     save_map,
 )
-from hybridplan.geometry import Box, collision_index
+from hybridplan.geometry import Box, Sphere, collision_index
 from hybridplan.kinematics import (
     fk,
     ik_attempt,
@@ -114,6 +114,14 @@ def test_build_map_empty_tessellation():
     m = planar_rr()
     with pytest.raises(ValueError, match="empty tessellation"):
         build_map(m, [], ((0, 0, 0), (0, 0, 0)), 0.5)
+
+
+@pytest.mark.parametrize("theta_max", [0.0, -1.0, 4.0, np.nan, np.inf])
+def test_build_map_refuses_a_theta_max_outside_zero_to_pi(theta_max):
+    # theta_max 0 or -1 would build an all-UNREACHABLE map whose lookups raise
+    with pytest.raises(ValueError, match=r"theta_max .* is not in \(0, pi\]"):
+        build_map(planar_rr(), [], ((-1.0, -1.0, -0.25), (1.0, 1.0, 0.25)), 1.0,
+                  orientation_spec=(theta_max, (1, 1, 1)))
 
 
 def test_build_map_annulus_matches_closed_form():
@@ -267,13 +275,18 @@ def loop_fea(pose, model, obstacles, eps_m, ik_budget, rng, tol_pos, tol_rot, ma
     return FeaResult(False, best_free[0], LOW_MANIP, best_free[1])
 
 
-@pytest.mark.parametrize("factory, box, ori, seed", [
-    (planar_rr, ((-2.25, -2.25, -0.25), (2.25, 2.25, 0.25)), ORI_FREE, 1),
-    (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), YAW_ONLY, 0),
-])
-def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed):
+WALL = Box([0.4, -1.6, -0.2], [0.8, 1.6, 0.2], "wall")
+
+
+@pytest.mark.parametrize("factory, box, ori, seed, wall", [
+    (planar_rr, ((-2.25, -2.25, -0.25), (2.25, 2.25, 0.25)), ORI_FREE, 1, [WALL]),
+    (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), YAW_ONLY, 0, [WALL]),
+    # sphere distances in the lane judge, and one yaw neighbour per cell
+    (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), (np.pi, (1, 1, 2)), 2,
+     [WALL, Sphere([-0.3, 0.5, 0.0], 0.25, "post")]),
+], ids=["planar_rr-box0-ori0-1", "planar_3r-box1-ori1-0", "planar_3r-sphere-two_yaw_bins-2"])
+def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed, wall):
     m = factory()
-    wall = [Box([0.4, -1.6, -0.2], [0.8, 1.6, 0.2], "wall")]
     args = dict(orientation_spec=ori, eps_m=0.05, seed=seed, ik_budget=8)
     lockstep = build_map(m, wall, box, 0.5, **args)
 
@@ -292,8 +305,11 @@ def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed):
                            half_pos, half_rot, 80, extra)
             if spawn_salt and res.reason == OK:
                 upgrades.append(i)
-            out.append((i, res))
-        return out
+            out.append(res)
+        return (np.array([res.reason for res in out], dtype=np.uint8),
+                np.array([res.man_prime for res in out]),
+                np.array([np.full(model.dof, np.nan) if res.witness is None else res.witness
+                          for res in out]))
 
     monkeypatch.setattr(feasibility, "_evaluate_cells", loop_cells)
     reference = build_map(m, wall, box, 0.5, **args)
@@ -302,6 +318,62 @@ def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed):
     np.testing.assert_array_equal(lockstep.man, reference.man)
     np.testing.assert_array_equal(lockstep.witnesses, reference.witnesses)
     assert lockstep.witnesses.dtype == np.float32
+
+
+def reference_neighbors(fmap, vox, ori):
+    """Adjacent cells of one cell, each once: +-1 per position axis inside
+    the box, then the yaw bins below and above (wrapping)."""
+    out = []
+    for axis in range(3):
+        for step in (-1, 1):
+            moved = list(vox)
+            moved[axis] += step
+            if 0 <= moved[axis] < fmap.voxel_counts[axis]:
+                out.append(fmap.cell_index(moved, ori))
+    for step in (-1, 1):
+        yaw = (ori[2] + step) % fmap.orient_counts[2]
+        j = fmap.cell_index(vox, (*ori[:2], yaw))
+        if j != fmap.cell_index(vox, ori) and j not in out:
+            out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("counts, orient_counts", [
+    ((3, 2, 1), (1, 1, 1)), ((3, 2, 1), (1, 1, 2)), ((1, 3, 2), (1, 1, 3)),
+    ((2, 2, 2), (2, 1, 4)),
+])
+def test_neighbor_table_lists_each_adjacent_cell_once(counts, orient_counts):
+    fmap = bare_map(np.pi, orient_counts, counts=counts)
+    table = feasibility._neighbor_table(fmap)
+    assert table.shape == (fmap.n_cells, 8)
+    for i, (vox, ori) in enumerate(fmap.all_cells()):
+        assert table[i][table[i] >= 0].tolist() == reference_neighbors(fmap, vox, ori)
+
+
+def test_two_yaw_bin_transfer_seeds_hold_no_repeated_neighbor(monkeypatch):
+    # with two yaw bins the bin below and the bin above are the same cell
+    m = planar_3r()
+    seeded = {}
+    evaluate = feasibility._evaluate_cells
+
+    def recording(model, obstacles, fmap, indices, seed, eps_m, ik_budget, seeds_by_cell,
+                  spawn_salt):
+        seeded.update({(spawn_salt, i): seeds for i, seeds in (seeds_by_cell or {}).items()})
+        return evaluate(model, obstacles, fmap, indices, seed, eps_m, ik_budget,
+                        seeds_by_cell, spawn_salt)
+
+    monkeypatch.setattr(feasibility, "_evaluate_cells", recording)
+    fmap = build_map(m, [WALL], ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), 0.5,
+                     orientation_spec=(np.pi, (1, 1, 2)), eps_m=0.05, seed=2, ik_budget=8)
+    cells = list(fmap.all_cells())
+    yaw_seeded = 0
+    for (_, i), seeds in seeded.items():
+        vox, ori = cells[i]
+        yaw_neighbor = fmap.cell_index(vox, (*ori[:2], 1 - ori[2]))
+        assert len(np.unique(seeds, axis=0)) == len(seeds)
+        assert len(seeds) <= len(reference_neighbors(fmap, vox, ori))
+        yaw_seeded += any(np.array_equal(s, fmap.witnesses[yaw_neighbor]) for s in seeds)
+    assert yaw_seeded > 0
 
 
 # ------------------------------------------------------------------ #
@@ -358,7 +430,8 @@ def test_load_map_rejects_arrays_that_disagree_with_the_counts(tmp_path, change)
 
 
 @pytest.mark.parametrize("change", ["voxel_size 0", "voxel_size -0.5", "voxel_size inf",
-                                    "theta_max nan", "box_lo -inf", "box_hi = box_lo on z",
+                                    "theta_max nan", "theta_max 0", "theta_max -1",
+                                    "theta_max 4", "box_lo -inf", "box_hi = box_lo on z",
                                     "box_hi < box_lo on x", "no yaw cells", "no x voxels"])
 def test_load_map_rejects_a_geometry_build_map_refuses(tmp_path, change):
     # a whole, well-framed file: with voxel_size 0 every lookup would divide
@@ -368,8 +441,8 @@ def test_load_map_rejects_a_geometry_build_map_refuses(tmp_path, change):
     geometry, counts = arrays[0], arrays[1]
     if change.startswith("voxel_size"):
         geometry[6] = float(change.split()[1])
-    elif change == "theta_max nan":
-        geometry[7] = np.nan
+    elif change.startswith("theta_max"):
+        geometry[7] = float(change.split()[1])
     elif change == "box_lo -inf":
         geometry[0] = -np.inf
     elif change == "box_hi = box_lo on z":

@@ -88,6 +88,7 @@ UNREFERENCED_KEPT = {
         ("geometry", "ray_bundle"), ("hrl_planner", "exhaustive_plan"),
         ("hrl_planner", "intrinsic_reward"), ("hrl_planner", "plan_lfd"),
         ("hrl_planner", "train_hrl"), ("kinematics", "fk_frames"), ("kinematics", "ik"),
+        ("kinematics", "normalized_manipulability"),
         ("lfd", "feature_distance_terms"), ("lfd", "retarget"),
         ("switch_agent", "assemble"), ("switch_agent", "densify"),
         ("switch_agent", "find_bands"), ("switch_agent", "heuristic_switches"),
