@@ -16,7 +16,7 @@ import pytest
 import inputs
 import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
-from hybridplan.dualquat import dq_mul_lanes, dq_sclerp, dq_sclerp_lanes
+from hybridplan.dualquat import dq_mul_lanes, dq_sclerp, dq_sclerp_lanes, dq_to_lanes
 from hybridplan.feasibility import (
     FEA_MAX_ITERS,
     NOT_FJ,
@@ -38,6 +38,7 @@ from hybridplan.hrl_planner import (
     train_hrl,
 )
 from hybridplan.kinematics import (
+    closed_form_branches,
     fk,
     fk_frames,
     ik_attempt,
@@ -159,6 +160,17 @@ def test_lfd_joint_candidates_12_poses(benchmark, model, cell, where):
     assert certified == (9 if where == "through_wall" else 0)
     out = benchmark(lfd_joint_candidates, poses, model, cell.obstacles)
     assert out.col.sum() == certified
+
+
+@pytest.mark.parametrize("n", [12, 1200])
+def test_closed_form_branches(benchmark, model, n):
+    # a plan's poses, and about those of a hybrid round's 100 plans
+    rng = np.random.default_rng(0)
+    lanes = dq_to_lanes([inputs.planar_pose(*xyy) for xyy in
+                         rng.uniform([-0.3, -0.6, -np.pi], [1.5, 0.9, np.pi], (n, 3))])
+    out = benchmark(closed_form_branches, model, lanes, 1e-3)
+    assert out.shape == (n, 2, model.dof)
+    assert 0 < np.sum(~np.isnan(out[..., 0])) < 2 * n
 
 
 def test_pose_must_collide(benchmark, model, cell):

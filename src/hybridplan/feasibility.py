@@ -33,6 +33,7 @@ import numpy as np
 from hybridplan import records
 from hybridplan.dualquat import (
     DualQuaternion,
+    _qmul,
     dq_to_lanes,
     dq_translation,
     quat_from_euler,
@@ -244,12 +245,23 @@ def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices,
     half_pos = 0.5 * fmap.voxel_size
     half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
     digits = np.transpose(np.unravel_index(indices, fmap.voxel_counts + fmap.orient_counts))
-    poses = [fmap.cell_pose(d[:3], d[3:]) for d in digits]
     seed_lists = [_draw_seeds(model, seeds_by_cell.get(i, ()), ik_budget, np.random.default_rng(
                       np.random.SeedSequence(seed, spawn_key=(i, spawn_salt))))
                   for i in indices]
-    return _fea_batch(dq_to_lanes(poses), seed_lists, model, obstacles, eps_m, half_pos,
+    return _fea_batch(_cell_lanes(fmap, digits), seed_lists, model, obstacles, eps_m, half_pos,
                       half_rot, FEA_MAX_ITERS)
+
+
+def _cell_lanes(fmap: FeasibilityMap, digits) -> np.ndarray:
+    """``cell_pose`` of each row of (N, 6) cell digits as (N, 8) lanes: the
+    rotation of each orientation cell once, then the dual part
+    ``0.5 (0, p) q`` over the voxel centres, in ``from_pose``'s operations."""
+    rotations = np.array([fmap.cell_pose(np.zeros(3), ori).real
+                          for ori in np.ndindex(*fmap.orient_counts)])
+    rw, rx, ry, rz = rotations[np.ravel_multi_index(digits[:, 3:].T, fmap.orient_counts)].T
+    px, py, pz = fmap.voxel_center(digits[:, :3]).T
+    return np.column_stack([rw, rx, ry, rz, *(0.5 * np.array(_qmul(0.0, px, py, pz,
+                                                                  rw, rx, ry, rz)))])
 
 
 def _neighbor_table(fmap: FeasibilityMap) -> np.ndarray:

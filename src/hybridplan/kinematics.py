@@ -1,5 +1,6 @@
 """Serial-manipulator model: forward kinematics, Jacobian, manipulability,
-and numeric inverse kinematics under joint limits.
+and inverse kinematics under joint limits: numeric for any chain, in closed
+form for planar RR and 3R arms.
 
 Kinematic chain convention: frame 0 is the base; joint i contributes
 ``offset_i * Rot(axis_i, theta_i)``; frame i is the pose after joint i; an
@@ -18,6 +19,9 @@ cast the joint angles to float64 first.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
 them in lockstep on the lane path, under the same rules, towards 8-vector
 targets or (N, 8) target lanes (``dualquat.dq_to_lanes``).
+``closed_form_branches`` gives a planar RR or 3R arm's two elbow branches
+for N target lanes in one array pass, and None for any other chain, which
+the numeric descents serve.
 ``normalized_manipulability_lanes`` scores N configurations with one lane
 Jacobian and one batched SVD, for whole trajectories.  ``frame_points`` takes
 either layout too, and the ``_raw`` helpers (frame points, manipulability)
@@ -457,6 +461,68 @@ def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
         if sol is not None:
             return sol
     return None
+
+
+# ------------------------------------------------------------------ #
+# Inverse kinematics in closed form: planar RR and 3R arms
+# ------------------------------------------------------------------ #
+def _planar_arm(model: RobotModel):
+    """(base x, l1, l2, tool x) of a planar RR or 3R arm, else None.
+
+    Covered: a planar task space (x, y and, for 3R, yaw), every joint axis
+    +z, every offset and the tool a pure translation along x, nonzero link
+    lengths, and joint limits inside [-pi, pi], so that each elbow branch has
+    one representative angle per joint."""
+    steps, tq, tp, _ = model._chain
+    if model.task != "planar" or model.dof not in (2, 3):
+        return None
+    pure_x = [(oq, op) for oq, op, _ in steps] + [(tq, tp)]
+    if not (all(ax == (0.0, 0.0, 1.0) for _, _, ax in steps)
+            and all(q == (1.0, 0.0, 0.0, 0.0) and p[1] == p[2] == 0.0 for q, p in pure_x)
+            and model.limits_lo.min() >= -np.pi and model.limits_hi.max() <= np.pi):
+        return None
+    base, l1 = steps[0][1][0], steps[1][1][0]
+    l2, tool = (steps[2][1][0], tp[0]) if model.dof == 3 else (tp[0], 0.0)
+    return None if l1 == 0.0 or l2 == 0.0 else (base, l1, l2, tool)
+
+
+def closed_form_branches(model: RobotModel, lanes, tol_pos):
+    """The elbow branches of (N, 8) pose lanes as (N, 2, dof) joint vectors,
+    or None for a chain ``_planar_arm`` does not cover.
+
+    Joints 1 and 2 place the wrist: for a 3R arm the origin of joint 3, the
+    target position less the tool along the target yaw ``2 atan2(qz, qw)``;
+    for an RR arm the end effector.  The target's z and its rotation off the
+    z axis are ignored, as the planar error of ``ik_attempt`` ignores them.
+    Branch 0 bends the elbow (joint 2) by
+    ``+acos``, branch 1 by ``-acos`` (Craig, *Introduction to Robotics*,
+    ch. 4); angles are wrapped into [-pi, pi).  A wrist up to ``tol_pos``
+    outside the reach annulus is moved radially onto it, so the end effector
+    misses by at most ``tol_pos``.  A branch whose wrist is farther out, or
+    with an angle more than 1e-9 outside the joint limits, is a NaN row; one
+    within 1e-9 is clipped onto the limit.
+    """
+    arm = _planar_arm(model)
+    if arm is None:
+        return None
+    base, l1, l2, tool = arm
+    lanes = dq_to_lanes(lanes).reshape(-1, 8)
+    p = dq_translation(lanes)
+    yaw = 2.0 * np.arctan2(lanes[:, 3], lanes[:, 0])
+    wx = p[:, 0] - base - tool * np.cos(yaw)
+    wy = p[:, 1] - tool * np.sin(yaw)
+    r = np.hypot(wx, wy)
+    reach = ((r <= abs(l1) + abs(l2) + tol_pos)
+             & (r >= abs(abs(l1) - abs(l2)) - tol_pos))
+    c2 = np.clip((wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2), -1.0, 1.0)
+    s2 = np.sqrt(1.0 - c2 * c2)[:, None] * np.array([1.0, -1.0])      # (N, 2)
+    th2 = np.arctan2(s2, c2[:, None])
+    th1 = np.arctan2(wy, wx)[:, None] - np.arctan2(l2 * s2, l1 + l2 * c2[:, None])
+    th = [th1, th2] + ([yaw[:, None] - th1 - th2] if model.dof == 3 else [])
+    th = (np.stack(th, axis=-1) + np.pi) % (2.0 * np.pi) - np.pi
+    lo, hi = model.limits_lo, model.limits_hi
+    keep = reach[:, None] & np.all((th >= lo - 1e-9) & (th <= hi + 1e-9), axis=-1)
+    return np.where(keep[..., None], np.clip(th, lo, hi), np.nan)
 
 
 # ------------------------------------------------------------------ #

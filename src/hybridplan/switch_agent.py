@@ -12,6 +12,14 @@ executed window, which is exactly the trajectory-level reward restricted to
 the points the decision can influence.  The task-space plan is (N, 8) pose
 lanes, its brackets are rows of them, and ``geometry.score_lanes`` annotates
 joint rows.
+
+The demonstration-derived joint trajectory takes each pose's exact elbow
+branches (``kinematics.closed_form_branches``) on planar RR and 3R arms, and
+one chained ``ik_free`` solution per pose on any other chain.  Per pose the
+collision-free candidates are allowed, or every candidate when none is free;
+a Viterbi pass picks the allowed sequence whose largest joint step is
+smallest, the step ``densify`` splits, then the smallest summed step.  A
+pose without a candidate holds the configuration before it.
 """
 from __future__ import annotations
 
@@ -19,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hybridplan.dualquat import dq_to_lanes
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import score_lanes
-from hybridplan.kinematics import RobotModel
+from hybridplan.kinematics import RobotModel, closed_form_branches
 from hybridplan.rl_core import (
     CategoricalPolicy,
     PpoConfig,
@@ -65,25 +74,85 @@ def switch_reward(traj: JointTrajectory) -> float:
 # Candidate construction
 # ------------------------------------------------------------------ #
 def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
-    """Chained IK of the task-space plan; unreachable poses hold the previous
-    joints (annotated by their own collision/manipulability).
+    """Joint trajectory of a task-space plan, one configuration per pose,
+    annotated by its own normalized manipulability and collision index.
 
-    Each pose is one ``ik_free`` of 6 attempts seeded by the previous
-    waypoint (continuity), one random stream for the whole plan: a colliding
-    witness triggers restarts looking for a collision-free one, except on a
-    pose whose pinned tool link already collides (``pose_must_collide``),
-    which keeps its first witness without restarting.
+    Each pose's candidates are its ``closed_form_branches`` at the
+    ``ik_free`` position tolerance (1e-3); on a chain the closed form does
+    not cover, they are one chained ``ik_free`` of 6 attempts seeded by the
+    previous pose's solution (home for the first), on one random stream
+    from ``seed``.  Every candidate is scored by one ``score_lanes`` call.
+    A pose allows its collision-free candidates, or every candidate when
+    none is free, and ``_min_jump_picks`` chooses one allowed candidate per
+    pose.  A pose without a candidate holds the configuration before it
+    (home at the start of the plan).
     """
+    lanes = dq_to_lanes(poses).reshape(-1, 8)
+    branches = closed_form_branches(model, lanes, 1e-3)
+    if branches is None:
+        branches = _chained_ik_free(lanes, model, obstacles, seed)[:, None]
+    reached = ~np.isnan(branches[..., 0])
+    man, col = np.zeros(reached.shape), np.ones(reached.shape, dtype=np.uint8)
+    row_man, row_col = score_lanes(model, np.vstack([model.home, branches[reached]]), obstacles)
+    man[reached], col[reached] = row_man[1:], row_col[1:]
+    free = col == 0
+    allowed = np.where(free.any(axis=1)[:, None], free, reached)
+    has = allowed.any(axis=1)
+    active = np.flatnonzero(has)
+    picks = np.array(_min_jump_picks(branches[active], allowed[active]), dtype=int)
+    # each pose's row of [home, picks]: that of the last pose with a pick
+    at = np.cumsum(has)
+    return JointTrajectory(np.vstack([model.home, branches[active, picks]])[at],
+                           np.full(len(lanes), SOURCE_LFD, np.uint8),
+                           np.concatenate([row_man[:1], man[active, picks]])[at],
+                           np.concatenate([row_col[:1], col[active, picks]])[at])
+
+
+def _chained_ik_free(lanes, model: RobotModel, obstacles, seed) -> np.ndarray:
+    """(N, dof) ``ik_free`` solutions of (N, 8) lanes, NaN rows where none was
+    reached; each pose's first descent starts from the last solution."""
     rng = np.random.default_rng(seed)
-    thetas = np.zeros((len(poses), model.dof))
+    out = np.full((len(lanes), model.dof), np.nan)
     prev = model.home
-    for i, pose in enumerate(poses):
+    for i, pose in enumerate(lanes):
         theta = ik_free(model, pose, obstacles, rng, attempts=6, seed=prev)
         if theta is not None:
-            prev = theta
-        thetas[i] = prev
-    return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
-                           *score_lanes(model, thetas, obstacles))
+            out[i] = prev = theta
+    return out
+
+
+def _min_jump_picks(branches, allowed) -> list:
+    """One branch index per pose of (n, B, dof) candidates, each pose with at
+    least one ``allowed`` (n, B) candidate.
+
+    A Viterbi pass over the infinity-norm joint steps between consecutive
+    poses (``trajectory.edge_steps``) finds the smallest largest step; a
+    second pass, over the steps no larger than that, the smallest sum of
+    steps, added from the first pose on.  Ties go to the lower branch index,
+    at the last pose first, then at the pose before it, and so on."""
+    if len(branches) == 0:
+        return []
+    nb = allowed.shape[1]
+    steps = np.max(np.abs(branches[1:, None] - branches[:-1, :, None]), axis=-1)
+    steps = np.where(allowed[:-1, :, None] & allowed[1:, None, :], steps, np.inf).tolist()
+    start = [0.0 if ok else np.inf for ok in allowed[0].tolist()]
+    worst = start
+    for w in steps:                 # w[a][b]: from branch a to branch b
+        worst = [min(max(worst[a], w[a][b]) for a in range(nb)) for b in range(nb)]
+    bound = min(worst)
+    total, back = start, []
+    for w in steps:
+        best = [(np.inf, 0)] * nb
+        for b in range(nb):
+            for a in range(nb):
+                if w[a][b] <= bound and total[a] + w[a][b] < best[b][0]:
+                    best[b] = (total[a] + w[a][b], a)
+        total = [t for t, _ in best]
+        back.append([a for _, a in best])
+    picks = [total.index(min(total))]
+    for prev in reversed(back):
+        picks.append(prev[picks[-1]])
+    return picks[::-1]
 
 
 def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:

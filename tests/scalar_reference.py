@@ -19,7 +19,14 @@
   annotates the rows in one lane call.
 * IK witnesses: ``ik_free`` and ``lfd_joint_candidates`` as full restart
   loops that check every solution for collision; the library's ``ik_free``
-  skips the restarts on a pose that ``pose_must_collide`` certifies.
+  skips the restarts on a pose that ``pose_must_collide`` certifies, and its
+  ``lfd_joint_candidates`` runs that chain only on arms without closed-form
+  branches.
+* Branch choice: ``lfd_joint_candidates_by_enumeration`` tries every
+  sequence of closed-form branches of a plan and keeps the one with the
+  smallest largest joint step, then the smallest summed step, then the
+  lowest branch indices from the last pose back; the library's
+  ``lfd_joint_candidates`` finds it with a Viterbi pass per criterion.
 * Map lookups: ``locate`` walks one pose's axes in Python loops; the
   library's ``FeasibilityMap.locate_lanes`` bins N poses in array passes.
 * Execution scoring: ``execute`` scans the points for each critical
@@ -41,6 +48,8 @@
   distance.
 
 The tests compare the two."""
+import itertools
+
 import numpy as np
 
 from hybridplan import lfd
@@ -55,6 +64,7 @@ from hybridplan.dualquat import (
     dq_mul,
     dq_mul_lanes,
     dq_sclerp_lanes,
+    dq_to_lanes,
     quat_from_axis_angle,
     quat_mul,
     quat_to_euler,
@@ -65,6 +75,7 @@ from hybridplan import geometry
 from hybridplan.geometry import Box, collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
 from hybridplan.kinematics import (
+    closed_form_branches,
     ee_state,
     fk_frames,
     ik_attempt,
@@ -72,7 +83,7 @@ from hybridplan.kinematics import (
     normalized_manipulability_lanes,
 )
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
-from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
+from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, edge_steps
 from hybridplan.workcell import COLLISION_RES_DEG, SMOOTH_BOUND_DEG, ExecutionReport
 
 
@@ -485,6 +496,39 @@ def lfd_joint_candidates(poses, model, obstacles, seed=0):
         thetas[i] = theta
         prev = theta
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
+                           normalized_manipulability_lanes(model, thetas),
+                           collision_index_lanes(model, thetas, obstacles))
+
+
+def lfd_joint_candidates_by_enumeration(poses, model, obstacles):
+    """Closed-form candidates of a plan with at most 10 poses that have a
+    branch, chosen by trying every sequence of allowed branches."""
+    branches = closed_form_branches(model, dq_to_lanes(poses).reshape(-1, 8), 1e-3)
+    choices = []
+    for rows in branches:
+        reached = [b for b, row in enumerate(rows) if not np.isnan(row[0])]
+        free = [b for b in reached if collision_index(model, rows[b], obstacles) == 0]
+        choices.append(free or reached)
+    active = [i for i, allowed in enumerate(choices) if allowed]
+    if len(active) > 10:
+        raise ValueError(f"{len(active)} poses with a branch: too many sequences")
+    best = None
+    for seq in itertools.product(*(choices[i] for i in active)):
+        rows = branches[np.array(active, dtype=int), np.array(seq, dtype=int)]
+        steps = edge_steps(rows.reshape(-1, model.dof)).tolist()
+        total = 0.0
+        for step in steps:
+            total += step
+        key = (max(steps, default=0.0), total, seq[::-1])
+        if best is None or key < best:
+            best = key
+    picked = dict(zip(active, best[2][::-1]))
+    thetas, prev = [], model.home
+    for i in range(len(branches)):
+        prev = branches[i, picked[i]] if i in picked else prev
+        thetas.append(prev)
+    thetas = np.array(thetas).reshape(-1, model.dof)
+    return JointTrajectory(thetas, np.full(len(thetas), SOURCE_LFD, np.uint8),
                            normalized_manipulability_lanes(model, thetas),
                            collision_index_lanes(model, thetas, obstacles))
 

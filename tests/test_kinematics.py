@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import DualQuaternion, dq_from_pose, dq_mul, quat_from_axis_angle
+from hybridplan.dualquat import (DualQuaternion, dq_from_pose, dq_mul, dq_to_lanes,
+                                 dq_translation, quat_from_axis_angle)
 from hybridplan.kinematics import (
     LinkCapsule,
     _chain_eval,
+    closed_form_branches,
     fk,
     fk_frames,
     frame_points,
@@ -27,6 +29,7 @@ from hybridplan.kinematics import (
     save_robot,
     serialize_robot,
 )
+from hybridplan.scenarios import planar_pose, wall_slot
 
 Z = np.array([0.0, 0.0, 1.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -384,6 +387,122 @@ def test_ik_reachability_annulus():
         if (sol is not None) != reachable:
             disagreements += 1
     assert disagreements <= 0.01 * total
+
+
+# ------------------------------------------------------------------ #
+# closed-form branches
+# ------------------------------------------------------------------ #
+def lanes_of(model, thetas):
+    return np.array([dq_to_lanes(fk(model, t)) for t in thetas])
+
+
+def assert_branches_reach(model, branches, lanes, atol):
+    """FK of every non-NaN branch row reproduces its pose: the position, and
+    the rotation up to sign when the task space has a yaw."""
+    for k, b in zip(*np.nonzero(~np.isnan(branches[..., 0]))):
+        got = dq_to_lanes(fk(model, branches[k, b]))
+        np.testing.assert_allclose(dq_translation(got), dq_translation(lanes[k]),
+                                   rtol=0, atol=atol)
+        if model.ee_dof == 3:
+            sign = np.sign(got[:4] @ lanes[k, :4])
+            np.testing.assert_allclose(sign * got[:4], lanes[k, :4], rtol=0, atol=atol)
+
+
+def mirrored_elbow(model, theta):
+    """The other elbow configuration with the same wrist and end effector,
+    wrapped into [-pi, pi)."""
+    steps, _, tool_p, _ = model._chain
+    l1, l2 = steps[1][1][0], (steps[2][1][0] if model.dof == 3 else tool_p[0])
+    t1, t2 = theta[:2]
+    m1 = t1 + 2.0 * np.arctan2(l2 * np.sin(t2), l1 + l2 * np.cos(t2))
+    out = [m1, -t2] + ([theta[2] + (t1 + t2) - (m1 - t2)] if model.dof == 3 else [])
+    return (np.array(out) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r])
+def test_closed_form_branches_are_the_elbow_up_and_down_solutions(factory):
+    model = factory()
+    thetas = np.random.default_rng(21).uniform(model.limits_lo, model.limits_hi,
+                                               (400, model.dof))
+    lanes = lanes_of(model, thetas)
+    branches = closed_form_branches(model, lanes, 1e-3)
+    assert branches.shape == (len(thetas), 2, model.dof)
+    assert_branches_reach(model, branches, lanes, 1e-12)
+    both = 0
+    for theta, rows in zip(thetas, branches):
+        rows = rows[~np.isnan(rows[:, 0])]
+        assert all(model.within_limits(r, tol=0.0) for r in rows)
+        other = mirrored_elbow(model, theta)
+        margin = np.min(np.minimum(other - model.limits_lo, model.limits_hi - other))
+        if abs(margin) < 1e-6:
+            continue                         # the mirror sits on a limit
+        want = [theta, other] if margin > 0 else [theta]
+        both += len(want) == 2
+        assert len(rows) == len(want)
+        for w in want:                       # each solution is one of the rows
+            assert np.min(np.max(np.abs(rows - w), axis=1)) < 1e-9
+    assert 0 < both < len(thetas)
+
+
+def pose_with_wrist(model, r, angle, yaw):
+    """A pose of planar_3r whose wrist lies at distance r from the base."""
+    tool = model._chain[2][0]
+    x, y = r * np.cos(angle) + tool * np.cos(yaw), r * np.sin(angle) + tool * np.sin(yaw)
+    return dq_to_lanes(planar_pose(x, y, yaw)).reshape(1, 8)
+
+
+def test_closed_form_branches_respect_the_limits_and_the_reach_tolerance():
+    model = planar_3r()                                  # links 0.5, 0.4, 0.3
+    # joint 1 at 178 degrees: the elbow-up branch is past the limit, the
+    # elbow-down one (joint 1 near -156 degrees) is not
+    lanes = lanes_of(model, [np.array([np.radians(178.0), 0.5, -0.3])])
+    branches = closed_form_branches(model, lanes, 1e-3)[0]
+    assert np.all(np.isnan(branches[0])) and model.within_limits(branches[1], tol=0.0)
+    assert_branches_reach(model, branches[None], lanes, 1e-12)
+    free = planar_3r(limits_deg=(-180.0, 180.0))
+    for r, reached_by in [(0.9 + 0.9e-3, (model, free)), (0.9 + 1.1e-3, ()),
+                          (0.1 - 0.9e-3, (free,)), (0.1 - 1.1e-3, ())]:
+        lanes = pose_with_wrist(model, r, 0.7, -0.4)
+        for arm in (model, free):
+            branches = closed_form_branches(arm, lanes, 1e-3)[0]
+            if arm not in reached_by:        # out of reach, or the elbow is past 175 deg
+                assert np.all(np.isnan(branches)), (r, arm.limits_hi)
+                continue
+            # on the annulus edge both branches are the stretched or folded arm
+            np.testing.assert_array_equal(branches[0], branches[1])
+            miss = fk(arm, branches[0]).translation() - dq_translation(lanes[0])
+            assert np.linalg.norm(miss) == pytest.approx(abs(r - round(r, 1)), abs=1e-12)
+            assert np.all(np.isnan(closed_form_branches(arm, lanes, 0.0)))
+
+
+def test_closed_form_branches_refuse_chains_they_do_not_cover():
+    from test_geometry import mini7_with_capsules
+    lanes = np.zeros((1, 8))
+    lanes[0, 0] = 1.0
+    for model in (seven_dof(), mini7_with_capsules(), planar_3r(limits_deg=(-190.0, 190.0))):
+        assert closed_form_branches(model, lanes, 1e-3) is None
+
+
+def test_ik_attempt_solutions_are_closed_form_branches():
+    from test_switch_agent import crossing_plans
+    model = wall_slot()["robot"]
+    lanes = dq_to_lanes(sum(crossing_plans(), []))
+    branches = closed_form_branches(model, lanes, 1e-3)
+    seeds = np.vstack([model.home, np.random.default_rng(4).uniform(
+        model.limits_lo, model.limits_hi, (8, model.dof))])
+    solutions = 0
+    for pose, rows in zip(lanes, branches):
+        for seed in seeds:
+            # every pose the candidates' tolerances reach has a branch ...
+            if ik_attempt(model, pose, seed, 1e-3, 1e-2, 150) is not None:
+                assert not np.all(np.isnan(rows))
+            # ... and a converged descent ends on one; at 1e-3 a descent may
+            # stop 0.025 rad away where the elbow is nearly folded
+            sol = ik_attempt(model, pose, seed, 1e-9, 1e-9, 150)
+            if sol is not None:
+                solutions += 1
+                assert np.nanmin(np.max(np.abs(rows - sol), axis=1)) < 0.01
+    assert solutions > len(lanes)
 
 
 # ------------------------------------------------------------------ #

@@ -695,16 +695,17 @@ def test_load_checkpoint_rejects_a_wrong_magic_or_version(tmp_path, offset, valu
 # SHA-256 over each net's parameters() raveled and concatenated as <f8, for
 # the DRL bridge and the switch trained by the hybrid workload of seeds 1-2;
 # recorded with numpy 2.4.6 when Adam, the gradient clip and the abort
-# snapshot still ran one tensor at a time
+# snapshot still ran one tensor at a time, the switch entries re-recorded
+# when its scenarios' candidates became closed-form branches
 WEIGHT_PINS = {
     (1, "drl"): ("a95b867d966dea415ed6c0b53dfde26316decd18e715eb90085cd46e4a9a7a26",
                  "9cb9ff7c12a185ecc258970d65e855a672bdd166b0bb606bc377238cc0d678a9"),
-    (1, "switch"): ("17fe973cbf46e3c00994e935205a120258eab5efcd65d9e68eec689524d5628c",
-                    "f8884fc40e7115f2d34f0016c86a305f3d294972044208a3a839585642ec9078"),
+    (1, "switch"): ("dfc4f6c6d379752e05e4298e064d62267947f396cf1918c1ac44f0ae5238e9b2",
+                    "4a0560b24c6ea5923165d32cb82d5476e9a648739aa082f3cc7f543d1b0a6b51"),
     (2, "drl"): ("82b8a7adf1993189e4ab0188815fecf91e25df91564b11cd49c394b615430088",
                  "e8420a41a9cdaba7b3f63fe4fc6a16882af6ac98539666fcfba473ec53364bb4"),
-    (2, "switch"): ("4107fc08dcecaf2d17021cc4a6e8129b4238523fb2a0e3669919df8bac6226cc",
-                    "a971521f774d83785ca0502874f1a2a53687df9142554fdc686c67b047a4c7e5"),
+    (2, "switch"): ("46e34619f55885fc30348a57dbeef69bc50151eb219a90028f4e31642f0403ca",
+                    "070a9fd2218eaa60cb6d5b439ab0991016a42f0798cab261ae8a07b8e4fcb769"),
 }
 PINNED_NUMPY = "2.4.6"
 

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import DualQuaternion
+from hybridplan.dualquat import DualQuaternion, dq_to_lanes
 from hybridplan.feasibility import obstacles_signature
-from hybridplan.geometry import Sphere
-from hybridplan.kinematics import load_robot, planar_rr, robot_hash, save_robot
+from hybridplan.geometry import Sphere, collision_index
+from hybridplan.kinematics import (closed_form_branches, load_robot, planar_rr, robot_hash,
+                                   save_robot)
 from hybridplan.lfd import SkillLibrary, load_library
 from hybridplan.scenarios import SCENES, write_scene
 from hybridplan.task import Task, load_task, save_task
@@ -65,6 +66,34 @@ def test_write_scene_round_trip(scene, tmp_path):
     assert written == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
     for rel in written:
         assert (again / rel).read_bytes() == (first / rel).read_bytes(), rel
+
+
+# every scene task configuration without a collision-free exact
+# configuration: (scene, task, configuration index) -> why.  Measured by the
+# closed-form branches; a scene fix must shrink this list.
+IMPOSSIBLE_CONFIGS = {
+    **{("tray_sorting", task, 1): "colliding" for task in (
+        "touch_a", "touch_b", "touch_a_from_t1", "touch_a_from_t2",
+        "carry_a_tray1", "carry_b_tray1", "carry_a_tray2", "carry_b_tray2")},
+    ("wall_slot", "cross_high", 0): "unreachable",
+    ("wall_slot", "cross_high", 1): "colliding",
+    ("wall_slot", "cross_mid", 1): "colliding",
+    ("wall_slot", "cross_low", 1): "colliding",
+}
+
+
+def test_scene_configurations_without_a_free_exact_branch_are_listed():
+    found = {}
+    for name in sorted(SCENES):
+        scene = SCENES[name]()
+        model, obstacles = scene["robot"], scene["cell"].obstacles
+        for task in scene["tasks"]:
+            branches = closed_form_branches(model, dq_to_lanes(task.configs), 0.0)
+            for k, rows in enumerate(branches):
+                rows = rows[~np.isnan(rows[:, 0])]
+                if not any(collision_index(model, row, obstacles) == 0 for row in rows):
+                    found[name, task.id, k] = "colliding" if len(rows) else "unreachable"
+    assert found == IMPOSSIBLE_CONFIGS
 
 
 BOX = ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])

@@ -7,8 +7,9 @@ import scalar_reference
 from hybridplan import feasibility, switch_agent
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import Box, collision_index, pose_must_collide
-from hybridplan.dualquat import DualQuaternion
-from hybridplan.kinematics import fk, normalized_manipulability, planar_3r
+from hybridplan.dualquat import DualQuaternion, dq_to_lanes
+from hybridplan.kinematics import (closed_form_branches, fk, normalized_manipulability,
+                                   planar_3r, planar_rr)
 from hybridplan.switch_agent import (
     ACT_KEEP,
     ACT_SWITCH,
@@ -28,6 +29,7 @@ from hybridplan.switch_agent import (
 from hybridplan.scenarios import planar_pose, wall_slot
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
 from hybridplan.workcell import COLLISION_RES_DEG, _checked_configs
+from test_geometry import _certificate_scene
 
 
 def test_train_switch_rejects_scenarios_without_bands():
@@ -313,11 +315,23 @@ def count_ik_attempts(monkeypatch):
     return counts
 
 
+def mini7_plans():
+    """Three 8-pose plans of the capsule 7-DoF model, poses of straight joint
+    paths between seeded configurations, with its certificate scene's box
+    and sphere."""
+    model, obstacles = _certificate_scene("mini7")
+    rng = np.random.default_rng(3)
+    plans = []
+    for _ in range(3):
+        a, b = 0.7 * rng.uniform(model.limits_lo, model.limits_hi, (2, model.dof))
+        plans.append([fk(model, a + u * (b - a)) for u in np.linspace(0, 1, 8)])
+    return model, obstacles, plans
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_lfd_joint_candidates_equal_the_full_restart_loop(monkeypatch, seed):
-    scene = wall_slot()
-    model, obstacles = scene["robot"], scene["cell"].obstacles
-    plans = crossing_plans()
+    # the closed form refuses the 7-DoF chain, so the chained ik_free runs
+    model, obstacles, plans = mini7_plans()
     certified = [pose_must_collide(model, p, obstacles, 1e-3, 1e-2) for p in sum(plans, [])]
     assert 4 <= sum(certified) < len(certified)
     counts = count_ik_attempts(monkeypatch)
@@ -325,8 +339,63 @@ def test_lfd_joint_candidates_equal_the_full_restart_loop(monkeypatch, seed):
         ref = scalar_reference.lfd_joint_candidates(poses, model, obstacles, seed)
         got = lfd_joint_candidates(poses, model, obstacles, seed)
         for field in ("points", "source", "man", "col"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(ref, field))
+            assert_same_bits(getattr(got, field), getattr(ref, field))
     assert counts["library"] < counts["reference"]
+
+
+def enumeration_plans():
+    """Planar plans of at most 10 poses with a branch: slices of the wall
+    crossings, plans with unreachable poses that hold, seeded plans whose
+    poses mostly have two free branches, and an empty plan."""
+    far = planar_pose(2.0, 0.0)
+    crossings = crossing_plans()
+    plans = [p[:10] for p in crossings] + [p[2:] for p in crossings]
+    plans += [[far] + crossings[0][:4] + [far, far] + crossings[0][4:8] + [far],
+              [far, far], []]
+    model = planar_3r()
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 5, 10):
+        walk = np.cumsum(rng.uniform(-0.6, 0.6, (n, model.dof)), axis=0)
+        plans.append([fk(model, t) for t in np.clip(walk, model.limits_lo, model.limits_hi)])
+    return plans
+
+
+@pytest.mark.parametrize("scene", ["wall_slot", "open"])
+def test_lfd_joint_candidates_equal_the_enumerated_branch_choice(scene):
+    model = planar_3r()
+    obstacles = wall_slot()["cell"].obstacles if scene == "wall_slot" else []
+    held = 0
+    for poses in enumeration_plans():
+        ref = scalar_reference.lfd_joint_candidates_by_enumeration(poses, model, obstacles)
+        got = lfd_joint_candidates(poses, model, obstacles)
+        for field in ("points", "source", "man", "col"):
+            assert_same_bits(getattr(got, field), getattr(ref, field))
+        held += int(np.sum(np.isnan(closed_form_branches(
+            model, dq_to_lanes(poses).reshape(-1, 8), 1e-3)).all(axis=(1, 2))))
+    assert held >= 6
+
+
+def test_lfd_joint_candidates_on_planar_rr_equal_the_enumerated_branch_choice():
+    model = planar_rr()
+    rng = np.random.default_rng(2)
+    for n in (3, 9):
+        thetas = rng.uniform(model.limits_lo, model.limits_hi, (n, model.dof))
+        poses = [fk(model, t) for t in thetas] + [planar_pose(2.5, 0.0)]
+        ref = scalar_reference.lfd_joint_candidates_by_enumeration(poses, model, [POST])
+        got = lfd_joint_candidates(poses, model, [POST])
+        for field in ("points", "source", "man", "col"):
+            assert_same_bits(getattr(got, field), getattr(ref, field))
+
+
+def test_lfd_joint_candidates_keep_one_elbow_branch_on_hybrid_seed_41(workloads):
+    # the parent's restarts jumped branch at the first step (238.5 degrees),
+    # and densify then swept the arm through the wall
+    wl = workloads.HybridWorkload(41)
+    wl.setup(workloads.Tally())
+    task, = [t for t in wl.instances if t.id == "side91"]
+    cands = lfd_joint_candidates(wl._plan(task)["poses"], wl.model, wl.cell.obstacles)
+    assert len(cands) == 12 and not cands.col.any()
+    assert cands.max_step() <= np.radians(10.0)
 
 
 def test_ik_free_equals_the_full_restart_loop_and_leaves_rng_in_step(monkeypatch):
@@ -388,21 +457,23 @@ def _query_digests(workloads, wl, monkeypatch) -> dict:
 
 
 # SHA-256 per stage of one hybrid round (training and the 100 queries) for
-# seeds 1-2, recorded while plans were still lists of DualQuaternions
+# seeds 1-2; "classify" recorded while plans were still lists of
+# DualQuaternions, the other stages re-recorded when the candidates became
+# closed-form branches chosen by the min-jump pass
 QUERY_PINS = {
     1: {
         "classify": "5f6e4565d7b95ee83e9f8ca24d69429ab3995bbae7575b35319d9626e78ee828",
-        "candidates": "a5570cfc042e7f9d9002069d7a1c0b24d476f2caf840deb53fcd6c6f362885e2",
-        "bands": "2e70e33a96fbceb81bbe33fb9320ab2eead200f8e5a954406f79e269a6f48936",
-        "densify": "fc65f4a9fb26acb4bcc6333df380a2b54d0fa3d2b8ce3e9d3254214ba4263096",
-        "execute": "921caf34a85702a883af84dac597c19141f21359affa54b51cf828571f6dc2c6",
+        "candidates": "0c8e6e9ab38221e6f6df1a969271a94511ed92a60e10d9d76c6a9f4470e3f6e2",
+        "bands": "d91c0b645d4e4e5fe063e0f423bda8dac561607bca4b61ccb1910041b703aa75",
+        "densify": "8d2c12ab92b7479a52626c6efb51323a39c5ee51be32d6f336923267f834cdf8",
+        "execute": "0c36a89e794c8fcd26f7d912766b1a52b51effda06df8f4d1df0d672787126a6",
     },
     2: {
         "classify": "d874c84b21c316d87fef467a876c926d96364802d1ca85e6c3be16026202c6ad",
-        "candidates": "8bbc02c1112b0039391c20fa399ed93bcca04c1016799775dd6d56dd712bcb69",
-        "bands": "9df32eaab760760d62e1e5c36da9cfa9c9527f4b2e498fa6b04713c164a2d0f7",
-        "densify": "11d584a2ccebadbc1f69976ce6f0a7d5e2bb7aaac3fa40016f85b9ee6131a34a",
-        "execute": "15c47b6f4891761cb1cb63337a45ad578b5f449af6bf6cfe77f14ed87ea2c936",
+        "candidates": "a1df6c53e0f2bc83db232eb1c1ab4ffe750bcb6ae4b4379009df01dc3a8cf9da",
+        "bands": "338e2795fdc769078704b6c54d8668ee8957257947049510f8dcd93a5d34bf65",
+        "densify": "b27ca537c03b9b2606a43c209cfc40f6d25157643edb680c324f9df2cb634edb",
+        "execute": "09ec726b3bf16e58e27e5891f4e62f7d78d5b4f931466be20395870f4f4b3c30",
     },
 }
 QUERY_PINS_NUMPY = "2.4.6"
