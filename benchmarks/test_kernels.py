@@ -27,7 +27,6 @@ from hybridplan.feasibility import (
 from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
-    pose_must_collide,
     ray_bundle,
 )
 from hybridplan.hrl_planner import (
@@ -155,11 +154,8 @@ def _line(a, b, n=12):
 
 @pytest.mark.parametrize("where", LINES)
 def test_lfd_joint_candidates_12_poses(benchmark, model, cell, where):
-    poses = _line(*LINES[where])
-    certified = sum(pose_must_collide(model, p, cell.obstacles, 1e-3, 1e-2) for p in poses)
-    assert certified == (9 if where == "through_wall" else 0)
-    out = benchmark(lfd_joint_candidates, poses, model, cell.obstacles)
-    assert out.col.sum() == certified
+    out = benchmark(lfd_joint_candidates, _line(*LINES[where]), model, cell.obstacles)
+    assert out.col.sum() == (9 if where == "through_wall" else 0)
 
 
 @pytest.mark.parametrize("n", [12, 1200])
@@ -171,11 +167,6 @@ def test_closed_form_branches(benchmark, model, n):
     out = benchmark(closed_form_branches, model, lanes, 1e-3)
     assert out.shape == (n, 2, model.dof)
     assert 0 < np.sum(~np.isnan(out[..., 0])) < 2 * n
-
-
-def test_pose_must_collide(benchmark, model, cell):
-    pose = inputs.planar_pose(0.3, 0.3, 0.0)          # near side, clear of the wall
-    assert not benchmark(pose_must_collide, model, pose, cell.obstacles, 1e-3, 1e-2)
 
 
 def test_ik_descend_1000_lanes(benchmark, model):

@@ -20,7 +20,8 @@ pose's voxel is ``floor((p - box_lo) / voxel_size)`` per axis; a pose within
 orientation cell bins the ``quat_to_euler`` angles (roll, pitch, yaw) into
 equal widths over [-theta_max, theta_max], with yaw first wrapped into
 [-pi, pi) when theta_max is pi; an angle up to 1e-9 beyond the range is
-clipped into the end bin.  Any other pose is outside the map.
+clipped into the end bin.  Any other pose is outside the map.  Pitch lies
+in [-pi/2, pi/2], so a map with more than one pitch bin has theta_max <= pi/2.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from hybridplan.dualquat import (
     quat_from_euler,
     quat_to_euler,
 )
-from hybridplan.geometry import collision_index, obstacle_line, pose_must_collide, score_lanes
+from hybridplan.geometry import collision_index, obstacle_line, score_lanes
 from hybridplan.kinematics import RobotModel, ik_attempt, ik_descend, robot_hash
 
 OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
@@ -89,29 +90,23 @@ def fea(pose, model: RobotModel, obstacles, eps_m=0.1,
                      None if reason == UNREACHABLE else witnesses[0])
 
 
-def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, tol_pos=1e-3,
-            tol_rot=1e-2, seed=None):
+def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, seed=None):
     """IK preferring a collision-free witness; falls back to any solution.
 
     Descends from ``seed`` (home when None), then from a uniform random seed
     drawn from ``rng`` after every attempt without a collision-free solution,
-    ``attempts`` descents in all.  Returns the first collision-free solution,
-    else the first solution reached, else None.  When ``pose_must_collide``
-    certifies the pose, no solution can be free: the first one reached is
-    returned without its collision check or the remaining descents, and the
-    seeds those descents would have used are still drawn, so ``rng`` ends
-    where the full loop leaves it.
+    ``attempts`` descents in all, each to 1e-3 in position and 1e-2 in
+    rotation.  Returns the first collision-free solution (scalar
+    ``collision_index``), else the first solution reached, else None.  The
+    planar arms take their candidates from ``closed_form_branches``; this
+    serves the chains it does not cover and the DRL start poses.
     """
     lo, hi = model.limits_lo, model.limits_hi
     seed = model.home if seed is None else seed
     fallback = None
-    for k in range(attempts):
-        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters=150)
+    for _ in range(attempts):
+        sol = ik_attempt(model, pose, seed, 1e-3, 1e-2, max_iters=150)
         if sol is not None:
-            if fallback is None and pose_must_collide(model, pose, obstacles, tol_pos, tol_rot):
-                for _ in range(attempts - k):
-                    rng.uniform(lo, hi)
-                return sol
             if collision_index(model, sol, obstacles) == 0:
                 return sol
             if fallback is None:
@@ -295,7 +290,9 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     reach, and repeating it lets rescued cells propagate into deeper ones.
     Each pass runs the IK descents of all its cells in lockstep; a cell's
     verdict depends only on (seed, cell index) and the witnesses of the
-    passes before.  ``theta_max`` must be finite and in (0, pi].
+    passes before.  ``theta_max`` must be finite and in (0, pi], and at
+    most pi/2 with more than one pitch bin: pitch comes from ``arcsin``, so no
+    pose reaches a pitch bin beyond +-pi/2.
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
@@ -309,6 +306,8 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     orient_counts = tuple(int(c) for c in orient_counts)
     if min(orient_counts) < 1:
         raise ValueError("empty tessellation")
+    if orient_counts[1] > 1 and theta_max > np.pi / 2:
+        raise ValueError(f"{orient_counts[1]} pitch bins need theta_max <= pi/2, not {theta_max}")
     n_orient = int(np.prod(orient_counts))
     n_cells = int(np.prod(counts)) * n_orient
     if n_cells == 0:
@@ -391,13 +390,14 @@ def load_map(path) -> FeasibilityMap:
                          "geometry and the (7,) u4 counts")
     geometry, (nx, ny, nz, cx, cy, cz, dof) = arrays[0], arrays[1].tolist()
     # build_map's rule: a nonempty box, a positive voxel size, theta_max in
-    # (0, pi], every count >= 1
+    # (0, pi] and at most pi/2 over several pitch bins, every count >= 1
     if not (np.all(np.isfinite(geometry)) and np.all(geometry[3:6] > geometry[:3])
-            and geometry[6] > 0.0 and 0.0 < geometry[7] <= np.pi
+            and geometry[6] > 0.0 and 0.0 < geometry[7] <= (np.pi if cy == 1 else np.pi / 2)
             and min(nx, ny, nz, cx, cy, cz) >= 1):
         raise ValueError(f"feasibility map geometry {geometry.tolist()} (box_lo, box_hi, "
                          f"voxel_size, theta_max) with counts {arrays[1].tolist()[:6]} "
-                         "is not a finite, nonempty tessellation with theta_max in (0, pi]")
+                         "is not a finite, nonempty tessellation with theta_max in (0, pi], "
+                         "or (0, pi/2] over several pitch bins")
     n_cells = nx * ny * nz * cx * cy * cz
     if layout[2:] != [("|u1", (n_cells,)), ("<u2", (n_cells,)), ("<f4", (n_cells, dof))]:
         raise ValueError(f"feasibility map arrays {layout[2:]} disagree with {n_cells} cells "

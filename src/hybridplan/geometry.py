@@ -5,8 +5,12 @@ All checks are discrete per-configuration; trajectory-level safety comes from
 checking interpolated waypoints at fine joint-space resolution.
 
 ``collision_index`` checks one configuration on plain floats and stops at the
-first contact; it is the path for single checks (IK witnesses, map cells,
-one-lane environment steps).  ``collision_index_lanes`` checks an (N, dof)
+first contact; it is the path for single checks: ``feasibility.ik_free``'s
+solutions, ``train_drl``'s random-start fallback, the one-lane
+``DrlEnv.step`` (through ``collision_index_points``) and the benchmark's
+own task sampling (1,399 calls in a ``hybrid`` round's set-up).
+``segment_box_distance``, the largest part of a check against boxes, runs on
+Python floats.  ``collision_index_lanes`` checks an (N, dof)
 array of configurations at once: frame points from one lane ``_chain_eval``,
 then every (configuration, capsule, obstacle) and (configuration, capsule
 pair) triple as one row of a batched distance evaluation with the scalar
@@ -37,14 +41,6 @@ trajectories and lane environments.
 ``ray_bundle_lanes`` casts the end-effector ray bundle from given
 end-effector states, one state or N lanes; ``raycast_many`` meets every ray
 with every box in one slab pass.
-
-``pose_must_collide`` is a certificate on a target pose rather than a
-configuration: the pose pins the end effector and, through the tool, the
-last joint's origin, so a tool link that sits inside an obstacle at the
-target collides in every IK solution, and ``feasibility.ik_free`` skips the
-restarts that could not find a free one.  It drops boxes by the same broad
-phase.  ``segment_box_distance``, the largest part of a one-configuration
-check against boxes, runs on Python floats.
 """
 from __future__ import annotations
 
@@ -54,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import _lane_dot, _qrot, dq_to_lanes, dq_translation, quat_to_matrix
+from hybridplan.dualquat import _lane_dot, quat_to_matrix
 from hybridplan.kinematics import (RobotModel, _chain_eval, _frame_points_raw,
                                    _normalized_manipulability_raw, ee_state, frame_points)
 
@@ -264,64 +260,6 @@ def collision_index_points(model: RobotModel, pts, obstacles):
                     segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
                 return 1
     return 0
-
-
-# ------------------------------------------------------------------ #
-# Collision certificate for a target pose
-# ------------------------------------------------------------------ #
-CERTIFICATE_MARGIN = 1e-9      # absorbs the rounding of frames and distances
-
-
-def pose_must_collide(model: RobotModel, pose, obstacles, tol_pos, tol_rot) -> bool:
-    """True only when every configuration that ``ik_attempt`` can return for
-    ``pose`` (an 8-vector) at these tolerances collides with an obstacle.
-
-    The pose pins two frames to within a known distance of where it puts
-    them: the end effector (frame dof + 1) within ``tol_pos`` of the target,
-    and, when ``tol_rot < pi``, frame dof's origin ``p - R_ee R_tool^T t_tool``
-    within ``tol_pos + 2 sin(tol_rot / 2) |t_tool|``; frames 0 and 1 do not
-    move.  Each capsule with a pinned end is placed at the target on the part
-    the pose pins (its segment when both end frames are pinned, else its
-    pinned end); when that part lies deeper than the larger end bound plus
-    ``CERTIFICATE_MARGIN`` inside a box or sphere, every such configuration
-    collides.  False means nothing.
-
-    A planar model is judged only when its chain stays in the z = 0 plane
-    (``_compile_chain``) and the target lies in it, because ``ik_attempt``
-    measures a planar model's error in the plane alone.
-    """
-    steps, tool_q, tool_p, in_plane = model._chain
-    pose = dq_to_lanes(pose)
-    tq, tp = pose[:4], dq_translation(pose)
-    if model.task == "planar":
-        if not (in_plane and abs(tp[2]) <= 1e-9 and abs(tq[1]) <= 1e-9 and abs(tq[2]) <= 1e-9):
-            return False
-        # every frame has z = 0 and a rotation about z, so the bounds widen
-        # by the target's own residue off the plane; a 2-dimensional task
-        # space leaves the rotation free
-        tol_pos = tol_pos + abs(tp[2])
-        tol_rot = tol_rot + 4.0 * (abs(tq[1]) + abs(tq[2])) if model.ee_dof == 3 else np.pi
-    dof = model.dof
-    pinned = {dof + 1: (tp, tol_pos)}
-    if tol_rot < np.pi:
-        w = _qrot(tool_q[0], -tool_q[1], -tool_q[2], -tool_q[3], *tool_p)
-        reach = math.sqrt(tool_p[0] ** 2 + tool_p[1] ** 2 + tool_p[2] ** 2)
-        pinned[dof] = (tp - np.array(_qrot(*tq, *w)),
-                       tol_pos + 2.0 * math.sin(0.5 * tol_rot) * reach)
-    # frames 0 and 1 do not move (frame 1 of a one-joint chain included)
-    known = {**pinned, 0: (np.zeros(3), 0.0), 1: (np.array(steps[0][1]), 0.0)}
-    for cap in model.capsules:
-        frames = [f for f in (cap.frame_a, cap.frame_b) if f in known]
-        if not any(f in pinned for f in frames):
-            continue
-        (p, e_p), (q, e_q) = known[frames[0]], known[frames[-1]]
-        radius = cap.radius - max(e_p, e_q) - CERTIFICATE_MARGIN
-        a, b = p.tolist(), q.tolist()
-        near = [ob for ob in obstacles if not isinstance(ob, Box)
-                or not _apart(a, b, ob.lo.tolist(), ob.hi.tolist(), radius)]
-        if any(capsule_obstacle_distance(p, q, radius, ob) < 0.0 for ob in near):
-            return True
-    return False
 
 
 # ------------------------------------------------------------------ #

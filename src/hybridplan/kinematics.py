@@ -130,11 +130,9 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
 # Kinematic chain on floats or on (N,) lanes (hot path: IK, map, rollouts)
 # ------------------------------------------------------------------ #
 def _compile_chain(model: RobotModel):
-    """Per-joint (offset quat, offset translation, axis) as plain float tuples,
-    the tool's (quat, translation), and whether the chain stays in the z = 0
-    plane: joint axes along z, offset and tool rotations about z and
-    translations with z = 0, all exactly, so every frame of every
-    configuration has z = 0 and a rotation about z."""
+    """Per-joint (offset quat, offset translation, axis) as plain float tuples
+    and the tool's (quat, translation): the one-walk form of the chain that
+    FK, the IK descents and the closed form read."""
     steps = []
     for j in model.joints:
         oq = tuple(float(v) for v in j.offset.real)
@@ -143,17 +141,14 @@ def _compile_chain(model: RobotModel):
         steps.append((oq, op, ax))
     tq = tuple(float(v) for v in model.tool.real)
     tp = tuple(float(v) for v in model.tool.translation())
-    in_plane = (all(ax[0] == ax[1] == 0.0 for _, _, ax in steps)
-                and all(q[1] == q[2] == p[2] == 0.0
-                        for q, p in [(oq, op) for oq, op, _ in steps] + [(tq, tp)]))
-    return steps, tq, tp, in_plane
+    return steps, tq, tp
 
 
 def _chain_eval(model: RobotModel, theta):
     """World joint axes, joint origins and joint rotations (the frame after
     each joint turns) plus the EE (quat, position), as tuples of floats, or
     of (N,) arrays when ``theta`` is an (N, dof) lane array."""
-    steps, tq, tp, _ = model._chain
+    steps, tq, tp = model._chain
     if np.ndim(theta) == 2:
         theta = np.asarray(theta, dtype=float).T     # one (N,) column per joint
         sin, cos = np.sin, np.cos
@@ -473,7 +468,7 @@ def _planar_arm(model: RobotModel):
     +z, every offset and the tool a pure translation along x, nonzero link
     lengths, and joint limits inside [-pi, pi], so that each elbow branch has
     one representative angle per joint."""
-    steps, tq, tp, _ = model._chain
+    steps, tq, tp = model._chain
     if model.task != "planar" or model.dof not in (2, 3):
         return None
     pure_x = [(oq, op) for oq, op, _ in steps] + [(tq, tp)]

@@ -17,11 +17,10 @@
   ``plan_drl`` steps a bridge through the full ``DrlEnv.step`` and keeps
   each step's collision verdict; the library runs the transition alone and
   annotates the rows in one lane call.
-* IK witnesses: ``ik_free`` and ``lfd_joint_candidates`` as full restart
-  loops that check every solution for collision; the library's ``ik_free``
-  skips the restarts on a pose that ``pose_must_collide`` certifies, and its
-  ``lfd_joint_candidates`` runs that chain only on arms without closed-form
-  branches.
+* Chained IK candidates: ``lfd_joint_candidates`` as one inline restart
+  loop per pose that checks every solution for collision; the library's
+  ``lfd_joint_candidates`` runs that chain through ``ik_free``, and only on
+  arms without closed-form branches.
 * Branch choice: ``lfd_joint_candidates_by_enumeration`` tries every
   sequence of closed-form branches of a plan and keeps the one with the
   smallest largest joint step, then the smallest summed step, then the
@@ -454,24 +453,8 @@ def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
 
 
 # ------------------------------------------------------------------ #
-# IK witnesses: every restart, every collision check
+# Chained IK candidates: every restart, every collision check
 # ------------------------------------------------------------------ #
-def ik_free(model, pose, obstacles, rng, attempts=10, tol_pos=1e-3, tol_rot=1e-2):
-    """IK preferring a collision-free witness; falls back to any solution."""
-    fallback = None
-    seed = model.home
-    lo, hi = model.limits_lo, model.limits_hi
-    for k in range(attempts):
-        sol = ik_attempt(model, pose, seed, tol_pos, tol_rot, max_iters=150)
-        if sol is not None:
-            if collision_index(model, sol, obstacles) == 0:
-                return sol
-            if fallback is None:
-                fallback = sol
-        seed = rng.uniform(lo, hi)
-    return fallback
-
-
 def lfd_joint_candidates(poses, model, obstacles, seed=0):
     """Chained IK of the task-space plan, six attempts a pose."""
     rng = np.random.default_rng(seed)

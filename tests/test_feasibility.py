@@ -124,6 +124,27 @@ def test_build_map_refuses_a_theta_max_outside_zero_to_pi(theta_max):
                   orientation_spec=(theta_max, (1, 1, 1)))
 
 
+@pytest.mark.parametrize("theta_max", [np.pi / 8, 1.0, np.pi / 2, 2.0, 3 * np.pi / 4, np.pi])
+def test_every_cell_centre_locates_into_its_own_cell(tmp_path, theta_max):
+    # pitch comes from arcsin, so pitch bins beyond +-pi/2 would hold no pose
+    # (at pi, 32 of (4, 4, 4)'s 64 centres located elsewhere)
+    model, box = planar_rr(), ((0.5, 0.0, -0.1), (0.7, 0.2, 0.1))
+    for orient_counts in [(1, 1, 8), (2, 1, 3), (4, 1, 4), (1, 3, 1), (1, 4, 2), (2, 2, 2),
+                          (3, 3, 3), (4, 4, 4), (2, 5, 3)]:
+        spec = (theta_max, orient_counts)
+        if orient_counts[1] > 1 and theta_max > np.pi / 2:
+            with pytest.raises(ValueError, match="pitch bins need theta_max <= pi/2"):
+                build_map(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
+            save_map(bare_map(theta_max, orient_counts), tmp_path / "pitch.map")
+            with pytest.raises(ValueError, match="over several pitch bins"):
+                load_map(tmp_path / "pitch.map")
+            continue
+        fmap = build_map(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
+        digits = np.array(list(np.ndindex(*fmap.voxel_counts, *fmap.orient_counts)))
+        np.testing.assert_array_equal(fmap.locate_lanes(feasibility._cell_lanes(fmap, digits)),
+                                      np.arange(fmap.n_cells))
+
+
 def test_build_map_annulus_matches_closed_form():
     # reachability (reason != UNREACHABLE) must match |L1-L2| <= r <= L1+L2
     # within one voxel of the boundary

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridplan import geometry
-from hybridplan.dualquat import DualQuaternion, dq_mul
+from hybridplan.dualquat import DualQuaternion
 from hybridplan.geometry import (
     Box,
     Sphere,
@@ -15,7 +15,6 @@ from hybridplan.geometry import (
     collision_index_lanes,
     collision_index_points,
     point_box_distance,
-    pose_must_collide,
     ray_bundle,
     ray_bundle_lanes,
     score_lanes,
@@ -26,16 +25,13 @@ from hybridplan.geometry import (
 from hybridplan.kinematics import (
     LinkCapsule,
     _chain_eval,
-    _pose_error_lanes,
-    fk,
     frame_points,
-    ik_descend,
     make_robot,
     normalized_manipulability_lanes,
     planar_3r,
     planar_rr,
 )
-from hybridplan.scenarios import planar_pose, wall_slot
+from hybridplan.scenarios import wall_slot
 from scalar_reference import raycast, without_broad_phase
 from scalar_reference import raycast_many as reference_raycast_many
 from test_kinematics import seven_dof
@@ -382,32 +378,8 @@ def test_broad_phase_keeps_the_exact_verdicts_of_whole_arms(name):
     np.testing.assert_array_equal(collision_index_lanes(model, thetas, obstacles), exact)
 
 
-@pytest.mark.parametrize("name", ["rr_wall", "3r_wall", "mini7"])
-@pytest.mark.parametrize("tol_pos, tol_rot", [(1e-3, 1e-2), (0.005, 0.1)])
-def test_broad_phase_keeps_the_exact_certificates(name, tol_pos, tol_rot):
-    model, obstacles = _certificate_scene(name)
-    rng = np.random.default_rng(32)
-    thetas = rng.uniform(model.limits_lo, model.limits_hi, (300, model.dof))
-
-    def exact(t):
-        return without_broad_phase(pose_must_collide, model, fk(model, t), obstacles,
-                                   tol_pos, tol_rot)
-
-    flags = np.array([exact(t) for t in thetas])
-    assert 0 < flags.sum() < len(flags)
-    # bisect onto the exact certificate's edge, keeping both ends
-    edge = []
-    for a, b in zip(thetas[flags][:20], thetas[~flags][:20]):
-        for _ in range(40):
-            mid = 0.5 * (a + b)
-            a, b = (mid, b) if exact(mid) else (a, mid)
-        edge += [a, b]
-    for t in [*thetas, *edge]:
-        assert pose_must_collide(model, fk(model, t), obstacles, tol_pos, tol_rot) == exact(t)
-
-
 # ------------------------------------------------------------------ #
-# pose_must_collide
+# The capsule 7-DoF model
 # ------------------------------------------------------------------ #
 def mini7_with_capsules():
     """The 7-DoF test model with capsules on its last three links."""
@@ -417,129 +389,10 @@ def mini7_with_capsules():
                       caps, m.home, task="spatial")
 
 
-def _certificate_scene(name):
-    if name == "rr_wall":
-        return planar_rr(), [Box([1.1, -2.5, -0.2], [1.5, 2.5, 0.2])]
-    if name == "rr_sphere":
-        return planar_rr(), [Sphere([0.2, 1.3, 0.0], 0.35)]
-    if name == "3r_wall":
-        return _scene("wall")
-    if name == "3r_spheres":
-        return _scene("spheres")
+def mini7_scene():
+    """``mini7_with_capsules`` under a box and beside a sphere."""
     return mini7_with_capsules(), [Box([-0.6, -0.6, 0.7], [0.6, 0.6, 0.85]),
                                    Sphere([0.35, 0.0, 0.5], 0.2)]
-
-
-CERTIFICATE_SCENES = ["rr_wall", "rr_sphere", "3r_wall", "3r_spheres", "mini7"]
-
-
-def _certified(model, obstacles, rng, tol_pos, tol_rot):
-    """400 random configurations and whether each one's pose is certified."""
-    thetas = rng.uniform(model.limits_lo, model.limits_hi, (400, model.dof))
-    return thetas, np.array([pose_must_collide(model, fk(model, t), obstacles, tol_pos, tol_rot)
-                             for t in thetas])
-
-
-def _boundary_configs(model, obstacles, thetas, flags, tol_pos, tol_rot, pairs=8):
-    """Configurations whose pose is certified with the least slack: bisect
-    between a certified and an uncertified configuration, keep the
-    certified end."""
-    out = []
-    for a, b in zip(thetas[flags][:pairs], thetas[~flags][:pairs]):
-        for _ in range(30):
-            mid = 0.5 * (a + b)
-            if pose_must_collide(model, fk(model, mid), obstacles, tol_pos, tol_rot):
-                a = mid
-            else:
-                b = mid
-        out.append(a)
-    return out
-
-
-@pytest.mark.parametrize("name", CERTIFICATE_SCENES)
-@pytest.mark.parametrize("tol_pos, tol_rot", [(1e-3, 1e-2), (0.005, 0.1)])
-def test_pose_must_collide_is_sound(name, tol_pos, tol_rot):
-    # every solution ik_descend (lane k = ik_attempt from seed k) reaches from
-    # 200 seeds collides, at poses certified with plenty and with no slack
-    model, obstacles = _certificate_scene(name)
-    rng = np.random.default_rng(21)
-    thetas, flags = _certified(model, obstacles, rng, tol_pos, tol_rot)
-    assert 4 <= flags.sum() < len(flags)
-    picked = [*thetas[flags][:4],
-              *_boundary_configs(model, obstacles, thetas, flags, tol_pos, tol_rot)]
-    targets = [fk(model, t) for t in picked for _ in range(200)]
-    seeds = rng.uniform(model.limits_lo, model.limits_hi, (len(targets), model.dof))
-    sols = ik_descend(model, targets, seeds, tol_pos, tol_rot, 150)
-    reached = sols[~np.isnan(sols[:, 0])]
-    assert len(reached) >= 200
-    np.testing.assert_array_equal(collision_index_lanes(model, reached, obstacles), 1)
-
-
-def _perturbed(model, pose, rng, tol_pos, tol_rot):
-    """A target moved by 0.98 of both tolerances in a random direction (in
-    the plane, about z, for a planar model)."""
-    u = rng.normal(size=3)
-    axis = rng.normal(size=3)
-    if model.task == "planar":
-        u[2], axis = 0.0, np.array([0.0, 0.0, 1.0])
-    u *= 0.98 * tol_pos / np.linalg.norm(u)
-    turn = DualQuaternion.from_pose(np.zeros(3), (axis / np.linalg.norm(axis),
-                                                  0.98 * tol_rot * rng.choice([-1, 1])))
-    return DualQuaternion.from_pose(pose.translation() + u, dq_mul(turn, pose).real)
-
-
-@pytest.mark.parametrize("name", CERTIFICATE_SCENES)
-def test_pose_must_collide_covers_every_configuration_within_the_tolerances(name):
-    # configurations at the edge of the tolerances: solve tightly for targets
-    # moved by almost the full tolerances, keep the solutions whose error to
-    # the certified target is inside them, as ik_attempt measures it
-    tol_pos, tol_rot = 0.005, 0.1
-    model, obstacles = _certificate_scene(name)
-    thetas, flags = _certified(model, obstacles, np.random.default_rng(22), tol_pos, tol_rot)
-    rng = np.random.default_rng(23)
-    picked = _boundary_configs(model, obstacles, thetas, flags, tol_pos, tol_rot)
-    targets = [fk(model, t) for t in picked]
-    moved = [_perturbed(model, t, rng, tol_pos, tol_rot) for t in targets for _ in range(100)]
-    seeds = np.repeat(picked, 100, axis=0)
-    sols = ik_descend(model, moved, seeds, 1e-7, 1e-7, 300)
-    ok = ~np.isnan(sols[:, 0])
-    tq = np.array([t.real for t in targets for _ in range(100)])[ok]
-    tp = np.array([t.translation() for t in targets for _ in range(100)])[ok]
-    _, _, _, q, p = _chain_eval(model, sols[ok])
-    _, perr, rerr = _pose_error_lanes(model, q, p, tq, tp)
-    inside = sols[ok][(perr < tol_pos) & (rerr < tol_rot)]
-    assert len(inside) >= 200
-    np.testing.assert_array_equal(collision_index_lanes(model, inside, obstacles), 1)
-
-
-def test_pose_must_collide_holds_inside_the_wall_only():
-    model, obstacles = _scene("wall")
-    inside = planar_pose(0.62, 0.7, 0.0)         # the tool link lies in the upper wall
-    assert pose_must_collide(model, inside, obstacles, 1e-3, 1e-2)
-    assert not pose_must_collide(model, planar_pose(0.3, 0.7, 0.0), obstacles, 1e-3, 1e-2)
-    assert not pose_must_collide(model, planar_pose(0.95, 0.05, 0.0), obstacles, 1e-3, 1e-2)
-    # a tolerance that lets the link leave the wall voids the certificate
-    assert not pose_must_collide(model, inside, obstacles, 0.5, 1e-2)
-    rr, rr_obstacles = _certificate_scene("rr_wall")
-    assert pose_must_collide(rr, planar_pose(1.3, 0.4), rr_obstacles, 1e-3, 1e-2)
-    assert not pose_must_collide(rr, planar_pose(0.9, 0.4), rr_obstacles, 1e-3, 1e-2)
-
-
-def test_pose_must_collide_needs_a_planar_target_and_chain():
-    model, obstacles = _scene("wall")
-    inside = planar_pose(0.62, 0.7, 0.0)
-    lifted = DualQuaternion.from_pose([0.62, 0.7, 0.05], inside.real)
-    tilted = DualQuaternion.from_pose([0.62, 0.7, 0.0], (np.array([1.0, 0.0, 0.0]), 0.1))
-    assert pose_must_collide(model, inside, obstacles, 1e-3, 1e-2)
-    assert not pose_must_collide(model, lifted, obstacles, 1e-3, 1e-2)
-    assert not pose_must_collide(model, tilted, obstacles, 1e-3, 1e-2)
-    # a "planar" model whose tool leaves the plane: its frames are not where
-    # the planar error measure puts them
-    joints = [(j.axis, j.offset, j.limits) for j in model.joints]
-    raised = make_robot("raised", joints, DualQuaternion.from_translation([0.3, 0.0, 0.05]),
-                        model.capsules, model.home, task="planar")
-    assert model._chain[3] and not raised._chain[3]
-    assert not pose_must_collide(raised, inside, obstacles, 1e-3, 1e-2)
 
 
 # ------------------------------------------------------------------ #

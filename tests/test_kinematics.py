@@ -411,7 +411,7 @@ def assert_branches_reach(model, branches, lanes, atol):
 def mirrored_elbow(model, theta):
     """The other elbow configuration with the same wrist and end effector,
     wrapped into [-pi, pi)."""
-    steps, _, tool_p, _ = model._chain
+    steps, _, tool_p = model._chain
     l1, l2 = steps[1][1][0], (steps[2][1][0] if model.dof == 3 else tool_p[0])
     t1, t2 = theta[:2]
     m1 = t1 + 2.0 * np.arctan2(l2 * np.sin(t2), l1 + l2 * np.cos(t2))

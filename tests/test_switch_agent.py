@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from hybridplan import feasibility, switch_agent
-from hybridplan.feasibility import ik_free
-from hybridplan.geometry import Box, collision_index, pose_must_collide
+from hybridplan import switch_agent
+from hybridplan.drl_planner import DrlEnvConfig, plan_drl, train_drl
+from hybridplan.feasibility import COLLISION, build_map, classify_trajectory
+from hybridplan.geometry import Box, collision_index
+from hybridplan.hrl_planner import QTables, plan_lfd
+from hybridplan.rl_core import PpoConfig
 from hybridplan.dualquat import DualQuaternion, dq_to_lanes
 from hybridplan.kinematics import (closed_form_branches, fk, normalized_manipulability,
                                    planar_3r, planar_rr)
@@ -21,15 +24,18 @@ from hybridplan.switch_agent import (
     brute_force_switches,
     densify,
     executed_window_reward,
+    find_bands,
     heuristic_switches,
     lfd_joint_candidates,
     policy_switches,
     train_switch,
 )
-from hybridplan.scenarios import planar_pose, wall_slot
+from hybridplan.scenarios import line_library, planar_pose, wall_slot
+from hybridplan.task import Task
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
-from hybridplan.workcell import COLLISION_RES_DEG, _checked_configs
-from test_geometry import _certificate_scene
+from hybridplan.workcell import (COLLISION_RES_DEG, SuccessCriteria, Workcell, _checked_configs,
+                                 count_path_collisions, execute)
+from test_geometry import mini7_scene, mini7_with_capsules
 
 
 def test_train_switch_rejects_scenarios_without_bands():
@@ -304,22 +310,10 @@ def crossing_plans():
             for a, b in ends]
 
 
-def count_ik_attempts(monkeypatch):
-    """Count the descents of the library and of the reference loops."""
-    counts = {"library": 0, "reference": 0}
-    for module, key in ((feasibility, "library"), (scalar_reference, "reference")):
-        def counted(*args, _fn=module.ik_attempt, _key=key, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, "ik_attempt", counted)
-    return counts
-
-
 def mini7_plans():
     """Three 8-pose plans of the capsule 7-DoF model, poses of straight joint
-    paths between seeded configurations, with its certificate scene's box
-    and sphere."""
-    model, obstacles = _certificate_scene("mini7")
+    paths between seeded configurations, with its scene's box and sphere."""
+    model, obstacles = mini7_scene()
     rng = np.random.default_rng(3)
     plans = []
     for _ in range(3):
@@ -329,18 +323,18 @@ def mini7_plans():
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_lfd_joint_candidates_equal_the_full_restart_loop(monkeypatch, seed):
-    # the closed form refuses the 7-DoF chain, so the chained ik_free runs
+def test_lfd_joint_candidates_equal_the_full_restart_loop(seed):
+    # the closed form refuses the 7-DoF chain, so the chained ik_free runs;
+    # colliding picks keep its fallback to the first solution exercised
     model, obstacles, plans = mini7_plans()
-    certified = [pose_must_collide(model, p, obstacles, 1e-3, 1e-2) for p in sum(plans, [])]
-    assert 4 <= sum(certified) < len(certified)
-    counts = count_ik_attempts(monkeypatch)
+    colliding = 0
     for poses in plans:
         ref = scalar_reference.lfd_joint_candidates(poses, model, obstacles, seed)
         got = lfd_joint_candidates(poses, model, obstacles, seed)
         for field in ("points", "source", "man", "col"):
             assert_same_bits(getattr(got, field), getattr(ref, field))
-    assert counts["library"] < counts["reference"]
+        colliding += int(got.col.sum())
+    assert colliding >= 4
 
 
 def enumeration_plans():
@@ -398,21 +392,40 @@ def test_lfd_joint_candidates_keep_one_elbow_branch_on_hybrid_seed_41(workloads)
     assert cands.max_step() <= np.radians(10.0)
 
 
-def test_ik_free_equals_the_full_restart_loop_and_leaves_rng_in_step(monkeypatch):
-    # after a certified pose the caller's next draw must be the one the full
-    # loop leaves
-    scene = wall_slot()
-    model, obstacles = scene["robot"], scene["cell"].obstacles
-    counts = count_ik_attempts(monkeypatch)
-    for k, pose in enumerate(sum(crossing_plans(), [])):
-        rng_ref, rng = np.random.default_rng(k), np.random.default_rng(k)
-        ref = scalar_reference.ik_free(model, pose, obstacles, rng_ref)
-        got = ik_free(model, pose, obstacles, rng)
-        assert (got is None) == (ref is None)
-        if got is not None:
-            np.testing.assert_array_equal(got, ref)
-        assert rng.random() == rng_ref.random()
-    assert counts["library"] < counts["reference"]
+def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain():
+    # the one model whose candidates come from the chained ik_free: a wall
+    # across the map box, a plan through it, a DRL bridge over the band
+    model = mini7_with_capsules()
+    obstacles = [Box([0.1, -0.5, 0.2], [0.2, 0.5, 0.8])]
+    fmap = build_map(model, obstacles, ([-0.45, -0.45, 0.2], [0.45, 0.45, 0.8]), 0.15,
+                     orientation_spec=(np.pi, (1, 1, 1)), ik_budget=6)
+    assert fmap.n_cells == 144
+    rng = np.random.default_rng(32)
+    thetas = [t for t in rng.uniform(model.limits_lo, model.limits_hi, (6, model.dof))
+              if collision_index(model, t, obstacles) == 0][:2]
+    task = Task("mini7", [fk(model, t) for t in thetas])
+    poses = plan_lfd(task, line_library(), QTables(), fmap, points_per_gap=12)["poses"]
+    assert closed_form_branches(model, dq_to_lanes(poses), 1e-3) is None
+    cls = classify_trajectory(poses, fmap)
+    pairs = [(b, a) for _, b, a in cls.infeasible_brackets() if b is not None and a is not None]
+    env_cfg = DrlEnvConfig(episode_budget=10, man_baseline=1.0)
+    policy, _, _ = train_drl(pairs, model, obstacles, env_cfg,
+                             PpoConfig(num_steps=32, minibatch_size=16, epochs_per_batch=2),
+                             seed=0, batches=1)
+    cfg = SwitchConfig()
+    cands = lfd_joint_candidates(poses, model, obstacles)
+    bands = find_bands(cls, cands, cfg, lambda start, goal, theta: plan_drl(
+        policy, model, obstacles, start, goal, env_cfg, theta0=theta))
+    cells = fmap.locate_lanes(cls.poses)
+    assert any(np.any(fmap.reasons[cells[b.seg_start:b.seg_end + 1]] == COLLISION)
+               for b in bands)
+    traj = assemble(cands, bands, heuristic_switches(bands), model, obstacles, cfg)
+    traj = densify(traj, model, obstacles, cfg.smooth_bound_deg)
+    assert all(model.within_limits(p) for p in traj.points)
+    assert traj.max_step() <= np.radians(cfg.smooth_bound_deg) + 1e-9
+    report = execute(traj, model, Workcell("mini7", [-1.0, -1.0, -1.0], [1.0, 1.0, 1.5],
+                                           obstacles), SuccessCriteria(), task)
+    assert report.collisions == count_path_collisions(model, traj.points, obstacles)
 
 
 # ------------------------------------------------------------------ #
