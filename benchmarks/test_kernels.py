@@ -28,6 +28,7 @@ from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
     ray_bundle,
+    score_lanes,
 )
 from hybridplan.hrl_planner import (
     SENTINEL,
@@ -44,7 +45,6 @@ from hybridplan.kinematics import (
     ik_descend,
     jacobian,
     normalized_manipulability,
-    normalized_manipulability_lanes,
 )
 from hybridplan.lfd import BETA_RESAMPLE, Demonstration, SkillLibrary, resample
 from hybridplan.rl_core import (
@@ -382,8 +382,9 @@ def test_normalized_manipulability(benchmark, model):
     assert benchmark(normalized_manipulability, model, np.array([0.3, 0.6, -0.4])) > 0.0
 
 
-def test_normalized_manipulability_lanes_200(benchmark, model):
-    assert benchmark(normalized_manipulability_lanes, model, _configs(model, 200)).shape == (200,)
+def test_score_lanes_200(benchmark, model, cell):
+    man, col = benchmark(score_lanes, model, _configs(model, 200), cell.obstacles)
+    assert man.shape == col.shape == (200,)
 
 
 def test_ray_bundle(benchmark, model, cell):

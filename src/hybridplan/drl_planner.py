@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from hybridplan import records
 from hybridplan.dualquat import dq_from_lanes, dq_to_lanes, dq_translation, quat_to_euler
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
+    RAY_COUNT,
     collision_index,
     collision_index_lanes,
     collision_index_points,
@@ -66,13 +68,16 @@ ROLLOUT_LANES = 16         # environments stepped together while collecting PPO 
 
 @dataclass
 class DrlEnvConfig:
+    max_step_deg: ClassVar[float] = 5.0     # per-joint increment bound per step
+    step_time: ClassVar[float] = 0.05       # seconds, for finite-difference velocities
+    ray_range: ClassVar[float] = 2.0
+    # fraction of training episodes started from a random collision-free
+    # configuration instead of a bracket start; narrow passages are rarely
+    # crossed by on-policy exploration alone
+    explore_start_prob: ClassVar[float] = 0.5
     target_radius: float = 0.25      # meters; the paper's training tolerance
-    max_step_deg: float = 5.0        # per-joint increment bound per step
-    step_time: float = 0.05          # seconds, for finite-difference velocities
-    ray_range: float = 2.0
     episode_budget: int = 300
     collision_penalty: float = -1.0
-    reward_mode: str = "feasibility"   # or "distance" (ablation baseline)
     # the manipulability term enters as fea_weight * (man' - man_baseline)
     # while the collision penalty stays at full strength.  With the defaults
     # the graded term is man' itself; benchmark scenes use baseline 1 so the
@@ -80,15 +85,11 @@ class DrlEnvConfig:
     # ball can out-pay terminating (recorded in run metadata)
     fea_weight: float = 1.0
     man_baseline: float = 0.0
-    # fraction of training episodes started from a random collision-free
-    # configuration instead of a bracket start; narrow passages are rarely
-    # crossed by on-policy exploration alone
-    explore_start_prob: float = 0.5
 
 
 def state_dim(dof: int) -> int:
-    # JP, JO, LV, AV (3*dof each) + TP, TO (3 each) + 25 rays + goal offset
-    return 12 * dof + 6 + 25 + 3
+    # JP, JO, LV, AV (3*dof each) + TP, TO (3 each) + rays + goal offset
+    return 12 * dof + 6 + RAY_COUNT + 3
 
 
 def drl_reward(cfg: DrlEnvConfig, distance, col, man):
@@ -97,11 +98,8 @@ def drl_reward(cfg: DrlEnvConfig, distance, col, man):
     ball the reward is the fixed in-region bonus; outside it is graded
     feasibility minus distance (``man`` is read only where collision-free)."""
     reached = distance < cfg.target_radius
-    if cfg.reward_mode == "distance":
-        outside = -distance
-    else:
-        outside = np.where(col, cfg.collision_penalty - distance,
-                           cfg.fea_weight * (man - cfg.man_baseline) - distance)
+    outside = np.where(col, cfg.collision_penalty - distance,
+                       cfg.fea_weight * (man - cfg.man_baseline) - distance)
     return np.where(reached, 0.1, outside), reached
 
 
@@ -151,7 +149,7 @@ class DrlEnv:
             np.full(3 * n, avel),               # angular velocities
             np.full(3, self._reach),            # end-effector position
             np.full(3, np.pi),                  # end-effector Euler angles
-            np.full(25, cfg.ray_range),         # rays
+            np.full(RAY_COUNT, cfg.ray_range),  # rays
             np.full(3, self._reach),            # goal offset
         ])
 
@@ -226,7 +224,7 @@ class DrlEnv:
         col = np.reshape(collision_index_points(
             self.model, _frame_points_raw(origins, p), self.obstacles), -1)
         man = np.zeros(self.lanes)
-        if self.cfg.reward_mode != "distance" and np.any((col == 0) & (d >= self.cfg.target_radius)):
+        if np.any((col == 0) & (d >= self.cfg.target_radius)):
             man[:] = _normalized_manipulability_raw(self.model, axes, origins, p)
         reward, _ = drl_reward(self.cfg, d, col, man)
         info = {"collision": col, "distance": d, "clamped": clamped, "reached": reached}
@@ -354,7 +352,7 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
 # Online bridging
 # ------------------------------------------------------------------ #
 def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, seed=0,
-             theta0=None, stochastic=False) -> JointTrajectory:
+             theta0=None) -> JointTrajectory:
     """Bridge one infeasible gap; returns the annotated joint trajectory.
 
     The start pose must have an IK witness (it bracketed a feasible segment).
@@ -376,11 +374,7 @@ def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, se
                    < env_cfg.target_radius)
     distance = 0.0
     while not success:
-        if stochastic:
-            action, _ = policy.act(obs, rng)
-        else:
-            action = policy.mean_action(obs)
-        _, obs, d, reached, done, _ = env._advance(action)
+        _, obs, d, reached, done, _ = env._advance(policy.mean_action(obs))
         obs = obs[0]
         thetas.append(env.thetas[0])
         distance = float(d[0])

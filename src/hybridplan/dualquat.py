@@ -30,7 +30,6 @@ import numpy as np
 
 from hybridplan import records
 
-UNIT_TOL = 1e-9          # unit-norm assertion tolerance
 RENORM_THRESHOLD = 1e-6  # drift beyond this triggers renormalize-and-warn
 
 
@@ -77,11 +76,6 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     if n < 1e-12:
         raise ValueError("degenerate rotation")
     return q / n
-
-
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate 3-vector v by unit quaternion q."""
-    return np.array(_qrot(*q, *v))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -186,10 +180,6 @@ class DualQuaternion:
     def translation(self) -> np.ndarray:
         """The translation, ``dq_translation`` of this pose."""
         return dq_translation(self.as_array())
-
-    def to_pose(self):
-        """Return (position 3-vector, rotation quaternion)."""
-        return self.translation(), self.real.copy()
 
     def conjugate(self) -> "DualQuaternion":
         return DualQuaternion(quat_conj(self.real), quat_conj(self.dual))

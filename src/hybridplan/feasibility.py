@@ -296,7 +296,7 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
-    if not np.all(hi > lo) or voxel_size <= 0:
+    if not (np.all(hi > lo) and voxel_size > 0):      # NaN fails too
         raise ValueError("empty tessellation")
     counts = tuple(max(1, int(np.ceil((hi[a] - lo[a]) / voxel_size - 1e-9)))
                    for a in range(3))

@@ -69,9 +69,6 @@ class Box:
         if not np.all(self.lo < self.hi):
             raise ValueError("box needs min < max per axis")
 
-    def inflated(self, eps: float) -> "Box":
-        return Box(self.lo - eps, self.hi + eps, self.id)
-
 
 @dataclass(frozen=True, eq=False)
 class Sphere:
@@ -85,9 +82,6 @@ class Sphere:
             raise ValueError("sphere radius must be positive and finite")
         if not np.all(np.isfinite(self.center)):
             raise ValueError("sphere center must be finite")
-
-    def inflated(self, eps: float) -> "Sphere":
-        return Sphere(self.center, self.radius + eps, self.id)
 
 
 def obstacle_line(ob) -> str:
@@ -340,8 +334,10 @@ def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
 
 
 def score_lanes(model: RobotModel, thetas, obstacles) -> tuple:
-    """(``normalized_manipulability_lanes``, ``collision_index_lanes``) of an
-    (N, dof) array from one lane chain walk; no lane call on zero rows."""
+    """(normalized manipulability, ``collision_index_lanes``) of an (N, dof)
+    array from one lane chain walk, lane k of each equal to the scalar
+    ``normalized_manipulability`` and ``collision_index`` of row k; no lane
+    call on zero rows."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
     if len(thetas) == 0:
         return np.zeros(0), np.zeros(0, dtype=np.uint8)

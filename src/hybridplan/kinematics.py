@@ -22,11 +22,11 @@ targets or (N, 8) target lanes (``dualquat.dq_to_lanes``).
 ``closed_form_branches`` gives a planar RR or 3R arm's two elbow branches
 for N target lanes in one array pass, and None for any other chain, which
 the numeric descents serve.
-``normalized_manipulability_lanes`` scores N configurations with one lane
-Jacobian and one batched SVD, for whole trajectories.  ``frame_points`` takes
-either layout too, and the ``_raw`` helpers (frame points, manipulability)
-take a chain walk's output, so a caller that walked the chain once for one
-configuration or for N lanes reads every quantity off that walk.
+``frame_points`` takes either layout too, and the ``_raw`` helpers (frame
+points, manipulability) take a chain walk's output, so a caller that walked
+the chain once for one configuration or for N lanes reads every quantity off
+that walk: ``geometry.score_lanes`` scores N configurations' normalized
+manipulability with one lane Jacobian and one batched SVD.
 """
 from __future__ import annotations
 
@@ -272,19 +272,6 @@ def normalized_manipulability(model: RobotModel, theta: np.ndarray) -> float:
     return manipulability(model, theta) / model._home_man
 
 
-def normalized_manipulability_lanes(model: RobotModel, thetas) -> np.ndarray:
-    """``normalized_manipulability`` of every row of an (N, dof) array, (N,).
-
-    One lane Jacobian and one batched SVD; lane k equals the scalar call on
-    row k bit for bit.
-    """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
-    if len(thetas) == 0:
-        return np.zeros(0)
-    axes, origins, _, _, p = _chain_eval(model, thetas)
-    return _normalized_manipulability_raw(model, axes, origins, p)
-
-
 def _manipulability_raw(J):
     """``manipulability`` of an (m, dof) Jacobian as a 0-d array, or of
     (N, m, dof) lane Jacobians as (N,)."""
@@ -316,12 +303,6 @@ def _pose_error_raw(model, q, p, tq, tp):
         e = np.array([dp[0], dp[1], rv[2]])
         return e, float(np.hypot(dp[0], dp[1])), abs(float(rv[2]))
     return dp[:2], float(np.hypot(dp[0], dp[1])), 0.0
-
-
-def pose_error(model: RobotModel, current: DualQuaternion, target: DualQuaternion):
-    """Error twist from current to target plus (pos, rot) error magnitudes."""
-    return _pose_error_raw(model, current.real, current.translation(),
-                           target.real, target.translation())
 
 
 def ik_attempt(model, target, seed, tol_pos, tol_rot, max_iters):
@@ -443,7 +424,7 @@ def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
     Returns the joint vector on success, None when the budget is exhausted --
     the None IS the unreachability signal.
     """
-    if tol_pos <= 0 or tol_rot <= 0:
+    if not (tol_pos > 0 and tol_rot > 0):      # NaN fails too
         raise ValueError("tolerances must be positive")
     if rng is None:
         rng = np.random.default_rng(0)

@@ -20,10 +20,10 @@ Retargeting has a skill side, the skill's arc parameters and its base lanes
 sampled at the output length (``SkillSide``), and a task side, which aligns
 the base to the start and ramps in the correction to the goal
 (``retarget_sides``: one set of lane calls for all its pieces).
-``retarget_pieces`` runs both halves on given lanes, and ``retarget`` is its
-one-piece form.  A ``Demonstration`` computes its lanes, arc parameters,
-features and resampled features once, and ``skill_gaps`` keeps on it the skill
-side of every plan gap layout it has served.
+``retarget`` runs both halves on one skill.  A ``Demonstration`` computes
+its lanes, arc parameters, features and resampled features once, and
+``skill_gaps`` keeps on it the skill side of every plan gap layout it has
+served.
 """
 from __future__ import annotations
 
@@ -212,9 +212,6 @@ class Demonstration:
             self._resampled[n_out] = _read_only(resample(self.features, n_out))
         return self._resampled[n_out]
 
-    def is_constant(self) -> bool:
-        return self.params is None
-
 
 @dataclass
 class SkillLibrary:
@@ -364,43 +361,36 @@ def retarget_sides(pieces) -> list:
     return out
 
 
-def retarget_pieces(pieces) -> list:
-    """``retarget`` of every (skill lanes, start, goal, n_out) piece, with
-    start and goal as 8-vectors; returns each piece's (n_out, 8) lanes: the
-    ``_skill_sides`` of the lanes, then ``retarget_sides``."""
-    sides = _skill_sides([(lanes, n_out) for lanes, _, _, n_out in pieces])
-    return retarget_sides([(side, start, goal, n_out)
-                           for side, (_, start, goal, n_out) in zip(sides, pieces)])
-
-
 def retarget(skill: Demonstration, start, goal, n_out: int) -> np.ndarray:
     """Map a skill onto new start/goal poses, as (n_out, 8) lanes: the
-    one-piece ``retarget_pieces``.
+    ``_skill_sides`` of its lanes, then ``retarget_sides``.
 
     The start frames are aligned exactly by a left transform; the residual
     between the mapped final pose and the goal is applied as a right
     correction, ramped along normalized arc length so the endpoints land
     exactly while intermediate poses keep the demonstrated motion profile.
     """
-    lanes, = retarget_pieces([(skill.lanes, dq_to_lanes(start), dq_to_lanes(goal), n_out)])
+    side, = _skill_sides([(skill.lanes, n_out)])
+    lanes, = retarget_sides([(side, dq_to_lanes(start), dq_to_lanes(goal), n_out)])
     return lanes
 
 
 # ------------------------------------------------------------------ #
 # Feature distance
 # ------------------------------------------------------------------ #
-def _resampled(x, n_out) -> np.ndarray:
+def _resampled(x) -> np.ndarray:
     if isinstance(x, Demonstration):
-        return x.resampled_features(n_out)
+        return x.resampled_features(BETA_RESAMPLE)
     if len(x) == 0:
         raise ValueError("feature sequences must be nonempty")
-    return resample(x, n_out)
+    return resample(x, BETA_RESAMPLE)
 
 
-def feature_distance_terms(a, b, n_resample=BETA_RESAMPLE) -> np.ndarray:
-    """Per-index chordal distances after arc-length resampling to a fixed length.
+def feature_distance_terms(a, b) -> np.ndarray:
+    """Per-index chordal distances after arc-length resampling to
+    ``BETA_RESAMPLE`` entries.
 
     Each side is a feature sequence, as lanes or DualQuaternions, or a
     ``Demonstration``, which stands for its features and resamples them once.
     """
-    return chordal_distance(_resampled(a, n_resample), _resampled(b, n_resample))
+    return chordal_distance(_resampled(a), _resampled(b))

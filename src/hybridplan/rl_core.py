@@ -3,9 +3,9 @@ backpropagation, Gaussian and categorical policy heads, generalized advantage
 estimation, and the clipped-surrogate policy update.
 
 Flat layout: a network's parameters live in one contiguous float64 vector,
-``Mlp.flat``, in ``parameters()`` order: each layer's weights, each layer's
+``Mlp.flat``, in ``Mlp.params`` order: each layer's weights, each layer's
 biases, then the Gaussian head's ``log_std``.  ``weights``, ``biases`` and
-``parameters()`` are views into it; ``Mlp.grad`` has the same layout, and
+``params`` are views into it; ``Mlp.grad`` has the same layout, and
 ``backward`` writes each layer's gradient into its view.  So Adam, the
 gradient clip and the abort snapshot of ``ppo_update`` each run once per net,
 and a checkpoint stores each net as its sizes and ``flat``.
@@ -112,11 +112,13 @@ def clip_gradients(grad, max_norm: float, spans) -> float:
 
 
 class Adam:
-    """Adam (Kingma and Ba, arXiv:1412.6980) on one flat parameter vector."""
+    """Adam (Kingma and Ba, arXiv:1412.6980) on one flat parameter vector,
+    with the paper's default moment rates and epsilon."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.moments = np.zeros((2, len(params)))      # m and v: one copy snapshots both
         self._tmp = np.empty((2, len(params)))
         self.t = 0
@@ -143,14 +145,7 @@ class Adam:
 # ------------------------------------------------------------------ #
 # Policy heads
 # ------------------------------------------------------------------ #
-class _OneNet:
-    """A head whose ``net`` holds every parameter it has."""
-
-    def parameters(self):
-        return list(self.net.params)
-
-
-class GaussianPolicy(_OneNet):
+class GaussianPolicy:
     """Diagonal Gaussian over continuous actions; state-independent log std,
     the tail of the net's flat vector."""
 
@@ -206,7 +201,7 @@ class GaussianPolicy(_OneNet):
         return grad
 
 
-class CategoricalPolicy(_OneNet):
+class CategoricalPolicy:
     """Softmax over discrete actions."""
 
     def __init__(self, obs_dim, n_actions, hidden=(64, 64), rng=None):
@@ -251,12 +246,9 @@ class CategoricalPolicy(_OneNet):
         return self.net.backward(d_logits)
 
 
-class ValueNet(_OneNet):
+class ValueNet:
     def __init__(self, obs_dim, hidden=(64, 64), rng=None):
         self.net = Mlp([obs_dim] + list(hidden) + [1], rng, out_scale=1.0)
-
-    def value(self, obs) -> float:
-        return float(self.net.forward(obs)[0, 0])
 
     def values(self, obs_batch) -> np.ndarray:
         return self.net.forward(obs_batch)[:, 0]
@@ -285,7 +277,7 @@ class PpoConfig:
     def __post_init__(self):
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if self.clip_eps <= 0:
+        if not self.clip_eps > 0:         # NaN fails too
             raise ValueError("clip_eps must be positive")
         if self.minibatch_size > self.num_steps:
             raise ValueError("minibatch_size must not exceed num_steps")

@@ -24,6 +24,7 @@ pose without a candidate holds the configuration before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,16 +40,19 @@ from hybridplan.rl_core import (
     ppo_update,
 )
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, edge_steps, subdivide
+from hybridplan.workcell import SMOOTH_BOUND_DEG
 
 ACT_KEEP, ACT_SWITCH = 0, 1
 
 
 @dataclass
 class SwitchConfig:
+    # global smoothness bound for traj_final: the payload-drop bound of
+    # ``workcell.execute``, so a densified trajectory never drops the payload
+    smooth_bound_deg: ClassVar[float] = SMOOTH_BOUND_DEG
     window: int = 5                  # K: decision points within +-K of a boundary
     blend_points: int = 10           # max inserted handover points
     blend_step_deg: float = 2.0      # per-step cap inside a blend
-    smooth_bound_deg: float = 2.0    # global smoothness bound for traj_final
     hidden: tuple = (64, 64)
 
     def obs_dim(self, dof: int) -> int:

@@ -17,7 +17,6 @@ import numpy as np
 from hybridplan import records
 
 SOURCE_LFD, SOURCE_DRL = 0, 1
-SOURCE_NAMES = {SOURCE_LFD: "LFD", SOURCE_DRL: "DRL"}
 
 
 @dataclass(eq=False)

@@ -72,7 +72,7 @@ class SuccessCriteria:
     rot_tol: float = np.radians(5.0)         # per Euler angle
 
     def __post_init__(self):
-        if self.pos_tol <= 0 or self.rot_tol <= 0:
+        if not (self.pos_tol > 0 and self.rot_tol > 0):      # NaN fails too
             raise ValueError("tolerances must be positive")
 
 

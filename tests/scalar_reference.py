@@ -79,7 +79,6 @@ from hybridplan.kinematics import (
     fk_frames,
     ik_attempt,
     normalized_manipulability,
-    normalized_manipulability_lanes,
 )
 from hybridplan.lfd import BETA_RESAMPLE, DELTA_BETA, Demonstration
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, edge_steps
@@ -87,6 +86,12 @@ from hybridplan.workcell import COLLISION_RES_DEG, SMOOTH_BOUND_DEG, ExecutionRe
 
 
 _LEFT, _RIGHT = np.array([0, 0, 1]), np.array([0, 1, 0])
+
+
+def manipulability_rows(model, thetas) -> np.ndarray:
+    """``normalized_manipulability`` of every row of an (N, dof) array, one
+    scalar call per row."""
+    return np.array([normalized_manipulability(model, t) for t in thetas], dtype=float)
 
 
 def dq_mul_lanes_by_components(a, b) -> np.ndarray:
@@ -184,9 +189,9 @@ def resample(poses, n_out) -> list:
     return [sample_sequence(poses, params, u) for u in np.linspace(0.0, 1.0, n_out)]
 
 
-def feature_distance_terms(a, b, n_resample=BETA_RESAMPLE) -> np.ndarray:
-    ra = resample(list(a), n_resample)
-    rb = resample(list(b), n_resample)
+def feature_distance_terms(a, b) -> np.ndarray:
+    ra = resample(list(a), BETA_RESAMPLE)
+    rb = resample(list(b), BETA_RESAMPLE)
     return np.array([chordal_distance(x, y) for x, y in zip(ra, rb)])
 
 
@@ -204,7 +209,7 @@ def jitter_pose(pose: DualQuaternion, cfg, rng) -> DualQuaternion:
     dp = rng.uniform(-amp, amp)
     ang = rng.uniform(-cfg.jitter_rot, cfg.jitter_rot)
     spin = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), ang)
-    pos, rot = pose.to_pose()
+    pos, rot = pose.translation(), pose.real
     return DualQuaternion.from_pose(pos + dp, quat_mul(spin, rot))
 
 
@@ -337,8 +342,6 @@ def drl_reward(model, theta, ee_pos, goal_pos, cfg, col) -> tuple:
     d = float(np.linalg.norm(ee_pos - goal_pos))
     if d < cfg.target_radius:
         return 0.1, d, True
-    if cfg.reward_mode == "distance":
-        return -d, d, False
     if col:
         return cfg.collision_penalty - d, d, False
     grade = normalized_manipulability(model, theta) - cfg.man_baseline
@@ -447,7 +450,7 @@ def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
             break
     thetas = np.array(thetas)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
-                           normalized_manipulability_lanes(model, thetas),
+                           manipulability_rows(model, thetas),
                            np.array(cols, dtype=np.uint8),
                            success, meta={"goal_distance": distance})
 
@@ -479,7 +482,7 @@ def lfd_joint_candidates(poses, model, obstacles, seed=0):
         thetas[i] = theta
         prev = theta
     return JointTrajectory(thetas, np.full(len(poses), SOURCE_LFD, np.uint8),
-                           normalized_manipulability_lanes(model, thetas),
+                           manipulability_rows(model, thetas),
                            collision_index_lanes(model, thetas, obstacles))
 
 
@@ -512,7 +515,7 @@ def lfd_joint_candidates_by_enumeration(poses, model, obstacles):
         thetas.append(prev)
     thetas = np.array(thetas).reshape(-1, model.dof)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_LFD, np.uint8),
-                           normalized_manipulability_lanes(model, thetas),
+                           manipulability_rows(model, thetas),
                            collision_index_lanes(model, thetas, obstacles))
 
 
@@ -552,7 +555,7 @@ def execute(traj, model, cell, criteria, task) -> ExecutionReport:
     configs, at = checked_configs(points, COLLISION_RES_DEG)
     verdicts = collision_index_lanes(model, configs, cell.obstacles)
     collisions = int(np.sum(verdicts))
-    man = normalized_manipulability_lanes(model, points)
+    man = manipulability_rows(model, points)
     r_s = float(np.sum(man - verdicts[at]))
 
     dropped = False
@@ -580,7 +583,7 @@ def blend(theta_a, theta_b, model, obstacles, cfg) -> JointTrajectory:
     pts = np.array([theta_a + (k / (steps + 1)) * (theta_b - theta_a)
                     for k in range(1, steps + 1)])
     return JointTrajectory(pts, np.full(steps, SOURCE_DRL, np.uint8),
-                           normalized_manipulability_lanes(model, pts),
+                           manipulability_rows(model, pts),
                            collision_index_lanes(model, pts, obstacles))
 
 
@@ -607,7 +610,7 @@ def densify(traj, model, obstacles, bound_deg) -> JointTrajectory:
     pts, man, col = np.array(pts).reshape(-1, traj.points.shape[1]), np.array(man), \
         np.array(col, np.uint8)
     if inserted:
-        man[inserted] = normalized_manipulability_lanes(model, pts[inserted])
+        man[inserted] = manipulability_rows(model, pts[inserted])
         col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
     return JointTrajectory(pts, np.array(src, np.uint8), man, col,
                            traj.success, dict(traj.meta))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hybridplan import drl_planner, kinematics
+from hybridplan import drl_planner, geometry, kinematics
 from hybridplan.drl_planner import (
     ROLLOUT_LANES,
     DrlEnv,
@@ -14,19 +14,20 @@ from hybridplan.drl_planner import (
     train_drl,
 )
 from hybridplan.dualquat import DualQuaternion, load_poses
-from hybridplan.geometry import Box, Sphere, collision_index_lanes
+from hybridplan.geometry import RAY_COUNT, Box, Sphere, collision_index_lanes, score_lanes
 from hybridplan.kinematics import (
     ee_state,
     fk,
     normalized_manipulability,
-    normalized_manipulability_lanes,
     planar_3r,
+    planar_rr,
 )
 from hybridplan.lfd import load_demonstration
 from hybridplan.rl_core import GaussianPolicy, PpoConfig
 from hybridplan.trajectory import load_joint_trajectory
 from scalar_reference import ScalarDrlEnv
 from scalar_reference import plan_drl as reference_plan_drl
+from test_kinematics import seven_dof
 
 WALL = Box([0.9, -1.0, -0.2], [1.1, 1.0, 0.2], "wall")
 GOAL = np.array([0.3, 0.7, 0.0])
@@ -43,7 +44,7 @@ def make_env(cfg=None, lanes=1):
 
 def blocks(obs, dof):
     """Observation blocks: JP, JO, LV, AV, TP, TO, rays, goal offset."""
-    return np.split(obs, np.cumsum([3 * dof] * 4 + [3, 3, 25]))
+    return np.split(obs, np.cumsum([3 * dof] * 4 + [3, 3, RAY_COUNT]))
 
 
 # ------------------------------------------------------------------ #
@@ -71,6 +72,19 @@ def test_observation_shape_and_scale():
     av = blocks(obs[0], n)[3].reshape(n, 3)
     np.testing.assert_allclose(av[:, 2], np.cumsum(action), atol=1e-12)
     np.testing.assert_allclose(av[:, :2], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_state_dim_is_the_observation_width(factory):
+    model = factory()
+    assert len(geometry._bundle_directions()) == RAY_COUNT
+    env = DrlEnv(model, [WALL], DrlEnvConfig())
+    obs = env.reset(model.home, ee_state(model, model.home)[1] + 0.5)
+    assert obs.shape == (1, state_dim(model.dof)) == (1, len(env._obs_scale))
+    rays = blocks(obs[0], model.dof)[6]
+    far = DrlEnvConfig.ray_range
+    np.testing.assert_allclose(rays, geometry.ray_bundle(model, model.home, [WALL], far) / far,
+                               rtol=0, atol=1e-12)
 
 
 def test_clamped_flag_at_joint_limit():
@@ -130,15 +144,13 @@ def assert_lane_equals_scalar(out, ref, k):
 
 
 @pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
-@pytest.mark.parametrize("mode", ["feasibility", "distance"])
-def test_lane_step_equals_the_one_configuration_env(lanes, mode):
+def test_lane_step_equals_the_one_configuration_env(lanes):
     """Lane k of a lane step equals the one-configuration reference env
     stepped on lane k alone, bit for bit, through resets on every kind of
     episode end (reached, budget), collisions, rays on boxes and a sphere,
     and joint-limit clamps."""
     model = planar_3r()
-    cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0, fea_weight=2.0,
-                       reward_mode=mode)
+    cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0, fea_weight=2.0)
     rng = np.random.default_rng(11)
     env = DrlEnv(model, WALL_CELL, cfg, lanes)
     refs = [ScalarDrlEnv(model, WALL_CELL, cfg) for _ in range(lanes)]
@@ -192,16 +204,8 @@ def test_reset_of_some_lanes_keeps_the_others():
 # reward
 # ------------------------------------------------------------------ #
 def test_reward_inside_target_ball_ends_the_episode():
-    for mode in ("feasibility", "distance"):
-        cfg = DrlEnvConfig(reward_mode=mode)
-        r, reached = drl_reward(cfg, 0.1, col=1, man=0.5)
-        assert (r, reached) == (0.1, True)
-
-
-def test_reward_distance_mode_ignores_feasibility():
-    cfg = DrlEnvConfig(reward_mode="distance")
-    for col in (0, 1):
-        assert drl_reward(cfg, 1.0, col, man=0.5) == (-1.0, False)
+    r, reached = drl_reward(DrlEnvConfig(), 0.1, col=1, man=0.5)
+    assert (r, reached) == (0.1, True)
 
 
 def test_reward_collision_penalty():
@@ -243,7 +247,7 @@ def small_ppo(num_steps=64):
 
 
 def weights(policy, value_net):
-    return np.concatenate([np.ravel(a) for a in policy.parameters() + value_net.parameters()])
+    return np.concatenate([np.ravel(a) for a in policy.net.params + value_net.net.params])
 
 
 def test_train_drl_is_seed_deterministic():
@@ -289,7 +293,7 @@ def check_bridge(model, obstacles, traj, theta0, goal_pos, cfg):
     inside = np.linalg.norm(ee_state(model, traj.points[-1])[1] - goal_pos) < cfg.target_radius
     assert traj.success == inside
     np.testing.assert_array_equal(traj.col, collision_index_lanes(model, traj.points, obstacles))
-    np.testing.assert_array_equal(traj.man, normalized_manipulability_lanes(model, traj.points))
+    np.testing.assert_array_equal(traj.man, score_lanes(model, traj.points, [])[0])
 
 
 def test_plan_drl_trajectory_contract():
@@ -305,16 +309,15 @@ def test_plan_drl_trajectory_contract():
         (policy, fk(model, np.array([-1.0, 1.2, 0.5])), False),
     ]
     for pol, goal, success in cases:
-        for stochastic in ((False, True) if pol is policy else (False,)):
-            runs = [plan_drl(pol, model, WALL_CELL, start, goal, cfg, seed=4, theta0=theta0,
-                             stochastic=stochastic) for _ in range(2)]
-            traj = runs[0]
-            check_bridge(model, WALL_CELL, traj, theta0, goal.translation(), cfg)
-            assert traj.success == success
-            if not success:
-                assert len(traj) == cfg.episode_budget + 1
-            np.testing.assert_array_equal(traj.points, runs[1].points)   # same seed
-            assert traj.meta == runs[1].meta
+        runs = [plan_drl(pol, model, WALL_CELL, start, goal, cfg, seed=4, theta0=theta0)
+                for _ in range(2)]
+        traj = runs[0]
+        check_bridge(model, WALL_CELL, traj, theta0, goal.translation(), cfg)
+        assert traj.success == success
+        if not success:
+            assert len(traj) == cfg.episode_budget + 1
+        np.testing.assert_array_equal(traj.points, runs[1].points)
+        assert traj.meta == runs[1].meta
 
 
 def test_plan_drl_equals_a_bridge_stepped_through_the_full_step():

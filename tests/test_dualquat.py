@@ -45,8 +45,7 @@ def homogeneous(axis, angle, t):
 
 
 def dq_to_homogeneous(d):
-    pos, q = d.to_pose()
-    w, x, y, z = q
+    pos, (w, x, y, z) = d.translation(), d.real
     R = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -157,7 +156,7 @@ def test_from_pose_roundtrip():
         q /= np.linalg.norm(q)
         t = rng.uniform(-5, 5, size=3)
         d = dq_from_pose(t, q)
-        pos, rot = d.to_pose()
+        pos, rot = d.translation(), d.real
         np.testing.assert_allclose(pos, t, atol=1e-9)
         if np.dot(rot, q) < 0:
             rot = -rot

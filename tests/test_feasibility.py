@@ -116,6 +116,12 @@ def test_build_map_empty_tessellation():
         build_map(m, [], ((0, 0, 0), (0, 0, 0)), 0.5)
 
 
+@pytest.mark.parametrize("voxel_size", [0.0, -0.5, np.nan])
+def test_build_map_refuses_a_voxel_size_that_is_not_positive(voxel_size):
+    with pytest.raises(ValueError, match="empty tessellation"):
+        build_map(planar_rr(), [], ((0, 0, 0), (1, 1, 1)), voxel_size)
+
+
 @pytest.mark.parametrize("theta_max", [0.0, -1.0, 4.0, np.nan, np.inf])
 def test_build_map_refuses_a_theta_max_outside_zero_to_pi(theta_max):
     # theta_max 0 or -1 would build an all-UNREACHABLE map whose lookups raise

@@ -27,7 +27,7 @@ from hybridplan.kinematics import (
     _chain_eval,
     frame_points,
     make_robot,
-    normalized_manipulability_lanes,
+    normalized_manipulability,
     planar_3r,
     planar_rr,
 )
@@ -115,6 +115,13 @@ def test_self_collision_nonadjacent_links():
     assert collision_index(m, folded, []) == 1
 
 
+def inflated(ob, eps):
+    """``ob`` grown by ``eps`` on every side (shrunk for a negative ``eps``)."""
+    if isinstance(ob, Box):
+        return Box(ob.lo - eps, ob.hi + eps, ob.id)
+    return Sphere(ob.center, ob.radius + eps, ob.id)
+
+
 def test_collision_conservative_under_inflation():
     m = planar_rr()
     rng = np.random.default_rng(1)
@@ -122,7 +129,7 @@ def test_collision_conservative_under_inflation():
         theta = rng.uniform(-3, 3, size=2)
         ob = Box(rng.uniform(-2, 0, size=3), rng.uniform(0.05, 2, size=3) + 0.1)
         before = collision_index(m, theta, [ob])
-        after = collision_index(m, theta, [ob.inflated(0.05)])
+        after = collision_index(m, theta, [inflated(ob, 0.05)])
         assert after >= before
 
 
@@ -215,7 +222,7 @@ def test_score_lanes_is_both_lane_scores_from_one_walk(name, monkeypatch):
     thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
                                               (200, model.dof))
     man, col = score_lanes(model, thetas, obstacles)
-    np.testing.assert_array_equal(man, normalized_manipulability_lanes(model, thetas))
+    np.testing.assert_array_equal(man, [normalized_manipulability(model, t) for t in thetas])
     np.testing.assert_array_equal(col, collision_index_lanes(model, thetas, obstacles))
     assert col.dtype == np.uint8
     # zero rows: empty scores, and no chain walk
@@ -231,7 +238,7 @@ def test_collision_index_lanes_count_exact_touch_as_contact():
     for ob in (Box([0.5, 0.25, -0.1], [1.5, 1.0, 0.1]), Sphere([1.0, 0.5, 0.0], 0.25)):
         assert collision_index(m, theta[0], [ob]) == 1
         assert collision_index_lanes(m, theta, [ob])[0] == 1
-        assert collision_index_lanes(m, theta, [ob.inflated(-1e-9)])[0] == 0
+        assert collision_index_lanes(m, theta, [inflated(ob, -1e-9)])[0] == 0
 
 
 def test_collision_index_lanes_empty_input_and_no_capsules():

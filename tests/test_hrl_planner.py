@@ -31,7 +31,7 @@ from hybridplan.lfd import (
     SkillLibrary,
     chordal_distance,
     retarget,
-    retarget_pieces,
+    retarget_sides,
 )
 from hybridplan.task import Task, load_task, save_task
 
@@ -322,6 +322,13 @@ def test_plan_lfd_is_the_per_gap_plan_with_a_constant_skill():
             plan_lfd(task, lib, forced_tables(segments))
         with pytest.raises(ValueError, match="displacement mismatch"):
             ref.plan_poses_per_gap(task, lib, segments, 25)
+
+
+def retarget_pieces(pieces):
+    """Both halves of retargeting on every (skill lanes, start, goal, n_out)
+    piece: the skill sides of all pieces, then their task sides."""
+    sides = lfd._skill_sides([(lanes, n_out) for lanes, _, _, n_out in pieces])
+    return retarget_sides([(side, *piece[1:]) for side, piece in zip(sides, pieces)])
 
 
 def test_retarget_pieces_mixes_constant_and_moving_pieces():

@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from hybridplan.dualquat import (DualQuaternion, dq_from_pose, dq_mul, dq_to_lanes,
+from hybridplan.dualquat import (DualQuaternion, _qrot, dq_from_pose, dq_mul, dq_to_lanes,
                                  dq_translation, quat_from_axis_angle)
+from hybridplan.geometry import score_lanes
 from hybridplan.kinematics import (
     LinkCapsule,
     _chain_eval,
+    _pose_error_raw,
     closed_form_branches,
     fk,
     fk_frames,
@@ -20,11 +22,9 @@ from hybridplan.kinematics import (
     make_robot,
     manipulability,
     normalized_manipulability,
-    normalized_manipulability_lanes,
     parse_robot,
     planar_3r,
     planar_rr,
-    pose_error,
     robot_hash,
     save_robot,
     serialize_robot,
@@ -98,9 +98,8 @@ def test_fk_seven_dof_matches_matrix_chain():
         d = fk(m, theta)
         np.testing.assert_allclose(d.translation(), H[:3, 3], atol=1e-9)
         # rotation agreement via a rotated probe vector
-        from hybridplan.dualquat import quat_rotate
         probe = np.array([0.3, -0.2, 0.9])
-        np.testing.assert_allclose(quat_rotate(d.real, probe), H[:3, :3] @ probe, atol=1e-9)
+        np.testing.assert_allclose(_qrot(*d.real, *probe), H[:3, :3] @ probe, atol=1e-9)
 
 
 def test_fk_wrong_dimension():
@@ -153,6 +152,12 @@ def test_jacobian_planar_rr_closed_form():
         c1, c12 = np.cos(t1), np.cos(t1 + t2)
         expect = np.array([[-s1 - s12, -s12], [c1 + c12, c12]])
         np.testing.assert_allclose(J, expect, atol=1e-10)
+
+
+def pose_error(model, current, target):
+    """Error twist from pose ``current`` to ``target`` plus (pos, rot) magnitudes."""
+    return _pose_error_raw(model, current.real, current.translation(),
+                           target.real, target.translation())
 
 
 def finite_difference_jacobian(model, theta, h=1e-6):
@@ -243,8 +248,8 @@ def test_normalized_manipulability_lanes_equal_scalar_bitwise(factory):
     thetas = rng.uniform(model.limits_lo, model.limits_hi, (300, model.dof))
     thetas[::10] = 0.0                       # stretched out: singular for the planar arms
     ref = np.array([normalized_manipulability(model, t) for t in thetas])
-    np.testing.assert_array_equal(normalized_manipulability_lanes(model, thetas), ref)
-    out = normalized_manipulability_lanes(model, np.zeros((0, model.dof)))
+    np.testing.assert_array_equal(score_lanes(model, thetas, [])[0], ref)
+    out, _ = score_lanes(model, np.zeros((0, model.dof)), [])
     assert out.shape == (0,)
 
 
@@ -303,6 +308,14 @@ def test_ik_unreachable():
     m = planar_rr()
     target = DualQuaternion.from_translation([2.05, 0, 0])
     assert ik(m, target, rng=np.random.default_rng(0), restarts=10, max_iters=100) is None
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-4, np.nan])
+@pytest.mark.parametrize("name", ["tol_pos", "tol_rot"])
+def test_ik_refuses_a_tolerance_that_is_not_positive(name, value):
+    m = planar_3r()
+    with pytest.raises(ValueError, match="positive"):
+        ik(m, fk(m, m.home), **{name: value})
 
 
 def test_ik_roundtrip_500_targets():

@@ -74,7 +74,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == set(UNUSED_IMPORTS_KEPT)
 
 
-# public top-level functions and classes that nothing in src/ references:
+# public top-level functions, classes and constants, and public methods and
+# properties (``Class.method``), that nothing in src/ references:
 # (module, name) -> why they stay.  The list may only shrink: a name leaves it
 # when a stage of the pipeline calls it, or when it is deleted.
 BENCHMARK_NAMES = "imported or traced by perfbench/, which composes the stages (ROADMAP item 14)"
@@ -83,6 +84,7 @@ FILE_IO = "artifact file I/O, kept for the CLI stages (ROADMAP items 1 and 10)"
 UNREFERENCED_KEPT = {
     **{name: BENCHMARK_NAMES for name in [
         ("drl_planner", "plan_drl"), ("drl_planner", "train_drl"),
+        ("feasibility", "FeasibilityMap.all_cells"), ("feasibility", "FeasibilityMap.lookup"),
         ("feasibility", "build_map"), ("feasibility", "classify_trajectory"),
         ("feasibility", "fea"), ("geometry", "point_box_distance"),
         ("geometry", "ray_bundle"), ("hrl_planner", "exhaustive_plan"),
@@ -95,10 +97,8 @@ UNREFERENCED_KEPT = {
         ("switch_agent", "lfd_joint_candidates"), ("switch_agent", "policy_switches"),
         ("switch_agent", "train_switch"), ("workcell", "count_path_collisions")]},
     **{name: TEST_ONLY for name in [
-        ("dualquat", "quat_rotate"),
-        ("kinematics", "normalized_manipulability_lanes"), ("kinematics", "planar_rr"),
-        ("kinematics", "pose_error"), ("switch_agent", "brute_force_switches"),
-        ("workcell", "bench")]},
+        ("feasibility", "FeasibilityMap.cell_index"), ("kinematics", "planar_rr"),
+        ("switch_agent", "brute_force_switches"), ("workcell", "bench")]},
     **{name: FILE_IO for name in [
         ("drl_planner", "load_segments"), ("drl_planner", "save_segments"),
         ("dualquat", "load_poses"), ("dualquat", "save_poses"),
@@ -109,6 +109,8 @@ UNREFERENCED_KEPT = {
         ("scenarios", "write_scene"), ("task", "load_task"),
         ("trajectory", "load_joint_trajectory"), ("trajectory", "save_joint_trajectory"),
         ("workcell", "load_workcell")]},
+    ("scenarios", "SCENES"): "the scene table of the CLI (ROADMAP item 1)",
+    ("switch_agent", "ACT_KEEP"): "the switching agent's other action, beside ACT_SWITCH",
 }
 
 
@@ -118,19 +120,39 @@ def referenced_names(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def public_definitions(tree):
+    """(name, node) of each public top-level function, class and constant of a
+    module, and of each public method and property of its classes, named
+    ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((name.id, node) for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+
 def unreferenced_public_names(package):
-    """(module, name) of each public top-level function or class that no
-    module of ``package`` references outside its own definition; the names
-    the package's ``__init__`` imports are its public API and count as
-    referenced."""
+    """(module, name) of each public definition (``public_definitions``) that
+    no module of ``package`` references outside the definition itself; the
+    names the package's ``__init__`` imports are its public API and count as
+    referenced.  A method counts as referenced when any attribute of its
+    name is taken."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     total = sum((referenced_names(tree) for tree in trees.values()), Counter())
     total.update(alias.asname or alias.name for node in ast.walk(trees["__init__"])
                  if isinstance(node, ast.ImportFrom) for alias in node.names)
-    return {(module, node.name) for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and total[node.name] == referenced_names(node)[node.name]}
+    found = set()
+    for module, tree in trees.items():
+        for qualified, node in public_definitions(tree):
+            name = qualified.rpartition(".")[2]
+            if not name.startswith("_") and total[name] == referenced_names(node)[name]:
+                found.add((module, qualified))
+    return found
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -148,5 +170,5 @@ def test_benchmark_names_kept_are_used_by_the_benchmark():
         used |= {part for node in ast.walk(tree)
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
                  for part in node.value.split(".")}
-    assert {name for (_, name), why in UNREFERENCED_KEPT.items()
+    assert {name.rpartition(".")[2] for (_, name), why in UNREFERENCED_KEPT.items()
             if why == BENCHMARK_NAMES} <= used

@@ -94,7 +94,7 @@ def test_gradient_clipping_bounds_norm():
 
 def test_parameters_are_views_of_one_flat_vector_in_order():
     pol = GaussianPolicy(5, 3, hidden=(4, 6), rng=np.random.default_rng(0), log_std=-0.7)
-    params = pol.parameters()
+    params = pol.net.params
     assert [p.shape for p in params] == [(4, 5), (6, 4), (3, 6), (4,), (6,), (3,), (3,)]
     assert all(np.shares_memory(p, pol.net.flat) for p in params)
     np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params]), pol.net.flat)
@@ -142,7 +142,7 @@ def drl_policy_layout(rng):
     """The DRL policy's parameter tensors (70 -> 64 -> 64 -> 3 and log_std):
     as one flat vector, its spans, and per-tensor copies."""
     pol = GaussianPolicy(70, 3, rng=rng)
-    return pol.net.flat, pol.net.spans, [p.copy() for p in pol.parameters()]
+    return pol.net.flat, pol.net.spans, [p.copy() for p in pol.net.params]
 
 
 def test_adam_on_the_flat_vector_equals_the_per_tensor_oracle():
@@ -298,14 +298,14 @@ def test_ppo_zero_advantage_leaves_policy_unchanged():
     rng = np.random.default_rng(7)
     pol = CategoricalPolicy(2, 2, rng=rng)
     val = ValueNet(2, rng=rng)
-    before = [p.copy() for p in pol.parameters()]
+    before = [p.copy() for p in pol.net.params]
     batch = bandit_batch(pol, rng, T=32, reward_fn=lambda a: 1.0)
     # constant reward on a one-step bandit: all advantages equal, so the
     # normalized advantage is exactly zero everywhere
     cfg = PpoConfig(learning_rate=1e-2, minibatch_size=32, num_steps=32,
                     epochs_per_batch=3)
     ppo_update(pol, val, batch, cfg, np.random.default_rng(0))
-    for b, a in zip(before, pol.parameters()):
+    for b, a in zip(before, pol.net.params):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -320,7 +320,7 @@ def test_ppo_unclipped_single_epoch_equals_vanilla_pg():
 
     values = val.values(batch.obs)
     adv, rets = compute_gae(batch.rewards, values, batch.dones,
-                            val.value(batch.last_obs), 0.99, 0.95)
+                            val.values(batch.last_obs)[0], 0.99, 0.95)
     nadv = (adv - adv.mean()) / adv.std()
 
     def surrogate_loss():
@@ -331,7 +331,7 @@ def test_ppo_unclipped_single_epoch_equals_vanilla_pg():
     # finite-difference gradient of the unclipped surrogate
     fd_grads = []
     h = 1e-6
-    for p in pol.parameters():
+    for p in pol.net.params:
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -346,14 +346,14 @@ def test_ppo_unclipped_single_epoch_equals_vanilla_pg():
         fd_grads.append(g)
 
     # oracle Adam step (fresh optimizer state, lr matching the config)
-    expected = [p.copy() for p in pol.parameters()]
+    expected = [p.copy() for p in pol.net.params]
     oracle = ref.Adam(expected, lr=1e-3)
     oracle.step(expected, fd_grads)
 
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=16, num_steps=16,
                     epochs_per_batch=1, clip_eps=1e9, max_grad_norm=1e9)
     ppo_update(pol, val, batch, cfg, np.random.default_rng(0))
-    for got, want in zip(pol.parameters(), expected):
+    for got, want in zip(pol.net.params, expected):
         np.testing.assert_allclose(got, want, atol=1e-6)
 
 
@@ -389,7 +389,7 @@ def test_ppo_seed_determinism():
             rews = -np.sum(acts * acts, axis=1)
             batch = RolloutBatch(obs, acts, logps, rews, np.ones(16), obs[-1])
             ppo_update(pol, val, batch, cfg, rng)
-        results.append([p.copy() for p in pol.parameters()])
+        results.append([p.copy() for p in pol.net.params])
     for a, b in zip(*results):
         np.testing.assert_array_equal(a, b)
 
@@ -408,7 +408,7 @@ def test_ppo_one_lane_batch_equals_the_one_environment_batch():
         cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, num_steps=16,
                         epochs_per_batch=2)
         ppo_update(pol, val, RolloutBatch(*arrays), cfg, rng)
-        return pol.parameters() + val.parameters()
+        return pol.net.params + val.net.params
 
     for a, b in zip(update(False), update(True)):
         np.testing.assert_array_equal(a, b)
@@ -418,13 +418,13 @@ def test_ppo_nan_reward_aborts_and_restores():
     rng = np.random.default_rng(11)
     pol = CategoricalPolicy(2, 2, rng=rng)
     val = ValueNet(2, rng=rng)
-    before = [p.copy() for p in pol.parameters()]
+    before = [p.copy() for p in pol.net.params]
     batch = bandit_batch(pol, rng, T=8, reward_fn=lambda a: np.nan)
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, num_steps=8,
                     epochs_per_batch=1)
     stats = ppo_update(pol, val, batch, cfg, rng)
     assert stats["aborted"]
-    for b, a in zip(before, pol.parameters()):
+    for b, a in zip(before, pol.net.params):
         np.testing.assert_array_equal(a, b)
 
 
@@ -459,7 +459,7 @@ def test_ppo_grad_norms_are_the_mean_pre_clip_norms_over_minibatches():
     cfg = PpoConfig(learning_rate=0.0, minibatch_size=mb, num_steps=T, epochs_per_batch=1,
                     clip_eps=1e9, max_grad_norm=1e-3)
     adv, ret = compute_gae(batch.rewards, val.values(batch.obs), batch.dones,
-                           val.value(batch.last_obs), cfg.discount, cfg.gae_lambda)
+                           val.values(batch.last_obs)[0], cfg.discount, cfg.gae_lambda)
     nadv = (adv - adv.mean()) / adv.std()
     order = np.random.default_rng(5).permutation(T)
     want_pol, want_val = [], []
@@ -526,6 +526,14 @@ def test_ppo_config_validation():
         PpoConfig(minibatch_size=128, num_steps=64)
 
 
+@pytest.mark.parametrize("field", ["clip_eps", "discount"])
+def test_ppo_config_refuses_nan(field):
+    # a NaN clip range made every update's loss NaN, so each ppo_update
+    # aborted and training silently left the nets as they were
+    with pytest.raises(ValueError):
+        PpoConfig(**{field: float("nan")})
+
+
 # ------------------------------------------------------------------ #
 # Checkpoints
 # ------------------------------------------------------------------ #
@@ -540,7 +548,7 @@ def test_checkpoint_roundtrip_gaussian(tmp_path):
     assert isinstance(pol2, GaussianPolicy)
     obs = rng.normal(size=5)
     np.testing.assert_array_equal(pol2.mean_action(obs), pol.mean_action(obs))
-    assert val2.value(obs) == val.value(obs)
+    assert val2.values(obs)[0] == val.values(obs)[0]
     assert pol2.net.flat.tobytes() == pol.net.flat.tobytes()
     assert val2.net.flat.tobytes() == val.net.flat.tobytes()
 
@@ -711,8 +719,8 @@ PINNED_NUMPY = "2.4.6"
 
 
 def test_hybrid_trained_weights_are_pinned_per_seed(workloads, hybrid_workloads, monkeypatch):
-    def digest(net):
-        flat = np.concatenate([np.ravel(p) for p in net.parameters()])
+    def digest(head):
+        flat = np.concatenate([np.ravel(p) for p in head.net.params])
         return hashlib.sha256(flat.astype("<f8").tobytes()).hexdigest()
 
     for wl in hybrid_workloads:

@@ -39,7 +39,7 @@ def test_configs_and_stations_lie_in_the_cell_box(scene):
 
 def test_no_library_skill_is_constant(scene):
     lib = scene["library"]
-    assert not [sid for sid in lib.ids() if lib[sid].is_constant()]
+    assert not [sid for sid in lib.ids() if lib[sid].params is None]
 
 
 def test_write_scene_round_trip(scene, tmp_path):

@@ -33,8 +33,8 @@ from hybridplan.switch_agent import (
 from hybridplan.scenarios import line_library, planar_pose, wall_slot
 from hybridplan.task import Task
 from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory
-from hybridplan.workcell import (COLLISION_RES_DEG, SuccessCriteria, Workcell, _checked_configs,
-                                 count_path_collisions, execute)
+from hybridplan.workcell import (COLLISION_RES_DEG, SMOOTH_BOUND_DEG, SuccessCriteria, Workcell,
+                                 _checked_configs, count_path_collisions, execute)
 from test_geometry import mini7_scene, mini7_with_capsules
 
 
@@ -208,6 +208,23 @@ def test_assemble_length_is_the_sum_of_its_parts():
     assert len(assemble(cands, [], [], model, [POST], cfg)) == len(cands)
 
 
+def test_a_densified_held_trajectory_never_drops_the_payload():
+    # densify's smoothness bound is execute's payload-drop bound
+    model = planar_3r()
+    cfg = SwitchConfig(window=2, blend_points=4)
+    assert cfg.smooth_bound_deg == SMOOTH_BOUND_DEG
+    cands, band = band_scene(model, cfg)
+    traj = assemble(cands, [band], [(band.entry.lo, band.exit.hi)], model, [POST], cfg)
+    task = Task("held", [fk(model, traj.points[0]), fk(model, traj.points[-1])],
+                hold=[True, True])
+    cell = Workcell("held", [-1.3, -1.3, -0.1], [1.3, 1.3, 0.1], [POST])
+    tight = SuccessCriteria(pos_tol=1e-6, rot_tol=1e-6)
+    assert execute(traj, model, cell, tight, task).dropped       # the ramp steps 4.6 degrees
+    report = execute(densify(traj, model, [POST], cfg.smooth_bound_deg), model, cell, tight, task)
+    assert report.config_hits[0] == 0 and report.config_hits[1] is not None
+    assert not report.dropped
+
+
 def test_brute_force_switches_never_lose_to_the_heuristic():
     model = planar_3r()
     for window in (1, 2, 3):
@@ -251,7 +268,7 @@ def test_policy_switches_first_flip_fixes_the_handover():
 
 def train_switch_weights(scenarios, model, cfg):
     pol, val, _ = train_switch(scenarios, model, [POST], cfg, seed=3, batches=2)
-    return np.concatenate([np.ravel(a) for a in pol.parameters() + val.parameters()])
+    return np.concatenate([np.ravel(a) for a in pol.net.params + val.net.params])
 
 
 def test_train_switch_memoised_blends_leave_the_weights_unchanged(monkeypatch):

@@ -43,6 +43,15 @@ def ramp(a, b, n):
 # ------------------------------------------------------------------ #
 # execute
 # ------------------------------------------------------------------ #
+@pytest.mark.parametrize("value", [0.0, -0.01, np.nan])
+@pytest.mark.parametrize("name", ["pos_tol", "rot_tol"])
+def test_success_criteria_refuse_a_tolerance_that_is_not_positive(name, value):
+    # with a NaN position tolerance execute ignored position: a trajectory
+    # parked at the first configuration hit every configuration of equal yaw
+    with pytest.raises(ValueError, match="positive"):
+        SuccessCriteria(**{name: value})
+
+
 def test_execute_hits_configs_in_order_and_scores_the_path():
     model = planar_3r()
     pts = ramp([1.2, 0.3, 0.2], [0.6, 0.3, 0.2], 40)
