@@ -2,9 +2,10 @@
 
 Trains on the infeasible bracket pairs harvested from task-space plans and
 bridges each gap with a joint trajectory.  Actions are per-joint increment
-commands in [-1, 1]; the reward blends goal distance with a graded
-feasibility term (normalized manipulability when collision-free, a fixed
-penalty otherwise).
+commands in [-1, 1].  At goal distance d a step earns 0.1 inside the target
+ball (d < ``target_radius``; the episode ends), else man' - ``man_baseline`` - d
+when collision-free (man' the normalized manipulability) and -1 - d in
+collision.  ``plan_drl`` starts from the witness ``theta0`` its caller gives.
 
 ``DrlEnv`` steps N independent episodes as lanes: an (N, dof) array of
 joint vectors, one per episode.  A step walks the kinematic chain once
@@ -75,15 +76,12 @@ class DrlEnvConfig:
     # configuration instead of a bracket start; narrow passages are rarely
     # crossed by on-policy exploration alone
     explore_start_prob: ClassVar[float] = 0.5
+    collision_penalty: ClassVar[float] = -1.0
     target_radius: float = 0.25      # meters; the paper's training tolerance
     episode_budget: int = 300
-    collision_penalty: float = -1.0
-    # the manipulability term enters as fea_weight * (man' - man_baseline)
-    # while the collision penalty stays at full strength.  With the defaults
-    # the graded term is man' itself; benchmark scenes use baseline 1 so the
-    # term is a shortfall penalty, otherwise hovering just outside the target
-    # ball can out-pay terminating (recorded in run metadata)
-    fea_weight: float = 1.0
+    # the manipulability term is man' - man_baseline: man' itself by default;
+    # benchmark scenes use baseline 1, a shortfall penalty, since otherwise
+    # hovering just outside the target ball can out-pay terminating
     man_baseline: float = 0.0
 
 
@@ -99,7 +97,7 @@ def drl_reward(cfg: DrlEnvConfig, distance, col, man):
     feasibility minus distance (``man`` is read only where collision-free)."""
     reached = distance < cfg.target_radius
     outside = np.where(col, cfg.collision_penalty - distance,
-                       cfg.fea_weight * (man - cfg.man_baseline) - distance)
+                       man - cfg.man_baseline - distance)
     return np.where(reached, 0.1, outside), reached
 
 
@@ -266,8 +264,7 @@ def _prepare_pairs(pairs, model, obstacles, rng, witnesses=None):
 
 
 def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
-              seed=0, batches=40, hidden=(64, 64), start_witnesses=None,
-              start_pool=None):
+              seed=0, batches=40, start_witnesses=None, start_pool=None):
     """PPO over episodes whose start/goal are sampled from the bracket set.
 
     Each batch of ``ppo_cfg.num_steps`` steps (a multiple of
@@ -294,8 +291,8 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
 
     lanes = ROLLOUT_LANES
     env = DrlEnv(model, obstacles, env_cfg, lanes)
-    policy = GaussianPolicy(state_dim(model.dof), model.dof, hidden, rng)
-    value_net = ValueNet(state_dim(model.dof), hidden, rng)
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=rng)
+    value_net = ValueNet(state_dim(model.dof), rng=rng)
 
     lo, hi = model.limits_lo, model.limits_hi
     pool = np.asarray([] if start_pool is None else start_pool, dtype=float)
@@ -351,21 +348,16 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
 # ------------------------------------------------------------------ #
 # Online bridging
 # ------------------------------------------------------------------ #
-def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, seed=0,
-             theta0=None) -> JointTrajectory:
-    """Bridge one infeasible gap; returns the annotated joint trajectory.
-
-    The start pose must have an IK witness (it bracketed a feasible segment).
-    Budget exhaustion returns the best-effort trajectory with success=False.
-    The policy acts through the environment's transition alone; the rows'
-    collision verdicts and manipulability come from one ``score_lanes`` call.
+def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, *,
+             theta0) -> JointTrajectory:
+    """Bridge one infeasible gap from ``theta0``, the witness of its start
+    pose (``start`` is not read), with mean actions; returns the annotated
+    joint trajectory.  Budget exhaustion returns the best-effort trajectory
+    with success=False.  The policy acts through the environment's transition
+    alone; the rows' collision verdicts and manipulability come from one
+    ``score_lanes`` call.
     """
     env_cfg = env_cfg or DrlEnvConfig()
-    rng = np.random.default_rng(seed)
-    if theta0 is None:
-        theta0 = ik_free(model, start, obstacles, rng)
-        if theta0 is None:
-            raise ValueError("start pose has no IK witness")
     env = DrlEnv(model, obstacles, env_cfg)
     goal_pos = dq_translation(dq_to_lanes(goal))
     obs = env.reset(theta0, goal_pos)[0]

@@ -196,9 +196,6 @@ class DualQuaternion:
         return max(abs(np.linalg.norm(self.real) - 1.0),
                    abs(float(np.dot(self.real, self.dual))))
 
-    def __mul__(self, other: "DualQuaternion") -> "DualQuaternion":
-        return dq_mul(self, other)
-
     def __neg__(self) -> "DualQuaternion":
         return DualQuaternion(-self.real, -self.dual)
 

@@ -66,25 +66,22 @@ class FeaResult:
     witness: np.ndarray | None = None
 
 
-def fea(pose, model: RobotModel, obstacles, eps_m=0.1,
-        ik_budget=20, rng=None, tol_pos=1e-3, tol_rot=1e-2, max_iters=FEA_MAX_ITERS,
-        extra_seeds=()) -> FeaResult:
+def fea(pose, model: RobotModel, obstacles, eps_m=0.1, ik_budget=20, *, rng,
+        tol_pos=1e-3, tol_rot=1e-2, extra_seeds=()) -> FeaResult:
     """Feasibility of one end-effector pose.
 
-    Runs one IK descent per seed: every caller-provided seed, then the home
-    configuration, then random seeds from ``rng`` until ``ik_budget`` seeds
-    are reached.  Caller seeds are all tried, even past ``ik_budget``.
+    Runs one IK descent (``FEA_MAX_ITERS`` steps) per seed: every caller
+    seed, then the home configuration, then random seeds from ``rng`` up to
+    ``ik_budget`` seeds.  Caller seeds are all tried, even past ``ik_budget``.
     Existential over witnesses: the first witness in seed order that is
     reachable, collision-free, and above the manipulability threshold
     decides feasibility; otherwise the reason reports the first criterion
     that every witness failed, checked in the order reachability, collision,
     manipulability.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
     reasons, man, witnesses = _fea_batch(dq_to_lanes(pose).reshape(1, 8), [seeds], model,
-                                         obstacles, eps_m, tol_pos, tol_rot, max_iters)
+                                         obstacles, eps_m, tol_pos, tol_rot)
     reason = int(reasons[0])
     return FeaResult(reason == OK, float(man[0]), reason,
                      None if reason == UNREACHABLE else witnesses[0])
@@ -125,7 +122,7 @@ def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> np.ndarray:
 
 
 def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
-               tol_rot, max_iters) -> tuple:
+               tol_rot) -> tuple:
     """``fea`` of (P, 8) pose lanes as (reasons, man', witnesses) arrays, the
     witnesses (P, dof) with NaN rows where none was reached.
 
@@ -135,7 +132,7 @@ def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
     best free witness, else its best witness (first maximum of man' wins)."""
     counts = [len(seeds) for seeds in seed_lists]
     sols = ik_descend(model, np.repeat(lanes, counts, axis=0), np.concatenate(seed_lists),
-                      tol_pos, tol_rot, max_iters)
+                      tol_pos, tol_rot, FEA_MAX_ITERS)
     reached = ~np.isnan(sols[:, 0])
     man, col = np.zeros(len(sols)), np.ones(len(sols), dtype=np.uint8)
     man[reached], col[reached] = score_lanes(model, sols[reached], obstacles)
@@ -177,9 +174,6 @@ class FeasibilityMap:
     def n_cells(self) -> int:
         nx, ny, nz = self.voxel_counts
         return nx * ny * nz * self.n_orient
-
-    def cell_index(self, vox, ori) -> int:
-        return int(np.ravel_multi_index((*vox, *ori), self.voxel_counts + self.orient_counts))
 
     def voxel_center(self, vox) -> np.ndarray:
         return self.box_lo + (np.asarray(vox) + 0.5) * self.voxel_size
@@ -244,7 +238,7 @@ def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices,
                       np.random.SeedSequence(seed, spawn_key=(i, spawn_salt))))
                   for i in indices]
     return _fea_batch(_cell_lanes(fmap, digits), seed_lists, model, obstacles, eps_m, half_pos,
-                      half_rot, FEA_MAX_ITERS)
+                      half_rot)
 
 
 def _cell_lanes(fmap: FeasibilityMap, digits) -> np.ndarray:
@@ -308,10 +302,7 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
         raise ValueError("empty tessellation")
     if orient_counts[1] > 1 and theta_max > np.pi / 2:
         raise ValueError(f"{orient_counts[1]} pitch bins need theta_max <= pi/2, not {theta_max}")
-    n_orient = int(np.prod(orient_counts))
-    n_cells = int(np.prod(counts)) * n_orient
-    if n_cells == 0:
-        raise ValueError("empty tessellation")
+    n_cells = int(np.prod(counts + orient_counts))
 
     fmap = FeasibilityMap(
         box_lo=lo, box_hi=hi, voxel_size=float(voxel_size),

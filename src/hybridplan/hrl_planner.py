@@ -4,8 +4,9 @@ and library skills.
 The task controller values contiguous segments of the remaining critical
 configurations; the motion controller values which demonstrated skill realizes
 the chosen segment.  The motion controller's reward compares the skill's
-feature sequence with the segment's; any per-term distance beyond the
-tolerance yields a sentinel treated as minus infinity.
+feature sequence with the segment's; any per-term distance beyond the fixed
+tolerance ``lfd.DELTA_BETA`` yields a sentinel treated as minus infinity.  The
+task controller's target is undiscounted (gamma = 1).
 
 A ``train_hrl`` or ``exhaustive_plan`` call scores segments through one
 scorer that lives for that call only.  It keys a segment by the exact bytes
@@ -26,7 +27,7 @@ The plan's poses are those (N, 8) lanes; no pose object is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,26 +54,25 @@ CURVE_FLOOR = -100.0     # training-curve display clamp for sentinel episodes
 # ------------------------------------------------------------------ #
 # Rewards
 # ------------------------------------------------------------------ #
-def _reward(skill: Demonstration, segment_features, delta_beta) -> float:
+def _reward(skill: Demonstration, segment_features) -> float:
     terms = chordal_distance(skill.resampled_features(BETA_RESAMPLE), segment_features)
-    if np.any(terms > delta_beta):
+    if np.any(terms > DELTA_BETA):
         return SENTINEL
     return float(-np.sum(terms))
 
 
-def intrinsic_reward(skill: Demonstration, segment_poses, delta_beta=DELTA_BETA) -> float:
+def intrinsic_reward(skill: Demonstration, segment_poses) -> float:
     """Negated sum of the per-index chordal distances between the skill's and
     the segment's features, each resampled to ``BETA_RESAMPLE`` entries by arc
-    length, or the sentinel when any distance exceeds ``delta_beta``.  The
+    length, or the sentinel when any distance exceeds ``DELTA_BETA``.  The
     segment is given as poses or lanes and needs at least 2 poses; the
     skill's resampled features are cached on the skill."""
     if len(segment_poses) < 2:
         raise ValueError("segment needs at least 2 poses")
-    return _reward(skill, resample(extract_features(segment_poses), BETA_RESAMPLE),
-                   delta_beta)
+    return _reward(skill, resample(extract_features(segment_poses), BETA_RESAMPLE))
 
 
-def _segment_scorer(library: SkillLibrary, delta_beta):
+def _segment_scorer(library: SkillLibrary):
     """``intrinsic_reward`` as ``score(skill_id, segment_lanes)``, cached for
     the life of the returned function (see the module docstring)."""
     features, rewards = {}, {}
@@ -82,7 +82,7 @@ def _segment_scorer(library: SkillLibrary, delta_beta):
         if (skill_id, seg) not in rewards:
             if seg not in features:
                 features[seg] = resample(extract_features(lanes), BETA_RESAMPLE)
-            rewards[skill_id, seg] = _reward(library[skill_id], features[seg], delta_beta)
+            rewards[skill_id, seg] = _reward(library[skill_id], features[seg])
         return rewards[skill_id, seg]
 
     return score
@@ -150,13 +150,10 @@ def load_tables(path) -> QTables:
 # ------------------------------------------------------------------ #
 @dataclass
 class HrlConfig:
-    episodes: int = 400
     alpha: float = 0.2               # tabular learning rate
-    gamma: float = 1.0               # undiscounted segment sum
     eps_start: float = 0.95
     eps_end: float = 0.05
     eps_decay: float = 2000.0
-    delta_beta: float = DELTA_BETA
     jitter_pos: tuple = (0.02, 0.02, 0.0)   # per-axis task jitter, meters
     jitter_rot: float = np.radians(5.0)     # yaw jitter, radians
 
@@ -201,33 +198,30 @@ def candidate_segments(tk_index: int, n_configs: int) -> list:
     return [(tk_index, k) for k in range(tk_index + 1, n_configs)]
 
 
-def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
+def train_hrl(tasks, library: SkillLibrary, episodes=400, config=None,
               seed=0, fmap=None):
-    """Epsilon-greedy two-level Q-learning over a task set.
+    """Epsilon-greedy two-level Q-learning over a task set for ``episodes`` episodes.
 
-    The task controller values segment choices with a bootstrapped update on
-    the intrinsic reward; the motion controller is a per-segment bandit over
-    skills.  ``episodes``, when given, overrides ``config.episodes`` for this
-    call only; ``config`` is not modified.  Deterministic for a given seed.
+    The task controller values segment choices with an undiscounted
+    bootstrapped update on the intrinsic reward; the motion controller is a
+    per-segment bandit over skills.  Deterministic for a given seed.
     """
     if not tasks:
         raise ValueError("empty task set")
     if len(library) == 0:
         raise ValueError("empty skill library")
-    cfg = config or HrlConfig()
-    if episodes is not None:
-        cfg = replace(cfg, episodes=episodes)
-    if cfg.episodes < 1:
+    if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    cfg = config or HrlConfig()
     rng = np.random.default_rng(seed)
     tables = QTables()
     skill_ids = library.ids()
-    score = _segment_scorer(library, cfg.delta_beta)
+    score = _segment_scorer(library)
     task_lanes = [dq_to_lanes(t.configs) for t in tasks]
     # the state keys read the un-jittered configurations
     task_cells = _config_cells(task_lanes, fmap)
 
-    for ep in range(cfg.episodes):
+    for ep in range(episodes):
         k = int(rng.integers(len(tasks)))
         configs, cells = _jitter_lanes(task_lanes[k], cfg, rng), task_cells[k]
         eps = cfg.epsilon(ep)
@@ -268,7 +262,7 @@ def train_hrl(tasks, library: SkillLibrary, episodes=None, config=None,
                          for sk in skill_ids)
             tk = (state, seg)
             q_old = tables.task_q.get(tk, 0.0)
-            target = r_best + cfg.gamma * bootstrap
+            target = r_best + bootstrap
             tables.task_q[tk] = q_old + cfg.alpha * (target - q_old)
             idx = next_idx
         total = extrinsic_reward(history)
@@ -328,13 +322,13 @@ def plan_lfd(task: Task, library: SkillLibrary, tables: QTables, fmap=None,
     return {"poses": lanes, "segments": chosen, "ranges": ranges}
 
 
-def exhaustive_plan(task: Task, library: SkillLibrary, delta_beta=DELTA_BETA):
+def exhaustive_plan(task: Task, library: SkillLibrary):
     """Brute-force optimal total intrinsic reward over all contiguous
     segmentations and skill assignments (test oracle for small instances)."""
     lanes = dq_to_lanes(task.configs)
     n = len(lanes)
     skill_ids = library.ids()
-    score = _segment_scorer(library, delta_beta)
+    score = _segment_scorer(library)
     best = {n - 1: (0.0, [])}
 
     def solve(i):

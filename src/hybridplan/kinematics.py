@@ -578,15 +578,15 @@ def robot_hash(model: RobotModel) -> str:
 # ------------------------------------------------------------------ #
 # Stock test models
 # ------------------------------------------------------------------ #
-def planar_rr(l1=1.0, l2=1.0, radius=0.05, limits_deg=(-175.0, 175.0)) -> RobotModel:
-    """Planar 2R arm in the z = 0 plane; task space (x, y)."""
+def planar_rr(radius=0.05) -> RobotModel:
+    """Planar 2R arm of 1 m links, joints within +-175 deg, in the z = 0 plane."""
     z = np.array([0.0, 0.0, 1.0])
-    lim = (np.radians(limits_deg[0]), np.radians(limits_deg[1]))
+    lim = (np.radians(-175.0), np.radians(175.0))
     joints = [
         (z, DualQuaternion.identity(), lim),
-        (z, DualQuaternion.from_translation([l1, 0, 0]), lim),
+        (z, DualQuaternion.from_translation([1.0, 0, 0]), lim),
     ]
-    tool = DualQuaternion.from_translation([l2, 0, 0])
+    tool = DualQuaternion.from_translation([1.0, 0, 0])
     caps = [LinkCapsule(1, 2, radius), LinkCapsule(2, 3, radius)]
     return make_robot("planar_rr", joints, tool, caps, home=[0.0, np.pi / 2], task="planar")
 

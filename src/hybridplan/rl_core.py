@@ -1,6 +1,7 @@
 """Minimal policy-optimization engine: a feed-forward network with exact
 backpropagation, Gaussian and categorical policy heads, generalized advantage
-estimation, and the clipped-surrogate policy update.
+estimation, and the clipped-surrogate policy update: the loss is the negated
+surrogate plus ``PpoConfig.vf_coef`` times the value MSE, with no entropy term.
 
 Flat layout: a network's parameters live in one contiguous float64 vector,
 ``Mlp.flat``, in ``Mlp.params`` order: each layer's weights, each layer's
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -179,25 +181,19 @@ class GaussianPolicy:
             - 0.5 * self.act_dim * np.log(2 * np.pi)
 
     def evaluate(self, obs_batch, act_batch):
-        """Batch log-probs and entropy; caches for backward_logp."""
+        """Batch log-probs; caches for backward_logp."""
         mean = self.net.forward(obs_batch)
-        logp = self._log_probs(mean, act_batch)
-        entropy = float(np.sum(self.log_std) + 0.5 * self.act_dim * (1 + np.log(2 * np.pi)))
         self._eval_cache = (mean, act_batch, np.exp(self.log_std))
-        return logp, np.full(len(logp), entropy)
+        return self._log_probs(mean, act_batch)
 
-    def backward_logp(self, d_logp, d_entropy=None):
-        """The flat gradient of sum(d_logp * logp) + sum(d_entropy * entropy)."""
+    def backward_logp(self, d_logp):
+        """The flat gradient of sum(d_logp * logp)."""
         mean, act, std = self._eval_cache
         diff = (act - mean) / (std * std)
         d_mean = d_logp[:, None] * diff              # dlogp/dmean = (a - mean)/std^2
         grad = self.net.backward(d_mean)
         z2 = ((act - mean) / std) ** 2
-        d_log_std = self.net.grads[-1]
-        np.sum(d_logp[:, None] * (z2 - 1.0), axis=0, out=d_log_std)
-        if d_entropy is not None:
-            # entropy = sum(log_std) + const, so dEntropy/dlog_std = 1 per dim
-            d_log_std += float(np.sum(d_entropy))
+        np.sum(d_logp[:, None] * (z2 - 1.0), axis=0, out=self.net.grads[-1])    # d log_std
         return grad
 
 
@@ -223,27 +219,20 @@ class CategoricalPolicy:
         return int(np.argmax(self.distribution(obs)))
 
     def evaluate(self, obs_batch, act_batch):
+        """Batch log-probs; caches for backward_logp."""
         logits = self.net.forward(obs_batch)
         shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-        logp_all = shifted - logz
-        p = np.exp(logp_all)
-        idx = np.arange(len(act_batch))
-        logp = logp_all[idx, act_batch.astype(int)]
-        entropy = -np.sum(p * logp_all, axis=1)
-        self._eval_cache = (p, act_batch.astype(int), entropy)
-        return logp, entropy
+        logp_all = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        acts = act_batch.astype(int)
+        self._eval_cache = (np.exp(logp_all), acts)
+        return logp_all[np.arange(len(acts)), acts]
 
-    def backward_logp(self, d_logp, d_entropy=None):
-        """The flat gradient of sum(d_logp * logp) + sum(d_entropy * entropy)."""
-        p, acts, entropy = self._eval_cache
+    def backward_logp(self, d_logp):
+        """The flat gradient of sum(d_logp * logp)."""
+        p, acts = self._eval_cache
         onehot = np.zeros_like(p)
         onehot[np.arange(len(acts)), acts] = 1.0
-        d_logits = d_logp[:, None] * (onehot - p)
-        if d_entropy is not None:
-            dH = -p * (np.log(np.clip(p, 1e-12, None)) + entropy[:, None])
-            d_logits += d_entropy[:, None] * dH
-        return self.net.backward(d_logits)
+        return self.net.backward(d_logp[:, None] * (onehot - p))
 
 
 class ValueNet:
@@ -263,22 +252,28 @@ class ValueNet:
 # ------------------------------------------------------------------ #
 @dataclass
 class PpoConfig:
+    vf_coef: ClassVar[float] = 0.5          # value-loss weight
+    gae_lambda: ClassVar[float] = 0.95
     learning_rate: float = 3e-4
     discount: float = 0.99
     minibatch_size: int = 64
     num_steps: int = 2048
-    entropy_coef: float = 0.0
-    vf_coef: float = 0.5
     max_grad_norm: float = 0.5
     clip_eps: float = 0.2
-    gae_lambda: float = 0.95
     epochs_per_batch: int = 10
 
     def __post_init__(self):
+        # each comparison is written so that NaN fails it too
+        if not self.learning_rate >= 0:
+            raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if not self.clip_eps > 0:         # NaN fails too
-            raise ValueError("clip_eps must be positive")
+        for name in ("max_grad_norm", "clip_eps"):     # a NaN bound would turn the clip off
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("minibatch_size", "num_steps", "epochs_per_batch"):
+            if not getattr(self, name) >= 1:      # 0 epochs would make updates no-ops
+                raise ValueError(f"{name} must be at least 1")
         if self.minibatch_size > self.num_steps:
             raise ValueError("minibatch_size must not exceed num_steps")
 
@@ -357,7 +352,7 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
             ret_mb = returns[idx]
             old_mb = log_probs[idx]
 
-            logp, entropy = policy.evaluate(obs_mb, act_mb)
+            logp = policy.evaluate(obs_mb, act_mb)
             ratio = np.exp(logp - old_mb)
             unclipped = ratio * adv_mb
             clipped = np.clip(ratio, 1 - cfg.clip_eps, 1 + cfg.clip_eps) * adv_mb
@@ -366,12 +361,10 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
             # is the active minimum
             active = unclipped <= clipped
             d_logp_loss = -np.where(active, ratio * adv_mb, 0.0) / len(idx)
-            d_ent_loss = np.full(len(idx), -cfg.entropy_coef / len(idx))
 
             vals = value_net.values(obs_mb)
             v_loss = float(np.mean((vals - ret_mb) ** 2))
-            loss = -float(np.mean(surrogate)) + cfg.vf_coef * v_loss \
-                - cfg.entropy_coef * float(np.mean(entropy))
+            loss = -float(np.mean(surrogate)) + cfg.vf_coef * v_loss
             if not np.isfinite(loss):
                 for (net, opt), (flat, moments, t) in zip(nets, snapshot):
                     net.flat[...] = flat
@@ -382,7 +375,7 @@ def ppo_update(policy, value_net, batch: RolloutBatch, cfg: PpoConfig, rng):
                         "value_loss": v_loss, "aborted": True,
                         "policy_grad_norm": 0.0, "value_grad_norm": 0.0}
 
-            grads = (policy.backward_logp(d_logp_loss, d_ent_loss),
+            grads = (policy.backward_logp(d_logp_loss),
                      value_net.backward_mse(vals, ret_mb, cfg.vf_coef))
             norms.append([float(clip_gradients(grad, cfg.max_grad_norm, net.spans))
                           for (net, _), grad in zip(nets, grads)])

@@ -53,7 +53,6 @@ class SwitchConfig:
     window: int = 5                  # K: decision points within +-K of a boundary
     blend_points: int = 10           # max inserted handover points
     blend_step_deg: float = 2.0      # per-step cap inside a blend
-    hidden: tuple = (64, 64)
 
     def obs_dim(self, dof: int) -> int:
         span = 2 * self.window + 1
@@ -62,9 +61,7 @@ class SwitchConfig:
 
 def switch_ppo_config() -> PpoConfig:
     """Discrete-PPO training defaults for the switching agent."""
-    return PpoConfig(learning_rate=1e-3, discount=0.96, minibatch_size=32,
-                     num_steps=200, entropy_coef=0.0, vf_coef=0.5,
-                     max_grad_norm=0.5)
+    return PpoConfig(learning_rate=1e-3, discount=0.96, minibatch_size=32, num_steps=200)
 
 
 def switch_reward(traj: JointTrajectory) -> float:
@@ -346,9 +343,8 @@ def brute_force_switches(band, lfd_cands, model, obstacles, cfg) -> tuple:
     return best[1], best[2]
 
 
-def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
-                 batches=30):
-    """Train the discrete switching policy.
+def train_switch(scenarios, model, obstacles, cfg=None, seed=0, batches=30):
+    """Train the discrete switching policy with ``switch_ppo_config``.
 
     ``scenarios`` is a list of (lfd_cands, bands) pairs prepared from
     training tasks (both upstream planners already trained).  Returns
@@ -359,11 +355,11 @@ def train_switch(scenarios, model, obstacles, cfg=None, ppo_cfg=None, seed=0,
     if not any(bands for _, bands in scenarios):
         raise ValueError("no switching scenario has a band to train on")
     cfg = cfg or SwitchConfig()
-    ppo_cfg = ppo_cfg or switch_ppo_config()
+    ppo_cfg = switch_ppo_config()
     rng = np.random.default_rng(seed)
     dof = scenarios[0][0].points.shape[1]
-    policy = CategoricalPolicy(cfg.obs_dim(dof), 2, cfg.hidden, rng)
-    value_net = ValueNet(cfg.obs_dim(dof), cfg.hidden, rng)
+    policy = CategoricalPolicy(cfg.obs_dim(dof), 2, rng=rng)
+    value_net = ValueNet(cfg.obs_dim(dof), rng=rng)
     span = 2 * cfg.window + 1
     blends = {}                      # (scenario, band) -> that band's handover blends
     curve = []

@@ -185,10 +185,11 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
 # ------------------------------------------------------------------ #
 # Benchmarking
 # ------------------------------------------------------------------ #
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
+def wilson_interval(successes: int, trials: int):
     """Wilson score 95% interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
+    z = 1.96                         # the two-sided 95% normal quantile
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

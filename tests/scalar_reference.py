@@ -195,10 +195,10 @@ def feature_distance_terms(a, b) -> np.ndarray:
     return np.array([chordal_distance(x, y) for x, y in zip(ra, rb)])
 
 
-def intrinsic_reward(skill_poses, segment_poses, delta_beta=DELTA_BETA) -> float:
+def intrinsic_reward(skill_poses, segment_poses) -> float:
     terms = feature_distance_terms(extract_features(list(skill_poses)),
                                    extract_features(list(segment_poses)))
-    if np.any(terms > delta_beta):
+    if np.any(terms > DELTA_BETA):
         return SENTINEL
     return float(-np.sum(terms))
 
@@ -345,7 +345,7 @@ def drl_reward(model, theta, ee_pos, goal_pos, cfg, col) -> tuple:
     if col:
         return cfg.collision_penalty - d, d, False
     grade = normalized_manipulability(model, theta) - cfg.man_baseline
-    return cfg.fea_weight * grade - d, d, False
+    return grade - d, d, False
 
 
 class ScalarDrlEnv:
@@ -631,6 +631,12 @@ def checked_configs(points, res_deg):
         configs.append(theta)
         prev = theta
     return np.array(configs).reshape(-1, np.shape(points)[1]), at
+
+
+def cell_index(fmap, vox, ori) -> int:
+    """Flat index of the cell (vox, ori): the map's ``ravel_multi_index``
+    numbering over ``voxel_counts + orient_counts``."""
+    return int(np.ravel_multi_index((*vox, *ori), fmap.voxel_counts + fmap.orient_counts))
 
 
 def locate(fmap, pose: DualQuaternion):

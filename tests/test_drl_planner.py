@@ -150,7 +150,7 @@ def test_lane_step_equals_the_one_configuration_env(lanes):
     episode end (reached, budget), collisions, rays on boxes and a sphere,
     and joint-limit clamps."""
     model = planar_3r()
-    cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0, fea_weight=2.0)
+    cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0)
     rng = np.random.default_rng(11)
     env = DrlEnv(model, WALL_CELL, cfg, lanes)
     refs = [ScalarDrlEnv(model, WALL_CELL, cfg) for _ in range(lanes)]
@@ -209,21 +209,20 @@ def test_reward_inside_target_ball_ends_the_episode():
 
 
 def test_reward_collision_penalty():
-    cfg = DrlEnvConfig(collision_penalty=-2.5)
-    assert drl_reward(cfg, 1.0, col=1, man=0.5) == (-3.5, False)
+    assert drl_reward(DrlEnvConfig(), 1.0, col=1, man=0.5) == (-2.0, False)
 
 
 def test_reward_manipulability_grade():
     model = planar_3r()
-    cfg = DrlEnvConfig(fea_weight=2.0, man_baseline=1.0)
+    cfg = DrlEnvConfig(man_baseline=1.0)
     theta = np.array([0.2, 1.2, -0.9])
     man = normalized_manipulability(model, theta)
     assert 0.0 < man != 1.0
-    assert drl_reward(cfg, 1.0, col=0, man=man) == (2.0 * (man - 1.0) - 1.0, False)
+    assert drl_reward(cfg, 1.0, col=0, man=man) == (man - 1.0 - 1.0, False)
 
 
 def test_reward_lanes_match_one_lane_calls():
-    cfg = DrlEnvConfig(fea_weight=2.0, man_baseline=1.0, collision_penalty=-2.5)
+    cfg = DrlEnvConfig(man_baseline=1.0)
     d = np.array([0.1, 1.0, 1.0, 0.6])
     col = np.array([1, 1, 0, 0], dtype=np.uint8)
     man = np.array([0.5, 0.7, 0.3, 1.2])
@@ -309,7 +308,7 @@ def test_plan_drl_trajectory_contract():
         (policy, fk(model, np.array([-1.0, 1.2, 0.5])), False),
     ]
     for pol, goal, success in cases:
-        runs = [plan_drl(pol, model, WALL_CELL, start, goal, cfg, seed=4, theta0=theta0)
+        runs = [plan_drl(pol, model, WALL_CELL, start, goal, cfg, theta0=theta0)
                 for _ in range(2)]
         traj = runs[0]
         check_bridge(model, WALL_CELL, traj, theta0, goal.translation(), cfg)
@@ -390,3 +389,17 @@ def test_load_segments_rejects_a_line_without_16_scalars(tmp_path, fmt, n_scalar
     path.write_text(f"{head}{good}\n{bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"line {bad!r}: takes {width} scalars")):
         load(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: train_drl([], planar_3r(), [WALL]), "no infeasible segments",
+                 id="no_pairs"),
+    # a start pose 5 m out is beyond the 1.2 m arm: no IK witness
+    pytest.param(lambda: train_drl([(DualQuaternion.from_translation([5.0, 0, 0]),
+                                     DualQuaternion.from_translation(GOAL))],
+                                   planar_3r(), [WALL], batches=1),
+                 "no segment start pose has an IK witness", id="no_start_witness"),
+])
+def test_drl_planner_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -480,3 +480,17 @@ def test_pose_file_roundtrip(tmp_path):
     assert len(loaded) == 7
     for p, q in zip(poses, loaded):
         np.testing.assert_allclose(p.as_array(), q.as_array(), atol=0)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: dualquat.quat_from_axis_angle(np.zeros(3), 0.3), "degenerate rotation",
+                 id="zero_axis"),
+    pytest.param(lambda: DualQuaternion.from_array(np.zeros(7)), "expected 8 scalars",
+                 id="from_array_shape"),
+    # a zero rotation drifts from unit norm and cannot be renormalized
+    pytest.param(lambda: dq_mul_lanes(np.zeros((2, 8)), np.zeros((2, 8))), "degenerate rotation",
+                 id="degenerate_drifted_lanes"),
+])
+def test_dualquat_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -160,7 +160,7 @@ def test_build_map_annulus_matches_closed_form():
     for vox, ori in fmap.all_cells():
         center = fmap.voxel_center(vox)
         r = np.hypot(center[0], center[1])
-        reachable = fmap.reasons[fmap.cell_index(vox, ori)] != UNREACHABLE
+        reachable = fmap.reasons[ref.cell_index(fmap, vox, ori)] != UNREACHABLE
         if r < 2.0 - diag and r > diag:
             # strictly inside the annulus by more than half a voxel diagonal
             assert reachable, (vox, ori, r)
@@ -176,7 +176,7 @@ def test_build_map_witnesses_reverify():
     fmap = small_map(m, [wall])
     checked = 0
     for vox, ori in fmap.all_cells():
-        idx = fmap.cell_index(vox, ori)
+        idx = ref.cell_index(fmap, vox, ori)
         if fmap.reasons[idx] != OK:
             continue
         w = fmap.witnesses[idx].astype(float)
@@ -230,7 +230,7 @@ def test_build_map_yaw_cells_planar_3r():
     # the 3R controls yaw: every feasible cell's witness lands in its yaw bin
     found = 0
     for vox, ori in fmap.all_cells():
-        idx = fmap.cell_index(vox, ori)
+        idx = ref.cell_index(fmap, vox, ori)
         if fmap.reasons[idx] != OK:
             continue
         w = fmap.witnesses[idx].astype(float)
@@ -252,7 +252,7 @@ def test_refinement_witness_transfer():
     fine_voxel = 0.45
     transfers = 0
     for vox, ori in coarse.all_cells():
-        idx = coarse.cell_index(vox, ori)
+        idx = ref.cell_index(coarse, vox, ori)
         if coarse.reasons[idx] != OK:
             continue
         w = coarse.witnesses[idx].astype(float)
@@ -356,11 +356,11 @@ def reference_neighbors(fmap, vox, ori):
             moved = list(vox)
             moved[axis] += step
             if 0 <= moved[axis] < fmap.voxel_counts[axis]:
-                out.append(fmap.cell_index(moved, ori))
+                out.append(ref.cell_index(fmap, moved, ori))
     for step in (-1, 1):
         yaw = (ori[2] + step) % fmap.orient_counts[2]
-        j = fmap.cell_index(vox, (*ori[:2], yaw))
-        if j != fmap.cell_index(vox, ori) and j not in out:
+        j = ref.cell_index(fmap, vox, (*ori[:2], yaw))
+        if j != ref.cell_index(fmap, vox, ori) and j not in out:
             out.append(j)
     return out
 
@@ -396,7 +396,7 @@ def test_two_yaw_bin_transfer_seeds_hold_no_repeated_neighbor(monkeypatch):
     yaw_seeded = 0
     for (_, i), seeds in seeded.items():
         vox, ori = cells[i]
-        yaw_neighbor = fmap.cell_index(vox, (*ori[:2], 1 - ori[2]))
+        yaw_neighbor = ref.cell_index(fmap, vox, (*ori[:2], 1 - ori[2]))
         assert len(np.unique(seeds, axis=0)) == len(seeds)
         assert len(seeds) <= len(reference_neighbors(fmap, vox, ori))
         yaw_seeded += any(np.array_equal(s, fmap.witnesses[yaw_neighbor]) for s in seeds)
@@ -524,8 +524,8 @@ def boundary_poses(fmap, n, rng):
 
 
 def reference_cells(fmap, poses):
-    return np.array([-1 if (cell := ref.locate(fmap, p)) is None else fmap.cell_index(*cell)
-                     for p in poses])
+    return np.array([-1 if (cell := ref.locate(fmap, p)) is None
+                     else ref.cell_index(fmap, *cell) for p in poses])
 
 
 @pytest.mark.parametrize("theta_max, orient_counts", [
@@ -629,3 +629,26 @@ def test_classify_idempotence():
         sub_cls = classify_trajectory(sub, fmap)
         assert len(sub_cls.segments) == 1
         assert sub_cls.segments[0].label == seg.label
+
+
+def _edited_map_file(path, edit):
+    """A planar_rr map file after ``edit(meta, arrays)``, loaded."""
+    meta, arrays = records.unpack(map_bytes(small_map(planar_rr(), voxel=1.5)),
+                                  feasibility._MAGIC, feasibility._VERSION, "map")
+    edit(meta, arrays)
+    path.write_bytes(records.pack(feasibility._MAGIC, feasibility._VERSION, meta, arrays))
+    return load_map(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tmp: build_map(planar_rr(), [], ((0, 0, 0), (1, 1, 1)), 0.5,
+                                       orientation_spec=(np.pi, (1, 1, 0))),
+                 "empty tessellation", id="no_orientation_cells"),
+    pytest.param(lambda tmp: _edited_map_file(tmp, lambda meta, arrays: arrays.reverse()),
+                 "do not start with the", id="map_file_layout"),
+    pytest.param(lambda tmp: _edited_map_file(tmp, lambda meta, arrays: meta.pop("seed")),
+                 "metadata lacks 'seed'", id="map_file_without_seed"),
+])
+def test_feasibility_refuses(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path / "map.bin")

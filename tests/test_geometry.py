@@ -553,3 +553,14 @@ def test_ray_bundle_lanes_equal_one_state_calls_bitwise(name):
     assert (ref < 1.5).any() and (ref == 1.5).any()
     _, _, _, q1, p1 = _chain_eval(model, thetas[0])          # one state, on floats
     np.testing.assert_array_equal(ray_bundle_lanes(q1, p1, obstacles, max_range=1.5), ref[0])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: Box([0, 0, 0], [1, 0, 1]), ValueError, "min < max",
+                 id="box_lo_not_below_hi"),
+    pytest.param(lambda: geometry.obstacle_line(object()), TypeError, "unknown obstacle type",
+                 id="unknown_obstacle_type"),
+])
+def test_geometry_refuses(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -26,7 +26,6 @@ from hybridplan.hrl_planner import (
 )
 from hybridplan import lfd
 from hybridplan.lfd import (
-    DELTA_BETA,
     Demonstration,
     SkillLibrary,
     chordal_distance,
@@ -73,9 +72,9 @@ def test_intrinsic_reward_orders_skills_by_similarity():
     target = line_skill("t", 1.0, 0.0).poses
     close = line_skill("a", 1.0, 0.1)
     far = line_skill("b", 1.0, 0.4)
-    r_close = intrinsic_reward(close, target, delta_beta=2.0)
-    r_far = intrinsic_reward(far, target, delta_beta=2.0)
-    assert r_close > r_far
+    r_close = intrinsic_reward(close, target)
+    r_far = intrinsic_reward(far, target)
+    assert r_close > r_far > SENTINEL
 
 
 def test_extrinsic_reward():
@@ -102,7 +101,7 @@ def test_intrinsic_reward_matches_reference_on_benchmark_tasks(skills_workloads)
     cases = sentinels = 0
     for wl in skills_workloads:
         lib = wl.library
-        score = _segment_scorer(lib, DELTA_BETA)
+        score = _segment_scorer(lib)
         for st in wl.tasks:
             configs = st.task.configs
             lanes = dq_to_lanes(configs)
@@ -447,8 +446,7 @@ def test_single_matching_skill_chosen_everywhere():
     sk = line_skill("only", 1.0, 0.0)
     task = Task("t", [pose(0, 0), pose(1, 0), pose(2, 0)])
     lib = library_of(sk)
-    cfg = HrlConfig(episodes=200, **NO_JITTER)
-    tables = train_hrl([task], lib, config=cfg, seed=0)
+    tables = train_hrl([task], lib, episodes=200, config=HrlConfig(**NO_JITTER), seed=0)
     plan = plan_lfd(task, lib, tables)
     assert all(skill == "only" for _, skill in plan["segments"])
 
@@ -458,8 +456,7 @@ def test_two_skills_assigned_to_matching_segments():
     b = line_skill("ystep", 0.0, 1.0, n=2)
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
     lib = library_of(a, b)
-    cfg = HrlConfig(episodes=300, **NO_JITTER)
-    tables = train_hrl([task], lib, config=cfg, seed=1)
+    tables = train_hrl([task], lib, episodes=300, config=HrlConfig(**NO_JITTER), seed=1)
     plan = plan_lfd(task, lib, tables)
     assert plan["segments"] == [((0, 1), "xstep"), ((1, 2), "ystep")]
     # agrees with the brute-force oracle
@@ -472,8 +469,8 @@ def test_training_curve_trend_improves():
     a = line_skill("xstep", 1.0, 0.0, n=2)
     b = line_skill("ystep", 0.0, 1.0, n=2)
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
-    cfg = HrlConfig(episodes=400, eps_decay=80.0, **NO_JITTER)
-    tables = train_hrl([task], library_of(a, b), config=cfg, seed=2)
+    cfg = HrlConfig(eps_decay=80.0, **NO_JITTER)
+    tables = train_hrl([task], library_of(a, b), episodes=400, config=cfg, seed=2)
     curve = np.array(tables.training_curve)
     w = 20
     smoothed = np.convolve(curve, np.ones(w) / w, mode="valid")
@@ -494,18 +491,10 @@ def test_train_validates_inputs():
 def test_train_seed_determinism():
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
     lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
-    t1 = train_hrl([task], lib, config=HrlConfig(episodes=100), seed=42)
-    t2 = train_hrl([task], lib, config=HrlConfig(episodes=100), seed=42)
+    t1 = train_hrl([task], lib, episodes=100, seed=42)
+    t2 = train_hrl([task], lib, episodes=100, seed=42)
     assert serialize_tables(t1) == serialize_tables(t2)
-
-
-def test_train_episodes_argument_leaves_config_unchanged():
-    task = Task("t", [pose(0, 0), pose(1, 0)])
-    lib = library_of(line_skill("a", 1, 0))
-    cfg = HrlConfig(episodes=400, **NO_JITTER)
-    tables = train_hrl([task], lib, episodes=3, config=cfg, seed=0)
-    assert cfg == HrlConfig(episodes=400, **NO_JITTER)
-    assert len(tables.training_curve) == 3
+    assert len(t1.training_curve) == 100
 
 
 def test_state_keys_are_map_cells():
@@ -520,12 +509,12 @@ def test_state_keys_are_map_cells():
 
     def cell(c):
         found = ref.locate(fmap, c)
-        return -2 if found is None else fmap.cell_index(*found)
+        return -2 if found is None else ref.cell_index(fmap, *found)
 
     keys = [[(i, cell(c)) for i, c in enumerate(t.configs)] for t in tasks]
     lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
-    cfg = HrlConfig(episodes=40, **NO_JITTER)
-    tables = train_hrl(tasks, lib, config=cfg, seed=0, fmap=fmap)
+    cfg = HrlConfig(**NO_JITTER)
+    tables = train_hrl(tasks, lib, episodes=40, config=cfg, seed=0, fmap=fmap)
     states = {state for state, _ in tables.task_q}
     assert keys[1][0] == (0, -2)
     assert {keys[0][0], keys[1][0]} <= states <= set(keys[0] + keys[1])
@@ -535,7 +524,7 @@ def test_state_keys_are_map_cells():
         prefer = QTables({(state, (0, 2)): 1.0}, {(state, (0, 2), "b"): 1.0})
         plan = plan_lfd(task, lib, prefer, fmap, points_per_gap=5)
         assert plan["segments"] == [((0, 2), "b")]
-    no_map = train_hrl(tasks, lib, config=cfg, seed=0)
+    no_map = train_hrl(tasks, lib, episodes=40, config=cfg, seed=0)
     assert {state for state, _ in no_map.task_q} <= {(0, -1), (1, -1)}
 
 
@@ -546,7 +535,7 @@ def test_plan_two_config_task_single_segment():
     sk = line_skill("s", 1.0, 0.0)
     task = Task("t", [pose(0.2, 0.3), pose(1.2, 0.3)])
     lib = library_of(sk)
-    tables = train_hrl([task], lib, config=HrlConfig(episodes=50, **NO_JITTER), seed=0)
+    tables = train_hrl([task], lib, episodes=50, config=HrlConfig(**NO_JITTER), seed=0)
     plan = plan_lfd(task, lib, tables, points_per_gap=10)
     assert len(plan["segments"]) == 1
     assert chordal_distance(plan["poses"][0], task.configs[0]) < 1e-9
@@ -557,7 +546,7 @@ def test_plan_hits_every_critical_configuration():
     sk = line_skill("s", 2.0, 0.0, n=8)
     task = Task("t", [pose(0, 0), pose(0.7, 0), pose(1.5, 0), pose(2, 0)])
     lib = library_of(sk)
-    tables = train_hrl([task], lib, config=HrlConfig(episodes=150, **NO_JITTER), seed=3)
+    tables = train_hrl([task], lib, episodes=150, config=HrlConfig(**NO_JITTER), seed=3)
     plan = plan_lfd(task, lib, tables, points_per_gap=7)
     hits = [min(chordal_distance(p, c) for p in plan["poses"]) for c in task.configs]
     assert max(hits) < 1e-9
@@ -568,7 +557,7 @@ def test_plan_argmax_invariance_under_affine_value_scaling():
     b = line_skill("b", 0.0, 1.0, n=2)
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
     lib = library_of(a, b)
-    tables = train_hrl([task], lib, config=HrlConfig(episodes=200, **NO_JITTER), seed=4)
+    tables = train_hrl([task], lib, episodes=200, config=HrlConfig(**NO_JITTER), seed=4)
     plan1 = plan_lfd(task, lib, tables)
     scaled = QTables(
         task_q={k: 3.0 * v + 7.0 for k, v in tables.task_q.items()},
@@ -626,9 +615,8 @@ def test_small_instance_optimality_sample():
     trials = 20
     for _ in range(trials):
         task, lib = random_instance(rng)
-        tables = train_hrl([task], lib,
-                           config=HrlConfig(episodes=250, eps_decay=60.0,
-                                            **NO_JITTER),
+        tables = train_hrl([task], lib, episodes=250,
+                           config=HrlConfig(eps_decay=60.0, **NO_JITTER),
                            seed=int(rng.integers(1 << 30)))
         best_r, _ = exhaustive_plan(task, lib)
         try:
@@ -648,7 +636,7 @@ def test_small_instance_optimality_sample():
 def test_tables_roundtrip(tmp_path):
     task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
     lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
-    tables = train_hrl([task], lib, config=HrlConfig(episodes=100), seed=5)
+    tables = train_hrl([task], lib, episodes=100, seed=5)
     path = tmp_path / "tables.txt"
     save_tables(tables, path)
     loaded = load_tables(path)
@@ -690,3 +678,17 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
     path.write_text(f"Q 0 -1 0 1 0.5\nq 0 -1 0 1 a 0.25\n{bad}\n")
     with pytest.raises(ValueError, match=re.escape(f"Q-table line {bad!r}")):
         load_tables(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: intrinsic_reward(line_skill("s", 1.0, 0.0), [pose(0, 0)]),
+                 "segment needs at least 2 poses", id="one_pose_segment"),
+    pytest.param(lambda: _jitter_lanes(np.zeros((2, 8)), HrlConfig(), np.random.default_rng(0)),
+                 "degenerate rotation", id="degenerate_jitter"),
+    pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
+                                   library_of(line_skill("s", 1.0, 0.0)), episodes=0),
+                 "episodes must be >= 1", id="no_episodes"),
+])
+def test_hrl_planner_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

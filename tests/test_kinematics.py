@@ -582,3 +582,46 @@ def test_parse_robot_rejects_a_capsule_radius_that_is_not_positive_and_finite(ra
     assert "capsule 1 2 0.040000000000000001" in text
     with pytest.raises(ValueError, match="capsule radius"):
         parse_robot(text.replace("capsule 1 2 0.040000000000000001", f"capsule 1 2 {radius}"))
+
+
+def _robot(joints=2, tool=None, home=(0.0, 1.0), axis=Z):
+    """A planar arm of unit links for the refusals below."""
+    lim = (-3.0, 3.0)
+    chain = [(axis, DualQuaternion.identity(), lim)]
+    chain += [(Z, DualQuaternion.from_translation([1, 0, 0]), lim)] * (joints - 1)
+    tool = DualQuaternion.from_translation([1, 0, 0]) if tool is None else tool
+    return make_robot("r", chain, tool, [], home=list(home), task="planar")
+
+
+def _overflowing_robot():
+    # a finite tool rotation so large that the home pose's quaternion overflows
+    with np.errstate(all="ignore"):
+        return _robot(3, DualQuaternion(np.full(4, 1.5e308), np.zeros(4)), (0.0, 1.0, 1.0))
+
+
+def _edited_robot_file(old, new):
+    text = serialize_robot(planar_rr())
+    assert old in text
+    return parse_robot(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: _robot(axis=np.zeros(3)), "joint axis must be nonzero", id="zero_axis"),
+    pytest.param(lambda: _robot(home=[0.0]), "home configuration dimension mismatch",
+                 id="home_length"),
+    pytest.param(lambda: _robot(home=[0.0, 4.0]), "home configuration violates joint limits",
+                 id="home_outside_limits"),
+    pytest.param(_overflowing_robot, "home configuration gives non-finite pose",
+                 id="non_finite_home_pose"),
+    pytest.param(lambda: jacobian(planar_rr(), np.zeros(3)), r"expected 2 joint angles",
+                 id="jacobian_shape"),
+    pytest.param(lambda: _edited_robot_file("task planar", "task cylindrical"),
+                 "unknown task space 'cylindrical'", id="unknown_task"),
+    pytest.param(lambda: _edited_robot_file("axis 0 0 1 offset", "axis 0 0 1 offsey"),
+                 "expected 'axis', 'offset' and 'limits_deg' fields", id="malformed_joint_line"),
+    pytest.param(lambda: _edited_robot_file("dof 2", "dof 3"), "declared dof 3 != 2 joint lines",
+                 id="dof_mismatch"),
+])
+def test_kinematics_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

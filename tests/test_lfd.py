@@ -393,3 +393,21 @@ def test_library_load_and_duplicate_rejection(tmp_path):
 def test_library_empty_dir(tmp_path):
     with pytest.raises(ValueError, match="no .demo files"):
         load_library(tmp_path)
+
+
+def _load_demonstration_text(path, text):
+    path.write_text(text)
+    return load_demonstration(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tmp: Demonstration("d", [pose(0, 0)]), "at least 2 poses",
+                 id="one_pose"),
+    pytest.param(lambda tmp: _load_demonstration_text(tmp, "name d\n1 0 0 0 0 0 0 0\n"),
+                 "malformed demonstration header", id="demonstration_header"),
+    pytest.param(lambda tmp: feature_distance_terms([], [np.zeros(6)] * 3),
+                 "feature sequences must be nonempty", id="empty_features"),
+])
+def test_lfd_refuses(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path / "d.demo")

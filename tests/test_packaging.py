@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -97,7 +98,7 @@ UNREFERENCED_KEPT = {
         ("switch_agent", "lfd_joint_candidates"), ("switch_agent", "policy_switches"),
         ("switch_agent", "train_switch"), ("workcell", "count_path_collisions")]},
     **{name: TEST_ONLY for name in [
-        ("feasibility", "FeasibilityMap.cell_index"), ("kinematics", "planar_rr"),
+        ("kinematics", "planar_rr"),
         ("switch_agent", "brute_force_switches"), ("workcell", "bench")]},
     **{name: FILE_IO for name in [
         ("drl_planner", "load_segments"), ("drl_planner", "save_segments"),
@@ -172,3 +173,58 @@ def test_benchmark_names_kept_are_used_by_the_benchmark():
                  for part in node.value.split(".")}
     assert {name.rpartition(".")[2] for (_, name), why in UNREFERENCED_KEPT.items()
             if why == BENCHMARK_NAMES} <= used
+
+
+# each init field of these configurations must be set by a caller outside the
+# tests: by keyword or position to its class, or by keyword to
+# ``dataclasses.replace``; a field no caller sets is a constant (a ``ClassVar``
+# or a module constant) unless it is listed here.  The list may only shrink.
+CONFIG_CLASSES = {"HrlConfig": "hrl_planner", "PpoConfig": "rl_core",
+                  "SwitchConfig": "switch_agent", "DrlEnvConfig": "drl_planner",
+                  "SuccessCriteria": "workcell"}
+SET_BY_TESTS = "set by tests only (ROADMAP item 9)"
+CONFIG_FIELDS_SET_BY_TESTS_ONLY = {
+    ("DrlEnvConfig", "target_radius"): SET_BY_TESTS,
+    ("PpoConfig", "clip_eps"): SET_BY_TESTS,
+    ("PpoConfig", "max_grad_norm"): SET_BY_TESTS,
+    ("PpoConfig", "epochs_per_batch"): SET_BY_TESTS,
+    ("SwitchConfig", "window"): SET_BY_TESTS,
+    ("SwitchConfig", "blend_points"): SET_BY_TESTS,
+    ("SwitchConfig", "blend_step_deg"): SET_BY_TESTS,
+}
+
+
+def config_fields():
+    """{class name: its init field names in order}."""
+    out = {}
+    for name, module in CONFIG_CLASSES.items():
+        cls = getattr(importlib.import_module(f"hybridplan.{module}"), name)
+        out[name] = [f.name for f in dataclasses.fields(cls) if f.init]
+    return out
+
+
+def config_fields_set(paths, fields):
+    """(class, field) of each configuration field a call in ``paths`` sets."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords = {kw.arg for kw in node.keywords}
+            if callee in fields:
+                found |= {(callee, f) for f in fields[callee][:len(node.args)]}
+                found |= {(callee, f) for f in keywords}
+            elif callee == "replace":       # the object's class is not known here
+                found |= {(cls, f) for cls, names in fields.items() for f in names
+                          if f in keywords}
+    return found
+
+
+def test_every_config_field_is_set_by_a_caller():
+    fields = config_fields()
+    every = {(cls, f) for cls, names in fields.items() for f in names}
+    callers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    assert every - config_fields_set(callers, fields) == set(CONFIG_FIELDS_SET_BY_TESTS_ONLY)
+    assert set(CONFIG_FIELDS_SET_BY_TESTS_ONLY) <= config_fields_set(
+        sorted((ROOT / "tests").glob("*.py")), fields)

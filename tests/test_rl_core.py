@@ -191,7 +191,7 @@ def test_gaussian_log_prob_matches_closed_form():
     pol = GaussianPolicy(3, 2, rng=rng)
     obs = rng.normal(size=(6, 3))
     acts = rng.normal(size=(6, 2))
-    logp, _ = pol.evaluate(obs, acts)
+    logp = pol.evaluate(obs, acts)
     mean = pol.net.forward(obs)
     std = np.exp(pol.log_std)
     dens = np.prod(np.exp(-0.5 * ((acts - mean) / std) ** 2) / (std * np.sqrt(2 * np.pi)),
@@ -207,7 +207,7 @@ def test_gaussian_backward_matches_finite_differences():
     w = rng.normal(size=5)
 
     def objective():
-        logp, _ = pol.evaluate(obs, acts)
+        logp = pol.evaluate(obs, acts)
         return float(np.sum(w * logp))
 
     pol.evaluate(obs, acts)
@@ -221,14 +221,12 @@ def test_categorical_backward_matches_finite_differences():
     obs = rng.normal(size=(6, 3))
     acts = rng.integers(0, 4, size=6).astype(float)
     w = rng.normal(size=6)
-    v = rng.normal(size=6)
 
     def objective():
-        logp, ent = pol.evaluate(obs, acts)
-        return float(np.sum(w * logp) + np.sum(v * ent))
+        return float(np.sum(w * pol.evaluate(obs, acts)))
 
     pol.evaluate(obs, acts)
-    assert_matches_finite_differences(pol.net.flat, pol.backward_logp(w, v), objective, 1e-6)
+    assert_matches_finite_differences(pol.net.flat, pol.backward_logp(w), objective, 1e-6)
 
 
 # ------------------------------------------------------------------ #
@@ -324,7 +322,7 @@ def test_ppo_unclipped_single_epoch_equals_vanilla_pg():
     nadv = (adv - adv.mean()) / adv.std()
 
     def surrogate_loss():
-        logp, _ = pol.evaluate(batch.obs, batch.actions)
+        logp = pol.evaluate(batch.obs, batch.actions)
         ratio = np.exp(logp - batch.log_probs)
         return -float(np.mean(ratio * nadv))
 
@@ -465,7 +463,7 @@ def test_ppo_grad_norms_are_the_mean_pre_clip_norms_over_minibatches():
     want_pol, want_val = [], []
     for idx in (order[:mb], order[mb:]):
         def surrogate():
-            logp, _ = pol.evaluate(batch.obs[idx], batch.actions[idx])
+            logp = pol.evaluate(batch.obs[idx], batch.actions[idx])
             return -float(np.mean(np.exp(logp - batch.log_probs[idx]) * nadv[idx]))
 
         def value_loss():
@@ -526,12 +524,27 @@ def test_ppo_config_validation():
         PpoConfig(minibatch_size=128, num_steps=64)
 
 
-@pytest.mark.parametrize("field", ["clip_eps", "discount"])
+@pytest.mark.parametrize("field", ["clip_eps", "discount", "learning_rate", "max_grad_norm"])
 def test_ppo_config_refuses_nan(field):
-    # a NaN clip range made every update's loss NaN, so each ppo_update
-    # aborted and training silently left the nets as they were
-    with pytest.raises(ValueError):
+    # a NaN clip range or learning rate made every update's loss NaN, so each
+    # ppo_update aborted and training silently left the nets as they were; a
+    # NaN gradient-norm bound silently turned the clip off
+    with pytest.raises(ValueError, match=field):
         PpoConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", -1e-3), ("max_grad_norm", 0.0), ("max_grad_norm", -0.5),
+    ("minibatch_size", 0), ("minibatch_size", -1), ("num_steps", 0), ("num_steps", -1),
+    ("epochs_per_batch", 0), ("epochs_per_batch", -1)])
+def test_ppo_config_refuses_zero_and_negative_values(field, value):
+    # zero epochs made every update a silent no-op
+    with pytest.raises(ValueError, match=field):
+        PpoConfig(**{field: value})
+
+
+def test_ppo_config_takes_a_zero_learning_rate():
+    assert PpoConfig(learning_rate=0.0).learning_rate == 0.0
 
 
 # ------------------------------------------------------------------ #
@@ -743,3 +756,21 @@ def test_hybrid_trained_weights_are_pinned_per_seed(workloads, hybrid_workloads,
             assert got == WEIGHT_PINS[wl.seed, name], (
                 f"hybrid seed {wl.seed}: trained {name} weights differ from the pins, "
                 f"recorded with numpy {PINNED_NUMPY} (this run: numpy {np.__version__})")
+
+
+def _checkpoint_with_a_float_policy_kind(path):
+    _repack(path, _small_checkpoint(path), 0, lambda kind: kind.astype("<f8"))
+    return load_checkpoint(path)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda tmp: Mlp([3, 4, 2]).forward(np.zeros((1, 2))), ValueError,
+                 "expected input dim 3, got 2", id="forward_input_dim"),
+    pytest.param(lambda tmp: Mlp([3, 4, 2]).backward(np.zeros((1, 2))), RuntimeError,
+                 "forward pass must be cached", id="backward_before_forward"),
+    pytest.param(_checkpoint_with_a_float_policy_kind, ValueError,
+                 "are not a policy kind", id="checkpoint_layout"),
+])
+def test_rl_core_refuses(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path / "net.ckpt")

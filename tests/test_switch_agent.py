@@ -515,3 +515,14 @@ def test_hybrid_query_is_pinned_per_seed(workloads, hybrid_workloads, monkeypatc
         assert got == QUERY_PINS[wl.seed], (
             f"hybrid seed {wl.seed}: query stages differ from the pins, recorded with "
             f"numpy {QUERY_PINS_NUMPY} (this run: numpy {np.__version__}): {got}")
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: switch_agent.switch_reward(JointTrajectory(np.zeros((0, 2)))),
+                 "empty trajectory", id="empty_trajectory"),
+    pytest.param(lambda: train_switch([], planar_rr(), []), "no switching scenarios",
+                 id="no_scenarios"),
+])
+def test_switch_agent_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

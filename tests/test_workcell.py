@@ -374,3 +374,28 @@ def test_bench_counts_successes_per_task():
     assert [(r["task"], r["trial"], r["success"]) for r in rows] == [
         ("good", 0, 1), ("good", 1, 1), ("bad", 0, 0), ("bad", 1, 0)]
     assert len(set(seeds)) == 4
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: Task("t", [DualQuaternion.identity()]), "at least 2 critical",
+                 id="one_configuration"),
+    pytest.param(lambda: Task("t", [DualQuaternion.identity()] * 2, hold=[True]),
+                 "hold flags must match", id="hold_count"),
+])
+def test_task_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda tmp: Workcell("c", [0, 0, 0], [1, 1, 0], []), "min < max",
+                 id="flat_workspace"),
+    pytest.param(lambda tmp: Workcell("c", [0, 0, 0], [1, 1, 1], [],
+                                      {"s": DualQuaternion.from_translation([2, 0, 0])}),
+                 "station outside the workspace box", id="station_outside"),
+    pytest.param(lambda tmp: (tmp.write_text("name cell\n"), load_workcell(tmp)),
+                 "missing workspace box", id="file_without_workspace"),
+])
+def test_workcell_refuses(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path / "cell.txt")
