@@ -16,7 +16,8 @@ import pytest
 import inputs
 import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
-from hybridplan.dualquat import dq_mul_lanes, dq_sclerp, dq_sclerp_lanes, dq_to_lanes
+from hybridplan.dualquat import (DualQuaternion, dq_mul_lanes, dq_sclerp, dq_sclerp_lanes,
+                                 dq_to_lanes)
 from hybridplan.feasibility import (
     FEA_MAX_ITERS,
     NOT_FJ,
@@ -39,6 +40,7 @@ from hybridplan.hrl_planner import (
 )
 from hybridplan.kinematics import (
     closed_form_branches,
+    ee_state,
     fk,
     fk_frames,
     ik_attempt,
@@ -80,6 +82,22 @@ def cell():
 
 def test_fk(benchmark, model):
     assert benchmark(fk, model, np.array([0.3, 0.6, -0.4])).real.shape == (4,)
+
+
+def test_fk_translation(benchmark, model):
+    theta = np.array([0.3, 0.6, -0.4])
+    assert benchmark(lambda: fk(model, theta).translation()).shape == (3,)
+
+
+def test_from_pose_axis_angle(benchmark):
+    # a planar pose of the benchmark: a position and a turn about z
+    pose = benchmark(DualQuaternion.from_pose, [0.3, 0.4, 0.0], (inputs.Z_AXIS, 0.7))
+    assert pose.real.shape == (4,)
+
+
+def test_from_pose_quaternion(benchmark, model):
+    q, p = ee_state(model, np.array([0.3, 0.6, -0.4]))
+    assert benchmark(DualQuaternion.from_pose, p, q).real.shape == (4,)
 
 
 def test_fk_frames(benchmark, model):
@@ -227,6 +245,10 @@ def test_classify_trajectory_12_poses(benchmark, wall_map):
     # a hybrid-length plan through the wall
     cls = benchmark(classify_trajectory, _line(*LINES["through_wall"]), wall_map)
     assert any(seg.label == NOT_FJ for seg in cls.segments)
+
+
+def test_cell_pose(benchmark, wall_map):
+    assert benchmark(wall_map.cell_pose, (1, 2, 0), (0, 0, 3)).real.shape == (4,)
 
 
 def test_lookup_one_pose(benchmark, wall_map):

@@ -11,8 +11,22 @@ the scalar and lane kinematic chain of ``kinematics``, and the dual-quaternion
 lanes below.  ``dq_mul_lanes`` alone reads the product from a table of
 ``_qmul``'s terms, in ``_qmul``'s order: its callers pass a few to a few
 hundred lanes, where a call costs its ufunc calls, not its arithmetic.  At a
-thousand lanes the table form is no faster than the components, so the lane
-chain (``build_map`` walks about 1,800 lanes) keeps ``_qmul``.
+thousand lanes the table form is no faster than the components.  The lane
+chain keeps ``_qmul``: one ``build_map`` of the benchmark's maps walks it 246
+times, on at most 1,080 lanes (``map``) or 864 (``hybrid``), median 104.5 and
+55, and about nine walks in ten have 300 lanes or fewer; yet a bit-identical
+table-form walk (one broadcast multiply and one ordered reduce per Hamilton
+product) was faster in only 11 of 40 alternated ``build_map`` runs.
+
+One pose (``DualQuaternion.from_pose``, ``quat_normalize``,
+``quat_from_axis_angle``, ``quat_from_euler`` and ``dq_translation`` of one
+pose) is worked on Python floats, in the operations and order of the array
+form, and each output array is built once: its cost is its numpy calls, not
+its few dozen float operations.  ``math.sin``/``math.cos`` equal
+``np.sin``/``np.cos`` on floats, and a norm stays ``np.linalg.norm``'s
+``sqrt(v.dot(v))``, which a float sum of squares does not round alike, so the
+result equals the array form (``tests/scalar_reference.py``) bit for bit.
+The pose constructors refuse a non-finite position or rotation.
 
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
 one pose format below the planners' entry points, which convert poses with
@@ -23,6 +37,7 @@ one-lane case of ``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from pathlib import Path
 
@@ -71,20 +86,37 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(q)
-    if n < 1e-12:
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float vector, which is ``sqrt(v.dot(v))`` (a sum
+    of squares on floats rounds differently); a rotation's norm must be
+    finite and nonzero, and NaN fails both comparisons."""
+    n = math.sqrt(v.dot(v))
+    if not n < math.inf:
+        raise ValueError("non-finite rotation")
+    if not n >= 1e-12:
         raise ValueError("degenerate rotation")
-    return q / n
+    return n
+
+
+def _turn(x, y, z, n, angle) -> tuple:
+    """The rotation by ``angle`` about the axis (x, y, z) of norm n, as floats."""
+    if not math.isfinite(angle):
+        raise ValueError("non-finite rotation")
+    half = 0.5 * angle
+    s = math.sin(half)               # math.sin/cos equal np.sin/cos on floats
+    return math.cos(half), s * x / n, s * y / n, s * z / n
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    n = _norm(q)
+    w, x, y, z = q.tolist()
+    return np.array((w / n, x / n, y / n, z / n))
 
 
 def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n < 1e-12:
-        raise ValueError("degenerate rotation")
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], np.sin(half) * axis / n))
+    return np.array(_turn(*axis.tolist(), _norm(axis), angle))
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
@@ -112,10 +144,10 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 def quat_from_euler(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Euler angles (extrinsic x-y-z: R = Rz(yaw) Ry(pitch) Rx(roll)) -> quaternion."""
-    qx = quat_from_axis_angle(np.array([1.0, 0, 0]), roll)
-    qy = quat_from_axis_angle(np.array([0, 1.0, 0]), pitch)
-    qz = quat_from_axis_angle(np.array([0, 0, 1.0]), yaw)
-    return quat_mul(qz, quat_mul(qy, qx))
+    qx = _turn(1.0, 0.0, 0.0, 1.0, roll)
+    qy = _turn(0.0, 1.0, 0.0, 1.0, pitch)
+    qz = _turn(0.0, 0.0, 1.0, 1.0, yaw)
+    return np.array(_qmul(*qz, *_qmul(*qy, *qx)))
 
 
 def quat_to_euler(q: np.ndarray) -> np.ndarray:
@@ -150,20 +182,23 @@ class DualQuaternion:
     def from_pose(cls, position, rotation) -> "DualQuaternion":
         """Build from a 3-vector position and a rotation.
 
-        ``rotation`` is either a unit quaternion [w, x, y, z] or an
-        (axis, angle) pair.
+        ``rotation`` is either a quaternion [w, x, y, z], normalized here, or
+        an (axis, angle) pair.  The dual part is worked on Python floats, and
+        a non-finite position or rotation is refused.
         """
-        if isinstance(rotation, tuple):
-            q_r = quat_from_axis_angle(np.asarray(rotation[0]), rotation[1])
+        if len(rotation) == 2:
+            q_r = quat_from_axis_angle(*rotation)
         else:
-            q_r = quat_normalize(np.asarray(rotation, dtype=float))
-        position = np.asarray(position, dtype=float)
-        q_t = np.array([0.0, position[0], position[1], position[2]])
-        return cls(q_r, 0.5 * quat_mul(q_t, q_r))
+            q_r = quat_normalize(rotation)
+        px, py, pz = map(float, position)
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            raise ValueError("non-finite position")
+        dw, dx, dy, dz = _qmul(0.0, px, py, pz, *q_r.tolist())
+        return cls(q_r, np.array((0.5 * dw, 0.5 * dx, 0.5 * dy, 0.5 * dz)))
 
     @classmethod
     def from_translation(cls, t) -> "DualQuaternion":
-        return cls.from_pose(t, np.array([1.0, 0, 0, 0]))
+        return cls.from_pose(t, (1.0, 0.0, 0.0, 0.0))
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "DualQuaternion":
@@ -178,8 +213,8 @@ class DualQuaternion:
         return np.concatenate([self.real, self.dual])
 
     def translation(self) -> np.ndarray:
-        """The translation, ``dq_translation`` of this pose."""
-        return dq_translation(self.as_array())
+        """The translation, ``dq_translation`` of this pose's 8 floats."""
+        return dq_translation(self.real.tolist() + self.dual.tolist())
 
     def conjugate(self) -> "DualQuaternion":
         return DualQuaternion(quat_conj(self.real), quat_conj(self.dual))
@@ -239,10 +274,16 @@ def dq_to_lanes(poses) -> np.ndarray:
 
 
 def dq_translation(lanes) -> np.ndarray:
-    """Translation t = 2 dual conj(real) of an 8-vector, (3,), or of (N, 8)
-    lanes, (N, 3)."""
-    rw, rx, ry, rz, dw, dx, dy, dz = np.asarray(lanes).T
+    """Translation t = 2 dual conj(real) of one pose, (3,), or of (N, 8)
+    lanes, (N, 3).  One pose, an 8-vector or a list of 8 floats, is worked on
+    Python floats, lanes on (N,) columns, with the same operations."""
+    if not isinstance(lanes, list):
+        lanes = np.asarray(lanes)
+        lanes = lanes.tolist() if lanes.ndim == 1 else lanes.T
+    rw, rx, ry, rz, dw, dx, dy, dz = lanes
     _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+    if isinstance(tx, float):        # one pose
+        return np.array((2.0 * tx, 2.0 * ty, 2.0 * tz))
     return 2.0 * np.array((tx, ty, tz)).T
 
 

@@ -15,7 +15,9 @@ vector, (dof,), and work on plain Python floats (``math.sin``/``math.cos``),
 or a lane array, (N, dof), and work on (N,) arrays with the same operations
 in the same order, so lane k of a lane call equals the scalar call on row k
 (``test_chain_eval_one_vector_walks_on_floats_and_equals_lane_rows``).  Both
-cast the joint angles to float64 first.  ``ik_attempt`` runs one
+cast the joint angles to float64 first.  ``fk`` passes the scalar walk's
+float tuples straight to ``DualQuaternion.from_pose``, which works one pose
+on floats too.  ``ik_attempt`` runs one
 damped-least-squares descent on the scalar path; ``ik_descend`` runs N of
 them in lockstep on the lane path, under the same rules, towards 8-vector
 targets or (N, 8) target lanes (``dualquat.dq_to_lanes``).
@@ -121,8 +123,10 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
     if m0 <= 0.0 and model.dof >= model.ee_dof:
         raise ValueError("singular home configuration")
     object.__setattr__(model, "_home_man", m0)
-    if not np.all(np.isfinite(fk(model, home).as_array())):
+    _, _, _, q, p = _chain_eval(model, home)
+    if not all(map(math.isfinite, q + p)):
         raise ValueError("home configuration gives non-finite pose")
+    fk(model, home)                  # refuses a zero end-effector rotation
     return model
 
 
@@ -178,12 +182,13 @@ def _chain_eval(model: RobotModel, theta):
 # Forward kinematics
 # ------------------------------------------------------------------ #
 def fk(model: RobotModel, theta: np.ndarray) -> DualQuaternion:
-    """End-effector pose."""
+    """End-effector pose: ``_chain_eval``'s (quat, position) floats, the
+    quaternion normalized by ``DualQuaternion.from_pose`` on floats."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dof,):
         raise ValueError(f"expected {model.dof} joint angles, got {theta.shape}")
     _, _, _, q, p = _chain_eval(model, theta)
-    return DualQuaternion.from_pose(np.array(p), np.array(q))
+    return DualQuaternion.from_pose(p, q)
 
 
 def fk_frames(model: RobotModel, theta: np.ndarray):

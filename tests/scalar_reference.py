@@ -1,5 +1,10 @@
 """One-at-a-time references for the lane code of the library.
 
+* One pose: ``quat_normalize``, ``quat_from_axis_angle``,
+  ``quat_from_euler``, ``from_pose``, ``fk`` and ``translation`` work on
+  numpy arrays and scalars (``np.linalg.norm``, ``np.cos``,
+  ``np.concatenate``, ``quat_mul``); the library works one pose on Python
+  floats, with the same operations in the same order.
 * Dual-quaternion products: ``dq_mul_lanes_by_components`` runs ``_qmul`` on
   the stacked component arrays of a dual product's three quaternion products;
   the library's ``dq_mul_lanes`` gathers their terms from sign tables and sums
@@ -64,7 +69,6 @@ from hybridplan.dualquat import (
     dq_mul_lanes,
     dq_sclerp_lanes,
     dq_to_lanes,
-    quat_from_axis_angle,
     quat_mul,
     quat_to_euler,
     quat_to_matrix,
@@ -74,6 +78,7 @@ from hybridplan import geometry
 from hybridplan.geometry import Box, collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
 from hybridplan.kinematics import (
+    _chain_eval,
     closed_form_branches,
     ee_state,
     fk_frames,
@@ -92,6 +97,52 @@ def manipulability_rows(model, thetas) -> np.ndarray:
     """``normalized_manipulability`` of every row of an (N, dof) array, one
     scalar call per row."""
     return np.array([normalized_manipulability(model, t) for t in thetas], dtype=float)
+
+
+def quat_normalize(q) -> np.ndarray:
+    n = np.linalg.norm(q)
+    if n < 1e-12:
+        raise ValueError("degenerate rotation")
+    return q / n
+
+
+def quat_from_axis_angle(axis, angle) -> np.ndarray:
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n < 1e-12:
+        raise ValueError("degenerate rotation")
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], np.sin(half) * axis / n))
+
+
+def quat_from_euler(roll, pitch, yaw) -> np.ndarray:
+    qx = quat_from_axis_angle(np.array([1.0, 0, 0]), roll)
+    qy = quat_from_axis_angle(np.array([0, 1.0, 0]), pitch)
+    qz = quat_from_axis_angle(np.array([0, 0, 1.0]), yaw)
+    return quat_mul(qz, quat_mul(qy, qx))
+
+
+def from_pose(position, rotation) -> DualQuaternion:
+    """``DualQuaternion.from_pose``: a quaternion, or an (axis, angle) tuple."""
+    if isinstance(rotation, tuple):
+        q_r = quat_from_axis_angle(np.asarray(rotation[0]), rotation[1])
+    else:
+        q_r = quat_normalize(np.asarray(rotation, dtype=float))
+    position = np.asarray(position, dtype=float)
+    q_t = np.array([0.0, position[0], position[1], position[2]])
+    return DualQuaternion(q_r, 0.5 * quat_mul(q_t, q_r))
+
+
+def fk(model, theta) -> DualQuaternion:
+    _, _, _, q, p = _chain_eval(model, np.asarray(theta, dtype=float))
+    return from_pose(np.array(p), np.array(q))
+
+
+def translation(pose) -> np.ndarray:
+    """``dq_translation`` of one 8-vector, on its numpy scalars."""
+    rw, rx, ry, rz, dw, dx, dy, dz = np.asarray(pose).T
+    _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
+    return 2.0 * np.array((tx, ty, tz)).T
 
 
 def dq_mul_lanes_by_components(a, b) -> np.ndarray:

@@ -168,6 +168,46 @@ def test_from_pose_degenerate_rotation():
         dq_from_pose([0, 0, 0], np.zeros(4))
 
 
+def signed_zeros(rng, x, share=0.1):
+    """x with about ``share`` of its entries set to +0.0 and as many to -0.0."""
+    x = x.copy()
+    x[rng.random(x.shape) < share] = 0.0
+    x[rng.random(x.shape) < share] = -0.0
+    return x
+
+
+# an axis whose float sum-of-squares norm rounds differently from
+# np.linalg.norm's dot product
+SUM_OF_SQUARES_AXIS = [0.1, 0.1, 0.8]
+
+
+def test_one_pose_on_floats_equals_the_array_form_bit_for_bit():
+    x, y, z = SUM_OF_SQUARES_AXIS
+    assert np.sqrt(x * x + y * y + z * z) != np.linalg.norm(SUM_OF_SQUARES_AXIS)
+    rng = np.random.default_rng(31)
+    n = 10_000
+    scale = 10.0 ** rng.uniform(-3, 3, (n, 1))
+    axes = signed_zeros(rng, rng.normal(size=(n, 3)) * scale)
+    axes[~np.any(axes, axis=1), 2] = -1.0            # no zero axis
+    axes[0] = SUM_OF_SQUARES_AXIS
+    quats = signed_zeros(rng, rng.normal(size=(n, 4)) * scale)
+    quats[~np.any(quats, axis=1), 0] = -2.0
+    angles = signed_zeros(rng, rng.uniform(-1e4, 1e4, n) * 10.0 ** rng.uniform(-6, 0, n))
+    shifts = signed_zeros(rng, rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1)))
+    for k in range(n):
+        axis, angle, q, t = axes[k], angles[k], quats[k], shifts[k]
+        # the reference reads a tuple as (axis, angle), the library by its length
+        for rotation, as_ref in (((axis, angle), (axis, angle)), (q, q), (tuple(q.tolist()), q)):
+            got, want = DualQuaternion.from_pose(t, rotation), ref.from_pose(t, as_ref)
+            assert got.as_array().tobytes() == want.as_array().tobytes()
+            assert got.translation().tobytes() == ref.translation(got.as_array()).tobytes()
+        assert (dualquat.quat_from_axis_angle(axis, angle).tobytes()
+                == ref.quat_from_axis_angle(axis, angle).tobytes())
+        assert dualquat.quat_normalize(q).tobytes() == ref.quat_normalize(q).tobytes()
+        angles3 = angles[[k, k - 1, k - 2]]
+        assert quat_from_euler(*angles3).tobytes() == ref.quat_from_euler(*angles3).tobytes()
+
+
 # ------------------------------------------------------------------ #
 # dq_sclerp
 # ------------------------------------------------------------------ #
@@ -415,11 +455,15 @@ def test_dq_translation_of_lanes_equals_rows_and_the_quaternion_product():
     shifts = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 2, (n, 1))
     poses = [DualQuaternion.from_pose(t, (axis, a))
              for t, axis, a in zip(shifts, rng.normal(size=(n, 3)), angles)]
-    lanes = dq_to_lanes(poses)
-    want = np.array([2.0 * quat_mul(p.dual, quat_conj(p.real))[1:] for p in poses])
+    lanes = np.concatenate([dq_to_lanes(poses), wild_lanes(rng, 500)])
+    want = np.array([2.0 * quat_mul(row[4:], quat_conj(row[:4]))[1:] for row in lanes])
     assert dq_translation(lanes).tobytes() == want.tobytes()
-    assert np.array([dq_translation(row) for row in lanes]).tobytes() == want.tobytes()
-    assert np.array([p.translation() for p in poses]).tobytes() == want.tobytes()
+    # one pose on floats, as an 8-vector or a list of 8 floats, and the array form
+    for rows in ([dq_translation(row) for row in lanes],
+                 [dq_translation(row.tolist()) for row in lanes],
+                 [ref.translation(row) for row in lanes]):
+        assert np.array(rows).tobytes() == want.tobytes()
+    assert np.array([p.translation() for p in poses]).tobytes() == want[:n].tobytes()
 
 
 # ------------------------------------------------------------------ #
@@ -482,6 +526,9 @@ def test_pose_file_roundtrip(tmp_path):
         np.testing.assert_allclose(p.as_array(), q.as_array(), atol=0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: dualquat.quat_from_axis_angle(np.zeros(3), 0.3), "degenerate rotation",
                  id="zero_axis"),
@@ -490,7 +537,32 @@ def test_pose_file_roundtrip(tmp_path):
     # a zero rotation drifts from unit norm and cannot be renormalized
     pytest.param(lambda: dq_mul_lanes(np.zeros((2, 8)), np.zeros((2, 8))), "degenerate rotation",
                  id="degenerate_drifted_lanes"),
+    # the pose constructors refuse non-finite input
+    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([NAN, 0, 1.0]), 0.3)),
+                 "non-finite rotation", id="nan_axis"),
+    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([INF, 0, 1.0]), 0.3)),
+                 "non-finite rotation", id="inf_axis"),
+    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), NAN)),
+                 "non-finite rotation", id="nan_angle"),
+    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), -INF)),
+                 "non-finite rotation", id="inf_angle"),
+    pytest.param(lambda: dq_from_pose([0, 0, 0], [1.0, NAN, 0, 0]), "non-finite rotation",
+                 id="nan_quaternion"),
+    pytest.param(lambda: dq_from_pose([0, 0, 0], [1.0, 0, INF, 0]), "non-finite rotation",
+                 id="inf_quaternion"),
+    pytest.param(lambda: dq_from_pose([INF, 0, 0], [1.0, 0, 0, 0]), "non-finite position",
+                 id="inf_position"),
+    pytest.param(lambda: DualQuaternion.from_translation([0, NAN, 0]), "non-finite position",
+                 id="nan_translation"),
+    pytest.param(lambda: dualquat.quat_from_axis_angle([0, NAN, 1.0], 0.3),
+                 "non-finite rotation", id="quat_from_axis_angle"),
+    pytest.param(lambda: dualquat.quat_normalize(np.array([NAN, 0, 0, 0])),
+                 "non-finite rotation", id="quat_normalize"),
+    pytest.param(lambda: quat_from_euler(0.1, NAN, 0.3), "non-finite rotation",
+                 id="quat_from_euler"),
 ])
 def test_dualquat_refuses(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")               # refused before any numpy warning
+        with pytest.raises(ValueError, match=match):
+            call()

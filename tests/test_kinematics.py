@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from hybridplan.dualquat import (DualQuaternion, _qrot, dq_from_pose, dq_mul, dq_to_lanes,
                                  dq_translation, quat_from_axis_angle)
 from hybridplan.geometry import score_lanes
@@ -84,6 +85,16 @@ def test_fk_planar_rr_extended():
 def test_fk_planar_rr_rotated_base():
     m = planar_rr()
     np.testing.assert_allclose(fk(m, np.array([np.pi / 2, 0.0])).translation(), [0, 2, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
+def test_fk_on_floats_equals_the_array_form_bit_for_bit(factory):
+    m = factory()
+    rng = np.random.default_rng(43)
+    for theta in [m.home, *rng.uniform(-10.0, 10.0, (1000, m.dof))]:
+        got, want = fk(m, theta), ref.fk(m, theta)
+        assert got.as_array().tobytes() == want.as_array().tobytes()
+        assert got.translation().tobytes() == ref.translation(want.as_array()).tobytes()
 
 
 def test_fk_seven_dof_matches_matrix_chain():
