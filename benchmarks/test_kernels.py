@@ -29,7 +29,9 @@ from hybridplan.geometry import (
     collision_index,
     collision_index_lanes,
     ray_bundle,
+    ray_bundle_lanes,
     score_lanes,
+    slab_table,
 )
 from hybridplan.hrl_planner import (
     SENTINEL,
@@ -39,6 +41,7 @@ from hybridplan.hrl_planner import (
     train_hrl,
 )
 from hybridplan.kinematics import (
+    _chain_eval,
     closed_form_branches,
     ee_state,
     fk,
@@ -270,6 +273,17 @@ def test_drl_env_step(benchmark, model, cell, lanes):
     assert obs.shape == (lanes, state_dim(model.dof))
 
 
+def test_drl_env_advance_one_lane(benchmark, model, cell):
+    # the transition plan_drl steps: one lane, on the walk's floats
+    theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
+    env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0))
+    env.reset(theta, [0.95, 0.0, 0.0])
+    a = np.array([0.5, -0.5, 0.5])
+    actions = itertools.cycle([a, -a])        # the arm oscillates about theta
+    _, obs, *_ = benchmark(lambda: env._advance(next(actions)))
+    assert obs.shape == (1, state_dim(model.dof))
+
+
 def test_plan_drl_40_step_bridge(benchmark, model, cell):
     # the hybrid workload's episode budget; fresh seeded weights do not reach
     # the goal behind the wall, so the greedy bridge runs all 40 steps, on
@@ -411,6 +425,14 @@ def test_score_lanes_200(benchmark, model, cell):
 
 def test_ray_bundle(benchmark, model, cell):
     d = benchmark(ray_bundle, model, np.array([0.3, 0.6, -0.4]), cell.obstacles)
+    assert d.shape == (25,)
+
+
+def test_ray_bundle_lanes_one_state(benchmark, model, cell):
+    # one state from a chain walk's (q, p) floats against a slab table built
+    # once, as a one-lane DRL step casts
+    _, _, _, q, p = _chain_eval(model, np.array([0.3, 0.6, -0.4]))
+    d = benchmark(ray_bundle_lanes, q, p, slab_table(cell.obstacles))
     assert d.shape == (25,)
 
 

@@ -14,21 +14,25 @@ the end-effector state, the Euler angles of both from one ``quat_to_euler``
 call, the Jacobian and a batched SVD for manipulability, the capsule
 distances of the collision check (behind ``geometry``'s broad phase) and
 the ray bundle (one ``raycast_many`` over the (N, 25) rays, one slab pass
-over the boxes).  Lane k of a step equals a one-episode environment
-stepped on lane k alone, bit for bit.  With one lane the environment runs
-the one-configuration kernels on that same walk, on Python floats: at N = 1
-a lane kernel costs several times its scalar counterpart, so ``plan_drl``
-bridges one gap on one lane.  A step is the transition (clamp, chain walk,
-observation, goal distance and done rule) plus the collision verdict,
-manipulability and reward.  ``plan_drl`` runs the transition alone, since
-its policy reads only the observation, and annotates the bridge rows after
-the loop with one ``geometry.score_lanes`` call.  ``train_drl`` collects
-each PPO batch on ``ROLLOUT_LANES`` lanes with one policy forward per lane
-step (the vectorised-environment layout of PPO).  Bracket poses are
-8-vectors (rows of a plan's lanes) or ``DualQuaternion``s.
+over the boxes of a ``slab_table`` built with the environment).  Lane k of
+a step equals a one-episode environment stepped on lane k alone, bit for
+bit.  A step is the transition (clip and clamp, chain walk, observation,
+goal distance and done rule) plus the collision verdict, manipulability
+and reward.  One lane runs the transition on the walk's Python floats, in
+the operations and order of the lane arrays, and builds its observation
+row once; only the Euler angles (``dualquat._euler_floats``), the ray cast
+and the goal distance stay in numpy, and the collision verdict takes the
+one-configuration kernel.  ``plan_drl`` bridges one gap on one lane and
+runs the transition alone, since its policy reads only the observation,
+and annotates the bridge rows after the loop with one
+``geometry.score_lanes`` call.  ``train_drl`` collects each PPO batch on
+``ROLLOUT_LANES`` lanes with one policy forward per lane step (the
+vectorised-environment layout of PPO).  Bracket poses are 8-vectors (rows
+of a plan's lanes) or ``DualQuaternion``s.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -36,7 +40,8 @@ from typing import ClassVar
 import numpy as np
 
 from hybridplan import records
-from hybridplan.dualquat import dq_from_lanes, dq_to_lanes, dq_translation, quat_to_euler
+from hybridplan.dualquat import (_euler_floats, dq_from_lanes, dq_to_lanes, dq_translation,
+                                 quat_to_euler)
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     RAY_COUNT,
@@ -45,6 +50,7 @@ from hybridplan.geometry import (
     collision_index_points,
     ray_bundle_lanes,
     score_lanes,
+    slab_table,
 )
 from hybridplan.kinematics import (
     RobotModel,
@@ -102,14 +108,19 @@ def drl_reward(cfg: DrlEnvConfig, distance, col, man):
 
 
 def _rows(values, n) -> np.ndarray:
-    """k floats (n = 1), or k (n,) lanes where constants may stay floats, of
-    ``_chain_eval`` output as an (n, k) array."""
-    if n == 1:
-        return np.array([values], dtype=float)
+    """k (n,) lanes of ``_chain_eval`` output, where constants may stay
+    floats, as an (n, k) array."""
     out = np.empty((n, len(values)))
     for i, v in enumerate(values):
         out[:, i] = v
     return out
+
+
+def _clip(x, lo, hi):
+    """``np.clip`` of one float: a tie takes the bound, as numpy's clip of a
+    (1, dof) row against limit arrays does, and NaN stays NaN."""
+    x = lo if x <= lo else x
+    return hi if x >= hi else x
 
 
 class DrlEnv:
@@ -134,6 +145,9 @@ class DrlEnv:
         # joint positions and Euler angles at the current thetas
         self._jp, self._jo = np.zeros((lanes, 3 * self.dof)), np.zeros((lanes, 3 * self.dof))
         self._obs = np.zeros((lanes, state_dim(self.dof)))
+        self._slabs = slab_table(self.obstacles)
+        self._limits = model.limits_lo.tolist(), model.limits_hi.tolist()
+        self._max_step = float(np.radians(cfg.max_step_deg))
         reach = sum(np.linalg.norm(j.offset.translation()) for j in model.joints)
         reach += np.linalg.norm(model.tool.translation())
         self._reach = max(reach, 1e-6)
@@ -151,30 +165,46 @@ class DrlEnv:
             np.full(3, self._reach),            # goal offset
         ])
 
-    def _walk(self, thetas):
-        """One chain walk over the rows of ``thetas`` (the one-configuration
-        kernel for one row): the ``_chain_eval`` output plus the (n, 3 dof)
-        joint positions and Euler angles, the (n, 3) EE positions and the
-        (n, 3) EE Euler angles, every angle from one ``quat_to_euler``."""
+    def _walk(self, thetas, goals, prev=None):
+        """One chain walk over the rows of ``thetas`` and their observations
+        against the rows of ``goals``, with velocities from ``prev``, the
+        previous rows of (joint positions, joint Euler angles); None is no
+        motion.  Returns the ``_chain_eval`` output, the (n, 3 dof) joint
+        positions and Euler angles, the (n, 3) end-effector offsets from the
+        goals and the (n, state_dim) observations."""
         n = len(thetas)
-        chain = _chain_eval(self.model, thetas[0] if n == 1 else thetas)
+        st = self.cfg.step_time
+        if n == 1:          # on the walk's floats, in the lane arrays' operations and order
+            chain = _chain_eval(self.model, thetas[0])
+            _, origins, rots, q, p = chain
+            jp = [c for o in origins for c in o]
+            euler = _euler_floats([*rots, q])         # the joint frames, then the EE
+            jo, to = euler[:-3], euler[-3:]
+            prev_jp, prev_jo = (jp, jo) if prev is None else (rows[0].tolist() for rows in prev)
+            lv = [(a - b) / st for a, b in zip(jp, prev_jp)]
+            av = [((a - b + math.pi) % (2 * math.pi) - math.pi) / st    # wrap-safe
+                  for a, b in zip(jo, prev_jo)]
+            rays = ray_bundle_lanes(q, p, self._slabs, self.cfg.ray_range).tolist()
+            goal = goals[0].tolist()
+            row = jp + jo + lv + av + [*p] + to + rays + [g - c for g, c in zip(goal, p)]
+            return (chain, np.array([jp]), np.array([jo]),
+                    np.array([[c - g for c, g in zip(p, goal)]]),
+                    np.array([row]) / self._obs_scale)
+        chain = _chain_eval(self.model, thetas)
         _, origins, rots, q, p = chain
         jp = _rows([c for o in origins for c in o], n)
         # the joint frames, then the end effector: (n, dof + 1) each
         quats = [_rows([r[i] for r in rots] + [q[i]], n) for i in range(4)]
         euler = quat_to_euler(quats)                                   # (3, n, dof + 1)
         jo = euler[:, :, :-1].transpose(1, 2, 0).reshape(n, -1)
-        return chain, jp, jo, _rows(p, n), euler[:, :, -1].T
-
-    def _observe(self, walk, prev_jp, prev_jo, goal):
-        (_, _, _, q, p), jp, jo, p_rows, to = walk
-        n = len(jp)
-        lv = (jp - prev_jp) / self.cfg.step_time
-        d_ang = (jo - prev_jo + np.pi) % (2 * np.pi) - np.pi   # wrap-safe
-        av = d_ang / self.cfg.step_time
-        rays = ray_bundle_lanes(q, p, self.obstacles, self.cfg.ray_range).reshape(n, -1)
-        raw = np.concatenate([jp, jo, lv, av, p_rows, to, rays, goal - p_rows], axis=1)
-        return raw / self._obs_scale
+        prev_jp, prev_jo = (jp, jo) if prev is None else prev
+        lv = (jp - prev_jp) / st
+        av = ((jo - prev_jo + np.pi) % (2 * np.pi) - np.pi) / st   # wrap-safe
+        rays = ray_bundle_lanes(q, p, self._slabs, self.cfg.ray_range).reshape(n, -1)
+        p_rows = _rows(p, n)
+        raw = np.concatenate([jp, jo, lv, av, p_rows, euler[:, :, -1].T, rays, goals - p_rows],
+                             axis=1)
+        return chain, jp, jo, p_rows - goals, raw / self._obs_scale
 
     def reset(self, thetas, goals, lanes=None) -> np.ndarray:
         """Start new episodes on ``lanes`` (every lane when None) from the
@@ -182,12 +212,11 @@ class DrlEnv:
         lanes = np.arange(self.lanes) if lanes is None else np.asarray(lanes)
         thetas = np.array(thetas, dtype=float).reshape(len(lanes), self.dof)
         goals = np.array(goals, dtype=float).reshape(len(lanes), 3)
-        walk = self._walk(thetas)
-        _, jp, jo, _, _ = walk
+        _, jp, jo, _, obs = self._walk(thetas, goals)
         self._theta[lanes], self._goal[lanes], self._steps[lanes] = thetas, goals, 0
         self._jp[lanes], self._jo[lanes] = jp, jo
         self._obs = self._obs.copy()          # the arrays step returned stay as they were
-        self._obs[lanes] = self._observe(walk, jp, jo, goals)
+        self._obs[lanes] = obs
         return self._obs
 
     @property
@@ -196,29 +225,35 @@ class DrlEnv:
 
     def _advance(self, actions):
         """The transition of (lanes, dof) increment actions: clamp, one chain
-        walk, observation, goal distance and done rule.  Returns (walk,
+        walk, observation, goal distance and done rule.  Returns (chain walk,
         observations, distances, reached, dones, clamped), one row or entry
-        per lane."""
-        a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
-        proposed = self._theta + a * np.radians(self.cfg.max_step_deg)
-        theta = self.model.clamp(proposed)
-        clamped = np.any(proposed != theta, axis=1)
-        walk = self._walk(theta)
-        _, jp, jo, p_rows, _ = walk
+        per lane.  One lane clips and clamps on floats."""
+        if self.lanes == 1:
+            a = np.asarray(actions, dtype=float).reshape(self.dof).tolist()
+            proposed = [t + _clip(x, -1.0, 1.0) * self._max_step
+                        for t, x in zip(self._theta[0].tolist(), a)]
+            theta = [_clip(x, lo, hi) for x, lo, hi in zip(proposed, *self._limits)]
+            clamped = np.array([any(x != t for x, t in zip(proposed, theta))])
+            theta = np.array([theta])
+        else:
+            a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
+            proposed = self._theta + a * self._max_step
+            theta = self.model.clamp(proposed)
+            clamped = np.any(proposed != theta, axis=1)
+        chain, jp, jo, away, obs = self._walk(theta, self._goal, (self._jp, self._jo))
         self._steps += 1
-        d = _lane_norm(p_rows - self._goal)
+        d = _lane_norm(away)
         reached = d < self.cfg.target_radius
         done = reached | (self._steps >= self.cfg.episode_budget)
-        self._obs = self._observe(walk, self._jp, self._jo, self._goal)
-        self._theta, self._jp, self._jo = theta, jp, jo
-        return walk, self._obs, d, reached, done, clamped
+        self._theta, self._jp, self._jo, self._obs = theta, jp, jo, obs
+        return chain, obs, d, reached, done, clamped
 
     def step(self, actions):
         """Apply (lanes, dof) increment actions; returns (observations,
         rewards, dones, info) with one row or entry per lane: the transition
         plus the collision verdict, manipulability and reward."""
-        walk, obs, d, reached, done, clamped = self._advance(actions)
-        axes, origins, _, _, p = walk[0]
+        chain, obs, d, reached, done, clamped = self._advance(actions)
+        axes, origins, _, _, p = chain
         col = np.reshape(collision_index_points(
             self.model, _frame_points_raw(origins, p), self.obstacles), -1)
         man = np.zeros(self.lanes)

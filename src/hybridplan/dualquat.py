@@ -26,6 +26,13 @@ its few dozen float operations.  ``math.sin``/``math.cos`` equal
 ``np.sin``/``np.cos`` on floats, and a norm stays ``np.linalg.norm``'s
 ``sqrt(v.dot(v))``, which a float sum of squares does not round alike, so the
 result equals the array form (``tests/scalar_reference.py``) bit for bit.
+The inverse functions do not carry over: numpy 2.4.6's AVX-512 loops for
+``np.arctan2`` and ``np.arcsin`` round differently from ``math.atan2`` and
+``math.asin`` (libm) on about 7% and 8% of random arguments (7,362 of
+100,000 normal pairs and 8,389 of 100,000 uniform values in [-1, 1], on a
+2-vCPU Xeon with AVX-512), while a numpy call rounds alike at any length,
+contiguous or strided.  So ``_euler_floats``, the Euler angles of the
+one-lane DRL step, works its arguments on floats and its angles in numpy.
 The pose constructors refuse a non-finite position or rotation.
 
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
@@ -159,6 +166,24 @@ def quat_to_euler(q: np.ndarray) -> np.ndarray:
     pitch = np.arcsin(sinp)
     yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
     return np.array([roll, pitch, yaw])
+
+
+def _euler_floats(quats) -> list:
+    """``quat_to_euler`` of float quaternions (w, x, y, z), flat as roll,
+    pitch, yaw per quaternion: the arguments on floats in the array form's
+    operations and order, then every angle from one ``np.arctan2`` call
+    (rolls, then yaws) and one ``np.arcsin`` call."""
+    ys, xs, sinps = [], [], []
+    for w, x, y, z in quats:
+        sinps.append(min(max(2.0 * (w * y - z * x), -1.0), 1.0))   # NaN stays NaN
+        ys.append(2.0 * (w * x + y * z))
+        xs.append(1.0 - 2.0 * (x * x + y * y))
+    for w, x, y, z in quats:
+        ys.append(2.0 * (w * z + x * y))
+        xs.append(1.0 - 2.0 * (y * y + z * z))
+    n = len(sinps)
+    turns, pitch = np.arctan2(ys, xs).tolist(), np.arcsin(sinps).tolist()
+    return [a for r, p, y in zip(turns[:n], pitch, turns[n:]) for a in (r, p, y)]
 
 
 # ------------------------------------------------------------------ #

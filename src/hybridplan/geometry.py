@@ -40,7 +40,9 @@ trajectories and lane environments.
 
 ``ray_bundle_lanes`` casts the end-effector ray bundle from given
 end-effector states, one state or N lanes; ``raycast_many`` meets every ray
-with every box in one slab pass.
+with every box in one slab pass.  Both read the obstacles from a
+``slab_table``, which a caller that casts at every step (``DrlEnv``) builds
+once.
 """
 from __future__ import annotations
 
@@ -392,23 +394,33 @@ def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # Ray casting
 # ------------------------------------------------------------------ #
-def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
+def slab_table(obstacles) -> tuple:
+    """The ray cast's view of ``obstacles``, built once per scene: the boxes'
+    (B, 3) lower and upper corners, their faces as one (2, 1, B, 3) array,
+    and the spheres."""
+    _, lo, hi = _boxes(obstacles)
+    return lo, hi, np.array([lo, hi])[:, None], [ob for ob in obstacles
+                                                 if not isinstance(ob, Box)]
+
+
+def raycast_many(origin, dirs, slabs, max_range) -> np.ndarray:
     """First surface crossing along each ray, clamped to max_range.
 
     dirs has shape (k, 3) with unit rows and origin (3,); returns (k,)
     distances.  Lanes: origins (N, 3) with dirs (N, k, 3) give (N, k), and
-    row n equals the one-origin call on origin n.  Boxes are one slab pass:
-    every ray against every box's faces, a (2, B, 3) array, then the
-    nearest hit over the boxes.
+    row n equals the one-origin call on origin n.  ``slabs`` is the
+    ``slab_table`` of the obstacles.  Boxes are one slab pass: every ray
+    against every box's faces, then the nearest hit over the boxes.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
+    lo, hi, faces, spheres = slabs
     dist = np.full(dirs.shape[:-1], float(max_range))
-    boxes, lo, hi = _boxes(obstacles)
-    if boxes:
+    if len(lo):
         at = origin[..., None, None, :]            # each origin against its k rays
         d = dirs[..., None, :]                     # and each ray against B boxes
-        faces = np.expand_dims(np.array([lo, hi]), tuple(range(1, dirs.ndim)))
+        if dirs.ndim == 3:
+            faces = faces[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (faces - at) / d                   # (2, ..., k, B, 3)
         lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
@@ -416,21 +428,19 @@ def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
         if par.any():
             # rays parallel to a slab, the one place a 0/0 can arise: inside
             # -> no constraint, outside -> miss
-            inside = (at >= lo) & (at <= hi)
-            lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
-            hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
+            fill = np.where((at >= lo) & (at <= hi), -np.inf, np.inf)
+            lohit = np.where(par, fill, lohit)
+            hihit = np.where(par, -fill, hihit)
         tmin = lohit.max(axis=-1)
         tmax = hihit.min(axis=-1)
+        # a hit has tmax >= max(tmin, 0), so the distance it picks is >= 0
         hit = tmax >= np.maximum(tmin, 0.0)
-        t = np.where(tmin >= 0.0, tmin, tmax)      # origin inside: exit point
-        t = np.where(hit & (t >= 0.0), t, np.inf)
-        for k in range(len(boxes)):
+        t = np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)   # origin inside: exit
+        for k in range(len(lo)):
             # one box after another: a tie of +0 and -0 resolves as it does
             # box by box
             dist = np.minimum(dist, t[..., k])
-    for ob in obstacles:
-        if isinstance(ob, Box):
-            continue
+    for ob in spheres:
         oc = origin - ob.center
         # a stacked matrix-vector product rounds like the one-origin ``dirs @ oc``
         b = (dirs @ oc[..., None])[..., 0]
@@ -468,12 +478,13 @@ _BUNDLE = _bundle_directions()
 def ray_bundle(model: RobotModel, theta, obstacles, max_range=2.0) -> np.ndarray:
     """25 ray distances from the end effector, pattern rigidly frame-attached."""
     q, p = ee_state(model, theta)
-    return ray_bundle_lanes(q, p, obstacles, max_range)
+    return ray_bundle_lanes(q, p, slab_table(obstacles), max_range)
 
 
-def ray_bundle_lanes(q, p, obstacles, max_range=2.0) -> np.ndarray:
-    """``ray_bundle`` from end-effector states, the (q, p) of ``_chain_eval``:
-    floats give (25,); (N,) lanes give (N, 25), one ``raycast_many`` over
-    every lane's rays, with lane n equal to the one-state call."""
+def ray_bundle_lanes(q, p, slabs, max_range=2.0) -> np.ndarray:
+    """``ray_bundle`` from end-effector states, the (q, p) of ``_chain_eval``,
+    against a ``slab_table``: floats give (25,); (N,) lanes give (N, 25), one
+    ``raycast_many`` over every lane's rays, with lane n equal to the
+    one-state call."""
     R = quat_to_matrix(q)                      # (3, 3), or (3, 3, N) for lanes
-    return raycast_many(np.transpose(p), _BUNDLE @ R.T, obstacles, max_range)
+    return raycast_many(np.array(p).T, _BUNDLE @ R.T, slabs, max_range)

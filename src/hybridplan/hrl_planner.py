@@ -175,7 +175,7 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
     zero = sin * 0.0                 # the signed zeros of the z-axis spin
     rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, *lanes.T[:4]))
     norm = np.sqrt(_lane_dot(rot, rot))
-    if np.any(norm < 1e-12):
+    if not np.all(norm >= 1e-12):   # written so that a NaN norm fails it too
         raise ValueError("degenerate rotation")
     rot /= norm[:, None]
     pos = dq_translation(lanes) + draw[:, :3]

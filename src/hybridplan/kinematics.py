@@ -95,8 +95,10 @@ class RobotModel:
 def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") -> RobotModel:
     """Validate and assemble a robot model."""
     jlist = []
-    for axis, offset, limits in joints:
+    for i, (axis, offset, limits) in enumerate(joints, start=1):
         axis = np.asarray(axis, dtype=float)
+        if not np.all(np.isfinite(axis)):
+            raise ValueError(f"joint {i} axis must be finite, got {axis.tolist()}")
         n = np.linalg.norm(axis)
         if abs(n - 1.0) > 1e-6:
             if n < 1e-9:

@@ -143,8 +143,19 @@ def assert_lane_equals_scalar(out, ref, k):
     assert info["reached"][k] == r_info["reached"]
 
 
-@pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
-def test_lane_step_equals_the_one_configuration_env(lanes):
+# a sphere in reach beside a box, and a sphere alone
+SPHERE_CELLS = {"sphere_beside_box": [Box([0.5, 0.3, -0.25], [0.6, 1.4, 0.25], "wall_upper"),
+                                      Sphere([0.55, -0.35, 0.0], 0.15, "post")],
+                "sphere_alone": [Sphere([0.6, 0.0, 0.0], 0.2, "post")]}
+
+
+@pytest.mark.parametrize("lanes, cell", [
+    pytest.param(1, WALL_CELL, id="1"),
+    pytest.param(ROLLOUT_LANES, WALL_CELL, id=str(ROLLOUT_LANES)),
+    *(pytest.param(lanes, SPHERE_CELLS[name], id=f"{name}-{lanes}")
+      for name in SPHERE_CELLS for lanes in (1, ROLLOUT_LANES)),
+])
+def test_lane_step_equals_the_one_configuration_env(lanes, cell):
     """Lane k of a lane step equals the one-configuration reference env
     stepped on lane k alone, bit for bit, through resets on every kind of
     episode end (reached, budget), collisions, rays on boxes and a sphere,
@@ -152,8 +163,8 @@ def test_lane_step_equals_the_one_configuration_env(lanes):
     model = planar_3r()
     cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0)
     rng = np.random.default_rng(11)
-    env = DrlEnv(model, WALL_CELL, cfg, lanes)
-    refs = [ScalarDrlEnv(model, WALL_CELL, cfg) for _ in range(lanes)]
+    env = DrlEnv(model, cell, cfg, lanes)
+    refs = [ScalarDrlEnv(model, cell, cfg) for _ in range(lanes)]
     lo, hi = model.limits_lo, model.limits_hi
 
     def start():
@@ -184,6 +195,31 @@ def test_lane_step_equals_the_one_configuration_env(lanes):
             for k, (theta, goal) in zip(ends, new):
                 np.testing.assert_array_equal(obs[k], refs[k].reset(theta, goal))
     assert all(seen.values()), seen
+
+
+def test_one_lane_transition_equals_a_lane_of_the_lane_arrays():
+    """The one-lane transition on floats equals lane 0 of the same
+    transition on lane arrays, byte for byte, through NaN, infinite, signed
+    zero and out-of-range actions and joint-limit clamps."""
+    model = planar_3r()
+    cfg = DrlEnvConfig(episode_budget=50)
+    one, many = DrlEnv(model, WALL_CELL, cfg), DrlEnv(model, WALL_CELL, cfg, ROLLOUT_LANES)
+    rng = np.random.default_rng(5)
+    start = model.limits_hi - 0.05                 # a step from the upper limits
+    specials = [np.nan, 0.0, -0.0, 1.0, -1.0, 1.5, -1.5, np.inf, -np.inf]
+    clamped = 0
+    for k in range(60):
+        if k % 15 == 0:
+            one.reset(start, GOAL)
+            many.reset(np.tile(start, (ROLLOUT_LANES, 1)), np.tile(GOAL, (ROLLOUT_LANES, 1)))
+        action = rng.uniform(-1.5, 1.5, model.dof)
+        action[k % model.dof] = specials[k % len(specials)]
+        got = one._advance(action)[1:]
+        want = many._advance(np.tile(action, (ROLLOUT_LANES, 1)))[1:]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w[:1].tobytes()
+        clamped += int(got[-1][0])
+    assert clamped and np.isnan(one.thetas).any()
 
 
 def test_reset_of_some_lanes_keeps_the_others():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -206,6 +207,36 @@ def test_one_pose_on_floats_equals_the_array_form_bit_for_bit():
         assert dualquat.quat_normalize(q).tobytes() == ref.quat_normalize(q).tobytes()
         angles3 = angles[[k, k - 1, k - 2]]
         assert quat_from_euler(*angles3).tobytes() == ref.quat_from_euler(*angles3).tobytes()
+
+
+def test_euler_of_float_quaternions_equals_the_array_form_bit_for_bit():
+    """``_euler_floats``, the JO and TO blocks of a one-lane DRL step, equals
+    ``quat_to_euler`` of the lane arrays on 10,000 unit quaternions; a
+    ``math.atan2``/``math.asin`` form would not."""
+    rng = np.random.default_rng(47)
+    n = 10_000
+    quats = signed_zeros(rng, rng.normal(size=(n, 4)))
+    quats[~np.any(quats, axis=1), 0] = -1.0
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    for k in range(0, n, 10):                   # pitch +-pi/2, where the arcsin clip acts
+        roll, yaw = rng.uniform(-np.pi, np.pi, 2)
+        quats[k] = quat_from_euler(roll, np.pi / 2 if k % 20 else -np.pi / 2, yaw)
+    w, x, y, z = quats.T
+    sinp = 2.0 * (w * y - z * x)
+    assert (sinp > 1.0).any() and (sinp < -1.0).any() and (np.abs(sinp) == 1.0).any()
+    assert np.signbit(quats[quats == 0.0]).any() and not np.signbit(quats[quats == 0.0]).all()
+    got = np.array(dualquat._euler_floats(quats.tolist()))
+    assert got.tobytes() == quat_to_euler(quats.T).T.tobytes()
+    for frames in (4, 8):       # a planar 3R's and a 7-DoF arm's joint frames plus the EE
+        for rows in np.split(quats, n // frames):
+            want = quat_to_euler([c[None] for c in rows.T])      # (3, 1 lane, frames)
+            assert np.array(dualquat._euler_floats(rows.tolist())).tobytes() == \
+                want[:, 0].T.tobytes()
+    rolls = [math.atan2(2.0 * (a * b + c * d), 1.0 - 2.0 * (b * b + c * c))
+             for a, b, c, d in quats.tolist()]
+    assert np.array(rolls).tobytes() != got[0::3].tobytes()
+    assert np.array([math.asin(min(max(v, -1.0), 1.0)) for v in sinp.tolist()]).tobytes() != \
+        got[1::3].tobytes()
 
 
 # ------------------------------------------------------------------ #

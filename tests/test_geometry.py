@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridplan import geometry
-from hybridplan.dualquat import DualQuaternion
+from hybridplan.dualquat import DualQuaternion, quat_to_matrix
 from hybridplan.geometry import (
     Box,
     Sphere,
@@ -21,6 +21,7 @@ from hybridplan.geometry import (
     segment_box_distance,
     segment_point_distance,
     segment_segment_distance,
+    slab_table,
 )
 from hybridplan.kinematics import (
     LinkCapsule,
@@ -493,17 +494,59 @@ def test_raycast_many_equals_the_per_obstacle_reference_bitwise(spheres):
     if spheres:
         obstacles[1:1] = [Sphere([-1.2, -1.0, 0.3], 0.4), Sphere([0.2, -1.4, -0.6], 0.25)]
     origins, dirs = adversarial_rays(rng, 300)
-    got = geometry.raycast_many(origins, dirs, obstacles, 2.5)
+    got = geometry.raycast_many(origins, dirs, slab_table(obstacles), 2.5)
     ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
     assert got.shape == (300, 25) and got.tobytes() == ref.tobytes()
     assert (ref == 0.0).any() and (ref < 2.5).mean() > 0.3 and (ref == 2.5).any()
     for k in range(0, 300, 7):                     # the one-origin form
-        one = geometry.raycast_many(origins[k], dirs[k], obstacles, 2.5)
+        one = geometry.raycast_many(origins[k], dirs[k], slab_table(obstacles), 2.5)
         assert one.tobytes() == ref[k].tobytes()
     # no boxes, and no obstacles
     for obs in (obstacles[1:3] if spheres else [], []):
-        assert geometry.raycast_many(origins, dirs, obs, 2.5).tobytes() == \
+        assert geometry.raycast_many(origins, dirs, slab_table(obs), 2.5).tobytes() == \
             reference_raycast_many(origins, dirs, obs, 2.5).tobytes()
+
+
+@pytest.mark.parametrize("case", ["on_a_face", "inside_a_box", "planar_arm",
+                                  "sphere_beside_boxes"])
+def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(case):
+    """The one-origin call, a one-lane DRL step's ray cast, against the
+    reference: origins on a face (a 0/0 slab) or inside a box, the planar
+    arm's bundle, which keeps rays parallel to the z slabs at every
+    configuration, and a sphere beside the boxes."""
+    rng = np.random.default_rng(41)
+    obstacles = list(RAY_BOXES)
+    origins, dirs = adversarial_rays(rng, 200)
+    box = RAY_BOXES[0]
+    if case == "on_a_face":
+        origins = rng.uniform(box.lo, box.hi, (200, 3))
+        origins[:, 0] = box.lo[0]
+        assert (dirs[:, :, 0] == 0.0).any()        # (lo - at) / 0 is 0 / 0
+    elif case == "inside_a_box":
+        origins = rng.uniform(box.lo, box.hi, (200, 3))
+    elif case == "planar_arm":
+        model, obstacles = _scene("wall")
+        obstacles = [*obstacles, Sphere([0.6, 0.3, 0.0], 0.2)]
+        thetas = rng.uniform(model.limits_lo, model.limits_hi, (200, model.dof))
+        states = [_chain_eval(model, theta)[3:] for theta in thetas]
+        origins = np.array([p for _, p in states])
+        dirs = np.array([geometry._BUNDLE @ quat_to_matrix(q).T for q, _ in states])
+        assert (dirs[:, :, 2] == 0.0).any(axis=1).all()
+        for (q, p), ref in zip(states, reference_raycast_many(origins, dirs, obstacles, 2.5)):
+            assert ray_bundle_lanes(q, p, slab_table(obstacles), 2.5).tobytes() == ref.tobytes()
+    else:
+        obstacles.insert(1, Sphere([1.25, -0.9, 0.0], 0.35))
+        assert (reference_raycast_many(origins, dirs, obstacles, 2.5)
+                != reference_raycast_many(origins, dirs, RAY_BOXES, 2.5)).any()
+    slabs = slab_table(obstacles)
+    ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
+    if case == "on_a_face":
+        assert (ref == 0.0).any()
+    elif case == "inside_a_box":
+        assert (ref < 2.5).all()                   # every ray leaves through a face
+    for k in range(len(origins)):
+        assert geometry.raycast_many(origins[k], dirs[k], slabs, 2.5).tobytes() == \
+            ref[k].tobytes()
 
 
 # ------------------------------------------------------------------ #
@@ -546,13 +589,14 @@ def test_ray_bundle_lanes_equal_one_state_calls_bitwise(name):
     thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
                                               (300, model.dof))
     _, _, _, q, p = _chain_eval(model, thetas)
-    got = ray_bundle_lanes(q, p, obstacles, max_range=1.5)
+    got = ray_bundle_lanes(q, p, slab_table(obstacles), max_range=1.5)
     assert got.shape == (300, 25)
     ref = np.array([ray_bundle(model, t, obstacles, max_range=1.5) for t in thetas])
     np.testing.assert_array_equal(got, ref)
     assert (ref < 1.5).any() and (ref == 1.5).any()
     _, _, _, q1, p1 = _chain_eval(model, thetas[0])          # one state, on floats
-    np.testing.assert_array_equal(ray_bundle_lanes(q1, p1, obstacles, max_range=1.5), ref[0])
+    np.testing.assert_array_equal(
+        ray_bundle_lanes(q1, p1, slab_table(obstacles), max_range=1.5), ref[0])
 
 
 @pytest.mark.parametrize("call, error, match", [

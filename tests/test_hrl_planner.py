@@ -685,6 +685,9 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
                  "segment needs at least 2 poses", id="one_pose_segment"),
     pytest.param(lambda: _jitter_lanes(np.zeros((2, 8)), HrlConfig(), np.random.default_rng(0)),
                  "degenerate rotation", id="degenerate_jitter"),
+    pytest.param(lambda: _jitter_lanes(np.array([[np.nan, 0, 0, 1, 0, 0, 0, 0]]), HrlConfig(),
+                                       np.random.default_rng(0)),
+                 "degenerate rotation", id="nan_rotation_jitter"),
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),

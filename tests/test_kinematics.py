@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -636,3 +637,11 @@ def _edited_robot_file(old, new):
 def test_kinematics_refuses(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0]], ids=["nan", "inf"])
+def test_make_robot_refuses_a_non_finite_joint_axis(axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")        # refused before any arithmetic can warn
+        with pytest.raises(ValueError, match=r"joint 1 axis must be finite"):
+            _robot(axis=np.array(axis))
