@@ -8,4 +8,4 @@ feasibility map.
 
 __version__ = "0.1.0"
 
-from hybridplan.dualquat import DualQuaternion, dq_mul, dq_conjugate, dq_from_pose, dq_sclerp  # noqa: F401
+from hybridplan.dualquat import DualQuaternion, dq_mul, dq_sclerp  # noqa: F401

@@ -34,14 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from hybridplan import records
-from hybridplan.dualquat import (_euler_floats, dq_from_lanes, dq_to_lanes, dq_translation,
-                                 quat_to_euler)
+from hybridplan.dualquat import _euler_floats, dq_to_lanes, dq_translation, quat_to_euler
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     RAY_COUNT,
@@ -83,7 +80,7 @@ class DrlEnvConfig:
     # crossed by on-policy exploration alone
     explore_start_prob: ClassVar[float] = 0.5
     collision_penalty: ClassVar[float] = -1.0
-    target_radius: float = 0.25      # meters; the paper's training tolerance
+    target_radius: ClassVar[float] = 0.25   # meters; the paper's training tolerance
     episode_budget: int = 300
     # the manipulability term is man' - man_baseline: man' itself by default;
     # benchmark scenes use baseline 1, a shortfall penalty, since otherwise
@@ -262,19 +259,6 @@ class DrlEnv:
         reward, _ = drl_reward(self.cfg, d, col, man)
         info = {"collision": col, "distance": d, "clamped": clamped, "reached": reached}
         return obs, reward, done, info
-
-
-# ------------------------------------------------------------------ #
-# Segment pairs (harvested infeasible brackets)
-# ------------------------------------------------------------------ #
-def save_segments(pairs, path) -> None:
-    """One line per (start pose, goal pose) pair: 16 scalars."""
-    records.write(path, [records.line(dq_to_lanes(pair)) for pair in pairs])
-
-
-def load_segments(path) -> list:
-    rows = records.read_table(Path(path).read_text(), 16, "segment")
-    return list(zip(dq_from_lanes(rows[:, :8]), dq_from_lanes(rows[:, 8:])))
 
 
 # ------------------------------------------------------------------ #

@@ -46,11 +46,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
-
-from hybridplan import records
 
 RENORM_THRESHOLD = 1e-6  # drift beyond this triggers renormalize-and-warn
 
@@ -274,15 +271,6 @@ def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     return out
 
 
-def dq_conjugate(d: DualQuaternion) -> DualQuaternion:
-    """Inverse of a unit dual quaternion."""
-    return d.conjugate()
-
-
-def dq_from_pose(position, rotation) -> DualQuaternion:
-    return DualQuaternion.from_pose(position, rotation)
-
-
 def dq_to_lanes(poses) -> np.ndarray:
     """Poses as lanes: a ``DualQuaternion`` gives its 8-vector, an array
     passes through as float64, and a sequence of ``DualQuaternion``s or
@@ -441,14 +429,3 @@ def dq_sclerp(a: DualQuaternion, b: DualQuaternion, u: float) -> DualQuaternion:
     """Screw linear interpolation from a (u=0) to b (u=1): the one-lane
     ``dq_sclerp_lanes``."""
     return DualQuaternion.from_array(dq_sclerp_lanes(a.as_array(), b.as_array(), float(u)))
-
-
-# ------------------------------------------------------------------ #
-# Pose text format: one pose per line, 8 whitespace-separated decimals
-# ------------------------------------------------------------------ #
-def save_poses(path, poses) -> None:
-    records.write(path, [records.line(d.as_array()) for d in poses])
-
-
-def load_poses(path) -> list:
-    return dq_from_lanes(records.read_table(Path(path).read_text(), 8, "pose"))

@@ -284,14 +284,20 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     reach, and repeating it lets rescued cells propagate into deeper ones.
     Each pass runs the IK descents of all its cells in lockstep; a cell's
     verdict depends only on (seed, cell index) and the witnesses of the
-    passes before.  ``theta_max`` must be finite and in (0, pi], and at
+    passes before.  The workspace box and ``voxel_size`` must be finite.
+    ``theta_max`` must be finite and in (0, pi], and at
     most pi/2 with more than one pitch bin: pitch comes from ``arcsin``, so no
     pose reaches a pitch bin beyond +-pi/2.
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
+    # checked before any arithmetic: an inf would overflow the voxel counts
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"workspace box {lo.tolist()}, {hi.tolist()} is not finite")
     if not (np.all(hi > lo) and voxel_size > 0):      # NaN fails too
         raise ValueError("empty tessellation")
+    if not np.isfinite(voxel_size):
+        raise ValueError(f"voxel_size {voxel_size} is not finite")
     counts = tuple(max(1, int(np.ceil((hi[a] - lo[a]) / voxel_size - 1e-9)))
                    for a in range(3))
     theta_max, orient_counts = orientation_spec

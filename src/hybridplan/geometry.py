@@ -5,10 +5,12 @@ All checks are discrete per-configuration; trajectory-level safety comes from
 checking interpolated waypoints at fine joint-space resolution.
 
 ``collision_index`` checks one configuration on plain floats and stops at the
-first contact; it is the path for single checks: ``feasibility.ik_free``'s
-solutions, ``train_drl``'s random-start fallback, the one-lane
-``DrlEnv.step`` (through ``collision_index_points``) and the benchmark's
-own task sampling (1,399 calls in a ``hybrid`` round's set-up).
+first contact.  Of the benchmark's workloads only their own code calls it:
+the task sampling (1,399 calls in a ``hybrid`` set-up on seed 1) and the
+``map`` witness check.  ``feasibility.ik_free``'s solutions and
+``train_drl``'s random-start fallback call it for general chains and in
+tests.  The one-lane ``DrlEnv.step`` runs its kernel,
+``collision_index_points`` on one configuration's frame points.
 ``segment_box_distance``, the largest part of a check against boxes, runs on
 Python floats.  ``collision_index_lanes`` checks an (N, dof)
 array of configurations at once: frame points from one lane ``_chain_eval``,

@@ -167,7 +167,9 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
 
     One (n, 4) draw takes, pose by pose, the three offsets and then the
     angle, and the arithmetic is ``DualQuaternion.from_pose`` on lanes, so the
-    result and the generator state match jittering one pose at a time."""
+    result and the generator state match jittering one pose at a time.  A
+    non-finite dual part is refused, as ``from_pose`` refuses a non-finite
+    position."""
     amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
     draw = rng.uniform(-amp, amp, size=(len(lanes), 4))
     half = 0.5 * draw[:, 3]
@@ -178,6 +180,8 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
     if not np.all(norm >= 1e-12):   # written so that a NaN norm fails it too
         raise ValueError("degenerate rotation")
     rot /= norm[:, None]
+    if not np.all(np.isfinite(lanes[:, 4:])):
+        raise ValueError("non-finite position")
     pos = dq_translation(lanes) + draw[:, :3]
     dual = _qmul(0.0, *pos.T, *rot.T)
     return np.column_stack((rot, *(0.5 * c for c in dual)))

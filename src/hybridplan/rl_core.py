@@ -151,9 +151,11 @@ class GaussianPolicy:
     """Diagonal Gaussian over continuous actions; state-independent log std,
     the tail of the net's flat vector."""
 
-    def __init__(self, obs_dim, act_dim, hidden=(64, 64), rng=None, log_std=-0.5):
+    init_log_std = -0.5         # of every action dimension, before training
+
+    def __init__(self, obs_dim, act_dim, hidden=(64, 64), rng=None):
         self.net = Mlp([obs_dim] + list(hidden) + [act_dim], rng, out_scale=0.01, tail=act_dim)
-        self.log_std[...] = log_std
+        self.log_std[...] = self.init_log_std
         self.act_dim = act_dim
 
     @property
@@ -254,13 +256,13 @@ class ValueNet:
 class PpoConfig:
     vf_coef: ClassVar[float] = 0.5          # value-loss weight
     gae_lambda: ClassVar[float] = 0.95
+    max_grad_norm: ClassVar[float] = 0.5
+    clip_eps: ClassVar[float] = 0.2
+    epochs_per_batch: ClassVar[int] = 10
     learning_rate: float = 3e-4
     discount: float = 0.99
     minibatch_size: int = 64
     num_steps: int = 2048
-    max_grad_norm: float = 0.5
-    clip_eps: float = 0.2
-    epochs_per_batch: int = 10
 
     def __post_init__(self):
         # each comparison is written so that NaN fails it too
@@ -268,11 +270,8 @@ class PpoConfig:
             raise ValueError("learning_rate must be non-negative")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        for name in ("max_grad_norm", "clip_eps"):     # a NaN bound would turn the clip off
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("minibatch_size", "num_steps", "epochs_per_batch"):
-            if not getattr(self, name) >= 1:      # 0 epochs would make updates no-ops
+        for name in ("minibatch_size", "num_steps"):
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.minibatch_size > self.num_steps:
             raise ValueError("minibatch_size must not exceed num_steps")

@@ -50,9 +50,9 @@ class SwitchConfig:
     # global smoothness bound for traj_final: the payload-drop bound of
     # ``workcell.execute``, so a densified trajectory never drops the payload
     smooth_bound_deg: ClassVar[float] = SMOOTH_BOUND_DEG
-    window: int = 5                  # K: decision points within +-K of a boundary
-    blend_points: int = 10           # max inserted handover points
-    blend_step_deg: float = 2.0      # per-step cap inside a blend
+    window: ClassVar[int] = 5                # K: decision points within +-K of a boundary
+    blend_points: ClassVar[int] = 10         # max inserted handover points
+    blend_step_deg: ClassVar[float] = 2.0    # per-step cap inside a blend
 
     def obs_dim(self, dof: int) -> int:
         span = 2 * self.window + 1

@@ -8,9 +8,7 @@ check at ``COLLISION_RES_DEG``.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -84,22 +82,8 @@ def subdivide(points, pieces):
 
 
 def save_joint_trajectory(traj: JointTrajectory, path) -> None:
+    """Write ``traj`` as a ``# joints N success 0|1`` header, then one table
+    row per point: its N joint values, source, man (to 6 digits) and col."""
     head = f"# joints {traj.points.shape[1]} success {int(traj.success)}"
     records.write(path, [head] + [records.line(p, s, "%.6g" % m, c) for p, s, m, c
                                   in zip(traj.points, traj.source, traj.man, traj.col)])
-
-
-def load_joint_trajectory(path) -> JointTrajectory:
-    """Read a ``save_joint_trajectory`` file: the ``# joints N success B``
-    header, then one row per point of N joint values, source, man and col."""
-    header, _, body = Path(path).read_text().partition("\n")
-    m = re.fullmatch(r"#\s*joints\s+(\d+)\s+success\s+([01])", header.strip())
-    if not m:
-        raise ValueError(f"joint trajectory header {header.strip()!r}: expected "
-                         "'# joints N success 0|1'")
-    dof = int(m.group(1))
-    rows = records.read_table(body, dof + 3, "joint trajectory")
-    if not np.isin(rows[:, [dof, dof + 2]], (0, 1)).all():
-        raise ValueError("joint trajectory source and col fields must be 0 or 1")
-    return JointTrajectory(rows[:, :dof], rows[:, dof].astype(np.uint8), rows[:, dof + 1],
-                           rows[:, dof + 2].astype(np.uint8), m.group(2) == "1")

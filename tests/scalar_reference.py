@@ -62,7 +62,6 @@ from hybridplan.dualquat import (
     _lane_dot,
     _qmul,
     _renormalize_drifted,
-    dq_conjugate,
     dq_conjugate_lanes,
     dq_from_lanes,
     dq_mul,
@@ -202,7 +201,7 @@ def chordal_distance(a: DualQuaternion, b: DualQuaternion) -> float:
 
 def extract_features(poses) -> list:
     last = poses[-1]
-    return [dq_mul(dq_conjugate(p), last) for p in poses[:-1]]
+    return [dq_mul(p.conjugate(), last) for p in poses[:-1]]
 
 
 def arc_params(poses):
@@ -271,9 +270,9 @@ def retarget(skill_poses, start, goal, n_out) -> list:
         return [start] * n_out
     us = params if n_out == len(skill_poses) else np.linspace(0.0, 1.0, n_out)
     base = [sample_sequence(skill_poses, params, u) for u in us]
-    g = dq_mul(start, dq_conjugate(base[0]))
+    g = dq_mul(start, base[0].conjugate())
     aligned = [dq_mul(g, b) for b in base]
-    residual = dq_mul(dq_conjugate(aligned[-1]), goal)
+    residual = dq_mul(aligned[-1].conjugate(), goal)
     identity = DualQuaternion.identity()
     return [dq_mul(b, sclerp(identity, residual, float(u))) for b, u in zip(aligned, us)]
 

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from hybridplan.drl_planner import (
     state_dim,
     train_drl,
 )
-from hybridplan.dualquat import DualQuaternion, load_poses
+from hybridplan.dualquat import DualQuaternion
 from hybridplan.geometry import RAY_COUNT, Box, Sphere, collision_index_lanes, score_lanes
 from hybridplan.kinematics import (
     ee_state,
@@ -22,9 +20,7 @@ from hybridplan.kinematics import (
     planar_3r,
     planar_rr,
 )
-from hybridplan.lfd import load_demonstration
 from hybridplan.rl_core import GaussianPolicy, PpoConfig
-from hybridplan.trajectory import load_joint_trajectory
 from scalar_reference import ScalarDrlEnv
 from scalar_reference import plan_drl as reference_plan_drl
 from test_kinematics import seven_dof
@@ -277,20 +273,21 @@ def bracket(model):
     return (fk(model, theta0), goal), theta0
 
 
-def small_ppo(num_steps=64):
-    return PpoConfig(num_steps=num_steps, minibatch_size=16, epochs_per_batch=2)
+def small_ppo(monkeypatch, num_steps=64):
+    monkeypatch.setattr(PpoConfig, "epochs_per_batch", 2)
+    return PpoConfig(num_steps=num_steps, minibatch_size=16)
 
 
 def weights(policy, value_net):
     return np.concatenate([np.ravel(a) for a in policy.net.params + value_net.net.params])
 
 
-def test_train_drl_is_seed_deterministic():
+def test_train_drl_is_seed_deterministic(monkeypatch):
     model = planar_3r()
     pair, theta0 = bracket(model)
     cfg = DrlEnvConfig(episode_budget=10, man_baseline=1.0)
     pool = [theta0, np.array([0.2, 1.0, -0.5]), np.array([0.1, 0.2, -0.3])]
-    runs = [train_drl([pair], model, [WALL], cfg, small_ppo(), seed=seed, batches=2,
+    runs = [train_drl([pair], model, [WALL], cfg, small_ppo(monkeypatch), seed=seed, batches=2,
                       start_witnesses=[theta0], start_pool=pool)
             for seed in (5, 5, 6)]
     (p1, v1, c1), (p2, v2, c2), (p3, v3, _) = runs
@@ -300,11 +297,11 @@ def test_train_drl_is_seed_deterministic():
 
 
 @pytest.mark.parametrize("num_steps", [ROLLOUT_LANES + 8, 40, 100])
-def test_train_drl_rejects_steps_not_a_multiple_of_the_lanes(num_steps):
+def test_train_drl_rejects_steps_not_a_multiple_of_the_lanes(monkeypatch, num_steps):
     model = planar_3r()
     pair, theta0 = bracket(model)
     with pytest.raises(ValueError, match="multiple"):
-        train_drl([pair], model, [WALL], DrlEnvConfig(), small_ppo(num_steps),
+        train_drl([pair], model, [WALL], DrlEnvConfig(), small_ppo(monkeypatch, num_steps),
                   start_witnesses=[theta0])
 
 
@@ -331,9 +328,10 @@ def check_bridge(model, obstacles, traj, theta0, goal_pos, cfg):
     np.testing.assert_array_equal(traj.man, score_lanes(model, traj.points, [])[0])
 
 
-def test_plan_drl_trajectory_contract():
+def test_plan_drl_trajectory_contract(monkeypatch):
     model = planar_3r()
-    cfg = DrlEnvConfig(episode_budget=12, target_radius=0.05, man_baseline=1.0)
+    monkeypatch.setattr(DrlEnvConfig, "target_radius", 0.05)
+    cfg = DrlEnvConfig(episode_budget=12, man_baseline=1.0)
     theta0 = np.array([0.3, 0.6, -0.4])
     start = fk(model, theta0)
     policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
@@ -355,11 +353,12 @@ def test_plan_drl_trajectory_contract():
         assert traj.meta == runs[1].meta
 
 
-def test_plan_drl_equals_a_bridge_stepped_through_the_full_step():
+def test_plan_drl_equals_a_bridge_stepped_through_the_full_step(monkeypatch):
     """The transition-only bridge and its lane annotations equal a bridge
     stepped through ``DrlEnv.step`` that keeps each step's verdict."""
     model = planar_3r()
-    cfg = DrlEnvConfig(episode_budget=30, target_radius=0.05, man_baseline=1.0)
+    monkeypatch.setattr(DrlEnvConfig, "target_radius", 0.05)
+    cfg = DrlEnvConfig(episode_budget=30, man_baseline=1.0)
     theta0 = np.array([0.3, 0.6, -0.4])
     policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
     cases = [
@@ -381,50 +380,6 @@ def test_plan_drl_equals_a_bridge_stepped_through_the_full_step():
         assert got.meta == ref.meta
         collided += int(got.col.sum())
     assert collided > 0
-
-
-# ------------------------------------------------------------------ #
-# segment pair files
-# ------------------------------------------------------------------ #
-def test_segments_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-
-    def pose():
-        q = rng.normal(size=4)
-        return DualQuaternion.from_pose(rng.uniform(-1, 1, 3), q / np.linalg.norm(q))
-
-    pairs = [(pose(), pose()) for _ in range(4)]
-    path = tmp_path / "segments.txt"
-    drl_planner.save_segments(pairs, path)
-    loaded = drl_planner.load_segments(path)
-    assert len(loaded) == len(pairs)
-    for (a, b), (c, d) in zip(pairs, loaded):
-        np.testing.assert_array_equal(a.as_array(), c.as_array())
-        np.testing.assert_array_equal(b.as_array(), d.as_array())
-    drl_planner.save_segments([], path)
-    assert drl_planner.load_segments(path) == []
-
-
-TABLE_FILES = {        # loader, the lines before the rows, row width
-    "segments": (drl_planner.load_segments, "", 16),
-    "poses": (load_poses, "", 8),
-    "demo": (load_demonstration, "id d\n", 8),
-    "traj": (load_joint_trajectory, "# joints 3 success 1\n", 6),
-}
-ROW_CASES = [(fmt, n) for fmt, (_, _, width) in TABLE_FILES.items()
-             for n in (width - 1, width + 1, width // 2)]
-
-
-@pytest.mark.parametrize("fmt, n_scalars", ROW_CASES,
-                         ids=[str(n) if fmt == "segments" else f"{fmt}-{n}" for fmt, n in ROW_CASES])
-def test_load_segments_rejects_a_line_without_16_scalars(tmp_path, fmt, n_scalars):
-    load, head, width = TABLE_FILES[fmt]
-    path = tmp_path / "rows.txt"
-    good = " ".join(["1"] + ["0"] * (width - 1))
-    bad = " ".join(["0.5"] * n_scalars)
-    path.write_text(f"{head}{good}\n{bad}\n")
-    with pytest.raises(ValueError, match=re.escape(f"line {bad!r}: takes {width} scalars")):
-        load(path)
 
 
 @pytest.mark.parametrize("call, match", [

@@ -8,21 +8,17 @@ import scalar_reference as ref
 from hybridplan import dualquat
 from hybridplan.dualquat import (
     DualQuaternion,
-    dq_conjugate,
     dq_from_lanes,
-    dq_from_pose,
     dq_mul,
     dq_mul_lanes,
     dq_sclerp,
     dq_sclerp_lanes,
     dq_to_lanes,
     dq_translation,
-    load_poses,
     quat_conj,
     quat_from_euler,
     quat_mul,
     quat_to_euler,
-    save_poses,
 )
 
 
@@ -84,7 +80,7 @@ def test_mul_commuting_translations():
 
 def test_mul_rotation_then_translation_matches_matrix_oracle():
     # (rotZ 90deg) o (translate +x by 1): the translation lands on +y
-    rot = dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi / 2))
+    rot = DualQuaternion.from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi / 2))
     tra = DualQuaternion.from_translation([1.0, 0, 0])
     got = dq_mul(rot, tra)
     np.testing.assert_allclose(got.translation(), [0, 1, 0], atol=1e-12)
@@ -99,23 +95,23 @@ def test_mul_random_pairs_match_matrix_oracle():
         axis_a, axis_b = rng.normal(size=3), rng.normal(size=3)
         ang_a, ang_b = rng.uniform(-np.pi, np.pi, size=2)
         ta, tb = rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=3)
-        a = dq_from_pose(ta, (axis_a, ang_a))
-        b = dq_from_pose(tb, (axis_b, ang_b))
+        a = DualQuaternion.from_pose(ta, (axis_a, ang_a))
+        b = DualQuaternion.from_pose(tb, (axis_b, ang_b))
         H = homogeneous(axis_a, ang_a, ta) @ homogeneous(axis_b, ang_b, tb)
         np.testing.assert_allclose(dq_to_homogeneous(dq_mul(a, b)), H, atol=1e-9)
 
 
 # ------------------------------------------------------------------ #
-# dq_conjugate
+# conjugate
 # ------------------------------------------------------------------ #
 def test_conjugate_identity():
     e = DualQuaternion.identity()
-    np.testing.assert_allclose(dq_conjugate(e).as_array(), e.as_array(), atol=0)
+    np.testing.assert_allclose(e.conjugate().as_array(), e.as_array(), atol=0)
 
 
 def test_conjugate_pure_translation():
     d = DualQuaternion.from_translation([0.3, -0.7, 2.0])
-    np.testing.assert_allclose(dq_conjugate(d).translation(), [-0.3, 0.7, -2.0], atol=1e-12)
+    np.testing.assert_allclose(d.conjugate().translation(), [-0.3, 0.7, -2.0], atol=1e-12)
 
 
 def test_conjugate_is_inverse_over_random_samples():
@@ -123,7 +119,7 @@ def test_conjugate_is_inverse_over_random_samples():
     eye = DualQuaternion.identity().as_array()
     for _ in range(1000):
         d = random_unit_dq(rng)
-        prod = dq_mul(dq_conjugate(d), d)
+        prod = dq_mul(d.conjugate(), d)
         arr = prod.as_array()
         if arr[0] < 0:
             arr = -arr
@@ -131,21 +127,21 @@ def test_conjugate_is_inverse_over_random_samples():
 
 
 # ------------------------------------------------------------------ #
-# dq_from_pose / to_pose
+# from_pose / to_pose
 # ------------------------------------------------------------------ #
 def test_from_pose_identity():
-    d = dq_from_pose([0, 0, 0], np.array([1.0, 0, 0, 0]))
+    d = DualQuaternion.from_pose([0, 0, 0], np.array([1.0, 0, 0, 0]))
     np.testing.assert_allclose(d.as_array(), DualQuaternion.identity().as_array(), atol=0)
 
 
 def test_from_pose_dual_part_hand_expansion():
     # pure translation (1,2,3): dual = 0.5 * (0,1,2,3) * (1,0,0,0)
-    d = dq_from_pose([1, 2, 3], np.array([1.0, 0, 0, 0]))
+    d = DualQuaternion.from_pose([1, 2, 3], np.array([1.0, 0, 0, 0]))
     np.testing.assert_allclose(d.dual, 0.5 * np.array([0, 1, 2, 3]), atol=0)
 
 
 def test_from_pose_half_turn_about_z():
-    d = dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi))
+    d = DualQuaternion.from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi))
     np.testing.assert_allclose(d.real, [0, 0, 0, 1], atol=1e-15)
     np.testing.assert_allclose(d.dual, np.zeros(4), atol=1e-15)
 
@@ -156,7 +152,7 @@ def test_from_pose_roundtrip():
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
         t = rng.uniform(-5, 5, size=3)
-        d = dq_from_pose(t, q)
+        d = DualQuaternion.from_pose(t, q)
         pos, rot = d.translation(), d.real
         np.testing.assert_allclose(pos, t, atol=1e-9)
         if np.dot(rot, q) < 0:
@@ -166,7 +162,7 @@ def test_from_pose_roundtrip():
 
 def test_from_pose_degenerate_rotation():
     with pytest.raises(ValueError, match="degenerate rotation"):
-        dq_from_pose([0, 0, 0], np.zeros(4))
+        DualQuaternion.from_pose([0, 0, 0], np.zeros(4))
 
 
 def signed_zeros(rng, x, share=0.1):
@@ -262,7 +258,7 @@ def test_sclerp_translation_midpoint():
 def test_sclerp_rotation_matches_matrix_slerp():
     # rotZ 0 -> rotZ 90deg at u=0.5 must equal rotZ 45deg (matrix oracle)
     a = DualQuaternion.identity()
-    b = dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi / 2))
+    b = DualQuaternion.from_pose([0, 0, 0], (np.array([0, 0, 1.0]), np.pi / 2))
     mid = dq_to_homogeneous(dq_sclerp(a, b, 0.5))
     np.testing.assert_allclose(mid, homogeneous([0, 0, 1], np.pi / 4, [0, 0, 0]), atol=1e-12)
 
@@ -275,7 +271,7 @@ def test_sclerp_unit_and_monotone_screw_angle():
         for u in np.linspace(0, 1, 9):
             d = dq_sclerp(a, b, u)
             assert d.norm_drift() < 1e-8
-            rel = dq_mul(dq_conjugate(a), d)
+            rel = dq_mul(a.conjugate(), d)
             w = abs(np.clip(rel.real[0], -1, 1))
             angles.append(2 * np.arccos(w))
         assert all(angles[i] <= angles[i + 1] + 1e-9 for i in range(len(angles) - 1))
@@ -416,7 +412,7 @@ def test_sclerp_lanes_pure_translation_mixed_with_screws():
         if k % 3 == 0:                              # no relative rotation at all
             step = DualQuaternion.from_translation(rng.uniform(-1, 1, 3))
         elif k % 3 == 1:                            # rotation below the 1e-9 cutoff
-            step = dq_from_pose(rng.uniform(-1, 1, 3), (rng.normal(size=3), 1e-12))
+            step = DualQuaternion.from_pose(rng.uniform(-1, 1, 3), (rng.normal(size=3), 1e-12))
         else:
             step = random_unit_dq(rng)
         a.append(start)
@@ -434,7 +430,7 @@ def test_sclerp_lanes_rotation_near_pi():
         for _ in range(draws):
             start = random_unit_dq(rng)
             a.append(start)
-            b.append(dq_mul(start, dq_from_pose(rng.uniform(-1, 1, 3),
+            b.append(dq_mul(start, DualQuaternion.from_pose(rng.uniform(-1, 1, 3),
                                                 (rng.normal(size=3), angle))))
     assert any(dq_mul(x.conjugate(), y).real[0] == 0.0 for x, y in zip(a, b))
     assert_lanes_match_reference(a, b, rng.uniform(0.0, 1.0, len(a)))
@@ -528,15 +524,15 @@ def test_delta_invariance_under_common_left_transform():
     rng = np.random.default_rng(10)
     for _ in range(1000):
         g, a, b = (random_unit_dq(rng) for _ in range(3))
-        lhs = dq_mul(dq_conjugate(dq_mul(g, a)), dq_mul(g, b)).as_array()
-        rhs = dq_mul(dq_conjugate(a), b).as_array()
+        lhs = dq_mul(dq_mul(g, a).conjugate(), dq_mul(g, b)).as_array()
+        rhs = dq_mul(a.conjugate(), b).as_array()
         if np.dot(lhs[:4], rhs[:4]) < 0:
             lhs = -lhs
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
 # ------------------------------------------------------------------ #
-# Euler helpers and the pose text format
+# Euler helpers
 # ------------------------------------------------------------------ #
 def test_euler_roundtrip():
     rng = np.random.default_rng(11)
@@ -544,17 +540,6 @@ def test_euler_roundtrip():
         angles = rng.uniform(-np.pi / 2 + 0.05, np.pi / 2 - 0.05, size=3)
         back = quat_to_euler(quat_from_euler(*angles))
         np.testing.assert_allclose(back, angles, atol=1e-10)
-
-
-def test_pose_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    poses = [random_unit_dq(rng) for _ in range(7)]
-    path = tmp_path / "poses.txt"
-    save_poses(path, poses)
-    loaded = load_poses(path)
-    assert len(loaded) == 7
-    for p, q in zip(poses, loaded):
-        np.testing.assert_allclose(p.as_array(), q.as_array(), atol=0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -569,19 +554,22 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda: dq_mul_lanes(np.zeros((2, 8)), np.zeros((2, 8))), "degenerate rotation",
                  id="degenerate_drifted_lanes"),
     # the pose constructors refuse non-finite input
-    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([NAN, 0, 1.0]), 0.3)),
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([NAN, 0, 1.0]), 0.3)),
                  "non-finite rotation", id="nan_axis"),
-    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([INF, 0, 1.0]), 0.3)),
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([INF, 0, 1.0]), 0.3)),
                  "non-finite rotation", id="inf_axis"),
-    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), NAN)),
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([0, 0, 1.0]), NAN)),
                  "non-finite rotation", id="nan_angle"),
-    pytest.param(lambda: dq_from_pose([0, 0, 0], (np.array([0, 0, 1.0]), -INF)),
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([0, 0, 1.0]), -INF)),
                  "non-finite rotation", id="inf_angle"),
-    pytest.param(lambda: dq_from_pose([0, 0, 0], [1.0, NAN, 0, 0]), "non-finite rotation",
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], [1.0, NAN, 0, 0]),
+                 "non-finite rotation",
                  id="nan_quaternion"),
-    pytest.param(lambda: dq_from_pose([0, 0, 0], [1.0, 0, INF, 0]), "non-finite rotation",
+    pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], [1.0, 0, INF, 0]),
+                 "non-finite rotation",
                  id="inf_quaternion"),
-    pytest.param(lambda: dq_from_pose([INF, 0, 0], [1.0, 0, 0, 0]), "non-finite position",
+    pytest.param(lambda: DualQuaternion.from_pose([INF, 0, 0], [1.0, 0, 0, 0]),
+                 "non-finite position",
                  id="inf_position"),
     pytest.param(lambda: DualQuaternion.from_translation([0, NAN, 0]), "non-finite position",
                  id="nan_translation"),

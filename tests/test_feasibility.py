@@ -122,6 +122,20 @@ def test_build_map_refuses_a_voxel_size_that_is_not_positive(voxel_size):
         build_map(planar_rr(), [], ((0, 0, 0), (1, 1, 1)), voxel_size)
 
 
+@pytest.mark.parametrize("box, voxel_size, match", [
+    pytest.param(((-np.inf, 0, 0), (1, 1, 1)), 0.5, "workspace box", id="inf lo"),
+    pytest.param(((0, 0, 0), (1, np.inf, 1)), 0.5, "workspace box", id="inf hi"),
+    pytest.param(((0, np.nan, 0), (1, 1, 1)), 0.5, "workspace box", id="nan lo"),
+    pytest.param(((0, 0, 0), (1, 1, np.nan)), 0.5, "workspace box", id="nan hi"),
+    pytest.param(((0, 0, 0), (1, 1, 1)), np.inf, "voxel_size inf", id="inf voxel_size"),
+])
+def test_build_map_refuses_a_box_or_voxel_size_that_is_not_finite(box, voxel_size, match):
+    # an inf corner overflowed the voxel counts; an inf voxel size failed deep
+    # inside cell_pose
+    with pytest.raises(ValueError, match=match):
+        build_map(planar_rr(), [], box, voxel_size)
+
+
 @pytest.mark.parametrize("theta_max", [0.0, -1.0, 4.0, np.nan, np.inf])
 def test_build_map_refuses_a_theta_max_outside_zero_to_pi(theta_max):
     # theta_max 0 or -1 would build an all-UNREACHABLE map whose lookups raise

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -688,10 +689,18 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
     pytest.param(lambda: _jitter_lanes(np.array([[np.nan, 0, 0, 1, 0, 0, 0, 0]]), HrlConfig(),
                                        np.random.default_rng(0)),
                  "degenerate rotation", id="nan_rotation_jitter"),
+    pytest.param(lambda: _jitter_lanes(np.array([[0, 0, 0, 1, np.nan, 0, 0, 0]]), HrlConfig(),
+                                       np.random.default_rng(0)),
+                 "non-finite position", id="nan_position_jitter"),
+    pytest.param(lambda: _jitter_lanes(np.array([[1, 0, 0, 0, 0, np.inf, 0, 0]]), HrlConfig(),
+                                       np.random.default_rng(0)),
+                 "non-finite position", id="inf_position_jitter"),
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),
 ])
 def test_hrl_planner_refuses(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")               # refused before any numpy warning
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from hybridplan.dualquat import (DualQuaternion, _qrot, dq_from_pose, dq_mul, dq_to_lanes,
+from hybridplan.dualquat import (DualQuaternion, _qrot, dq_mul, dq_to_lanes,
                                  dq_translation, quat_from_axis_angle)
 from hybridplan.geometry import score_lanes
 from hybridplan.kinematics import (

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 import scalar_reference as ref
 from hybridplan.dualquat import (
     DualQuaternion,
-    dq_conjugate,
     dq_mul,
     dq_sclerp,
     dq_to_lanes,
@@ -72,7 +72,7 @@ def test_features_two_pose_demo():
     a, b = random_pose(rng), random_pose(rng)
     feats = extract_features([a, b])
     assert len(feats) == 1
-    np.testing.assert_allclose(feats[0], dq_mul(dq_conjugate(a), b).as_array(), atol=1e-12)
+    np.testing.assert_allclose(feats[0], dq_mul(a.conjugate(), b).as_array(), atol=1e-12)
 
 
 def test_features_invariant_under_left_shift():
@@ -378,6 +378,15 @@ def test_save_demonstration_rejects_names_it_cannot_read_back(tmp_path, demo_id,
     with pytest.raises(ValueError, match="demonstration tag|record field"):
         save_demonstration(demo, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("n_scalars", [7, 9, 4])
+def test_load_demonstration_rejects_a_line_without_8_scalars(tmp_path, n_scalars):
+    path = tmp_path / "d.demo"
+    bad = " ".join(["0.5"] * n_scalars)
+    path.write_text(f"id d\n1 0 0 0 0 0 0 0\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"line {bad!r}: takes 8 scalars")):
+        load_demonstration(path)
 
 
 def test_library_load_and_duplicate_rejection(tmp_path):

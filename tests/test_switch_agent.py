@@ -54,6 +54,14 @@ def test_train_switch_rejects_scenarios_without_bands():
 POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
 
 
+def switch_config(monkeypatch, **constants):
+    """``SwitchConfig()`` with the class constants ``constants`` set for the
+    test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(SwitchConfig, name, value)
+    return SwitchConfig()
+
+
 def annotated(model, points, source=SOURCE_LFD):
     """A trajectory through ``points`` annotated by the scalar scores."""
     points = np.asarray(points, dtype=float)
@@ -69,9 +77,9 @@ def assert_annotated(model, traj):
     np.testing.assert_array_equal(traj.col, ref.col)
 
 
-def test_blend_caps_points_and_excludes_endpoints():
+def test_blend_caps_points_and_excludes_endpoints(monkeypatch):
     model = planar_3r()
-    cfg = SwitchConfig(blend_points=7, blend_step_deg=2.0)
+    cfg = switch_config(monkeypatch, blend_points=7, blend_step_deg=2.0)
     a, b = np.array([0.5, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])
     out = blend(a, b, model, [POST], cfg)
     assert len(out) == cfg.blend_points                  # 28 would be needed
@@ -149,14 +157,14 @@ def assert_same_bits(got, ref):
 
 
 @pytest.mark.parametrize("case", list(EDGE_PATHS))
-def test_edge_splits_equal_the_per_point_loops(case):
+def test_edge_splits_equal_the_per_point_loops(monkeypatch, case):
     model = planar_3r()
     points = EDGE_PATHS[case]
     k = len(points)
     rng = np.random.default_rng(k)
     traj = JointTrajectory(points, rng.integers(0, 2, k).astype(np.uint8),
                            rng.uniform(0.0, 1.0, k), rng.integers(0, 2, k).astype(np.uint8))
-    cfg = SwitchConfig(blend_points=6)
+    cfg = switch_config(monkeypatch, blend_points=6)
     pairs = []
     for bound_deg in (2.0, 0.5):
         pairs.append((densify(traj, model, [POST], bound_deg),
@@ -191,9 +199,9 @@ def band_scene(model, cfg, n=14, i=5, j=8):
     return cands, BandPlan(i, j, bridge, entry, exit_)
 
 
-def test_assemble_length_is_the_sum_of_its_parts():
+def test_assemble_length_is_the_sum_of_its_parts(monkeypatch):
     model = planar_3r()
-    cfg = SwitchConfig(window=2, blend_points=4)
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
     cands, band = band_scene(model, cfg)
     for s_in, s_out in [(band.entry.index, band.exit.index), (band.entry.lo, band.exit.hi),
                         (band.entry.hi, band.exit.lo)]:
@@ -208,10 +216,10 @@ def test_assemble_length_is_the_sum_of_its_parts():
     assert len(assemble(cands, [], [], model, [POST], cfg)) == len(cands)
 
 
-def test_a_densified_held_trajectory_never_drops_the_payload():
+def test_a_densified_held_trajectory_never_drops_the_payload(monkeypatch):
     # densify's smoothness bound is execute's payload-drop bound
     model = planar_3r()
-    cfg = SwitchConfig(window=2, blend_points=4)
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
     assert cfg.smooth_bound_deg == SMOOTH_BOUND_DEG
     cands, band = band_scene(model, cfg)
     traj = assemble(cands, [band], [(band.entry.lo, band.exit.hi)], model, [POST], cfg)
@@ -225,10 +233,10 @@ def test_a_densified_held_trajectory_never_drops_the_payload():
     assert not report.dropped
 
 
-def test_brute_force_switches_never_lose_to_the_heuristic():
+def test_brute_force_switches_never_lose_to_the_heuristic(monkeypatch):
     model = planar_3r()
     for window in (1, 2, 3):
-        cfg = SwitchConfig(window=window, blend_points=4)
+        cfg = switch_config(monkeypatch, window=window, blend_points=4)
         cands, band = band_scene(model, cfg)
         best = brute_force_switches(band, cands, model, [POST], cfg)
         (h_in, h_out), = heuristic_switches([band])
@@ -251,9 +259,9 @@ class Always:
         return self.action
 
 
-def test_policy_switches_first_flip_fixes_the_handover():
+def test_policy_switches_first_flip_fixes_the_handover(monkeypatch):
     model = planar_3r()
-    cfg = SwitchConfig(window=2, blend_points=4)
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
     cands, band = band_scene(model, cfg)
     keep, switch = Always(ACT_KEEP), Always(ACT_SWITCH)
     assert policy_switches(keep, [band, band], cands, cfg) == \
@@ -273,7 +281,7 @@ def train_switch_weights(scenarios, model, cfg):
 
 def test_train_switch_memoised_blends_leave_the_weights_unchanged(monkeypatch):
     model = planar_3r()
-    cfg = SwitchConfig(window=2, blend_points=4)
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
     scenarios = [band_scene(model, cfg), band_scene(model, cfg, n=16, i=6, j=10)]
     scenarios = [(cands, [band]) for cands, band in scenarios]
     calls = []
@@ -409,7 +417,7 @@ def test_lfd_joint_candidates_keep_one_elbow_branch_on_hybrid_seed_41(workloads)
     assert cands.max_step() <= np.radians(10.0)
 
 
-def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain():
+def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain(monkeypatch):
     # the one model whose candidates come from the chained ik_free: a wall
     # across the map box, a plan through it, a DRL bridge over the band
     model = mini7_with_capsules()
@@ -426,9 +434,9 @@ def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain():
     cls = classify_trajectory(poses, fmap)
     pairs = [(b, a) for _, b, a in cls.infeasible_brackets() if b is not None and a is not None]
     env_cfg = DrlEnvConfig(episode_budget=10, man_baseline=1.0)
+    monkeypatch.setattr(PpoConfig, "epochs_per_batch", 2)
     policy, _, _ = train_drl(pairs, model, obstacles, env_cfg,
-                             PpoConfig(num_steps=32, minibatch_size=16, epochs_per_batch=2),
-                             seed=0, batches=1)
+                             PpoConfig(num_steps=32, minibatch_size=16), seed=0, batches=1)
     cfg = SwitchConfig()
     cands = lfd_joint_candidates(poses, model, obstacles)
     bands = find_bands(cls, cands, cfg, lambda start, goal, theta: plan_drl(

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hybridplan import records
 from hybridplan.trajectory import (
     SOURCE_DRL,
     SOURCE_LFD,
     JointTrajectory,
-    load_joint_trajectory,
     save_joint_trajectory,
 )
 
@@ -75,47 +75,28 @@ def test_slice_keeps_rows_annotations_and_success():
 
 
 # ------------------------------------------------------------------ #
-# file round trip
+# file text
 # ------------------------------------------------------------------ #
 @pytest.mark.parametrize("success", [True, False])
 def test_file_round_trip(tmp_path, success):
-    traj = annotated(6, dof=4, seed=4, success=success)
-    traj.source[0] = SOURCE_DRL
+    traj = JointTrajectory([[0.1, -2.0, 1 / 3], [1.5, 0.25, 0.0]],
+                           np.array([SOURCE_LFD, SOURCE_DRL], np.uint8), [0.123456789, 1.0],
+                           np.array([0, 1], np.uint8), success)
     save_joint_trajectory(traj, tmp_path / "t.traj")
-    back = load_joint_trajectory(tmp_path / "t.traj")
-    np.testing.assert_array_equal(back.points, traj.points)    # %.17g is exact
-    np.testing.assert_array_equal(back.source, traj.source)
-    np.testing.assert_array_equal(back.col, traj.col)
-    np.testing.assert_allclose(back.man, traj.man, rtol=1e-5)  # written to 6 digits
-    np.testing.assert_array_equal(back.man, [float("%.6g" % m) for m in traj.man])
-    assert back.success == success
-
-
-@pytest.mark.parametrize("text", [
-    "0.1 0.2 0.3 0 0.5 1\n",
-    "# joints 3\n0.1 0.2 0.3 0 0.5 1\n",
-    "# joints 3 success 2\n0.1 0.2 0.3 0 0.5 1\n",
-], ids=["no header", "no success flag", "success 2"])
-def test_load_joint_trajectory_requires_its_header(tmp_path, text):
-    path = tmp_path / "t.traj"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="joint trajectory header"):
-        load_joint_trajectory(path)
-
-
-@pytest.mark.parametrize("row", ["0.1 0.2 0.3 0.5 0.5 1", "0.1 0.2 0.3 0 0.5 256"])
-def test_load_joint_trajectory_refuses_a_flag_other_than_0_or_1(tmp_path, row):
-    path = tmp_path / "t.traj"
-    path.write_text(f"# joints 3 success 1\n{row}\n")
-    with pytest.raises(ValueError, match="source and col"):
-        load_joint_trajectory(path)
+    text = (tmp_path / "t.traj").read_text()
+    assert text == (f"# joints 3 success {int(success)}\n"
+                    "0.10000000000000001 -2 0.33333333333333331 0 0.123457 0\n"
+                    "1.5 0.25 0 1 1 1\n")
+    # the header is a comment to the table reader, and %.17g reads back exactly
+    rows = records.read_table(text, 6, "joint trajectory")
+    np.testing.assert_array_equal(rows[:, :3], traj.points)
+    np.testing.assert_array_equal(rows[:, 4], [float("%.6g" % m) for m in traj.man])
 
 
 def test_empty_trajectory_round_trip(tmp_path):
     empty = JointTrajectory(np.zeros((0, 3)), np.zeros(0, np.uint8), np.zeros(0),
                             np.zeros(0, np.uint8), success=False)
     save_joint_trajectory(empty, tmp_path / "e.traj")
-    back = load_joint_trajectory(tmp_path / "e.traj")
-    assert back.points.shape == (0, 3) and len(back) == 0
-    assert len(back.source) == len(back.man) == len(back.col) == 0
-    assert not back.success
+    text = (tmp_path / "e.traj").read_text()
+    assert text == "# joints 3 success 0\n"
+    assert records.read_table(text, 6, "joint trajectory").shape == (0, 6)
