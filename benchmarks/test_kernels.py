@@ -21,9 +21,11 @@ from hybridplan.dualquat import (DualQuaternion, dq_mul_lanes, dq_sclerp, dq_scl
 from hybridplan.feasibility import (
     FEA_MAX_ITERS,
     NOT_FJ,
+    OK,
+    _draw_seeds,
+    _fea_batch,
     build_map,
     classify_trajectory,
-    fea,
 )
 from hybridplan.geometry import (
     collision_index,
@@ -201,11 +203,13 @@ def test_ik_descend_1000_lanes(benchmark, model):
 
 
 def test_fea_one_cell(benchmark, model, cell):
-    pose = inputs.planar_pose(0.95, 0.0, 0.0)          # behind the wall, through the slot
-    res = benchmark(lambda: fea(pose, model, cell.obstacles, ik_budget=12,
-                                rng=np.random.default_rng(0), tol_pos=TOL_POS,
-                                tol_rot=TOL_ROT))
-    assert res.feasible
+    # one pose as the map judges a cell: its IK_BUDGET (12) seeds at the cell
+    # tolerances, through the map's own call
+    lanes = dq_to_lanes(inputs.planar_pose(0.95, 0.0, 0.0)).reshape(1, 8)   # through the slot
+    reasons, _, _ = benchmark(lambda: _fea_batch(
+        lanes, [_draw_seeds(model, (), np.random.default_rng(0))], model, cell.obstacles,
+        TOL_POS, TOL_ROT))
+    assert reasons[0] == OK
 
 
 def test_build_map_wall_90_cells(benchmark, model, cell):

@@ -42,6 +42,7 @@ from hybridplan.dualquat import _euler_floats, dq_to_lanes, dq_translation, quat
 from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     RAY_COUNT,
+    RAY_RANGE,
     collision_index,
     collision_index_lanes,
     collision_index_points,
@@ -74,7 +75,6 @@ ROLLOUT_LANES = 16         # environments stepped together while collecting PPO 
 class DrlEnvConfig:
     max_step_deg: ClassVar[float] = 5.0     # per-joint increment bound per step
     step_time: ClassVar[float] = 0.05       # seconds, for finite-difference velocities
-    ray_range: ClassVar[float] = 2.0
     # fraction of training episodes started from a random collision-free
     # configuration instead of a bracket start; narrow passages are rarely
     # crossed by on-policy exploration alone
@@ -94,14 +94,13 @@ def state_dim(dof: int) -> int:
 
 
 def drl_reward(cfg: DrlEnvConfig, distance, col, man):
-    """(reward, reached) from the goal distance, the collision index and the
+    """The reward of the goal distance, the collision index and the
     normalized manipulability, as floats or (N,) lanes.  Inside the target
     ball the reward is the fixed in-region bonus; outside it is graded
     feasibility minus distance (``man`` is read only where collision-free)."""
-    reached = distance < cfg.target_radius
     outside = np.where(col, cfg.collision_penalty - distance,
                        man - cfg.man_baseline - distance)
-    return np.where(reached, 0.1, outside), reached
+    return np.where(distance < cfg.target_radius, 0.1, outside)
 
 
 def _rows(values, n) -> np.ndarray:
@@ -158,7 +157,7 @@ class DrlEnv:
             np.full(3 * n, avel),               # angular velocities
             np.full(3, self._reach),            # end-effector position
             np.full(3, np.pi),                  # end-effector Euler angles
-            np.full(RAY_COUNT, cfg.ray_range),  # rays
+            np.full(RAY_COUNT, RAY_RANGE),      # rays
             np.full(3, self._reach),            # goal offset
         ])
 
@@ -181,7 +180,7 @@ class DrlEnv:
             lv = [(a - b) / st for a, b in zip(jp, prev_jp)]
             av = [((a - b + math.pi) % (2 * math.pi) - math.pi) / st    # wrap-safe
                   for a, b in zip(jo, prev_jo)]
-            rays = ray_bundle_lanes(q, p, self._slabs, self.cfg.ray_range).tolist()
+            rays = ray_bundle_lanes(q, p, self._slabs).tolist()
             goal = goals[0].tolist()
             row = jp + jo + lv + av + [*p] + to + rays + [g - c for g, c in zip(goal, p)]
             return (chain, np.array([jp]), np.array([jo]),
@@ -197,7 +196,7 @@ class DrlEnv:
         prev_jp, prev_jo = (jp, jo) if prev is None else prev
         lv = (jp - prev_jp) / st
         av = ((jo - prev_jo + np.pi) % (2 * np.pi) - np.pi) / st   # wrap-safe
-        rays = ray_bundle_lanes(q, p, self._slabs, self.cfg.ray_range).reshape(n, -1)
+        rays = ray_bundle_lanes(q, p, self._slabs).reshape(n, -1)
         p_rows = _rows(p, n)
         raw = np.concatenate([jp, jo, lv, av, p_rows, euler[:, :, -1].T, rays, goals - p_rows],
                              axis=1)
@@ -256,9 +255,8 @@ class DrlEnv:
         man = np.zeros(self.lanes)
         if np.any((col == 0) & (d >= self.cfg.target_radius)):
             man[:] = _normalized_manipulability_raw(self.model, axes, origins, p)
-        reward, _ = drl_reward(self.cfg, d, col, man)
         info = {"collision": col, "distance": d, "clamped": clamped, "reached": reached}
-        return obs, reward, done, info
+        return obs, drl_reward(self.cfg, d, col, man), done, info
 
 
 # ------------------------------------------------------------------ #
@@ -383,16 +381,13 @@ def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, *,
     thetas = [env.thetas[0]]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
-    distance = 0.0
     while not success:
-        _, obs, d, reached, done, _ = env._advance(policy.mean_action(obs))
+        _, obs, _, reached, done, _ = env._advance(policy.mean_action(obs))
         obs = obs[0]
         thetas.append(env.thetas[0])
-        distance = float(d[0])
         if done[0]:
             success = bool(reached[0])
             break
     thetas = np.array(thetas)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
-                           *score_lanes(model, thetas, obstacles),
-                           success, meta={"goal_distance": distance})
+                           *score_lanes(model, thetas, obstacles), success)

@@ -9,6 +9,9 @@ the witness joint vector for every cell.  Cell semantics are existential: the
 cell is feasible if any witness lands inside it, so the per-cell IK tolerance
 is half the cell extent.  A map pass descends every IK seed of its cells as one
 ``ik_descend`` and judges every witness it reaches with one ``score_lanes``.
+A witness qualifies at normalized manipulability ``EPS_M`` or above, each
+pose gets ``IK_BUDGET`` seeds, and the map metadata records both; ``fea`` and
+``ik_free`` solve one pose to ``POSE_TOL``.
 Cells are numbered by ``ravel_multi_index`` over ``voxel_counts +
 orient_counts`` (x, y, z voxel, then roll, pitch, yaw bin; yaw varies fastest).
 
@@ -44,11 +47,14 @@ from hybridplan.geometry import collision_index, obstacle_line, score_lanes
 from hybridplan.kinematics import RobotModel, ik_attempt, ik_descend, robot_hash
 
 OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
-# reason by witness grade: none reached, all collide, free, free and above eps_m
+# reason by witness grade: none reached, all collide, free, free and at or above EPS_M
 _REASON_OF_GRADE = np.array([UNREACHABLE, COLLISION, LOW_MANIP, OK], dtype=np.uint8)
 
 MAN_FIXED_SCALE = 4096.0      # man' stored as 16-bit fixed point
 FEA_MAX_ITERS = 80            # DLS iterations per feasibility descent
+EPS_M = 0.1                   # man' threshold of a feasible witness
+IK_BUDGET = 12                # IK seeds per pose, caller seeds aside
+POSE_TOL = (1e-3, 1e-2)       # one-pose IK tolerances: position (m), rotation (rad)
 _MAGIC = b"HPFM"
 _VERSION = 2
 
@@ -66,22 +72,20 @@ class FeaResult:
     witness: np.ndarray | None = None
 
 
-def fea(pose, model: RobotModel, obstacles, eps_m=0.1, ik_budget=20, *, rng,
-        tol_pos=1e-3, tol_rot=1e-2, extra_seeds=()) -> FeaResult:
+def fea(pose, model: RobotModel, obstacles, *, rng) -> FeaResult:
     """Feasibility of one end-effector pose.
 
-    Runs one IK descent (``FEA_MAX_ITERS`` steps) per seed: every caller
-    seed, then the home configuration, then random seeds from ``rng`` up to
-    ``ik_budget`` seeds.  Caller seeds are all tried, even past ``ik_budget``.
-    Existential over witnesses: the first witness in seed order that is
-    reachable, collision-free, and above the manipulability threshold
+    Runs one IK descent (``FEA_MAX_ITERS`` steps, to ``POSE_TOL``) per seed:
+    the home configuration, then random seeds from ``rng`` up to
+    ``IK_BUDGET`` seeds.  Existential over witnesses: the first witness in
+    seed order that is reachable, collision-free, and at or above ``EPS_M``
     decides feasibility; otherwise the reason reports the first criterion
     that every witness failed, checked in the order reachability, collision,
     manipulability.
     """
-    seeds = _draw_seeds(model, extra_seeds, ik_budget, rng)
+    seeds = _draw_seeds(model, (), rng)
     reasons, man, witnesses = _fea_batch(dq_to_lanes(pose).reshape(1, 8), [seeds], model,
-                                         obstacles, eps_m, tol_pos, tol_rot)
+                                         obstacles, *POSE_TOL)
     reason = int(reasons[0])
     return FeaResult(reason == OK, float(man[0]), reason,
                      None if reason == UNREACHABLE else witnesses[0])
@@ -92,9 +96,9 @@ def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, seed=None):
 
     Descends from ``seed`` (home when None), then from a uniform random seed
     drawn from ``rng`` after every attempt without a collision-free solution,
-    ``attempts`` descents in all, each to 1e-3 in position and 1e-2 in
-    rotation.  Returns the first collision-free solution (scalar
-    ``collision_index``), else the first solution reached, else None.  The
+    ``attempts`` descents in all, each to ``POSE_TOL``.  Returns the first
+    collision-free solution (scalar ``collision_index``), else the first
+    solution reached, else None.  The
     planar arms take their candidates from ``closed_form_branches``; this
     serves the chains it does not cover and the DRL start poses.
     """
@@ -102,7 +106,7 @@ def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, seed=None):
     seed = model.home if seed is None else seed
     fallback = None
     for _ in range(attempts):
-        sol = ik_attempt(model, pose, seed, 1e-3, 1e-2, max_iters=150)
+        sol = ik_attempt(model, pose, seed, *POSE_TOL, max_iters=150)
         if sol is not None:
             if collision_index(model, sol, obstacles) == 0:
                 return sol
@@ -112,23 +116,23 @@ def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, seed=None):
     return fallback
 
 
-def _draw_seeds(model: RobotModel, extra_seeds, ik_budget, rng) -> np.ndarray:
+def _draw_seeds(model: RobotModel, extra_seeds, rng) -> np.ndarray:
     """IK seeds of one pose, (k, dof): caller seeds, home, then uniform random
-    seeds up to ``ik_budget`` rows."""
+    seeds up to ``IK_BUDGET`` rows.  Caller seeds are all kept, even past
+    ``IK_BUDGET``."""
     extra = np.asarray(extra_seeds, dtype=float).reshape(-1, model.dof)
-    n_random = max(ik_budget - len(extra) - 1, 0)
+    n_random = max(IK_BUDGET - len(extra) - 1, 0)
     return np.vstack([extra, model.home,
                       rng.uniform(model.limits_lo, model.limits_hi, size=(n_random, model.dof))])
 
 
-def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
-               tol_rot) -> tuple:
+def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, tol_pos, tol_rot) -> tuple:
     """``fea`` of (P, 8) pose lanes as (reasons, man', witnesses) arrays, the
     witnesses (P, dof) with NaN rows where none was reached.
 
     Every seed of every pose descends as one ``ik_descend`` and every witness
     reached is scored by one ``score_lanes``.  A pose's verdict is its first
-    witness in seed order that is free and at or above ``eps_m``, else its
+    witness in seed order that is free and at or above ``EPS_M``, else its
     best free witness, else its best witness (first maximum of man' wins)."""
     counts = [len(seeds) for seeds in seed_lists]
     sols = ik_descend(model, np.repeat(lanes, counts, axis=0), np.concatenate(seed_lists),
@@ -137,7 +141,7 @@ def _fea_batch(lanes, seed_lists, model: RobotModel, obstacles, eps_m, tol_pos,
     man, col = np.zeros(len(sols)), np.ones(len(sols), dtype=np.uint8)
     man[reached], col[reached] = score_lanes(model, sols[reached], obstacles)
     free = col == 0
-    ok = free & (man >= eps_m)
+    ok = free & (man >= EPS_M)
     grade = reached.astype(int) + free + ok
     # per pose, last after sorting: highest grade, then highest man' (any
     # qualifying witness ranks equal), then first in seed order
@@ -228,16 +232,16 @@ class FeasibilityMap:
 
 
 def _evaluate_cells(model: RobotModel, obstacles, fmap: FeasibilityMap, indices, seed,
-                    eps_m, ik_budget, seeds_by_cell, spawn_salt) -> tuple:
+                    seeds_by_cell, spawn_salt) -> tuple:
     """``_fea_batch``'s (reasons, man', witnesses) of the given cells, each
     cell's random seeds drawn from its own (seed, cell index, salt) stream."""
     half_pos = 0.5 * fmap.voxel_size
     half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
     digits = np.transpose(np.unravel_index(indices, fmap.voxel_counts + fmap.orient_counts))
-    seed_lists = [_draw_seeds(model, seeds_by_cell.get(i, ()), ik_budget, np.random.default_rng(
+    seed_lists = [_draw_seeds(model, seeds_by_cell.get(i, ()), np.random.default_rng(
                       np.random.SeedSequence(seed, spawn_key=(i, spawn_salt))))
                   for i in indices]
-    return _fea_batch(_cell_lanes(fmap, digits), seed_lists, model, obstacles, eps_m, half_pos,
+    return _fea_batch(_cell_lanes(fmap, digits), seed_lists, model, obstacles, half_pos,
                       half_rot)
 
 
@@ -272,8 +276,7 @@ def _neighbor_table(fmap: FeasibilityMap) -> np.ndarray:
 
 
 def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
-              orientation_spec=(np.pi, (1, 1, 8)), eps_m=0.1, seed=0,
-              ik_budget=12) -> FeasibilityMap:
+              orientation_spec=(np.pi, (1, 1, 8)), seed=0) -> FeasibilityMap:
     """Evaluate every (voxel, orientation-cell) with a per-cell RNG stream.
 
     A first pass evaluates every cell independently.  Then up to three
@@ -320,8 +323,8 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
         metadata={
             "robot_hash": robot_hash(model),
             "obstacle_hash": obstacles_signature(obstacles),
-            "ik_budget": int(ik_budget),
-            "eps_m": float(eps_m),
+            "ik_budget": IK_BUDGET,
+            "eps_m": EPS_M,
             "seed": int(seed),
         },
     )
@@ -329,8 +332,8 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     def run_pass(indices, seeds_by_cell, spawn_salt) -> int:
         """Store a pass's verdicts, of a transfer round only the upgrades to
         OK, and return how many it stored."""
-        reasons, man, witnesses = _evaluate_cells(model, obstacles, fmap, indices, seed, eps_m,
-                                                  ik_budget, seeds_by_cell, spawn_salt)
+        reasons, man, witnesses = _evaluate_cells(model, obstacles, fmap, indices, seed,
+                                                  seeds_by_cell, spawn_salt)
         keep = reasons == OK if spawn_salt else slice(None)
         cells = indices[keep]
         fmap.reasons[cells], fmap.witnesses[cells] = reasons[keep], witnesses[keep]

@@ -40,11 +40,11 @@ checks: most of it is the lane chain walk, and ``_segment_box_lanes`` adds
 a few hundred us whenever a row is kept.  So the lane call serves whole
 trajectories and lane environments.
 
-``ray_bundle_lanes`` casts the end-effector ray bundle from given
-end-effector states, one state or N lanes; ``raycast_many`` meets every ray
-with every box in one slab pass.  Both read the obstacles from a
-``slab_table``, which a caller that casts at every step (``DrlEnv``) builds
-once.
+``ray_bundle_lanes`` casts the end-effector bundle of ``RAY_COUNT`` rays,
+each clamped to ``RAY_RANGE``, from given end-effector states, one state or
+N lanes; ``raycast_many`` meets every ray with every box in one slab pass.
+Both read the obstacles from a ``slab_table``, which a caller that casts at
+every step (``DrlEnv``) builds once.
 """
 from __future__ import annotations
 
@@ -58,7 +58,8 @@ from hybridplan.dualquat import _lane_dot, quat_to_matrix
 from hybridplan.kinematics import (RobotModel, _chain_eval, _frame_points_raw,
                                    _normalized_manipulability_raw, ee_state, frame_points)
 
-RAY_COUNT = 25
+RAY_COUNT = 25        # rays in the end-effector bundle
+RAY_RANGE = 2.0       # meters; a ray that meets nothing nearer reads this
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +71,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        if not np.all(np.isfinite([self.lo, self.hi])):
+            raise ValueError(f"box corners {self.lo.tolist()}, {self.hi.tolist()} are not finite")
         if not np.all(self.lo < self.hi):
             raise ValueError("box needs min < max per axis")
 
@@ -477,16 +480,16 @@ def _bundle_directions() -> np.ndarray:
 _BUNDLE = _bundle_directions()
 
 
-def ray_bundle(model: RobotModel, theta, obstacles, max_range=2.0) -> np.ndarray:
+def ray_bundle(model: RobotModel, theta, obstacles) -> np.ndarray:
     """25 ray distances from the end effector, pattern rigidly frame-attached."""
     q, p = ee_state(model, theta)
-    return ray_bundle_lanes(q, p, slab_table(obstacles), max_range)
+    return ray_bundle_lanes(q, p, slab_table(obstacles))
 
 
-def ray_bundle_lanes(q, p, slabs, max_range=2.0) -> np.ndarray:
+def ray_bundle_lanes(q, p, slabs) -> np.ndarray:
     """``ray_bundle`` from end-effector states, the (q, p) of ``_chain_eval``,
     against a ``slab_table``: floats give (25,); (N,) lanes give (N, 25), one
     ``raycast_many`` over every lane's rays, with lane n equal to the
     one-state call."""
     R = quat_to_matrix(q)                      # (3, 3), or (3, 3, N) for lanes
-    return raycast_many(np.array(p).T, _BUNDLE @ R.T, slabs, max_range)
+    return raycast_many(np.array(p).T, _BUNDLE @ R.T, slabs, RAY_RANGE)

@@ -168,8 +168,13 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
     One (n, 4) draw takes, pose by pose, the three offsets and then the
     angle, and the arithmetic is ``DualQuaternion.from_pose`` on lanes, so the
     result and the generator state match jittering one pose at a time.  A
-    non-finite dual part is refused, as ``from_pose`` refuses a non-finite
-    position."""
+    NaN, an inf or an entry of 1e150 or more, whose products could overflow,
+    is refused before any arithmetic: a degenerate rotation in the real part,
+    a non-finite position in the dual part, as ``from_pose`` refuses it."""
+    size = np.abs(lanes)
+    if not size.max(initial=0.0) < 1e150:                  # NaN fails too
+        raise ValueError("non-finite position" if size[:, :4].max() < 1e150
+                         else "degenerate rotation")
     amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
     draw = rng.uniform(-amp, amp, size=(len(lanes), 4))
     half = 0.5 * draw[:, 3]
@@ -177,11 +182,9 @@ def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
     zero = sin * 0.0                 # the signed zeros of the z-axis spin
     rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, *lanes.T[:4]))
     norm = np.sqrt(_lane_dot(rot, rot))
-    if not np.all(norm >= 1e-12):   # written so that a NaN norm fails it too
+    if not np.all(norm >= 1e-12):
         raise ValueError("degenerate rotation")
     rot /= norm[:, None]
-    if not np.all(np.isfinite(lanes[:, 4:])):
-        raise ValueError("non-finite position")
     pos = dq_translation(lanes) + draw[:, :3]
     dual = _qmul(0.0, *pos.T, *rot.T)
     return np.column_stack((rot, *(0.5 * c for c in dual)))

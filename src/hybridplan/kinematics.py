@@ -45,6 +45,10 @@ from hybridplan.dualquat import (DualQuaternion, _lane_dot, _qmul, _qrot, dq_to_
 
 IK_DAMPING = 0.05      # damped least-squares factor
 IK_MAX_STEP = 1.0      # cap on a single DLS joint-space step, radians
+IK_TOL = (1e-4, 1e-4)  # ``ik``'s tolerances: position (m), rotation (rad)
+IK_MAX_ITERS = 200     # DLS iterations per ``ik`` descent
+IK_RESTARTS = 20       # random seeds ``ik`` tries after its first
+PLANAR_LIMITS_DEG = (-175.0, 175.0)      # joint limits of the planar arms
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,25 +426,20 @@ def ik_descend(model, targets, seeds, tol_pos, tol_rot, max_iters):
     return out
 
 
-def ik(model, target, seed=None, tol_pos=1e-4, tol_rot=1e-4, max_iters=200,
-       restarts=20, rng=None):
+def ik(model, target, seed=None, rng=None):
     """Numeric IK under joint limits.
 
     Tries the given seed (home configuration when None), then up to
-    ``restarts`` random seeds drawn uniformly within the limits from ``rng``.
-    Returns the joint vector on success, None when the budget is exhausted --
-    the None IS the unreachability signal.
+    ``IK_RESTARTS`` random seeds drawn uniformly within the limits from
+    ``rng``, each an ``ik_attempt`` of ``IK_MAX_ITERS`` iterations to
+    ``IK_TOL``.  Returns the joint vector on success, None when the budget is
+    exhausted -- the None IS the unreachability signal.
     """
-    if not (tol_pos > 0 and tol_rot > 0):      # NaN fails too
-        raise ValueError("tolerances must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     seeds = [model.home if seed is None else np.asarray(seed, dtype=float)]
-    lo, hi = model.limits_lo, model.limits_hi
-    for _ in range(restarts):
-        seeds.append(rng.uniform(lo, hi))
+    seeds += [rng.uniform(model.limits_lo, model.limits_hi) for _ in range(IK_RESTARTS)]
     for s in seeds:
-        sol = ik_attempt(model, target, s, tol_pos, tol_rot, max_iters)
+        sol = ik_attempt(model, target, s, *IK_TOL, IK_MAX_ITERS)
         if sol is not None:
             return sol
     return None
@@ -585,29 +584,23 @@ def robot_hash(model: RobotModel) -> str:
 # ------------------------------------------------------------------ #
 # Stock test models
 # ------------------------------------------------------------------ #
+def _planar_chain(name, links, radius, home) -> RobotModel:
+    """A planar arm in the z = 0 plane: joints about +z within
+    ``PLANAR_LIMITS_DEG``, each link (the last one the tool) along x."""
+    z, lim = np.array([0.0, 0.0, 1.0]), tuple(np.radians(PLANAR_LIMITS_DEG))
+    offsets = [DualQuaternion.identity()] + [DualQuaternion.from_translation([length, 0, 0])
+                                              for length in links[:-1]]
+    caps = [LinkCapsule(k, k + 1, radius) for k in range(1, len(links) + 1)]
+    return make_robot(name, [(z, offset, lim) for offset in offsets],
+                      DualQuaternion.from_translation([links[-1], 0, 0]), caps, home=home,
+                      task="planar")
+
+
 def planar_rr(radius=0.05) -> RobotModel:
-    """Planar 2R arm of 1 m links, joints within +-175 deg, in the z = 0 plane."""
-    z = np.array([0.0, 0.0, 1.0])
-    lim = (np.radians(-175.0), np.radians(175.0))
-    joints = [
-        (z, DualQuaternion.identity(), lim),
-        (z, DualQuaternion.from_translation([1.0, 0, 0]), lim),
-    ]
-    tool = DualQuaternion.from_translation([1.0, 0, 0])
-    caps = [LinkCapsule(1, 2, radius), LinkCapsule(2, 3, radius)]
-    return make_robot("planar_rr", joints, tool, caps, home=[0.0, np.pi / 2], task="planar")
+    """Planar 2R arm of 1 m links; task space (x, y)."""
+    return _planar_chain("planar_rr", (1.0, 1.0), radius, [0.0, np.pi / 2])
 
 
-def planar_3r(l=(0.5, 0.4, 0.3), radius=0.04, limits_deg=(-175.0, 175.0)) -> RobotModel:
+def planar_3r(l=(0.5, 0.4, 0.3), radius=0.04) -> RobotModel:
     """Planar 3R arm; task space (x, y, yaw)."""
-    z = np.array([0.0, 0.0, 1.0])
-    lim = (np.radians(limits_deg[0]), np.radians(limits_deg[1]))
-    joints = [
-        (z, DualQuaternion.identity(), lim),
-        (z, DualQuaternion.from_translation([l[0], 0, 0]), lim),
-        (z, DualQuaternion.from_translation([l[1], 0, 0]), lim),
-    ]
-    tool = DualQuaternion.from_translation([l[2], 0, 0])
-    caps = [LinkCapsule(1, 2, radius), LinkCapsule(2, 3, radius), LinkCapsule(3, 4, radius)]
-    return make_robot("planar_3r", joints, tool, caps,
-                      home=[0.0, np.pi / 3, -np.pi / 4], task="planar")
+    return _planar_chain("planar_3r", l, radius, [0.0, np.pi / 3, -np.pi / 4])

@@ -29,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from hybridplan.dualquat import dq_to_lanes
-from hybridplan.feasibility import ik_free
+from hybridplan.feasibility import POSE_TOL, ik_free
 from hybridplan.geometry import score_lanes
 from hybridplan.kinematics import RobotModel, closed_form_branches
 from hybridplan.rl_core import (
@@ -78,9 +78,9 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
     """Joint trajectory of a task-space plan, one configuration per pose,
     annotated by its own normalized manipulability and collision index.
 
-    Each pose's candidates are its ``closed_form_branches`` at the
-    ``ik_free`` position tolerance (1e-3); on a chain the closed form does
-    not cover, they are one chained ``ik_free`` of 6 attempts seeded by the
+    Each pose's candidates are its ``closed_form_branches`` at the position
+    tolerance of ``POSE_TOL``; on a chain the closed form does not cover,
+    they are one chained ``ik_free`` of 6 attempts seeded by the
     previous pose's solution (home for the first), on one random stream
     from ``seed``.  Every candidate is scored by one ``score_lanes`` call.
     A pose allows its collision-free candidates, or every candidate when
@@ -89,7 +89,7 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
     (home at the start of the plan).
     """
     lanes = dq_to_lanes(poses).reshape(-1, 8)
-    branches = closed_form_branches(model, lanes, 1e-3)
+    branches = closed_form_branches(model, lanes, POSE_TOL[0])
     if branches is None:
         branches = _chained_ik_free(lanes, model, obstacles, seed)[:, None]
     reached = ~np.isnan(branches[..., 0])
@@ -274,7 +274,7 @@ def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajecto
     man[at], col[at] = traj.man, traj.col
     inserted = np.setdiff1d(np.arange(len(pts)), at)
     man[inserted], col[inserted] = score_lanes(model, pts[inserted], obstacles)
-    return JointTrajectory(pts, src, man, col, traj.success, dict(traj.meta))
+    return JointTrajectory(pts, src, man, col, traj.success)
 
 
 def _walk_band(band, lfd_cands, cfg, choose):

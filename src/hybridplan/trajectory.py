@@ -8,7 +8,7 @@ check at ``COLLISION_RES_DEG``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class JointTrajectory:
     man: np.ndarray = None              # (k,) normalized manipulability
     col: np.ndarray = None              # (k,) collision index
     success: bool = True
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))

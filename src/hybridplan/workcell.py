@@ -58,6 +58,9 @@ class Workcell:
     def __post_init__(self):
         self.box_lo = np.asarray(self.box_lo, dtype=float)
         self.box_hi = np.asarray(self.box_hi, dtype=float)
+        if not np.all(np.isfinite([self.box_lo, self.box_hi])):
+            raise ValueError(f"workspace box {self.box_lo.tolist()}, {self.box_hi.tolist()} "
+                             "is not finite")
         if not np.all(self.box_lo < self.box_hi):
             raise ValueError("workspace box needs min < max per axis")
         for pose in self.stations.values():
@@ -105,12 +108,10 @@ def load_workcell(path) -> Workcell:
 # ------------------------------------------------------------------ #
 # Execution scoring
 # ------------------------------------------------------------------ #
-def _checked_configs(points, res_deg):
-    """The waypoints plus interpolated configs at the declared joint-space
-    resolution, in path order, and the rows of the waypoints among them."""
-    if not res_deg > 0:
-        raise ValueError(f"res_deg must be positive, got {res_deg}")
-    return subdivide(points, np.ceil(edge_steps(points) / np.radians(res_deg)))
+def _checked_configs(points):
+    """The waypoints plus interpolated configs at ``COLLISION_RES_DEG``, in
+    path order, and the rows of the waypoints among them."""
+    return subdivide(points, np.ceil(edge_steps(points) / np.radians(COLLISION_RES_DEG)))
 
 
 def _at(values, rows):
@@ -118,10 +119,10 @@ def _at(values, rows):
     return tuple(v[rows] if np.ndim(v) else v for v in values)
 
 
-def count_path_collisions(model, points, obstacles, res_deg=COLLISION_RES_DEG):
-    """Collisions over waypoints plus interpolated configs at the declared
-    joint-space resolution."""
-    configs, _ = _checked_configs(points, res_deg)
+def count_path_collisions(model, points, obstacles):
+    """Collisions over waypoints plus interpolated configs at
+    ``COLLISION_RES_DEG``."""
+    configs, _ = _checked_configs(points)
     return int(np.sum(collision_index_lanes(model, configs, obstacles)))
 
 
@@ -142,7 +143,7 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     points = traj.points
     # one lane walk over the checked configurations: their collision
     # verdicts, and each point's EE state and manipulability at its row
-    checked, at = _checked_configs(points, COLLISION_RES_DEG)
+    checked, at = _checked_configs(points)
     axes, origins, _, q, p = _chain_eval(model, checked)
     verdicts = collision_index_points(model, _frame_points_raw(origins, p), cell.obstacles)
     if len(checked) > len(points):

@@ -426,7 +426,7 @@ class ScalarDrlEnv:
             np.full(3 * n, avel),               # angular velocities
             np.full(3, self._reach),            # end-effector position
             np.full(3, np.pi),                  # end-effector Euler angles
-            np.full(25, cfg.ray_range),         # rays
+            np.full(25, geometry.RAY_RANGE),    # rays
             np.full(3, self._reach),            # goal offset
         ])
 
@@ -441,7 +441,7 @@ class ScalarDrlEnv:
         av = d_ang / self.cfg.step_time
         q, p = ee_state(self.model, self._theta)
         to = quat_to_euler(q)
-        rays = ray_bundle(self.model, self._theta, self.obstacles, self.cfg.ray_range)
+        rays = ray_bundle(self.model, self._theta, self.obstacles)
         raw = np.concatenate([jp, jo, lv, av, p, to, rays, self.goal_pos - p])
         return raw / self._obs_scale
 
@@ -488,13 +488,11 @@ def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
     cols = [collision_index(model, theta0, obstacles)]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
-    distance = 0.0
     while not success:
         obs, _, done, info = env.step(policy.mean_action(obs))
         obs = obs[0]
         thetas.append(env.thetas[0])
         cols.append(info["collision"][0])
-        distance = float(info["distance"][0])
         if done[0]:
             success = bool(info["reached"][0])
             break
@@ -502,7 +500,7 @@ def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),
                            manipulability_rows(model, thetas),
                            np.array(cols, dtype=np.uint8),
-                           success, meta={"goal_distance": distance})
+                           success)
 
 
 # ------------------------------------------------------------------ #
@@ -662,8 +660,7 @@ def densify(traj, model, obstacles, bound_deg) -> JointTrajectory:
     if inserted:
         man[inserted] = manipulability_rows(model, pts[inserted])
         col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
-    return JointTrajectory(pts, np.array(src, np.uint8), man, col,
-                           traj.success, dict(traj.meta))
+    return JointTrajectory(pts, np.array(src, np.uint8), man, col, traj.success)
 
 
 def checked_configs(points, res_deg):

@@ -78,9 +78,8 @@ def test_state_dim_is_the_observation_width(factory):
     obs = env.reset(model.home, ee_state(model, model.home)[1] + 0.5)
     assert obs.shape == (1, state_dim(model.dof)) == (1, len(env._obs_scale))
     rays = blocks(obs[0], model.dof)[6]
-    far = DrlEnvConfig.ray_range
-    np.testing.assert_allclose(rays, geometry.ray_bundle(model, model.home, [WALL], far) / far,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rays, geometry.ray_bundle(model, model.home, [WALL])
+                               / geometry.RAY_RANGE, rtol=0, atol=1e-12)
 
 
 def test_clamped_flag_at_joint_limit():
@@ -235,13 +234,25 @@ def test_reset_of_some_lanes_keeps_the_others():
 # ------------------------------------------------------------------ #
 # reward
 # ------------------------------------------------------------------ #
+def reached_at(distance):
+    """``info["reached"]`` and the done flag of a one-lane step that ends
+    ``distance`` from its goal along x."""
+    env = make_env()
+    home = env.model.home
+    env.reset(home, ee_state(env.model, home)[1] + [distance, 0.0, 0.0])
+    _, _, done, info = env.step(np.zeros(env.dof))        # a step that does not move
+    assert info["distance"][0] == pytest.approx(distance)
+    return bool(info["reached"][0]), bool(done[0])
+
+
 def test_reward_inside_target_ball_ends_the_episode():
-    r, reached = drl_reward(DrlEnvConfig(), 0.1, col=1, man=0.5)
-    assert (r, reached) == (0.1, True)
+    assert drl_reward(DrlEnvConfig(), 0.1, col=1, man=0.5) == 0.1
+    assert reached_at(0.1) == (True, True)
 
 
 def test_reward_collision_penalty():
-    assert drl_reward(DrlEnvConfig(), 1.0, col=1, man=0.5) == (-2.0, False)
+    assert drl_reward(DrlEnvConfig(), 1.0, col=1, man=0.5) == -2.0
+    assert reached_at(1.0) == (False, False)
 
 
 def test_reward_manipulability_grade():
@@ -250,7 +261,8 @@ def test_reward_manipulability_grade():
     theta = np.array([0.2, 1.2, -0.9])
     man = normalized_manipulability(model, theta)
     assert 0.0 < man != 1.0
-    assert drl_reward(cfg, 1.0, col=0, man=man) == (man - 1.0 - 1.0, False)
+    assert drl_reward(cfg, 1.0, col=0, man=man) == man - 1.0 - 1.0
+    assert reached_at(1.0) == (False, False)
 
 
 def test_reward_lanes_match_one_lane_calls():
@@ -258,9 +270,9 @@ def test_reward_lanes_match_one_lane_calls():
     d = np.array([0.1, 1.0, 1.0, 0.6])
     col = np.array([1, 1, 0, 0], dtype=np.uint8)
     man = np.array([0.5, 0.7, 0.3, 1.2])
-    rewards, reached = drl_reward(cfg, d, col, man)
+    rewards = drl_reward(cfg, d, col, man)
     for k in range(len(d)):
-        assert (rewards[k], reached[k]) == drl_reward(cfg, d[k], col[k], man[k])
+        assert rewards[k] == drl_reward(cfg, d[k], col[k], man[k])
 
 
 # ------------------------------------------------------------------ #
@@ -350,7 +362,6 @@ def test_plan_drl_trajectory_contract(monkeypatch):
         if not success:
             assert len(traj) == cfg.episode_budget + 1
         np.testing.assert_array_equal(traj.points, runs[1].points)
-        assert traj.meta == runs[1].meta
 
 
 def test_plan_drl_equals_a_bridge_stepped_through_the_full_step(monkeypatch):
@@ -377,7 +388,6 @@ def test_plan_drl_equals_a_bridge_stepped_through_the_full_step(monkeypatch):
         np.testing.assert_array_equal(got.man, ref.man)
         assert got.col.dtype == ref.col.dtype
         np.testing.assert_array_equal(got.col, ref.col)
-        assert got.meta == ref.meta
         collided += int(got.col.sum())
     assert collided > 0
 

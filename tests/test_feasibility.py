@@ -56,30 +56,30 @@ def test_fea_known_good_configuration():
     m = planar_3r()
     theta = np.array([0.4, 0.8, -0.5])
     pose = fk(m, theta)
-    res = fea(pose, m, [], eps_m=0.1, rng=np.random.default_rng(1))
+    res = fea(pose, m, [], rng=np.random.default_rng(1))
     assert res.feasible and res.reason == OK
     assert res.man_prime >= 0.1
     assert res.witness is not None and m.within_limits(res.witness)
 
 
-def test_fea_collision_blocked_witnesses():
+def test_fea_collision_blocked_witnesses(monkeypatch):
     # planar 2R reaching (1.2, 0): both elbow-up and elbow-down witnesses put
     # the elbow at x=1-ish; enclose the whole arm volume except the target
+    monkeypatch.setattr(feasibility, "IK_BUDGET", 16)
     m = planar_rr()
     target = planar_pose(1.2, 0.0)
     # both elbow witnesses have the elbow on the circle of radius 1; block both
     blocker_up = Box([-0.1, 0.05, -0.2], [1.3, 1.2, 0.2], "upper")
     blocker_dn = Box([-0.1, -1.2, -0.2], [1.3, -0.05, 0.2], "lower")
-    res = fea(target, m, [blocker_up, blocker_dn], rng=np.random.default_rng(2),
-              ik_budget=16)
+    res = fea(target, m, [blocker_up, blocker_dn], rng=np.random.default_rng(2))
     assert not res.feasible and res.reason == COLLISION
 
 
-def test_fea_low_manipulability():
+def test_fea_low_manipulability(monkeypatch):
     # target at the annulus rim forces a near-singular arm
+    monkeypatch.setattr(feasibility, "EPS_M", 0.5)
     m = planar_rr()
-    res = fea(planar_pose(1.9995, 0.0), m, [], eps_m=0.5,
-              rng=np.random.default_rng(3), tol_pos=1e-3)
+    res = fea(planar_pose(1.9995, 0.0), m, [], rng=np.random.default_rng(3))
     assert not res.feasible
     assert res.reason in (LOW_MANIP, UNREACHABLE)
     if res.reason == LOW_MANIP:
@@ -87,26 +87,37 @@ def test_fea_low_manipulability():
 
 
 def test_fea_witness_seed_priority():
+    # a caller seed (the map's witness transfer) descends first and decides
     m = planar_3r()
     theta = np.array([0.3, 0.5, 0.2])
-    pose = fk(m, theta)
-    res = fea(pose, m, [], rng=np.random.default_rng(4), extra_seeds=[theta])
-    assert res.feasible
-    np.testing.assert_allclose(res.witness, theta, atol=1e-3)
+    seeds = feasibility._draw_seeds(m, [theta], np.random.default_rng(4))
+    reasons, _, witnesses = feasibility._fea_batch(fk(m, theta).as_array()[None], [seeds], m,
+                                                   [], *feasibility.POSE_TOL)
+    assert reasons[0] == OK
+    np.testing.assert_allclose(witnesses[0], theta, atol=1e-3)
 
 
 # ------------------------------------------------------------------ #
 # build_map
 # ------------------------------------------------------------------ #
+def build_map_at(*args, eps_m=0.1, ik_budget=12, **kwargs):
+    """``build_map`` with ``EPS_M`` and ``IK_BUDGET`` set to ``eps_m`` and
+    ``ik_budget`` for the call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "EPS_M", eps_m)
+        mp.setattr(feasibility, "IK_BUDGET", ik_budget)
+        return build_map(*args, **kwargs)
+
+
 def small_map(model, obstacles=(), seed=0, voxel=0.5, box=((-2.25, -2.25, -0.25), (2.25, 2.25, 0.25))):
-    return build_map(model, list(obstacles), box, voxel,
-                     orientation_spec=ORI_FREE, eps_m=0.05, seed=seed, ik_budget=8)
+    return build_map_at(model, list(obstacles), box, voxel,
+                        orientation_spec=ORI_FREE, eps_m=0.05, seed=seed, ik_budget=8)
 
 
 def test_build_map_all_unreachable_beyond_reach():
     m = planar_rr()
-    fmap = build_map(m, [], ((3.0, 3.0, -0.25), (4.0, 4.0, 0.25)), 0.5,
-                     orientation_spec=ORI_FREE, seed=0, ik_budget=4)
+    fmap = build_map_at(m, [], ((3.0, 3.0, -0.25), (4.0, 4.0, 0.25)), 0.5,
+                        orientation_spec=ORI_FREE, seed=0, ik_budget=4)
     assert np.all(fmap.reasons == UNREACHABLE)
 
 
@@ -154,12 +165,12 @@ def test_every_cell_centre_locates_into_its_own_cell(tmp_path, theta_max):
         spec = (theta_max, orient_counts)
         if orient_counts[1] > 1 and theta_max > np.pi / 2:
             with pytest.raises(ValueError, match="pitch bins need theta_max <= pi/2"):
-                build_map(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
+                build_map_at(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
             save_map(bare_map(theta_max, orient_counts), tmp_path / "pitch.map")
             with pytest.raises(ValueError, match="over several pitch bins"):
                 load_map(tmp_path / "pitch.map")
             continue
-        fmap = build_map(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
+        fmap = build_map_at(model, [], box, 0.2, orientation_spec=spec, ik_budget=1)
         digits = np.array(list(np.ndindex(*fmap.voxel_counts, *fmap.orient_counts)))
         np.testing.assert_array_equal(fmap.locate_lanes(feasibility._cell_lanes(fmap, digits)),
                                       np.arange(fmap.n_cells))
@@ -238,8 +249,8 @@ def test_build_map_seed_determinism_and_file_roundtrip(tmp_path):
 
 def test_build_map_yaw_cells_planar_3r():
     m = planar_3r()
-    fmap = build_map(m, [], ((-0.1, -0.1, -0.25), (0.9, 0.9, 0.25)), 0.5,
-                     orientation_spec=YAW_ONLY, eps_m=0.05, seed=1, ik_budget=8)
+    fmap = build_map_at(m, [], ((-0.1, -0.1, -0.25), (0.9, 0.9, 0.25)), 0.5,
+                        orientation_spec=YAW_ONLY, eps_m=0.05, seed=1, ik_budget=8)
     assert fmap.n_orient == 4
     # the 3R controls yaw: every feasible cell's witness lands in its yaw bin
     found = 0
@@ -258,11 +269,13 @@ def test_build_map_yaw_cells_planar_3r():
     assert cell_b == cell_a + 1
 
 
-def test_refinement_witness_transfer():
+def test_refinement_witness_transfer(monkeypatch):
     # a coarse feasible cell's witness, used as an IK seed, re-verifies in the
     # fine cell that contains its pose
     m = planar_rr()
     coarse = small_map(m, voxel=0.9)
+    monkeypatch.setattr(feasibility, "EPS_M", 0.05)
+    monkeypatch.setattr(feasibility, "IK_BUDGET", 8)
     fine_voxel = 0.45
     transfers = 0
     for vox, ori in coarse.all_cells():
@@ -270,11 +283,10 @@ def test_refinement_witness_transfer():
         if coarse.reasons[idx] != OK:
             continue
         w = coarse.witnesses[idx].astype(float)
-        pose = fk(m, w)
-        res = fea(pose, m, [], eps_m=0.05, ik_budget=8,
-                  rng=np.random.default_rng(0), tol_pos=fine_voxel / 2,
-                  tol_rot=np.pi / 4, extra_seeds=[w])
-        assert res.feasible
+        seeds = feasibility._draw_seeds(m, [w], np.random.default_rng(0))
+        reasons, _, _ = feasibility._fea_batch(fk(m, w).as_array()[None], [seeds], m, [],
+                                               fine_voxel / 2, np.pi / 4)
+        assert reasons[0] == OK
         transfers += 1
         if transfers >= 25:
             break
@@ -328,13 +340,14 @@ WALL = Box([0.4, -1.6, -0.2], [0.8, 1.6, 0.2], "wall")
 ], ids=["planar_rr-box0-ori0-1", "planar_3r-box1-ori1-0", "planar_3r-sphere-two_yaw_bins-2"])
 def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed, wall):
     m = factory()
-    args = dict(orientation_spec=ori, eps_m=0.05, seed=seed, ik_budget=8)
+    monkeypatch.setattr(feasibility, "EPS_M", 0.05)
+    monkeypatch.setattr(feasibility, "IK_BUDGET", 8)
+    args = dict(orientation_spec=ori, seed=seed)
     lockstep = build_map(m, wall, box, 0.5, **args)
 
     upgrades = []
 
-    def loop_cells(model, obstacles, fmap, indices, seed, eps_m, ik_budget,
-                   seeds_by_cell, spawn_salt):
+    def loop_cells(model, obstacles, fmap, indices, seed, seeds_by_cell, spawn_salt):
         half_pos = 0.5 * fmap.voxel_size
         half_rot = float(np.min(fmap.theta_max / np.asarray(fmap.orient_counts)))
         cells = list(fmap.all_cells())
@@ -342,8 +355,8 @@ def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed, 
         for i in indices:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i, spawn_salt)))
             extra = () if seeds_by_cell is None else seeds_by_cell.get(i, ())
-            res = loop_fea(fmap.cell_pose(*cells[i]), model, obstacles, eps_m, ik_budget, rng,
-                           half_pos, half_rot, 80, extra)
+            res = loop_fea(fmap.cell_pose(*cells[i]), model, obstacles, feasibility.EPS_M,
+                           feasibility.IK_BUDGET, rng, half_pos, half_rot, 80, extra)
             if spawn_salt and res.reason == OK:
                 upgrades.append(i)
             out.append(res)
@@ -397,15 +410,15 @@ def test_two_yaw_bin_transfer_seeds_hold_no_repeated_neighbor(monkeypatch):
     seeded = {}
     evaluate = feasibility._evaluate_cells
 
-    def recording(model, obstacles, fmap, indices, seed, eps_m, ik_budget, seeds_by_cell,
-                  spawn_salt):
+    def recording(model, obstacles, fmap, indices, seed, seeds_by_cell, spawn_salt):
         seeded.update({(spawn_salt, i): seeds for i, seeds in (seeds_by_cell or {}).items()})
-        return evaluate(model, obstacles, fmap, indices, seed, eps_m, ik_budget,
-                        seeds_by_cell, spawn_salt)
+        return evaluate(model, obstacles, fmap, indices, seed, seeds_by_cell, spawn_salt)
 
     monkeypatch.setattr(feasibility, "_evaluate_cells", recording)
+    monkeypatch.setattr(feasibility, "EPS_M", 0.05)
+    monkeypatch.setattr(feasibility, "IK_BUDGET", 8)
     fmap = build_map(m, [WALL], ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), 0.5,
-                     orientation_spec=(np.pi, (1, 1, 2)), eps_m=0.05, seed=2, ik_budget=8)
+                     orientation_spec=(np.pi, (1, 1, 2)), seed=2)
     cells = list(fmap.all_cells())
     yaw_seeded = 0
     for (_, i), seeds in seeded.items():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -509,7 +510,7 @@ def test_raycast_many_equals_the_per_obstacle_reference_bitwise(spheres):
 
 @pytest.mark.parametrize("case", ["on_a_face", "inside_a_box", "planar_arm",
                                   "sphere_beside_boxes"])
-def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(case):
+def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypatch, case):
     """The one-origin call, a one-lane DRL step's ray cast, against the
     reference: origins on a face (a 0/0 slab) or inside a box, the planar
     arm's bundle, which keeps rays parallel to the z slabs at every
@@ -532,8 +533,9 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(case):
         origins = np.array([p for _, p in states])
         dirs = np.array([geometry._BUNDLE @ quat_to_matrix(q).T for q, _ in states])
         assert (dirs[:, :, 2] == 0.0).any(axis=1).all()
+        monkeypatch.setattr(geometry, "RAY_RANGE", 2.5)
         for (q, p), ref in zip(states, reference_raycast_many(origins, dirs, obstacles, 2.5)):
-            assert ray_bundle_lanes(q, p, slab_table(obstacles), 2.5).tobytes() == ref.tobytes()
+            assert ray_bundle_lanes(q, p, slab_table(obstacles)).tobytes() == ref.tobytes()
     else:
         obstacles.insert(1, Sphere([1.25, -0.9, 0.0], 0.35))
         assert (reference_raycast_many(origins, dirs, obstacles, 2.5)
@@ -552,51 +554,55 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(case):
 # ------------------------------------------------------------------ #
 # ray_bundle
 # ------------------------------------------------------------------ #
-def test_ray_bundle_empty_scene():
+def test_ray_bundle_empty_scene(monkeypatch):
+    monkeypatch.setattr(geometry, "RAY_RANGE", 2.0)
     m = planar_rr()
-    d = ray_bundle(m, m.home, [], max_range=2.0)
+    d = ray_bundle(m, m.home, [])
     assert d.shape == (25,)
     np.testing.assert_allclose(d, 2.0)
 
 
-def test_ray_bundle_centered_in_cube():
+def test_ray_bundle_centered_in_cube(monkeypatch):
     # end effector at (2, 0, 0); cube of half-width 1 centered there
+    monkeypatch.setattr(geometry, "RAY_RANGE", 5.0)
     m = planar_rr()
     theta = np.array([0.0, 0.0])
     box = Box([1.0, -1.0, -1.0], [3.0, 1.0, 1.0])
-    d = ray_bundle(m, theta, [box], max_range=5.0)
+    d = ray_bundle(m, theta, [box])
     # approach axis is EE +x = world +x here; the first ray exits at x = 3
     assert d[0] == pytest.approx(1.0)
     assert np.all(d <= np.sqrt(3) + 1e-9)
 
 
-def test_ray_bundle_rotates_with_end_effector():
+def test_ray_bundle_rotates_with_end_effector(monkeypatch):
+    monkeypatch.setattr(geometry, "RAY_RANGE", 4.0)
     m = planar_rr()
     box = Box([1.1, 0.6, -0.3], [2.3, 1.7, 0.4])
-    d1 = ray_bundle(m, np.array([0.0, np.pi / 4]), [box], max_range=4.0)
+    d1 = ray_bundle(m, np.array([0.0, np.pi / 4]), [box])
     # rotate scene and configuration together by 90 deg about z
     rot = np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, 1]])
     corner_a = rot @ np.array([2.3, 0.6, -0.3])
     corner_b = rot @ np.array([1.1, 1.7, 0.4])
     box_rot = Box(np.minimum(corner_a, corner_b), np.maximum(corner_a, corner_b))
-    d2 = ray_bundle(m, np.array([np.pi / 2, np.pi / 4]), [box_rot], max_range=4.0)
+    d2 = ray_bundle(m, np.array([np.pi / 2, np.pi / 4]), [box_rot])
     np.testing.assert_allclose(d1, d2, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["wall", "spheres", "spatial_mixed"])
-def test_ray_bundle_lanes_equal_one_state_calls_bitwise(name):
+def test_ray_bundle_lanes_equal_one_state_calls_bitwise(monkeypatch, name):
+    monkeypatch.setattr(geometry, "RAY_RANGE", 1.5)
     model, obstacles = _scene(name)
     thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
                                               (300, model.dof))
     _, _, _, q, p = _chain_eval(model, thetas)
-    got = ray_bundle_lanes(q, p, slab_table(obstacles), max_range=1.5)
+    got = ray_bundle_lanes(q, p, slab_table(obstacles))
     assert got.shape == (300, 25)
-    ref = np.array([ray_bundle(model, t, obstacles, max_range=1.5) for t in thetas])
+    ref = np.array([ray_bundle(model, t, obstacles) for t in thetas])
     np.testing.assert_array_equal(got, ref)
     assert (ref < 1.5).any() and (ref == 1.5).any()
     _, _, _, q1, p1 = _chain_eval(model, thetas[0])          # one state, on floats
     np.testing.assert_array_equal(
-        ray_bundle_lanes(q1, p1, slab_table(obstacles), max_range=1.5), ref[0])
+        ray_bundle_lanes(q1, p1, slab_table(obstacles)), ref[0])
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -608,3 +614,15 @@ def test_ray_bundle_lanes_equal_one_state_calls_bitwise(name):
 def test_geometry_refuses(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("corner", ["lo", "hi"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_box_refuses_a_corner_that_is_not_finite(corner, value):
+    # lo < hi alone let an infinite box through: -inf below, inf above
+    lo, hi = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+    (lo if corner == "lo" else hi)[2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match="box corners .* are not finite"):
+            Box(lo, hi, "b")

@@ -695,6 +695,13 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
     pytest.param(lambda: _jitter_lanes(np.array([[1, 0, 0, 0, 0, np.inf, 0, 0]]), HrlConfig(),
                                        np.random.default_rng(0)),
                  "non-finite position", id="inf_position_jitter"),
+    pytest.param(lambda: _jitter_lanes(np.array([[np.inf, 0, 0, 0, 0, 0, 0, 0]]), HrlConfig(),
+                                       np.random.default_rng(0)),
+                 "degenerate rotation", id="inf_rotation_jitter"),
+    # finite, but the translation 2 d r* overflows
+    pytest.param(lambda: _jitter_lanes(np.array([[0, 0, 0, 1, 1e308, 1e308, 0, 0]]), HrlConfig(),
+                                       np.random.default_rng(0)),
+                 "non-finite position", id="overflowing_position_jitter"),
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),

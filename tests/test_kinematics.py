@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from hybridplan import kinematics
 from hybridplan.dualquat import (DualQuaternion, _qrot, dq_mul, dq_to_lanes,
                                  dq_translation, quat_from_axis_angle)
 from hybridplan.geometry import score_lanes
@@ -316,18 +317,12 @@ def test_ik_fixed_point():
     np.testing.assert_allclose(sol, theta, atol=1e-6)
 
 
-def test_ik_unreachable():
+def test_ik_unreachable(monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_RESTARTS", 10)
+    monkeypatch.setattr(kinematics, "IK_MAX_ITERS", 100)
     m = planar_rr()
     target = DualQuaternion.from_translation([2.05, 0, 0])
-    assert ik(m, target, rng=np.random.default_rng(0), restarts=10, max_iters=100) is None
-
-
-@pytest.mark.parametrize("value", [0.0, -1e-4, np.nan])
-@pytest.mark.parametrize("name", ["tol_pos", "tol_rot"])
-def test_ik_refuses_a_tolerance_that_is_not_positive(name, value):
-    m = planar_3r()
-    with pytest.raises(ValueError, match="positive"):
-        ik(m, fk(m, m.home), **{name: value})
+    assert ik(m, target, rng=np.random.default_rng(0)) is None
 
 
 def test_ik_roundtrip_500_targets():
@@ -337,7 +332,7 @@ def test_ik_roundtrip_500_targets():
     for _ in range(500):
         theta = rng.uniform(m.limits_lo * 0.85, m.limits_hi * 0.85)
         target = fk(m, theta)
-        sol = ik(m, target, rng=rng, tol_pos=1e-4, tol_rot=1e-4)
+        sol = ik(m, target, rng=rng)
         if sol is None:
             failures += 1
             continue
@@ -383,8 +378,9 @@ def test_ik_descend_empty_and_mismatched():
         ik_descend(model, [fk(model, model.home)], np.zeros((2, 2)), 1e-3, 1e-2, 80)
 
 
-def test_ik_respects_limits():
-    m = planar_3r(limits_deg=(-100, 100))
+def test_ik_respects_limits(monkeypatch):
+    monkeypatch.setattr(kinematics, "PLANAR_LIMITS_DEG", (-100, 100))
+    m = planar_3r()
     rng = np.random.default_rng(8)
     for _ in range(50):
         theta = rng.uniform(m.limits_lo, m.limits_hi)
@@ -393,7 +389,9 @@ def test_ik_respects_limits():
             assert m.within_limits(sol)
 
 
-def test_ik_reachability_annulus():
+def test_ik_reachability_annulus(monkeypatch):
+    monkeypatch.setattr(kinematics, "IK_RESTARTS", 12)
+    monkeypatch.setattr(kinematics, "IK_MAX_ITERS", 150)
     m = planar_rr()
     rng = np.random.default_rng(9)
     l1 = l2 = 1.0
@@ -407,8 +405,7 @@ def test_ik_reachability_annulus():
             continue  # tolerance band at the annulus boundary
         total += 1
         reachable = abs(l1 - l2) <= r <= l1 + l2
-        sol = ik(m, DualQuaternion.from_translation([p[0], p[1], 0]),
-                 rng=rng, restarts=12, max_iters=150)
+        sol = ik(m, DualQuaternion.from_translation([p[0], p[1], 0]), rng=rng)
         if (sol is not None) != reachable:
             disagreements += 1
     assert disagreements <= 0.01 * total
@@ -476,7 +473,7 @@ def pose_with_wrist(model, r, angle, yaw):
     return dq_to_lanes(planar_pose(x, y, yaw)).reshape(1, 8)
 
 
-def test_closed_form_branches_respect_the_limits_and_the_reach_tolerance():
+def test_closed_form_branches_respect_the_limits_and_the_reach_tolerance(monkeypatch):
     model = planar_3r()                                  # links 0.5, 0.4, 0.3
     # joint 1 at 178 degrees: the elbow-up branch is past the limit, the
     # elbow-down one (joint 1 near -156 degrees) is not
@@ -484,7 +481,8 @@ def test_closed_form_branches_respect_the_limits_and_the_reach_tolerance():
     branches = closed_form_branches(model, lanes, 1e-3)[0]
     assert np.all(np.isnan(branches[0])) and model.within_limits(branches[1], tol=0.0)
     assert_branches_reach(model, branches[None], lanes, 1e-12)
-    free = planar_3r(limits_deg=(-180.0, 180.0))
+    monkeypatch.setattr(kinematics, "PLANAR_LIMITS_DEG", (-180.0, 180.0))
+    free = planar_3r()
     for r, reached_by in [(0.9 + 0.9e-3, (model, free)), (0.9 + 1.1e-3, ()),
                           (0.1 - 0.9e-3, (free,)), (0.1 - 1.1e-3, ())]:
         lanes = pose_with_wrist(model, r, 0.7, -0.4)
@@ -500,11 +498,12 @@ def test_closed_form_branches_respect_the_limits_and_the_reach_tolerance():
             assert np.all(np.isnan(closed_form_branches(arm, lanes, 0.0)))
 
 
-def test_closed_form_branches_refuse_chains_they_do_not_cover():
+def test_closed_form_branches_refuse_chains_they_do_not_cover(monkeypatch):
     from test_geometry import mini7_with_capsules
     lanes = np.zeros((1, 8))
     lanes[0, 0] = 1.0
-    for model in (seven_dof(), mini7_with_capsules(), planar_3r(limits_deg=(-190.0, 190.0))):
+    monkeypatch.setattr(kinematics, "PLANAR_LIMITS_DEG", (-190.0, 190.0))
+    for model in (seven_dof(), mini7_with_capsules(), planar_3r()):
         assert closed_form_branches(model, lanes, 1e-3) is None
 
 

@@ -223,3 +223,85 @@ def test_every_config_field_is_set_by_a_caller():
     every = {(cls, f) for cls, names in fields.items() for f in names}
     callers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
     assert every - config_fields_set(callers, fields) == set()
+
+
+# defaulted parameters of public functions and methods (``__init__`` counts
+# as a call of its class) that no call in src/, perfbench/ or benchmarks/
+# passes: (module, function, parameter) -> why they stay.  Only inputs belong
+# here; a setting that no caller varies is a module constant.  The list may
+# only shrink.
+HEADS = "set by load_checkpoint, which builds the policy as _HEADS[kind](...)"
+PARAMETERS_KEPT = {
+    ("kinematics", "ik", "seed"): "input: the first IK seed, home when None",
+    ("kinematics", "ik", "rng"): "input: the stream of the restart seeds",
+    ("switch_agent", "lfd_joint_candidates", "seed"): "input: the random stream of ik_free "
+                                                      "on chains the closed form does not cover",
+    ("rl_core", "GaussianPolicy.__init__", "hidden"): HEADS,
+    ("rl_core", "CategoricalPolicy.__init__", "hidden"): HEADS,
+    ("kinematics", "planar_rr", "radius"): TEST_ONLY,
+    ("workcell", "bench", "variant"): TEST_ONLY,
+    ("workcell", "bench", "rows_out"): TEST_ONLY,
+}
+
+
+def public_functions(tree):
+    """(qualified name, callee name, node, arguments bound before the
+    caller's) of each public function of a module and each public method and
+    ``__init__`` of its public classes: a call names a method by its
+    attribute and ``__init__`` by its class, and passes no ``self`` or
+    ``cls``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name == "__init__"
+                                                          or not item.name.startswith("_")):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield (f"{node.name}.{item.name}",
+                           node.name if item.name == "__init__" else item.name, item,
+                           0 if static else 1)
+
+
+def defaulted_parameters(fn, bound):
+    """(name, position among a call's arguments, None when keyword-only) of
+    each parameter of ``fn`` that has a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i - bound
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def arguments_passed(paths) -> dict:
+    """{callee name: (most positional arguments of one call, keywords
+    passed)} over the calls in ``paths``; a ``*args`` call passes every
+    position and a ``**kwargs`` call every keyword (keyword None)."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            most, keywords = found.get(callee, (0, set()))
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            found[callee] = (max(most, float("inf") if star else len(node.args)),
+                             keywords | {kw.arg for kw in node.keywords})
+    return found
+
+
+def test_every_keyword_default_is_passed_by_a_caller():
+    callers = [*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
+    passed = arguments_passed(callers)
+    unpassed = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, callee, fn, bound in public_functions(ast.parse(path.read_text())):
+            most, keywords = passed.get(callee, (0, set()))
+            unpassed |= {(path.stem, qualified, name)
+                         for name, position in defaulted_parameters(fn, bound)
+                         if not ({name, None} & keywords or position is not None
+                                 and most > position)}
+    assert unpassed == set(PARAMETERS_KEPT)

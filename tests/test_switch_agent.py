@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
-from hybridplan import switch_agent
+from hybridplan import feasibility, switch_agent
 from hybridplan.drl_planner import DrlEnvConfig, plan_drl, train_drl
 from hybridplan.feasibility import COLLISION, build_map, classify_trajectory
 from hybridplan.geometry import Box, collision_index
@@ -177,9 +177,8 @@ def test_edge_splits_equal_the_per_point_loops(monkeypatch, case):
             assert_same_bits(getattr(got, field), getattr(ref, field))
     if case.startswith("blend"):
         assert (len(pairs[-1][0]) == cfg.blend_points) == (case == "blend above its cap")
-    (rows, at), (ref_rows, ref_at) = [
-        f(points, COLLISION_RES_DEG)
-        for f in (_checked_configs, scalar_reference.checked_configs)]
+    rows, at = _checked_configs(points)
+    ref_rows, ref_at = scalar_reference.checked_configs(points, COLLISION_RES_DEG)
     assert_same_bits(rows, ref_rows)
     assert at.tolist() == ref_at
 
@@ -422,8 +421,9 @@ def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain(monkeypatch):
     # across the map box, a plan through it, a DRL bridge over the band
     model = mini7_with_capsules()
     obstacles = [Box([0.1, -0.5, 0.2], [0.2, 0.5, 0.8])]
+    monkeypatch.setattr(feasibility, "IK_BUDGET", 6)
     fmap = build_map(model, obstacles, ([-0.45, -0.45, 0.2], [0.45, 0.45, 0.8]), 0.15,
-                     orientation_spec=(np.pi, (1, 1, 1)), ik_budget=6)
+                     orientation_spec=(np.pi, (1, 1, 1)))
     assert fmap.n_cells == 144
     rng = np.random.default_rng(32)
     thetas = [t for t in rng.uniform(model.limits_lo, model.limits_hi, (6, model.dof))

@@ -25,7 +25,7 @@ def annotated(k=5, dof=3, seed=0, success=True):
 def test_defaults_are_zero_annotations_and_success():
     traj = JointTrajectory(np.ones((4, 2)))
     assert len(traj) == 4
-    assert traj.success and traj.meta == {}
+    assert traj.success
     np.testing.assert_array_equal(traj.source, np.full(4, SOURCE_LFD, np.uint8))
     np.testing.assert_array_equal(traj.man, np.zeros(4))
     np.testing.assert_array_equal(traj.col, np.zeros(4, np.uint8))

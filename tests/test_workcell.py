@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from hybridplan import workcell
 from hybridplan.dualquat import DualQuaternion, quat_from_axis_angle, quat_mul, quat_to_euler
 from hybridplan.geometry import Box, Sphere, collision_index
 from hybridplan.kinematics import ee_state, fk, normalized_manipulability, planar_3r
@@ -167,7 +170,7 @@ def test_execute_checks_inserted_rows_like_the_reference(scene):
     for _ in range(30):
         steps = rng.uniform(-1.0, 1.0, (8, model.dof)) * np.radians(rng.uniform(3.0, 40.0))
         pts = model.clamp(rng.uniform(model.limits_lo, model.limits_hi) + np.cumsum(steps, axis=0))
-        checked, at = _checked_configs(pts, COLLISION_RES_DEG)
+        checked, at = _checked_configs(pts)
         assert len(checked) > len(pts)
         picks = np.sort(rng.choice(len(pts), size=int(rng.integers(2, 5)), replace=False))
         task = Task("t", [near_pose(model, pts[k], rng, criteria.pos_tol, criteria.rot_tol)
@@ -274,7 +277,7 @@ def test_execute_lets_one_point_hit_consecutive_configs():
 # ------------------------------------------------------------------ #
 # count_path_collisions
 # ------------------------------------------------------------------ #
-def test_count_path_collisions_checks_interpolants():
+def test_count_path_collisions_checks_interpolants(monkeypatch):
     model = planar_3r()
     a, b = np.array([0.5, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])
     assert collision_index(model, a, [POST]) == collision_index(model, b, [POST]) == 0
@@ -284,17 +287,12 @@ def test_count_path_collisions_checks_interpolants():
     assert got == ref > 0
     assert isinstance(got, int)
     # twice as fine, about twice the colliding interpolants
-    assert count_path_collisions(model, [a, b], [POST], res_deg=1.0) >= 2 * got - 1
+    with monkeypatch.context() as mp:
+        mp.setattr(workcell, "COLLISION_RES_DEG", 1.0)
+        assert count_path_collisions(model, [a, b], [POST]) >= 2 * got - 1
     assert count_path_collisions(model, [a, b], []) == 0
     # a waypoint in contact counts once, with no interpolants around it
     assert count_path_collisions(model, [np.zeros(3)], [POST]) == 1
-
-
-@pytest.mark.parametrize("res_deg", [0.0, -1.0, float("nan")])
-def test_count_path_collisions_rejects_non_positive_resolution(res_deg):
-    model = planar_3r()
-    with pytest.raises(ValueError, match="res_deg"):
-        count_path_collisions(model, [model.home, model.home + 0.1], [POST], res_deg=res_deg)
 
 
 # ------------------------------------------------------------------ #
@@ -395,7 +393,22 @@ def test_task_refuses(call, match):
                  "station outside the workspace box", id="station_outside"),
     pytest.param(lambda tmp: (tmp.write_text("name cell\n"), load_workcell(tmp)),
                  "missing workspace box", id="file_without_workspace"),
+    pytest.param(lambda tmp: (tmp.write_text("name cell\nworkspace -inf -1 -1 1 1 inf\n"),
+                              load_workcell(tmp)),
+                 "workspace box .* is not finite", id="file_with_an_infinite_workspace"),
 ])
 def test_workcell_refuses(tmp_path, call, match):
     with pytest.raises(ValueError, match=match):
         call(tmp_path / "cell.txt")
+
+
+@pytest.mark.parametrize("corner", ["lo", "hi"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_workcell_refuses_a_workspace_corner_that_is_not_finite(corner, value):
+    # lo < hi alone let an infinite workspace through: -inf below, inf above
+    lo, hi = [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]
+    (lo if corner == "lo" else hi)[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match="workspace box .* is not finite"):
+            Workcell("c", lo, hi, [])
