@@ -5,7 +5,9 @@ bridges each gap with a joint trajectory.  Actions are per-joint increment
 commands in [-1, 1].  At goal distance d a step earns 0.1 inside the target
 ball (d < ``target_radius``; the episode ends), else man' - ``man_baseline`` - d
 when collision-free (man' the normalized manipulability) and -1 - d in
-collision.  ``plan_drl`` starts from the witness ``theta0`` its caller gives.
+collision.  ``plan_drl`` starts from the witness ``theta0`` its caller gives,
+``train_drl`` from the bracket pairs' witnesses, its start pool or random
+collision-free configurations.
 
 ``DrlEnv`` steps N independent episodes as lanes: an (N, dof) array of
 joint vectors, one per episode.  A step walks the kinematic chain once
@@ -39,7 +41,6 @@ from typing import ClassVar
 import numpy as np
 
 from hybridplan.dualquat import _euler_floats, dq_to_lanes, dq_translation, quat_to_euler
-from hybridplan.feasibility import ik_free
 from hybridplan.geometry import (
     RAY_COUNT,
     RAY_RANGE,
@@ -262,37 +263,22 @@ class DrlEnv:
 # ------------------------------------------------------------------ #
 # Training
 # ------------------------------------------------------------------ #
-def _prepare_pairs(pairs, model, obstacles, rng, witnesses=None):
-    """IK the start poses once (collision-free witness preferred); drops
-    pairs whose start has no witness at all.  ``witnesses`` optionally gives
-    a known-good joint vector per pair (e.g. from the feasibility map)."""
-    goals = dq_translation(dq_to_lanes([goal for _, goal in pairs]))
-    prepared = []
-    for k, (start, _) in enumerate(pairs):
-        theta0 = None
-        if witnesses is not None and witnesses[k] is not None:
-            theta0 = np.asarray(witnesses[k], dtype=float)
-        if theta0 is None:
-            theta0 = ik_free(model, start, obstacles, rng)
-        if theta0 is None:
-            continue
-        prepared.append((theta0, goals[k]))
-    return prepared
-
-
 def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
-              seed=0, batches=40, start_witnesses=None, start_pool=None):
+              seed=0, batches=40, *, start_witnesses, start_pool=None):
     """PPO over episodes whose start/goal are sampled from the bracket set.
 
-    Each batch of ``ppo_cfg.num_steps`` steps (a multiple of
-    ``ROLLOUT_LANES``) is collected on ``ROLLOUT_LANES`` lane environments;
-    episode starts are drawn per lane in lane order, and GAE runs per lane.
-    ``start_pool`` optionally provides extra episode-start joint vectors
-    (typically feasibility-map witnesses); starting a fraction of episodes
-    from states scattered across the feasible region lets value propagate
-    backward through narrow passages that on-policy exploration rarely
-    crosses.  Returns (policy, value_net, curve) where curve rows are the
-    per-batch update stats.  Deterministic for a given seed.
+    ``start_witnesses`` holds the witness of each pair's start pose, or None
+    to leave the pair out.  An episode heads for its pair's goal position
+    from that witness or, with probability ``explore_start_prob``, from a
+    collision-free joint vector of ``start_pool`` (typically map witnesses),
+    else the first collision-free one of 20 uniform draws: starts scattered
+    across the feasible region let value propagate backward through narrow
+    passages that on-policy exploration rarely crosses.  Each batch of
+    ``ppo_cfg.num_steps`` steps (a multiple of ``ROLLOUT_LANES``) is
+    collected on ``ROLLOUT_LANES`` lane environments; episode starts are
+    drawn per lane in lane order, and GAE runs per lane.  Returns (policy,
+    value_net, curve) where curve rows are the per-batch update stats.
+    Deterministic for a given seed.
     """
     if not pairs:
         raise ValueError("no infeasible segments: bridge training unnecessary")
@@ -301,8 +287,12 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
     if ppo_cfg.num_steps % ROLLOUT_LANES:
         raise ValueError(f"num_steps {ppo_cfg.num_steps} is not a multiple of "
                          f"the {ROLLOUT_LANES} rollout lanes")
+    if len(start_witnesses) != len(pairs):
+        raise ValueError(f"{len(start_witnesses)} start witnesses for {len(pairs)} pairs")
+    goals = dq_translation(dq_to_lanes([goal for _, goal in pairs]))
+    prepared = [(np.asarray(theta0, dtype=float), goal)
+                for theta0, goal in zip(start_witnesses, goals) if theta0 is not None]
     rng = np.random.default_rng(seed)
-    prepared = _prepare_pairs(pairs, model, obstacles, rng, start_witnesses)
     if not prepared:
         raise ValueError("no segment start pose has an IK witness")
 

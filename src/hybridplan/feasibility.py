@@ -275,6 +275,25 @@ def _neighbor_table(fmap: FeasibilityMap) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def _voxel_counts(lo, hi, voxel_size, theta_max, orient_counts) -> tuple:
+    """(nx, ny, nz) of the tessellation rule: the box's extent over the voxel
+    size, rounded up.  ValueError for a box or voxel size that is not finite,
+    an empty tessellation or ``theta_max`` outside (0, pi], or (0, pi/2] over
+    several pitch bins: pitch comes from ``arcsin``, so no pose gets beyond."""
+    # checked before any arithmetic: an inf would overflow the voxel counts
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"workspace box {lo.tolist()}, {hi.tolist()} is not finite")
+    if not (np.all(hi > lo) and voxel_size > 0 and min(orient_counts) >= 1):  # NaN fails too
+        raise ValueError("empty tessellation")
+    if not np.isfinite(voxel_size):
+        raise ValueError(f"voxel_size {voxel_size} is not finite")
+    if not 0.0 < theta_max <= np.pi:      # False for NaN too
+        raise ValueError(f"theta_max {theta_max} is not in (0, pi]")
+    if orient_counts[1] > 1 and theta_max > np.pi / 2:
+        raise ValueError(f"{orient_counts[1]} pitch bins need theta_max <= pi/2, not {theta_max}")
+    return tuple(max(1, int(np.ceil((hi[a] - lo[a]) / voxel_size - 1e-9))) for a in range(3))
+
+
 def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
               orientation_spec=(np.pi, (1, 1, 8)), seed=0) -> FeasibilityMap:
     """Evaluate every (voxel, orientation-cell) with a per-cell RNG stream.
@@ -287,30 +306,13 @@ def build_map(model: RobotModel, obstacles, workspace_box, voxel_size,
     reach, and repeating it lets rescued cells propagate into deeper ones.
     Each pass runs the IK descents of all its cells in lockstep; a cell's
     verdict depends only on (seed, cell index) and the witnesses of the
-    passes before.  The workspace box and ``voxel_size`` must be finite.
-    ``theta_max`` must be finite and in (0, pi], and at
-    most pi/2 with more than one pitch bin: pitch comes from ``arcsin``, so no
-    pose reaches a pitch bin beyond +-pi/2.
+    passes before.  ``_voxel_counts`` gives the voxel counts and refuses a
+    geometry that tessellates nothing.
     """
     lo = np.asarray(workspace_box[0], dtype=float)
     hi = np.asarray(workspace_box[1], dtype=float)
-    # checked before any arithmetic: an inf would overflow the voxel counts
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError(f"workspace box {lo.tolist()}, {hi.tolist()} is not finite")
-    if not (np.all(hi > lo) and voxel_size > 0):      # NaN fails too
-        raise ValueError("empty tessellation")
-    if not np.isfinite(voxel_size):
-        raise ValueError(f"voxel_size {voxel_size} is not finite")
-    counts = tuple(max(1, int(np.ceil((hi[a] - lo[a]) / voxel_size - 1e-9)))
-                   for a in range(3))
-    theta_max, orient_counts = orientation_spec
-    if not 0.0 < theta_max <= np.pi:      # False for NaN too
-        raise ValueError(f"theta_max {theta_max} is not in (0, pi]")
-    orient_counts = tuple(int(c) for c in orient_counts)
-    if min(orient_counts) < 1:
-        raise ValueError("empty tessellation")
-    if orient_counts[1] > 1 and theta_max > np.pi / 2:
-        raise ValueError(f"{orient_counts[1]} pitch bins need theta_max <= pi/2, not {theta_max}")
+    theta_max, orient_counts = orientation_spec[0], tuple(int(c) for c in orientation_spec[1])
+    counts = _voxel_counts(lo, hi, voxel_size, theta_max, orient_counts)
     n_cells = int(np.prod(counts + orient_counts))
 
     fmap = FeasibilityMap(
@@ -380,20 +382,21 @@ def save_map(fmap: FeasibilityMap, path) -> None:
 def load_map(path) -> FeasibilityMap:
     """The map of a ``map_bytes`` file, its ``ik_budget`` and ``seed`` read
     back as int and ``eps_m`` as float.  Raises ValueError for a file
-    ``records.unpack`` refuses, for a geometry ``build_map`` would refuse or
-    that is not finite, for arrays that disagree with the counts and for
-    metadata without those three keys."""
+    ``records.unpack`` refuses, for a geometry ``build_map`` would refuse,
+    for arrays that disagree with the counts, for voxel counts other than
+    ``build_map``'s for the box and voxel size, and for metadata without
+    those three keys."""
     meta, arrays = records.unpack(Path(path).read_bytes(), _MAGIC, _VERSION, "feasibility map")
     layout = [(a.dtype.str, a.shape) for a in arrays]
     if layout[:2] != [("<f8", (8,)), ("<u4", (7,))]:
         raise ValueError(f"feasibility map arrays {layout} do not start with the (8,) f8 "
                          "geometry and the (7,) u4 counts")
     geometry, (nx, ny, nz, cx, cy, cz, dof) = arrays[0], arrays[1].tolist()
-    # build_map's rule: a nonempty box, a positive voxel size, theta_max in
-    # (0, pi] and at most pi/2 over several pitch bins, every count >= 1
-    if not (np.all(np.isfinite(geometry)) and np.all(geometry[3:6] > geometry[:3])
-            and geometry[6] > 0.0 and 0.0 < geometry[7] <= (np.pi if cy == 1 else np.pi / 2)
-            and min(nx, ny, nz, cx, cy, cz) >= 1):
+    try:
+        counts = _voxel_counts(geometry[:3], geometry[3:6], *geometry[6:], (cx, cy, cz))
+    except ValueError:
+        counts = None
+    if counts is None or min(nx, ny, nz) < 1:
         raise ValueError(f"feasibility map geometry {geometry.tolist()} (box_lo, box_hi, "
                          f"voxel_size, theta_max) with counts {arrays[1].tolist()[:6]} "
                          "is not a finite, nonempty tessellation with theta_max in (0, pi], "
@@ -402,6 +405,9 @@ def load_map(path) -> FeasibilityMap:
     if layout[2:] != [("|u1", (n_cells,)), ("<u2", (n_cells,)), ("<f4", (n_cells, dof))]:
         raise ValueError(f"feasibility map arrays {layout[2:]} disagree with {n_cells} cells "
                          f"of dof {dof}")
+    if (nx, ny, nz) != counts:
+        raise ValueError(f"feasibility map voxel counts {(nx, ny, nz)} disagree with the "
+                         f"{counts} of its box and voxel size")
     try:
         metadata = {**meta, "ik_budget": int(meta["ik_budget"]), "eps_m": float(meta["eps_m"]),
                     "seed": int(meta["seed"])}

@@ -1,20 +1,17 @@
-"""Analytic collision checking and ray casting against box/sphere obstacles.
+"""Analytic collision checking and ray casting against axis-aligned boxes.
 
-Links are capsules (segment + radius) placed between kinematic frame origins.
-All checks are discrete per-configuration; trajectory-level safety comes from
-checking interpolated waypoints at fine joint-space resolution.
+Links are capsules (segment + radius) between kinematic frame origins, and
+every obstacle is a ``Box``: any other raises TypeError.  All checks are
+discrete per-configuration; trajectory-level safety comes from checking
+interpolated waypoints at fine joint-space resolution.
 
 ``collision_index`` checks one configuration on plain floats and stops at the
-first contact.  Of the benchmark's workloads only their own code calls it:
-the task sampling (1,399 calls in a ``hybrid`` set-up on seed 1) and the
-``map`` witness check.  ``feasibility.ik_free``'s solutions and
-``train_drl``'s random-start fallback call it for general chains and in
-tests.  The one-lane ``DrlEnv.step`` runs its kernel,
+first contact; ``segment_box_distance``, the largest part of a check, runs
+on Python floats.  The one-lane ``DrlEnv.step`` runs its kernel,
 ``collision_index_points`` on one configuration's frame points.
-``segment_box_distance``, the largest part of a check against boxes, runs on
-Python floats.  ``collision_index_lanes`` checks an (N, dof)
+``collision_index_lanes`` checks an (N, dof)
 array of configurations at once: frame points from one lane ``_chain_eval``,
-then every (configuration, capsule, obstacle) and (configuration, capsule
+then every (configuration, capsule, box) and (configuration, capsule
 pair) triple as one row of a batched distance evaluation with the scalar
 primitives' arithmetic, so its verdict equals the scalar one on every row.
 ``collision_index_points`` is either check on frame points the caller
@@ -43,7 +40,7 @@ trajectories and lane environments.
 ``ray_bundle_lanes`` casts the end-effector bundle of ``RAY_COUNT`` rays,
 each clamped to ``RAY_RANGE``, from given end-effector states, one state or
 N lanes; ``raycast_many`` meets every ray with every box in one slab pass.
-Both read the obstacles from a ``slab_table``, which a caller that casts at
+Both read the boxes from a ``slab_table``, which a caller that casts at
 every step (``DrlEnv``) builds once.
 """
 from __future__ import annotations
@@ -77,27 +74,18 @@ class Box:
             raise ValueError("box needs min < max per axis")
 
 
-@dataclass(frozen=True, eq=False)
-class Sphere:
-    center: np.ndarray
-    radius: float
-    id: str = "sphere"
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not 0.0 < self.radius < math.inf:
-            raise ValueError("sphere radius must be positive and finite")
-        if not np.all(np.isfinite(self.center)):
-            raise ValueError("sphere center must be finite")
+def _checked(obstacles):
+    """``obstacles``, each a ``Box``, or TypeError naming the first that is not."""
+    for ob in obstacles:
+        if not isinstance(ob, Box):
+            raise TypeError(f"unknown obstacle type {type(ob).__name__!r}: obstacles are Boxes")
+    return obstacles
 
 
 def obstacle_line(ob) -> str:
-    """The record line of a Box or Sphere, as in a workcell file."""
-    if isinstance(ob, Box):
-        return records.line("box", ob.id, ob.lo, ob.hi)
-    if isinstance(ob, Sphere):
-        return records.line("sphere", ob.id, ob.center, ob.radius)
-    raise TypeError(f"unknown obstacle type {type(ob)!r}")
+    """The record line of a Box, as in a workcell file."""
+    _checked([ob])
+    return records.line("box", ob.id, ob.lo, ob.hi)
 
 
 # ------------------------------------------------------------------ #
@@ -106,13 +94,6 @@ def obstacle_line(ob) -> str:
 def point_box_distance(p, lo, hi) -> float:
     d = np.maximum(np.maximum(lo - p, 0.0), p - hi)
     return float(np.linalg.norm(d))
-
-
-def segment_point_distance(p, q, c) -> float:
-    v = q - p
-    vv = float(v @ v)
-    t = 0.0 if vv < 1e-18 else float(np.clip((c - p) @ v / vv, 0.0, 1.0))
-    return float(np.linalg.norm(p + t * v - c))
 
 
 def segment_segment_distance(p1, q1, p2, q2) -> float:
@@ -185,13 +166,6 @@ def segment_box_distance(p, q, lo, hi) -> float:
     return math.sqrt(max(best, 0.0))
 
 
-def capsule_obstacle_distance(p, q, radius, obstacle) -> float:
-    """Surface-to-surface distance (negative inside overlap)."""
-    if isinstance(obstacle, Box):
-        return segment_box_distance(p, q, obstacle.lo, obstacle.hi) - radius
-    return segment_point_distance(p, q, obstacle.center) - radius - obstacle.radius
-
-
 # ------------------------------------------------------------------ #
 # Broad phase
 # ------------------------------------------------------------------ #
@@ -213,9 +187,9 @@ def _apart(p1, q1, p2, q2, reach) -> bool:
 
 
 def _boxes(obstacles):
-    """The boxes among ``obstacles`` with their (B, 3) lower and upper corners."""
-    boxes = [ob for ob in obstacles if isinstance(ob, Box)]
-    return (boxes, np.array([ob.lo for ob in boxes]).reshape(-1, 3),
+    """The (B, 3) lower and upper corners of the boxes ``obstacles``."""
+    boxes = _checked(obstacles)
+    return (np.array([ob.lo for ob in boxes]).reshape(-1, 3),
             np.array([ob.hi for ob in boxes]).reshape(-1, 3))
 
 
@@ -245,11 +219,10 @@ def collision_index_points(model: RobotModel, pts, obstacles):
     pl = pts.tolist()
     caps = [(pts[c.frame_a], pts[c.frame_b], c.radius, (c.frame_a, c.frame_b),
              pl[c.frame_a], pl[c.frame_b]) for c in model.capsules]
-    boxes = [(ob, ob.lo.tolist(), ob.hi.tolist()) for ob in obstacles if isinstance(ob, Box)]
-    spheres = [ob for ob in obstacles if not isinstance(ob, Box)]
+    boxes = [(ob.lo, ob.hi, ob.lo.tolist(), ob.hi.tolist()) for ob in _checked(obstacles)]
     for p, q, r, _, a, b in caps:
-        for ob in [ob for ob, lo, hi in boxes if not _apart(a, b, lo, hi, r)] + spheres:
-            if capsule_obstacle_distance(p, q, r, ob) <= 0.0:
+        for lo, hi, lo_f, hi_f in boxes:
+            if not _apart(a, b, lo_f, hi_f, r) and segment_box_distance(p, q, lo, hi) - r <= 0.0:
                 return 1
     for i in range(len(caps)):
         pi, qi, ri, fi, ai, bi = caps[i]
@@ -301,16 +274,6 @@ def _segment_box_lanes(p, q, lo, hi) -> np.ndarray:
     return np.sqrt(np.maximum(np.where(tb > ta, best, np.inf).min(axis=1), 0.0))
 
 
-def _segment_point_lanes(p, q, c) -> np.ndarray:
-    """``segment_point_distance`` row by row over (R, 3) arrays."""
-    v = q - p
-    vv = _lane_dot(v, v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(vv < 1e-18, 0.0, np.clip(_lane_dot(c - p, v) / vv, 0.0, 1.0))
-    w = p + t[:, None] * v - c
-    return np.sqrt(_lane_dot(w, w))
-
-
 def _segment_segment_lanes(p1, q1, p2, q2) -> np.ndarray:
     """``segment_segment_distance`` (Ericson) row by row over (R, 3) arrays:
     every branch is computed and the scalar's branch is selected per row."""
@@ -357,31 +320,18 @@ def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
     """The lane verdicts from (N, dof + 2, 3) frame points; the exact
     distances run only on the rows the broad phase keeps, and not at all
     when it keeps none."""
+    lo, hi = _boxes(obstacles)
     n = len(pts)
     hit = np.zeros(n, dtype=bool)
     caps = model.capsules
-    if n == 0 or not caps:
-        return hit.astype(np.uint8)
-    rad = np.array([cap.radius for cap in caps])
+    rad = np.array([cap.radius for cap in caps], dtype=float)
     p = pts[:, [cap.frame_a for cap in caps]]          # (N, capsules, 3)
     q = pts[:, [cap.frame_b for cap in caps]]
-    boxes, lo, hi = _boxes(obstacles)
-    if boxes:
-        rows = np.flatnonzero(_near(p[:, :, None], q[:, :, None], lo, hi, rad[:, None]))
-        if len(rows):
-            at, cap, box = np.unravel_index(rows, (n, len(caps), len(boxes)))
-            d = _segment_box_lanes(p[at, cap], q[at, cap], lo[box], hi[box]) - rad[cap]
-            hit[at[d <= 0.0]] = True
-    spheres = [ob for ob in obstacles if not isinstance(ob, Box)]
-    if spheres:
-        shape = (n, len(caps), len(spheres), 3)
-        ps = np.broadcast_to(p[:, :, None], shape).reshape(-1, 3)
-        qs = np.broadcast_to(q[:, :, None], shape).reshape(-1, 3)
-        r = np.broadcast_to(rad[:, None], shape[1:3]).ravel()
-        c = np.broadcast_to(np.array([ob.center for ob in spheres]), shape).reshape(-1, 3)
-        ob_r = np.tile([ob.radius for ob in spheres], len(caps))
-        d = _segment_point_lanes(ps, qs, c).reshape(n, -1) - r - ob_r
-        hit |= np.any(d <= 0.0, axis=1)
+    rows = np.flatnonzero(_near(p[:, :, None], q[:, :, None], lo, hi, rad[:, None]))
+    if len(rows):
+        at, cap, box = np.unravel_index(rows, (n, len(caps), len(lo)))
+        d = _segment_box_lanes(p[at, cap], q[at, cap], lo[box], hi[box]) - rad[cap]
+        hit[at[d <= 0.0]] = True
     pairs = [(i, j) for i in range(len(caps)) for j in range(i + 1, len(caps))
              if not {caps[i].frame_a, caps[i].frame_b} & {caps[j].frame_a, caps[j].frame_b}]
     if pairs:
@@ -400,12 +350,10 @@ def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
 # Ray casting
 # ------------------------------------------------------------------ #
 def slab_table(obstacles) -> tuple:
-    """The ray cast's view of ``obstacles``, built once per scene: the boxes'
-    (B, 3) lower and upper corners, their faces as one (2, 1, B, 3) array,
-    and the spheres."""
-    _, lo, hi = _boxes(obstacles)
-    return lo, hi, np.array([lo, hi])[:, None], [ob for ob in obstacles
-                                                 if not isinstance(ob, Box)]
+    """The ray cast's view of the boxes ``obstacles``, built once per scene:
+    their (B, 3) lower and upper corners, and both as one (2, 1, B, 3) array."""
+    lo, hi = _boxes(obstacles)
+    return lo, hi, np.array([lo, hi])[:, None]
 
 
 def raycast_many(origin, dirs, slabs, max_range) -> np.ndarray:
@@ -414,48 +362,36 @@ def raycast_many(origin, dirs, slabs, max_range) -> np.ndarray:
     dirs has shape (k, 3) with unit rows and origin (3,); returns (k,)
     distances.  Lanes: origins (N, 3) with dirs (N, k, 3) give (N, k), and
     row n equals the one-origin call on origin n.  ``slabs`` is the
-    ``slab_table`` of the obstacles.  Boxes are one slab pass: every ray
-    against every box's faces, then the nearest hit over the boxes.
+    ``slab_table`` of the boxes, met in one slab pass: every ray against
+    every box's faces, then the nearest hit over the boxes.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    lo, hi, faces, spheres = slabs
+    lo, hi, faces = slabs
     dist = np.full(dirs.shape[:-1], float(max_range))
-    if len(lo):
-        at = origin[..., None, None, :]            # each origin against its k rays
-        d = dirs[..., None, :]                     # and each ray against B boxes
-        if dirs.ndim == 3:
-            faces = faces[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (faces - at) / d                   # (2, ..., k, B, 3)
-        lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
-        par = np.abs(d) < 1e-15
-        if par.any():
-            # rays parallel to a slab, the one place a 0/0 can arise: inside
-            # -> no constraint, outside -> miss
-            fill = np.where((at >= lo) & (at <= hi), -np.inf, np.inf)
-            lohit = np.where(par, fill, lohit)
-            hihit = np.where(par, -fill, hihit)
-        tmin = lohit.max(axis=-1)
-        tmax = hihit.min(axis=-1)
-        # a hit has tmax >= max(tmin, 0), so the distance it picks is >= 0
-        hit = tmax >= np.maximum(tmin, 0.0)
-        t = np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)   # origin inside: exit
-        for k in range(len(lo)):
-            # one box after another: a tie of +0 and -0 resolves as it does
-            # box by box
-            dist = np.minimum(dist, t[..., k])
-    for ob in spheres:
-        oc = origin - ob.center
-        # a stacked matrix-vector product rounds like the one-origin ``dirs @ oc``
-        b = (dirs @ oc[..., None])[..., 0]
-        c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
-        disc = b * b - c
-        ok = disc >= 0.0
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        t_near, t_far = -b - sq, -b + sq
-        t = np.where(t_near >= 0.0, t_near, t_far)
-        dist = np.where(ok & (t >= 0.0), np.minimum(dist, t), dist)
+    at = origin[..., None, None, :]            # each origin against its k rays
+    d = dirs[..., None, :]                     # and each ray against B boxes
+    if dirs.ndim == 3:
+        faces = faces[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (faces - at) / d                   # (2, ..., k, B, 3)
+    lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
+    par = np.abs(d) < 1e-15
+    if par.any():
+        # rays parallel to a slab, the one place a 0/0 can arise: inside
+        # -> no constraint, outside -> miss
+        fill = np.where((at >= lo) & (at <= hi), -np.inf, np.inf)
+        lohit = np.where(par, fill, lohit)
+        hihit = np.where(par, -fill, hihit)
+    tmin = lohit.max(axis=-1)
+    tmax = hihit.min(axis=-1)
+    # a hit has tmax >= max(tmin, 0), so the distance it picks is >= 0
+    hit = tmax >= np.maximum(tmin, 0.0)
+    t = np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)   # origin inside: exit
+    for k in range(len(lo)):
+        # one box after another: a tie of +0 and -0 resolves as it does
+        # box by box
+        dist = np.minimum(dist, t[..., k])
     return np.clip(dist, 0.0, float(max_range))
 
 

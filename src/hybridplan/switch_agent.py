@@ -277,14 +277,15 @@ def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajecto
     return JointTrajectory(pts, src, man, col, traj.success)
 
 
-def _walk_band(band, lfd_cands, cfg, choose):
+def _walk_band(band, lfd_cands, cfg, choose, start=0):
     """Run the sequential first-flip decisions for one band, the entry window
-    first.  ``choose(obs, boundary, j) -> action``; returns (switch_in,
-    switch_out): per window the first index switched at, else its last."""
+    first and from ``start`` on.  ``choose(obs, boundary, j) -> action``;
+    returns (switch_in, switch_out): per window the first index switched at,
+    else its last (``start`` for an entry window wholly before it)."""
     out = []
-    for boundary in (band.entry, band.exit):
-        switch = boundary.hi
-        for j in range(boundary.lo, boundary.hi + 1):
+    for boundary, lo in ((band.entry, max(band.entry.lo, start)), (band.exit, band.exit.lo)):
+        switch = max(boundary.hi, lo)
+        for j in range(lo, boundary.hi + 1):
             obs = boundary_observation(band, boundary, j, lfd_cands, cfg)
             if choose(obs, boundary, j) == ACT_SWITCH:
                 switch = j
@@ -299,10 +300,16 @@ def heuristic_switches(bands) -> list:
 
 
 def policy_switches(policy, bands, lfd_cands, cfg) -> list:
-    """Greedy handover indices from the policy."""
+    """Greedy handover indices from the policy, band by band.  Bands fewer
+    than 2K + 1 poses apart have overlapping windows, so each entry window
+    starts at the previous band's exit handover: ``assemble`` never walks the
+    candidates backwards from one band to the next."""
     def choose(obs, boundary, j):
         return policy.mean_action(obs)
-    return [_walk_band(band, lfd_cands, cfg, choose) for band in bands]
+    out = []
+    for band in bands:
+        out.append(_walk_band(band, lfd_cands, cfg, choose, out[-1][1] if out else 0))
+    return out
 
 
 def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,

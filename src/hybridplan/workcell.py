@@ -14,6 +14,10 @@ waypoints' rows, each point's end-effector position, Euler angles and
 manipulability.  Each critical configuration's first hit at or after the
 previous one's is found with a lane mask; the scalar scan it replaces is
 the test reference.
+
+A workcell file holds ``records`` lines keyed as in ``WORKCELL_FIELDS``: the
+``name``, the ``workspace`` corners, a ``box`` (id, corners) per obstacle and
+a ``station`` (label, 8 dual-quaternion terms) per station; no other key.
 """
 from __future__ import annotations
 
@@ -26,7 +30,6 @@ from hybridplan import records
 from hybridplan.dualquat import DualQuaternion, dq_to_lanes, dq_translation, quat_to_euler
 from hybridplan.geometry import (
     Box,
-    Sphere,
     collision_index_lanes,
     collision_index_points,
     obstacle_line,
@@ -44,7 +47,7 @@ from hybridplan.trajectory import JointTrajectory, edge_steps, subdivide
 COLLISION_RES_DEG = 2.0     # interpolation resolution for path checking
 SMOOTH_BOUND_DEG = 2.0      # max joint step while holding a payload
 # fields after the key on each line of a workcell file
-WORKCELL_FIELDS = {"name": 1, "workspace": 6, "box": 7, "sphere": 5, "station": 9}
+WORKCELL_FIELDS = {"name": 1, "workspace": 6, "box": 7, "station": 9}
 
 
 @dataclass(eq=False)
@@ -96,8 +99,6 @@ def load_workcell(path) -> Workcell:
             box = f
         elif key == "box":
             obstacles.append(Box(f[1:4], f[4:], f[0]))
-        elif key == "sphere":
-            obstacles.append(Sphere(f[1:4], float(f[4]), f[0]))
         else:
             stations[f[0]] = DualQuaternion.from_array(f[1:])
     if box is None:

@@ -43,8 +43,8 @@
 * PPO optimizer: ``Adam`` and ``clip_gradients`` loop over a net's
   parameter tensors one at a time; the library runs each once on the net's
   flat parameter and gradient vectors.
-* Ray casting: ``raycast_many`` intersects the rays with one obstacle at a
-  time and masks each 0/0 slab with its own ``isnan`` pass; the library's
+* Ray casting: ``raycast_many`` intersects the rays with one box at a time
+  and masks each 0/0 slab with its own ``isnan`` pass; the library's
   ``geometry.raycast_many`` runs one slab pass over every box.  ``raycast``
   casts one ray.
 * Collision broad phase: ``without_broad_phase`` runs a check of the
@@ -59,7 +59,6 @@ import numpy as np
 from hybridplan import lfd
 from hybridplan.dualquat import (
     DualQuaternion,
-    _lane_dot,
     _qmul,
     _renormalize_drifted,
     dq_conjugate_lanes,
@@ -74,7 +73,7 @@ from hybridplan.dualquat import (
 )
 from hybridplan.drl_planner import DrlEnv
 from hybridplan import geometry
-from hybridplan.geometry import Box, collision_index, collision_index_lanes, ray_bundle
+from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
 from hybridplan.hrl_planner import SENTINEL
 from hybridplan.kinematics import (
     _chain_eval,
@@ -745,7 +744,7 @@ class Adam:
 
 
 # ------------------------------------------------------------------ #
-# Ray casting: one obstacle at a time
+# Ray casting: one box at a time
 # ------------------------------------------------------------------ #
 def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
     """``geometry.raycast_many`` with one slab pass per box."""
@@ -754,32 +753,21 @@ def raycast_many(origin, dirs, obstacles, max_range) -> np.ndarray:
     at = origin[..., None, :]                  # each origin against its k rays
     dist = np.full(dirs.shape[:-1], float(max_range))
     for ob in obstacles:
-        if isinstance(ob, Box):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = (ob.lo - at) / dirs
-                t2 = (ob.hi - at) / dirs
-            lohit = np.where(np.isnan(t1), -np.inf, np.minimum(t1, t2))
-            hihit = np.where(np.isnan(t2), np.inf, np.maximum(t1, t2))
-            # rays parallel to a slab: inside -> no constraint, outside -> miss
-            par = np.abs(dirs) < 1e-15
-            inside = (at >= ob.lo) & (at <= ob.hi)
-            lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
-            hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
-            tmin = lohit.max(axis=-1)
-            tmax = hihit.min(axis=-1)
-            hit = tmax >= np.maximum(tmin, 0.0)
-            t = np.where(tmin >= 0.0, tmin, tmax)  # origin inside: exit point
-            dist = np.where(hit & (t >= 0.0), np.minimum(dist, t), dist)
-        else:
-            oc = origin - ob.center
-            b = (dirs @ oc[..., None])[..., 0]
-            c = _lane_dot(oc, oc)[..., None] - ob.radius ** 2
-            disc = b * b - c
-            ok = disc >= 0.0
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            t_near, t_far = -b - sq, -b + sq
-            t = np.where(t_near >= 0.0, t_near, t_far)
-            dist = np.where(ok & (t >= 0.0), np.minimum(dist, t), dist)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (ob.lo - at) / dirs
+            t2 = (ob.hi - at) / dirs
+        lohit = np.where(np.isnan(t1), -np.inf, np.minimum(t1, t2))
+        hihit = np.where(np.isnan(t2), np.inf, np.maximum(t1, t2))
+        # rays parallel to a slab: inside -> no constraint, outside -> miss
+        par = np.abs(dirs) < 1e-15
+        inside = (at >= ob.lo) & (at <= ob.hi)
+        lohit = np.where(par, np.where(inside, -np.inf, np.inf), lohit)
+        hihit = np.where(par, np.where(inside, np.inf, -np.inf), hihit)
+        tmin = lohit.max(axis=-1)
+        tmax = hihit.min(axis=-1)
+        hit = tmax >= np.maximum(tmin, 0.0)
+        t = np.where(tmin >= 0.0, tmin, tmax)  # origin inside: exit point
+        dist = np.where(hit & (t >= 0.0), np.minimum(dist, t), dist)
     return np.clip(dist, 0.0, float(max_range))
 
 

@@ -12,7 +12,7 @@ from hybridplan.drl_planner import (
     train_drl,
 )
 from hybridplan.dualquat import DualQuaternion
-from hybridplan.geometry import RAY_COUNT, Box, Sphere, collision_index_lanes, score_lanes
+from hybridplan.geometry import RAY_COUNT, Box, collision_index_lanes, score_lanes
 from hybridplan.kinematics import (
     ee_state,
     fk,
@@ -31,7 +31,7 @@ REACH = 0.5 + 0.4 + 0.3          # planar_3r link lengths
 # a wall across +x with a slot, within reach of the arm, and a post behind it
 WALL_CELL = [Box([0.5, 0.05, -0.25], [0.6, 1.4, 0.25], "wall_upper"),
              Box([0.5, -1.4, -0.25], [0.6, -0.1, 0.25], "wall_lower"),
-             Sphere([0.9, 0.4, 0.0], 0.08, "post")]
+             Box([0.82, 0.32, -0.08], [0.98, 0.48, 0.08], "post")]
 
 
 def make_env(cfg=None, lanes=1):
@@ -138,22 +138,22 @@ def assert_lane_equals_scalar(out, ref, k):
     assert info["reached"][k] == r_info["reached"]
 
 
-# a sphere in reach beside a box, and a sphere alone
-SPHERE_CELLS = {"sphere_beside_box": [Box([0.5, 0.3, -0.25], [0.6, 1.4, 0.25], "wall_upper"),
-                                      Sphere([0.55, -0.35, 0.0], 0.15, "post")],
-                "sphere_alone": [Sphere([0.6, 0.0, 0.0], 0.2, "post")]}
+# a post in reach beside a wall, and a post alone
+POST_CELLS = {"post_beside_wall": [Box([0.5, 0.3, -0.25], [0.6, 1.4, 0.25], "wall_upper"),
+                                   Box([0.4, -0.5, -0.15], [0.7, -0.2, 0.15], "post")],
+              "post_alone": [Box([0.4, -0.2, -0.2], [0.8, 0.2, 0.2], "post")]}
 
 
 @pytest.mark.parametrize("lanes, cell", [
     pytest.param(1, WALL_CELL, id="1"),
     pytest.param(ROLLOUT_LANES, WALL_CELL, id=str(ROLLOUT_LANES)),
-    *(pytest.param(lanes, SPHERE_CELLS[name], id=f"{name}-{lanes}")
-      for name in SPHERE_CELLS for lanes in (1, ROLLOUT_LANES)),
+    *(pytest.param(lanes, POST_CELLS[name], id=f"{name}-{lanes}")
+      for name in POST_CELLS for lanes in (1, ROLLOUT_LANES)),
 ])
 def test_lane_step_equals_the_one_configuration_env(lanes, cell):
     """Lane k of a lane step equals the one-configuration reference env
     stepped on lane k alone, bit for bit, through resets on every kind of
-    episode end (reached, budget), collisions, rays on boxes and a sphere,
+    episode end (reached, budget), collisions, rays on walls and posts,
     and joint-limit clamps."""
     model = planar_3r()
     cfg = DrlEnvConfig(episode_budget=9, man_baseline=1.0)
@@ -393,13 +393,16 @@ def test_plan_drl_equals_a_bridge_stepped_through_the_full_step(monkeypatch):
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: train_drl([], planar_3r(), [WALL]), "no infeasible segments",
-                 id="no_pairs"),
+    pytest.param(lambda: train_drl([], planar_3r(), [WALL], start_witnesses=[]),
+                 "no infeasible segments", id="no_pairs"),
     # a start pose 5 m out is beyond the 1.2 m arm: no IK witness
     pytest.param(lambda: train_drl([(DualQuaternion.from_translation([5.0, 0, 0]),
                                      DualQuaternion.from_translation(GOAL))],
-                                   planar_3r(), [WALL], batches=1),
+                                   planar_3r(), [WALL], batches=1, start_witnesses=[None]),
                  "no segment start pose has an IK witness", id="no_start_witness"),
+    pytest.param(lambda: train_drl([bracket(planar_3r())[0]] * 2, planar_3r(), [WALL],
+                                   start_witnesses=[bracket(planar_3r())[1]]),
+                 "1 start witnesses for 2 pairs", id="a_start_witness_short"),
 ])
 def test_drl_planner_refuses(call, match):
     with pytest.raises(ValueError, match=match):

@@ -26,7 +26,7 @@ from hybridplan.feasibility import (
     map_bytes,
     save_map,
 )
-from hybridplan.geometry import Box, Sphere, collision_index
+from hybridplan.geometry import Box, collision_index
 from hybridplan.kinematics import (
     fk,
     ik_attempt,
@@ -334,10 +334,10 @@ WALL = Box([0.4, -1.6, -0.2], [0.8, 1.6, 0.2], "wall")
 @pytest.mark.parametrize("factory, box, ori, seed, wall", [
     (planar_rr, ((-2.25, -2.25, -0.25), (2.25, 2.25, 0.25)), ORI_FREE, 1, [WALL]),
     (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), YAW_ONLY, 0, [WALL]),
-    # sphere distances in the lane judge, and one yaw neighbour per cell
+    # a second obstacle in the lane judge, and one yaw neighbour per cell
     (planar_3r, ((-1.2, -1.2, -0.25), (1.2, 1.2, 0.25)), (np.pi, (1, 1, 2)), 2,
-     [WALL, Sphere([-0.3, 0.5, 0.0], 0.25, "post")]),
-], ids=["planar_rr-box0-ori0-1", "planar_3r-box1-ori1-0", "planar_3r-sphere-two_yaw_bins-2"])
+     [WALL, Box([-0.55, 0.25, -0.25], [-0.05, 0.75, 0.25], "post")]),
+], ids=["planar_rr-box0-ori0-1", "planar_3r-box1-ori1-0", "planar_3r-post-two_yaw_bins-2"])
 def test_build_map_matches_loop_reference(monkeypatch, factory, box, ori, seed, wall):
     m = factory()
     monkeypatch.setattr(feasibility, "EPS_M", 0.05)
@@ -667,6 +667,25 @@ def _edited_map_file(path, edit):
     return load_map(path)
 
 
+def _map_file_with_voxel_counts(path, counts):
+    """A map file over the box [0.2, 0.8] x [-0.3, 0.3] x [-0.1, 0.2] at
+    voxel size 0.3, which makes 2 x 2 x 1 voxels, that says ``counts``,
+    loaded."""
+    fmap = bare_map(np.pi, (1, 1, 1), lo=(0.2, -0.3, -0.1), counts=counts)
+    fmap.box_hi = np.array([0.8, 0.3, 0.2])
+    fmap.metadata = {"ik_budget": 1, "eps_m": 0.1, "seed": 0}
+    save_map(fmap, path)
+    return load_map(path)
+
+
+def test_a_map_file_with_the_voxel_counts_of_its_box_loads(tmp_path):
+    # the control of the map_file_voxel_counts refusal below
+    fmap = _map_file_with_voxel_counts(tmp_path / "map.bin", (2, 2, 1))
+    assert fmap.voxel_counts == (2, 2, 1)
+    beyond = dq_to_lanes(DualQuaternion.from_translation([1.0, 0.0, 0.0])).reshape(1, 8)
+    assert fmap.locate_lanes(beyond).tolist() == [-1]
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda tmp: build_map(planar_rr(), [], ((0, 0, 0), (1, 1, 1)), 0.5,
                                        orientation_spec=(np.pi, (1, 1, 0))),
@@ -675,6 +694,11 @@ def _edited_map_file(path, edit):
                  "do not start with the", id="map_file_layout"),
     pytest.param(lambda tmp: _edited_map_file(tmp, lambda meta, arrays: meta.pop("seed")),
                  "metadata lacks 'seed'", id="map_file_without_seed"),
+    # with a third x voxel a pose at x = 1.0, beyond the box, located into a
+    # cell, where build_map's 2 x voxels put it outside the map
+    pytest.param(lambda tmp: _map_file_with_voxel_counts(tmp, (3, 2, 1)),
+                 r"voxel counts \(3, 2, 1\) disagree with the \(2, 2, 1\)",
+                 id="map_file_voxel_counts"),
 ])
 def test_feasibility_refuses(tmp_path, call, match):
     with pytest.raises(ValueError, match=match):

@@ -8,9 +8,7 @@ from hybridplan import geometry
 from hybridplan.dualquat import DualQuaternion, quat_to_matrix
 from hybridplan.geometry import (
     Box,
-    Sphere,
     _segment_box_lanes,
-    _segment_point_lanes,
     _segment_segment_lanes,
     collision_index,
     collision_index_lanes,
@@ -20,7 +18,6 @@ from hybridplan.geometry import (
     ray_bundle_lanes,
     score_lanes,
     segment_box_distance,
-    segment_point_distance,
     segment_segment_distance,
     slab_table,
 )
@@ -118,10 +115,8 @@ def test_self_collision_nonadjacent_links():
 
 
 def inflated(ob, eps):
-    """``ob`` grown by ``eps`` on every side (shrunk for a negative ``eps``)."""
-    if isinstance(ob, Box):
-        return Box(ob.lo - eps, ob.hi + eps, ob.id)
-    return Sphere(ob.center, ob.radius + eps, ob.id)
+    """The box ``ob`` grown by ``eps`` on every side (shrunk for a negative ``eps``)."""
+    return Box(ob.lo - eps, ob.hi + eps, ob.id)
 
 
 def test_collision_conservative_under_inflation():
@@ -160,9 +155,6 @@ def test_lane_distance_primitives_equal_scalar_bitwise():
     q[::23, 2] = hi[::23, 2]
     ref = [segment_box_distance(*row) for row in zip(p, q, lo, hi)]
     np.testing.assert_array_equal(_segment_box_lanes(p, q, lo, hi), ref)
-    c = rng.uniform(-2, 2, (n, 3))
-    ref = [segment_point_distance(*row) for row in zip(p, q, c)]
-    np.testing.assert_array_equal(_segment_point_lanes(p, q, c), ref)
     p2, q2 = _degenerate_segments(rng, n)
     q2[::9] = p2[::9] + 0.5 * (q - p)[::9]   # parallel pairs
     p2[::29] = p[::29]                       # touching pairs
@@ -184,14 +176,13 @@ def _scene(name):
     if name == "wall":                     # planar 3R and the wall_slot boxes
         scene = wall_slot()
         return scene["robot"], scene["cell"].obstacles
-    if name == "spheres":
-        return planar_3r(), [Sphere([0.6, 0.3, 0.0], 0.2), Sphere([-0.2, -0.7, 0.05], 0.3)]
     if name == "spatial_self":             # every contact is a self-collision
         return fold5(), []
-    return fold5(), [Sphere([0.3, 0.2, 0.5], 0.15), Box([-0.5, -0.6, 0.2], [-0.2, -0.3, 0.6])]
+    return fold5(), [Box([0.15, 0.05, 0.35], [0.45, 0.35, 0.65]),
+                     Box([-0.5, -0.6, 0.2], [-0.2, -0.3, 0.6])]
 
 
-@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_self", "spatial_mixed"])
+@pytest.mark.parametrize("name", ["wall", "spatial_self", "spatial_mixed"])
 def test_collision_index_lanes_matches_scalar(name):
     model, obstacles = _scene(name)
     rng = np.random.default_rng(5)
@@ -218,7 +209,7 @@ def test_collision_index_lanes_matches_scalar(name):
     assert ref.sum() == len(near) // 2
 
 
-@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_mixed"])
+@pytest.mark.parametrize("name", ["wall", "spatial_mixed"])
 def test_score_lanes_is_both_lane_scores_from_one_walk(name, monkeypatch):
     model, obstacles = _scene(name)
     thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
@@ -237,10 +228,10 @@ def test_collision_index_lanes_count_exact_touch_as_contact():
     # radius 0.25 and a stretched arm along x: every distance is exact
     m = planar_rr(radius=0.25)
     theta = np.zeros((1, 2))
-    for ob in (Box([0.5, 0.25, -0.1], [1.5, 1.0, 0.1]), Sphere([1.0, 0.5, 0.0], 0.25)):
-        assert collision_index(m, theta[0], [ob]) == 1
-        assert collision_index_lanes(m, theta, [ob])[0] == 1
-        assert collision_index_lanes(m, theta, [inflated(ob, -1e-9)])[0] == 0
+    ob = Box([0.5, 0.25, -0.1], [1.5, 1.0, 0.1])
+    assert collision_index(m, theta[0], [ob]) == 1
+    assert collision_index_lanes(m, theta, [ob])[0] == 1
+    assert collision_index_lanes(m, theta, [inflated(ob, -1e-9)])[0] == 0
 
 
 def test_collision_index_lanes_empty_input_and_no_capsules():
@@ -320,7 +311,7 @@ def test_broad_phase_keeps_the_exact_verdicts_at_the_margin():
     segments = broad_phase_segments([(b.lo, b.hi) for b in BROAD_BOXES], radius,
                                     np.random.default_rng(30))
     pts = np.concatenate([np.zeros((len(segments), 1, 3)), segments], axis=1)
-    obstacles = [BROAD_BOXES[0], Sphere([3.0, 3.0, 3.0], 0.2), BROAD_BOXES[1]]
+    obstacles = [BROAD_BOXES[0], Box([2.8, 2.8, 2.8], [3.2, 3.2, 3.2]), BROAD_BOXES[1]]
     exact = np.array([without_broad_phase(collision_index_points, model, p, obstacles)
                       for p in pts])
     assert exact.sum() > 50 and (exact == 0).sum() > 50
@@ -399,9 +390,9 @@ def mini7_with_capsules():
 
 
 def mini7_scene():
-    """``mini7_with_capsules`` under a box and beside a sphere."""
+    """``mini7_with_capsules`` under a box and beside a second one."""
     return mini7_with_capsules(), [Box([-0.6, -0.6, 0.7], [0.6, 0.6, 0.85]),
-                                   Sphere([0.35, 0.0, 0.5], 0.2)]
+                                   Box([0.15, -0.2, 0.3], [0.55, 0.2, 0.7])]
 
 
 # ------------------------------------------------------------------ #
@@ -419,32 +410,10 @@ def test_raycast_miss_returns_max_range():
     assert d == 7.5
 
 
-def test_raycast_sphere_quadratic_oracle():
-    rng = np.random.default_rng(2)
-    for _ in range(300):
-        center = rng.uniform(-2, 2, size=3)
-        radius = rng.uniform(0.2, 1.0)
-        origin = rng.uniform(-4, 4, size=3)
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        got = raycast(origin, direction, [Sphere(center, radius)], 20.0)
-        # quadratic-formula oracle
-        oc = origin - center
-        b = 2 * direction @ oc
-        c = oc @ oc - radius ** 2
-        disc = b * b - 4 * c
-        expect = 20.0
-        if disc >= 0:
-            roots = [(-b - np.sqrt(disc)) / 2, (-b + np.sqrt(disc)) / 2]
-            nonneg = [r for r in roots if r >= 0]
-            if nonneg:
-                expect = min(min(nonneg), 20.0)
-        assert got == pytest.approx(expect, abs=1e-9)
-
-
 def test_raycast_hit_point_on_surface():
     rng = np.random.default_rng(3)
-    obstacles = [Box([0.5, 0.5, -0.5], [1.5, 1.5, 0.5]), Sphere([-1.0, 0.5, 0], 0.4)]
+    obstacles = [Box([0.5, 0.5, -0.5], [1.5, 1.5, 0.5]), Box([-1.4, 0.1, -0.4], [-0.6, 0.9, 0.4])]
+    hits = 0
     for _ in range(200):
         origin = rng.uniform(-3, 3, size=3)
         direction = rng.normal(size=3)
@@ -453,14 +422,13 @@ def test_raycast_hit_point_on_surface():
         assert d <= 6.0
         if d < 6.0:
             hit = origin + d * direction
-            surf = min(abs(point_box_distance(hit, obstacles[0].lo, obstacles[0].hi)),
-                       abs(np.linalg.norm(hit - obstacles[1].center) - obstacles[1].radius))
-            # the hit must lie on one of the surfaces (embedded origins exit
-            # through the far surface, which is still a surface point)
-            inside_box = np.all(hit >= obstacles[0].lo - 1e-9) and np.all(hit <= obstacles[0].hi + 1e-9)
-            on_box = inside_box and np.min(np.minimum(hit - obstacles[0].lo,
-                                                      obstacles[0].hi - hit)) < 1e-6
-            assert surf < 1e-6 or on_box
+            hits += 1
+            # the hit must lie on a face of one of the boxes (embedded origins
+            # exit through the far face, which is still a surface point)
+            assert any(point_box_distance(hit, ob.lo, ob.hi) < 1e-9
+                       and np.min(np.minimum(hit - ob.lo, ob.hi - hit)) < 1e-6
+                       for ob in obstacles)
+    assert hits                                 # the check is not vacuous
 
 
 RAY_BOXES = [Box([1.0, -0.5, -0.25], [1.5, 0.5, 0.25]), Box([-0.75, 0.25, -1.0], [0.5, 1.0, 0.5]),
@@ -488,12 +456,9 @@ def adversarial_rays(rng, n):
     return origins, dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 
-@pytest.mark.parametrize("spheres", [False, True])
-def test_raycast_many_equals_the_per_obstacle_reference_bitwise(spheres):
+def test_raycast_many_equals_the_per_obstacle_reference_bitwise():
     rng = np.random.default_rng(40)
     obstacles = list(RAY_BOXES)
-    if spheres:
-        obstacles[1:1] = [Sphere([-1.2, -1.0, 0.3], 0.4), Sphere([0.2, -1.4, -0.6], 0.25)]
     origins, dirs = adversarial_rays(rng, 300)
     got = geometry.raycast_many(origins, dirs, slab_table(obstacles), 2.5)
     ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
@@ -502,19 +467,17 @@ def test_raycast_many_equals_the_per_obstacle_reference_bitwise(spheres):
     for k in range(0, 300, 7):                     # the one-origin form
         one = geometry.raycast_many(origins[k], dirs[k], slab_table(obstacles), 2.5)
         assert one.tobytes() == ref[k].tobytes()
-    # no boxes, and no obstacles
-    for obs in (obstacles[1:3] if spheres else [], []):
-        assert geometry.raycast_many(origins, dirs, slab_table(obs), 2.5).tobytes() == \
-            reference_raycast_many(origins, dirs, obs, 2.5).tobytes()
+    # no obstacles
+    assert geometry.raycast_many(origins, dirs, slab_table([]), 2.5).tobytes() == \
+        reference_raycast_many(origins, dirs, [], 2.5).tobytes()
 
 
-@pytest.mark.parametrize("case", ["on_a_face", "inside_a_box", "planar_arm",
-                                  "sphere_beside_boxes"])
+@pytest.mark.parametrize("case", ["on_a_face", "inside_a_box", "planar_arm"])
 def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypatch, case):
     """The one-origin call, a one-lane DRL step's ray cast, against the
-    reference: origins on a face (a 0/0 slab) or inside a box, the planar
+    reference: origins on a face (a 0/0 slab) or inside a box, and the planar
     arm's bundle, which keeps rays parallel to the z slabs at every
-    configuration, and a sphere beside the boxes."""
+    configuration."""
     rng = np.random.default_rng(41)
     obstacles = list(RAY_BOXES)
     origins, dirs = adversarial_rays(rng, 200)
@@ -525,9 +488,9 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypa
         assert (dirs[:, :, 0] == 0.0).any()        # (lo - at) / 0 is 0 / 0
     elif case == "inside_a_box":
         origins = rng.uniform(box.lo, box.hi, (200, 3))
-    elif case == "planar_arm":
+    else:
         model, obstacles = _scene("wall")
-        obstacles = [*obstacles, Sphere([0.6, 0.3, 0.0], 0.2)]
+        obstacles = [*obstacles, Box([0.4, 0.1, -0.2], [0.8, 0.5, 0.2])]
         thetas = rng.uniform(model.limits_lo, model.limits_hi, (200, model.dof))
         states = [_chain_eval(model, theta)[3:] for theta in thetas]
         origins = np.array([p for _, p in states])
@@ -536,10 +499,6 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypa
         monkeypatch.setattr(geometry, "RAY_RANGE", 2.5)
         for (q, p), ref in zip(states, reference_raycast_many(origins, dirs, obstacles, 2.5)):
             assert ray_bundle_lanes(q, p, slab_table(obstacles)).tobytes() == ref.tobytes()
-    else:
-        obstacles.insert(1, Sphere([1.25, -0.9, 0.0], 0.35))
-        assert (reference_raycast_many(origins, dirs, obstacles, 2.5)
-                != reference_raycast_many(origins, dirs, RAY_BOXES, 2.5)).any()
     slabs = slab_table(obstacles)
     ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
     if case == "on_a_face":
@@ -588,7 +547,7 @@ def test_ray_bundle_rotates_with_end_effector(monkeypatch):
     np.testing.assert_allclose(d1, d2, atol=1e-9)
 
 
-@pytest.mark.parametrize("name", ["wall", "spheres", "spatial_mixed"])
+@pytest.mark.parametrize("name", ["wall", "spatial_mixed"])
 def test_ray_bundle_lanes_equal_one_state_calls_bitwise(monkeypatch, name):
     monkeypatch.setattr(geometry, "RAY_RANGE", 1.5)
     model, obstacles = _scene(name)
@@ -614,6 +573,25 @@ def test_ray_bundle_lanes_equal_one_state_calls_bitwise(monkeypatch, name):
 def test_geometry_refuses(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+class Ball:
+    """A sphere-shaped stand-in for an obstacle that is not a ``Box``."""
+    center = np.array([1.0, 0.0, 0.0])
+    radius = 0.3
+
+
+@pytest.mark.parametrize("check", [
+    lambda m, obs: collision_index(m, m.home, obs),
+    lambda m, obs: collision_index_lanes(m, np.tile(m.home, (3, 1)), obs),
+    lambda m, obs: score_lanes(m, np.tile(m.home, (3, 1)), obs),
+    lambda m, obs: ray_bundle(m, m.home, obs),
+], ids=["collision_index", "collision_index_lanes", "score_lanes", "ray_bundle"])
+def test_an_obstacle_that_is_not_a_box_is_refused(check):
+    # a check that passed over an obstacle it cannot judge would call it free
+    m = planar_rr()
+    with pytest.raises(TypeError, match="unknown obstacle type 'Ball'"):
+        check(m, [Box([1.5, -0.5, -0.5], [2.5, 0.5, 0.5]), Ball()])
 
 
 @pytest.mark.parametrize("corner", ["lo", "hi"])

@@ -6,7 +6,7 @@ import pytest
 
 from hybridplan.dualquat import DualQuaternion, dq_to_lanes
 from hybridplan.feasibility import obstacles_signature
-from hybridplan.geometry import Sphere, collision_index
+from hybridplan.geometry import Box, collision_index
 from hybridplan.kinematics import (closed_form_branches, load_robot, planar_rr, robot_hash,
                                    save_robot)
 from hybridplan.lfd import SkillLibrary, load_library
@@ -101,7 +101,7 @@ NAME_WRITERS = {
     "task id": lambda name, path: save_task(Task(name, [DualQuaternion.identity()] * 2), path),
     "workcell name": lambda name, path: save_workcell(Workcell(name, *BOX), path),
     "obstacle id": lambda name, path: save_workcell(
-        Workcell("c", *BOX, [Sphere([0.0, 0.0, 0.0], 0.1, name)]), path),
+        Workcell("c", *BOX, [Box([0.0, 0.0, 0.0], [0.1, 0.1, 0.1], name)]), path),
     "station label": lambda name, path: save_workcell(
         Workcell("c", *BOX, stations={name: DualQuaternion.identity()}), path),
     "robot name": lambda name, path: save_robot(replace(planar_rr(), name=name), path),

@@ -6,7 +6,8 @@ import pytest
 import scalar_reference
 from hybridplan import feasibility, switch_agent
 from hybridplan.drl_planner import DrlEnvConfig, plan_drl, train_drl
-from hybridplan.feasibility import COLLISION, build_map, classify_trajectory
+from hybridplan.feasibility import (COLLISION, FJ, NOT_FJ, Segment, SegmentClassification,
+                                    build_map, classify_trajectory)
 from hybridplan.geometry import Box, collision_index
 from hybridplan.hrl_planner import QTables, plan_lfd
 from hybridplan.rl_core import PpoConfig
@@ -261,16 +262,60 @@ class Always:
 def test_policy_switches_first_flip_fixes_the_handover(monkeypatch):
     model = planar_3r()
     cfg = switch_config(monkeypatch, window=2, blend_points=4)
-    cands, band = band_scene(model, cfg)
+    cands, band = band_scene(model, cfg, n=24)
+    # the later band's entry window starts where the first band's exit window ends
+    _, later = band_scene(model, cfg, n=24, i=14, j=16)
     keep, switch = Always(ACT_KEEP), Always(ACT_SWITCH)
-    assert policy_switches(keep, [band, band], cands, cfg) == \
-        [(band.entry.hi, band.exit.hi)] * 2
+    assert policy_switches(keep, [band, later], cands, cfg) == \
+        [(b.entry.hi, b.exit.hi) for b in (band, later)]
     # keeping walks every decision point of both windows
-    span = (band.entry.hi - band.entry.lo + 1) + (band.exit.hi - band.exit.lo + 1)
-    assert keep.calls == 2 * span
+    assert keep.calls == sum((b.entry.hi - b.entry.lo + 1) + (b.exit.hi - b.exit.lo + 1)
+                             for b in (band, later))
     assert policy_switches(switch, [band], cands, cfg) == [(band.entry.lo, band.exit.lo)]
     assert switch.calls == 2                     # one decision per window
     assert policy_switches(keep, [], cands, cfg) == []
+
+
+class EntrySwitcher:
+    """A switching policy that switches at once in entry windows and keeps
+    in exit windows, read from the kind flag that ends each observation."""
+
+    def mean_action(self, obs):
+        return ACT_SWITCH if obs[-1] > 0 else ACT_KEEP
+
+
+@pytest.mark.parametrize("infeasible, windows, switches", [
+    # the first band's exit window reaches 15, past the start of the second
+    # band's entry window, 7
+    ([(5, 9), (13, 16)], [(0, 15), (7, 22)], [(0, 15), (15, 22)]),
+    # the second band's whole entry window, 5 to 11, lies before 15
+    ([(5, 9), (11, 11)], [(0, 15), (5, 17)], [(0, 15), (15, 17)]),
+], ids=["overlapping_windows", "entry_window_before_the_exit_handover"])
+def test_policy_switches_never_hand_over_backwards(infeasible, windows, switches):
+    # bands fewer than 2K + 1 = 11 poses apart on a 30-pose straight joint path
+    model, cfg, n = planar_3r(), SwitchConfig(), 30
+    pts = np.linspace([-0.2, 0.4, -0.3], [1.3, -0.6, 0.7], n)
+    cands = annotated(model, pts)
+    poses = dq_to_lanes([fk(model, t) for t in pts])
+    mask = np.ones(n, dtype=bool)
+    for i, j in infeasible:
+        mask[i:j + 1] = False
+    bounds = np.flatnonzero(mask[1:] != mask[:-1]) + 1
+    cls = SegmentClassification([Segment(a, b - 1, FJ if mask[a] else NOT_FJ) for a, b in
+                                 zip([0, *bounds], [*bounds, n])], poses, mask)
+
+    def bridge(start, goal, theta):
+        # the straight joint path from the start witness to the goal's row
+        k = int(np.flatnonzero((poses == goal).all(axis=1))[0])
+        return annotated(model, np.linspace(theta, pts[k], 8), SOURCE_DRL)
+
+    bands = find_bands(cls, cands, cfg, bridge)
+    assert [(b.entry.lo, b.exit.hi) for b in bands] == windows
+    got = policy_switches(EntrySwitcher(), bands, cands, cfg)
+    assert got == switches
+    # no step of the assembled path is larger than a step of the straight path
+    traj = assemble(cands, bands, got, model, [POST], cfg)
+    assert traj.max_step() <= cands.max_step() + 1e-12
 
 
 def train_switch_weights(scenarios, model, cfg):
@@ -336,7 +381,7 @@ def crossing_plans():
 
 def mini7_plans():
     """Three 8-pose plans of the capsule 7-DoF model, poses of straight joint
-    paths between seeded configurations, with its scene's box and sphere."""
+    paths between seeded configurations, with its scene's two boxes."""
     model, obstacles = mini7_scene()
     rng = np.random.default_rng(3)
     plans = []
@@ -436,7 +481,8 @@ def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain(monkeypatch):
     env_cfg = DrlEnvConfig(episode_budget=10, man_baseline=1.0)
     monkeypatch.setattr(PpoConfig, "epochs_per_batch", 2)
     policy, _, _ = train_drl(pairs, model, obstacles, env_cfg,
-                             PpoConfig(num_steps=32, minibatch_size=16), seed=0, batches=1)
+                             PpoConfig(num_steps=32, minibatch_size=16), seed=0, batches=1,
+                             start_witnesses=[fmap.lookup(before).witness for before, _ in pairs])
     cfg = SwitchConfig()
     cands = lfd_joint_candidates(poses, model, obstacles)
     bands = find_bands(cls, cands, cfg, lambda start, goal, theta: plan_drl(
@@ -497,7 +543,10 @@ def _query_digests(workloads, wl, monkeypatch) -> dict:
 # SHA-256 per stage of one hybrid round (training and the 100 queries) for
 # seeds 1-2; "classify" recorded while plans were still lists of
 # DualQuaternions, the other stages re-recorded when the candidates became
-# closed-form branches chosen by the min-jump pass
+# closed-form branches chosen by the min-jump pass; seed 2's "densify" and
+# "execute" re-recorded when each band's entry window came to start at the
+# previous band's exit handover (its instance cross36 handed over at 6, 11
+# and then back at 10)
 QUERY_PINS = {
     1: {
         "classify": "5f6e4565d7b95ee83e9f8ca24d69429ab3995bbae7575b35319d9626e78ee828",
@@ -510,8 +559,8 @@ QUERY_PINS = {
         "classify": "d874c84b21c316d87fef467a876c926d96364802d1ca85e6c3be16026202c6ad",
         "candidates": "a1df6c53e0f2bc83db232eb1c1ab4ffe750bcb6ae4b4379009df01dc3a8cf9da",
         "bands": "338e2795fdc769078704b6c54d8668ee8957257947049510f8dcd93a5d34bf65",
-        "densify": "b27ca537c03b9b2606a43c209cfc40f6d25157643edb680c324f9df2cb634edb",
-        "execute": "09ec726b3bf16e58e27e5891f4e62f7d78d5b4f931466be20395870f4f4b3c30",
+        "densify": "27ae51414df1db46db8e97e69d51ffe7400279fb60aa364eb85b4b0e06f566d3",
+        "execute": "1117d6ad93ab4921707c0075a36c014c49392dd1ab0a915c0d59db7954e397b1",
     },
 }
 QUERY_PINS_NUMPY = "2.4.6"

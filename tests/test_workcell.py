@@ -5,7 +5,7 @@ import pytest
 
 from hybridplan import workcell
 from hybridplan.dualquat import DualQuaternion, quat_from_axis_angle, quat_mul, quat_to_euler
-from hybridplan.geometry import Box, Sphere, collision_index
+from hybridplan.geometry import Box, collision_index
 from hybridplan.kinematics import ee_state, fk, normalized_manipulability, planar_3r
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
@@ -160,10 +160,11 @@ def test_execute_checks_inserted_rows_like_the_reference(scene):
     # edges of 3 to 40 degrees: the checked configurations include rows that
     # execute inserts, and waypoints on either side of a contact can be free
     if scene == "planar":
-        model, obstacles = planar_3r(), [POST, Sphere([-0.4, 0.9, 0.0], 0.15)]
+        model, obstacles = planar_3r(), [POST, Box([-0.55, 0.75, -0.15], [-0.25, 1.05, 0.15])]
     else:
         model = mini7_with_capsules()
-        obstacles = [Box([-0.6, -0.6, 0.7], [0.6, 0.6, 0.85]), Sphere([0.35, 0.0, 0.5], 0.2)]
+        obstacles = [Box([-0.6, -0.6, 0.7], [0.6, 0.6, 0.85]),
+                     Box([0.15, -0.2, 0.3], [0.55, 0.2, 0.7])]
     rng = np.random.default_rng(19)
     criteria = SuccessCriteria(pos_tol=0.03, rot_tol=np.radians(8.0))
     inserted_only = 0
@@ -302,18 +303,17 @@ def test_workcell_file_roundtrip(tmp_path):
     stations = {"a": DualQuaternion.from_translation([0.3, 0.2, 0.0]),
                 "b": DualQuaternion.from_pose([-0.4, 0.5, 0.0], (np.array([0, 0, 1.0]), 0.7))}
     orig = Workcell("rt", [-1.3, -1.2, -0.1], [1.3, 1.1, 0.1],
-                    [POST, Sphere([0.1, -0.5, 0.0], 0.25, "ball")], stations)
+                    [POST, Box([-0.15, -0.75, -0.05], [0.35, -0.25, 0.05], "block")], stations)
     save_workcell(orig, tmp_path / "cell.txt")
     back = load_workcell(tmp_path / "cell.txt")
     assert back.name == "rt"
     np.testing.assert_array_equal(back.box_lo, orig.box_lo)
     np.testing.assert_array_equal(back.box_hi, orig.box_hi)
-    box, ball = back.obstacles
-    assert isinstance(box, Box) and box.id == "post"
-    np.testing.assert_array_equal(box.lo, POST.lo)
-    np.testing.assert_array_equal(box.hi, POST.hi)
-    assert isinstance(ball, Sphere) and ball.id == "ball" and ball.radius == 0.25
-    np.testing.assert_array_equal(ball.center, [0.1, -0.5, 0.0])
+    assert [ob.id for ob in back.obstacles] == ["post", "block"]
+    for box, ref in zip(back.obstacles, orig.obstacles):
+        assert isinstance(box, Box)
+        np.testing.assert_array_equal(box.lo, ref.lo)
+        np.testing.assert_array_equal(box.hi, ref.hi)
     assert sorted(back.stations) == ["a", "b"]
     for k in stations:
         np.testing.assert_array_equal(back.stations[k].as_array(), stations[k].as_array())
@@ -322,26 +322,12 @@ def test_workcell_file_roundtrip(tmp_path):
 @pytest.mark.parametrize("bad", [
     "box b 0 0 0 1 1 1 7",                 # one number too many
     "box b 0 0 0 1 1",                     # one number short
-    "sphere s 0 0 0",                      # no radius
+    "station s 1 0 0 0 0 0 0",             # one term short
 ])
 def test_load_workcell_rejects_a_line_with_the_wrong_token_count(tmp_path, bad):
     path = tmp_path / "cell.txt"
     path.write_text(f"name c\nworkspace -1 -1 -1 1 1 1\n{bad}\n")
     with pytest.raises(ValueError, match="workcell line"):
-        load_workcell(path)
-
-
-@pytest.mark.parametrize("bad", [
-    "sphere s 0 0 0 nan",
-    "sphere s 0 0 0 inf",
-    "sphere s nan 0 0 0.1",
-    "sphere s 0 -inf 0 0.1",
-])
-def test_load_workcell_rejects_a_non_finite_sphere(tmp_path, bad):
-    # with a NaN radius every distance to the sphere is NaN, so nothing would hit it
-    path = tmp_path / "cell.txt"
-    path.write_text(f"name c\nworkspace -1 -1 -1 1 1 1\n{bad}\n")
-    with pytest.raises(ValueError, match="sphere"):
         load_workcell(path)
 
 
@@ -396,6 +382,10 @@ def test_task_refuses(call, match):
     pytest.param(lambda tmp: (tmp.write_text("name cell\nworkspace -inf -1 -1 1 1 inf\n"),
                               load_workcell(tmp)),
                  "workspace box .* is not finite", id="file_with_an_infinite_workspace"),
+    # a sphere line has an unknown key: the file is refused, not read without it
+    pytest.param(lambda tmp: (tmp.write_text("workspace -1 -1 -1 1 1 1\nsphere s 0 0 0 0.1\n"),
+                              load_workcell(tmp)),
+                 "unknown workcell-file key 'sphere'", id="file_with_a_sphere"),
 ])
 def test_workcell_refuses(tmp_path, call, match):
     with pytest.raises(ValueError, match=match):
