@@ -17,7 +17,7 @@ import inputs
 import workloads
 from hybridplan.drl_planner import ROLLOUT_LANES, DrlEnv, DrlEnvConfig, plan_drl, state_dim
 from hybridplan.dualquat import (DualQuaternion, dq_mul_lanes, dq_sclerp, dq_sclerp_lanes,
-                                 dq_to_lanes)
+                                 dq_to_lanes, quat_to_matrix)
 from hybridplan.feasibility import (
     FEA_MAX_ITERS,
     NOT_FJ,
@@ -27,11 +27,14 @@ from hybridplan.feasibility import (
     build_map,
     classify_trajectory,
 )
+from hybridplan import geometry
 from hybridplan.geometry import (
+    RAY_RANGE,
     collision_index,
     collision_index_lanes,
     ray_bundle,
     ray_bundle_lanes,
+    raycast_many,
     score_lanes,
     slab_table,
 )
@@ -265,8 +268,8 @@ def test_lookup_one_pose(benchmark, wall_map):
 
 @pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
 def test_drl_env_step(benchmark, model, cell, lanes):
-    # one lane runs the one-configuration kernels; ROLLOUT_LANES lanes are a
-    # train_drl step (plan_drl steps the transition alone, timed below)
+    # both on lane arrays; ROLLOUT_LANES lanes are a train_drl step (plan_drl
+    # steps the transition alone on floats, timed below)
     theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
     assert collision_index(model, theta, cell.obstacles) == 0
     env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0), lanes)
@@ -277,15 +280,29 @@ def test_drl_env_step(benchmark, model, cell, lanes):
     assert obs.shape == (lanes, state_dim(model.dof))
 
 
-def test_drl_env_advance_one_lane(benchmark, model, cell):
-    # the transition plan_drl steps: one lane, on the walk's floats
-    theta = np.array([1.0, 0.8, 0.6])          # on the near side, clear of the wall
+def test_drl_bridge_step_one_lane(benchmark, model, cell):
+    # the transition plan_drl steps: one lane, on floats between steps
+    theta, goal = [1.0, 0.8, 0.6], [0.95, 0.0, 0.0]    # on the near side, clear of the wall
     env = DrlEnv(model, cell.obstacles, DrlEnvConfig(man_baseline=1.0))
-    env.reset(theta, [0.95, 0.0, 0.0])
+    prev = env._observe(theta, goal)[:2]
     a = np.array([0.5, -0.5, 0.5])
     actions = itertools.cycle([a, -a])        # the arm oscillates about theta
-    _, obs, *_ = benchmark(lambda: env._advance(next(actions)))
-    assert obs.shape == (1, state_dim(model.dof))
+
+    def step():
+        nonlocal theta, prev
+        theta, _ = env._clamp(theta, next(actions))
+        jp, jo, _, obs = env._observe(theta, goal, prev)
+        prev = jp, jo
+        return obs
+
+    assert benchmark(step).shape == (state_dim(model.dof),)
+
+
+def test_mean_action_one_observation(benchmark, drl_policy):
+    # the policy forward of one plan_drl step, 70 -> 64 -> 64 -> 3
+    policy, _ = drl_policy
+    obs = np.random.default_rng(3).standard_normal(policy.net.sizes[0])
+    assert benchmark(policy.mean_action, obs).shape == (policy.act_dim,)
 
 
 def test_plan_drl_40_step_bridge(benchmark, model, cell):
@@ -430,6 +447,21 @@ def test_score_lanes_200(benchmark, model, cell):
 def test_ray_bundle(benchmark, model, cell):
     d = benchmark(ray_bundle, model, np.array([0.3, 0.6, -0.4]), cell.obstacles)
     assert d.shape == (25,)
+
+
+@pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES, 200])
+def test_raycast_many(benchmark, model, cell, lanes):
+    # the bundle cast of a plan_drl step (one origin), of a train_drl step
+    # (ROLLOUT_LANES) and of a wide batch, against a slab table built once
+    # one origin: the sixth of the random configurations, 23 of whose rays
+    # meet the wall
+    thetas = _configs(model, 200)[:lanes] if lanes > 1 else _configs(model, 6)[5:]
+    _, _, _, q, p = _chain_eval(model, thetas)
+    origins, dirs = np.array(p).T, geometry._BUNDLE @ quat_to_matrix(q).T
+    if lanes == 1:
+        origins, dirs = origins[0], dirs[0]
+    d = benchmark(raycast_many, origins, dirs, slab_table(cell.obstacles), RAY_RANGE)
+    assert d.shape == dirs.shape[:-1] and (d < RAY_RANGE).any()
 
 
 def test_ray_bundle_lanes_one_state(benchmark, model, cell):

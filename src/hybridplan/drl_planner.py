@@ -20,15 +20,19 @@ over the boxes of a ``slab_table`` built with the environment).  Lane k of
 a step equals a one-episode environment stepped on lane k alone, bit for
 bit.  A step is the transition (clip and clamp, chain walk, observation,
 goal distance and done rule) plus the collision verdict, manipulability
-and reward.  One lane runs the transition on the walk's Python floats, in
-the operations and order of the lane arrays, and builds its observation
-row once; only the Euler angles (``dualquat._euler_floats``), the ray cast
-and the goal distance stay in numpy, and the collision verdict takes the
-one-configuration kernel.  ``plan_drl`` bridges one gap on one lane and
-runs the transition alone, since its policy reads only the observation,
-and annotates the bridge rows after the loop with one
-``geometry.score_lanes`` call.  ``train_drl`` collects each PPO batch on
-``ROLLOUT_LANES`` lanes with one policy forward per lane step (the
+and reward; every lane count, one included, runs it on lane arrays.
+
+``plan_drl`` bridges one gap and runs the transition alone, since its
+policy reads only the observation: ``DrlEnv._clamp`` and ``_observe`` are
+the one-lane transition on Python floats, in the operations and order of
+the lane arrays.  The joint angles, joint positions, Euler angles and goal
+stay floats between steps, and each step builds one 1-D observation for the
+policy's one-row forward; only the Euler angles
+(``dualquat._euler_floats``), the ray cast and the goal distance run in
+numpy.  The bridge rows are annotated after the loop with one
+``geometry.score_lanes`` call, and the bridge equals one stepped through
+``DrlEnv.step`` on one lane, bit for bit.  ``train_drl`` collects each PPO
+batch on ``ROLLOUT_LANES`` lanes with one policy forward per lane step (the
 vectorised-environment layout of PPO).  Bracket poses are 8-vectors (rows
 of a plan's lanes) or ``DualQuaternion``s.
 """
@@ -127,7 +131,8 @@ class DrlEnv:
     Observations are scaled by fixed per-block constants (reach for
     positions, pi for angles, the ray range for rays) so every block is
     O(1) for the policy network.  Observations, rewards, done flags and the
-    info entries are (lanes, ...) arrays.
+    info entries are (lanes, ...) arrays; ``_clamp`` and ``_observe`` are
+    one lane's transition on floats, for ``plan_drl``.
     """
 
     def __init__(self, model: RobotModel, obstacles, cfg: DrlEnvConfig, lanes=1):
@@ -171,22 +176,6 @@ class DrlEnv:
         goals and the (n, state_dim) observations."""
         n = len(thetas)
         st = self.cfg.step_time
-        if n == 1:          # on the walk's floats, in the lane arrays' operations and order
-            chain = _chain_eval(self.model, thetas[0])
-            _, origins, rots, q, p = chain
-            jp = [c for o in origins for c in o]
-            euler = _euler_floats([*rots, q])         # the joint frames, then the EE
-            jo, to = euler[:-3], euler[-3:]
-            prev_jp, prev_jo = (jp, jo) if prev is None else (rows[0].tolist() for rows in prev)
-            lv = [(a - b) / st for a, b in zip(jp, prev_jp)]
-            av = [((a - b + math.pi) % (2 * math.pi) - math.pi) / st    # wrap-safe
-                  for a, b in zip(jo, prev_jo)]
-            rays = ray_bundle_lanes(q, p, self._slabs).tolist()
-            goal = goals[0].tolist()
-            row = jp + jo + lv + av + [*p] + to + rays + [g - c for g, c in zip(goal, p)]
-            return (chain, np.array([jp]), np.array([jo]),
-                    np.array([[c - g for c, g in zip(p, goal)]]),
-                    np.array([row]) / self._obs_scale)
         chain = _chain_eval(self.model, thetas)
         _, origins, rots, q, p = chain
         jp = _rows([c for o in origins for c in o], n)
@@ -202,6 +191,39 @@ class DrlEnv:
         raw = np.concatenate([jp, jo, lv, av, p_rows, euler[:, :, -1].T, rays, goals - p_rows],
                              axis=1)
         return chain, jp, jo, p_rows - goals, raw / self._obs_scale
+
+    def _observe(self, theta, goal, prev=None):
+        """``_walk`` of one lane on Python floats, in the operations and
+        order of the lane arrays: the joint angles ``theta`` against the
+        ``goal`` position, with velocities from ``prev``, the previous (joint
+        positions, joint Euler angles); None is no motion.  Only the Euler
+        angles, the ray cast and the goal distance run in numpy.  Returns
+        (joint positions, joint Euler angles, goal distance, (state_dim,)
+        observation)."""
+        st = self.cfg.step_time
+        _, origins, rots, q, p = _chain_eval(self.model, theta)
+        jp = [c for o in origins for c in o]
+        euler = _euler_floats([*rots, q])         # the joint frames, then the EE
+        jo, to = euler[:-3], euler[-3:]
+        prev_jp, prev_jo = (jp, jo) if prev is None else prev
+        lv = [(a - b) / st for a, b in zip(jp, prev_jp)]
+        av = [((a - b + math.pi) % (2 * math.pi) - math.pi) / st    # wrap-safe
+              for a, b in zip(jo, prev_jo)]
+        rays = ray_bundle_lanes(q, p, self._slabs).tolist()
+        offset = [g - c for g, c in zip(goal, p)]
+        away = np.array(offset)                 # a 1-D dot rounds as ``_lane_norm``
+        row = jp + jo + lv + av + [*p] + to + rays + offset
+        return jp, jo, math.sqrt(away @ away), np.array(row) / self._obs_scale
+
+    def _clamp(self, theta, action):
+        """One lane's increment on the joint-angle floats ``theta``: the
+        (dof,) ``action`` clipped to [-1, 1], scaled and added, then clamped
+        to the joint limits, as ``_advance`` does on lane arrays.  Returns
+        (joint angles, clamped)."""
+        a = np.asarray(action, dtype=float).reshape(self.dof).tolist()
+        proposed = [t + _clip(x, -1.0, 1.0) * self._max_step for t, x in zip(theta, a)]
+        theta = [_clip(x, lo, hi) for x, lo, hi in zip(proposed, *self._limits)]
+        return theta, any(x != t for x, t in zip(proposed, theta))
 
     def reset(self, thetas, goals, lanes=None) -> np.ndarray:
         """Start new episodes on ``lanes`` (every lane when None) from the
@@ -224,19 +246,11 @@ class DrlEnv:
         """The transition of (lanes, dof) increment actions: clamp, one chain
         walk, observation, goal distance and done rule.  Returns (chain walk,
         observations, distances, reached, dones, clamped), one row or entry
-        per lane.  One lane clips and clamps on floats."""
-        if self.lanes == 1:
-            a = np.asarray(actions, dtype=float).reshape(self.dof).tolist()
-            proposed = [t + _clip(x, -1.0, 1.0) * self._max_step
-                        for t, x in zip(self._theta[0].tolist(), a)]
-            theta = [_clip(x, lo, hi) for x, lo, hi in zip(proposed, *self._limits)]
-            clamped = np.array([any(x != t for x, t in zip(proposed, theta))])
-            theta = np.array([theta])
-        else:
-            a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
-            proposed = self._theta + a * self._max_step
-            theta = self.model.clamp(proposed)
-            clamped = np.any(proposed != theta, axis=1)
+        per lane."""
+        a = np.clip(np.asarray(actions, dtype=float).reshape(self.lanes, self.dof), -1.0, 1.0)
+        proposed = self._theta + a * self._max_step
+        theta = self.model.clamp(proposed)
+        clamped = np.any(proposed != theta, axis=1)
         chain, jp, jo, away, obs = self._walk(theta, self._goal, (self._jp, self._jo))
         self._steps += 1
         d = _lane_norm(away)
@@ -367,16 +381,18 @@ def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, *,
     env_cfg = env_cfg or DrlEnvConfig()
     env = DrlEnv(model, obstacles, env_cfg)
     goal_pos = dq_translation(dq_to_lanes(goal))
-    obs = env.reset(theta0, goal_pos)[0]
-    thetas = [env.thetas[0]]
+    theta = np.asarray(theta0, dtype=float).tolist()
+    thetas = [theta]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
+    goal_pos = goal_pos.tolist()
+    jp, jo, _, obs = env._observe(theta, goal_pos)
     while not success:
-        _, obs, _, reached, done, _ = env._advance(policy.mean_action(obs))
-        obs = obs[0]
-        thetas.append(env.thetas[0])
-        if done[0]:
-            success = bool(reached[0])
+        theta, _ = env._clamp(theta, policy.mean_action(obs))
+        jp, jo, d, obs = env._observe(theta, goal_pos, (jp, jo))
+        thetas.append(theta)
+        success = d < env_cfg.target_radius
+        if len(thetas) > env_cfg.episode_budget:       # the budget of steps is spent
             break
     thetas = np.array(thetas)
     return JointTrajectory(thetas, np.full(len(thetas), SOURCE_DRL, dtype=np.uint8),

@@ -7,9 +7,7 @@ interpolated waypoints at fine joint-space resolution.
 
 ``collision_index`` checks one configuration on plain floats and stops at the
 first contact; ``segment_box_distance``, the largest part of a check, runs
-on Python floats.  The one-lane ``DrlEnv.step`` runs its kernel,
-``collision_index_points`` on one configuration's frame points.
-``collision_index_lanes`` checks an (N, dof)
+on Python floats.  ``collision_index_lanes`` checks an (N, dof)
 array of configurations at once: frame points from one lane ``_chain_eval``,
 then every (configuration, capsule, box) and (configuration, capsule
 pair) triple as one row of a batched distance evaluation with the scalar
@@ -41,7 +39,11 @@ trajectories and lane environments.
 each clamped to ``RAY_RANGE``, from given end-effector states, one state or
 N lanes; ``raycast_many`` meets every ray with every box in one slab pass.
 Both read the boxes from a ``slab_table``, which a caller that casts at
-every step (``DrlEnv``) builds once.
+every step (``DrlEnv``) builds once.  The table and the pass are axis-first,
+(2, 3, ..., k, B) for (face, axis, origin, ray, box), so one origin and N
+lanes share one code path, and the reductions over the three axes are
+elementwise ``maximum``/``minimum`` calls rather than reductions over a
+short last axis.
 """
 from __future__ import annotations
 
@@ -349,11 +351,12 @@ def _collision_index_lanes(model: RobotModel, pts, obstacles) -> np.ndarray:
 # ------------------------------------------------------------------ #
 # Ray casting
 # ------------------------------------------------------------------ #
-def slab_table(obstacles) -> tuple:
+def slab_table(obstacles) -> np.ndarray:
     """The ray cast's view of the boxes ``obstacles``, built once per scene:
-    their (B, 3) lower and upper corners, and both as one (2, 1, B, 3) array."""
+    their lower and upper corners axis-first, a (2, 3, 1, B) array of (face,
+    axis, ray, box)."""
     lo, hi = _boxes(obstacles)
-    return lo, hi, np.array([lo, hi])[:, None]
+    return np.array([lo.T, hi.T])[:, :, None]
 
 
 def raycast_many(origin, dirs, slabs, max_range) -> np.ndarray:
@@ -363,36 +366,50 @@ def raycast_many(origin, dirs, slabs, max_range) -> np.ndarray:
     distances.  Lanes: origins (N, 3) with dirs (N, k, 3) give (N, k), and
     row n equals the one-origin call on origin n.  ``slabs`` is the
     ``slab_table`` of the boxes, met in one slab pass: every ray against
-    every box's faces, then the nearest hit over the boxes.
+    every box's faces on (2, 3, ..., k, B) arrays, axis first, so each
+    reduction over the axes is two elementwise calls; then the nearest hit
+    over the boxes.
+
+    A ray parallel to a slab (a component below 1e-15) divides by +0.0, so
+    IEEE division gives that slab's -inf and +inf from inside and a miss from
+    outside (Williams, Barrus, Morley and Shirley, J. Graphics Tools 10(1),
+    2005).  Only an origin on a face plane makes a 0/0 there, and only then
+    are the parallel slabs set by comparison.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    lo, hi, faces = slabs
-    dist = np.full(dirs.shape[:-1], float(max_range))
-    at = origin[..., None, None, :]            # each origin against its k rays
-    d = dirs[..., None, :]                     # and each ray against B boxes
-    if dirs.ndim == 3:
-        faces = faces[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (faces - at) / d                   # (2, ..., k, B, 3)
-    lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
+    if dirs.ndim == 2:          # (2, 3, 1, B) faces, (3, 1, 1) origin, (3, k, 1) rays
+        faces, at, d = slabs, origin[:, None, None], dirs.T[..., None]
+    else:                       # (2, 3, 1, 1, B), (3, N, 1, 1) and (3, N, k, 1)
+        faces, at = slabs[:, :, None], origin.T[..., None, None]
+        d = dirs.transpose(2, 0, 1)[..., None]
     par = np.abs(d) < 1e-15
-    if par.any():
-        # rays parallel to a slab, the one place a 0/0 can arise: inside
-        # -> no constraint, outside -> miss
-        fill = np.where((at >= lo) & (at <= hi), -np.inf, np.inf)
-        lohit = np.where(par, fill, lohit)
-        hihit = np.where(par, -fill, hihit)
-    tmin = lohit.max(axis=-1)
-    tmax = hihit.min(axis=-1)
-    # a hit has tmax >= max(tmin, 0), so the distance it picks is >= 0
+    gap = faces - at
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = gap / np.where(par, 0.0, d)                         # (2, 3, ..., k, B)
+    lohit, hihit = np.minimum(t[0], t[1]), np.maximum(t[0], t[1])
+    if (gap == 0.0).any():
+        lohit, hihit = _face_planes(lohit, hihit, at, faces, par)
+    tmin = np.maximum(np.maximum(lohit[0], lohit[1]), lohit[2])
+    tmax = np.minimum(np.minimum(hihit[0], hihit[1]), hihit[2])
+    # a hit has tmax >= max(tmin, 0), so the distance it picks is >= 0 and
+    # the max_range that dist starts from is the only clamp needed
     hit = tmax >= np.maximum(tmin, 0.0)
     t = np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)   # origin inside: exit
-    for k in range(len(lo)):
-        # one box after another: a tie of +0 and -0 resolves as it does
-        # box by box
+    dist = np.full(dirs.shape[:-1], float(max_range))
+    for k in range(t.shape[-1]):
+        # one box after another: a tie of +0 and -0 resolves as it does box
+        # by box (``np.minimum.reduce`` resolves it otherwise from 8 boxes on)
         dist = np.minimum(dist, t[..., k])
-    return np.clip(dist, 0.0, float(max_range))
+    return dist
+
+
+def _face_planes(lohit, hihit, at, faces, par):
+    """``raycast_many``'s slab bounds with every parallel slab set by
+    comparison: inside -> no constraint, outside -> miss.  Only an origin on
+    a face plane needs it, where a parallel slab divided 0 by 0."""
+    fill = np.where((at >= faces[0]) & (at <= faces[1]), -np.inf, np.inf)
+    return np.where(par, fill, lohit), np.where(par, -fill, hihit)
 
 
 def _bundle_directions() -> np.ndarray:

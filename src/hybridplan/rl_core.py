@@ -15,6 +15,11 @@ each of ``Mlp.spans``), then those sums as Python floats in parameter order:
 the order of a norm taken tensor by tensor, so its bits match that norm's
 (``np.add.reduceat`` groups the additions differently).
 
+A batch runs ``Mlp.forward``, which caches its activations for
+``backward``.  One observation, as ``plan_drl``, ``policy_switches`` and
+``train_switch`` act on, runs ``Mlp.forward_one``: a matrix-vector product
+per layer and no cache, equal to the batch's row bit for bit.
+
 Everything is plain numpy with explicit RNGs; identical seeds give bit
 identical parameter trajectories.
 """
@@ -85,6 +90,22 @@ class Mlp:
             acts.append(np.tanh(z) if i < len(self.weights) - 1 else z)
         self._cache = acts
         return acts[-1]
+
+    def forward_one(self, x: np.ndarray) -> np.ndarray:
+        """Row 0 of ``forward(x)``.  A 1-D ``x``, one observation, runs as
+        ``W @ x + b`` per layer with no shape check or activation cache: a
+        matrix-vector product, which rounds like the batch product's row on
+        this numpy's BLAS (gemv against gemm; the tests assert it).  A batch
+        runs ``forward``."""
+        if np.ndim(x) != 1:
+            return self.forward(x)[0]
+        last = len(self.weights) - 1
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            x = W @ x
+            x += b
+            if i < last:
+                np.tanh(x, out=x)
+        return x
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Gradients for the cached forward pass, d_out being dLoss/dOutput,
@@ -174,7 +195,7 @@ class GaussianPolicy:
         return action, logp
 
     def mean_action(self, obs):
-        return self.net.forward(obs)[0]
+        return self.net.forward_one(obs)
 
     def _log_probs(self, mean, action):
         """Row log-probs of (N, act_dim) actions under (N, act_dim) means."""
@@ -207,7 +228,7 @@ class CategoricalPolicy:
         self.n_actions = n_actions
 
     def distribution(self, obs):
-        logits = self.net.forward(obs)[0]
+        logits = self.net.forward_one(obs)
         logits = logits - logits.max()
         p = np.exp(logits)
         return p / p.sum()

@@ -19,9 +19,10 @@
 * DRL: ``ScalarDrlEnv``, the one-configuration environment that steps one
   episode and evaluates each quantity with its own kernel call (six chain
   walks a step); ``DrlEnv`` steps N episodes as lanes from one chain walk.
-  ``plan_drl`` steps a bridge through the full ``DrlEnv.step`` and keeps
-  each step's collision verdict; the library runs the transition alone and
-  annotates the rows in one lane call.
+  ``plan_drl`` steps a bridge through the full ``DrlEnv.step`` on one lane
+  of arrays and keeps each step's collision verdict; the library runs the
+  transition alone on Python floats and annotates the rows in one lane
+  call.
 * Chained IK candidates: ``lfd_joint_candidates`` as one inline restart
   loop per pose that checks every solution for collision; the library's
   ``lfd_joint_candidates`` runs that chain through ``ik_free``, and only on
@@ -45,7 +46,8 @@
   flat parameter and gradient vectors.
 * Ray casting: ``raycast_many`` intersects the rays with one box at a time
   and masks each 0/0 slab with its own ``isnan`` pass; the library's
-  ``geometry.raycast_many`` runs one slab pass over every box.  ``raycast``
+  ``geometry.raycast_many`` runs one axis-first slab pass over every box and
+  divides parallel components by +0.0.  ``raycast``
   casts one ray.
 * Collision broad phase: ``without_broad_phase`` runs a check of the
   library with every capsule-box and capsule-capsule pair sent to the exact

@@ -118,8 +118,8 @@ def test_step_walks_the_chain_once_per_lane_step(monkeypatch, lanes):
         jp_before = env._jp.copy()
         walks.clear()
         obs, _, _, _ = env.step(rng.uniform(-1.0, 1.0, (lanes, env.dof)))
-        # one walk per lane step; one lane takes the one-configuration kernel
-        assert walks == [(model.dof,) if lanes == 1 else (lanes, model.dof)]
+        # one walk per lane step, on the lane arrays at one lane too
+        assert walks == [(lanes, model.dof)]
         probe.reset(env.thetas, np.tile(GOAL, (lanes, 1)))
         jp, _, lv = np.split(obs[:, :9 * env.dof], 3, axis=1)
         np.testing.assert_array_equal(jp, probe._jp / REACH)
@@ -193,9 +193,10 @@ def test_lane_step_equals_the_one_configuration_env(lanes, cell):
 
 
 def test_one_lane_transition_equals_a_lane_of_the_lane_arrays():
-    """The one-lane transition on floats equals lane 0 of the same
-    transition on lane arrays, byte for byte, through NaN, infinite, signed
-    zero and out-of-range actions and joint-limit clamps."""
+    """The one-lane transition on floats that ``plan_drl`` steps (``_clamp``
+    then ``_observe``) equals lane 0 of the transition on lane arrays, byte
+    for byte, through NaN, infinite, signed zero and out-of-range actions and
+    joint-limit clamps."""
     model = planar_3r()
     cfg = DrlEnvConfig(episode_budget=50)
     one, many = DrlEnv(model, WALL_CELL, cfg), DrlEnv(model, WALL_CELL, cfg, ROLLOUT_LANES)
@@ -205,16 +206,21 @@ def test_one_lane_transition_equals_a_lane_of_the_lane_arrays():
     clamped = 0
     for k in range(60):
         if k % 15 == 0:
-            one.reset(start, GOAL)
-            many.reset(np.tile(start, (ROLLOUT_LANES, 1)), np.tile(GOAL, (ROLLOUT_LANES, 1)))
+            obs = many.reset(np.tile(start, (ROLLOUT_LANES, 1)), np.tile(GOAL, (ROLLOUT_LANES, 1)))
+            theta = start.tolist()
+            jp, jo, _, got = one._observe(theta, GOAL.tolist())
+            assert got.tobytes() == obs[0].tobytes()
         action = rng.uniform(-1.5, 1.5, model.dof)
         action[k % model.dof] = specials[k % len(specials)]
-        got = one._advance(action)[1:]
-        want = many._advance(np.tile(action, (ROLLOUT_LANES, 1)))[1:]
-        for g, w in zip(got, want):
-            assert g.tobytes() == w[:1].tobytes()
-        clamped += int(got[-1][0])
-    assert clamped and np.isnan(one.thetas).any()
+        theta, hit = one._clamp(theta, action)
+        jp, jo, d, got = one._observe(theta, GOAL.tolist(), (jp, jo))
+        _, obs, dists, _, _, clamps = many._advance(np.tile(action, (ROLLOUT_LANES, 1)))
+        assert np.array(theta).tobytes() == many.thetas[0].tobytes()
+        assert np.array([jp, jo]).tobytes() == np.array([many._jp[0], many._jo[0]]).tobytes()
+        assert got.tobytes() == obs[0].tobytes()
+        assert np.float64(d).tobytes() == dists[0].tobytes() and hit == clamps[0]
+        clamped += int(hit)
+    assert clamped and np.isnan(theta).any()
 
 
 def test_reset_of_some_lanes_keeps_the_others():

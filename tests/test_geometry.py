@@ -456,20 +456,50 @@ def adversarial_rays(rng, n):
     return origins, dirs / np.linalg.norm(dirs, axis=-1, keepdims=True)
 
 
-def test_raycast_many_equals_the_per_obstacle_reference_bitwise():
+def count_face_plane_passes(monkeypatch):
+    """A list that grows by one at each ``raycast_many`` call that takes the
+    face-plane fix-up."""
+    calls, face_planes = [], geometry._face_planes
+
+    def counted(*args):
+        calls.append(1)
+        return face_planes(*args)
+
+    monkeypatch.setattr(geometry, "_face_planes", counted)
+    return calls
+
+
+def test_raycast_many_equals_the_per_obstacle_reference_bitwise(monkeypatch):
     rng = np.random.default_rng(40)
     obstacles = list(RAY_BOXES)
     origins, dirs = adversarial_rays(rng, 300)
+    passes = count_face_plane_passes(monkeypatch)
     got = geometry.raycast_many(origins, dirs, slab_table(obstacles), 2.5)
     ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
     assert got.shape == (300, 25) and got.tobytes() == ref.tobytes()
     assert (ref == 0.0).any() and (ref < 2.5).mean() > 0.3 and (ref == 2.5).any()
+    assert passes == [1]                           # origins on faces: the lanes take it
     for k in range(0, 300, 7):                     # the one-origin form
         one = geometry.raycast_many(origins[k], dirs[k], slab_table(obstacles), 2.5)
         assert one.tobytes() == ref[k].tobytes()
-    # no obstacles
+    # twelve overlapping boxes whose lower x faces lie at +0.0 or -0.0, and
+    # origins on that plane: a row's -0 and +0 distances tie across more
+    # boxes than a vector reduction resolves in the reference's order
+    lo = rng.uniform(-1.0, 0.2, (12, 2))
+    hi = lo + rng.uniform(0.3, 1.0, (12, 2))
+    many = [Box([-0.0 if k % 3 else 0.0, *a], [0.5 + 0.1 * k, *b])
+            for k, (a, b) in enumerate(zip(lo, hi))]
+    on_plane = rng.uniform(-1.0, 1.0, (300, 3))
+    on_plane[:, 0] = 0.0
+    got = geometry.raycast_many(on_plane, dirs, slab_table(many), 2.5)
+    ref = reference_raycast_many(on_plane, dirs, many, 2.5)
+    assert got.tobytes() == ref.tobytes() and np.signbit(ref[ref == 0.0]).any()
+    # no obstacles: (N, k) on lanes and (k,) at one origin, never a scalar
     assert geometry.raycast_many(origins, dirs, slab_table([]), 2.5).tobytes() == \
         reference_raycast_many(origins, dirs, [], 2.5).tobytes()
+    one = geometry.raycast_many(origins[0], dirs[0], slab_table([]), 2.5)
+    assert one.shape == (25,) and one.tobytes() == \
+        reference_raycast_many(origins[0], dirs[0], [], 2.5).tobytes()
 
 
 @pytest.mark.parametrize("case", ["on_a_face", "inside_a_box", "planar_arm"])
@@ -477,7 +507,9 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypa
     """The one-origin call, a one-lane DRL step's ray cast, against the
     reference: origins on a face (a 0/0 slab) or inside a box, and the planar
     arm's bundle, which keeps rays parallel to the z slabs at every
-    configuration."""
+    configuration.  Only the origins on a face take the face-plane fix-up,
+    at one origin and on lanes; the others divide by +0.0 alone."""
+    passes = count_face_plane_passes(monkeypatch)
     rng = np.random.default_rng(41)
     obstacles = list(RAY_BOXES)
     origins, dirs = adversarial_rays(rng, 200)
@@ -495,19 +527,26 @@ def test_one_origin_slab_pass_equals_the_per_obstacle_reference_bitwise(monkeypa
         states = [_chain_eval(model, theta)[3:] for theta in thetas]
         origins = np.array([p for _, p in states])
         dirs = np.array([geometry._BUNDLE @ quat_to_matrix(q).T for q, _ in states])
-        assert (dirs[:, :, 2] == 0.0).any(axis=1).all()
+        assert (dirs[:, :, 2] == 0.0).any(axis=1).all() and (origins[:, 2] == 0.0).all()
         monkeypatch.setattr(geometry, "RAY_RANGE", 2.5)
         for (q, p), ref in zip(states, reference_raycast_many(origins, dirs, obstacles, 2.5)):
             assert ray_bundle_lanes(q, p, slab_table(obstacles)).tobytes() == ref.tobytes()
+        assert not passes                          # the arm's plane z = 0 is no face plane
     slabs = slab_table(obstacles)
     ref = reference_raycast_many(origins, dirs, obstacles, 2.5)
     if case == "on_a_face":
         assert (ref == 0.0).any()
     elif case == "inside_a_box":
         assert (ref < 2.5).all()                   # every ray leaves through a face
+    passes.clear()
     for k in range(len(origins)):
         assert geometry.raycast_many(origins[k], dirs[k], slabs, 2.5).tobytes() == \
             ref[k].tobytes()
+    assert geometry.raycast_many(origins, dirs, slabs, 2.5).tobytes() == ref.tobytes()
+    assert len(passes) == (len(origins) + 1 if case == "on_a_face" else 0)
+    if case == "on_a_face":                        # and the fix-up is what mends the 0 / 0
+        monkeypatch.setattr(geometry, "_face_planes", lambda lohit, hihit, *_: (lohit, hihit))
+        assert geometry.raycast_many(origins, dirs, slabs, 2.5).tobytes() != ref.tobytes()
 
 
 # ------------------------------------------------------------------ #

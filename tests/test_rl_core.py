@@ -7,6 +7,7 @@ import pytest
 
 import scalar_reference as ref
 from hybridplan import records, rl_core
+from hybridplan.drl_planner import state_dim
 from hybridplan.rl_core import (
     Adam,
     CategoricalPolicy,
@@ -21,6 +22,7 @@ from hybridplan.rl_core import (
     ppo_update,
     save_checkpoint,
 )
+from hybridplan.switch_agent import SwitchConfig
 
 
 # ------------------------------------------------------------------ #
@@ -49,6 +51,37 @@ def test_forward_matches_hand_unrolled_matrices():
     got = net.forward(x)
     want = np.tanh(x @ net.weights[0].T + net.biases[0]) @ net.weights[1].T + net.biases[1]
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("head", ["gaussian", "switch"])
+def test_one_row_forward_equals_row_0_of_the_batch_forward_bitwise(head):
+    """At the workloads' sizes (the DRL policy 70-64-64-3 on the planar 3R
+    arm, the switch policy ``SwitchConfig().obs_dim(3)``-64-64-2), the
+    one-row forward that one-observation acting runs equals row 0 of the
+    batch ``forward``, and the heads' outputs equal the batch forms'."""
+    rng = np.random.default_rng(70)
+    if head == "gaussian":
+        policy = GaussianPolicy(state_dim(3), 3, rng=rng)
+    else:
+        policy = CategoricalPolicy(SwitchConfig().obs_dim(3), 2, rng=rng)
+    net = policy.net
+    net.flat += rng.normal(0.0, 0.05, net.flat.shape)      # away from the initial scales
+    obs = rng.normal(size=(1000, net.sizes[0])) * rng.choice([0.01, 1.0, 10.0], (1000, 1))
+    differ = 0
+    for x in obs:
+        row = net.forward(x[None])[0]
+        differ += int(net.forward_one(x).tobytes() != row.tobytes())
+        if head == "gaussian":
+            assert policy.mean_action(x).tobytes() == row.tobytes()
+        else:
+            p = np.exp(row - row.max())
+            assert policy.distribution(x).tobytes() == (p / p.sum()).tobytes()
+    assert differ == 0, (
+        f"{differ} of {len(obs)} one-row forwards differ from the batch forward's row in "
+        f"the last bits: a BLAS property (gemv against gemm rounding) of this build, "
+        f"checked with numpy 2.4.6 (this run: numpy {np.__version__}); keep the batch "
+        f"forward for one observation where it fails")
+    np.testing.assert_array_equal(net.forward_one(obs[:3]), net.forward(obs[:3])[0])   # a batch
 
 
 def test_backward_constant_loss_zero_gradient():

@@ -8,7 +8,7 @@ from hybridplan import feasibility, switch_agent
 from hybridplan.drl_planner import DrlEnvConfig, plan_drl, train_drl
 from hybridplan.feasibility import (COLLISION, FJ, NOT_FJ, Segment, SegmentClassification,
                                     build_map, classify_trajectory)
-from hybridplan.geometry import Box, collision_index
+from hybridplan.geometry import Box, collision_index, score_lanes
 from hybridplan.hrl_planner import QTables, plan_lfd
 from hybridplan.rl_core import PpoConfig
 from hybridplan.dualquat import DualQuaternion, dq_to_lanes
@@ -572,6 +572,32 @@ def test_hybrid_query_is_pinned_per_seed(workloads, hybrid_workloads, monkeypatc
         assert got == QUERY_PINS[wl.seed], (
             f"hybrid seed {wl.seed}: query stages differ from the pins, recorded with "
             f"numpy {QUERY_PINS_NUMPY} (this run: numpy {np.__version__}): {got}")
+
+
+def test_hybrid_densified_annotations_equal_a_fresh_score(workloads, hybrid_workloads,
+                                                          monkeypatch):
+    """On ``hybrid`` seed 1, over one ``run_round``, every densified
+    trajectory's ``man`` and ``col`` equal ``score_lanes`` of its points.
+    ``switch_reward`` and the switch observations read these annotations as
+    the producers (candidates, bridges, blends, ``densify``) wrote them;
+    ``execute`` scores the same rows again itself and stays an independent
+    judge of its input."""
+    wl = hybrid_workloads[0]
+    assert wl.seed == 1
+    densified, densify = [], workloads.densify
+
+    def record(*args, **kwargs):
+        densified.append(densify(*args, **kwargs))
+        return densified[-1]
+
+    monkeypatch.setattr(workloads, "densify", record)
+    tally = workloads.Tally()
+    wl.run_round(tally)
+    assert not tally.failed and len(densified) == len(wl.instances)
+    for traj in densified:
+        man, col = score_lanes(wl.model, traj.points, wl.cell.obstacles)
+        assert traj.man.tobytes() == man.tobytes() and traj.col.tobytes() == col.tobytes()
+    assert any(traj.col.any() for traj in densified)      # collisions are annotated too
 
 
 @pytest.mark.parametrize("call, match", [
