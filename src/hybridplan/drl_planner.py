@@ -61,7 +61,6 @@ from hybridplan.kinematics import (
     _frame_points_raw,
     _lane_norm,
     _normalized_manipulability_raw,
-    ee_state,
     fk_frames,  # noqa: F401 -- unused; perfbench's tracer test wraps this binding
 )
 from hybridplan.rl_core import (
@@ -380,13 +379,11 @@ def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, *,
     """
     env_cfg = env_cfg or DrlEnvConfig()
     env = DrlEnv(model, obstacles, env_cfg)
-    goal_pos = dq_translation(dq_to_lanes(goal))
+    goal_pos = dq_translation(dq_to_lanes(goal)).tolist()
     theta = np.asarray(theta0, dtype=float).tolist()
     thetas = [theta]
-    success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
-                   < env_cfg.target_radius)
-    goal_pos = goal_pos.tolist()
-    jp, jo, _, obs = env._observe(theta, goal_pos)
+    jp, jo, d, obs = env._observe(theta, goal_pos)
+    success = d < env_cfg.target_radius
     while not success:
         theta, _ = env._clamp(theta, policy.mean_action(obs))
         jp, jo, d, obs = env._observe(theta, goal_pos, (jp, jo))
