@@ -17,6 +17,11 @@ comprehensions, generator expressions and lambdas inside it, its ``def``
 line and its ``raise`` statements aside: the workloads feed valid inputs, so
 no refusal runs.  Module and class bodies, which run on import, are left
 out.  A line counts as executed when the tracer sees it start.
+
+The tier-1 suite enforces this output: ``tests/test_workload_lines.py`` runs
+all three workloads at seed 1 and holds the functions not entered, and the
+count of unrun lines of each partly-run one, to its lists of kept code, each
+entry with its reason.  Both lists may only shrink.
 """
 from __future__ import annotations
 

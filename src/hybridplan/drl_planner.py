@@ -6,8 +6,8 @@ commands in [-1, 1].  At goal distance d a step earns 0.1 inside the target
 ball (d < ``target_radius``; the episode ends), else man' - ``man_baseline`` - d
 when collision-free (man' the normalized manipulability) and -1 - d in
 collision.  ``plan_drl`` starts from the witness ``theta0`` its caller gives,
-``train_drl`` from the bracket pairs' witnesses, its start pool or random
-collision-free configurations.
+``train_drl`` from the bracket pairs' witnesses or the collision-free
+configurations of its start pool.
 
 ``DrlEnv`` steps N independent episodes as lanes: an (N, dof) array of
 joint vectors, one per episode.  A step walks the kinematic chain once
@@ -48,7 +48,6 @@ from hybridplan.dualquat import _euler_floats, dq_to_lanes, dq_translation, quat
 from hybridplan.geometry import (
     RAY_COUNT,
     RAY_RANGE,
-    collision_index,
     collision_index_lanes,
     collision_index_points,
     ray_bundle_lanes,
@@ -79,8 +78,8 @@ ROLLOUT_LANES = 16         # environments stepped together while collecting PPO 
 class DrlEnvConfig:
     max_step_deg: ClassVar[float] = 5.0     # per-joint increment bound per step
     step_time: ClassVar[float] = 0.05       # seconds, for finite-difference velocities
-    # fraction of training episodes started from a random collision-free
-    # configuration instead of a bracket start; narrow passages are rarely
+    # fraction of training episodes started from a collision-free configuration
+    # of the start pool instead of a bracket start; narrow passages are rarely
     # crossed by on-policy exploration alone
     explore_start_prob: ClassVar[float] = 0.5
     collision_penalty: ClassVar[float] = -1.0
@@ -237,10 +236,6 @@ class DrlEnv:
         self._obs[lanes] = obs
         return self._obs
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return self._theta.copy()
-
     def _advance(self, actions):
         """The transition of (lanes, dof) increment actions: clamp, one chain
         walk, observation, goal distance and done rule.  Returns (chain walk,
@@ -283,11 +278,11 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
     ``start_witnesses`` holds the witness of each pair's start pose, or None
     to leave the pair out.  An episode heads for its pair's goal position
     from that witness or, with probability ``explore_start_prob``, from a
-    collision-free joint vector of ``start_pool`` (typically map witnesses),
-    else the first collision-free one of 20 uniform draws: starts scattered
-    across the feasible region let value propagate backward through narrow
-    passages that on-policy exploration rarely crosses.  Each batch of
-    ``ppo_cfg.num_steps`` steps (a multiple of ``ROLLOUT_LANES``) is
+    collision-free joint vector of ``start_pool`` (typically map witnesses);
+    with none in the pool, every episode starts at its pair's witness.
+    Starts scattered across the feasible region let value propagate backward
+    through narrow passages that on-policy exploration rarely crosses.  Each
+    batch of ``ppo_cfg.num_steps`` steps (a multiple of ``ROLLOUT_LANES``) is
     collected on ``ROLLOUT_LANES`` lane environments; episode starts are
     drawn per lane in lane order, and GAE runs per lane.  Returns (policy,
     value_net, curve) where curve rows are the per-batch update stats.
@@ -314,20 +309,14 @@ def train_drl(pairs, model: RobotModel, obstacles, env_cfg=None, ppo_cfg=None,
     policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=rng)
     value_net = ValueNet(state_dim(model.dof), rng=rng)
 
-    lo, hi = model.limits_lo, model.limits_hi
     pool = np.asarray([] if start_pool is None else start_pool, dtype=float)
     pool = pool.reshape(-1, model.dof)
     pool = pool[collision_index_lanes(model, pool, obstacles) == 0]
 
     def episode_start():
         theta0, goal = prepared[int(rng.integers(len(prepared)))]
-        if rng.random() < env_cfg.explore_start_prob:
-            if len(pool):
-                return pool[int(rng.integers(len(pool)))], goal
-            for _ in range(20):
-                cand = rng.uniform(lo, hi)
-                if collision_index(model, cand, obstacles) == 0:
-                    return cand, goal
+        if rng.random() < env_cfg.explore_start_prob and len(pool):
+            return pool[int(rng.integers(len(pool)))], goal
         return theta0, goal
 
     def episode_starts(count):
@@ -375,12 +364,14 @@ def plan_drl(policy, model: RobotModel, obstacles, start, goal, env_cfg=None, *,
     joint trajectory.  Budget exhaustion returns the best-effort trajectory
     with success=False.  The policy acts through the environment's transition
     alone; the rows' collision verdicts and manipulability come from one
-    ``score_lanes`` call.
+    ``score_lanes`` call.  A NaN or infinite ``theta0`` is refused.
     """
+    theta = np.asarray(theta0, dtype=float).tolist()
+    if not all(map(math.isfinite, theta)):
+        raise ValueError(f"theta0 {theta} is not finite")
     env_cfg = env_cfg or DrlEnvConfig()
     env = DrlEnv(model, obstacles, env_cfg)
     goal_pos = dq_translation(dq_to_lanes(goal)).tolist()
-    theta = np.asarray(theta0, dtype=float).tolist()
     thetas = [theta]
     jp, jo, d, obs = env._observe(theta, goal_pos)
     success = d < env_cfg.target_radius

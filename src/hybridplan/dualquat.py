@@ -33,7 +33,9 @@ The inverse functions do not carry over: numpy 2.4.6's AVX-512 loops for
 2-vCPU Xeon with AVX-512), while a numpy call rounds alike at any length,
 contiguous or strided.  So ``_euler_floats``, the Euler angles of the
 one-lane DRL step, works its arguments on floats and its angles in numpy.
-The pose constructors refuse a non-finite position or rotation.
+The pose constructors refuse a non-finite position or rotation, and the
+8-vector readers (``DualQuaternion.from_array``, ``dq_from_lanes``) a
+non-finite entry.
 
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
 one pose format below the planners' entry points, which convert poses with
@@ -234,6 +236,7 @@ class DualQuaternion:
         a = np.asarray(a, dtype=float)
         if a.shape != (8,):
             raise ValueError("expected 8 scalars (real w x y z, dual w x y z)")
+        _refuse_non_finite(a)
         return cls(a[:4], a[4:])
 
     # -- accessors -----------------------------------------------------
@@ -259,9 +262,6 @@ class DualQuaternion:
         """Max deviation from the unit conditions ||real|| = 1, <real, dual> = 0."""
         return max(abs(np.linalg.norm(self.real) - 1.0),
                    abs(float(np.dot(self.real, self.dual))))
-
-    def __neg__(self) -> "DualQuaternion":
-        return DualQuaternion(-self.real, -self.dual)
 
     def __repr__(self) -> str:
         return f"DualQuaternion(real={self.real}, dual={self.dual})"
@@ -309,7 +309,16 @@ def dq_translation(lanes) -> np.ndarray:
 
 def dq_from_lanes(lanes: np.ndarray) -> list:
     """(N, 8) lanes -> list of DualQuaternions (views into ``lanes``)."""
+    _refuse_non_finite(lanes)
     return [DualQuaternion(row[:4], row[4:]) for row in lanes]
+
+
+def _refuse_non_finite(a: np.ndarray) -> None:
+    """Refuse an 8-vector or (N, 8) lanes with a NaN or infinite entry,
+    naming the first one."""
+    bad = np.argwhere(~np.isfinite(a)).tolist()
+    if bad:
+        raise ValueError(f"pose entry {bad[0]} is {a[tuple(bad[0])]}, not finite")
 
 
 def _stack(comps) -> np.ndarray:

@@ -10,8 +10,8 @@ cell is feasible if any witness lands inside it, so the per-cell IK tolerance
 is half the cell extent.  A map pass descends every IK seed of its cells as one
 ``ik_descend`` and judges every witness it reaches with one ``score_lanes``.
 A witness qualifies at normalized manipulability ``EPS_M`` or above, each
-pose gets ``IK_BUDGET`` seeds, and the map metadata records both; ``fea`` and
-``ik_free`` solve one pose to ``POSE_TOL``.
+pose gets ``IK_BUDGET`` seeds, and the map metadata records both; ``fea``
+solves one pose to ``POSE_TOL``.
 Cells are numbered by ``ravel_multi_index`` over ``voxel_counts +
 orient_counts`` (x, y, z voxel, then roll, pitch, yaw bin; yaw varies fastest).
 
@@ -43,8 +43,8 @@ from hybridplan.dualquat import (
     quat_from_euler,
     quat_to_euler,
 )
-from hybridplan.geometry import collision_index, obstacle_line, score_lanes
-from hybridplan.kinematics import RobotModel, ik_attempt, ik_descend, robot_hash
+from hybridplan.geometry import obstacle_line, score_lanes
+from hybridplan.kinematics import RobotModel, ik_descend, robot_hash
 
 OK, UNREACHABLE, COLLISION, LOW_MANIP = 0, 1, 2, 3
 # reason by witness grade: none reached, all collide, free, free and at or above EPS_M
@@ -89,31 +89,6 @@ def fea(pose, model: RobotModel, obstacles, *, rng) -> FeaResult:
     reason = int(reasons[0])
     return FeaResult(reason == OK, float(man[0]), reason,
                      None if reason == UNREACHABLE else witnesses[0])
-
-
-def ik_free(model: RobotModel, pose, obstacles, rng, attempts=10, seed=None):
-    """IK preferring a collision-free witness; falls back to any solution.
-
-    Descends from ``seed`` (home when None), then from a uniform random seed
-    drawn from ``rng`` after every attempt without a collision-free solution,
-    ``attempts`` descents in all, each to ``POSE_TOL``.  Returns the first
-    collision-free solution (scalar ``collision_index``), else the first
-    solution reached, else None.  The
-    planar arms take their candidates from ``closed_form_branches``; this
-    serves the chains it does not cover and the DRL start poses.
-    """
-    lo, hi = model.limits_lo, model.limits_hi
-    seed = model.home if seed is None else seed
-    fallback = None
-    for _ in range(attempts):
-        sol = ik_attempt(model, pose, seed, *POSE_TOL, max_iters=150)
-        if sol is not None:
-            if collision_index(model, sol, obstacles) == 0:
-                return sol
-            if fallback is None:
-                fallback = sol
-        seed = rng.uniform(lo, hi)
-    return fallback
 
 
 def _draw_seeds(model: RobotModel, extra_seeds, rng) -> np.ndarray:

@@ -412,25 +412,13 @@ def _face_planes(lohit, hihit, at, faces, par):
     return np.where(par, fill, lohit), np.where(par, -fill, hihit)
 
 
-def _bundle_directions() -> np.ndarray:
-    """25 unit directions in the end-effector frame.
-
-    1 ray along the approach axis (+x), 8 on a 30 degree cone, 16 on a
-    60 degree cone, evenly spaced in azimuth measured from +y.
-    """
-    dirs = [np.array([1.0, 0.0, 0.0])]
-    for count, half_angle in ((8, np.radians(30.0)), (16, np.radians(60.0))):
-        for k in range(count):
-            az = 2.0 * np.pi * k / count
-            dirs.append(np.array([
-                np.cos(half_angle),
-                np.sin(half_angle) * np.cos(az),
-                np.sin(half_angle) * np.sin(az),
-            ]))
-    return np.array(dirs)
-
-
-_BUNDLE = _bundle_directions()
+# the 25 unit ray directions in the end-effector frame: 1 along the approach
+# axis (+x), 8 on a 30 degree cone and 16 on a 60 degree cone, evenly spaced
+# in azimuth measured from +y
+_BUNDLE = np.array([[1.0, 0.0, 0.0]] + [
+    [np.cos(half_angle), np.sin(half_angle) * np.cos(az), np.sin(half_angle) * np.sin(az)]
+    for count, half_angle in ((8, np.radians(30.0)), (16, np.radians(60.0)))
+    for az in (2.0 * np.pi * k / count for k in range(count))])
 
 
 def ray_bundle(model: RobotModel, theta, obstacles) -> np.ndarray:

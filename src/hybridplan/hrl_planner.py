@@ -55,7 +55,7 @@ CURVE_FLOOR = -100.0     # training-curve display clamp for sentinel episodes
 # Rewards
 # ------------------------------------------------------------------ #
 def _reward(skill: Demonstration, segment_features) -> float:
-    terms = chordal_distance(skill.resampled_features(BETA_RESAMPLE), segment_features)
+    terms = chordal_distance(skill.resampled_features, segment_features)
     if np.any(terms > DELTA_BETA):
         return SENTINEL
     return float(-np.sum(terms))

@@ -183,7 +183,6 @@ class Demonstration:
     id: str
     poses: tuple
     tags: tuple = ()
-    _resampled: dict = field(default_factory=dict, init=False, repr=False)
     _gaps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -206,11 +205,10 @@ class Demonstration:
         """``extract_features`` of the poses, read-only (N - 1, 8) lanes."""
         return _read_only(extract_features(self.lanes))
 
-    def resampled_features(self, n_out: int) -> np.ndarray:
-        """The features resampled to ``n_out`` entries, computed once per length."""
-        if n_out not in self._resampled:
-            self._resampled[n_out] = _read_only(resample(self.features, n_out))
-        return self._resampled[n_out]
+    @cached_property
+    def resampled_features(self) -> np.ndarray:
+        """The features resampled to ``BETA_RESAMPLE`` entries, read-only."""
+        return _read_only(resample(self.features, BETA_RESAMPLE))
 
 
 @dataclass
@@ -380,7 +378,7 @@ def retarget(skill: Demonstration, start, goal, n_out: int) -> np.ndarray:
 # ------------------------------------------------------------------ #
 def _resampled(x) -> np.ndarray:
     if isinstance(x, Demonstration):
-        return x.resampled_features(BETA_RESAMPLE)
+        return x.resampled_features
     if len(x) == 0:
         raise ValueError("feature sequences must be nonempty")
     return resample(x, BETA_RESAMPLE)

@@ -14,8 +14,9 @@ lanes, its brackets are rows of them, and ``geometry.score_lanes`` annotates
 joint rows.
 
 The demonstration-derived joint trajectory takes each pose's exact elbow
-branches (``kinematics.closed_form_branches``) on planar RR and 3R arms, and
-one chained ``ik_free`` solution per pose on any other chain.  Per pose the
+branches (``kinematics.closed_form_branches``) on planar RR and 3R arms.
+Any other chain takes one solution per pose from ``_chained_ik_free``: the
+chained IK of general chains lives here, beside its one caller.  Per pose the
 collision-free candidates are allowed, or every candidate when none is free;
 a Viterbi pass picks the allowed sequence whose largest joint step is
 smallest, the step ``densify`` splits, then the smallest summed step.  A
@@ -29,9 +30,9 @@ from typing import ClassVar
 import numpy as np
 
 from hybridplan.dualquat import dq_to_lanes
-from hybridplan.feasibility import POSE_TOL, ik_free
-from hybridplan.geometry import score_lanes
-from hybridplan.kinematics import RobotModel, closed_form_branches
+from hybridplan.feasibility import POSE_TOL
+from hybridplan.geometry import collision_index, score_lanes
+from hybridplan.kinematics import RobotModel, closed_form_branches, ik_attempt
 from hybridplan.rl_core import (
     CategoricalPolicy,
     PpoConfig,
@@ -39,10 +40,12 @@ from hybridplan.rl_core import (
     ValueNet,
     ppo_update,
 )
-from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, edge_steps, subdivide
+from hybridplan.trajectory import SOURCE_DRL, SOURCE_LFD, JointTrajectory, subdivide
 from hybridplan.workcell import SMOOTH_BOUND_DEG
 
 ACT_KEEP, ACT_SWITCH = 0, 1
+CHAIN_IK_SEED = 0         # the random stream of the chained IK restarts
+CHAIN_IK_ATTEMPTS = 6     # IK descents per pose of the chained IK
 
 
 @dataclass
@@ -74,15 +77,14 @@ def switch_reward(traj: JointTrajectory) -> float:
 # ------------------------------------------------------------------ #
 # Candidate construction
 # ------------------------------------------------------------------ #
-def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
+def lfd_joint_candidates(poses, model: RobotModel, obstacles):
     """Joint trajectory of a task-space plan, one configuration per pose,
     annotated by its own normalized manipulability and collision index.
 
     Each pose's candidates are its ``closed_form_branches`` at the position
     tolerance of ``POSE_TOL``; on a chain the closed form does not cover,
-    they are one chained ``ik_free`` of 6 attempts seeded by the
-    previous pose's solution (home for the first), on one random stream
-    from ``seed``.  Every candidate is scored by one ``score_lanes`` call.
+    they are one solution of ``_chained_ik_free``, the chained IK of general
+    chains.  Every candidate is scored by one ``score_lanes`` call.
     A pose allows its collision-free candidates, or every candidate when
     none is free, and ``_min_jump_picks`` chooses one allowed candidate per
     pose.  A pose without a candidate holds the configuration before it
@@ -91,7 +93,7 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
     lanes = dq_to_lanes(poses).reshape(-1, 8)
     branches = closed_form_branches(model, lanes, POSE_TOL[0])
     if branches is None:
-        branches = _chained_ik_free(lanes, model, obstacles, seed)[:, None]
+        branches = _chained_ik_free(lanes, model, obstacles)[:, None]
     reached = ~np.isnan(branches[..., 0])
     man, col = np.zeros(reached.shape), np.ones(reached.shape, dtype=np.uint8)
     row_man, row_col = score_lanes(model, np.vstack([model.home, branches[reached]]), obstacles)
@@ -109,14 +111,31 @@ def lfd_joint_candidates(poses, model: RobotModel, obstacles, seed=0):
                            np.concatenate([row_col[:1], col[active, picks]])[at])
 
 
-def _chained_ik_free(lanes, model: RobotModel, obstacles, seed) -> np.ndarray:
-    """(N, dof) ``ik_free`` solutions of (N, 8) lanes, NaN rows where none was
-    reached; each pose's first descent starts from the last solution."""
-    rng = np.random.default_rng(seed)
+def _chained_ik_free(lanes, model: RobotModel, obstacles) -> np.ndarray:
+    """(N, dof) IK solutions of (N, 8) lanes that prefer collision-free ones,
+    NaN rows where none was reached, on one random stream from
+    ``CHAIN_IK_SEED``.
+
+    Each pose gets ``CHAIN_IK_ATTEMPTS`` ``ik_attempt`` descents to
+    ``POSE_TOL``: the first from the last solution (home for the first pose),
+    each later one from a uniform random seed drawn after a descent without a
+    collision-free solution.  A pose keeps its first collision-free solution
+    (scalar ``collision_index``), else its first solution reached."""
+    rng = np.random.default_rng(CHAIN_IK_SEED)
+    lo, hi = model.limits_lo, model.limits_hi
     out = np.full((len(lanes), model.dof), np.nan)
     prev = model.home
     for i, pose in enumerate(lanes):
-        theta = ik_free(model, pose, obstacles, rng, attempts=6, seed=prev)
+        seed, theta = prev, None
+        for _ in range(CHAIN_IK_ATTEMPTS):
+            sol = ik_attempt(model, pose, seed, *POSE_TOL, max_iters=150)
+            if sol is not None:
+                if collision_index(model, sol, obstacles) == 0:
+                    theta = sol
+                    break
+                if theta is None:
+                    theta = sol
+            seed = rng.uniform(lo, hi)
         if theta is not None:
             out[i] = prev = theta
     return out
@@ -161,8 +180,7 @@ def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTraject
     the inserted rows of their edge split at ``blend_step_deg``, at most
     ``blend_points`` of them."""
     ends = np.array([theta_a, theta_b], dtype=float)
-    pieces = np.ceil(edge_steps(ends) / np.radians(cfg.blend_step_deg))
-    pts = subdivide(ends, np.minimum(pieces, cfg.blend_points + 1))[0][1:-1]
+    pts = subdivide(ends, np.radians(cfg.blend_step_deg), cfg.blend_points + 1)[0][1:-1]
     return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8),
                            *score_lanes(model, pts, obstacles))
 
@@ -267,8 +285,7 @@ def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajecto
     waypoint it leads to and is annotated by its own score."""
     if not bound_deg > 0:
         raise ValueError(f"bound_deg must be positive, got {bound_deg}")
-    pieces = np.ceil(edge_steps(traj.points) / np.radians(bound_deg))
-    pts, at = subdivide(traj.points, pieces)
+    pts, at = subdivide(traj.points, np.radians(bound_deg))
     src = traj.source[np.searchsorted(at, np.arange(len(pts)))]
     man, col = np.zeros(len(pts)), np.zeros(len(pts), np.uint8)
     man[at], col[at] = traj.man, traj.col

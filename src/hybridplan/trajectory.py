@@ -2,9 +2,10 @@
 rule for the edges of a ``(k, dof)`` joint path: an edge's step is the
 infinity norm of its joint difference (``edge_steps``), and an edge is split
 into ``ceil(step / bound)`` equal pieces, inserting ``a + (j / pieces) * (b - a)``
-(``subdivide``).  ``densify`` splits at the smoothness bound, ``blend`` at its
-step cap (at most ``blend_points`` rows), and ``execute``'s path collision
-check at ``COLLISION_RES_DEG``.
+(``subdivide``, which refuses a path with a NaN or infinite entry).
+``densify`` splits at the smoothness bound, ``blend`` at its step cap (at
+most ``blend_points`` rows), and ``execute``'s path collision check at
+``COLLISION_RES_DEG``.
 """
 from __future__ import annotations
 
@@ -64,11 +65,16 @@ def edge_steps(points) -> np.ndarray:
     return np.max(np.abs(np.diff(np.asarray(points, dtype=float), axis=0)), axis=1)
 
 
-def subdivide(points, pieces):
-    """Split edge ``i`` of a ``(k, dof)`` path into ``pieces[i]`` equal steps;
-    an edge of 0 or 1 pieces is left as it is.  Returns the rows in path order
-    and the row of each original point."""
+def subdivide(points, bound, most=np.inf):
+    """Split each edge of a ``(k, dof)`` path into ``ceil(step / bound)``
+    equal steps, at most ``most``; an edge of 0 or 1 pieces is left as it is.
+    Returns the rows in path order and the row of each original point.  A
+    NaN or infinite joint value is refused before any arithmetic."""
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError(f"joint path row {np.argmin(np.isfinite(points).all(axis=-1))} "
+                         "is not finite")
+    pieces = np.minimum(np.ceil(edge_steps(points) / bound), most)
     # rows from each point up to the next one: the point and its edge's inserts
     per_point = np.append(np.maximum(pieces, 1), 1)[:len(points)].astype(int)
     at = np.cumsum(per_point) - per_point

@@ -112,7 +112,7 @@ def load_workcell(path) -> Workcell:
 def _checked_configs(points):
     """The waypoints plus interpolated configs at ``COLLISION_RES_DEG``, in
     path order, and the rows of the waypoints among them."""
-    return subdivide(points, np.ceil(edge_steps(points) / np.radians(COLLISION_RES_DEG)))
+    return subdivide(points, np.radians(COLLISION_RES_DEG))
 
 
 def _at(values, rows):

@@ -25,8 +25,8 @@
   call.
 * Chained IK candidates: ``lfd_joint_candidates`` as one inline restart
   loop per pose that checks every solution for collision; the library's
-  ``lfd_joint_candidates`` runs that chain through ``ik_free``, and only on
-  arms without closed-form branches.
+  ``lfd_joint_candidates`` runs that chain in ``_chained_ik_free``, and only
+  on arms without closed-form branches.
 * Branch choice: ``lfd_joint_candidates_by_enumeration`` tries every
   sequence of closed-form branches of a plan and keeps the one with the
   smallest largest joint step, then the smallest summed step, then the
@@ -183,13 +183,18 @@ def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
     return DualQuaternion.from_pose(t_new, q_new)
 
 
+def negated(d: DualQuaternion) -> DualQuaternion:
+    """``d`` with both parts negated: the same pose, on the other cover."""
+    return DualQuaternion(-d.real, -d.dual)
+
+
 def sclerp(a: DualQuaternion, b: DualQuaternion, u: float) -> DualQuaternion:
     """Screw linear interpolation from a (u=0) to b (u=1)."""
     if np.dot(a.real, b.real) < 0.0:
-        b = -b  # antipodal real parts: take the shorter screw
+        b = negated(b)  # antipodal real parts: take the shorter screw
     rel = dq_mul(a.conjugate(), b)
     if rel.real[0] < 0.0:
-        rel = -rel
+        rel = negated(rel)
     return dq_mul(a, screw_power(rel, float(u)))
 
 
@@ -485,14 +490,14 @@ def plan_drl(policy, model, obstacles, goal, env_cfg, theta0):
     env = DrlEnv(model, obstacles, env_cfg)
     goal_pos = goal.translation()
     obs = env.reset(theta0, goal_pos)[0]
-    thetas = [env.thetas[0]]
+    thetas = [env._theta[0]]
     cols = [collision_index(model, theta0, obstacles)]
     success = bool(np.linalg.norm(ee_state(model, theta0)[1] - goal_pos)
                    < env_cfg.target_radius)
     while not success:
         obs, _, done, info = env.step(policy.mean_action(obs))
         obs = obs[0]
-        thetas.append(env.thetas[0])
+        thetas.append(env._theta[0])
         cols.append(info["collision"][0])
         if done[0]:
             success = bool(info["reached"][0])

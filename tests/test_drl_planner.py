@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,7 @@ def test_observation_shape_and_scale():
 @pytest.mark.parametrize("factory", [planar_rr, planar_3r, seven_dof])
 def test_state_dim_is_the_observation_width(factory):
     model = factory()
-    assert len(geometry._bundle_directions()) == RAY_COUNT
+    assert len(geometry._BUNDLE) == RAY_COUNT
     env = DrlEnv(model, [WALL], DrlEnvConfig())
     obs = env.reset(model.home, ee_state(model, model.home)[1] + 0.5)
     assert obs.shape == (1, state_dim(model.dof)) == (1, len(env._obs_scale))
@@ -90,10 +92,10 @@ def test_clamped_flag_at_joint_limit():
     env.reset(at_limit, GOAL)
     _, _, _, info = env.step([1.0, 0.0, 0.0])
     assert info["clamped"][0]
-    assert env.thetas[0, 0] == model.limits_hi[0]
+    assert env._theta[0, 0] == model.limits_hi[0]
     _, _, _, info = env.step([-1.0, 0.0, 0.0])
     assert not info["clamped"][0]
-    assert env.thetas[0, 0] == pytest.approx(model.limits_hi[0] - np.radians(5.0))
+    assert env._theta[0, 0] == pytest.approx(model.limits_hi[0] - np.radians(5.0))
 
 
 @pytest.mark.parametrize("lanes", [1, ROLLOUT_LANES])
@@ -120,7 +122,7 @@ def test_step_walks_the_chain_once_per_lane_step(monkeypatch, lanes):
         obs, _, _, _ = env.step(rng.uniform(-1.0, 1.0, (lanes, env.dof)))
         # one walk per lane step, on the lane arrays at one lane too
         assert walks == [(lanes, model.dof)]
-        probe.reset(env.thetas, np.tile(GOAL, (lanes, 1)))
+        probe.reset(env._theta, np.tile(GOAL, (lanes, 1)))
         jp, _, lv = np.split(obs[:, :9 * env.dof], 3, axis=1)
         np.testing.assert_array_equal(jp, probe._jp / REACH)
         # the velocities difference the previous step's frames, not a new walk
@@ -215,7 +217,7 @@ def test_one_lane_transition_equals_a_lane_of_the_lane_arrays():
         theta, hit = one._clamp(theta, action)
         jp, jo, d, got = one._observe(theta, GOAL.tolist(), (jp, jo))
         _, obs, dists, _, _, clamps = many._advance(np.tile(action, (ROLLOUT_LANES, 1)))
-        assert np.array(theta).tobytes() == many.thetas[0].tobytes()
+        assert np.array(theta).tobytes() == many._theta[0].tobytes()
         assert np.array([jp, jo]).tobytes() == np.array([many._jp[0], many._jo[0]]).tobytes()
         assert got.tobytes() == obs[0].tobytes()
         assert np.float64(d).tobytes() == dists[0].tobytes() and hit == clamps[0]
@@ -233,7 +235,7 @@ def test_reset_of_some_lanes_keeps_the_others():
     obs = env.reset(model.home + 0.3, GOAL, lanes=[1])
     np.testing.assert_array_equal(stepped, before)       # a returned array is not altered
     np.testing.assert_array_equal(obs[[0, 2]], stepped[[0, 2]])
-    np.testing.assert_array_equal(env.thetas[1], model.home + 0.3)
+    np.testing.assert_array_equal(env._theta[1], model.home + 0.3)
     assert np.all(blocks(obs[1], model.dof)[2] == 0.0)   # a fresh episode has no motion
 
 
@@ -409,7 +411,15 @@ def test_plan_drl_equals_a_bridge_stepped_through_the_full_step(monkeypatch):
     pytest.param(lambda: train_drl([bracket(planar_3r())[0]] * 2, planar_3r(), [WALL],
                                    start_witnesses=[bracket(planar_3r())[1]]),
                  "1 start witnesses for 2 pairs", id="a_start_witness_short"),
+    pytest.param(lambda: plan_drl(Steady([0.0, 0.0, 0.0]), planar_3r(), [WALL], None,
+                                  bracket(planar_3r())[0][1], theta0=[0.1, np.nan, 0.2]),
+                 r"theta0 \[0.1, nan, 0.2\] is not finite", id="nan_theta0"),
+    pytest.param(lambda: plan_drl(Steady([0.0, 0.0, 0.0]), planar_3r(), [WALL], None,
+                                  bracket(planar_3r())[0][1], theta0=[-np.inf, 0.1, 0.2]),
+                 r"theta0 \[-inf, 0.1, 0.2\] is not finite", id="inf_theta0"),
 ])
 def test_drl_planner_refuses(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -281,7 +281,7 @@ def test_sclerp_antipodal_real_parts():
     rng = np.random.default_rng(6)
     a = random_unit_dq(rng)
     b = random_unit_dq(rng)
-    b_flipped = -b
+    b_flipped = ref.negated(b)
     d1 = dq_sclerp(a, b, 0.37)
     d2 = dq_sclerp(a, b_flipped, 0.37)
     np.testing.assert_allclose(dq_to_homogeneous(d1), dq_to_homogeneous(d2), atol=1e-9)
@@ -395,7 +395,7 @@ def test_sclerp_lanes_match_reference_on_random_pairs():
 def test_sclerp_lanes_antipodal_flip_per_lane():
     rng = np.random.default_rng(23)
     a = [random_unit_dq(rng) for _ in range(16)]
-    b = [-random_unit_dq(rng) if k % 2 else random_unit_dq(rng) for k in range(16)]
+    b = [ref.negated(random_unit_dq(rng)) if k % 2 else random_unit_dq(rng) for k in range(16)]
     us = rng.uniform(0.0, 1.0, 16)
     assert_lanes_match_reference(a, b, us)
     flipped = dq_sclerp_lanes(dq_to_lanes(a), -dq_to_lanes(b), us)
@@ -516,7 +516,8 @@ def test_double_cover():
     rng = np.random.default_rng(9)
     for _ in range(100):
         d = random_unit_dq(rng)
-        np.testing.assert_allclose(dq_to_homogeneous(d), dq_to_homogeneous(-d), atol=1e-12)
+        np.testing.assert_allclose(dq_to_homogeneous(d), dq_to_homogeneous(ref.negated(d)),
+                                   atol=1e-12)
 
 
 def test_delta_invariance_under_common_left_transform():
@@ -579,6 +580,15 @@ NAN, INF = float("nan"), float("inf")
                  "non-finite rotation", id="quat_normalize"),
     pytest.param(lambda: quat_from_euler(0.1, NAN, 0.3), "non-finite rotation",
                  id="quat_from_euler"),
+    pytest.param(lambda: DualQuaternion.from_array([1.0, 0, 0, 0, 0, NAN, 0, 0]),
+                 r"pose entry \[5\] is nan, not finite", id="nan_from_array"),
+    pytest.param(lambda: DualQuaternion.from_array([1.0, 0, 0, -INF, 0, 0, 0, 0]),
+                 r"pose entry \[3\] is -inf, not finite", id="inf_from_array"),
+    pytest.param(lambda: dq_from_lanes(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
+                                                 [1.0, 0, 0, 0, 0, 0, INF, 0]])),
+                 r"pose entry \[1, 6\] is inf, not finite", id="inf_dq_from_lanes"),
+    pytest.param(lambda: dq_from_lanes(np.array([[NAN, 0, 0, 0, 0, 0, 0, 0]])),
+                 r"pose entry \[0, 0\] is nan, not finite", id="nan_dq_from_lanes"),
 ])
 def test_dualquat_refuses(call, match):
     with warnings.catch_warnings():

@@ -1,6 +1,8 @@
 import hashlib
 import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -657,6 +659,13 @@ def test_task_file_roundtrip(tmp_path):
 IDENTITY = "1 0 0 0 0 0 0 0"
 
 
+def _load_task_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "task.txt"
+        path.write_text(text)
+        return load_task(path)
+
+
 @pytest.mark.parametrize("bad", [
     f"config {IDENTITY} 0 hold 1",         # a 9th number
     f"config {IDENTITY} hold 2",
@@ -705,6 +714,9 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),
+    pytest.param(lambda: _load_task_text(f"task t\nconfig {IDENTITY} hold 0\n"
+                                         "config 1 0 0 0 nan 0 0 0 hold 0\n"),
+                 r"pose entry \[4\] is nan, not finite", id="task_file_nan_config"),
 ])
 def test_hrl_planner_refuses(call, match):
     with warnings.catch_warnings():

@@ -632,10 +632,15 @@ def _edited_robot_file(old, new):
                  "expected 'axis', 'offset' and 'limits_deg' fields", id="malformed_joint_line"),
     pytest.param(lambda: _edited_robot_file("dof 2", "dof 3"), "declared dof 3 != 2 joint lines",
                  id="dof_mismatch"),
+    # read before any arithmetic, not left to the SVD of make_robot's check
+    pytest.param(lambda: _edited_robot_file("tool 1 0 0 0 0 0.5 0 0", "tool 1 0 0 0 0 nan 0 0"),
+                 r"pose entry \[5\] is nan, not finite", id="nan_tool"),
 ])
 def test_kinematics_refuses(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0]], ids=["nan", "inf"])

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hybridplan.dualquat import (
     dq_to_lanes,
 )
 from hybridplan.lfd import (
+    BETA_RESAMPLE,
     Demonstration,
     SkillLibrary,
     arc_params,
@@ -285,12 +287,13 @@ def test_demonstration_poses_cannot_change_under_its_caches():
         demo.poses.append(pose(2.0, 0.0))
     with pytest.raises(dataclasses.FrozenInstanceError):
         demo.poses = demo.poses + (pose(2.0, 0.0),)
-    for cached in (demo.lanes, demo.params, demo.features, demo.resampled_features(32)):
+    for cached in (demo.lanes, demo.params, demo.features, demo.resampled_features):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
     np.testing.assert_array_equal(demo.features, extract_features(list(demo.poses)))
-    np.testing.assert_array_equal(demo.resampled_features(32), resample(demo.features, 32))
-    assert demo.resampled_features(32) is demo.resampled_features(32)
+    np.testing.assert_array_equal(demo.resampled_features,
+                                  resample(demo.features, BETA_RESAMPLE))
+    assert demo.resampled_features is demo.resampled_features
 
 
 def test_skill_gaps_are_kept_read_only_on_the_skill():
@@ -416,7 +419,12 @@ def _load_demonstration_text(path, text):
                  "malformed demonstration header", id="demonstration_header"),
     pytest.param(lambda tmp: feature_distance_terms([], [np.zeros(6)] * 3),
                  "feature sequences must be nonempty", id="empty_features"),
+    pytest.param(lambda tmp: _load_demonstration_text(
+        tmp, "id d\n1 0 0 0 0 0 0 0\n1 0 0 0 0 inf 0 0\n"),
+                 r"pose entry \[1, 5\] is inf, not finite", id="demonstration_inf_row"),
 ])
 def test_lfd_refuses(tmp_path, call, match):
-    with pytest.raises(ValueError, match=match):
-        call(tmp_path / "d.demo")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match=match):
+            call(tmp_path / "d.demo")

@@ -234,8 +234,6 @@ HEADS = "set by load_checkpoint, which builds the policy as _HEADS[kind](...)"
 PARAMETERS_KEPT = {
     ("kinematics", "ik", "seed"): "input: the first IK seed, home when None",
     ("kinematics", "ik", "rng"): "input: the stream of the restart seeds",
-    ("switch_agent", "lfd_joint_candidates", "seed"): "input: the random stream of ik_free "
-                                                      "on chains the closed form does not cover",
     ("rl_core", "GaussianPolicy.__init__", "hidden"): HEADS,
     ("rl_core", "CategoricalPolicy.__init__", "hidden"): HEADS,
     ("kinematics", "planar_rr", "radius"): TEST_ONLY,

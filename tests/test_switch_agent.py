@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -348,13 +349,14 @@ def test_train_switch_memoised_blends_leave_the_weights_unchanged(monkeypatch):
 # ------------------------------------------------------------------ #
 # LfD joint candidates
 # ------------------------------------------------------------------ #
-def test_lfd_joint_candidates_shape_limits_and_seed_determinism():
+def test_lfd_joint_candidates_shape_limits_and_seed_determinism(monkeypatch):
+    monkeypatch.setattr(switch_agent, "CHAIN_IK_SEED", 3)
     model = planar_3r()
     thetas = [np.array([0.2, 0.5, -0.4]), np.array([0.3, 0.6, -0.5]),
               np.array([0.5, 0.4, -0.2]), np.array([0.6, 0.2, 0.1])]
     poses = [fk(model, t) for t in thetas]
     poses.insert(2, DualQuaternion.from_translation([2.0, 0.0, 0.0]))   # out of reach
-    out = lfd_joint_candidates(poses, model, [POST], seed=3)
+    out = lfd_joint_candidates(poses, model, [POST])
     assert out.points.shape == (len(poses), model.dof)
     assert len(out.source) == len(out.man) == len(out.col) == len(poses)
     assert np.all(out.source == SOURCE_LFD)
@@ -365,7 +367,7 @@ def test_lfd_joint_candidates_shape_limits_and_seed_determinism():
         np.testing.assert_allclose(fk(model, out.points[k]).translation(),
                                    poses[k].translation(), atol=2e-3)
     assert_annotated(model, out)
-    again = lfd_joint_candidates(poses, model, [POST], seed=3)
+    again = lfd_joint_candidates(poses, model, [POST])
     for field in ("points", "source", "man", "col"):
         np.testing.assert_array_equal(getattr(again, field), getattr(out, field))
 
@@ -392,14 +394,15 @@ def mini7_plans():
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_lfd_joint_candidates_equal_the_full_restart_loop(seed):
-    # the closed form refuses the 7-DoF chain, so the chained ik_free runs;
+def test_lfd_joint_candidates_equal_the_full_restart_loop(monkeypatch, seed):
+    # the closed form refuses the 7-DoF chain, so the chained IK runs;
     # colliding picks keep its fallback to the first solution exercised
+    monkeypatch.setattr(switch_agent, "CHAIN_IK_SEED", seed)
     model, obstacles, plans = mini7_plans()
     colliding = 0
     for poses in plans:
         ref = scalar_reference.lfd_joint_candidates(poses, model, obstacles, seed)
-        got = lfd_joint_candidates(poses, model, obstacles, seed)
+        got = lfd_joint_candidates(poses, model, obstacles)
         for field in ("points", "source", "man", "col"):
             assert_same_bits(getattr(got, field), getattr(ref, field))
         colliding += int(got.col.sum())
@@ -462,7 +465,7 @@ def test_lfd_joint_candidates_keep_one_elbow_branch_on_hybrid_seed_41(workloads)
 
 
 def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain(monkeypatch):
-    # the one model whose candidates come from the chained ik_free: a wall
+    # the one model whose candidates come from the chained IK: a wall
     # across the map box, a plan through it, a DRL bridge over the band
     model = mini7_with_capsules()
     obstacles = [Box([0.1, -0.5, 0.2], [0.2, 0.5, 0.8])]
@@ -605,7 +608,23 @@ def test_hybrid_densified_annotations_equal_a_fresh_score(workloads, hybrid_work
                  "empty trajectory", id="empty_trajectory"),
     pytest.param(lambda: train_switch([], planar_rr(), []), "no switching scenarios",
                  id="no_scenarios"),
+    # a non-finite joint value: refused by the one edge rule, not cast to a
+    # negative piece count or passed to an SVD
+    pytest.param(lambda: densify(JointTrajectory([[0.1, 0.2, 0.3], [0.2, np.nan, 0.3]]),
+                                 planar_3r(), [POST], 2.0),
+                 "joint path row 1 is not finite", id="densify_nan"),
+    pytest.param(lambda: densify(JointTrajectory([[np.inf, 0.2, 0.3], [0.2, 0.1, 0.3]]),
+                                 planar_3r(), [POST], 2.0),
+                 "joint path row 0 is not finite", id="densify_inf"),
+    pytest.param(lambda: blend([0.1, 0.2, 0.3], [0.2, np.inf, 0.3], planar_3r(), [POST],
+                               SwitchConfig()),
+                 "joint path row 1 is not finite", id="blend_inf"),
+    pytest.param(lambda: blend([np.nan, 0.2, 0.3], [0.2, 0.1, 0.3], planar_3r(), [POST],
+                               SwitchConfig()),
+                 "joint path row 0 is not finite", id="blend_nan"),
 ])
 def test_switch_agent_refuses(call, match):
-    with pytest.raises(ValueError, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -30,6 +30,9 @@ from test_kinematics import seven_dof
 POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
 
 
+STILL_TASK = Task("still", [DualQuaternion.identity()] * 2)
+
+
 def cell(obstacles=()):
     return Workcell("test", [-1.3, -1.3, -0.1], [1.3, 1.3, 0.1], list(obstacles))
 
@@ -386,10 +389,29 @@ def test_task_refuses(call, match):
     pytest.param(lambda tmp: (tmp.write_text("workspace -1 -1 -1 1 1 1\nsphere s 0 0 0 0.1\n"),
                               load_workcell(tmp)),
                  "unknown workcell-file key 'sphere'", id="file_with_a_sphere"),
+    pytest.param(lambda tmp: (tmp.write_text("workspace -1 -1 -1 1 1 1\n"
+                                             "station s 1 0 0 0 0 nan 0 0\n"),
+                              load_workcell(tmp)),
+                 r"pose entry \[5\] is nan, not finite", id="file_with_a_nan_station"),
+    # a non-finite joint value: refused by the one edge rule, not cast to a
+    # negative piece count
+    pytest.param(lambda tmp: execute(path([0.1, 0.2, 0.3], [0.2, np.nan, 0.3]), planar_3r(),
+                                     cell(), SuccessCriteria(), STILL_TASK),
+                 "joint path row 1 is not finite", id="execute_nan"),
+    pytest.param(lambda tmp: execute(path([0.1, 0.2, 0.3], [0.2, np.inf, 0.3]), planar_3r(),
+                                     cell(), SuccessCriteria(), STILL_TASK),
+                 "joint path row 1 is not finite", id="execute_inf"),
+    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[np.nan, 0.2, 0.3]] * 2, [POST]),
+                 "joint path row 0 is not finite", id="count_path_collisions_nan"),
+    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[0.1, 0.2, 0.3],
+                                                                [0.1, 0.2, -np.inf]], [POST]),
+                 "joint path row 1 is not finite", id="count_path_collisions_inf"),
 ])
 def test_workcell_refuses(tmp_path, call, match):
-    with pytest.raises(ValueError, match=match):
-        call(tmp_path / "cell.txt")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")              # refused before any arithmetic
+        with pytest.raises(ValueError, match=match):
+            call(tmp_path / "cell.txt")
 
 
 @pytest.mark.parametrize("corner", ["lo", "hi"])
