@@ -481,7 +481,9 @@ CROSSING = np.array([[1.0, 0.8, 0.6], [0.0, 0.0, 0.0], [0.2, -1.5, 1.5],
 def crossing(model, cell):
     """The crossing path densified to the switching agent's 2 degree bound,
     like a bridged hybrid trajectory."""
-    traj = densify(JointTrajectory(CROSSING), model, cell.obstacles, 2.0)
+    k = len(CROSSING)
+    bare = JointTrajectory(CROSSING, np.zeros(k, np.uint8), np.zeros(k), np.zeros(k, np.uint8))
+    traj = densify(bare, model, cell.obstacles, 2.0)
     assert 150 <= len(traj) <= 250
     return traj
 

@@ -33,25 +33,29 @@ The inverse functions do not carry over: numpy 2.4.6's AVX-512 loops for
 2-vCPU Xeon with AVX-512), while a numpy call rounds alike at any length,
 contiguous or strided.  So ``_euler_floats``, the Euler angles of the
 one-lane DRL step, works its arguments on floats and its angles in numpy.
-The pose constructors refuse a non-finite position or rotation, and the
-8-vector readers (``DualQuaternion.from_array``, ``dq_from_lanes``) a
-non-finite entry.
+The pose constructors refuse a non-finite position or rotation.  The
+8-vector readers (``DualQuaternion.from_array``, ``dq_from_lanes``) refuse a
+non-finite entry, and a pose that is not a unit dual quaternion: one whose
+drift, the larger of ``| |real| - 1 |`` and ``|real . dual|``, is above
+``UNIT_TOL``.  That is the one place the unit rule is checked.  A product of
+unit poses is unit to rounding (over the benchmark's workloads no product
+drifts by more than 1e-15), so no product checks or renormalizes its result,
+and ``DualQuaternion(real, dual)`` takes its parts as given.
 
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
 one pose format below the planners' entry points, which convert poses with
 ``dq_to_lanes`` (``dq_from_lanes`` goes back).  ``dq_translation`` is the one
 translation rule.  ``dq_mul_lanes`` is ``dq_mul`` on every lane, with the
-same terms in the same order and the same drift rule, and ``dq_sclerp`` is the
-one-lane case of ``dq_sclerp_lanes``.
+same terms in the same order, and ``dq_sclerp`` is the one-lane case of
+``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-RENORM_THRESHOLD = 1e-6  # drift beyond this triggers renormalize-and-warn
+UNIT_TOL = 1e-6  # the largest drift from a unit dual quaternion a reader accepts
 
 
 # ------------------------------------------------------------------ #
@@ -236,7 +240,7 @@ class DualQuaternion:
         a = np.asarray(a, dtype=float)
         if a.shape != (8,):
             raise ValueError("expected 8 scalars (real w x y z, dual w x y z)")
-        _refuse_non_finite(a)
+        _refuse_non_unit(a)
         return cls(a[:4], a[4:])
 
     # -- accessors -----------------------------------------------------
@@ -251,31 +255,17 @@ class DualQuaternion:
     def conjugate(self) -> "DualQuaternion":
         return DualQuaternion(quat_conj(self.real), quat_conj(self.dual))
 
-    def normalized(self) -> "DualQuaternion":
-        real = quat_normalize(self.real)
-        # remove the component of dual along real to restore <real, dual> = 0
-        dual = self.dual / np.linalg.norm(self.real)
-        dual = dual - np.dot(real, dual) * real
-        return DualQuaternion(real, dual)
-
-    def norm_drift(self) -> float:
-        """Max deviation from the unit conditions ||real|| = 1, <real, dual> = 0."""
-        return max(abs(np.linalg.norm(self.real) - 1.0),
-                   abs(float(np.dot(self.real, self.dual))))
-
     def __repr__(self) -> str:
         return f"DualQuaternion(real={self.real}, dual={self.dual})"
 
 
 def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
-    """Rigid-transform composition: apply b, then a."""
+    """Rigid-transform composition: apply b, then a.  The product of unit
+    poses is returned as it rounds; the unit rule is checked where a pose is
+    read (``DualQuaternion.from_array``, ``dq_from_lanes``)."""
     real = quat_mul(a.real, b.real)
     dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
-    out = DualQuaternion(real, dual)
-    if out.norm_drift() > RENORM_THRESHOLD:
-        warnings.warn("dual quaternion drifted from unit norm; renormalizing")
-        out = out.normalized()
-    return out
+    return DualQuaternion(real, dual)
 
 
 def dq_to_lanes(poses) -> np.ndarray:
@@ -309,16 +299,25 @@ def dq_translation(lanes) -> np.ndarray:
 
 def dq_from_lanes(lanes: np.ndarray) -> list:
     """(N, 8) lanes -> list of DualQuaternions (views into ``lanes``)."""
-    _refuse_non_finite(lanes)
+    _refuse_non_unit(lanes)
     return [DualQuaternion(row[:4], row[4:]) for row in lanes]
 
 
-def _refuse_non_finite(a: np.ndarray) -> None:
+def _refuse_non_unit(a: np.ndarray) -> None:
     """Refuse an 8-vector or (N, 8) lanes with a NaN or infinite entry,
-    naming the first one."""
+    naming the first one, or with a pose whose drift from a unit dual
+    quaternion is above ``UNIT_TOL``, naming its row and its drift."""
     bad = np.argwhere(~np.isfinite(a)).tolist()
     if bad:
         raise ValueError(f"pose entry {bad[0]} is {a[tuple(bad[0])]}, not finite")
+    rows = np.reshape(a, (-1, 8))
+    real, dual = rows[:, :4], rows[:, 4:]
+    drift = np.maximum(np.abs(np.sqrt(_lane_dot(real, real)) - 1.0),
+                       np.abs(_lane_dot(real, dual)))
+    bad = np.flatnonzero(drift > UNIT_TOL)
+    if len(bad):
+        raise ValueError(f"pose row {bad[0]} drifts {drift[bad[0]]:.3g} from a unit dual "
+                         f"quaternion (tolerance {UNIT_TOL:g})")
 
 
 def _stack(comps) -> np.ndarray:
@@ -327,24 +326,6 @@ def _stack(comps) -> np.ndarray:
     for i, c in enumerate(comps):
         out[..., i] = c
     return out
-
-
-def _renormalize_drifted(out: np.ndarray) -> np.ndarray:
-    """``dq_mul``'s drift rule per lane: warn, then renormalize only the lanes
-    whose unit conditions drifted beyond ``RENORM_THRESHOLD``."""
-    real, dual = out[..., :4], out[..., 4:]
-    n = np.sqrt(np.add.reduce(real * real, axis=-1))
-    drift = np.maximum(np.abs(n - 1.0), np.abs(np.add.reduce(real * dual, axis=-1)))
-    bad = drift > RENORM_THRESHOLD
-    if not np.any(bad):
-        return out
-    n = np.where(bad, n, 1.0)[..., None]
-    if np.any(n < 1e-12):
-        raise ValueError("degenerate rotation")
-    warnings.warn("dual quaternion drifted from unit norm; renormalizing")
-    real, dual = real / n, dual / n
-    dual = dual - np.add.reduce(real * dual, axis=-1, keepdims=True) * real
-    return np.where(bad[..., None], np.concatenate([real, dual], axis=-1), out)
 
 
 # The Hamilton product a * b as terms: component c of the product is the sum,
@@ -370,7 +351,8 @@ def dq_mul_lanes(a, b) -> np.ndarray:
     a sum of -0.0 terms into +0.0), and a negation is exact, so every lane
     equals ``dq_mul`` bit for bit, signed zeros included.  That is about 10
     ufunc calls where ``_qmul`` on component arrays makes about 30: half the
-    time at N = 1 to 200, and even at N = 1,000.
+    time at N = 1 to 200, and even at N = 1,000.  Like ``dq_mul``, it returns
+    the products as they round, and checks no lane against the unit rule.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     terms = a[..., _IA] * b[..., _IB]
@@ -379,7 +361,7 @@ def dq_mul_lanes(a, b) -> np.ndarray:
     out = np.empty(prod.shape[:-1] + (8,))
     out[..., :4] = prod[..., :4]
     np.add(prod[..., 4:8], prod[..., 8:], out=out[..., 4:])
-    return _renormalize_drifted(out)
+    return out
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])

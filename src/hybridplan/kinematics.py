@@ -95,6 +95,16 @@ class RobotModel:
     def within_limits(self, theta: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.all(theta >= self.limits_lo - tol) and np.all(theta <= self.limits_hi + tol))
 
+    def refuse_outside_limits(self, points) -> None:
+        """Refuse a ``(k, dof)`` joint path with a finite row that is not
+        ``within_limits``, naming the first, before the path is split into
+        steps; a row that is not finite is left to ``trajectory.subdivide``."""
+        points = np.asarray(points, dtype=float)
+        finite = np.isfinite(points).all(axis=-1)
+        if not self.within_limits(points[finite]):
+            raise ValueError("joint path row %d is outside the joint limits" % next(
+                i for i in np.flatnonzero(finite) if not self.within_limits(points[i])))
+
 
 def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") -> RobotModel:
     """Validate and assemble a robot model."""

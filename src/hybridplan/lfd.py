@@ -305,8 +305,8 @@ def skill_gaps(requests) -> list:
     A skill keeps each gap layout's arrays, read-only, for its life: they
     depend on nothing but the skill and (g, n, n_out).  The layouts not yet
     kept are filled together, the slices from one ``sample_pieces`` call and
-    the rest by ``_skill_sides``, so a drift warning from this half fires
-    once per fill, not once per plan.
+    the rest by ``_skill_sides``.  Their products are not checked against
+    the unit rule: ``dualquat``'s readers check a pose once, where it is read.
     """
     missing = {}
     for skill, g, n, n_out in requests:

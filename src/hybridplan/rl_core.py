@@ -92,13 +92,10 @@ class Mlp:
         return acts[-1]
 
     def forward_one(self, x: np.ndarray) -> np.ndarray:
-        """Row 0 of ``forward(x)``.  A 1-D ``x``, one observation, runs as
+        """Row 0 of ``forward(x[None])`` for one observation ``x`` (1-D), as
         ``W @ x + b`` per layer with no shape check or activation cache: a
         matrix-vector product, which rounds like the batch product's row on
-        this numpy's BLAS (gemv against gemm; the tests assert it).  A batch
-        runs ``forward``."""
-        if np.ndim(x) != 1:
-            return self.forward(x)[0]
+        this numpy's BLAS (gemv against gemm; the tests assert it)."""
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             x = W @ x
@@ -184,15 +181,11 @@ class GaussianPolicy:
         return self.net.params[-1]
 
     def act(self, obs, rng):
-        """A sampled action and its log-prob for one observation; for an
-        (N, obs_dim) batch, (N, act_dim) actions and (N,) log-probs from one
-        forward pass."""
+        """(N, act_dim) sampled actions and their (N,) log-probs for an
+        (N, obs_dim) batch of observations, from one forward pass."""
         mean = self.net.forward(obs)
         action = mean + np.exp(self.log_std) * rng.standard_normal(mean.shape)
-        logp = self._log_probs(mean, action)
-        if np.ndim(obs) == 1:
-            return action[0], float(logp[0])
-        return action, logp
+        return action, self._log_probs(mean, action)
 
     def mean_action(self, obs):
         return self.net.forward_one(obs)

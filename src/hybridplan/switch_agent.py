@@ -282,9 +282,11 @@ def assemble(lfd_cands: JointTrajectory, bands: list, switches: list,
 def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajectory:
     """Insert linear joint interpolation so no step exceeds the bound: each
     edge split at the bound; an inserted point takes the source of the
-    waypoint it leads to and is annotated by its own score."""
+    waypoint it leads to and is annotated by its own score.  A path outside
+    ``model``'s joint limits is refused before it is split."""
     if not bound_deg > 0:
         raise ValueError(f"bound_deg must be positive, got {bound_deg}")
+    model.refuse_outside_limits(traj.points)
     pts, at = subdivide(traj.points, np.radians(bound_deg))
     src = traj.source[np.searchsorted(at, np.arange(len(pts)))]
     man, col = np.zeros(len(pts)), np.zeros(len(pts), np.uint8)

@@ -5,7 +5,9 @@ into ``ceil(step / bound)`` equal pieces, inserting ``a + (j / pieces) * (b - a)
 (``subdivide``, which refuses a path with a NaN or infinite entry).
 ``densify`` splits at the smoothness bound, ``blend`` at its step cap (at
 most ``blend_points`` rows), and ``execute``'s path collision check at
-``COLLISION_RES_DEG``.
+``COLLISION_RES_DEG``.  ``densify`` and the collision check first refuse a
+path outside the joint limits (``RobotModel.refuse_outside_limits``), so an
+edge's pieces are bounded by the limits' span, not by its input.
 """
 from __future__ import annotations
 
@@ -21,20 +23,14 @@ SOURCE_LFD, SOURCE_DRL = 0, 1
 @dataclass(eq=False)
 class JointTrajectory:
     points: np.ndarray                  # (k, dof) radians
-    source: np.ndarray = None           # (k,) uint8, SOURCE_LFD / SOURCE_DRL
-    man: np.ndarray = None              # (k,) normalized manipulability
-    col: np.ndarray = None              # (k,) collision index
+    source: np.ndarray                  # (k,) uint8, SOURCE_LFD / SOURCE_DRL
+    man: np.ndarray                     # (k,) normalized manipulability
+    col: np.ndarray                     # (k,) collision index
     success: bool = True
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         k = len(self.points)
-        if self.source is None:
-            self.source = np.zeros(k, dtype=np.uint8)
-        if self.man is None:
-            self.man = np.zeros(k)
-        if self.col is None:
-            self.col = np.zeros(k, dtype=np.uint8)
         for arr in (self.source, self.man, self.col):
             if len(arr) != k:
                 raise ValueError("annotation length mismatch")

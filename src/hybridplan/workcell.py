@@ -109,9 +109,11 @@ def load_workcell(path) -> Workcell:
 # ------------------------------------------------------------------ #
 # Execution scoring
 # ------------------------------------------------------------------ #
-def _checked_configs(points):
+def _checked_configs(model, points):
     """The waypoints plus interpolated configs at ``COLLISION_RES_DEG``, in
-    path order, and the rows of the waypoints among them."""
+    path order, and the rows of the waypoints among them; a path outside
+    ``model``'s joint limits is refused before it is split."""
+    model.refuse_outside_limits(points)
     return subdivide(points, np.radians(COLLISION_RES_DEG))
 
 
@@ -123,7 +125,7 @@ def _at(values, rows):
 def count_path_collisions(model, points, obstacles):
     """Collisions over waypoints plus interpolated configs at
     ``COLLISION_RES_DEG``."""
-    configs, _ = _checked_configs(points)
+    configs, _ = _checked_configs(model, points)
     return int(np.sum(collision_index_lanes(model, configs, obstacles)))
 
 
@@ -144,7 +146,7 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     points = traj.points
     # one lane walk over the checked configurations: their collision
     # verdicts, and each point's EE state and manipulability at its row
-    checked, at = _checked_configs(points)
+    checked, at = _checked_configs(model, points)
     axes, origins, _, q, p = _chain_eval(model, checked)
     verdicts = collision_index_points(model, _frame_points_raw(origins, p), cell.obstacles)
     if len(checked) > len(points):

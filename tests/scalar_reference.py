@@ -62,7 +62,6 @@ from hybridplan import lfd
 from hybridplan.dualquat import (
     DualQuaternion,
     _qmul,
-    _renormalize_drifted,
     dq_conjugate_lanes,
     dq_from_lanes,
     dq_mul,
@@ -148,7 +147,7 @@ def translation(pose) -> np.ndarray:
 def dq_mul_lanes_by_components(a, b) -> np.ndarray:
     """``dq_mul`` over (N, 8) lanes, a single 8-vector on either side
     broadcasting: the products real*real, real*dual and dual*real as one
-    ``_qmul`` over a stacked axis, then the library's drift rule."""
+    ``_qmul`` over a stacked axis."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
@@ -159,7 +158,17 @@ def dq_mul_lanes_by_components(a, b) -> np.ndarray:
     out = np.empty(shape + (8,))
     out[..., :4] = prod[:, 0].T
     out[..., 4:] = (prod[:, 1] + prod[:, 2]).T
-    return _renormalize_drifted(out)
+    return out
+
+
+def drift(poses) -> float:
+    """The largest drift from a unit dual quaternion over ``poses`` (a
+    ``DualQuaternion``, an 8-vector or (N, 8) lanes): per pose the larger of
+    | |real| - 1 | and |real . dual|."""
+    rows = np.reshape(dq_to_lanes(poses), (-1, 8))
+    real, dual = rows[:, :4], rows[:, 4:]
+    return float(np.max(np.maximum(np.abs(np.linalg.norm(real, axis=1) - 1.0),
+                                   np.abs(np.sum(real * dual, axis=1))), initial=0.0))
 
 
 def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
@@ -181,6 +190,14 @@ def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
     r_new = quat_to_matrix(q_new)
     t_new = c - r_new @ c + (u * d) * axis
     return DualQuaternion.from_pose(t_new, q_new)
+
+
+def unannotated(points) -> JointTrajectory:
+    """A joint trajectory of ``points`` (one point or (k, dof)) with zero
+    annotations: every point LFD-sourced, with man 0 and col 0."""
+    k = len(np.atleast_2d(points))
+    return JointTrajectory(points, np.full(k, SOURCE_LFD, np.uint8), np.zeros(k),
+                           np.zeros(k, np.uint8))
 
 
 def negated(d: DualQuaternion) -> DualQuaternion:

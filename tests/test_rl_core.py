@@ -81,7 +81,6 @@ def test_one_row_forward_equals_row_0_of_the_batch_forward_bitwise(head):
         f"the last bits: a BLAS property (gemv against gemm rounding) of this build, "
         f"checked with numpy 2.4.6 (this run: numpy {np.__version__}); keep the batch "
         f"forward for one observation where it fails")
-    np.testing.assert_array_equal(net.forward_one(obs[:3]), net.forward(obs[:3])[0])   # a batch
 
 
 def test_backward_constant_loss_zero_gradient():
@@ -305,9 +304,10 @@ def test_gaussian_act_on_a_batch_matches_one_observation_calls():
     assert actions.shape == (6, 3) and logps.shape == (6,)
     rng = np.random.default_rng(2)              # row k draws the normals of call k
     for k in range(6):
-        a, lp = pol.act(obs[k], rng)
-        np.testing.assert_allclose(actions[k], a, rtol=0, atol=1e-12)
-        assert logps[k] == pytest.approx(lp, abs=1e-12)
+        a, lp = pol.act(obs[k:k + 1], rng)          # one observation, as a one-row batch
+        assert a.shape == (1, 3) and lp.shape == (1,)
+        np.testing.assert_allclose(actions[k], a[0], rtol=0, atol=1e-12)
+        assert logps[k] == pytest.approx(lp[0], abs=1e-12)
 
 
 # ------------------------------------------------------------------ #
@@ -420,7 +420,8 @@ def test_ppo_seed_determinism(monkeypatch):
             acts = np.zeros((16, 2))
             logps = np.zeros(16)
             for t in range(16):
-                acts[t], logps[t] = pol.act(obs[t], rng)
+                a, lp = pol.act(obs[t:t + 1], rng)
+                acts[t], logps[t] = a[0], lp[0]
             rews = -np.sum(acts * acts, axis=1)
             batch = RolloutBatch(obs, acts, logps, rews, np.ones(16), obs[-1])
             ppo_update(pol, val, batch, cfg, rng)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference
+from scalar_reference import unannotated
 from hybridplan import feasibility, switch_agent
 from hybridplan.drl_planner import DrlEnvConfig, plan_drl, train_drl
 from hybridplan.feasibility import (COLLISION, FJ, NOT_FJ, Segment, SegmentClassification,
@@ -54,6 +55,8 @@ def test_train_switch_rejects_scenarios_without_bands():
 # blend, densify, assemble, switching
 # ------------------------------------------------------------------ #
 POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
+# joint 1 past its 175 degree limit in 1 degree steps (degrees)
+RAMP_PAST_LIMIT = [[174.0, 10.0, -10.0], [175.0, 10.0, -10.0], [176.0, 10.0, -10.0]]
 
 
 def switch_config(monkeypatch, **constants):
@@ -179,7 +182,7 @@ def test_edge_splits_equal_the_per_point_loops(monkeypatch, case):
             assert_same_bits(getattr(got, field), getattr(ref, field))
     if case.startswith("blend"):
         assert (len(pairs[-1][0]) == cfg.blend_points) == (case == "blend above its cap")
-    rows, at = _checked_configs(points)
+    rows, at = _checked_configs(model, points)
     ref_rows, ref_at = scalar_reference.checked_configs(points, COLLISION_RES_DEG)
     assert_same_bits(rows, ref_rows)
     assert at.tolist() == ref_at
@@ -604,18 +607,26 @@ def test_hybrid_densified_annotations_equal_a_fresh_score(workloads, hybrid_work
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: switch_agent.switch_reward(JointTrajectory(np.zeros((0, 2)))),
+    pytest.param(lambda: switch_agent.switch_reward(unannotated(np.zeros((0, 2)))),
                  "empty trajectory", id="empty_trajectory"),
     pytest.param(lambda: train_switch([], planar_rr(), []), "no switching scenarios",
                  id="no_scenarios"),
     # a non-finite joint value: refused by the one edge rule, not cast to a
     # negative piece count or passed to an SVD
-    pytest.param(lambda: densify(JointTrajectory([[0.1, 0.2, 0.3], [0.2, np.nan, 0.3]]),
+    pytest.param(lambda: densify(unannotated([[0.1, 0.2, 0.3], [0.2, np.nan, 0.3]]),
                                  planar_3r(), [POST], 2.0),
                  "joint path row 1 is not finite", id="densify_nan"),
-    pytest.param(lambda: densify(JointTrajectory([[np.inf, 0.2, 0.3], [0.2, 0.1, 0.3]]),
+    pytest.param(lambda: densify(unannotated([[np.inf, 0.2, 0.3], [0.2, 0.1, 0.3]]),
                                  planar_3r(), [POST], 2.0),
                  "joint path row 0 is not finite", id="densify_inf"),
+    # a path outside the joint limits (+-175 degrees): refused before it is
+    # split, so an absurd step cannot ask for billions of rows
+    pytest.param(lambda: densify(unannotated(np.radians(RAMP_PAST_LIMIT)),
+                                 planar_3r(), [POST], 2.0),
+                 "joint path row 2 is outside the joint limits", id="densify_past_limit"),
+    pytest.param(lambda: densify(unannotated([[0.0, 0.2, 0.3], [1e9, 0.2, 0.3]]),
+                                 planar_3r(), [POST], 2.0),
+                 "joint path row 1 is outside the joint limits", id="densify_1e9_rad_step"),
     pytest.param(lambda: blend([0.1, 0.2, 0.3], [0.2, np.inf, 0.3], planar_3r(), [POST],
                                SwitchConfig()),
                  "joint path row 1 is not finite", id="blend_inf"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridplan import records
+from scalar_reference import unannotated
 from hybridplan.trajectory import (
     SOURCE_DRL,
     SOURCE_LFD,
@@ -22,32 +23,23 @@ def annotated(k=5, dof=3, seed=0, success=True):
 # ------------------------------------------------------------------ #
 # container
 # ------------------------------------------------------------------ #
-def test_defaults_are_zero_annotations_and_success():
-    traj = JointTrajectory(np.ones((4, 2)))
-    assert len(traj) == 4
-    assert traj.success
-    np.testing.assert_array_equal(traj.source, np.full(4, SOURCE_LFD, np.uint8))
-    np.testing.assert_array_equal(traj.man, np.zeros(4))
-    np.testing.assert_array_equal(traj.col, np.zeros(4, np.uint8))
-    assert traj.source.dtype == np.uint8 and traj.col.dtype == np.uint8
-
-
 def test_one_point_is_promoted_to_a_row():
-    traj = JointTrajectory([0.1, 0.2, 0.3])
-    assert traj.points.shape == (1, 3)
+    traj = unannotated([0.1, 0.2, 0.3])
+    assert len(traj) == 1 and traj.points.shape == (1, 3) and traj.success
 
 
 @pytest.mark.parametrize("field", ["source", "man", "col"])
 def test_annotation_length_mismatch_rejected(field):
+    annotations = {name: np.zeros(2 if name == field else 3) for name in ("source", "man", "col")}
     with pytest.raises(ValueError, match="annotation length mismatch"):
-        JointTrajectory(np.zeros((3, 2)), **{field: np.zeros(2)})
+        JointTrajectory(np.zeros((3, 2)), **annotations)
 
 
 def test_max_step_is_the_largest_joint_move():
-    traj = JointTrajectory([[0.0, 0.0], [0.1, -0.3], [0.3, -0.2]])
+    traj = unannotated([[0.0, 0.0], [0.1, -0.3], [0.3, -0.2]])
     assert traj.max_step() == pytest.approx(0.3)
-    assert JointTrajectory([[1.0, 2.0]]).max_step() == 0.0
-    assert JointTrajectory(np.zeros((0, 2))).max_step() == 0.0
+    assert unannotated([[1.0, 2.0]]).max_step() == 0.0
+    assert unannotated(np.zeros((0, 2))).max_step() == 0.0
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (3, 4, 2), (3, 0, 4)],

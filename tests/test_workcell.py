@@ -8,7 +8,6 @@ from hybridplan.dualquat import DualQuaternion, quat_from_axis_angle, quat_mul, 
 from hybridplan.geometry import Box, collision_index
 from hybridplan.kinematics import ee_state, fk, normalized_manipulability, planar_3r
 from hybridplan.task import Task
-from hybridplan.trajectory import JointTrajectory
 from hybridplan.workcell import (
     COLLISION_RES_DEG,
     SuccessCriteria,
@@ -22,7 +21,7 @@ from hybridplan.workcell import (
     wilson_interval,
 )
 from scalar_reference import execute as reference_execute
-from scalar_reference import pose_hit
+from scalar_reference import pose_hit, unannotated
 from test_geometry import mini7_with_capsules
 from test_kinematics import seven_dof
 
@@ -31,6 +30,8 @@ POST = Box([0.9, -0.02, -0.1], [1.0, 0.02, 0.1], "post")
 
 
 STILL_TASK = Task("still", [DualQuaternion.identity()] * 2)
+# joint 1 past its 175 degree limit in 1 degree steps (degrees)
+RAMP_PAST_LIMIT = [[174.0, 10.0, -10.0], [175.0, 10.0, -10.0], [176.0, 10.0, -10.0]]
 
 
 def cell(obstacles=()):
@@ -38,7 +39,7 @@ def cell(obstacles=()):
 
 
 def path(*thetas):
-    return JointTrajectory(np.array(thetas, dtype=float))
+    return unannotated(np.array(thetas, dtype=float))
 
 
 def ramp(a, b, n):
@@ -174,7 +175,7 @@ def test_execute_checks_inserted_rows_like_the_reference(scene):
     for _ in range(30):
         steps = rng.uniform(-1.0, 1.0, (8, model.dof)) * np.radians(rng.uniform(3.0, 40.0))
         pts = model.clamp(rng.uniform(model.limits_lo, model.limits_hi) + np.cumsum(steps, axis=0))
-        checked, at = _checked_configs(pts)
+        checked, at = _checked_configs(model, pts)
         assert len(checked) > len(pts)
         picks = np.sort(rng.choice(len(pts), size=int(rng.integers(2, 5)), replace=False))
         task = Task("t", [near_pose(model, pts[k], rng, criteria.pos_tol, criteria.rot_tol)
@@ -260,7 +261,7 @@ def test_execute_equals_the_reference_scan_at_spatial_tolerance_edges(edge):
 def test_execute_on_empty_and_one_point_trajectories():
     model = planar_3r()
     task = Task("t", [fk(model, model.home), fk(model, model.home + 0.1)])
-    empty = assert_reports_equal(JointTrajectory(np.zeros((0, model.dof))), model, [POST],
+    empty = assert_reports_equal(unannotated(np.zeros((0, model.dof))), model, [POST],
                                  SuccessCriteria(), task)
     assert empty.config_hits == [None, None] and empty.failed_config == 0
     assert (empty.collisions, empty.r_s, empty.max_step) == (0, 0.0, 0.0)
@@ -406,6 +407,22 @@ def test_task_refuses(call, match):
     pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[0.1, 0.2, 0.3],
                                                                 [0.1, 0.2, -np.inf]], [POST]),
                  "joint path row 1 is not finite", id="count_path_collisions_inf"),
+    # a path outside the joint limits (+-175 degrees): refused before it is
+    # split, so an absurd step cannot ask for billions of rows
+    pytest.param(lambda tmp: execute(path(*np.radians(RAMP_PAST_LIMIT)), planar_3r(), cell(),
+                                     SuccessCriteria(), STILL_TASK),
+                 "joint path row 2 is outside the joint limits", id="execute_past_limit"),
+    pytest.param(lambda tmp: count_path_collisions(planar_3r(), np.radians(RAMP_PAST_LIMIT),
+                                                   [POST]),
+                 "joint path row 2 is outside the joint limits",
+                 id="count_path_collisions_past_limit"),
+    pytest.param(lambda tmp: execute(path([0.0, 0.2, 0.3], [-1e9, 0.2, 0.3]), planar_3r(),
+                                     cell(), SuccessCriteria(), STILL_TASK),
+                 "joint path row 1 is outside the joint limits", id="execute_1e9_rad_step"),
+    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[0.0, 0.2, 0.3],
+                                                                [0.0, 1e9, 0.3]], [POST]),
+                 "joint path row 1 is outside the joint limits",
+                 id="count_path_collisions_1e9_rad_step"),
 ])
 def test_workcell_refuses(tmp_path, call, match):
     with warnings.catch_warnings():

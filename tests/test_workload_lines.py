@@ -61,7 +61,6 @@ NOT_ENTERED_KEPT = {
     **{name: ORACLE for name in [
         "kinematics.planar_rr", "switch_agent.brute_force_switches",
         "workcell.wilson_interval", "workcell.bench"]},
-    "dualquat.DualQuaternion.normalized": UNSENT,          # a drifted dual quaternion
     "geometry._face_planes": UNSENT,                       # a ray origin on a face plane
     "workcell._at": UNSENT,                                # an edge above COLLISION_RES_DEG
     **{name: PROTOCOL for name in [
@@ -72,8 +71,6 @@ NOT_ENTERED_KEPT = {
 # functions the workloads enter but do not run through:
 # qualified name -> (lines no workload runs, why they stay)
 PARTLY_RUN_KEPT = {
-    "dualquat.dq_mul": (2, UNSENT),                        # a drifted product
-    "dualquat._renormalize_drifted": (6, UNSENT),          # a drifted lane
     "feasibility.FeasibilityMap.lookup": (1, UNSENT),      # a pose outside the map
     "geometry.segment_segment_distance": (3, UNSENT),      # a zero-length segment
     "geometry.collision_index_points": (1, UNSENT),        # two links that touch
@@ -88,14 +85,11 @@ PARTLY_RUN_KEPT = {
     "lfd.sample_pieces": (1, UNSENT),                      # no pieces
     "lfd.sample_lanes": (1, UNSENT),                       # a one-pose demonstration
     "lfd.retarget_sides": (1, UNSENT),                     # constant-pose skills only
-    "rl_core.Mlp.forward_one": (1, UNSENT),                # a batch
-    "rl_core.GaussianPolicy.act": (1, UNSENT),             # one observation
     "rl_core.ppo_update": (8, SAFETY),
     "switch_agent.lfd_joint_candidates": (1, GENERAL_CHAINS),
     "switch_agent._min_jump_picks": (1, UNSENT),           # no pose with a candidate
     "switch_agent._resample_rows": (1, UNSENT),            # a one-row window
     "switch_agent.find_bands": (1, UNSENT),                # an infeasible head or tail
-    "trajectory.JointTrajectory.__post_init__": (3, UNSENT),   # no annotations
     "workcell.Workcell.__post_init__": (2, SCENES),        # stations
     # an edge above COLLISION_RES_DEG, a configuration never hit, a held segment
     "workcell.execute": (5, UNSENT),
@@ -118,7 +112,8 @@ def unrun(tool):
 
 
 def platform() -> str:
-    # the drift branches of dualquat run or not as the float products round
+    # which branches a round runs (a tie, a touch, a threshold) follows its
+    # float results, and another numpy build may round them otherwise
     return f"(numpy {np.__version__}; the lists were taken with numpy 2.4.6)"
 
 
