@@ -51,6 +51,7 @@ from hybridplan.kinematics import (
     ee_state,
     fk,
     fk_frames,
+    frame_points,
     ik_attempt,
     ik_descend,
     jacobian,
@@ -425,6 +426,16 @@ def _configs(model, n):
 
 def test_collision_index(benchmark, model, cell):
     theta = np.array([0.1, 0.2, -0.3])        # reaching through the slot
+    assert benchmark(collision_index, model, theta, cell.obstacles) == 0
+
+
+def test_collision_index_self_pair(benchmark, model, cell):
+    # folded back: the broad phase keeps link 1 and link 3, 0.115 m apart and
+    # so clear of their summed radii, and drops every capsule-box pair
+    theta = np.array([np.pi / 2, 2.6, 1.0])
+    link1, _, link3 = model.capsules
+    a, b, c, d = frame_points(model, theta)[[1, 2, 3, 4]].tolist()
+    assert not geometry._apart(a, b, c, d, link1.radius + link3.radius)
     assert benchmark(collision_index, model, theta, cell.obstacles) == 0
 
 

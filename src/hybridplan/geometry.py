@@ -5,13 +5,16 @@ every obstacle is a ``Box``: any other raises TypeError.  All checks are
 discrete per-configuration; trajectory-level safety comes from checking
 interpolated waypoints at fine joint-space resolution.
 
-``collision_index`` checks one configuration on plain floats and stops at the
-first contact; ``segment_box_distance``, the largest part of a check, runs
-on Python floats.  ``collision_index_lanes`` checks an (N, dof)
-array of configurations at once: frame points from one lane ``_chain_eval``,
-then every (configuration, capsule, box) and (configuration, capsule
-pair) triple as one row of a batched distance evaluation with the scalar
-primitives' arithmetic, so its verdict equals the scalar one on every row.
+``collision_index`` checks one configuration: the float broad phase, then
+each capsule-box pair it keeps with ``segment_box_distance`` on Python
+floats, stopping at the first contact, then every capsule pair it keeps in
+one ``_segment_segment_lanes`` call, the one capsule-pair kernel of both
+checks.  ``collision_index_lanes`` checks an (N, dof) array of
+configurations at once: frame points from one lane ``_chain_eval``, then
+every (configuration, capsule, box) and (configuration, capsule pair) triple
+as one row of a batched distance evaluation, ``_segment_box_lanes`` with
+``segment_box_distance``'s arithmetic, so its verdict equals the scalar one
+on every row.
 ``collision_index_points`` is either check on frame points the caller
 already has, so a DRL step that walked the chain once for its observation
 does not walk it again.  ``score_lanes`` gives the normalized
@@ -96,30 +99,6 @@ def obstacle_line(ob) -> str:
 def point_box_distance(p, lo, hi) -> float:
     d = np.maximum(np.maximum(lo - p, 0.0), p - hi)
     return float(np.linalg.norm(d))
-
-
-def segment_segment_distance(p1, q1, p2, q2) -> float:
-    """Closest distance between segments [p1,q1] and [p2,q2] (Ericson)."""
-    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
-    a, e, f = float(d1 @ d1), float(d2 @ d2), float(d2 @ r)
-    if a < 1e-18 and e < 1e-18:
-        return float(np.linalg.norm(r))
-    if a < 1e-18:
-        s, t = 0.0, np.clip(f / e, 0.0, 1.0)
-    else:
-        c = float(d1 @ r)
-        if e < 1e-18:
-            t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-        else:
-            b = float(d1 @ d2)
-            den = a * e - b * b
-            s = np.clip((b * f - c * e) / den, 0.0, 1.0) if den > 1e-18 else 0.0
-            t = (b * s + f) / e
-            if t < 0.0:
-                t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
-            elif t > 1.0:
-                t, s = 1.0, np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
 
 
 def segment_box_distance(p, q, lo, hi) -> float:
@@ -214,8 +193,9 @@ def collision_index(model: RobotModel, theta, obstacles) -> int:
 
 def collision_index_points(model: RobotModel, pts, obstacles):
     """``collision_index`` from given frame points (``frame_points``): an int
-    for one configuration's (dof + 2, 3), stopping at the first contact;
-    (N,) uint8 for lanes (N, dof + 2, 3), equal to the int on every row."""
+    for one configuration's (dof + 2, 3), stopping at the first capsule-box
+    contact; (N,) uint8 for lanes (N, dof + 2, 3), equal to the int on every
+    row."""
     if np.ndim(pts) == 3:
         return _collision_index_lanes(model, pts, obstacles)
     pl = pts.tolist()
@@ -226,15 +206,14 @@ def collision_index_points(model: RobotModel, pts, obstacles):
         for lo, hi, lo_f, hi_f in boxes:
             if not _apart(a, b, lo_f, hi_f, r) and segment_box_distance(p, q, lo, hi) - r <= 0.0:
                 return 1
-    for i in range(len(caps)):
-        pi, qi, ri, fi, ai, bi = caps[i]
-        for j in range(i + 1, len(caps)):
-            pj, qj, rj, fj, aj, bj = caps[j]
-            if set(fi) & set(fj):
-                continue  # adjacent links share a joint and permanently touch
-            if not _apart(ai, bi, aj, bj, ri + rj) and \
-                    segment_segment_distance(pi, qi, pj, qj) <= ri + rj:
-                return 1
+    kept = [(ai, bi, aj, bj, ri + rj)
+            for i, (_, _, ri, fi, ai, bi) in enumerate(caps)
+            for _, _, rj, fj, aj, bj in caps[i + 1:]
+            # adjacent links share a joint and permanently touch
+            if not set(fi) & set(fj) and not _apart(ai, bi, aj, bj, ri + rj)]
+    if kept:
+        p1, q1, p2, q2, reach = map(np.array, zip(*kept))
+        return int(np.any(_segment_segment_lanes(p1, q1, p2, q2) <= reach))
     return 0
 
 
@@ -277,8 +256,9 @@ def _segment_box_lanes(p, q, lo, hi) -> np.ndarray:
 
 
 def _segment_segment_lanes(p1, q1, p2, q2) -> np.ndarray:
-    """``segment_segment_distance`` (Ericson) row by row over (R, 3) arrays:
-    every branch is computed and the scalar's branch is selected per row."""
+    """Closest distance between the segments [p1, q1] and [p2, q2] (Ericson)
+    row by row over (R, 3) arrays: every branch of the one-pair form is
+    computed and its branch is selected per row."""
     d1, d2, r = q1 - p1, q2 - p2, p1 - p2
     a, e, f = _lane_dot(d1, d1), _lane_dot(d2, d2), _lane_dot(d2, r)
     c, b = _lane_dot(d1, r), _lane_dot(d1, d2)

@@ -115,9 +115,7 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
             raise ValueError(f"joint {i} axis must be finite, got {axis.tolist()}")
         n = np.linalg.norm(axis)
         if abs(n - 1.0) > 1e-6:
-            if n < 1e-9:
-                raise ValueError("joint axis must be nonzero")
-            axis = axis / n
+            raise ValueError(f"joint {i} axis must have unit length, got norm {n}")
         lo, hi = float(limits[0]), float(limits[1])
         if not lo < hi:
             raise ValueError(f"joint limits must satisfy lo < hi, got [{lo}, {hi}]")

@@ -146,15 +146,13 @@ def sample_pieces(pieces) -> list:
 
 def sample_lanes(poses, params, us) -> np.ndarray:
     """Poses at normalized arc parameters ``us`` by piecewise screw
-    interpolation, as (len(us), 8) lanes.
+    interpolation over two or more poses, as (len(us), 8) lanes.
 
     A parameter on a knot, or in a span shorter than 1e-15, takes the knot's
     pose; the others are interpolated in one ``dq_sclerp_lanes`` call.
     """
     lanes = dq_to_lanes(poses)
     us = np.clip(np.asarray(us, dtype=float), 0.0, 1.0)
-    if len(lanes) == 1:
-        return np.repeat(lanes, len(us), axis=0)
     return _sample_spans(lanes, params, us, _span_starts(params, us, len(lanes)))
 
 

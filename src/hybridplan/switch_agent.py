@@ -186,8 +186,6 @@ def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTraject
 
 
 def _resample_rows(arr: np.ndarray, k: int) -> np.ndarray:
-    if len(arr) == 1:
-        return np.repeat(arr, k, axis=0)
     pos = np.linspace(0, len(arr) - 1, k)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, len(arr) - 1)

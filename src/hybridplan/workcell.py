@@ -9,11 +9,11 @@ inter-waypoint joint step exceeding the smoothness bound while holding).
 checks: the waypoints and their interpolants, each edge split at
 ``COLLISION_RES_DEG`` by the rule stated in ``hybridplan.trajectory``
 (``_checked_configs``, shared with ``count_path_collisions``).  That walk
-gives every checked configuration's collision verdict and, at the
-waypoints' rows, each point's end-effector position, Euler angles and
-manipulability.  Each critical configuration's first hit at or after the
-previous one's is found with a lane mask; the scalar scan it replaces is
-the test reference.
+gives every checked configuration's collision verdict, end-effector
+position, Euler angles and manipulability, and the waypoints' rows are read
+out of those lanes by index, with or without inserted rows.  Each critical
+configuration's first hit at or after the previous one's is found with a
+lane mask; the scalar scan it replaces is the test reference.
 
 A workcell file holds ``records`` lines keyed as in ``WORKCELL_FIELDS``: the
 ``name``, the ``workspace`` corners, a ``box`` (id, corners) per obstacle and
@@ -117,11 +117,6 @@ def _checked_configs(model, points):
     return subdivide(points, np.radians(COLLISION_RES_DEG))
 
 
-def _at(values, rows):
-    """A tuple of ``_chain_eval`` lanes at ``rows``; a constant stays a float."""
-    return tuple(v[rows] if np.ndim(v) else v for v in values)
-
-
 def count_path_collisions(model, points, obstacles):
     """Collisions over waypoints plus interpolated configs at
     ``COLLISION_RES_DEG``."""
@@ -142,17 +137,16 @@ class ExecutionReport:
 
 def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
             criteria: SuccessCriteria, task: Task) -> ExecutionReport:
-    """Score a joint trajectory against a task in a workcell."""
+    """Score a joint trajectory against a task in a workcell.
+
+    One lane walk over ``_checked_configs`` gives the collision count over
+    every checked configuration; the pose hits, the manipulability of
+    ``r_s`` and its collision terms are read at the waypoints' rows."""
     points = traj.points
-    # one lane walk over the checked configurations: their collision
-    # verdicts, and each point's EE state and manipulability at its row
     checked, at = _checked_configs(model, points)
     axes, origins, _, q, p = _chain_eval(model, checked)
     verdicts = collision_index_points(model, _frame_points_raw(origins, p), cell.obstacles)
-    if len(checked) > len(points):
-        axes, origins = [_at(a, at) for a in axes], [_at(o, at) for o in origins]
-        q, p = _at(q, at), _at(p, at)
-    ee_pos, ee_euler = np.stack(p, axis=1), quat_to_euler(q)
+    ee_pos, ee_euler = np.stack(p, axis=1)[at], quat_to_euler(q)[:, at]
     configs = dq_to_lanes(task.configs)
     targets = dq_translation(configs)
     hits = []
@@ -173,7 +167,7 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
     hits += [None] * (len(task.configs) - len(hits))
 
     collisions = int(np.sum(verdicts))
-    man = _normalized_manipulability_raw(model, axes, origins, p)
+    man = _normalized_manipulability_raw(model, axes, origins, p)[at]
     r_s = float(np.sum(man - verdicts[at]))
 
     # a held segment drops the payload on any step above the smoothness bound

@@ -49,6 +49,11 @@
   ``geometry.raycast_many`` runs one axis-first slab pass over every box and
   divides parallel components by +0.0.  ``raycast``
   casts one ray.
+* Capsule pairs: ``segment_segment_distance`` is Ericson's closest distance
+  between two segments on numpy 3-vectors, one pair and one branch at a
+  time; the library's ``geometry._segment_segment_lanes``, which both
+  collision checks call, computes every branch over rows and selects one
+  per row.
 * Collision broad phase: ``without_broad_phase`` runs a check of the
   library with every capsule-box and capsule-capsule pair sent to the exact
   distance.
@@ -803,6 +808,33 @@ def raycast(origin, direction, obstacles, max_range) -> float:
     if max_range <= 0:
         raise ValueError("max_range must be positive")
     return float(raycast_many(origin, direction[None, :], obstacles, max_range)[0])
+
+
+# ------------------------------------------------------------------ #
+# Capsule-pair distance
+# ------------------------------------------------------------------ #
+def segment_segment_distance(p1, q1, p2, q2) -> float:
+    """Closest distance between segments [p1,q1] and [p2,q2] (Ericson)."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, e, f = float(d1 @ d1), float(d2 @ d2), float(d2 @ r)
+    if a < 1e-18 and e < 1e-18:
+        return float(np.linalg.norm(r))
+    if a < 1e-18:
+        s, t = 0.0, np.clip(f / e, 0.0, 1.0)
+    else:
+        c = float(d1 @ r)
+        if e < 1e-18:
+            t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
+        else:
+            b = float(d1 @ d2)
+            den = a * e - b * b
+            s = np.clip((b * f - c * e) / den, 0.0, 1.0) if den > 1e-18 else 0.0
+            t = (b * s + f) / e
+            if t < 0.0:
+                t, s = 0.0, np.clip(-c / a, 0.0, 1.0)
+            elif t > 1.0:
+                t, s = 1.0, np.clip((b - c) / a, 0.0, 1.0)
+    return float(np.linalg.norm(p1 + s * d1 - (p2 + t * d2)))
 
 
 # ------------------------------------------------------------------ #

@@ -18,7 +18,6 @@ from hybridplan.geometry import (
     ray_bundle_lanes,
     score_lanes,
     segment_box_distance,
-    segment_segment_distance,
     slab_table,
 )
 from hybridplan.kinematics import (
@@ -31,7 +30,7 @@ from hybridplan.kinematics import (
     planar_rr,
 )
 from hybridplan.scenarios import wall_slot
-from scalar_reference import raycast, without_broad_phase
+from scalar_reference import raycast, segment_segment_distance, without_broad_phase
 from scalar_reference import raycast_many as reference_raycast_many
 from test_kinematics import seven_dof
 
@@ -59,18 +58,22 @@ def test_segment_box_distance_matches_point_oracle():
 
 
 def test_segment_segment_distance_cases():
-    # parallel unit-separated segments
-    d = segment_segment_distance(np.array([0.0, 0, 0]), np.array([1.0, 0, 0]),
-                                 np.array([0.0, 1, 0]), np.array([1.0, 1, 0]))
-    assert d == pytest.approx(1.0)
-    # crossing at right angles with z gap
-    d = segment_segment_distance(np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]),
-                                 np.array([0.0, -1, 0.5]), np.array([0.0, 1, 0.5]))
-    assert d == pytest.approx(0.5)
-    # degenerate: both points
-    d = segment_segment_distance(np.array([0.0, 0, 0]), np.array([0.0, 0, 0]),
-                                 np.array([3.0, 4, 0]), np.array([3.0, 4, 0]))
-    assert d == pytest.approx(5.0)
+    cases = [
+        # parallel unit-separated segments
+        ([0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0], 1.0),
+        # crossing at right angles with z gap
+        ([-1.0, 0, 0], [1.0, 0, 0], [0.0, -1, 0.5], [0.0, 1, 0.5], 0.5),
+        # degenerate: both points
+        ([0.0, 0, 0], [0.0, 0, 0], [3.0, 4, 0], [3.0, 4, 0], 5.0),
+    ]
+    *ends, _ = (np.array(column, dtype=float) for column in zip(*cases))
+    batch = _segment_segment_lanes(*ends)
+    for k, (*row, want) in enumerate(cases):
+        d = segment_segment_distance(*map(np.array, row))
+        assert d == pytest.approx(want)
+        # the kernel both collision checks call: one row of a batch, and alone
+        assert batch[k] == d
+        assert _segment_segment_lanes(*(e[k:k + 1] for e in ends))[0] == d
 
 
 # ------------------------------------------------------------------ #

@@ -617,7 +617,11 @@ def _edited_robot_file(old, new):
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: _robot(axis=np.zeros(3)), "joint axis must be nonzero", id="zero_axis"),
+    pytest.param(lambda: _robot(axis=np.zeros(3)),
+                 r"joint 1 axis must have unit length, got norm 0\.0", id="zero_axis"),
+    # refused, not rescaled: the unit rule is checked where the axis is read
+    pytest.param(lambda: _robot(axis=[0.0, 0.0, 2.0]),
+                 r"joint 1 axis must have unit length, got norm 2\.0", id="scaled_axis"),
     pytest.param(lambda: _robot(home=[0.0]), "home configuration dimension mismatch",
                  id="home_length"),
     pytest.param(lambda: _robot(home=[0.0, 4.0]), "home configuration violates joint limits",

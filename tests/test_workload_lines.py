@@ -62,7 +62,6 @@ NOT_ENTERED_KEPT = {
         "kinematics.planar_rr", "switch_agent.brute_force_switches",
         "workcell.wilson_interval", "workcell.bench"]},
     "geometry._face_planes": UNSENT,                       # a ray origin on a face plane
-    "workcell._at": UNSENT,                                # an edge above COLLISION_RES_DEG
     **{name: PROTOCOL for name in [
         "dualquat.DualQuaternion.__repr__", "rl_core.Mlp.__getstate__",
         "rl_core.Mlp.__setstate__"]},
@@ -72,27 +71,22 @@ NOT_ENTERED_KEPT = {
 # qualified name -> (lines no workload runs, why they stay)
 PARTLY_RUN_KEPT = {
     "feasibility.FeasibilityMap.lookup": (1, UNSENT),      # a pose outside the map
-    "geometry.segment_segment_distance": (3, UNSENT),      # a zero-length segment
-    "geometry.collision_index_points": (1, UNSENT),        # two links that touch
     "geometry.raycast_many": (1, UNSENT),                  # a ray origin on a face plane
     "kinematics.RobotModel.ee_dof": (1, GENERAL_CHAINS),
-    "kinematics.make_robot": (2, UNSENT),                  # a joint axis not of unit length
     "kinematics._jacobian_raw": (2, GENERAL_CHAINS),
     "kinematics._pose_error_lanes": (2, GENERAL_CHAINS),
     "kinematics.ik_descend": (1, UNSENT),                  # every lane done before max_iters
     "kinematics._planar_arm": (2, GENERAL_CHAINS),
     "kinematics.closed_form_branches": (1, GENERAL_CHAINS),
     "lfd.sample_pieces": (1, UNSENT),                      # no pieces
-    "lfd.sample_lanes": (1, UNSENT),                       # a one-pose demonstration
     "lfd.retarget_sides": (1, UNSENT),                     # constant-pose skills only
     "rl_core.ppo_update": (8, SAFETY),
     "switch_agent.lfd_joint_candidates": (1, GENERAL_CHAINS),
     "switch_agent._min_jump_picks": (1, UNSENT),           # no pose with a candidate
-    "switch_agent._resample_rows": (1, UNSENT),            # a one-row window
     "switch_agent.find_bands": (1, UNSENT),                # an infeasible head or tail
     "workcell.Workcell.__post_init__": (2, SCENES),        # stations
-    # an edge above COLLISION_RES_DEG, a configuration never hit, a held segment
-    "workcell.execute": (5, UNSENT),
+    # a configuration never hit, a held segment
+    "workcell.execute": (3, UNSENT),
 }
 
 
