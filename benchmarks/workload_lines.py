@@ -10,7 +10,7 @@ report has one line per function of ``src/hybridplan`` with a line that
 none of the rounds executed, in module and line order:
 
     geometry.collision_index_points: 251-252, 260
-    lfd.load_library: not entered
+    rl_core.load_checkpoint: not entered
 
 A function's lines are the lines of its code object and of the
 comprehensions, generator expressions and lambdas inside it, its ``def``

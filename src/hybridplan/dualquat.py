@@ -34,20 +34,19 @@ The inverse functions do not carry over: numpy 2.4.6's AVX-512 loops for
 contiguous or strided.  So ``_euler_floats``, the Euler angles of the
 one-lane DRL step, works its arguments on floats and its angles in numpy.
 The pose constructors refuse a non-finite position or rotation.  The
-8-vector readers (``DualQuaternion.from_array``, ``dq_from_lanes``) refuse a
-non-finite entry, and a pose that is not a unit dual quaternion: one whose
-drift, the larger of ``| |real| - 1 |`` and ``|real . dual|``, is above
-``UNIT_TOL``.  That is the one place the unit rule is checked.  A product of
-unit poses is unit to rounding (over the benchmark's workloads no product
-drifts by more than 1e-15), so no product checks or renormalizes its result,
-and ``DualQuaternion(real, dual)`` takes its parts as given.
+8-vector reader ``DualQuaternion.from_array`` refuses a non-finite entry,
+and a pose that is not a unit dual quaternion: one whose drift, the larger
+of ``| |real| - 1 |`` and ``|real . dual|``, is above ``UNIT_TOL``.  That
+is the one place the unit rule is checked.  A product of unit poses is unit
+to rounding (over the benchmark's workloads no product drifts by more than
+1e-15), so no product checks or renormalizes its result, and
+``DualQuaternion(real, dual)`` takes its parts as given.
 
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
 one pose format below the planners' entry points, which convert poses with
-``dq_to_lanes`` (``dq_from_lanes`` goes back).  ``dq_translation`` is the one
-translation rule.  ``dq_mul_lanes`` is ``dq_mul`` on every lane, with the
-same terms in the same order, and ``dq_sclerp`` is the one-lane case of
-``dq_sclerp_lanes``.
+``dq_to_lanes``.  ``dq_translation`` is the one translation rule.
+``dq_mul_lanes`` is ``dq_mul`` on every lane, with the same terms in the
+same order, and ``dq_sclerp`` is the one-lane case of ``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
@@ -262,7 +261,7 @@ class DualQuaternion:
 def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Rigid-transform composition: apply b, then a.  The product of unit
     poses is returned as it rounds; the unit rule is checked where a pose is
-    read (``DualQuaternion.from_array``, ``dq_from_lanes``)."""
+    read (``DualQuaternion.from_array``)."""
     real = quat_mul(a.real, b.real)
     dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
     return DualQuaternion(real, dual)
@@ -295,12 +294,6 @@ def dq_translation(lanes) -> np.ndarray:
     if isinstance(tx, float):        # one pose
         return np.array((2.0 * tx, 2.0 * ty, 2.0 * tz))
     return 2.0 * np.array((tx, ty, tz)).T
-
-
-def dq_from_lanes(lanes: np.ndarray) -> list:
-    """(N, 8) lanes -> list of DualQuaternions (views into ``lanes``)."""
-    _refuse_non_unit(lanes)
-    return [DualQuaternion(row[:4], row[4:]) for row in lanes]
 
 
 def _refuse_non_unit(a: np.ndarray) -> None:

@@ -88,7 +88,7 @@ def _checked(obstacles):
 
 
 def obstacle_line(ob) -> str:
-    """The record line of a Box, as in a workcell file."""
+    """The record line of a Box, the bytes ``obstacles_signature`` hashes."""
     _checked([ob])
     return records.line("box", ob.id, ob.lo, ob.hi)
 

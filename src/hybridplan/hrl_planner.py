@@ -28,11 +28,9 @@ The plan's poses are those (N, 8) lanes; no pose object is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from hybridplan import records
 from hybridplan.dualquat import _lane_dot, _qmul, dq_to_lanes, dq_translation
 from hybridplan.lfd import (
     BETA_RESAMPLE,
@@ -117,32 +115,6 @@ class QTables:
         if vals[best] <= SENTINEL:
             raise ValueError(f"no admissible skill for segment {seg}")
         return skill_ids[best]
-
-
-# fields after the key on each line of a Q-table file
-TABLE_FIELDS = {"Q": 5, "q": 6}
-
-
-def serialize_tables(tables: QTables) -> str:
-    return records.text(
-        [records.line("Q", *state, *seg, v) for (state, seg), v in sorted(tables.task_q.items())]
-        + [records.line("q", *state, *seg, skill, v)
-           for (state, seg, skill), v in sorted(tables.motion_q.items())])
-
-
-def save_tables(tables: QTables, path) -> None:
-    Path(path).write_text(serialize_tables(tables))
-
-
-def load_tables(path) -> QTables:
-    tables = QTables()
-    for key, f in records.read_keyed(Path(path).read_text(), TABLE_FIELDS, "Q-table"):
-        state, seg = (int(f[0]), int(f[1])), (int(f[2]), int(f[3]))
-        if key == "Q":
-            tables.task_q[(state, seg)] = float(f[4])
-        else:
-            tables.motion_q[(state, seg, f[4])] = float(f[5])
-    return tables
 
 
 # ------------------------------------------------------------------ #

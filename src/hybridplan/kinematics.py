@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -120,6 +119,13 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
         if not lo < hi:
             raise ValueError(f"joint limits must satisfy lo < hi, got [{lo}, {hi}]")
         jlist.append(Joint(axis, offset, (lo, hi)))
+    if task not in ("spatial", "planar"):
+        raise ValueError(f"unknown task space '{task}'")
+    for c in capsules:
+        if not (0 <= c.frame_a <= len(jlist) + 1 and 0 <= c.frame_b <= len(jlist) + 1):
+            raise ValueError("capsule frame index out of range")
+        if not 0.0 < c.radius < math.inf:
+            raise ValueError("capsule radius must be positive and finite")
     tool = tool if tool is not None else DualQuaternion.identity()
     home = np.zeros(len(jlist)) if home is None else np.asarray(home, dtype=float)
     if home.shape != (len(jlist),):
@@ -515,9 +521,6 @@ def closed_form_branches(model: RobotModel, lanes, tol_pos):
     return np.where(keep[..., None], np.clip(th, lo, hi), np.nan)
 
 
-# ------------------------------------------------------------------ #
-# Robot model file: structured text
-# ------------------------------------------------------------------ #
 def serialize_robot(model: RobotModel) -> str:
     lines = [records.line("name", model.name), records.line("dof", model.dof),
              records.line("task", model.task)]
@@ -529,60 +532,6 @@ def serialize_robot(model: RobotModel) -> str:
     lines += [records.line("capsule", c.frame_a, c.frame_b, c.radius) for c in model.capsules]
     lines.append(records.line("home_deg", *("%.10g" % h for h in np.degrees(model.home))))
     return records.text(lines)
-
-
-def save_robot(model: RobotModel, path) -> None:
-    Path(path).write_text(serialize_robot(model))
-
-
-# fields after the key on each robot-file line; None: one per joint
-ROBOT_FIELDS = {"name": 1, "dof": 1, "task": 1, "joint": 16, "tool": 8, "capsule": 3,
-                "home_deg": None}
-
-
-def parse_robot(text: str) -> RobotModel:
-    name, task, tool, home, home_deg = "robot", "spatial", None, None, None
-    joints, capsules = [], []
-    dof_declared = None
-    for key, f in records.read_keyed(text, ROBOT_FIELDS, "robot"):
-        if key == "name":
-            name = f[0]
-        elif key == "dof":
-            dof_declared = int(f[0])
-        elif key == "task":
-            if f[0] not in ("spatial", "planar"):
-                raise ValueError(f"unknown task space '{f[0]}'")
-            task = f[0]
-        elif key == "joint":
-            if f[0] != "axis" or f[4] != "offset" or f[13] != "limits_deg":
-                raise records.bad_line("robot", [key, *f],
-                                       "expected 'axis', 'offset' and 'limits_deg' fields")
-            lims = (np.radians(float(f[14])), np.radians(float(f[15])))
-            joints.append((np.array(f[1:4], dtype=float), DualQuaternion.from_array(f[5:13]), lims))
-        elif key == "tool":
-            tool = DualQuaternion.from_array(f)
-        elif key == "capsule":
-            capsules.append(LinkCapsule(int(f[0]), int(f[1]), float(f[2])))
-        else:
-            home_deg = f
-    if dof_declared is not None and dof_declared != len(joints):
-        raise ValueError(f"declared dof {dof_declared} != {len(joints)} joint lines")
-    if home_deg is not None:
-        if len(home_deg) != len(joints):
-            raise records.bad_line("robot", ["home_deg", *home_deg],
-                                   f"'home_deg' takes one field per joint ({len(joints)}), "
-                                   f"got {len(home_deg)}")
-        home = np.radians(np.array(home_deg, dtype=float))
-    for c in capsules:
-        if not (0 <= c.frame_a <= len(joints) + 1 and 0 <= c.frame_b <= len(joints) + 1):
-            raise ValueError("capsule frame index out of range")
-        if not 0.0 < c.radius < math.inf:
-            raise ValueError("capsule radius must be positive and finite")
-    return make_robot(name, joints, tool, capsules, home, task)
-
-
-def load_robot(path) -> RobotModel:
-    return parse_robot(Path(path).read_text())
 
 
 def robot_hash(model: RobotModel) -> str:

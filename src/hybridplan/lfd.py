@@ -27,21 +27,17 @@ served.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from hybridplan import records
 from hybridplan.dualquat import (
     DualQuaternion,
     _lane_dot,
     dq_conjugate_lanes,
-    dq_from_lanes,
     dq_mul_lanes,
     dq_sclerp_lanes,
     dq_to_lanes,
@@ -226,43 +222,6 @@ class SkillLibrary:
 
     def ids(self) -> list:
         return sorted(self.skills)
-
-
-_TAG = re.compile(r"[^\s,#]+")
-
-
-def save_demonstration(demo: Demonstration, path) -> None:
-    """Write ``demo`` as a header line and one 8-scalar pose per line.
-
-    Raises ValueError, before writing, for an id or tag that
-    ``load_demonstration`` could not read back: an empty one, one with
-    whitespace or '#' (refused by ``records.line``), or a tag with a comma.
-    """
-    for tag in demo.tags:
-        if not isinstance(tag, str) or not _TAG.fullmatch(tag):
-            raise ValueError(f"demonstration tag {tag!r} must be nonempty, "
-                             "without whitespace, '#' or commas")
-    head = ["id", demo.id] + (["tags", ",".join(demo.tags)] if demo.tags else [])
-    records.write(path, [records.line(*head)] + [records.line(row) for row in demo.lanes])
-
-
-def load_demonstration(path) -> Demonstration:
-    header, _, body = Path(path).read_text().partition("\n")
-    m = re.fullmatch(r"id\s+(\S+)(?:\s+tags\s+(\S+))?", header.strip())
-    if not m:
-        raise ValueError(f"malformed demonstration header: {header.strip()!r}")
-    tags = tuple(m.group(2).split(",")) if m.group(2) else ()
-    lanes = records.read_table(body, 8, "demonstration")
-    return Demonstration(m.group(1), dq_from_lanes(lanes), tags)
-
-
-def load_library(directory) -> SkillLibrary:
-    lib = SkillLibrary()
-    for path in sorted(Path(directory).glob("*.demo")):
-        lib.add(load_demonstration(path))
-    if not lib.skills:
-        raise ValueError(f"no .demo files found in {directory}")
-    return lib
 
 
 # ------------------------------------------------------------------ #

@@ -1,10 +1,11 @@
-"""Record lines and binary records, the two layouts of every artifact file.
+"""Record lines, the canonical text that model hashes are taken over, and
+binary records, the layout of every artifact file.
 
-A record line is whitespace-separated fields; a ``#`` starts a comment that
-runs to the end of the line, and a line left empty is skipped.  A keyword
-file starts each record with a keyword whose field count its table fixes; a
-table file holds bare numeric rows of one width.  Numbers are written with
-``%.17g``, which reads back bit for bit.
+A record line (``line``) is whitespace-separated fields, numbers written with
+``%.17g``, which reads back bit for bit; ``text`` joins lines.  They give the
+canonical bytes that ``kinematics.robot_hash`` and
+``feasibility.obstacles_signature`` hash, so a stored map names the robot
+and the obstacles it was built for.
 
 A binary record (``pack``/``unpack``) holds a metadata dict and a list of
 arrays.  After the magic bytes, the version, counts, lengths (in bytes) and
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -45,45 +45,6 @@ def line(*fields) -> str:
 
 def text(lines) -> str:
     return "".join(f"{ln}\n" for ln in lines)
-
-
-def write(path, lines) -> None:
-    """Write ``lines``; a refused field raises before the file is opened."""
-    Path(path).write_text(text(lines))
-
-
-def bad_line(what: str, tokens, why: str) -> ValueError:
-    return ValueError(f"{what} line {' '.join(tokens)!r}: {why}")
-
-
-def _records(content: str):
-    for raw in content.splitlines():
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            yield tokens
-
-
-def read_keyed(content: str, table: dict, what: str):
-    """Yield ``(keyword, fields)`` per record; ``table`` maps each keyword to
-    its field count (None: any).  An unknown keyword or a wrong count raises
-    ValueError quoting the line."""
-    for key, *fields in _records(content):
-        if key not in table:
-            raise bad_line(what, [key, *fields], f"unknown {what}-file key {key!r}")
-        n = table[key]
-        if n is not None and len(fields) != n:
-            raise bad_line(what, [key, *fields], f"{key!r} takes {n} fields, got {len(fields)}")
-        yield key, fields
-
-
-def read_table(content: str, width: int, what: str) -> np.ndarray:
-    """The ``(N, width)`` float array of bare numeric rows; a row of another
-    width raises ValueError quoting it."""
-    rows = list(_records(content))
-    for tokens in rows:
-        if len(tokens) != width:
-            raise bad_line(what, tokens, f"takes {width} scalars, got {len(tokens)}")
-    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _u4(*values) -> bytes:

@@ -161,27 +161,3 @@ def tray_sorting():
 SCENES = {"open": open_workspace, "wall_slot": wall_slot,
           "tray_sorting": tray_sorting}
 
-
-def write_scene(scene: dict, out_dir) -> dict:
-    """Emit the scene as files (robot, workcell, tasks/, library/); returns
-    the path map."""
-    from pathlib import Path
-
-    from hybridplan.kinematics import save_robot
-    from hybridplan.lfd import save_demonstration
-    from hybridplan.task import save_task
-    from hybridplan.workcell import save_workcell
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {"robot": out / "robot.txt", "workcell": out / "workcell.txt",
-             "tasks": out / "tasks", "library": out / "library"}
-    save_robot(scene["robot"], paths["robot"])
-    save_workcell(scene["cell"], paths["workcell"])
-    paths["tasks"].mkdir(exist_ok=True)
-    for task in scene["tasks"]:
-        save_task(task, paths["tasks"] / f"{task.id}.task")
-    paths["library"].mkdir(exist_ok=True)
-    for sid in scene["library"].ids():
-        save_demonstration(scene["library"][sid], paths["library"] / f"{sid}.demo")
-    return paths

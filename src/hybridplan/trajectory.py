@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hybridplan import records
-
 SOURCE_LFD, SOURCE_DRL = 0, 1
 
 
@@ -81,10 +79,3 @@ def subdivide(points, bound, most=np.inf):
     rows[at] = points
     return rows, at
 
-
-def save_joint_trajectory(traj: JointTrajectory, path) -> None:
-    """Write ``traj`` as a ``# joints N success 0|1`` header, then one table
-    row per point: its N joint values, source, man (to 6 digits) and col."""
-    head = f"# joints {traj.points.shape[1]} success {int(traj.success)}"
-    records.write(path, [head] + [records.line(p, s, "%.6g" % m, c) for p, s, m, c
-                                  in zip(traj.points, traj.source, traj.man, traj.col)])

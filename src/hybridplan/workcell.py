@@ -14,26 +14,15 @@ position, Euler angles and manipulability, and the waypoints' rows are read
 out of those lanes by index, with or without inserted rows.  Each critical
 configuration's first hit at or after the previous one's is found with a
 lane mask; the scalar scan it replaces is the test reference.
-
-A workcell file holds ``records`` lines keyed as in ``WORKCELL_FIELDS``: the
-``name``, the ``workspace`` corners, a ``box`` (id, corners) per obstacle and
-a ``station`` (label, 8 dual-quaternion terms) per station; no other key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from hybridplan import records
-from hybridplan.dualquat import DualQuaternion, dq_to_lanes, dq_translation, quat_to_euler
-from hybridplan.geometry import (
-    Box,
-    collision_index_lanes,
-    collision_index_points,
-    obstacle_line,
-)
+from hybridplan.dualquat import dq_to_lanes, dq_translation, quat_to_euler
+from hybridplan.geometry import collision_index_lanes, collision_index_points
 from hybridplan.kinematics import (
     RobotModel,
     _chain_eval,
@@ -46,8 +35,6 @@ from hybridplan.trajectory import JointTrajectory, edge_steps, subdivide
 
 COLLISION_RES_DEG = 2.0     # interpolation resolution for path checking
 SMOOTH_BOUND_DEG = 2.0      # max joint step while holding a payload
-# fields after the key on each line of a workcell file
-WORKCELL_FIELDS = {"name": 1, "workspace": 6, "box": 7, "station": 9}
 
 
 @dataclass(eq=False)
@@ -80,30 +67,6 @@ class SuccessCriteria:
     def __post_init__(self):
         if not (self.pos_tol > 0 and self.rot_tol > 0):      # NaN fails too
             raise ValueError("tolerances must be positive")
-
-
-def save_workcell(cell: Workcell, path) -> None:
-    records.write(path, [
-        records.line("name", cell.name), records.line("workspace", cell.box_lo, cell.box_hi),
-        *map(obstacle_line, cell.obstacles),
-        *(records.line("station", label, cell.stations[label].as_array())
-          for label in sorted(cell.stations))])
-
-
-def load_workcell(path) -> Workcell:
-    name, box, obstacles, stations = "cell", None, [], {}
-    for key, f in records.read_keyed(Path(path).read_text(), WORKCELL_FIELDS, "workcell"):
-        if key == "name":
-            name = f[0]
-        elif key == "workspace":
-            box = f
-        elif key == "box":
-            obstacles.append(Box(f[1:4], f[4:], f[0]))
-        else:
-            stations[f[0]] = DualQuaternion.from_array(f[1:])
-    if box is None:
-        raise ValueError("workcell file missing workspace box")
-    return Workcell(name, box[:3], box[3:], obstacles, stations)
 
 
 # ------------------------------------------------------------------ #

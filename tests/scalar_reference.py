@@ -58,17 +58,19 @@
   library with every capsule-box and capsule-capsule pair sent to the exact
   distance.
 
+``serialize_tables`` writes HRL Q-tables as record lines, the text whose
+SHA-256 the HRL tests pin.
+
 The tests compare the two."""
 import itertools
 
 import numpy as np
 
-from hybridplan import lfd
+from hybridplan import lfd, records
 from hybridplan.dualquat import (
     DualQuaternion,
     _qmul,
     dq_conjugate_lanes,
-    dq_from_lanes,
     dq_mul,
     dq_mul_lanes,
     dq_sclerp_lanes,
@@ -80,7 +82,7 @@ from hybridplan.dualquat import (
 from hybridplan.drl_planner import DrlEnv
 from hybridplan import geometry
 from hybridplan.geometry import collision_index, collision_index_lanes, ray_bundle
-from hybridplan.hrl_planner import SENTINEL
+from hybridplan.hrl_planner import QTables, SENTINEL
 from hybridplan.kinematics import (
     _chain_eval,
     closed_form_branches,
@@ -372,7 +374,7 @@ def retarget_lanes(skill: Demonstration, start, goal, n_out) -> list:
     aligned = dq_mul_lanes(g, base)
     residual = dq_mul_lanes(dq_conjugate_lanes(aligned[-1]), goal.as_array())
     corr = dq_sclerp_lanes(_IDENTITY, residual, us)
-    return dq_from_lanes(dq_mul_lanes(aligned, corr))
+    return [DualQuaternion.from_array(row) for row in dq_mul_lanes(aligned, corr)]
 
 
 def slice_skill_lanes(skill: Demonstration, u_lo, u_hi, n) -> Demonstration:
@@ -380,7 +382,8 @@ def slice_skill_lanes(skill: Demonstration, u_lo, u_hi, n) -> Demonstration:
     if params is None:
         return skill
     us = np.linspace(u_lo, u_hi, max(n, 2))
-    return Demonstration(skill.id, dq_from_lanes(sample_lanes(skill.lanes, params, us)))
+    return Demonstration(skill.id, [DualQuaternion.from_array(row)
+                                    for row in sample_lanes(skill.lanes, params, us)])
 
 
 def retarget_through_per_gap(skill: Demonstration, waypoints, points_per_gap: int) -> list:
@@ -851,3 +854,13 @@ def without_broad_phase(check, *args):
         return check(*args)
     finally:
         geometry._apart, geometry._near = kept
+
+
+# ------------------------------------------------------------------ #
+# HRL Q-tables as text
+# ------------------------------------------------------------------ #
+def serialize_tables(tables: QTables) -> str:
+    return records.text(
+        [records.line("Q", *state, *seg, v) for (state, seg), v in sorted(tables.task_q.items())]
+        + [records.line("q", *state, *seg, skill, v)
+           for (state, seg, skill), v in sorted(tables.motion_q.items())])

@@ -8,7 +8,6 @@ import scalar_reference as ref
 from hybridplan import dualquat, lfd
 from hybridplan.dualquat import (
     DualQuaternion,
-    dq_from_lanes,
     dq_mul,
     dq_mul_lanes,
     dq_sclerp,
@@ -365,7 +364,6 @@ def test_workload_products_stay_unit(workloads, hybrid_workloads, monkeypatch):
 def test_readers_accept_a_pose_within_the_unit_tolerance():
     pose = [1.0 + 5e-7, 0, 0, 0, 0, 5e-7, 0, 0]         # both drifts below 1e-6
     assert DualQuaternion.from_array(pose).real[0] == 1.0 + 5e-7
-    assert len(dq_from_lanes(np.array([pose, pose]))) == 2
 
 
 def test_dq_mul_lanes_of_no_lanes():
@@ -393,9 +391,9 @@ def test_sclerp_lanes_antipodal_flip_per_lane():
     us = rng.uniform(0.0, 1.0, 16)
     assert_lanes_match_reference(a, b, us)
     flipped = dq_sclerp_lanes(dq_to_lanes(a), -dq_to_lanes(b), us)
-    for got, want in zip(dq_from_lanes(flipped), dq_from_lanes(
-            dq_sclerp_lanes(dq_to_lanes(a), dq_to_lanes(b), us))):
-        np.testing.assert_allclose(dq_to_homogeneous(got), dq_to_homogeneous(want), atol=1e-9)
+    for got, want in zip(flipped, dq_sclerp_lanes(dq_to_lanes(a), dq_to_lanes(b), us)):
+        np.testing.assert_allclose(dq_to_homogeneous(DualQuaternion.from_array(got)),
+                                   dq_to_homogeneous(DualQuaternion.from_array(want)), atol=1e-9)
 
 
 def test_sclerp_lanes_pure_translation_mixed_with_screws():
@@ -457,8 +455,8 @@ def test_lanes_conversion_roundtrip():
     poses = [random_unit_dq(rng) for _ in range(5)]
     lanes = dq_to_lanes(poses)
     assert lanes.shape == (5, 8) and dq_to_lanes([]).shape == (0, 8)
-    for p, q in zip(poses, dq_from_lanes(lanes)):
-        np.testing.assert_array_equal(p.as_array(), q.as_array())
+    for p, row in zip(poses, lanes):
+        np.testing.assert_array_equal(p.as_array(), DualQuaternion.from_array(row).as_array())
     # one pose gives its 8-vector, an array passes through as float64, and a
     # sequence mixing poses and rows is stacked element by element
     np.testing.assert_array_equal(dq_to_lanes(poses[0]), poses[0].as_array())
@@ -550,14 +548,10 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda: DualQuaternion.from_array(np.zeros(8)),
                  r"pose row 0 drifts 1 from a unit dual quaternion",
                  id="zero_rotation_from_array"),
-    pytest.param(lambda: dq_from_lanes(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0], [0.0] * 8])),
-                 r"pose row 1 drifts 1 from", id="zero_rotation_dq_from_lanes"),
     pytest.param(lambda: DualQuaternion.from_array([1.001, 0, 0, 0, 0, 0, 0, 0]),
                  r"pose row 0 drifts 0.001 from", id="scaled_rotation_from_array"),
-    pytest.param(lambda: dq_from_lanes(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
-                                                 [0.6, 0.8, 0, 0, 0, 0, 0, 0],
-                                                 [0.6, 0.8, 0, 0, 1e-5, 0, 0, 0]])),
-                 r"pose row 2 drifts 6e-06 from", id="oblique_dual_dq_from_lanes"),
+    pytest.param(lambda: DualQuaternion.from_array([0.6, 0.8, 0, 0, 1e-5, 0, 0, 0]),
+                 r"pose row 0 drifts 6e-06 from", id="oblique_dual_from_array"),
     # the pose constructors refuse non-finite input
     pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([NAN, 0, 1.0]), 0.3)),
                  "non-finite rotation", id="nan_axis"),
@@ -588,11 +582,6 @@ NAN, INF = float("nan"), float("inf")
                  r"pose entry \[5\] is nan, not finite", id="nan_from_array"),
     pytest.param(lambda: DualQuaternion.from_array([1.0, 0, 0, -INF, 0, 0, 0, 0]),
                  r"pose entry \[3\] is -inf, not finite", id="inf_from_array"),
-    pytest.param(lambda: dq_from_lanes(np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
-                                                 [1.0, 0, 0, 0, 0, 0, INF, 0]])),
-                 r"pose entry \[1, 6\] is inf, not finite", id="inf_dq_from_lanes"),
-    pytest.param(lambda: dq_from_lanes(np.array([[NAN, 0, 0, 0, 0, 0, 0, 0]])),
-                 r"pose entry \[0, 0\] is nan, not finite", id="nan_dq_from_lanes"),
 ])
 def test_dualquat_refuses(call, match):
     with warnings.catch_warnings():

@@ -1,8 +1,5 @@
 import hashlib
-import re
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +18,7 @@ from hybridplan.hrl_planner import (
     exhaustive_plan,
     extrinsic_reward,
     intrinsic_reward,
-    load_tables,
     plan_lfd,
-    save_tables,
-    serialize_tables,
     train_hrl,
 )
 from hybridplan import lfd
@@ -35,7 +29,7 @@ from hybridplan.lfd import (
     retarget,
     retarget_sides,
 )
-from hybridplan.task import Task, load_task, save_task
+from hybridplan.task import Task
 
 
 def pose(x, y, yaw=0.0):
@@ -167,7 +161,7 @@ def test_lane_jitter_equals_the_per_pose_reference(jitter, planar):
 # round a float differently, so a failure names both versions.
 NUMPY_HINT = f"differs from the pin recorded with numpy 2.4.6 (this run: numpy {np.__version__})"
 
-# SHA-256 of serialize_tables(train_hrl(...)) for the first three tasks of
+# SHA-256 of ref.serialize_tables(train_hrl(...)) for the first three tasks of
 # the skills workload of seeds 1-3, trained as the workload trains them
 # (seed 1000 * seed + task, 32 episodes of workloads.hrl_config()) and under
 # the default HrlConfig (64 episodes), then exhaustive_plan's (reward, plan)
@@ -204,7 +198,7 @@ PINNED = {
 
 def test_training_and_exhaustive_plan_are_pinned_per_seed(workloads, skills_workloads):
     def digest(tables):
-        return hashlib.sha256(serialize_tables(tables).encode()).hexdigest()
+        return hashlib.sha256(ref.serialize_tables(tables).encode()).hexdigest()
 
     for wl in skills_workloads:
         for k, st in enumerate(wl.tasks[:3]):
@@ -496,7 +490,7 @@ def test_train_seed_determinism():
     lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
     t1 = train_hrl([task], lib, episodes=100, seed=42)
     t2 = train_hrl([task], lib, episodes=100, seed=42)
-    assert serialize_tables(t1) == serialize_tables(t2)
+    assert ref.serialize_tables(t1) == ref.serialize_tables(t2)
     assert len(t1.training_curve) == 100
 
 
@@ -633,63 +627,6 @@ def test_small_instance_optimality_sample():
     assert matches >= int(0.95 * trials)
 
 
-# ------------------------------------------------------------------ #
-# persistence
-# ------------------------------------------------------------------ #
-def test_tables_roundtrip(tmp_path):
-    task = Task("t", [pose(0, 0), pose(1, 0), pose(1, 1)])
-    lib = library_of(line_skill("a", 1, 0), line_skill("b", 0, 1))
-    tables = train_hrl([task], lib, episodes=100, seed=5)
-    path = tmp_path / "tables.txt"
-    save_tables(tables, path)
-    loaded = load_tables(path)
-    assert serialize_tables(loaded) == serialize_tables(tables)
-
-
-def test_task_file_roundtrip(tmp_path):
-    task = Task("pick", [pose(0, 0), pose(1, 0, 0.4)], hold=[False, True])
-    path = tmp_path / "task.txt"
-    save_task(task, path)
-    loaded = load_task(path)
-    assert loaded.id == "pick" and loaded.hold == [False, True]
-    for a, b in zip(task.configs, loaded.configs):
-        assert chordal_distance(a, b) == 0.0
-
-
-IDENTITY = "1 0 0 0 0 0 0 0"
-
-
-def _load_task_text(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "task.txt"
-        path.write_text(text)
-        return load_task(path)
-
-
-@pytest.mark.parametrize("bad", [
-    f"config {IDENTITY} 0 hold 1",         # a 9th number
-    f"config {IDENTITY} hold 2",
-    f"config {IDENTITY} hold 1 extra",
-])
-def test_load_task_rejects_a_malformed_config_line(tmp_path, bad):
-    path = tmp_path / "task.txt"
-    path.write_text(f"task t\nconfig {IDENTITY} hold 0\n{bad}\n")
-    with pytest.raises(ValueError, match="task line"):
-        load_task(path)
-
-
-@pytest.mark.parametrize("bad", [
-    "Q 1 2 3",                             # two fields short
-    "Q 1 2 3 4 5 6 7",                     # two fields too many
-    "X 1 2",                               # unknown keyword
-])
-def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
-    path = tmp_path / "tables.txt"
-    path.write_text(f"Q 0 -1 0 1 0.5\nq 0 -1 0 1 a 0.25\n{bad}\n")
-    with pytest.raises(ValueError, match=re.escape(f"Q-table line {bad!r}")):
-        load_tables(path)
-
-
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: intrinsic_reward(line_skill("s", 1.0, 0.0), [pose(0, 0)]),
                  "segment needs at least 2 poses", id="one_pose_segment"),
@@ -714,9 +651,6 @@ def test_load_tables_rejects_a_malformed_line(tmp_path, bad):
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),
-    pytest.param(lambda: _load_task_text(f"task t\nconfig {IDENTITY} hold 0\n"
-                                         "config 1 0 0 0 nan 0 0 0 hold 0\n"),
-                 r"pose entry \[4\] is nan, not finite", id="task_file_nan_config"),
 ])
 def test_hrl_planner_refuses(call, match):
     with warnings.catch_warnings():

@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -21,16 +20,12 @@ from hybridplan.kinematics import (
     ik_attempt,
     ik_descend,
     jacobian,
-    load_robot,
     make_robot,
     manipulability,
     normalized_manipulability,
-    parse_robot,
     planar_3r,
     planar_rr,
     robot_hash,
-    save_robot,
-    serialize_robot,
 )
 from hybridplan.scenarios import planar_pose, wall_slot
 
@@ -530,21 +525,8 @@ def test_ik_attempt_solutions_are_closed_form_branches():
 
 
 # ------------------------------------------------------------------ #
-# model file round-trip
+# the model's hash and refusals
 # ------------------------------------------------------------------ #
-def test_robot_file_roundtrip(tmp_path):
-    m = planar_3r()
-    path = tmp_path / "robot.txt"
-    save_robot(m, path)
-    loaded = load_robot(path)
-    assert loaded.name == m.name and loaded.dof == m.dof and loaded.task == m.task
-    assert serialize_robot(loaded) == serialize_robot(m)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        theta = rng.uniform(-2, 2, size=3)
-        np.testing.assert_allclose(fk(loaded, theta).as_array(), fk(m, theta).as_array(), atol=1e-15)
-
-
 @pytest.mark.parametrize("model, digest", [
     (planar_3r, "1e1469316e1484a01f4abc98da295ded1301f78fa7cd25d027abab7172801221"),
     (planar_rr, "9f735688f9a393172496224aa2ab5055ddaf94c14eab265697a1302b5e2b3c5b"),
@@ -555,53 +537,13 @@ def test_robot_hash_is_pinned(model, digest):
     assert robot_hash(model()) == digest
 
 
-def test_robot_file_validation():
-    with pytest.raises(ValueError, match="lo < hi"):
-        parse_robot("joint axis 0 0 1 offset 1 0 0 0 0 0 0 0 limits_deg 90 -90\nhome_deg 0\n")
-    with pytest.raises(ValueError, match="unknown robot-file key"):
-        parse_robot("frobnicate 3\n")
-
-
-JOINT_LINE = "joint axis 0 0 1 offset 1 0 0 0 0 0 0 0 limits_deg -175 175"
-
-
-@pytest.mark.parametrize("old, new", [
-    ("capsule 1 2 0.040000000000000001", "capsule 1 2"),
-    ("capsule 1 2 0.040000000000000001", "capsule 1 2 0.04 9"),
-    ("tool 1 0 0 0 0 0.14999999999999999 0 0", "tool 1 0 0 0 0 0.15 0 0 9"),
-    (JOINT_LINE, JOINT_LINE.rsplit(" ", 1)[0]),
-    ("home_deg 0 60 -45", "home_deg 0 60"),
-])
-def test_parse_robot_rejects_a_wrong_field_count(old, new):
-    text = serialize_robot(planar_3r())
-    assert old in text
-    with pytest.raises(ValueError, match="robot line " + re.escape(repr(new))):
-        parse_robot(text.replace(old, new, 1))
-
-
-def test_capsule_validation():
-    m = planar_rr()
-    text = serialize_robot(m).replace("capsule 1 2", "capsule 1 9")
-    with pytest.raises(ValueError, match="frame index"):
-        parse_robot(text)
-    assert all(isinstance(c, LinkCapsule) for c in m.capsules)
-
-
-@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-0.04"])
-def test_parse_robot_rejects_a_capsule_radius_that_is_not_positive_and_finite(radius):
-    text = serialize_robot(planar_3r())
-    assert "capsule 1 2 0.040000000000000001" in text
-    with pytest.raises(ValueError, match="capsule radius"):
-        parse_robot(text.replace("capsule 1 2 0.040000000000000001", f"capsule 1 2 {radius}"))
-
-
-def _robot(joints=2, tool=None, home=(0.0, 1.0), axis=Z):
+def _robot(joints=2, tool=None, home=(0.0, 1.0), axis=Z, limits=(-3.0, 3.0), capsules=(),
+           task="planar"):
     """A planar arm of unit links for the refusals below."""
-    lim = (-3.0, 3.0)
-    chain = [(axis, DualQuaternion.identity(), lim)]
-    chain += [(Z, DualQuaternion.from_translation([1, 0, 0]), lim)] * (joints - 1)
+    chain = [(axis, DualQuaternion.identity(), limits)]
+    chain += [(Z, DualQuaternion.from_translation([1, 0, 0]), limits)] * (joints - 1)
     tool = DualQuaternion.from_translation([1, 0, 0]) if tool is None else tool
-    return make_robot("r", chain, tool, [], home=list(home), task="planar")
+    return make_robot("r", chain, tool, capsules, home=list(home), task=task)
 
 
 def _overflowing_robot():
@@ -610,10 +552,17 @@ def _overflowing_robot():
         return _robot(3, DualQuaternion(np.full(4, 1.5e308), np.zeros(4)), (0.0, 1.0, 1.0))
 
 
-def _edited_robot_file(old, new):
-    text = serialize_robot(planar_rr())
-    assert old in text
-    return parse_robot(text.replace(old, new, 1))
+def test_capsule_validation():
+    with pytest.raises(ValueError, match="frame index"):
+        _robot(capsules=[LinkCapsule(1, 4, 0.05)])      # frames 0-3 on a 2-joint arm
+    assert _robot(capsules=[LinkCapsule(0, 3, 0.05)]).capsules == [LinkCapsule(0, 3, 0.05)]
+    assert all(isinstance(c, LinkCapsule) for c in planar_rr().capsules)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.04], ids=["nan", "inf", "0", "-0.04"])
+def test_make_robot_rejects_a_capsule_radius_that_is_not_positive_and_finite(radius):
+    with pytest.raises(ValueError, match="capsule radius"):
+        _robot(capsules=[LinkCapsule(1, 2, radius)])
 
 
 @pytest.mark.parametrize("call, match", [
@@ -622,6 +571,8 @@ def _edited_robot_file(old, new):
     # refused, not rescaled: the unit rule is checked where the axis is read
     pytest.param(lambda: _robot(axis=[0.0, 0.0, 2.0]),
                  r"joint 1 axis must have unit length, got norm 2\.0", id="scaled_axis"),
+    pytest.param(lambda: _robot(limits=(3.0, -3.0)), r"lo < hi, got \[3\.0, -3\.0\]",
+                 id="reversed_limits"),
     pytest.param(lambda: _robot(home=[0.0]), "home configuration dimension mismatch",
                  id="home_length"),
     pytest.param(lambda: _robot(home=[0.0, 4.0]), "home configuration violates joint limits",
@@ -630,15 +581,8 @@ def _edited_robot_file(old, new):
                  id="non_finite_home_pose"),
     pytest.param(lambda: jacobian(planar_rr(), np.zeros(3)), r"expected 2 joint angles",
                  id="jacobian_shape"),
-    pytest.param(lambda: _edited_robot_file("task planar", "task cylindrical"),
-                 "unknown task space 'cylindrical'", id="unknown_task"),
-    pytest.param(lambda: _edited_robot_file("axis 0 0 1 offset", "axis 0 0 1 offsey"),
-                 "expected 'axis', 'offset' and 'limits_deg' fields", id="malformed_joint_line"),
-    pytest.param(lambda: _edited_robot_file("dof 2", "dof 3"), "declared dof 3 != 2 joint lines",
-                 id="dof_mismatch"),
-    # read before any arithmetic, not left to the SVD of make_robot's check
-    pytest.param(lambda: _edited_robot_file("tool 1 0 0 0 0 0.5 0 0", "tool 1 0 0 0 0 nan 0 0"),
-                 r"pose entry \[5\] is nan, not finite", id="nan_tool"),
+    pytest.param(lambda: _robot(task="cylindrical"), "unknown task space 'cylindrical'",
+                 id="unknown_task"),
 ])
 def test_kinematics_refuses(call, match):
     with warnings.catch_warnings():

@@ -1,5 +1,4 @@
 import dataclasses
-import re
 import warnings
 
 import numpy as np
@@ -20,13 +19,10 @@ from hybridplan.lfd import (
     chordal_distance,
     extract_features,
     feature_distance_terms,
-    load_demonstration,
-    load_library,
     resample,
     retarget,
     retarget_sides,
     sample_lanes,
-    save_demonstration,
     skill_gaps,
 )
 
@@ -342,89 +338,24 @@ def test_demonstration_from_a_list_keeps_a_copy():
 
 
 # ------------------------------------------------------------------ #
-# demonstration files and the library
+# the library
 # ------------------------------------------------------------------ #
-def test_demo_file_roundtrip(tmp_path):
-    demo = Demonstration("arc", arc_demo().poses, ("brush", "arc"))
-    path = tmp_path / "arc.demo"
-    save_demonstration(demo, path)
-    loaded = load_demonstration(path)
-    assert loaded.id == "arc" and loaded.tags == ("brush", "arc")
-    for p, q in zip(demo.poses, loaded.poses):
-        assert chordal_distance(p, q) == 0.0
-
-
-@pytest.mark.parametrize("demo_id, tags", [
-    ("arc-2.v1", ()),
-    ("a,b", ("brush",)),
-    ("tags", ("tags", "x-y", "z.1")),
-])
-def test_demo_file_roundtrip_of_unusual_names(tmp_path, demo_id, tags):
-    demo = Demonstration(demo_id, arc_demo(n=3).poses, tags)
-    save_demonstration(demo, tmp_path / "d.demo")
-    loaded = load_demonstration(tmp_path / "d.demo")
-    assert loaded.id == demo_id and loaded.tags == tags
-    np.testing.assert_array_equal(loaded.lanes, demo.lanes)
-
-
-@pytest.mark.parametrize("demo_id, tags", [
-    ("my skill", ()),            # the loader would reject the header
-    ("", ()),
-    ("arc", ("x y",)),
-    ("arc", ("",)),
-    ("arc", ("x,y",)),           # the loader would read two tags
-    ("arc", ("ok", "a\tb")),
-])
-def test_save_demonstration_rejects_names_it_cannot_read_back(tmp_path, demo_id, tags):
-    demo = Demonstration(demo_id, arc_demo(n=3).poses, tags)
-    path = tmp_path / "d.demo"
-    with pytest.raises(ValueError, match="demonstration tag|record field"):
-        save_demonstration(demo, path)
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("n_scalars", [7, 9, 4])
-def test_load_demonstration_rejects_a_line_without_8_scalars(tmp_path, n_scalars):
-    path = tmp_path / "d.demo"
-    bad = " ".join(["0.5"] * n_scalars)
-    path.write_text(f"id d\n1 0 0 0 0 0 0 0\n{bad}\n")
-    with pytest.raises(ValueError, match=re.escape(f"line {bad!r}: takes 8 scalars")):
-        load_demonstration(path)
-
-
-def test_library_load_and_duplicate_rejection(tmp_path):
-    save_demonstration(arc_demo(), tmp_path / "a.demo")
-    d2 = Demonstration("line", [pose(0, 0), pose(1, 0)])
-    save_demonstration(d2, tmp_path / "b.demo")
-    lib = load_library(tmp_path)
+def test_library_duplicate_rejection():
+    lib = SkillLibrary()
+    lib.add(arc_demo())
+    lib.add(Demonstration("line", [pose(0, 0), pose(1, 0)]))
     assert lib.ids() == ["arc", "line"]
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate skill id 'arc'"):
         lib.add(arc_demo())
 
 
-def test_library_empty_dir(tmp_path):
-    with pytest.raises(ValueError, match="no .demo files"):
-        load_library(tmp_path)
-
-
-def _load_demonstration_text(path, text):
-    path.write_text(text)
-    return load_demonstration(path)
-
-
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda tmp: Demonstration("d", [pose(0, 0)]), "at least 2 poses",
-                 id="one_pose"),
-    pytest.param(lambda tmp: _load_demonstration_text(tmp, "name d\n1 0 0 0 0 0 0 0\n"),
-                 "malformed demonstration header", id="demonstration_header"),
-    pytest.param(lambda tmp: feature_distance_terms([], [np.zeros(6)] * 3),
+    pytest.param(lambda: Demonstration("d", [pose(0, 0)]), "at least 2 poses", id="one_pose"),
+    pytest.param(lambda: feature_distance_terms([], [np.zeros(6)] * 3),
                  "feature sequences must be nonempty", id="empty_features"),
-    pytest.param(lambda tmp: _load_demonstration_text(
-        tmp, "id d\n1 0 0 0 0 0 0 0\n1 0 0 0 0 inf 0 0\n"),
-                 r"pose entry \[1, 5\] is inf, not finite", id="demonstration_inf_row"),
 ])
-def test_lfd_refuses(tmp_path, call, match):
+def test_lfd_refuses(call, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")              # refused before any arithmetic
         with pytest.raises(ValueError, match=match):
-            call(tmp_path / "d.demo")
+            call()

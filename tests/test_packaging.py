@@ -89,7 +89,7 @@ def test_no_module_imports_a_name_it_never_uses():
 # when a stage of the pipeline calls it, or when it is deleted.
 BENCHMARK_NAMES = "imported or traced by perfbench/, which composes the stages (ROADMAP item 14)"
 TEST_ONLY = "called by tests only (ROADMAP item 9)"
-FILE_IO = "artifact file I/O, kept for the CLI stages (ROADMAP items 1 and 10)"
+FILE_IO = "the binary artifacts the CLI stages hand on (ROADMAP items 1 and 10)"
 UNREFERENCED_KEPT = {
     **{name: BENCHMARK_NAMES for name in [
         ("drl_planner", "plan_drl"), ("drl_planner", "train_drl"),
@@ -111,12 +111,7 @@ UNREFERENCED_KEPT = {
         ("switch_agent", "brute_force_switches"), ("workcell", "bench")]},
     **{name: FILE_IO for name in [
         ("feasibility", "load_map"), ("feasibility", "save_map"),
-        ("hrl_planner", "load_tables"), ("hrl_planner", "save_tables"),
-        ("kinematics", "load_robot"), ("lfd", "load_library"),
-        ("rl_core", "load_checkpoint"), ("rl_core", "save_checkpoint"),
-        ("scenarios", "write_scene"), ("task", "load_task"),
-        ("trajectory", "save_joint_trajectory"),
-        ("workcell", "load_workcell")]},
+        ("rl_core", "load_checkpoint"), ("rl_core", "save_checkpoint")]},
     ("scenarios", "SCENES"): "the scene table of the CLI (ROADMAP item 1)",
     ("switch_agent", "ACT_KEEP"): "the switching agent's other action, beside ACT_SWITCH",
 }

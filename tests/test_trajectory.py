@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridplan import records
 from scalar_reference import unannotated
-from hybridplan.trajectory import (
-    SOURCE_DRL,
-    SOURCE_LFD,
-    JointTrajectory,
-    save_joint_trajectory,
-)
+from hybridplan.trajectory import JointTrajectory
 
 
 def annotated(k=5, dof=3, seed=0, success=True):
@@ -65,30 +59,3 @@ def test_slice_keeps_rows_annotations_and_success():
             np.testing.assert_array_equal(getattr(part, name), getattr(traj, name)[rows])
         assert part.points.shape[1] == 3 and not part.success
 
-
-# ------------------------------------------------------------------ #
-# file text
-# ------------------------------------------------------------------ #
-@pytest.mark.parametrize("success", [True, False])
-def test_file_round_trip(tmp_path, success):
-    traj = JointTrajectory([[0.1, -2.0, 1 / 3], [1.5, 0.25, 0.0]],
-                           np.array([SOURCE_LFD, SOURCE_DRL], np.uint8), [0.123456789, 1.0],
-                           np.array([0, 1], np.uint8), success)
-    save_joint_trajectory(traj, tmp_path / "t.traj")
-    text = (tmp_path / "t.traj").read_text()
-    assert text == (f"# joints 3 success {int(success)}\n"
-                    "0.10000000000000001 -2 0.33333333333333331 0 0.123457 0\n"
-                    "1.5 0.25 0 1 1 1\n")
-    # the header is a comment to the table reader, and %.17g reads back exactly
-    rows = records.read_table(text, 6, "joint trajectory")
-    np.testing.assert_array_equal(rows[:, :3], traj.points)
-    np.testing.assert_array_equal(rows[:, 4], [float("%.6g" % m) for m in traj.man])
-
-
-def test_empty_trajectory_round_trip(tmp_path):
-    empty = JointTrajectory(np.zeros((0, 3)), np.zeros(0, np.uint8), np.zeros(0),
-                            np.zeros(0, np.uint8), success=False)
-    save_joint_trajectory(empty, tmp_path / "e.traj")
-    text = (tmp_path / "e.traj").read_text()
-    assert text == "# joints 3 success 0\n"
-    assert records.read_table(text, 6, "joint trajectory").shape == (0, 6)

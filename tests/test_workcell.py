@@ -16,8 +16,6 @@ from hybridplan.workcell import (
     bench,
     count_path_collisions,
     execute,
-    load_workcell,
-    save_workcell,
     wilson_interval,
 )
 from scalar_reference import execute as reference_execute
@@ -301,40 +299,8 @@ def test_count_path_collisions_checks_interpolants(monkeypatch):
 
 
 # ------------------------------------------------------------------ #
-# files and benchmarking
+# benchmarking
 # ------------------------------------------------------------------ #
-def test_workcell_file_roundtrip(tmp_path):
-    stations = {"a": DualQuaternion.from_translation([0.3, 0.2, 0.0]),
-                "b": DualQuaternion.from_pose([-0.4, 0.5, 0.0], (np.array([0, 0, 1.0]), 0.7))}
-    orig = Workcell("rt", [-1.3, -1.2, -0.1], [1.3, 1.1, 0.1],
-                    [POST, Box([-0.15, -0.75, -0.05], [0.35, -0.25, 0.05], "block")], stations)
-    save_workcell(orig, tmp_path / "cell.txt")
-    back = load_workcell(tmp_path / "cell.txt")
-    assert back.name == "rt"
-    np.testing.assert_array_equal(back.box_lo, orig.box_lo)
-    np.testing.assert_array_equal(back.box_hi, orig.box_hi)
-    assert [ob.id for ob in back.obstacles] == ["post", "block"]
-    for box, ref in zip(back.obstacles, orig.obstacles):
-        assert isinstance(box, Box)
-        np.testing.assert_array_equal(box.lo, ref.lo)
-        np.testing.assert_array_equal(box.hi, ref.hi)
-    assert sorted(back.stations) == ["a", "b"]
-    for k in stations:
-        np.testing.assert_array_equal(back.stations[k].as_array(), stations[k].as_array())
-
-
-@pytest.mark.parametrize("bad", [
-    "box b 0 0 0 1 1 1 7",                 # one number too many
-    "box b 0 0 0 1 1",                     # one number short
-    "station s 1 0 0 0 0 0 0",             # one term short
-])
-def test_load_workcell_rejects_a_line_with_the_wrong_token_count(tmp_path, bad):
-    path = tmp_path / "cell.txt"
-    path.write_text(f"name c\nworkspace -1 -1 -1 1 1 1\n{bad}\n")
-    with pytest.raises(ValueError, match="workcell line"):
-        load_workcell(path)
-
-
 def test_wilson_interval():
     assert wilson_interval(0, 0) == (0.0, 1.0)
     lo, hi = wilson_interval(5, 10)
@@ -376,59 +342,46 @@ def test_task_refuses(call, match):
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda tmp: Workcell("c", [0, 0, 0], [1, 1, 0], []), "min < max",
+    pytest.param(lambda: Workcell("c", [0, 0, 0], [1, 1, 0], []), "min < max",
                  id="flat_workspace"),
-    pytest.param(lambda tmp: Workcell("c", [0, 0, 0], [1, 1, 1], [],
-                                      {"s": DualQuaternion.from_translation([2, 0, 0])}),
+    pytest.param(lambda: Workcell("c", [0, 0, 0], [1, 1, 1], [],
+                                  {"s": DualQuaternion.from_translation([2, 0, 0])}),
                  "station outside the workspace box", id="station_outside"),
-    pytest.param(lambda tmp: (tmp.write_text("name cell\n"), load_workcell(tmp)),
-                 "missing workspace box", id="file_without_workspace"),
-    pytest.param(lambda tmp: (tmp.write_text("name cell\nworkspace -inf -1 -1 1 1 inf\n"),
-                              load_workcell(tmp)),
-                 "workspace box .* is not finite", id="file_with_an_infinite_workspace"),
-    # a sphere line has an unknown key: the file is refused, not read without it
-    pytest.param(lambda tmp: (tmp.write_text("workspace -1 -1 -1 1 1 1\nsphere s 0 0 0 0.1\n"),
-                              load_workcell(tmp)),
-                 "unknown workcell-file key 'sphere'", id="file_with_a_sphere"),
-    pytest.param(lambda tmp: (tmp.write_text("workspace -1 -1 -1 1 1 1\n"
-                                             "station s 1 0 0 0 0 nan 0 0\n"),
-                              load_workcell(tmp)),
-                 r"pose entry \[5\] is nan, not finite", id="file_with_a_nan_station"),
     # a non-finite joint value: refused by the one edge rule, not cast to a
     # negative piece count
-    pytest.param(lambda tmp: execute(path([0.1, 0.2, 0.3], [0.2, np.nan, 0.3]), planar_3r(),
-                                     cell(), SuccessCriteria(), STILL_TASK),
+    pytest.param(lambda: execute(path([0.1, 0.2, 0.3], [0.2, np.nan, 0.3]), planar_3r(),
+                                 cell(), SuccessCriteria(), STILL_TASK),
                  "joint path row 1 is not finite", id="execute_nan"),
-    pytest.param(lambda tmp: execute(path([0.1, 0.2, 0.3], [0.2, np.inf, 0.3]), planar_3r(),
-                                     cell(), SuccessCriteria(), STILL_TASK),
+    pytest.param(lambda: execute(path([0.1, 0.2, 0.3], [0.2, np.inf, 0.3]), planar_3r(),
+                                 cell(), SuccessCriteria(), STILL_TASK),
                  "joint path row 1 is not finite", id="execute_inf"),
-    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[np.nan, 0.2, 0.3]] * 2, [POST]),
+    pytest.param(lambda: count_path_collisions(planar_3r(), [[np.nan, 0.2, 0.3]] * 2, [POST]),
                  "joint path row 0 is not finite", id="count_path_collisions_nan"),
-    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[0.1, 0.2, 0.3],
-                                                                [0.1, 0.2, -np.inf]], [POST]),
+    pytest.param(lambda: count_path_collisions(planar_3r(), [[0.1, 0.2, 0.3],
+                                                            [0.1, 0.2, -np.inf]], [POST]),
                  "joint path row 1 is not finite", id="count_path_collisions_inf"),
     # a path outside the joint limits (+-175 degrees): refused before it is
     # split, so an absurd step cannot ask for billions of rows
-    pytest.param(lambda tmp: execute(path(*np.radians(RAMP_PAST_LIMIT)), planar_3r(), cell(),
-                                     SuccessCriteria(), STILL_TASK),
+    pytest.param(lambda: execute(path(*np.radians(RAMP_PAST_LIMIT)), planar_3r(), cell(),
+                                 SuccessCriteria(), STILL_TASK),
                  "joint path row 2 is outside the joint limits", id="execute_past_limit"),
-    pytest.param(lambda tmp: count_path_collisions(planar_3r(), np.radians(RAMP_PAST_LIMIT),
-                                                   [POST]),
+    pytest.param(lambda: count_path_collisions(planar_3r(), np.radians(RAMP_PAST_LIMIT),
+                                               [POST]),
                  "joint path row 2 is outside the joint limits",
                  id="count_path_collisions_past_limit"),
-    pytest.param(lambda tmp: execute(path([0.0, 0.2, 0.3], [-1e9, 0.2, 0.3]), planar_3r(),
-                                     cell(), SuccessCriteria(), STILL_TASK),
+    pytest.param(lambda: execute(path([0.0, 0.2, 0.3], [-1e9, 0.2, 0.3]), planar_3r(),
+                                 cell(), SuccessCriteria(), STILL_TASK),
                  "joint path row 1 is outside the joint limits", id="execute_1e9_rad_step"),
-    pytest.param(lambda tmp: count_path_collisions(planar_3r(), [[0.0, 0.2, 0.3],
-                                                                [0.0, 1e9, 0.3]], [POST]),
+    pytest.param(lambda: count_path_collisions(planar_3r(), [[0.0, 0.2, 0.3],
+                                                            [0.0, 1e9, 0.3]], [POST]),
                  "joint path row 1 is outside the joint limits",
                  id="count_path_collisions_1e9_rad_step"),
 ])
-def test_workcell_refuses(tmp_path, call, match):
+def test_workcell_refuses(call, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")              # refused before any arithmetic
         with pytest.raises(ValueError, match=match):
-            call(tmp_path / "cell.txt")
+            call()
 
 
 @pytest.mark.parametrize("corner", ["lo", "hi"])

@@ -21,7 +21,7 @@ TOOL = Path(__file__).resolve().parents[1] / "benchmarks" / "workload_lines.py"
 WORKLOADS = ["map", "skills", "hybrid"]
 
 # why code that no workload runs stays
-FILE_IO = "file I/O for the CLI (ROADMAP item 1)"
+FILE_IO = "the binary artifacts the CLI stages hand on (ROADMAP items 1 and 10)"
 BENCHMARK_NAMES = "named by perfbench: its tracer, inputs or tests (ROADMAP item 14)"
 GENERAL_CHAINS = ("chains other than the workloads' planar 3R arm: spatial, RR and "
                   "general chains (ROADMAP items 8 and 17)")
@@ -34,16 +34,10 @@ PROTOCOL = "a Python protocol no workload invokes: copy, pickle or repr"
 # functions no workload enters: qualified name -> why it stays
 NOT_ENTERED_KEPT = {
     **{name: FILE_IO for name in [
-        "dualquat.dq_from_lanes", "feasibility.map_bytes", "feasibility.save_map",
-        "feasibility.load_map", "hrl_planner.serialize_tables", "hrl_planner.save_tables",
-        "hrl_planner.load_tables", "kinematics.save_robot", "kinematics.parse_robot",
-        "kinematics.load_robot", "lfd.save_demonstration", "lfd.load_demonstration",
-        "lfd.load_library", "records.write", "records.bad_line", "records._records",
-        "records.read_keyed", "records.read_table", "records._u4", "records.pack",
-        "records.unpack", "records.unpack.<locals>.take", "records.unpack.<locals>.u4s",
-        "rl_core.save_checkpoint", "rl_core._param_count", "rl_core.load_checkpoint",
-        "task.save_task", "task.load_task", "trajectory.save_joint_trajectory",
-        "workcell.save_workcell", "workcell.load_workcell"]},
+        "feasibility.map_bytes", "feasibility.save_map", "feasibility.load_map", "records._u4",
+        "records.pack", "records.unpack", "records.unpack.<locals>.take",
+        "records.unpack.<locals>.u4s", "rl_core.save_checkpoint", "rl_core._param_count",
+        "rl_core.load_checkpoint"]},
     # quat_to_rotvec and _pose_error_raw serve ik_attempt alone
     **{name: BENCHMARK_NAMES for name in [
         "dualquat.quat_to_rotvec", "feasibility.fea", "geometry.ray_bundle",
@@ -57,7 +51,7 @@ NOT_ENTERED_KEPT = {
         "scenarios._twist_demo", "scenarios.line_library", "scenarios.standard_library",
         "scenarios.standard_robot", "scenarios.open_workspace", "scenarios.wall_slot",
         "scenarios.tray_sorting", "scenarios.tray_sorting.<locals>.touch",
-        "scenarios.tray_sorting.<locals>.carry", "scenarios.write_scene"]},
+        "scenarios.tray_sorting.<locals>.carry"]},
     **{name: ORACLE for name in [
         "kinematics.planar_rr", "switch_agent.brute_force_switches",
         "workcell.wilson_interval", "workcell.bench"]},
