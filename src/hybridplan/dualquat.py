@@ -34,10 +34,11 @@ The inverse functions do not carry over: numpy 2.4.6's AVX-512 loops for
 contiguous or strided.  So ``_euler_floats``, the Euler angles of the
 one-lane DRL step, works its arguments on floats and its angles in numpy.
 The pose constructors refuse a non-finite position or rotation.  The
-8-vector reader ``DualQuaternion.from_array`` refuses a non-finite entry,
-and a pose that is not a unit dual quaternion: one whose drift, the larger
-of ``| |real| - 1 |`` and ``|real . dual|``, is above ``UNIT_TOL``.  That
-is the one place the unit rule is checked.  A product of unit poses is unit
+readers, ``DualQuaternion.from_array`` of one 8-vector and
+``lfd.Demonstration`` of its (N, 8) lanes, refuse a non-finite entry, and a
+pose that is not a unit dual quaternion: one whose drift, the larger of
+``| |real| - 1 |`` and ``|real . dual|``, is above ``UNIT_TOL``.  They are
+the only places the unit rule is checked.  A product of unit poses is unit
 to rounding (over the benchmark's workloads no product drifts by more than
 1e-15), so no product checks or renormalizes its result, and
 ``DualQuaternion(real, dual)`` takes its parts as given.
@@ -261,7 +262,7 @@ class DualQuaternion:
 def dq_mul(a: DualQuaternion, b: DualQuaternion) -> DualQuaternion:
     """Rigid-transform composition: apply b, then a.  The product of unit
     poses is returned as it rounds; the unit rule is checked where a pose is
-    read (``DualQuaternion.from_array``)."""
+    read (``DualQuaternion.from_array``, ``lfd.Demonstration``)."""
     real = quat_mul(a.real, b.real)
     dual = quat_mul(a.real, b.dual) + quat_mul(a.dual, b.real)
     return DualQuaternion(real, dual)

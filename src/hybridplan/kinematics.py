@@ -115,6 +115,8 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
         n = np.linalg.norm(axis)
         if abs(n - 1.0) > 1e-6:
             raise ValueError(f"joint {i} axis must have unit length, got norm {n}")
+        if not np.all(np.isfinite(offset.as_array())):
+            raise ValueError(f"joint {i} offset must be finite, got {offset.as_array().tolist()}")
         lo, hi = float(limits[0]), float(limits[1])
         if not lo < hi:
             raise ValueError(f"joint limits must satisfy lo < hi, got [{lo}, {hi}]")
@@ -127,6 +129,8 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
         if not 0.0 < c.radius < math.inf:
             raise ValueError("capsule radius must be positive and finite")
     tool = tool if tool is not None else DualQuaternion.identity()
+    if not np.all(np.isfinite(tool.as_array())):
+        raise ValueError(f"tool pose must be finite, got {tool.as_array().tolist()}")
     home = np.zeros(len(jlist)) if home is None else np.asarray(home, dtype=float)
     if home.shape != (len(jlist),):
         raise ValueError("home configuration dimension mismatch")

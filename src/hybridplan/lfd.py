@@ -37,6 +37,7 @@ import numpy as np
 from hybridplan.dualquat import (
     DualQuaternion,
     _lane_dot,
+    _refuse_non_unit,
     dq_conjugate_lanes,
     dq_mul_lanes,
     dq_sclerp_lanes,
@@ -173,7 +174,9 @@ def _read_only(a):
 @dataclass(frozen=True, eq=False)
 class Demonstration:
     """A named pose sequence.  ``poses`` is stored as a tuple and the
-    dataclass is frozen, so the cached arrays below always describe it."""
+    dataclass is frozen, so the cached arrays below always describe it.
+    Its lanes are read by ``dualquat``'s unit rule: a non-finite entry or a
+    pose that is not a unit dual quaternion is refused, naming its row."""
     id: str
     poses: tuple
     tags: tuple = ()
@@ -183,6 +186,7 @@ class Demonstration:
         object.__setattr__(self, "poses", tuple(self.poses))
         if len(self.poses) < 2:
             raise ValueError("demonstration needs at least 2 poses")
+        _refuse_non_unit(self.lanes)
 
     @cached_property
     def lanes(self) -> np.ndarray:

@@ -364,6 +364,7 @@ def test_workload_products_stay_unit(workloads, hybrid_workloads, monkeypatch):
 def test_readers_accept_a_pose_within_the_unit_tolerance():
     pose = [1.0 + 5e-7, 0, 0, 0, 0, 5e-7, 0, 0]         # both drifts below 1e-6
     assert DualQuaternion.from_array(pose).real[0] == 1.0 + 5e-7
+    assert len(lfd.Demonstration("d", np.array([pose, pose])).poses) == 2
 
 
 def test_dq_mul_lanes_of_no_lanes():
@@ -548,10 +549,18 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda: DualQuaternion.from_array(np.zeros(8)),
                  r"pose row 0 drifts 1 from a unit dual quaternion",
                  id="zero_rotation_from_array"),
+    # a demonstration given as (N, 8) lanes is read by the same rule, which
+    # names the row
+    pytest.param(lambda: lfd.Demonstration("d", np.array([[1.0, 0, 0, 0, 0, 0, 0, 0], [0.0] * 8])),
+                 r"pose row 1 drifts 1 from", id="zero_rotation_dq_from_lanes"),
     pytest.param(lambda: DualQuaternion.from_array([1.001, 0, 0, 0, 0, 0, 0, 0]),
                  r"pose row 0 drifts 0.001 from", id="scaled_rotation_from_array"),
     pytest.param(lambda: DualQuaternion.from_array([0.6, 0.8, 0, 0, 1e-5, 0, 0, 0]),
                  r"pose row 0 drifts 6e-06 from", id="oblique_dual_from_array"),
+    pytest.param(lambda: lfd.Demonstration("d", np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
+                                                          [0.6, 0.8, 0, 0, 0, 0, 0, 0],
+                                                          [0.6, 0.8, 0, 0, 1e-5, 0, 0, 0]])),
+                 r"pose row 2 drifts 6e-06 from", id="oblique_dual_dq_from_lanes"),
     # the pose constructors refuse non-finite input
     pytest.param(lambda: DualQuaternion.from_pose([0, 0, 0], (np.array([NAN, 0, 1.0]), 0.3)),
                  "non-finite rotation", id="nan_axis"),
@@ -582,6 +591,12 @@ NAN, INF = float("nan"), float("inf")
                  r"pose entry \[5\] is nan, not finite", id="nan_from_array"),
     pytest.param(lambda: DualQuaternion.from_array([1.0, 0, 0, -INF, 0, 0, 0, 0]),
                  r"pose entry \[3\] is -inf, not finite", id="inf_from_array"),
+    pytest.param(lambda: lfd.Demonstration("d", np.array([[1.0, 0, 0, 0, 0, 0, 0, 0],
+                                                          [1.0, 0, 0, 0, 0, 0, INF, 0]])),
+                 r"pose entry \[1, 6\] is inf, not finite", id="inf_dq_from_lanes"),
+    pytest.param(lambda: lfd.Demonstration("d", np.array([[NAN, 0, 0, 0, 0, 0, 0, 0],
+                                                          [1.0, 0, 0, 0, 0, 0, 0, 0]])),
+                 r"pose entry \[0, 0\] is nan, not finite", id="nan_dq_from_lanes"),
 ])
 def test_dualquat_refuses(call, match):
     with warnings.catch_warnings():

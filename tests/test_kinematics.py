@@ -583,6 +583,16 @@ def test_make_robot_rejects_a_capsule_radius_that_is_not_positive_and_finite(rad
                  id="jacobian_shape"),
     pytest.param(lambda: _robot(task="cylindrical"), "unknown task space 'cylindrical'",
                  id="unknown_task"),
+    pytest.param(lambda: fk(planar_rr(), np.zeros(3)), r"expected 2 joint angles, got \(3,\)",
+                 id="dof_mismatch"),
+    # refused before any arithmetic, not left to the SVD of the home check
+    pytest.param(lambda: _robot(tool=DualQuaternion(np.array([1.0, 0, 0, 0]),
+                                                    np.array([0.0, np.nan, 0, 0]))),
+                 r"tool pose must be finite", id="nan_tool"),
+    pytest.param(lambda: make_robot("r", [(Z, DualQuaternion(np.array([1.0, 0, 0, 0]),
+                                                             np.array([0.0, 0, np.inf, 0])),
+                                           (-3.0, 3.0))], task="planar"),
+                 r"joint 1 offset must be finite", id="inf_offset"),
 ])
 def test_kinematics_refuses(call, match):
     with warnings.catch_warnings():

@@ -340,7 +340,7 @@ def test_demonstration_from_a_list_keeps_a_copy():
 # ------------------------------------------------------------------ #
 # the library
 # ------------------------------------------------------------------ #
-def test_library_duplicate_rejection():
+def test_library_load_and_duplicate_rejection():
     lib = SkillLibrary()
     lib.add(arc_demo())
     lib.add(Demonstration("line", [pose(0, 0), pose(1, 0)]))
@@ -353,6 +353,8 @@ def test_library_duplicate_rejection():
     pytest.param(lambda: Demonstration("d", [pose(0, 0)]), "at least 2 poses", id="one_pose"),
     pytest.param(lambda: feature_distance_terms([], [np.zeros(6)] * 3),
                  "feature sequences must be nonempty", id="empty_features"),
+    pytest.param(lambda: Demonstration("d", [pose(0, 0), [1.0, 0, 0, 0, 0, np.inf, 0, 0]]),
+                 r"pose entry \[1, 5\] is inf, not finite", id="demonstration_inf_row"),
 ])
 def test_lfd_refuses(call, match):
     with warnings.catch_warnings():

@@ -69,8 +69,9 @@ def test_scene_configurations_without_a_free_exact_branch_are_listed():
     assert found == IMPOSSIBLE_CONFIGS
 
 
-# the two hashes a stored map carries are taken over record lines, where a
-# name with whitespace or '#' would read as other fields
+# the two hashes a stored map carries are taken over the record lines that
+# ``serialize_robot`` and ``obstacle_line`` write, where a name with
+# whitespace or '#' would read back as other fields
 NAME_HASHES = {
     "robot name": lambda name: robot_hash(replace(planar_rr(), name=name)),
     "obstacle id": lambda name: obstacles_signature([Box([0.0, 0.0, 0.0], [0.1, 0.1, 0.1], name)]),
@@ -81,6 +82,6 @@ NAME_HASHES = {
     ("obstacle id", "wall upper"),
     ("robot name", "arm\t2"),
 ])
-def test_hashes_refuse_a_name_that_is_not_one_record_field(field, name):
+def test_writers_refuse_a_name_their_loader_cannot_read_back(field, name):
     with pytest.raises(ValueError, match=re.escape(f"record field {name!r} must be nonempty")):
         NAME_HASHES[field](name)
