@@ -67,7 +67,8 @@ from hybridplan.rl_core import (
     clip_gradients,
     ppo_update,
 )
-from hybridplan.switch_agent import densify, lfd_joint_candidates
+from hybridplan.switch_agent import (SwitchConfig, assemble, densify, find_bands,
+                                     heuristic_switches, lfd_joint_candidates)
 from hybridplan.task import Task
 from hybridplan.trajectory import JointTrajectory
 from hybridplan.workcell import SuccessCriteria, Workcell, execute
@@ -256,6 +257,35 @@ def test_classify_trajectory_12_poses(benchmark, wall_map):
     # a hybrid-length plan through the wall
     cls = benchmark(classify_trajectory, _line(*LINES["through_wall"]), wall_map)
     assert any(seg.label == NOT_FJ for seg in cls.segments)
+
+
+# a 12-pose plan with one interior band, poses 7-9, on the map above
+BANDED = ((0.28, -0.39, -0.1), (0.84, -0.28, -0.9))
+
+
+@pytest.fixture(scope="module")
+def one_band(model, cell, wall_map):
+    """The banded plan's candidates and its one band, bridged by a fresh
+    seeded policy's 40-step ``plan_drl``, as a crossing query hands them to
+    ``assemble``."""
+    poses = _line(*BANDED)
+    cands = lfd_joint_candidates(poses, model, cell.obstacles)
+    policy = GaussianPolicy(state_dim(model.dof), model.dof, rng=np.random.default_rng(0))
+    cfg = DrlEnvConfig(episode_budget=40, man_baseline=1.0)
+    bands = find_bands(classify_trajectory(poses, wall_map), cands, SwitchConfig(),
+                       lambda start, goal, theta: plan_drl(policy, model, cell.obstacles,
+                                                           start, goal, cfg, theta0=theta))
+    assert [(b.seg_start, b.seg_end) for b in bands] == [(7, 9)]
+    return cands, bands
+
+
+def test_assemble_one_band(benchmark, model, cell, one_band):
+    # handed over at the classified boundaries, with both handover blends
+    cands, bands = one_band
+    switches = heuristic_switches(bands)
+    traj = benchmark(assemble, cands, bands, switches, model, cell.obstacles, SwitchConfig())
+    (s_in, s_out), = switches
+    assert len(traj) >= (s_in + 1) + len(bands[0].bridge) + (len(cands) - s_out)
 
 
 def test_cell_pose(benchmark, wall_map):
@@ -488,15 +518,22 @@ CROSSING = np.array([[1.0, 0.8, 0.6], [0.0, 0.0, 0.0], [0.2, -1.5, 1.5],
                      [-1.0, 1.0, -1.0], [0.8, 0.2, 0.4]])
 
 
+# the crossing waypoints as an unscored path, as assemble hands one to densify
+CROSSING_PATH = JointTrajectory(CROSSING, np.zeros(len(CROSSING), np.uint8))
+
+
 @pytest.fixture(scope="module")
 def crossing(model, cell):
     """The crossing path densified to the switching agent's 2 degree bound,
     like a bridged hybrid trajectory."""
-    k = len(CROSSING)
-    bare = JointTrajectory(CROSSING, np.zeros(k, np.uint8), np.zeros(k), np.zeros(k, np.uint8))
-    traj = densify(bare, model, cell.obstacles, 2.0)
+    traj = densify(CROSSING_PATH, model, cell.obstacles, 2.0)
     assert 150 <= len(traj) <= 250
     return traj
+
+
+def test_densify_crossing(benchmark, model, cell, crossing):
+    traj = benchmark(densify, CROSSING_PATH, model, cell.obstacles, 2.0)
+    assert len(traj) == len(crossing)
 
 
 def test_collision_index_lanes_crossing(benchmark, model, cell, crossing):

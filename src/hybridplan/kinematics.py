@@ -124,6 +124,8 @@ def make_robot(name, joints, tool=None, capsules=(), home=None, task="spatial") 
     if task not in ("spatial", "planar"):
         raise ValueError(f"unknown task space '{task}'")
     for c in capsules:
+        if not all(isinstance(f, (int, np.integer)) for f in (c.frame_a, c.frame_b)):
+            raise ValueError(f"capsule frame indices must be integers, got {c}")
         if not (0 <= c.frame_a <= len(jlist) + 1 and 0 <= c.frame_b <= len(jlist) + 1):
             raise ValueError("capsule frame index out of range")
         if not 0.0 < c.radius < math.inf:

@@ -10,8 +10,11 @@ step of the assembled trajectory; both split edges by the rule stated in
 per-point feasibility sum (normalized manipulability minus collision) of the
 executed window, which is exactly the trajectory-level reward restricted to
 the points the decision can influence.  The task-space plan is (N, 8) pose
-lanes, its brackets are rows of them, and ``geometry.score_lanes`` annotates
-joint rows.
+lanes, and its brackets are rows of them.  ``geometry.score_lanes`` annotates
+the joint rows a decision reads: the candidates, the bridges and the blends
+the training reward scores.  The executed path that ``assemble`` joins and
+``densify`` bounds carries points, sources and success only, and
+``workcell.execute`` judges it by its own walk of every checked row.
 
 The demonstration-derived joint trajectory takes each pose's exact elbow
 branches (``kinematics.closed_form_branches``) on planar RR and 3R arms.
@@ -175,14 +178,20 @@ def _min_jump_picks(branches, allowed) -> list:
     return picks[::-1]
 
 
-def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
-    """Joint-space handover ramp between two waypoints (exclusive endpoints):
-    the inserted rows of their edge split at ``blend_step_deg``, at most
-    ``blend_points`` of them."""
+def _blend_rows(theta_a, theta_b, cfg: SwitchConfig) -> JointTrajectory:
+    """Unscored joint-space handover ramp between two waypoints (exclusive
+    endpoints): the inserted rows of their edge split at ``blend_step_deg``,
+    at most ``blend_points`` of them, each DRL-sourced."""
     ends = np.array([theta_a, theta_b], dtype=float)
     pts = subdivide(ends, np.radians(cfg.blend_step_deg), cfg.blend_points + 1)[0][1:-1]
-    return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8),
-                           *score_lanes(model, pts, obstacles))
+    return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8))
+
+
+def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
+    """The handover ramp of ``_blend_rows`` annotated by one ``score_lanes``
+    call: the blend ``executed_window_reward`` scores."""
+    rows = _blend_rows(theta_a, theta_b, cfg)
+    return JointTrajectory(rows.points, rows.source, *score_lanes(model, rows.points, obstacles))
 
 
 def _resample_rows(arr: np.ndarray, k: int) -> np.ndarray:
@@ -261,16 +270,20 @@ def boundary_observation(band: BandPlan, boundary: Boundary, j: int,
 # ------------------------------------------------------------------ #
 def assemble(lfd_cands: JointTrajectory, bands: list, switches: list,
              model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
-    """Build the executed combined trajectory for given per-band handover
-    indices [(switch_in, switch_out), ...]."""
+    """The executed path for given per-band handover indices [(switch_in,
+    switch_out), ...]: the candidate slices, each band's bridge and the
+    unscored handover rows of ``_blend_rows`` joined by
+    ``JointTrajectory.concat``, so without annotations, with or without a
+    band; successful when every bridge is.  Nothing is scored, so ``model``
+    and ``obstacles`` are not read; they stay because ``perfbench`` passes
+    them by position (ROADMAP item 22 may drop them)."""
     parts = []
     cursor = 0
     for band, (s_in, s_out) in zip(bands, switches):
         parts.append(lfd_cands[cursor:s_in + 1])
-        parts.append(blend(lfd_cands.points[s_in], band.bridge.points[0], model, obstacles, cfg))
+        parts.append(_blend_rows(lfd_cands.points[s_in], band.bridge.points[0], cfg))
         parts.append(band.bridge)
-        parts.append(blend(band.bridge.points[-1], lfd_cands.points[s_out],
-                           model, obstacles, cfg))
+        parts.append(_blend_rows(band.bridge.points[-1], lfd_cands.points[s_out], cfg))
         cursor = s_out
     out = JointTrajectory.concat(*parts, lfd_cands[cursor:])
     out.success = all(b.bridge.success for b in bands)
@@ -280,18 +293,16 @@ def assemble(lfd_cands: JointTrajectory, bands: list, switches: list,
 def densify(traj: JointTrajectory, model, obstacles, bound_deg) -> JointTrajectory:
     """Insert linear joint interpolation so no step exceeds the bound: each
     edge split at the bound; an inserted point takes the source of the
-    waypoint it leads to and is annotated by its own score.  A path outside
-    ``model``'s joint limits is refused before it is split."""
+    waypoint it leads to.  The result carries points, sources and ``traj``'s
+    success, without annotations.  A path outside ``model``'s joint limits is
+    refused before it is split.  ``obstacles`` is not read; it stays because
+    ``perfbench`` passes it by position (ROADMAP item 22 may drop it)."""
     if not bound_deg > 0:
         raise ValueError(f"bound_deg must be positive, got {bound_deg}")
     model.refuse_outside_limits(traj.points)
     pts, at = subdivide(traj.points, np.radians(bound_deg))
-    src = traj.source[np.searchsorted(at, np.arange(len(pts)))]
-    man, col = np.zeros(len(pts)), np.zeros(len(pts), np.uint8)
-    man[at], col[at] = traj.man, traj.col
-    inserted = np.setdiff1d(np.arange(len(pts)), at)
-    man[inserted], col[inserted] = score_lanes(model, pts[inserted], obstacles)
-    return JointTrajectory(pts, src, man, col, traj.success)
+    return JointTrajectory(pts, traj.source[np.searchsorted(at, np.arange(len(pts)))],
+                           success=traj.success)
 
 
 def _walk_band(band, lfd_cands, cfg, choose, start=0):

@@ -1,13 +1,17 @@
-"""Joint-space trajectory container with per-point annotations, and the one
-rule for the edges of a ``(k, dof)`` joint path: an edge's step is the
-infinity norm of its joint difference (``edge_steps``), and an edge is split
-into ``ceil(step / bound)`` equal pieces, inserting ``a + (j / pieces) * (b - a)``
-(``subdivide``, which refuses a path with a NaN or infinite entry).
+"""Joint-space trajectory container, and the one rule for the edges of a
+``(k, dof)`` joint path: an edge's step is the infinity norm of its joint
+difference (``edge_steps``), and an edge is split into ``ceil(step / bound)``
+equal pieces, inserting ``a + (j / pieces) * (b - a)`` (``subdivide``, which
+refuses a path with a NaN or infinite entry).
 ``densify`` splits at the smoothness bound, ``blend`` at its step cap (at
 most ``blend_points`` rows), and ``execute``'s path collision check at
 ``COLLISION_RES_DEG``.  ``densify`` and the collision check first refuse a
 path outside the joint limits (``RobotModel.refuse_outside_limits``), so an
 edge's pieces are bounded by the limits' span, not by its input.
+
+``man`` and ``col`` annotate the trajectories a decision reads (candidates,
+bridges, blends); a joined or densified path carries points, sources and
+success only, and ``execute`` judges it itself.
 """
 from __future__ import annotations
 
@@ -22,36 +26,42 @@ SOURCE_LFD, SOURCE_DRL = 0, 1
 class JointTrajectory:
     points: np.ndarray                  # (k, dof) radians
     source: np.ndarray                  # (k,) uint8, SOURCE_LFD / SOURCE_DRL
-    man: np.ndarray                     # (k,) normalized manipulability
-    col: np.ndarray                     # (k,) collision index
+    # the annotations, both given or both None (an unscored path)
+    man: np.ndarray | None = None       # (k,) normalized manipulability
+    col: np.ndarray | None = None       # (k,) collision index
     success: bool = True
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         k = len(self.points)
+        if (self.man is None) != (self.col is None):
+            raise ValueError("man and col must be given together")
         for arr in (self.source, self.man, self.col):
-            if len(arr) != k:
+            if arr is not None and len(arr) != k:
                 raise ValueError("annotation length mismatch")
 
     def __len__(self) -> int:
         return len(self.points)
 
     def __getitem__(self, rows: slice) -> "JointTrajectory":
-        """The points ``rows`` (a slice) with their annotations and this
-        trajectory's success; the arrays are views of this trajectory's."""
-        return JointTrajectory(self.points[rows], self.source[rows], self.man[rows],
-                               self.col[rows], self.success)
+        """The points ``rows`` (a slice) with their sources, their annotations
+        if any and this trajectory's success; the arrays are views of this
+        trajectory's."""
+        man, col = (None, None) if self.man is None else (self.man[rows], self.col[rows])
+        return JointTrajectory(self.points[rows], self.source[rows], man, col, self.success)
 
     def max_step(self) -> float:
         """Largest edge step (``edge_steps``), radians; 0.0 below two points."""
         return float(np.max(edge_steps(self.points), initial=0.0))
 
     def concat(self, *others: "JointTrajectory") -> "JointTrajectory":
-        """This trajectory followed by ``others``; successful when all are."""
+        """The path of this trajectory followed by ``others``: their points and
+        sources in order, successful when all are, and unscored (each part's
+        annotations are its own; the joined path is judged as a whole)."""
         parts = (self, *others)
         return JointTrajectory(*(np.concatenate([getattr(p, name) for p in parts])
-                                 for name in ("points", "source", "man", "col")),
-                               all(p.success for p in parts))
+                                 for name in ("points", "source")),
+                               success=all(p.success for p in parts))
 
 
 def edge_steps(points) -> np.ndarray:

@@ -104,7 +104,8 @@ def execute(traj: JointTrajectory, model: RobotModel, cell: Workcell,
 
     One lane walk over ``_checked_configs`` gives the collision count over
     every checked configuration; the pose hits, the manipulability of
-    ``r_s`` and its collision terms are read at the waypoints' rows."""
+    ``r_s`` and its collision terms are read at the waypoints' rows.  Only
+    ``traj``'s points are read: an executed path carries no annotations."""
     points = traj.points
     checked, at = _checked_configs(model, points)
     axes, origins, _, q, p = _chain_eval(model, checked)

@@ -200,11 +200,9 @@ def screw_power(rel: DualQuaternion, u: float) -> DualQuaternion:
 
 
 def unannotated(points) -> JointTrajectory:
-    """A joint trajectory of ``points`` (one point or (k, dof)) with zero
-    annotations: every point LFD-sourced, with man 0 and col 0."""
-    k = len(np.atleast_2d(points))
-    return JointTrajectory(points, np.full(k, SOURCE_LFD, np.uint8), np.zeros(k),
-                           np.zeros(k, np.uint8))
+    """A joint trajectory of ``points`` (one point or (k, dof)) without
+    annotations, every point LFD-sourced."""
+    return JointTrajectory(points, np.full(len(np.atleast_2d(points)), SOURCE_LFD, np.uint8))
 
 
 def negated(d: DualQuaternion) -> DualQuaternion:
@@ -668,30 +666,20 @@ def blend(theta_a, theta_b, model, obstacles, cfg) -> JointTrajectory:
 
 def densify(traj, model, obstacles, bound_deg) -> JointTrajectory:
     bound = np.radians(bound_deg)
-    pts, src, man, col = [], [], [], []
-    inserted = []
+    pts, src = [], []
     for k, theta in enumerate(traj.points):
         if k > 0:
             prev = traj.points[k - 1]
             gap = float(np.max(np.abs(theta - prev)))
             extra = int(np.ceil(gap / bound)) - 1
             for e in range(1, extra + 1):
-                inserted.append(len(pts))
                 pts.append(prev + (e / (extra + 1)) * (theta - prev))
                 src.append(traj.source[k])
-                man.append(0.0)
-                col.append(0)
         pts.append(theta)
         src.append(traj.source[k])
-        man.append(traj.man[k])
-        col.append(traj.col[k])
     # the reshape keeps an empty path a (0, dof) path
-    pts, man, col = np.array(pts).reshape(-1, traj.points.shape[1]), np.array(man), \
-        np.array(col, np.uint8)
-    if inserted:
-        man[inserted] = manipulability_rows(model, pts[inserted])
-        col[inserted] = collision_index_lanes(model, pts[inserted], obstacles)
-    return JointTrajectory(pts, np.array(src, np.uint8), man, col, traj.success)
+    return JointTrajectory(np.array(pts).reshape(-1, traj.points.shape[1]),
+                           np.array(src, np.uint8), success=traj.success)
 
 
 def checked_configs(points, res_deg):

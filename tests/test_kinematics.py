@@ -7,7 +7,7 @@ import scalar_reference as ref
 from hybridplan import kinematics
 from hybridplan.dualquat import (DualQuaternion, _qrot, dq_mul, dq_to_lanes,
                                  dq_translation, quat_from_axis_angle)
-from hybridplan.geometry import score_lanes
+from hybridplan.geometry import Box, collision_index, score_lanes
 from hybridplan.kinematics import (
     LinkCapsule,
     _chain_eval,
@@ -557,6 +557,18 @@ def test_capsule_validation():
         _robot(capsules=[LinkCapsule(1, 4, 0.05)])      # frames 0-3 on a 2-joint arm
     assert _robot(capsules=[LinkCapsule(0, 3, 0.05)]).capsules == [LinkCapsule(0, 3, 0.05)]
     assert all(isinstance(c, LinkCapsule) for c in planar_rr().capsules)
+
+
+def test_make_robot_refuses_a_capsule_frame_that_is_not_an_integer():
+    # numpy would refuse the float as an index only at the first collision check
+    with pytest.raises(ValueError, match=r"integers, got LinkCapsule\(frame_a=1\.5, "):
+        _robot(capsules=[LinkCapsule(1.5, 2, 0.05)])
+    wall = [Box([0.4, -0.5, -0.1], [0.6, 0.5, 0.1])]
+    python_ints = _robot(capsules=[LinkCapsule(1, 2, 0.05)])
+    numpy_ints = _robot(capsules=[LinkCapsule(np.int64(1), np.int32(2), 0.05)])
+    for theta in ([0.0, 1.0], [1.5, 0.0]):
+        assert collision_index(numpy_ints, np.array(theta), wall) == \
+            collision_index(python_ints, np.array(theta), wall)
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.04], ids=["nan", "inf", "0", "-0.04"])

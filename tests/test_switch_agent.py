@@ -107,7 +107,6 @@ def test_densify_bounds_steps_and_keeps_the_original_points():
            [-0.2, 0.3, -0.4]]
     traj = annotated(model, pts)
     traj.source[2:] = SOURCE_DRL
-    traj.man[1] = 7.0                          # a kept annotation is copied, not rescored
     for bound_deg in (2.0, 0.5):
         out = densify(traj, model, [POST], bound_deg)
         assert out.max_step() <= np.radians(bound_deg) + 1e-12
@@ -116,14 +115,9 @@ def test_densify_bounds_steps_and_keeps_the_original_points():
         kept += [kept[-1] + 1, len(out) - 1]    # the repeated point follows at once
         assert kept == sorted(kept) and len(set(kept)) == len(kept)
         np.testing.assert_array_equal(out.points[kept], traj.points)
-        np.testing.assert_array_equal(out.man[kept], traj.man)
-        np.testing.assert_array_equal(out.col[kept], traj.col)
         np.testing.assert_array_equal(out.source[kept], traj.source)
         new = np.setdiff1d(np.arange(len(out)), kept)
-        assert len(new) > 0 and out.col[new].any()
-        ref = annotated(model, out.points[new])
-        np.testing.assert_array_equal(out.man[new], ref.man)
-        np.testing.assert_array_equal(out.col[new], ref.col)
+        assert len(new) > 0
         # an inserted point takes the source of the waypoint it leads to
         np.testing.assert_array_equal(out.source[new], traj.source[np.searchsorted(kept, new)])
 
@@ -179,7 +173,11 @@ def test_edge_splits_equal_the_per_point_loops(monkeypatch, case):
                       scalar_reference.blend(a, b, model, [POST], cfg)))
     for got, ref in pairs:
         for field in ("points", "source", "man", "col"):
-            assert_same_bits(getattr(got, field), getattr(ref, field))
+            if getattr(ref, field) is None:             # densify's unscored path
+                assert getattr(got, field) is None
+            else:
+                assert_same_bits(getattr(got, field), getattr(ref, field))
+        assert got.success == ref.success
     if case.startswith("blend"):
         assert (len(pairs[-1][0]) == cfg.blend_points) == (case == "blend above its cap")
     rows, at = _checked_configs(model, points)
@@ -214,10 +212,12 @@ def test_assemble_length_is_the_sum_of_its_parts(monkeypatch):
         b_out = blend(band.bridge.points[-1], cands.points[s_out], model, [POST], cfg)
         assert len(out) == (s_in + 1) + len(b_in) + len(band.bridge) + len(b_out) \
             + (len(cands) - s_out)
-        np.testing.assert_array_equal(out.points[:s_in + 1], cands.points[:s_in + 1])
-        np.testing.assert_array_equal(out.points[-(len(cands) - s_out):],
-                                      cands.points[s_out:])
-    assert len(assemble(cands, [], [], model, [POST], cfg)) == len(cands)
+        np.testing.assert_array_equal(out.points, np.vstack([
+            cands.points[:s_in + 1], b_in.points, band.bridge.points, b_out.points,
+            cands.points[s_out:]]))
+        assert out.man is None and out.col is None            # the path is unscored
+    bare = assemble(cands, [], [], model, [POST], cfg)
+    assert len(bare) == len(cands) and bare.man is None and bare.col is None
 
 
 def test_a_densified_held_trajectory_never_drops_the_payload(monkeypatch):
@@ -511,9 +511,10 @@ def test_hybrid_query_runs_end_to_end_on_the_seven_dof_chain(monkeypatch):
 def _query_digests(workloads, wl, monkeypatch) -> dict:
     """SHA-256 per stage over what one ``run_round`` of a ``hybrid`` workload
     hands between its stages: classification masks and segments, candidate
-    and bridge points/annotations/success, band boundaries, densified
-    trajectories and ``ExecutionReport`` reprs.  No pose is hashed, so the
-    digests do not depend on the pose format."""
+    and bridge points/annotations/success, band boundaries, the densified
+    paths' points/sources/success (they carry no annotations) and
+    ``ExecutionReport`` reprs.  No pose is hashed, so the digests do not
+    depend on the pose format."""
     h = {name: hashlib.sha256() for name in ("classify", "candidates", "bands",
                                              "densify", "execute")}
 
@@ -536,7 +537,8 @@ def _query_digests(workloads, wl, monkeypatch) -> dict:
              lambda bands: b"".join(repr((b.seg_start, b.seg_end, b.entry, b.exit)).encode()
                                     + traj_bytes(b.bridge) for b in bands) + b"|"),
             ("densify", "densify",
-             lambda t: traj_bytes(t) + t.source.astype("u1").tobytes()),
+             lambda t: t.points.astype("<f8").tobytes() + t.source.astype("u1").tobytes()
+             + repr(bool(t.success)).encode()),
             ("execute", "execute", lambda r: repr(r).encode())):
         monkeypatch.setattr(workloads, name, record(stage, getattr(workloads, name), out_bytes))
     tally = workloads.Tally()
@@ -552,20 +554,22 @@ def _query_digests(workloads, wl, monkeypatch) -> dict:
 # closed-form branches chosen by the min-jump pass; seed 2's "densify" and
 # "execute" re-recorded when each band's entry window came to start at the
 # previous band's exit handover (its instance cross36 handed over at 6, 11
-# and then back at 10)
+# and then back at 10); "densify" re-recorded, on the tree before the
+# densified path lost its annotations, when the stage came to hash points,
+# sources and success only
 QUERY_PINS = {
     1: {
         "classify": "5f6e4565d7b95ee83e9f8ca24d69429ab3995bbae7575b35319d9626e78ee828",
         "candidates": "0c8e6e9ab38221e6f6df1a969271a94511ed92a60e10d9d76c6a9f4470e3f6e2",
         "bands": "d91c0b645d4e4e5fe063e0f423bda8dac561607bca4b61ccb1910041b703aa75",
-        "densify": "8d2c12ab92b7479a52626c6efb51323a39c5ee51be32d6f336923267f834cdf8",
+        "densify": "132ab140a6bc7869ede8075f342baa98fa83e2850be3a2a7ca543ca91a15f352",
         "execute": "0c36a89e794c8fcd26f7d912766b1a52b51effda06df8f4d1df0d672787126a6",
     },
     2: {
         "classify": "d874c84b21c316d87fef467a876c926d96364802d1ca85e6c3be16026202c6ad",
         "candidates": "a1df6c53e0f2bc83db232eb1c1ab4ffe750bcb6ae4b4379009df01dc3a8cf9da",
         "bands": "338e2795fdc769078704b6c54d8668ee8957257947049510f8dcd93a5d34bf65",
-        "densify": "27ae51414df1db46db8e97e69d51ffe7400279fb60aa364eb85b4b0e06f566d3",
+        "densify": "3828b54084f745dc2f4cb28e673094b9f61132fc0686b82e4d76321a46bcfe4b",
         "execute": "1117d6ad93ab4921707c0075a36c014c49392dd1ab0a915c0d59db7954e397b1",
     },
 }
@@ -580,30 +584,33 @@ def test_hybrid_query_is_pinned_per_seed(workloads, hybrid_workloads, monkeypatc
             f"numpy {QUERY_PINS_NUMPY} (this run: numpy {np.__version__}): {got}")
 
 
-def test_hybrid_densified_annotations_equal_a_fresh_score(workloads, hybrid_workloads,
-                                                          monkeypatch):
-    """On ``hybrid`` seed 1, over one ``run_round``, every densified
-    trajectory's ``man`` and ``col`` equal ``score_lanes`` of its points.
-    ``switch_reward`` and the switch observations read these annotations as
-    the producers (candidates, bridges, blends, ``densify``) wrote them;
-    ``execute`` scores the same rows again itself and stays an independent
-    judge of its input."""
+def test_hybrid_execute_judges_each_unscored_path_by_one_score(workloads, hybrid_workloads,
+                                                               monkeypatch):
+    """On ``hybrid`` seed 1, over one ``run_round``, every path handed to
+    ``execute`` carries no annotations, ``execute`` checks exactly its rows
+    (a densified step needs no collision interpolant), and the report's
+    ``collisions`` and ``r_s`` equal one ``score_lanes`` of the path, bit for
+    bit: the judge scores the executed rows once, itself."""
     wl = hybrid_workloads[0]
     assert wl.seed == 1
-    densified, densify = [], workloads.densify
+    judged, execute_ = [], workloads.execute
 
-    def record(*args, **kwargs):
-        densified.append(densify(*args, **kwargs))
-        return densified[-1]
+    def record(traj, model, *args):
+        judged.append((traj, execute_(traj, model, *args)))
+        return judged[-1][1]
 
-    monkeypatch.setattr(workloads, "densify", record)
+    monkeypatch.setattr(workloads, "execute", record)
     tally = workloads.Tally()
     wl.run_round(tally)
-    assert not tally.failed and len(densified) == len(wl.instances)
-    for traj in densified:
+    assert not tally.failed and len(judged) == len(wl.instances)
+    for traj, report in judged:
+        assert traj.man is None and traj.col is None
+        rows, at = _checked_configs(wl.model, traj.points)
+        assert rows.tobytes() == traj.points.tobytes() and at.tolist() == list(range(len(traj)))
         man, col = score_lanes(wl.model, traj.points, wl.cell.obstacles)
-        assert traj.man.tobytes() == man.tobytes() and traj.col.tobytes() == col.tobytes()
-    assert any(traj.col.any() for traj in densified)      # collisions are annotated too
+        assert report.collisions == int(np.sum(col))
+        assert np.float64(report.r_s).tobytes() == np.sum(man - col).tobytes()
+    assert any(report.collisions for _, report in judged)      # collisions are judged too
 
 
 @pytest.mark.parametrize("call, match", [

@@ -29,6 +29,12 @@ def test_annotation_length_mismatch_rejected(field):
         JointTrajectory(np.zeros((3, 2)), **annotations)
 
 
+@pytest.mark.parametrize("given", ["man", "col"])
+def test_one_annotation_without_the_other_rejected(given):
+    with pytest.raises(ValueError, match="man and col must be given together"):
+        JointTrajectory(np.zeros((3, 2)), np.zeros(3, np.uint8), **{given: np.zeros(3)})
+
+
 def test_max_step_is_the_largest_joint_move():
     traj = unannotated([[0.0, 0.0], [0.1, -0.3], [0.3, -0.2]])
     assert traj.max_step() == pytest.approx(0.3)
@@ -44,9 +50,8 @@ def test_concat_keeps_order_and_ands_success(sizes):
     out = parts[0].concat(*parts[1:])
     assert len(out) == sum(sizes)
     np.testing.assert_array_equal(out.points, np.vstack([p.points for p in parts]))
-    for name in ("source", "man", "col"):
-        np.testing.assert_array_equal(getattr(out, name),
-                                      np.concatenate([getattr(p, name) for p in parts]))
+    np.testing.assert_array_equal(out.source, np.concatenate([p.source for p in parts]))
+    assert out.man is None and out.col is None        # the joined path is unscored
     assert not out.success and not parts[-1].concat(*parts[:-1]).success
     assert parts[0].concat(*parts[2:], annotated(2, seed=9)).success
 
@@ -58,4 +63,7 @@ def test_slice_keeps_rows_annotations_and_success():
         for name in ("points", "source", "man", "col"):
             np.testing.assert_array_equal(getattr(part, name), getattr(traj, name)[rows])
         assert part.points.shape[1] == 3 and not part.success
+        bare = traj.concat()[rows]
+        np.testing.assert_array_equal(bare.points, traj.points[rows])
+        assert bare.man is None and bare.col is None
 
