@@ -40,6 +40,8 @@ from hybridplan.geometry import (
 )
 from hybridplan.hrl_planner import (
     SENTINEL,
+    HrlConfig,
+    _jitter_lanes,
     exhaustive_plan,
     intrinsic_reward,
     plan_lfd,
@@ -396,6 +398,17 @@ def _train_first_task(wl):
     # trains it
     return train_hrl([wl.tasks[0].task], wl.library, episodes=wl.sizes.episodes,
                      config=workloads.hrl_config(), seed=1000)
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_jitter_lanes(benchmark, n):
+    # one training episode's task jitter, under the default HrlConfig
+    # amplitudes, of the arc skill's lanes, cycled
+    poses = inputs.skill_library()["arc"].lanes
+    cfg = HrlConfig()
+    amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
+    lanes = poses[np.arange(n) % len(poses)]
+    assert benchmark(_jitter_lanes, lanes, amp, np.random.default_rng(0)).shape == (n, 8)
 
 
 def test_train_hrl_skills_task(benchmark, skills):

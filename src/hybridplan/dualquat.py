@@ -8,13 +8,21 @@ The Hamilton product and the vector rotation are written once, as the
 component kernels ``_qmul`` and ``_qrot``.  Their arguments are plain floats
 or (N,) arrays, so the same arithmetic serves the 4-vector functions here,
 the scalar and lane kinematic chain of ``kinematics``, and the dual-quaternion
-lanes below.  ``dq_mul_lanes`` alone reads the product from a table of
-``_qmul``'s terms, in ``_qmul``'s order: its callers pass a few to a few
-hundred lanes, where a call costs its ufunc calls, not its arithmetic.  At a
-thousand lanes the table form is no faster than the components.  The lane
-chain keeps ``_qmul``: one ``build_map`` of the benchmark's maps walks it 246
-times, on at most 1,080 lanes (``map``) or 864 (``hybrid``), median 104.5 and
-55, and about nine walks in ten have 300 lanes or fewer; yet a bit-identical
+lanes below.  Where the lane count is small, a call costs its ufunc calls,
+not its arithmetic, so the product is read from a table of ``_qmul``'s
+terms, in ``_qmul``'s order (``_table_products``): ``quat_mul_lanes`` for one
+quaternion product and ``dq_mul_lanes`` for a dual one, about 4 and 10
+ufunc calls where components make about 30.  Their callers pass a few to a
+few hundred lanes: ``dq_translation`` of lanes, ``hrl_planner``'s task
+jitter (3 to 9 poses an episode, where the table form about halves a
+jitter's time) and the retargeting and interpolation of ``lfd`` and
+``dq_sclerp_lanes``.  At a thousand lanes the table form is no faster than
+the components.  A table product of (N, 4) lanes is F-ordered, and
+``_lane_dot`` rounds F-ordered rows differently.  The lane chain
+(``kinematics._chain_eval`` and ``_pose_error_lanes``) keeps ``_qmul`` on
+components: one ``build_map`` of the benchmark's maps walks it 246 times, on
+at most 1,080 lanes (``map``) or 864 (``hybrid``), median 104.5 and 55, and
+about nine walks in ten have 300 lanes or fewer; yet a bit-identical
 table-form walk (one broadcast multiply and one ordered reduce per Hamilton
 product) was faster in only 11 of 40 alternated ``build_map`` runs.
 
@@ -46,8 +54,9 @@ to rounding (over the benchmark's workloads no product drifts by more than
 Lanes are (N, 8) arrays of dual quaternions, real part then dual part: the
 one pose format below the planners' entry points, which convert poses with
 ``dq_to_lanes``.  ``dq_translation`` is the one translation rule.
-``dq_mul_lanes`` is ``dq_mul`` on every lane, with the same terms in the
-same order, and ``dq_sclerp`` is the one-lane case of ``dq_sclerp_lanes``.
+``quat_mul_lanes`` and ``dq_mul_lanes`` are ``quat_mul`` and ``dq_mul`` on
+every lane, with the same terms in the same order, and ``dq_sclerp`` is the
+one-lane case of ``dq_sclerp_lanes``.
 """
 from __future__ import annotations
 
@@ -82,7 +91,14 @@ def _qrot(qw, qx, qy, qz, vx, vy, vz):
 def _lane_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products along the last axis; a batched dot, which rounds like the
     1-D ``u @ v`` of the one-vector path (an elementwise sum of products does
-    not)."""
+    not).
+
+    It rounds by memory layout: only rows laid out in C order round like the
+    1-D dot.  On numpy 2.4.6 the same (N, 4) values in C and in F order gave
+    different dots on 145 of 400 rows at N = 2 and on 3,434 of 10,000 at
+    N = 50 (200 normal draws each), and F-ordered rows missed the 1-D dot on
+    338 of 1,000.  A table product (``quat_mul_lanes``) returns F-ordered
+    lanes, so a caller that dots its rows copies them to C order first."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
@@ -286,15 +302,17 @@ def dq_to_lanes(poses) -> np.ndarray:
 def dq_translation(lanes) -> np.ndarray:
     """Translation t = 2 dual conj(real) of one pose, (3,), or of (N, 8)
     lanes, (N, 3).  One pose, an 8-vector or a list of 8 floats, is worked on
-    Python floats, lanes on (N,) columns, with the same operations."""
+    Python floats, lanes by ``quat_mul_lanes``, with the same terms in the
+    same order.  The lanes' result is F-ordered, the transpose of a (3, N)
+    array."""
     if not isinstance(lanes, list):
         lanes = np.asarray(lanes)
-        lanes = lanes.tolist() if lanes.ndim == 1 else lanes.T
+        if lanes.ndim > 1:
+            return 2.0 * quat_mul_lanes(lanes[..., 4:], lanes[..., :4] * _CONJ[:4])[..., 1:]
+        lanes = lanes.tolist()
     rw, rx, ry, rz, dw, dx, dy, dz = lanes
     _, tx, ty, tz = _qmul(dw, dx, dy, dz, rw, -rx, -ry, -rz)
-    if isinstance(tx, float):        # one pose
-        return np.array((2.0 * tx, 2.0 * ty, 2.0 * tz))
-    return 2.0 * np.array((tx, ty, tz)).T
+    return np.array((2.0 * tx, 2.0 * ty, 2.0 * tz))
 
 
 def _refuse_non_unit(a: np.ndarray) -> None:
@@ -328,30 +346,49 @@ _HAMILTON = (((0, 0, 1), (1, 1, -1), (2, 2, -1), (3, 3, -1)),
              ((0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, -1)),
              ((0, 2, 1), (1, 3, -1), (2, 0, 1), (3, 1, 1)),
              ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, 1)))
-# (term, product x component) tables of a dual product's three quaternion
-# products, real*real, real*dual and dual*real, over the two 8-vectors
+# (term, component) tables of one quaternion product over two 4-vectors
+_QA = np.array([[_HAMILTON[c][t][0] for c in range(4)] for t in range(4)])
+_QB = np.array([[_HAMILTON[c][t][1] for c in range(4)] for t in range(4)])
+_QSIGN = np.array([[float(_HAMILTON[c][t][2]) for c in range(4)] for t in range(4)])
+# the same over the 8-vectors of a dual product's three quaternion products,
+# real*real, real*dual and dual*real, side by side
 _PARTS = ((0, 0), (0, 4), (4, 0))
-_IA = np.array([[oa + _HAMILTON[c][t][0] for oa, _ in _PARTS for c in range(4)] for t in range(4)])
-_IB = np.array([[ob + _HAMILTON[c][t][1] for _, ob in _PARTS for c in range(4)] for t in range(4)])
-_SIGN = np.array([[float(_HAMILTON[c][t][2]) for _ in _PARTS for c in range(4)] for t in range(4)])
+_IA = np.hstack([oa + _QA for oa, _ in _PARTS])
+_IB = np.hstack([ob + _QB for _, ob in _PARTS])
+_SIGN = np.tile(_QSIGN, len(_PARTS))
+
+
+def _table_products(a, b, ia, ib, sign) -> np.ndarray:
+    """The products a table describes: one gather of the term factors, one
+    multiply by the term signs and one sum over each component's four terms.
+    The sum runs in ``_qmul``'s order from -0.0 (numpy's +0.0 start would
+    turn a sum of -0.0 terms into +0.0), and a negation is exact, so every
+    product equals ``_qmul``'s bit for bit, signed zeros included.  The
+    gather puts the lane axis last in memory, so the products of (N, k)
+    lanes are F-ordered."""
+    terms = a[..., ia] * b[..., ib]
+    terms *= sign
+    return np.add.reduce(terms, axis=-2, initial=-0.0)
+
+
+def quat_mul_lanes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton products a * b of (N, 4) float lanes, F-ordered; a single
+    4-vector on either side broadcasts.  About 4 ufunc calls where ``_qmul``
+    on component arrays makes about 30."""
+    return _table_products(a, b, _QA, _QB, _QSIGN)
 
 
 def dq_mul_lanes(a, b) -> np.ndarray:
     """``dq_mul`` over (N, 8) lanes; a single 8-vector on either side broadcasts.
 
-    The three quaternion products are one gather of their 48 term factors, one
-    multiply by the term signs and one sum over each component's four terms.
-    The sum runs in ``_qmul``'s order from -0.0 (numpy's +0.0 start would turn
-    a sum of -0.0 terms into +0.0), and a negation is exact, so every lane
-    equals ``dq_mul`` bit for bit, signed zeros included.  That is about 10
+    The three quaternion products are one ``_table_products`` call over 48
+    terms, so every lane equals ``dq_mul`` bit for bit.  That is about 10
     ufunc calls where ``_qmul`` on component arrays makes about 30: half the
     time at N = 1 to 200, and even at N = 1,000.  Like ``dq_mul``, it returns
     the products as they round, and checks no lane against the unit rule.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    terms = a[..., _IA] * b[..., _IB]
-    terms *= _SIGN
-    prod = np.add.reduce(terms, axis=-2, initial=-0.0)
+    prod = _table_products(a, b, _IA, _IB, _SIGN)
     out = np.empty(prod.shape[:-1] + (8,))
     out[..., :4] = prod[..., :4]
     np.add(prod[..., 4:8], prod[..., 8:], out=out[..., 4:])

@@ -288,11 +288,9 @@ def collision_index_lanes(model: RobotModel, thetas, obstacles) -> np.ndarray:
 def score_lanes(model: RobotModel, thetas, obstacles) -> tuple:
     """(normalized manipulability, ``collision_index_lanes``) of an (N, dof)
     array from one lane chain walk, lane k of each equal to the scalar
-    ``normalized_manipulability`` and ``collision_index`` of row k; no lane
-    call on zero rows."""
+    ``normalized_manipulability`` and ``collision_index`` of row k (zero rows
+    give empty arrays)."""
     thetas = np.asarray(thetas, dtype=float).reshape(-1, model.dof)
-    if len(thetas) == 0:
-        return np.zeros(0), np.zeros(0, dtype=np.uint8)
     axes, origins, _, _, p = _chain_eval(model, thetas)
     return (_normalized_manipulability_raw(model, axes, origins, p),
             _collision_index_lanes(model, _frame_points_raw(origins, p), obstacles))

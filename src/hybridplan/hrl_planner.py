@@ -8,6 +8,14 @@ feature sequence with the segment's; any per-term distance beyond the fixed
 tolerance ``lfd.DELTA_BETA`` yields a sentinel treated as minus infinity.  The
 task controller's target is undiscounted (gamma = 1).
 
+Training pays per episode for its Python and its numpy calls, not for
+arithmetic: an episode jitters 3 to 9 poses.  So the jitter draws its offsets
+with one ``rng.random`` call and makes its two Hamilton products with
+``dualquat.quat_mul_lanes``, the amplitudes are built once per ``train_hrl``
+call, and the greedy picks take the first maximum of a Python list, as
+``np.argmax`` does, without converting it to an array.  Every table stays
+bit-identical.
+
 A ``train_hrl`` or ``exhaustive_plan`` call scores segments through one
 scorer that lives for that call only.  It keys a segment by the exact bytes
 of its (k, 8) lanes, resamples the segment's features once per distinct
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hybridplan.dualquat import _lane_dot, _qmul, dq_to_lanes, dq_translation
+from hybridplan.dualquat import _lane_dot, dq_to_lanes, dq_translation, quat_mul_lanes
 from hybridplan.lfd import (
     BETA_RESAMPLE,
     DELTA_BETA,
@@ -107,11 +115,11 @@ class QTables:
 
     def best_segment(self, state, candidates):
         vals = [self.task_q.get((state, seg), 0.0) for seg in candidates]
-        return candidates[int(np.argmax(vals))]
+        return candidates[vals.index(max(vals))]
 
     def best_skill(self, state, seg, skill_ids):
         vals = [self.motion_q.get((state, seg, sk), 0.0) for sk in skill_ids]
-        best = int(np.argmax(vals))
+        best = vals.index(max(vals))
         if vals[best] <= SENTINEL:
             raise ValueError(f"no admissible skill for segment {seg}")
         return skill_ids[best]
@@ -129,37 +137,59 @@ class HrlConfig:
     jitter_pos: tuple = (0.02, 0.02, 0.0)   # per-axis task jitter, meters
     jitter_rot: float = np.radians(5.0)     # yaw jitter, radians
 
+    def __post_init__(self):
+        if np.shape(self.jitter_pos) != (3,):
+            raise ValueError(f"jitter_pos needs 3 per-axis amplitudes, got {self.jitter_pos!r}")
+        for name, amp in (("jitter_pos", self.jitter_pos), ("jitter_rot", self.jitter_rot)):
+            if not np.all(np.isfinite(amp) & (np.asarray(amp) >= 0.0)):
+                raise ValueError(f"{name} must be finite and non-negative, got {amp!r}")
+        if not self.eps_decay > 0.0:
+            raise ValueError(f"eps_decay must be positive, got {self.eps_decay!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
+
     def epsilon(self, episode: int) -> float:
         return self.eps_end + (self.eps_start - self.eps_end) * np.exp(-episode / self.eps_decay)
 
 
-def _jitter_lanes(lanes: np.ndarray, cfg: HrlConfig, rng) -> np.ndarray:
+_Z_SPIN = np.array([0.0, 0.0, 0.0, 1.0])   # the z axis, as sin(half) scales it
+
+
+def _jitter_lanes(lanes: np.ndarray, amp: np.ndarray, rng) -> np.ndarray:
     """Every pose of the (n, 8) lanes shifted by a uniform offset within
-    ``jitter_pos`` and spun about z by a uniform angle within ``jitter_rot``.
+    ``amp[:3]`` (``HrlConfig.jitter_pos``) and spun about z by a uniform
+    angle within ``amp[3]`` (``jitter_rot``).
 
     One (n, 4) draw takes, pose by pose, the three offsets and then the
-    angle, and the arithmetic is ``DualQuaternion.from_pose`` on lanes, so the
-    result and the generator state match jittering one pose at a time.  A
-    NaN, an inf or an entry of 1e150 or more, whose products could overflow,
-    is refused before any arithmetic: a degenerate rotation in the real part,
-    a non-finite position in the dual part, as ``from_pose`` refuses it."""
+    angle: ``Generator.uniform``'s ``low + range * u`` of ``rng.random``, the
+    same stream and the same values.  The arithmetic is
+    ``DualQuaternion.from_pose`` on lanes, its two Hamilton products by
+    ``quat_mul_lanes``, so the result and the generator state match
+    jittering one pose at a time.  The table product's rows are F-ordered and
+    ``_lane_dot`` rounds by layout, so the norm is taken on a C-ordered copy.
+    A NaN, an inf or an entry of 1e150 or more, whose products could
+    overflow, is refused before any arithmetic: a degenerate rotation in the
+    real part, a non-finite position in the dual part, as ``from_pose``
+    refuses it."""
     size = np.abs(lanes)
     if not size.max(initial=0.0) < 1e150:                  # NaN fails too
         raise ValueError("non-finite position" if size[:, :4].max() < 1e150
                          else "degenerate rotation")
-    amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
-    draw = rng.uniform(-amp, amp, size=(len(lanes), 4))
-    half = 0.5 * draw[:, 3]
-    sin = np.sin(half)
-    zero = sin * 0.0                 # the signed zeros of the z-axis spin
-    rot = np.column_stack(_qmul(np.cos(half), zero, zero, sin, *lanes.T[:4]))
+    draw = -amp + (amp + amp) * rng.random((len(lanes), 4))
+    half = 0.5 * draw[:, 3:]
+    spin = np.sin(half) * _Z_SPIN    # the signed zeros of sin(half) * 0.0
+    spin[:, :1] = np.cos(half)
+    rot = np.ascontiguousarray(quat_mul_lanes(spin, lanes[:, :4]))
     norm = np.sqrt(_lane_dot(rot, rot))
     if not np.all(norm >= 1e-12):
         raise ValueError("degenerate rotation")
     rot /= norm[:, None]
-    pos = dq_translation(lanes) + draw[:, :3]
-    dual = _qmul(0.0, *pos.T, *rot.T)
-    return np.column_stack((rot, *(0.5 * c for c in dual)))
+    pos = np.zeros((len(lanes), 4))
+    np.add(dq_translation(lanes), draw[:, :3], out=pos[:, 1:])
+    out = np.empty((len(lanes), 8))
+    out[:, :4] = rot
+    np.multiply(0.5, quat_mul_lanes(pos, rot), out=out[:, 4:])
+    return out
 
 
 def _config_cells(task_lanes, fmap) -> list:
@@ -199,10 +229,11 @@ def train_hrl(tasks, library: SkillLibrary, episodes=400, config=None,
     task_lanes = [dq_to_lanes(t.configs) for t in tasks]
     # the state keys read the un-jittered configurations
     task_cells = _config_cells(task_lanes, fmap)
+    amp = np.append(cfg.jitter_pos, cfg.jitter_rot)
 
     for ep in range(episodes):
         k = int(rng.integers(len(tasks)))
-        configs, cells = _jitter_lanes(task_lanes[k], cfg, rng), task_cells[k]
+        configs, cells = _jitter_lanes(task_lanes[k], amp, rng), task_cells[k]
         eps = cfg.epsilon(ep)
         idx = 0
         history = []
@@ -217,7 +248,7 @@ def train_hrl(tasks, library: SkillLibrary, episodes=400, config=None,
                 skill_id = skill_ids[int(rng.integers(len(skill_ids)))]
             else:
                 vals = [tables.motion_q.get((state, seg, sk), 0.0) for sk in skill_ids]
-                skill_id = skill_ids[int(np.argmax(vals))]
+                skill_id = skill_ids[vals.index(max(vals))]
 
             r = score(skill_id, configs[seg[0]:seg[1] + 1])
             history.append(r)

@@ -12,9 +12,10 @@ executed window, which is exactly the trajectory-level reward restricted to
 the points the decision can influence.  The task-space plan is (N, 8) pose
 lanes, and its brackets are rows of them.  ``geometry.score_lanes`` annotates
 the joint rows a decision reads: the candidates, the bridges and the blends
-the training reward scores.  The executed path that ``assemble`` joins and
-``densify`` bounds carries points, sources and success only, and
-``workcell.execute`` judges it by its own walk of every checked row.
+the training reward scores, all of a band's blends in one call.  The
+executed path that ``assemble`` joins and ``densify`` bounds carries points,
+sources and success only, and ``workcell.execute`` judges it by its own walk
+of every checked row.
 
 The demonstration-derived joint trajectory takes each pose's exact elbow
 branches (``kinematics.closed_form_branches``) on planar RR and 3R arms.
@@ -187,11 +188,16 @@ def _blend_rows(theta_a, theta_b, cfg: SwitchConfig) -> JointTrajectory:
     return JointTrajectory(pts, np.full(len(pts), SOURCE_DRL, np.uint8))
 
 
-def blend(theta_a, theta_b, model, obstacles, cfg: SwitchConfig) -> JointTrajectory:
-    """The handover ramp of ``_blend_rows`` annotated by one ``score_lanes``
-    call: the blend ``executed_window_reward`` scores."""
-    rows = _blend_rows(theta_a, theta_b, cfg)
-    return JointTrajectory(rows.points, rows.source, *score_lanes(model, rows.points, obstacles))
+def blend(ends, model, obstacles, cfg: SwitchConfig) -> list:
+    """The handover ramps of ``_blend_rows`` between each (theta_a, theta_b)
+    of ``ends``, annotated by one ``score_lanes`` call over all their rows:
+    the blends ``executed_window_reward`` scores.  A row scores alike
+    however the rows are batched."""
+    ramps = [_blend_rows(a, b, cfg) for a, b in ends]
+    man, col = score_lanes(model, np.concatenate([r.points for r in ramps]), obstacles)
+    at = np.cumsum([len(r) for r in ramps])[:-1]
+    return [JointTrajectory(r.points, r.source, m, c)
+            for r, m, c in zip(ramps, np.split(man, at), np.split(col, at))]
 
 
 def _resample_rows(arr: np.ndarray, k: int) -> np.ndarray:
@@ -342,19 +348,26 @@ def policy_switches(policy, bands, lfd_cands, cfg) -> list:
 
 def executed_window_reward(lfd_cands, band, s_in, s_out, model, obstacles,
                            cfg, blends=None) -> float:
-    """Eq.-9 style reward restricted to the points the decisions control.
+    """Eq.-9 style reward restricted to the points the decisions control,
+    for handover indices within the band's decision windows.
 
-    ``blends``, a dict kept per band, memoises the handover blends: the entry
-    blend depends only on ``s_in`` and the exit blend only on ``s_out``."""
+    ``blends``, a dict kept per band, holds the band's handover blends: the
+    entry blend depends only on ``s_in`` and the exit blend only on
+    ``s_out``, so when the band is first met one ``blend`` call builds and
+    scores the blends of every index of both windows."""
+    if not (band.entry.lo <= s_in <= band.entry.hi and band.exit.lo <= s_out <= band.exit.hi):
+        raise ValueError(f"handover ({s_in}, {s_out}) outside the decision windows "
+                         f"[{band.entry.lo}, {band.entry.hi}] and [{band.exit.lo}, {band.exit.hi}]")
     prefix = lfd_cands[band.entry.lo:s_in + 1]
     suffix = lfd_cands[s_out:band.exit.hi + 1]
     blends = {} if blends is None else blends
-    if ("in", s_in) not in blends:
-        blends["in", s_in] = blend(lfd_cands.points[s_in], band.bridge.points[0],
-                                   model, obstacles, cfg)
-    if ("out", s_out) not in blends:
-        blends["out", s_out] = blend(band.bridge.points[-1], lfd_cands.points[s_out],
-                                     model, obstacles, cfg)
+    if not blends:
+        ins = range(band.entry.lo, band.entry.hi + 1)
+        outs = range(band.exit.lo, band.exit.hi + 1)
+        ends = [(lfd_cands.points[s], band.bridge.points[0]) for s in ins] \
+            + [(band.bridge.points[-1], lfd_cands.points[s]) for s in outs]
+        keys = [("in", s) for s in ins] + [("out", s) for s in outs]
+        blends.update(zip(keys, blend(ends, model, obstacles, cfg)))
     total = switch_reward(prefix) + switch_reward(suffix)
     for b in (blends["in", s_in], blends["out", s_out]):
         if len(b):

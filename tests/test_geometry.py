@@ -213,7 +213,7 @@ def test_collision_index_lanes_matches_scalar(name):
 
 
 @pytest.mark.parametrize("name", ["wall", "spatial_mixed"])
-def test_score_lanes_is_both_lane_scores_from_one_walk(name, monkeypatch):
+def test_score_lanes_is_both_lane_scores_from_one_walk(name):
     model, obstacles = _scene(name)
     thetas = np.random.default_rng(6).uniform(model.limits_lo, model.limits_hi,
                                               (200, model.dof))
@@ -221,10 +221,9 @@ def test_score_lanes_is_both_lane_scores_from_one_walk(name, monkeypatch):
     np.testing.assert_array_equal(man, [normalized_manipulability(model, t) for t in thetas])
     np.testing.assert_array_equal(col, collision_index_lanes(model, thetas, obstacles))
     assert col.dtype == np.uint8
-    # zero rows: empty scores, and no chain walk
-    monkeypatch.setattr(geometry, "_chain_eval", None)
+    # zero rows: empty scores of the same dtypes, from the same walk
     man, col = score_lanes(model, np.zeros((0, model.dof)), obstacles)
-    assert man.shape == col.shape == (0,) and col.dtype == np.uint8
+    assert man.shape == col.shape == (0,) and man.dtype == float and col.dtype == np.uint8
 
 
 def test_collision_index_lanes_count_exact_touch_as_contact():

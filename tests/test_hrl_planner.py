@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from hybridplan import dualquat
 from hybridplan.dualquat import DualQuaternion, dq_sclerp, dq_to_lanes
 from hybridplan.feasibility import FeasibilityMap
 from hybridplan.hrl_planner import (
@@ -139,6 +140,11 @@ def _random_configs(rng, planar):
             for axis, a in zip(axes, angles)]
 
 
+def amplitude(cfg):
+    # the jitter amplitudes train_hrl hands to _jitter_lanes
+    return np.append(cfg.jitter_pos, cfg.jitter_rot)
+
+
 @pytest.mark.parametrize("jitter", [
     NO_JITTER,
     {},                                                    # the default HrlConfig jitter
@@ -149,12 +155,29 @@ def test_lane_jitter_equals_the_per_pose_reference(jitter, planar):
     cfg = HrlConfig(**jitter)
     configs = _random_configs(np.random.default_rng(11), planar)
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for _ in range(4):
-        got = _jitter_lanes(dq_to_lanes(configs), cfg, got_rng)
-        want = dq_to_lanes([ref.jitter_pose(p, cfg, want_rng) for p in configs])
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()        # signed zeros included
+    for n in range(1, len(configs) + 1):                   # 1 to 9 poses
+        for _ in range(4):
+            got = _jitter_lanes(dq_to_lanes(configs[:n]), amplitude(cfg), got_rng)
+            want = dq_to_lanes([ref.jitter_pose(p, cfg, want_rng) for p in configs[:n]])
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()    # signed zeros included
     assert got_rng.random() == want_rng.random()
+
+
+def test_lane_jitter_takes_its_norm_on_c_ordered_rows(monkeypatch):
+    # _lane_dot rounds by memory layout, and the table product's rows are
+    # F-ordered: only C-ordered rows round like the one-pose norm
+    seen = []
+
+    def lane_dot(u, v):
+        seen.append((u.flags.c_contiguous, v.flags.c_contiguous))
+        return dualquat._lane_dot(u, v)
+
+    monkeypatch.setattr("hybridplan.hrl_planner._lane_dot", lane_dot)
+    configs = dq_to_lanes(_random_configs(np.random.default_rng(3), False))
+    for n in (2, 5, 9):
+        _jitter_lanes(configs[:n], amplitude(HrlConfig()), np.random.default_rng(n))
+    assert seen == [(True, True)] * 3
 
 
 # Every pin in this file was recorded with numpy 2.4.6; another numpy may
@@ -563,6 +586,33 @@ def test_plan_argmax_invariance_under_affine_value_scaling():
     assert plan1["segments"] == plan2["segments"]
 
 
+@pytest.mark.parametrize("vals", [
+    [0.0, 0.0, 0.0],                  # an all-unvisited row: the first
+    [-1.0, 2.0, 2.0, 1.0],            # a tie at the top
+    [-0.0, 0.0, -0.0],                # -0.0 equals 0.0: the first
+    [0.0, -0.0],
+    [SENTINEL, -3.0, -1.5, -1.5],
+    [SENTINEL, SENTINEL, 0.5],
+])
+def test_greedy_picks_keep_the_first_maximum(vals):
+    # the picks take max in Python; np.argmax's rule is the reference
+    keys = [f"k{i}" for i in range(len(vals))]
+    tables = QTables(task_q={("st", k): v for k, v in zip(keys, vals)},
+                     motion_q={("st", "seg", k): v for k, v in zip(keys, vals)})
+    want = keys[int(np.argmax(vals))]
+    assert tables.best_segment("st", keys) == want
+    assert tables.best_skill("st", "seg", keys) == want
+    # keys the tables never saw read 0.0, tying with a stored -0.0
+    assert tables.best_segment("st", ["new"] + keys) == (["new"] + keys)[
+        int(np.argmax([0.0] + vals))]
+
+
+def test_best_skill_refuses_a_row_of_sentinels():
+    tables = QTables(motion_q={("st", "seg", k): SENTINEL for k in ("a", "b", "c")})
+    with pytest.raises(ValueError, match="no admissible skill"):
+        tables.best_skill("st", "seg", ["a", "b", "c"])
+
+
 def test_plan_no_admissible_skill_error():
     tables = QTables(motion_q={((0, -1), (0, 1), "s"): SENTINEL})
     task = Task("t", [pose(0, 0), pose(1, 0)])
@@ -627,27 +677,45 @@ def test_small_instance_optimality_sample():
     assert matches >= int(0.95 * trials)
 
 
+def jitter_default(lanes):
+    return _jitter_lanes(np.array(lanes, dtype=float), amplitude(HrlConfig()),
+                         np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: intrinsic_reward(line_skill("s", 1.0, 0.0), [pose(0, 0)]),
                  "segment needs at least 2 poses", id="one_pose_segment"),
-    pytest.param(lambda: _jitter_lanes(np.zeros((2, 8)), HrlConfig(), np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default(np.zeros((2, 8))),
                  "degenerate rotation", id="degenerate_jitter"),
-    pytest.param(lambda: _jitter_lanes(np.array([[np.nan, 0, 0, 1, 0, 0, 0, 0]]), HrlConfig(),
-                                       np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default([[np.nan, 0, 0, 1, 0, 0, 0, 0]]),
                  "degenerate rotation", id="nan_rotation_jitter"),
-    pytest.param(lambda: _jitter_lanes(np.array([[0, 0, 0, 1, np.nan, 0, 0, 0]]), HrlConfig(),
-                                       np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default([[0, 0, 0, 1, np.nan, 0, 0, 0]]),
                  "non-finite position", id="nan_position_jitter"),
-    pytest.param(lambda: _jitter_lanes(np.array([[1, 0, 0, 0, 0, np.inf, 0, 0]]), HrlConfig(),
-                                       np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default([[1, 0, 0, 0, 0, np.inf, 0, 0]]),
                  "non-finite position", id="inf_position_jitter"),
-    pytest.param(lambda: _jitter_lanes(np.array([[np.inf, 0, 0, 0, 0, 0, 0, 0]]), HrlConfig(),
-                                       np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default([[np.inf, 0, 0, 0, 0, 0, 0, 0]]),
                  "degenerate rotation", id="inf_rotation_jitter"),
     # finite, but the translation 2 d r* overflows
-    pytest.param(lambda: _jitter_lanes(np.array([[0, 0, 0, 1, 1e308, 1e308, 0, 0]]), HrlConfig(),
-                                       np.random.default_rng(0)),
+    pytest.param(lambda: jitter_default([[0, 0, 0, 1, 1e308, 1e308, 0, 0]]),
                  "non-finite position", id="overflowing_position_jitter"),
+    # the offsets are drawn as -amp + 2 amp u, which no amplitude makes fail
+    *[pytest.param(lambda kw=kw: HrlConfig(**kw), field, id=f"{field}_{label}")
+      for field, label, kw in [
+          ("jitter_pos", "negative", dict(jitter_pos=(0.02, -0.01, 0.0))),
+          ("jitter_pos", "inf", dict(jitter_pos=(0.02, np.inf, 0.0))),
+          ("jitter_pos", "nan", dict(jitter_pos=(np.nan, 0.0, 0.0))),
+          ("jitter_pos", "two_axes", dict(jitter_pos=(0.02, 0.02))),
+          ("jitter_rot", "negative", dict(jitter_rot=-0.1)),
+          ("jitter_rot", "inf", dict(jitter_rot=np.inf)),
+          ("jitter_rot", "nan", dict(jitter_rot=np.nan)),
+          # eps_decay divides the episode: zero raised ZeroDivisionError at episode 0
+          ("eps_decay", "zero", dict(eps_decay=0.0)),
+          ("eps_decay", "negative", dict(eps_decay=-5.0)),
+          ("eps_decay", "nan", dict(eps_decay=np.nan)),
+          # a NaN rate filled the tables with NaN
+          ("alpha", "negative", dict(alpha=-0.1)),
+          ("alpha", "above_one", dict(alpha=1.5)),
+          ("alpha", "nan", dict(alpha=np.nan))]],
     pytest.param(lambda: train_hrl([Task("t", [pose(0, 0), pose(1, 0)])],
                                    library_of(line_skill("s", 1.0, 0.0)), episodes=0),
                  "episodes must be >= 1", id="no_episodes"),

@@ -86,7 +86,8 @@ def test_blend_caps_points_and_excludes_endpoints(monkeypatch):
     model = planar_3r()
     cfg = switch_config(monkeypatch, blend_points=7, blend_step_deg=2.0)
     a, b = np.array([0.5, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])
-    out = blend(a, b, model, [POST], cfg)
+    out, short, none = blend([(a, b), (a, a + np.radians([5.0, 0.0, -3.0])), (a, a)],
+                             model, [POST], cfg)
     assert len(out) == cfg.blend_points                  # 28 would be needed
     assert np.all(out.source == SOURCE_DRL)
     assert not any(np.array_equal(p, a) or np.array_equal(p, b) for p in out.points)
@@ -95,10 +96,11 @@ def test_blend_caps_points_and_excludes_endpoints(monkeypatch):
     assert np.all((u > 0.0) & (u < 1.0)) and np.all(np.diff(u) > 0.0)
     assert out.col.any()
     assert_annotated(model, out)
-    short = blend(a, a + np.radians([5.0, 0.0, -3.0]), model, [POST], cfg)
     assert len(short) == 2                                # ceil(5 / 2) - 1
     assert_annotated(model, short)
-    assert len(blend(a, a, model, [POST], cfg)) == 0
+    assert len(none) == 0 and len(none.man) == 0 and len(none.col) == 0
+    alone, = blend([(a, a)], model, [POST], cfg)          # no row to score
+    assert len(alone) == 0 and alone.man.dtype == float and alone.col.dtype == np.uint8
 
 
 def test_densify_bounds_steps_and_keeps_the_original_points():
@@ -168,9 +170,10 @@ def test_edge_splits_equal_the_per_point_loops(monkeypatch, case):
     for bound_deg in (2.0, 0.5):
         pairs.append((densify(traj, model, [POST], bound_deg),
                       scalar_reference.densify(traj, model, [POST], bound_deg)))
-    for a, b in zip(points[:-1], points[1:]):
-        pairs.append((blend(a, b, model, [POST], cfg),
-                      scalar_reference.blend(a, b, model, [POST], cfg)))
+    if k > 1:                      # every edge's blend from one batch
+        pairs += zip(blend(list(zip(points[:-1], points[1:])), model, [POST], cfg),
+                     [scalar_reference.blend(a, b, model, [POST], cfg)
+                      for a, b in zip(points[:-1], points[1:])])
     for got, ref in pairs:
         for field in ("points", "source", "man", "col"):
             if getattr(ref, field) is None:             # densify's unscored path
@@ -208,8 +211,8 @@ def test_assemble_length_is_the_sum_of_its_parts(monkeypatch):
     for s_in, s_out in [(band.entry.index, band.exit.index), (band.entry.lo, band.exit.hi),
                         (band.entry.hi, band.exit.lo)]:
         out = assemble(cands, [band], [(s_in, s_out)], model, [POST], cfg)
-        b_in = blend(cands.points[s_in], band.bridge.points[0], model, [POST], cfg)
-        b_out = blend(band.bridge.points[-1], cands.points[s_out], model, [POST], cfg)
+        b_in, b_out = blend([(cands.points[s_in], band.bridge.points[0]),
+                             (band.bridge.points[-1], cands.points[s_out])], model, [POST], cfg)
         assert len(out) == (s_in + 1) + len(b_in) + len(band.bridge) + len(b_out) \
             + (len(cands) - s_out)
         np.testing.assert_array_equal(out.points, np.vstack([
@@ -249,6 +252,42 @@ def test_brute_force_switches_never_lose_to_the_heuristic(monkeypatch):
         assert r_best >= r_heur
         assert band.entry.lo <= best[0] <= band.entry.hi
         assert band.exit.lo <= best[1] <= band.exit.hi
+
+
+def test_a_band_scores_all_its_blends_in_one_call(monkeypatch):
+    # the band's first reward builds the blend of every handover index of
+    # both windows and scores their rows in one call; each blend equals the
+    # blend of its own pair, bit for bit
+    model = planar_3r()
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
+    cands, band = band_scene(model, cfg)
+    rows = []
+    monkeypatch.setattr(switch_agent, "score_lanes",
+                        lambda model, thetas, obstacles: rows.append(len(thetas))
+                        or score_lanes(model, thetas, obstacles))
+    blends = {}
+    ins, outs = range(band.entry.lo, band.entry.hi + 1), range(band.exit.lo, band.exit.hi + 1)
+    for s_in in ins:
+        for s_out in outs:
+            executed_window_reward(cands, band, s_in, s_out, model, [POST], cfg, blends)
+    assert set(blends) == {("in", s) for s in ins} | {("out", s) for s in outs}
+    assert rows == [sum(len(b) for b in blends.values())] and rows[0] > 0
+    for (kind, s), got in blends.items():
+        ends = ((cands.points[s], band.bridge.points[0]) if kind == "in"
+                else (band.bridge.points[-1], cands.points[s]))
+        ref = scalar_reference.blend(*ends, model, [POST], cfg)
+        for field in ("points", "source", "man", "col"):
+            assert_same_bits(getattr(got, field), getattr(ref, field))
+
+
+def test_executed_window_reward_refuses_a_handover_outside_its_windows(monkeypatch):
+    model = planar_3r()
+    cfg = switch_config(monkeypatch, window=2, blend_points=4)
+    cands, band = band_scene(model, cfg)
+    for s_in, s_out in [(band.entry.lo - 1, band.exit.lo), (band.entry.hi + 1, band.exit.lo),
+                        (band.entry.lo, band.exit.lo - 1), (band.entry.lo, band.exit.hi + 1)]:
+        with pytest.raises(ValueError, match="outside the decision windows"):
+            executed_window_reward(cands, band, s_in, s_out, model, [POST], cfg)
 
 
 class Always:
@@ -634,10 +673,10 @@ def test_hybrid_execute_judges_each_unscored_path_by_one_score(workloads, hybrid
     pytest.param(lambda: densify(unannotated([[0.0, 0.2, 0.3], [1e9, 0.2, 0.3]]),
                                  planar_3r(), [POST], 2.0),
                  "joint path row 1 is outside the joint limits", id="densify_1e9_rad_step"),
-    pytest.param(lambda: blend([0.1, 0.2, 0.3], [0.2, np.inf, 0.3], planar_3r(), [POST],
+    pytest.param(lambda: blend([([0.1, 0.2, 0.3], [0.2, np.inf, 0.3])], planar_3r(), [POST],
                                SwitchConfig()),
                  "joint path row 1 is not finite", id="blend_inf"),
-    pytest.param(lambda: blend([np.nan, 0.2, 0.3], [0.2, 0.1, 0.3], planar_3r(), [POST],
+    pytest.param(lambda: blend([([np.nan, 0.2, 0.3], [0.2, 0.1, 0.3])], planar_3r(), [POST],
                                SwitchConfig()),
                  "joint path row 0 is not finite", id="blend_nan"),
 ])
