@@ -602,9 +602,9 @@ def test_greedy_picks_keep_the_first_maximum(vals):
     want = keys[int(np.argmax(vals))]
     assert tables.best_segment("st", keys) == want
     assert tables.best_skill("st", "seg", keys) == want
-    # keys the tables never saw read 0.0, tying with a stored -0.0
-    assert tables.best_segment("st", ["new"] + keys) == (["new"] + keys)[
-        int(np.argmax([0.0] + vals))]
+    # a key the tables never saw reads 0.0, which ties with a stored -0.0
+    cands = ["new"] + keys
+    assert tables.best_segment("st", cands) == cands[int(np.argmax([0.0] + vals))]
 
 
 def test_best_skill_refuses_a_row_of_sentinels():
